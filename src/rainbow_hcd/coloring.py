@@ -85,10 +85,9 @@ def balanced_k_coloring(
     G: BipartiteMultigraph,
     k: int,
     rng: random.Random | None = None,
-    eids: Iterable[int] | None = None,
 ) -> dict[int, int]:
-    """Color the given edges (all by default) with colors 0..k-1 so that at
-    every vertex and in every bundle any two colors differ by at most one.
+    """Color the edges with colors 0..k-1 so that at every vertex and in
+    every bundle any two colors differ by at most one.
 
     Start from a cyclic assignment, then repeatedly take a color pair that
     still violates balance somewhere and recolor its subgraph with an Euler
@@ -96,14 +95,8 @@ def balanced_k_coloring(
     """
     if k < 1:
         raise PreconditionViolation("need k >= 1")
-    pool = set(G.edges) if eids is None else set(eids)
-    if not pool <= set(G.edges):
-        raise PreconditionViolation("unknown edge id in eids")
 
-    bundle_list = [
-        [e for e in bund if e in pool] for _, bund in sorted(G.bundles().items())
-    ]
-    bundle_list = [b for b in bundle_list if b]
+    bundle_list = [bund for _, bund in sorted(G.bundles().items())]
     if rng is not None:
         rng.shuffle(bundle_list)
     col: dict[int, int] = {}
@@ -114,35 +107,34 @@ def balanced_k_coloring(
             c = (c + 1) % k
 
     while True:
-        pair = _find_unbalanced_pair(G, col, k, pool)
+        pair = _find_unbalanced_pair(G, col, k)
         if pair is None:
             break
         i, j = pair
-        before = _pair_potential(G, col, pool, i, j)
-        _recolor_pair(G, col, pool, i, j)
-        after = _pair_potential(G, col, pool, i, j)
+        before = _pair_potential(G, col, i, j)
+        _recolor_pair(G, col, i, j)
+        after = _pair_potential(G, col, i, j)
         assert after <= before - 2, "recoloring did not lower the potential"
 
-    assert _find_unbalanced_pair(G, col, k, pool) is None
+    assert _find_unbalanced_pair(G, col, k) is None
     return col
 
 
-def _counts_at(inc: Sequence[int], col: dict[int, int], pool: set[int], k: int):
+def _counts_at(inc: Sequence[int], col: dict[int, int], k: int):
     counts = [0] * k
     for e in inc:
-        if e in pool:
-            counts[col[e]] += 1
+        counts[col[e]] += 1
     return counts
 
 
-def _find_unbalanced_pair(G, col, k, pool):
+def _find_unbalanced_pair(G, col, k):
     """First (color, color) pair out of balance at some vertex or bundle."""
     groups: list[Sequence[int]] = []
     groups.extend(G._by_x)
     groups.extend(G._by_y)
     groups.extend(b for _, b in sorted(G.bundles().items()))
     for inc in groups:
-        counts = _counts_at(inc, col, pool, k)
+        counts = _counts_at(inc, col, k)
         hi = max(range(k), key=lambda c: (counts[c], c))
         lo = min(range(k), key=lambda c: (counts[c], -c))
         if counts[hi] - counts[lo] >= 2:
@@ -150,27 +142,27 @@ def _find_unbalanced_pair(G, col, k, pool):
     return None
 
 
-def _pair_potential(G, col, pool, i, j):
+def _pair_potential(G, col, i, j):
     total = 0
     groups: list[Sequence[int]] = []
     groups.extend(G._by_x)
     groups.extend(G._by_y)
     groups.extend(b for _, b in sorted(G.bundles().items()))
     for inc in groups:
-        a = sum(1 for e in inc if e in pool and col[e] == i)
-        b = sum(1 for e in inc if e in pool and col[e] == j)
+        a = sum(1 for e in inc if col[e] == i)
+        b = sum(1 for e in inc if col[e] == j)
         total += a * a + b * b
     return total
 
 
-def _recolor_pair(G, col, pool, i, j):
+def _recolor_pair(G, col, i, j):
     """Rebalance colors i and j on their joint subgraph.
 
     Parallel edges are pre-matched into one-of-each pairs bundle by bundle;
     the leftover simple graph is cut into trails whose alternation balances
     every vertex to within one.
     """
-    sub = {e for e in pool if col[e] in (i, j)}
+    sub = {e for e in G.edges if col[e] in (i, j)}
     residual: list[int] = []
     for _, bund in sorted(G.bundles().items()):
         es = [e for e in bund if e in sub]

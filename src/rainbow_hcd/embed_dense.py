@@ -23,6 +23,7 @@ from .graph_core import (
     Decomposition,
     Edge,
     analyze_linear_forest,
+    component_edge_groups,
     edge,
     edge_vertices,
     relabel_decomposition,
@@ -72,7 +73,7 @@ def embed_dense(
         raise PreconditionViolation("dense labels 0..r-1 required")
     if len(set(h_edges)) != t:
         raise PreconditionViolation("repeated edge")
-    for grp in _component_groups(h_edges):
+    for grp in component_edge_groups(h_edges):
         if len(grp) < 2:
             raise PreconditionViolation("every component needs >= 2 edges")
     if trace is None:
@@ -138,35 +139,6 @@ class _Cls:
     keep: Edge | None = None  # protected edge, never moved out
 
 
-def _component_groups(h_edges: list[Edge]) -> list[list[int]]:
-    """Edge indices grouped by component, ordered by smallest vertex."""
-    adj: dict[int, list[int]] = {}
-    for idx, (u, v) in enumerate(h_edges):
-        adj.setdefault(u, []).append(idx)
-        adj.setdefault(v, []).append(idx)
-    seen_v: set[int] = set()
-    groups: list[list[int]] = []
-    for start in sorted(adj):
-        if start in seen_v:
-            continue
-        stack = [start]
-        seen_v.add(start)
-        verts = []
-        while stack:
-            x = stack.pop()
-            verts.append(x)
-            for idx in adj[x]:
-                for w in h_edges[idx]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-        vset = set(verts)
-        groups.append(
-            [i for i, (u, v) in enumerate(h_edges) if u in vset]
-        )
-    return groups
-
-
 def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
     """First `need` edges of the component in breadth-first order from its
     smallest vertex; the chosen part stays connected."""
@@ -202,7 +174,7 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
     """Pick s edge indices: whole components first, then a connected prefix
     of the component that would overflow."""
     chosen: list[int] = []
-    for grp in _component_groups(h_edges):
+    for grp in component_edge_groups(h_edges):
         if len(chosen) + len(grp) <= s:
             chosen.extend(grp)
         else:

@@ -24,7 +24,9 @@ class InvariantViolation(InternalInfeasible):
 
 
 class WitnessRejected(InternalInfeasible):
-    """All attempts to realize a combinatorial witness failed verification."""
+    """No witness candidate of an attach round passed verification: for
+    each of the round's fresh colorings, both sides of the first split
+    were given their final split and rejected."""
 
 
 class SearchExhausted(InternalInfeasible):

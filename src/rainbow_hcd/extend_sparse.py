@@ -10,17 +10,26 @@ with the floor schedule
     |Q_i| >= 4s + 2r - 2n - 1   for i < t + s,
     |Q_i| >= 4s + 2r - 2n       otherwise.
 
-Distribution candidates come from a chain of balanced colorings of a
-capacity multigraph (classes on one side, host vertices on the other).
-Every candidate is checked outright against the full list of witness
-conditions; rejected candidates trigger seeded retries, and only a
-verified witness is ever applied.
+A round draws one balanced coloring of a doubled capacity multigraph
+(classes on one side, host vertices on the other, plus a guard vertex).
+Two of its colors give four free slots at every old vertex.  A first
+paired split cuts them into two sides of two slots per old vertex; the
+two copies of a slot land on different sides.  Each side in turn gets a
+paired final split between m and m+1: every old vertex sends one slot
+to each new vertex, and the two end slots of every path whose ends both
+sit in the side go to different new vertices, so no path closes a cycle
+at one new vertex.  _witness_ok checks each candidate against the full
+list of witness conditions, and only a verified witness is applied.  A
+fresh coloring is drawn only when both sides fail, which happens when a
+cycle closes through the bridge class or through two whole paths; that
+redraw, at most OUTER_TRIES times, is the only retry.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterable
 
 from .coloring import (
     BipartiteMultigraph,
@@ -38,8 +47,6 @@ from .errors import (
 from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
 
 OUTER_TRIES = 60
-INNER_TRIES = 20
-SPLIT_TRIES = 20
 
 # a witness side: one (class, vertex, capacity-slot id) triple per new edge
 Witness = list[tuple[int, int, int]]
@@ -103,10 +110,13 @@ def extend_with_k2s(
     verify_sparse_state(dec, r, t, n, 0)
     rng = random.Random(seed)
     for s in range(n - t):
-        g1, g2, tries = _stage_witness(dec, t, n, s, rng)
+        g1, g2, colorings, checks = _stage_witness(dec, t, n, s, rng)
         dec = _attach(dec, g1, g2, s + t)
         verify_sparse_state(dec, r, t, n, s + 1)
-        trace.append(f"attach: s={s} order={dec.order} tries={tries}")
+        trace.append(
+            f"attach: s={s} order={dec.order} "
+            f"colorings={colorings} checks={checks}"
+        )
     return dec
 
 
@@ -125,7 +135,9 @@ def _attach(
 
 def _stage_witness(
     dec: Decomposition, t: int, n: int, s: int, rng: random.Random
-) -> tuple[Witness, Witness, int]:
+) -> tuple[Witness, Witness, int, int]:
+    """The two sides of round s's witness, one per new vertex, with the
+    number of colorings drawn and of candidates checked."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
@@ -168,8 +180,9 @@ def _stage_witness(
         view = analyze_linear_forest(dec.classes[i], range(m))
         path_ends.append([(p[0], p[-1]) for p in view.paths])
 
-    tries = 0
-    for _outer in range(OUTER_TRIES):
+    colorings = checks = 0
+    for _try in range(OUTER_TRIES):
+        colorings += 1
         col = balanced_k_coloring(ghat, k, rng)
         colors = class_sets(col, k)
         bundle_cols = sorted({col[e] for e in star_ids})
@@ -179,17 +192,7 @@ def _stage_witness(
             for q in bundle_cols
         }
         bundle_cols.sort(key=lambda q: (len(extras[q]), q))
-        l1, l3, l2, l4 = (
-            bundle_cols[0],
-            bundle_cols[1],
-            bundle_cols[2],
-            bundle_cols[3],
-        )
-        lost = extras[l1] + extras[l3]
-        if len(lost) >= 2:
-            tries += 1
-            continue
-        c_exc = ghat.edges[lost[0]][0] if lost else None
+        l1, l3, l2, l4 = bundle_cols
 
         a1 = {e for e in colors[l1] if e not in guard_ids}
         b2 = {e for e in colors[l2] if e not in guard_ids}
@@ -212,36 +215,15 @@ def _stage_witness(
             fgr.add_edge(xe, ye)
             fid_to_hat.append(e)
 
-        pairing = _assemble_pairing(fgr, fid_to_hat, path_ends, True)
-        for _inner in range(INNER_TRIES):
-            tries += 1
-            try:
-                side_a, side_b = paired_balanced_2_coloring(fgr, pairing, rng)
-            except PreconditionViolation:
-                pairing = _assemble_pairing(fgr, fid_to_hat, path_ends, False)
-                side_a, side_b = paired_balanced_2_coloring(fgr, pairing, rng)
-            candidates = []
-            for side in (side_a, side_b):
-                if c_exc is None or fgr.degree_x(c_exc, side) >= 5 - x_of[c_exc]:
-                    candidates.append(side)
-            for chosen in candidates:
-                for _split in range(SPLIT_TRIES):
-                    col2 = balanced_k_coloring(fgr, 2, rng, eids=chosen)
-                    g1 = [
-                        (fgr.edges[f][0], fgr.edges[f][1], fid_to_hat[f] // 2)
-                        for f in sorted(chosen)
-                        if col2[f] == 0
-                    ]
-                    g2 = [
-                        (fgr.edges[f][0], fgr.edges[f][1], fid_to_hat[f] // 2)
-                        for f in sorted(chosen)
-                        if col2[f] == 1
-                    ]
-                    if _witness_ok(dec, g1, g2, cstar, x_of):
-                        return g1, g2, tries
+        pairing = _assemble_pairing(fgr, fid_to_hat, path_ends)
+        for chosen in paired_balanced_2_coloring(fgr, pairing, rng):
+            g1, g2 = _final_split(fgr, fid_to_hat, chosen, path_ends, rng)
+            checks += 1
+            if _witness_ok(dec, g1, g2, cstar, x_of):
+                return g1, g2, colorings, checks
     raise WitnessRejected(
-        f"no witness after {tries} attempts at step s={s}, "
-        f"order {m}, n={n}, t={t}, k={k}"
+        f"no witness after {colorings} colorings and {checks} checks at "
+        f"step s={s}, order {m}, n={n}, t={t}, k={k}"
     )
 
 
@@ -249,11 +231,14 @@ def _assemble_pairing(
     fgr: BipartiteMultigraph,
     fid_to_hat: list[int],
     path_ends: list[list[tuple[int, int]]],
-    use_path_pairs: bool,
 ) -> dict[int, int]:
-    """Mate duplicated slot copies first, then parallel slots of one
-    bundle, then slots at the two ends of one path; the rest is left to
-    the coloring op's own extension."""
+    """Pairing for the first split of the four-per-vertex slot graph.
+
+    Mate duplicated slot copies first, so no slot reaches both sides,
+    then parallel slots of one bundle, then slots at the two ends of one
+    path; the rest is left to the coloring op's own extension.  Path
+    pairs only mate slots of bundle size 1, so they never make the
+    pairing unextendable."""
     mate: dict[int, int] = {}
     unpaired: set[int] = set(range(len(fid_to_hat)))
 
@@ -276,19 +261,56 @@ def _assemble_pairing(
             mate[b] = a
             unpaired -= {a, b}
 
-    if use_path_pairs:
-        free_at: dict[tuple[int, int], list[int]] = {}
-        for f in sorted(unpaired):
-            free_at.setdefault(fgr.edges[f], []).append(f)
-        for i, ends in enumerate(path_ends):
-            for z, w in ends:
-                fz = free_at.get((i, z), [])
-                fw = free_at.get((i, w), [])
-                if fz and fw:
-                    a, b = fz.pop(0), fw.pop(0)
-                    mate[a] = b
-                    mate[b] = a
-                    unpaired -= {a, b}
+    mate.update(_mate_path_ends(fgr, unpaired, path_ends))
+    return mate
+
+
+def _final_split(
+    fgr: BipartiteMultigraph,
+    fid_to_hat: list[int],
+    chosen: set[int],
+    path_ends: list[list[tuple[int, int]]],
+    rng: random.Random,
+) -> tuple[Witness, Witness]:
+    """Split one side of the first split between the new vertices m and
+    m + 1.
+
+    Every old vertex holds two slots of `chosen`, and the paired
+    2-coloring gives one to each new vertex.  The two end slots of every
+    path whose ends both sit in `chosen` are mated, so no path closes a
+    cycle at one new vertex."""
+    fids = sorted(chosen)
+    sub = BipartiteMultigraph(fgr.x_size, fgr.y_size)
+    for f in fids:
+        sub.add_edge(*fgr.edges[f])
+    mate = _mate_path_ends(sub, sub.edges, path_ends)
+    sides = paired_balanced_2_coloring(sub, mate, rng)
+    g1, g2 = (
+        [(*sub.edges[j], fid_to_hat[fids[j]] // 2) for j in sorted(side)]
+        for side in sides
+    )
+    return g1, g2
+
+
+def _mate_path_ends(
+    g: BipartiteMultigraph,
+    free: Iterable[int],
+    path_ends: list[list[tuple[int, int]]],
+) -> dict[int, int]:
+    """Mate one free slot at each end of every path whose two ends both
+    offer one in g."""
+    mate: dict[int, int] = {}
+    free_at: dict[tuple[int, int], list[int]] = {}
+    for f in sorted(free):
+        free_at.setdefault(g.edges[f], []).append(f)
+    for i, ends in enumerate(path_ends):
+        for z, w in ends:
+            fz = free_at.get((i, z), [])
+            fw = free_at.get((i, w), [])
+            if fz and fw:
+                a, b = fz.pop(0), fw.pop(0)
+                mate[a] = b
+                mate[b] = a
     return mate
 
 

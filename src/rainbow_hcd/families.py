@@ -10,36 +10,17 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import PreconditionViolation
-from .graph_core import Edge, edge, edge_vertices
+from .graph_core import Edge, component_edge_groups, edge, edge_vertices
 
 
 def canonical_form(edges: list[Edge]) -> tuple:
     """Isomorphism invariant: each connected component is canonized by the
     cheapest labeling over all permutations of its vertices, and the graph
     is the sorted multiset of component forms."""
-    vs = edge_vertices(edges)
-    adj: dict[int, set[int]] = {v: set() for v in vs}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
     comps: list[tuple] = []
-    for start in vs:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comp.sort()
-        compset = set(comp)
-        comp_edges = [(u, v) for u, v in edges if u in compset and v in compset]
+    for grp in component_edge_groups(edges):
+        comp_edges = [edges[i] for i in grp]
+        comp = edge_vertices(comp_edges)
         best = None
         for perm in permutations(range(len(comp))):
             relab = dict(zip(comp, perm))

@@ -36,6 +36,33 @@ def edge_vertices(edges: Iterable[Edge]) -> list[int]:
     return sorted(vs)
 
 
+def component_edge_groups(edges: list[Edge]) -> list[list[int]]:
+    """Edge indices grouped by connected component, each group ascending,
+    groups ordered by their smallest vertex."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    comp_of: dict[int, int] = {}
+    comps = 0
+    for start in sorted(adj):
+        if start in comp_of:
+            continue
+        stack = [start]
+        comp_of[start] = comps
+        while stack:
+            x = stack.pop()
+            for w in adj[x]:
+                if w not in comp_of:
+                    comp_of[w] = comps
+                    stack.append(w)
+        comps += 1
+    groups: list[list[int]] = [[] for _ in range(comps)]
+    for i, (u, _) in enumerate(edges):
+        groups[comp_of[u]].append(i)
+    return groups
+
+
 def is_hamiltonian_cycle(edges: Iterable[Edge], order: int) -> bool:
     """True when the edge set is a single cycle through all of 0..order-1."""
     es = set(edges)

@@ -40,6 +40,7 @@ from .graph_core import (
     Edge,
     RainbowCertificate,
     analyze_linear_forest,
+    component_edge_groups,
     edge,
     edge_vertices,
     relabel_decomposition,
@@ -76,27 +77,7 @@ class ComponentSplit:
 def split_components(internal: list[Edge]) -> ComponentSplit:
     """Group edge indices by connected component, components ordered by
     smallest vertex, and split off the single-edge components."""
-    adj: dict[int, set[int]] = {}
-    for u, v in internal:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    comp_of: dict[int, int] = {}
-    comps = 0
-    for start in sorted(adj):
-        if start in comp_of:
-            continue
-        stack = [start]
-        comp_of[start] = comps
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in comp_of:
-                    comp_of[w] = comps
-                    stack.append(w)
-        comps += 1
-    groups: list[list[int]] = [[] for _ in range(comps)]
-    for i, (u, _) in enumerate(internal):
-        groups[comp_of[u]].append(i)
+    groups = component_edge_groups(internal)
     return ComponentSplit(
         [g for g in groups if len(g) >= 2],
         [g[0] for g in groups if len(g) == 1],

@@ -21,17 +21,15 @@ def build(x_size, y_size, pairs):
     return G, ids
 
 
-def assert_balanced(G, col, k, pool=None):
-    pool = set(G.edges) if pool is None else set(pool)
-    assert set(col) == pool
+def assert_balanced(G, col, k):
+    assert set(col) == set(G.edges)
     groups = [G.incident_x(x) for x in range(G.x_size)]
     groups += [G.incident_y(y) for y in range(G.y_size)]
     groups += list(G.bundles().values())
     for inc in groups:
         counts = [0] * k
         for e in inc:
-            if e in pool:
-                counts[col[e]] += 1
+            counts[col[e]] += 1
         assert max(counts) - min(counts) <= 1
 
 
@@ -74,12 +72,6 @@ class TestBalancedK:
         G, ids = build(1, 3, [(0, 0), (0, 1), (0, 2)])
         col = balanced_k_coloring(G, 5)
         assert_balanced(G, col, 5)
-
-    def test_restricted_pool(self):
-        G, ids = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (0, 0)])
-        pool = {0, 1, 4}
-        col = balanced_k_coloring(G, 2, eids=pool)
-        assert_balanced(G, col, 2, pool)
 
     def test_k_one(self):
         G, ids = build(2, 2, [(0, 0), (1, 1), (0, 1)])

@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
 
+from rainbow_hcd.coloring import BipartiteMultigraph
 from rainbow_hcd.embed_dense import embed_dense
 from rainbow_hcd.errors import InvariantViolation, PreconditionViolation
 from rainbow_hcd.extend_sparse import (
+    _final_split,
     capacity_graph,
     extend_with_k2s,
     verify_sparse_state,
@@ -136,3 +141,46 @@ class TestGrowth:
         out = extend_with_k2s(dec, t=4, n=4, seed=0)
         assert out.order == dec.order
         assert out.classes == dec.classes
+
+
+class TestWitness:
+    def test_final_split_separates_path_ends(self):
+        # one side of a first split on 6 old vertices, two slots at each;
+        # class 0 holds both ends of path 0-2, the bridge class 1 both
+        # ends of path 3-5, and class 2 has no path with both ends here.
+        # Left alone, the coloring's own pairing would mate the slots at
+        # 0 and 1, and at 2 and 3, so ends 0 and 2 could land together
+        chosen_slots = [
+            (0, 0), (0, 1), (0, 2), (0, 3),
+            (1, 4), (1, 5), (1, 2), (1, 3),
+            (2, 0), (2, 1), (2, 4), (2, 5),
+        ]
+        fgr = BipartiteMultigraph(3, 6)
+        for x, y in chosen_slots + chosen_slots:
+            fgr.add_edge(x, y)
+        chosen = set(range(len(chosen_slots)))
+        fid_to_hat = [2 * f for f in fgr.edges]  # one slot per edge
+        path_ends = [[(0, 2)], [(3, 5)], []]
+        for seed in range(20):
+            g1, g2 = _final_split(
+                fgr, fid_to_hat, chosen, path_ends, random.Random(seed)
+            )
+            for side in (g1, g2):
+                assert sorted(u for _, u, _ in side) == list(range(6))
+            for i, [(z, w)] in enumerate(path_ends[:2]):
+                ends_at_m = {u for c, u, _ in g1 if c == i and u in (z, w)}
+                assert len(ends_at_m) == 1, (seed, i, g1)
+
+    def test_witness_budget(self):
+        # C3 + (n-3)K2 takes n - 3 attach rounds; nearly every round
+        # accepts the first witness it checks
+        rounds = checks = 0
+        for n in range(6, 12):
+            h = disjoint_union(cycle_graph(3), *[path_graph(1)] * (n - 3))
+            for seed in range(5):
+                for line in solve(h, seed).trace:
+                    if line.startswith("attach:"):
+                        rounds += 1
+                        checks += int(re.search(r"checks=(\d+)", line)[1])
+        assert rounds == 165
+        assert checks <= 1.25 * rounds

@@ -8,6 +8,7 @@ from rainbow_hcd.graph_core import (
     RainbowCertificate,
     analyze_linear_forest,
     complete_edges,
+    component_edge_groups,
     edge,
     is_hamiltonian_cycle,
     relabel_decomposition,
@@ -27,6 +28,13 @@ def test_complete_edges_count():
     assert complete_edges(1) == []
     assert complete_edges(3) == [(0, 1), (0, 2), (1, 2)]
     assert len(complete_edges(9)) == 36
+
+
+def test_component_edge_groups():
+    # components {5, 6}, {0, 1, 2} and {3, 4}, listed out of order
+    edges = [(5, 6), (1, 2), (3, 4), (0, 1), (0, 2)]
+    assert component_edge_groups(edges) == [[1, 3, 4], [2], [0]]
+    assert component_edge_groups([]) == []
 
 
 class TestHamiltonianCycle:
