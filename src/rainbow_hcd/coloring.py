@@ -3,7 +3,10 @@
 Three operations used by the sparse completion pipeline:
 
 * balanced_k_coloring: split the edges into k classes so that every vertex
-  and every parallel bundle sees each class within one of any other.
+  and every parallel bundle sees each class within one of any other.  It
+  keeps color counts per vertex and bundle and recolors two colors per
+  round, updating only the groups their edges touch; a per-round check on
+  those groups proves progress.
 * paired_balanced_2_coloring: a 2-coloring that separates prescribed edge
   pairs, is exactly balanced at every right vertex, and is within one at
   every left vertex.
@@ -18,6 +21,7 @@ between one (x, y) pair.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import InternalInfeasible, InvariantViolation, PreconditionViolation
@@ -56,8 +60,8 @@ class BipartiteMultigraph:
     def bundles(self) -> dict[tuple[int, int], list[int]]:
         """Parallel classes: (x, y) -> ascending edge ids."""
         out: dict[tuple[int, int], list[int]] = {}
-        for eid in sorted(self.edges):
-            out.setdefault(self.edges[eid], []).append(eid)
+        for eid, xy in self.edges.items():
+            out.setdefault(xy, []).append(eid)
         return out
 
     def degree_x(self, x: int, eids: set[int] | None = None) -> int:
@@ -89,14 +93,38 @@ def balanced_k_coloring(
     """Color the edges with colors 0..k-1 so that at every vertex and in
     every bundle any two colors differ by at most one.
 
-    Start from a cyclic assignment, then repeatedly take a color pair that
-    still violates balance somewhere and recolor its subgraph with an Euler
-    split.  A quadratic potential drops each round, so this terminates.
+    Start from a cyclic assignment over the bundles.  Then, while some
+    group (x vertices, then y vertices, then bundles in (x, y) order) is
+    out of balance, take the first one, pair its most used color i with
+    its least used color j, and recolor the edges of colors i and j with
+    an Euler split.  Color counts per group, the edges of each color and
+    the set of unbalanced groups are kept up to date; a round changes
+    them only in the groups that the edges of i and j touch.
+
+    The sum of c_i^2 + c_j^2 over all groups drops by at least 2 each
+    round, which bounds the number of rounds.  Groups the round does not
+    touch keep their counts of i and j, so the drop is computed over the
+    touched groups alone, and a round that misses it raises
+    InvariantViolation.  The finished coloring is rescanned once.
     """
     if k < 1:
         raise PreconditionViolation("need k >= 1")
 
-    bundle_list = [bund for _, bund in sorted(G.bundles().items())]
+    bundles = sorted(G.bundles().items())
+    groups: list[Sequence[int]] = [*G._by_x, *G._by_y]
+    groups.extend(bund for _, bund in bundles)
+    # group indices of each edge: its x vertex, its y vertex, its bundle;
+    # rank orders edges bundle by bundle, as _recolor_pair takes them
+    where: dict[int, tuple[int, int, int]] = {}
+    rank: dict[int, int] = {}
+    y0 = G.x_size
+    b0 = G.x_size + G.y_size
+    for b, ((x, y), bund) in enumerate(bundles):
+        for e in bund:
+            where[e] = (x, y0 + y, b0 + b)
+            rank[e] = len(rank)
+
+    bundle_list = [bund for _, bund in bundles]
     if rng is not None:
         rng.shuffle(bundle_list)
     col: dict[int, int] = {}
@@ -106,66 +134,81 @@ def balanced_k_coloring(
             col[e] = c
             c = (c + 1) % k
 
-    while True:
-        pair = _find_unbalanced_pair(G, col, k)
-        if pair is None:
-            break
-        i, j = pair
-        before = _pair_potential(G, col, i, j)
-        _recolor_pair(G, col, i, j)
-        after = _pair_potential(G, col, i, j)
-        assert after <= before - 2, "recoloring did not lower the potential"
+    counts = [[0] * k for _ in groups]
+    members: list[set[int]] = [set() for _ in range(k)]
+    for e, c in col.items():
+        members[c].add(e)
+        for g in where[e]:
+            counts[g][c] += 1
+    unbalanced = {g for g, cnt in enumerate(counts) if max(cnt) - min(cnt) >= 2}
 
-    assert _find_unbalanced_pair(G, col, k) is None
+    while unbalanced:
+        i, j = _unbalanced_pair(counts[min(unbalanced)])
+        sub = sorted(members[i] | members[j], key=rank.__getitem__)
+        old = [col[e] for e in sub]
+        touched = {g for e in sub for g in where[e]}
+        before = sum(counts[g][i] ** 2 + counts[g][j] ** 2 for g in touched)
+        _recolor_pair(G, col, i, j, sub)
+        members[i] = {e for e in sub if col[e] == i}
+        members[j] = {e for e in sub if col[e] == j}
+        for e, c in zip(sub, old):
+            d = col[e]
+            if d != c:
+                for g in where[e]:
+                    counts[g][c] -= 1
+                    counts[g][d] += 1
+        after = sum(counts[g][i] ** 2 + counts[g][j] ** 2 for g in touched)
+        if after > before - 2:
+            raise InvariantViolation(
+                f"recoloring colors {i} and {j} did not lower the potential "
+                f"({before} -> {after})"
+            )
+        for g in touched:
+            cnt = counts[g]
+            if max(cnt) - min(cnt) >= 2:
+                unbalanced.add(g)
+            else:
+                unbalanced.discard(g)
+
+    if _find_unbalanced_pair(groups, col, k) is not None:
+        raise InvariantViolation("balanced coloring left a group out of balance")
     return col
 
 
-def _counts_at(inc: Sequence[int], col: dict[int, int], k: int):
-    counts = [0] * k
-    for e in inc:
-        counts[col[e]] += 1
-    return counts
+def _unbalanced_pair(counts: list[int]) -> tuple[int, int] | None:
+    """(lower, higher) of the most and least used colors, ties to the
+    higher color, when their counts differ by two or more."""
+    if max(counts) - min(counts) < 2:
+        return None
+    colors = range(len(counts))
+    hi = max(colors, key=lambda c: (counts[c], c))
+    lo = min(colors, key=lambda c: (counts[c], -c))
+    return (hi, lo) if hi < lo else (lo, hi)
 
 
-def _find_unbalanced_pair(G, col, k):
-    """First (color, color) pair out of balance at some vertex or bundle."""
-    groups: list[Sequence[int]] = []
-    groups.extend(G._by_x)
-    groups.extend(G._by_y)
-    groups.extend(b for _, b in sorted(G.bundles().items()))
+def _find_unbalanced_pair(groups, col, k):
+    """First (color, color) pair out of balance in any of the groups."""
     for inc in groups:
-        counts = _counts_at(inc, col, k)
-        hi = max(range(k), key=lambda c: (counts[c], c))
-        lo = min(range(k), key=lambda c: (counts[c], -c))
-        if counts[hi] - counts[lo] >= 2:
-            return (hi, lo) if hi < lo else (lo, hi)
+        counts = [0] * k
+        for e in inc:
+            counts[col[e]] += 1
+        pair = _unbalanced_pair(counts)
+        if pair is not None:
+            return pair
     return None
 
 
-def _pair_potential(G, col, i, j):
-    total = 0
-    groups: list[Sequence[int]] = []
-    groups.extend(G._by_x)
-    groups.extend(G._by_y)
-    groups.extend(b for _, b in sorted(G.bundles().items()))
-    for inc in groups:
-        a = sum(1 for e in inc if col[e] == i)
-        b = sum(1 for e in inc if col[e] == j)
-        total += a * a + b * b
-    return total
-
-
-def _recolor_pair(G, col, i, j):
+def _recolor_pair(G, col, i, j, eids):
     """Rebalance colors i and j on their joint subgraph.
 
-    Parallel edges are pre-matched into one-of-each pairs bundle by bundle;
-    the leftover simple graph is cut into trails whose alternation balances
-    every vertex to within one.
+    eids are the edges of colors i and j, bundle by bundle in (x, y)
+    order and ascending within a bundle.  Parallel edges are pre-matched
+    into one-of-each pairs bundle by bundle; the leftover simple graph is
+    cut into trails whose alternation balances every vertex to within one.
     """
-    sub = {e for e in G.edges if col[e] in (i, j)}
     residual: list[int] = []
-    for _, bund in sorted(G.bundles().items()):
-        es = [e for e in bund if e in sub]
+    for _, run in groupby(eids, key=G.edges.__getitem__):
+        es = list(run)
         for a, b in zip(es[0::2], es[1::2]):
             col[a] = i
             col[b] = j
@@ -173,16 +216,12 @@ def _recolor_pair(G, col, i, j):
             residual.append(es[-1])
 
     # vertices of the residual simple graph: x as-is, y shifted
-    def vx(e):
-        return G.edges[e][0]
-
-    def vy(e):
-        return G.x_size + G.edges[e][1]
-
     adj: dict[int, list[tuple[int, int]]] = {}
     for e in residual:
-        adj.setdefault(vx(e), []).append((e, vy(e)))
-        adj.setdefault(vy(e), []).append((e, vx(e)))
+        x, y = G.edges[e]
+        y += G.x_size
+        adj.setdefault(x, []).append((e, y))
+        adj.setdefault(y, []).append((e, x))
     odd = sorted(v for v, inc in adj.items() if len(inc) % 2)
     virtuals: list[tuple[int, int]] = list(zip(odd[0::2], odd[1::2]))
     for t, (a, b) in enumerate(virtuals):

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rainbow_hcd import coloring
 from rainbow_hcd.coloring import (
     BipartiteMultigraph,
+    _find_unbalanced_pair,
+    _recolor_pair,
     balanced_k_coloring,
     class_sets,
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
-from rainbow_hcd.errors import PreconditionViolation
+from rainbow_hcd.errors import InvariantViolation, PreconditionViolation
 
 
 def build(x_size, y_size, pairs):
@@ -31,6 +34,25 @@ def assert_balanced(G, col, k):
         for e in inc:
             counts[col[e]] += 1
         assert max(counts) - min(counts) <= 1
+
+
+def full_scan_coloring(G, k, rng):
+    """balanced_k_coloring without its incremental counts: every round
+    rescans all groups and recolors the first unbalanced one."""
+    bundles = [bund for _, bund in sorted(G.bundles().items())]
+    groups = [*G._by_x, *G._by_y, *bundles]
+    order = [e for bund in bundles for e in bund]
+    if rng is not None:
+        rng.shuffle(bundles)
+    col = {}
+    c = rng.randrange(k) if rng is not None else 0
+    for bund in bundles:
+        for e in bund:
+            col[e] = c
+            c = (c + 1) % k
+    while (pair := _find_unbalanced_pair(groups, col, k)) is not None:
+        _recolor_pair(G, col, *pair, [e for e in order if col[e] in pair])
+    return col
 
 
 class TestMultigraph:
@@ -87,6 +109,24 @@ class TestBalancedK:
         assert a == b
         assert_balanced(G1, a, 3)
 
+    def test_stuck_round_raises(self, monkeypatch):
+        # with the residual split disabled, a round on this simple graph
+        # leaves the counts as they were, so the potential check must fire
+        monkeypatch.setattr(coloring, "_color_split_circuit", lambda *a: None)
+        G, ids = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        with pytest.raises(InvariantViolation, match="potential"):
+            balanced_k_coloring(G, 2)
+
+    def test_bundles_built_once(self, monkeypatch):
+        pairs = [(x, y) for x in range(4) for y in range(5)] * 3
+        G, ids = build(4, 5, pairs)
+        calls = []
+        real = G.bundles
+        monkeypatch.setattr(G, "bundles", lambda: calls.append(1) or real())
+        col = balanced_k_coloring(G, 4, rng=random.Random(3))
+        assert len(calls) == 1
+        assert_balanced(G, col, 4)
+
     @given(st.data())
     @settings(max_examples=250, deadline=None)
     def test_random_graphs(self, data):
@@ -98,11 +138,18 @@ class TestBalancedK:
                 max_size=30,
             )
         )
-        k = data.draw(st.integers(1, 5))
+        if data.draw(st.booleans()):
+            # shaped like the attach round's slot graph: every slot doubled,
+            # plus a guard vertex tied to one class by a 4-edge bundle
+            guard = data.draw(st.integers(0, nx - 1))
+            pairs = [p for p in pairs for _ in range(2)] + [(guard, ny)] * 4
+            ny += 1
+        k = data.draw(st.integers(1, 12))
         seed = data.draw(st.integers(0, 3))
         G, ids = build(nx, ny, pairs)
         col = balanced_k_coloring(G, k, rng=random.Random(seed))
         assert_balanced(G, col, k)
+        assert col == full_scan_coloring(G, k, random.Random(seed))
 
 
 def verify_paired(F, mate, one, two):

@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 
 from rainbow_hcd.errors import InfeasibleInput
@@ -163,6 +166,44 @@ class TestDeterminism:
         a = certificate_to_text(solve(h, seed=11))
         b = certificate_to_text(solve(h, seed=11))
         assert a == b
+
+    # sha256 of the certificate text; a change that moves any of these
+    # bytes updates the digest and says why in CHANGES.md
+    @pytest.mark.parametrize(
+        "h, seed, digest",
+        [
+            (disjoint_union(cycle_graph(3), k2s(9)), 0,
+             "ca5984d5622af8447aa1b231ed3defac486c5743187be907e8c9b10c2baaf4a2"),
+            (disjoint_union(cycle_graph(3), k2s(9)), 1,
+             "7a33968cb2a9dd922b94fd23adb3924b126872370bed3c86b937856a17145594"),
+            (disjoint_union(cycle_graph(8), k2s(8)), 0,
+             "5265a71f98f5d12821abf045c166298c54201f63fdb60d8a39a9bbaed3182df6"),
+            (star_graph(16), 0,
+             "80ed628d7c08cb9f955f49472e6cec176835b91ed4da81023012aed387eb6eb8"),
+            (cycle_graph(16), 0,
+             "b82bf9c619bed031b8827b54945013c4f7f5d00971cddf7dd92e18529b5461ff"),
+            (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
+             "36ec289c06cdb586c4e778564586e13e0280e4bbbd07d97e9e6988d36f6ffcca"),
+            (k2s(6), 0,
+             "a2434820bdafcaa5259766a45f7bfb161b1de60676dd989a9b796b4697f4f678"),
+        ],
+        ids=["C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2", "6K2"],
+    )
+    def test_pinned_bytes(self, h, seed, digest):
+        text = certificate_to_text(solve(h, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_sparse_scale_gate():
+    # C3 + 29K2 runs 29 attach rounds, each drawing a balanced coloring
+    h = disjoint_union(cycle_graph(3), k2s(29))
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 20, f"C3+29K2 took {dt:.1f}s"
 
 
 class TestOracleAgreement:
