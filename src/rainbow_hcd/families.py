@@ -69,10 +69,6 @@ def nonisomorphic_edge_graphs(k: int) -> list[list[Edge]]:
     return reps
 
 
-def relabel_edges(edges: list[Edge], mapping: dict[int, int]) -> list[Edge]:
-    return [edge(mapping[u], mapping[v]) for u, v in edges]
-
-
 def disjoint_union(*parts: list[Edge]) -> list[Edge]:
     """Stack edge lists on fresh labels, keeping each part's shape."""
     out: list[Edge] = []

@@ -8,7 +8,7 @@ records the embedding in the certificate's label map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvariantViolation, NotLinearForest
 
@@ -170,10 +170,6 @@ class LinearForestView:
     def interior(self) -> list[int]:
         """Vertices of degree two, ascending."""
         return sorted(v for p in self.paths for v in p[1:-1])
-
-    def path_edges(self) -> Iterator[list[Edge]]:
-        for p in self.paths:
-            yield [edge(a, b) for a, b in zip(p, p[1:])]
 
 
 def analyze_linear_forest(

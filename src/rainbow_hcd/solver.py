@@ -5,12 +5,10 @@ Strategies, tried in this order:
 
 * BASE_SMALL: any instance with at most 5 edges.  Plant edge i in class i
   and complete every class to a Hamiltonian cycle by seeded backtracking.
-* ALL_K2: a disjoint union of single edges.  Pick one edge per class of
-  the standard hub construction so the picks form a matching, then read
-  the input off those endpoints.
-* LINEAR_FOREST: paths only, 6 or more edges.  A ladder: randomized
-  embedding into the hub construction, then a matching schedule when the
-  instance is one long path, then the planted backtracking engine.
+* ALL_K2 (single edges only) and LINEAR_FOREST (paths only), 6 or more
+  edges.  Both lay the paths end to end on consecutive vertices of the
+  standard hub construction, where the class of an edge follows from its
+  labels; no search, and the seed is not used.
 * MAIN_PIPELINE: everything else.  Embed the components with 2+ edges
   into a small clique, grow it two vertices per remaining single edge,
   and finish by per-vertex extension to the full odd clique.
@@ -125,11 +123,9 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
     split = split_components(internal)
     tag = route(split, internal, n)
     if tag is Strategy.BASE_SMALL:
-        dec, hosts, assignment, trace = _base_small(internal, n, seed)
-    elif tag is Strategy.ALL_K2:
-        dec, hosts, assignment, trace = _base_all_k2(internal, n, seed)
-    elif tag is Strategy.LINEAR_FOREST:
-        dec, hosts, assignment, trace = _base_linear_forest(internal, n, seed)
+        dec, hosts, assignment, trace = _planted_solve(internal, n, seed)
+    elif tag in (Strategy.ALL_K2, Strategy.LINEAR_FOREST):
+        dec, hosts, assignment, trace = _hub_linear_forest(internal, n)
     else:
         dec, hosts, assignment, trace = _main_pipeline(internal, split, n, seed)
 
@@ -175,7 +171,7 @@ def _canonical_hosts(
 
 
 # ---------------------------------------------------------------------------
-# planted completion engine, shared by BASE_SMALL and the forest fallback
+# BASE_SMALL: planted completion engine
 
 
 class _Budget(Exception):
@@ -248,16 +244,14 @@ def _complete_planted(
 _StageOut = tuple[Decomposition, dict[int, int], list[int], list[str]]
 
 
-def _planted_solve(
-    internal: list[Edge], n: int, seed: int, label: str
-) -> _StageOut:
+def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
     """Plant edge i in class i on hosts 0..v-1 and search with escalating
     budgets, then once without a budget.  Planting edge i in class i
     loses no generality: class indices are symmetric and host vertices
     get permuted afterwards anyway."""
     budgets: list[int | None] = [50_000, 400_000, 3_200_000, None]
     for attempt, budget in enumerate(budgets):
-        rng = random.Random(f"{seed}:{label}:{attempt}")
+        rng = random.Random(f"{seed}:small:{attempt}")
         cycles = _complete_planted(internal, n, rng, budget)
         if cycles is None:
             continue
@@ -268,154 +262,42 @@ def _planted_solve(
         dec = Decomposition(2 * n + 1, classes)
         dec.check_hcd()
         nv = len(edge_vertices(internal))
-        trace = [f"completion: label={label} attempt={attempt}"]
+        trace = [f"completion: label=small attempt={attempt}"]
         return dec, {i: i for i in range(nv)}, list(range(n)), trace
     raise SearchExhausted("all completion budgets exhausted")
 
 
-def _base_small(internal: list[Edge], n: int, seed: int) -> _StageOut:
-    return _planted_solve(internal, n, seed, "small")
-
-
 # ---------------------------------------------------------------------------
-# matchings only
+# ALL_K2 and LINEAR_FOREST: closed form on the hub construction
 
 
-def _base_all_k2(internal: list[Edge], n: int, seed: int) -> _StageOut:
-    dec = walecki(n)
-    class_edges = [sorted(c) for c in dec.classes]
-    rng = random.Random(f"{seed}:all-k2")
+def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
+    """Lay a linear forest with n edges on walecki(n) without search.
 
-    chosen: list[Edge] = []
-    used_v: set[int] = set()
+    Class j of walecki(n) holds the non-hub edges {a, b} with a + b = 2j
+    or 2j+1 (mod 2n), plus the hub edges from 2n to j and j+n.  So the
+    edge {a, a+1} with a < 2n lies in class a mod n: for a+1 < 2n the sum
+    is 2a+1, and the hub edge {2n-1, 2n} lies in class n-1.
 
-    def pick(ci: int) -> bool:
-        if ci == n:
-            return True
-        cands = [
-            e
-            for e in class_edges[ci]
-            if e[0] not in used_v and e[1] not in used_v
-        ]
-        rng.shuffle(cands)
-        for e in cands:
-            chosen.append(e)
-            used_v.update(e)
-            if pick(ci + 1):
-                return True
-            used_v.difference_update(e)
-            chosen.pop()
-        return False
-
-    if not pick(0):
-        # never seen in practice; fall back to the planted engine
-        return _planted_solve(internal, n, seed, "all-k2-fallback")
-
-    hosts: dict[int, int] = {}
-    for (u, v), (a, b) in zip(internal, chosen):
-        hosts[u], hosts[v] = a, b
-    return dec, hosts, list(range(n)), ["matching: hub construction"]
-
-
-# ---------------------------------------------------------------------------
-# linear forests
-
-
-def _forest_layout(internal: list[Edge]) -> list[list[tuple[int, int | None]]]:
-    """Per component, largest first, vertices in search order paired with
-    the already placed neighbor they hang off."""
-    adj: dict[int, list[int]] = {}
-    for u, v in internal:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    comps: list[list[tuple[int, int | None]]] = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        order_v: list[tuple[int, int | None]] = [(root, None)]
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    order_v.append((w, u))
-                    queue.append(w)
-        comps.append(order_v)
-    comps.sort(key=lambda c: (-len(c), c[0][0]))
-    return comps
-
-
-def _base_linear_forest(internal: list[Edge], n: int, seed: int) -> _StageOut:
-    dec = walecki(n)
-    order = 2 * n + 1
-    cls_of: dict[Edge, int] = {}
-    for ci, cls in enumerate(dec.classes):
-        for e in cls:
-            cls_of[e] = ci
-
-    plan = _forest_layout(internal)
-    rng = random.Random(f"{seed}:forest")
-    for attempt in range(600):
-        hosts: dict[int, int] = {}
-        used_hosts: set[int] = set()
-        used_classes: set[int] = set()
-        ok = True
-        for order_v in plan:
-            if not ok:
-                break
-            for w, parent in order_v:
-                cands = [h for h in range(order) if h not in used_hosts]
-                rng.shuffle(cands)
-                placed = False
-                for h in cands:
-                    if parent is not None:
-                        c = cls_of[edge(hosts[parent], h)]
-                        if c in used_classes:
-                            continue
-                        used_classes.add(c)
-                    hosts[w] = h
-                    used_hosts.add(h)
-                    placed = True
-                    break
-                if not placed:
-                    ok = False
-                    break
-        if ok:
-            assignment = [cls_of[edge(hosts[u], hosts[v])] for u, v in internal]
-            assert len(set(assignment)) == n
-            return dec, hosts, assignment, [f"greedy: attempt={attempt}"]
-
-    schedule = _single_path_schedule(internal, n)
-    if schedule is not None:
-        return schedule
-    return _planted_solve(internal, n, seed, "forest-backtrack")
-
-
-def _single_path_schedule(internal: list[Edge], n: int) -> _StageOut | None:
-    """A single path on all n edges, when the round count fits: plant
-    edge i in class i over K_{n+1}, merge round i of a round-robin
-    matching schedule into class i, and hand the rest to the per-vertex
-    extension."""
+    Take the paths in the order analyze_linear_forest lists them, with
+    c_i the number of edges before path i, and put vertex k of path i on
+    host c_i + k + n*(i mod 2).  Edge k of path i then joins consecutive
+    hosts and lands in class c_i + k, so the n edges hit n distinct
+    classes.  The hosts are distinct: path i covers c_i..c_{i+1} shifted
+    by 0 or n, even-indexed paths sit in [0, n], odd-indexed ones (c_i
+    >= 1) in [n+1, 2n], and two paths of one parity are separated by at
+    least the one edge of the path between them.  Label 2n is the hub.
+    """
     nv = len(edge_vertices(internal))
-    if nv != n + 1:
-        return None
-    rounds = nv - 1 if nv % 2 == 0 else nv
-    if rounds > n:
-        return None
-    from .embed_dense import _round_robin
-
-    classes: list[set[Edge]] = [set() for _ in range(n)]
-    for i, e in enumerate(internal):
-        classes[i].add(e)
-    h_set = set(internal)
-    for k, match in enumerate(_round_robin(nv)):
-        classes[k].update(e for e in match if e not in h_set)
-    dec = extend_to_hcd(Decomposition(nv, classes), n)
-    trace = ["schedule: planted matchings"]
-    return dec, {i: i for i in range(nv)}, list(range(n)), trace
+    paths = analyze_linear_forest(internal, range(nv)).paths
+    hosts: dict[int, int] = {}
+    c = 0
+    for i, path in enumerate(paths):
+        for k, v in enumerate(path):
+            hosts[v] = c + k + n * (i % 2)
+        c += len(path) - 1
+    assignment = [min(hosts[u], hosts[v]) % n for u, v in internal]
+    return walecki(n), hosts, assignment, [f"hub: paths={len(paths)}"]
 
 
 # ---------------------------------------------------------------------------

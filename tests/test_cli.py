@@ -81,6 +81,25 @@ class TestVerify:
         assert main(["verify", str(cert), other]) == 5
         assert "instance violation" in capsys.readouterr().out
 
+    def test_loop_in_instance(self, tmp_path, capsys):
+        inst, cert = self.roundtrip(tmp_path)
+        looped = tmp_path / "looped.txt"
+        looped.write_text("3\n0 1\n1 2\n5 5\n")
+        capsys.readouterr()
+        assert main(["verify", str(cert), str(looped)]) == 5
+        assert "instance violation" in capsys.readouterr().out
+
+    def test_loop_in_certificate(self, tmp_path, capsys):
+        inst, cert = self.roundtrip(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["h_edges"][0] = [0, 0]
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert), inst]) == 5
+        out = capsys.readouterr().out
+        assert "embedding: FAIL (input graph has a loop)" in out
+        assert "embedding violation" in out
+
     def test_truncated_json(self, tmp_path, capsys):
         inst, cert = self.roundtrip(tmp_path)
         cert.write_text(cert.read_text()[:40])

@@ -11,7 +11,7 @@ from rainbow_hcd.families import (
     star_graph,
 )
 from rainbow_hcd.files import certificate_to_text
-from rainbow_hcd.graph_core import edge, verify_certificate
+from rainbow_hcd.graph_core import analyze_linear_forest, edge, verify_certificate
 from rainbow_hcd.oracle import exhaustive_rainbow_hcd
 from rainbow_hcd.solver import (
     ComponentSplit,
@@ -183,15 +183,76 @@ class TestDeterminism:
             (cycle_graph(16), 0,
              "b82bf9c619bed031b8827b54945013c4f7f5d00971cddf7dd92e18529b5461ff"),
             (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
-             "36ec289c06cdb586c4e778564586e13e0280e4bbbd07d97e9e6988d36f6ffcca"),
+             "adfcbeb433ea379741327fd399d1eea6655c80e4643534c835a3afabf48bf4d1"),
             (k2s(6), 0,
-             "a2434820bdafcaa5259766a45f7bfb161b1de60676dd989a9b796b4697f4f678"),
+             "11a3b4cd1fd2f039bd38768514c71ce38b48f01d171f90008933aa79bbed15c6"),
+            (path_graph(5), 0,
+             "ea668b366f70d9ee8efee36bf8d2c1097d177863333e0f1af62d6717bcbb7b78"),
         ],
-        ids=["C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2", "6K2"],
+        ids=[
+            "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
+            "6K2", "P6",
+        ],
     )
     def test_pinned_bytes(self, h, seed, digest):
         text = certificate_to_text(solve(h, seed=seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def partitions(n, largest=None):
+    """Every multiset of positive parts summing to n, parts descending."""
+    if n == 0:
+        yield []
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield [first] + rest
+
+
+class TestHubLinearForest:
+    @pytest.mark.parametrize("n", range(6, 17))
+    def test_every_path_length_multiset(self, n):
+        for lengths in partitions(n):
+            h = disjoint_union(*[path_graph(m) for m in lengths])
+            cert = solve(h, seed=0)
+            rep = verify_certificate(cert)
+            assert rep.ok, (lengths, rep.lines())
+            tag = "all-k2" if max(lengths) == 1 else "linear-forest"
+            assert cert.trace[0] == f"route: {tag}"
+            index = {e: i for i, e in enumerate(h)}
+            paths = analyze_linear_forest(h, range(len(cert.label_map))).paths
+            c = 0
+            for path in paths:
+                for k, (a, b) in enumerate(zip(path, path[1:])):
+                    assert cert.assignment[index[edge(a, b)]] == c + k, lengths
+                c += len(path) - 1
+
+    @pytest.mark.parametrize(
+        "h, tag",
+        [
+            (disjoint_union(path_graph(2), k2s(38)), "linear-forest"),
+            (k2s(96), "all-k2"),
+        ],
+        ids=["P3+38K2", "96K2"],
+    )
+    def test_former_search_failures(self, h, tag):
+        cert = solve(h, seed=0)
+        assert cert.trace[0] == f"route: {tag}"
+        assert verify_certificate(cert).ok
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "h", [disjoint_union(path_graph(2), k2s(254)), k2s(256)],
+    ids=["P3+254K2", "256K2"],
+)
+def test_hub_scale_gate(h):
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 5, f"{len(h)}-edge linear forest took {dt:.1f}s"
 
 
 @pytest.mark.slow
