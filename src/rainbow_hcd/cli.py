@@ -119,8 +119,10 @@ def _cmd_solve(args) -> int:
     cert = solve(edges, seed=args.seed)
     text = certificate_to_text(cert)
     if args.trace:
+        # with the certificate on stdout, the trace must not mix into it
+        stream = sys.stdout if args.out else sys.stderr
         for line in cert.trace:
-            print(line)
+            print(line, file=stream)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -220,6 +222,8 @@ def _sample_instance(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 def _cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
+    if args.samples < 1:
+        raise PreconditionViolation(f"need --samples >= 1: {args.samples}")
     if args.exhaustive and hi > 6:
         raise PreconditionViolation("exhaustive sweeps stop at n=6")
     rows: list[tuple[str, str, float, str]] = []

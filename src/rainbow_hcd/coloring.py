@@ -9,7 +9,8 @@ Three operations used by the sparse completion pipeline:
   those groups proves progress.
 * paired_balanced_2_coloring: a 2-coloring that separates prescribed edge
   pairs, is exactly balanced at every right vertex, and is within one at
-  every left vertex.
+  every left vertex.  It is a balanced 2-coloring of a copy of the graph
+  in which every pair has a left vertex of its own.
 * rebalance_drop_one: shift one edge of a 2-class split away from a chosen
   left vertex along an alternating path, keeping right degrees intact.
 
@@ -298,45 +299,32 @@ def paired_balanced_2_coloring(
     * every x vertex is split to within one.
 
     pairing maps an edge id to its mate (symmetric); mates must share their
-    x vertex.  In any bundle of two or more parallel edges at most one edge
-    may be paired outside the bundle.  A partial pairing is extended until
-    each x vertex keeps at most one unpaired edge; if no valid extension
-    exists the pairing is rejected.
+    x vertex.  The split is a balanced 2-coloring of a copy of F in which
+    each mated pair has a left vertex of its own and every unpaired edge
+    stays on its x vertex.  A pair vertex has degree two, so its edges get
+    different colors; an even y degree is split exactly; an x vertex is
+    split evenly by its pairs and to within one by its unpaired edges.
     """
     mate = dict(pairing)
     _validate_pairing(F, mate)
     for y in range(F.y_size):
         if len(F.incident_y(y)) % 2:
             raise PreconditionViolation(f"odd degree at y={y}")
-    _extend_pairing(F, mate)
 
-    def pick(cands: list[int]) -> int:
-        if rng is not None:
-            return cands[rng.randrange(len(cands))]
-        return cands[0]
-
-    unassigned = set(F.edges)
-    color: dict[int, int] = {}
-
-    def commit(trail: list[int]) -> None:
-        for t, e in enumerate(trail):
-            color[e] = t % 2
-
-    while unassigned:
-        start_edge = None
-        for x in range(F.x_size):
-            loose = [e for e in F.incident_x(x) if e in unassigned and e not in mate]
-            if loose:
-                start_edge = pick(loose)
-                break
-        if start_edge is not None:
-            commit(_open_trail(F, start_edge, unassigned, mate, pick))
-        else:
-            commit(_closed_trail(F, min(unassigned), unassigned, mate, pick))
+    left: dict[int, int] = {}
+    for e, f in sorted(mate.items()):
+        if e < f:
+            left[e] = left[f] = F.x_size + len(left) // 2
+    ids = list(F.edges)
+    S = BipartiteMultigraph(F.x_size + len(left) // 2, F.y_size)
+    for e in ids:
+        x, y = F.edges[e]
+        S.add_edge(left.get(e, x), y)
+    col = balanced_k_coloring(S, 2, rng)
 
     sides = (
-        {e for e, c in color.items() if c == 0},
-        {e for e, c in color.items() if c == 1},
+        {e for s, e in enumerate(ids) if col[s] == 0},
+        {e for s, e in enumerate(ids) if col[s] == 1},
     )
     _check_paired_output(F, mate, sides)
     return sides
@@ -350,100 +338,6 @@ def _validate_pairing(F, mate):
             raise PreconditionViolation("pairing is not a symmetric matching")
         if F.edges[e][0] != F.edges[f][0]:
             raise PreconditionViolation("mates must share their x vertex")
-    for (x, y), bund in F.bundles().items():
-        if len(bund) < 2:
-            continue
-        outside = sum(1 for e in bund if e in mate and F.edges[mate[e]][1] != y)
-        if outside > 1:
-            raise PreconditionViolation(
-                f"bundle ({x}, {y}) pairs {outside} edges outside itself"
-            )
-
-
-def _extend_pairing(F, mate):
-    """Pair leftover edges at each x vertex, same-bundle first, keeping the
-    one-outside-edge-per-bundle rule.  At most one edge per x may remain."""
-    bundles = F.bundles()
-    outside_used: dict[tuple[int, int], int] = {}
-    for (x, y), bund in bundles.items():
-        outside_used[(x, y)] = sum(
-            1 for e in bund if e in mate and F.edges[mate[e]][1] != y
-        )
-    for x in range(F.x_size):
-        loose = [e for e in F.incident_x(x) if e not in mate]
-        groups: dict[int, list[int]] = {}
-        for e in loose:
-            groups.setdefault(F.edges[e][1], []).append(e)
-        free: list[int] = []
-        blocked: list[int] = []
-        for y in sorted(groups):
-            es = groups[y]
-            for a, b in zip(es[0::2], es[1::2]):
-                mate[a] = b
-                mate[b] = a
-            if len(es) % 2 == 0:
-                continue
-            rest = es[-1]
-            if len(bundles[(x, y)]) >= 2 and outside_used[(x, y)] >= 1:
-                blocked.append(rest)
-            else:
-                free.append(rest)
-        if len(blocked) + len(free) % 2 > 1:
-            raise PreconditionViolation(f"pairing not extendable at x={x}")
-        for a, b in zip(free[0::2], free[1::2]):
-            mate[a] = b
-            mate[b] = a
-            for e in (a, b):
-                xy = F.edges[e]
-                if len(bundles[xy]) >= 2:
-                    outside_used[xy] += 1
-
-
-def _open_trail(F, e0, unassigned, mate, pick):
-    """Walk from a pairless edge: leave y via any free edge, leave x via the
-    mate.  Ends at the next pairless edge; even length."""
-    trail = [e0]
-    unassigned.discard(e0)
-    y = F.edges[e0][1]
-    while True:
-        cands = [f for f in F.incident_y(y) if f in unassigned]
-        assert cands, "open trail stranded at a y vertex"
-        f = pick(cands)
-        trail.append(f)
-        unassigned.discard(f)
-        g = mate.get(f)
-        if g is None:
-            return trail
-        assert g in unassigned, "mate already consumed"
-        trail.append(g)
-        unassigned.discard(g)
-        y = F.edges[g][1]
-
-
-def _closed_trail(F, e0, unassigned, mate, pick):
-    """Walk when every remaining edge has a mate; can only stop back at the
-    start y vertex, so the trail closes with even length."""
-    trail = [e0]
-    unassigned.discard(e0)
-    y0 = F.edges[e0][1]
-    g = mate[e0]
-    assert g in unassigned
-    trail.append(g)
-    unassigned.discard(g)
-    y = F.edges[g][1]
-    while True:
-        cands = [f for f in F.incident_y(y) if f in unassigned]
-        if not cands:
-            assert y == y0, "closed trail stranded away from its start"
-            return trail
-        f = pick(cands)
-        trail.append(f)
-        unassigned.discard(f)
-        g = mate[f]
-        assert g in unassigned
-        trail.append(g)
-        unassigned.discard(g)
-        y = F.edges[g][1]
 
 
 def _check_paired_output(F, mate, sides):

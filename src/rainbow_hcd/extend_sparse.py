@@ -236,9 +236,7 @@ def _assemble_pairing(
 
     Mate duplicated slot copies first, so no slot reaches both sides,
     then parallel slots of one bundle, then slots at the two ends of one
-    path; the rest is left to the coloring op's own extension.  Path
-    pairs only mate slots of bundle size 1, so they never make the
-    pairing unextendable."""
+    path; the rest stay unpaired."""
     mate: dict[int, int] = {}
     unpaired: set[int] = set(range(len(fid_to_hat)))
 

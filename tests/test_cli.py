@@ -34,6 +34,15 @@ class TestSolve:
         assert main(["solve", inst, "--trace", "--out", str(dest)]) == 0
         assert "route: base-small" in capsys.readouterr().out
 
+    def test_trace_kept_out_of_stdout_certificate(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(0, 1), (1, 2), (2, 3)])
+        assert main(["solve", inst, "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert "route: base-small" in captured.err
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(captured.out)
+        assert main(["verify", str(cert_path), inst]) == 0
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.txt")]) == 1
         assert "parse error" in capsys.readouterr().err
@@ -168,6 +177,11 @@ class TestBench:
 
     def test_bad_range(self, capsys):
         assert main(["bench", "--n-range", "3-5"]) == 2
+        assert "rejected arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples(self, capsys, samples):
+        assert main(["bench", "--n-range", "3..3", "--samples", samples]) == 2
         assert "rejected arguments" in capsys.readouterr().err
 
     def test_exhaustive_cap(self, capsys):

@@ -173,11 +173,11 @@ class TestDeterminism:
         "h, seed, digest",
         [
             (disjoint_union(cycle_graph(3), k2s(9)), 0,
-             "ca5984d5622af8447aa1b231ed3defac486c5743187be907e8c9b10c2baaf4a2"),
+             "c6383644f614aa22c1950536c30ef8c10286569805836a07d1357281115b8646"),
             (disjoint_union(cycle_graph(3), k2s(9)), 1,
-             "7a33968cb2a9dd922b94fd23adb3924b126872370bed3c86b937856a17145594"),
+             "aca2a75cb10c79f0b6d4b8435b2716e80c8814adcb2161959d34052ddf6e6615"),
             (disjoint_union(cycle_graph(8), k2s(8)), 0,
-             "5265a71f98f5d12821abf045c166298c54201f63fdb60d8a39a9bbaed3182df6"),
+             "c55ecae9ae9405badd1ea46bd11930b3618f9cd373b0615f3ff53a5d84ce3d1d"),
             (star_graph(16), 0,
              "80ed628d7c08cb9f955f49472e6cec176835b91ed4da81023012aed387eb6eb8"),
             (cycle_graph(16), 0,
