@@ -173,6 +173,7 @@ def _cmd_walecki(args) -> int:
     if args.n < 1:
         raise PreconditionViolation("need n >= 1")
     dec = walecki(args.n)
+    dec.check_hcd()
     lines = [f"order {dec.order} classes {len(dec.classes)}"]
     for i, cls in enumerate(dec.classes):
         lines.append(f"{i}: " + " ".join(f"{u}-{v}" for u, v in sorted(cls)))

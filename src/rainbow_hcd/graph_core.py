@@ -123,12 +123,6 @@ class Decomposition:
             if not is_hamiltonian_cycle(cls, self.order):
                 raise InvariantViolation(f"class {i} is not a Hamiltonian cycle")
 
-    def class_of(self, e: Edge) -> int:
-        for i, cls in enumerate(self.classes):
-            if e in cls:
-                return i
-        raise KeyError(e)
-
     def copy(self) -> Decomposition:
         return Decomposition(self.order, [set(c) for c in self.classes])
 
@@ -230,6 +224,8 @@ def walecki(n: int) -> Decomposition:
 
     Vertex 2n is the hub.  Class j is the hub closed over the zig-zag path
     0, 1, 2n-1, 2, 2n-2, ... rotated by j among the non-hub vertices.
+    Not re-checked per call: the tests check it for n = 1..128, and solve
+    verifies every certificate built on it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -243,9 +239,7 @@ def walecki(n: int) -> Decomposition:
         cls = {edge(m, path[0]), edge(m, path[-1])}
         cls.update(edge(a, b) for a, b in zip(path, path[1:]))
         classes.append(cls)
-    dec = Decomposition(m + 1, classes)
-    dec.check_hcd()
-    return dec
+    return Decomposition(m + 1, classes)
 
 
 @dataclass

@@ -256,6 +256,20 @@ def test_hub_scale_gate(h):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize(
+    "h", [star_graph(128), cycle_graph(128)], ids=["K1,128", "C128"]
+)
+def test_dense_scale_gate(h):
+    # no attach round: the dense embed and the Hilton completion do the work
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 12, f"{len(h)}-edge dense instance took {dt:.1f}s"
+
+
+@pytest.mark.slow
 def test_sparse_scale_gate():
     # C3 + 29K2 runs 29 attach rounds, each drawing a balanced coloring
     h = disjoint_union(cycle_graph(3), k2s(29))
