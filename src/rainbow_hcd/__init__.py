@@ -16,7 +16,6 @@ from .errors import (
     PreconditionViolation,
     SearchExhausted,
     SolverError,
-    WitnessRejected,
 )
 from .graph_core import (
     Decomposition,
@@ -43,7 +42,6 @@ __all__ = [
     "SearchExhausted",
     "SolverError",
     "VerificationReport",
-    "WitnessRejected",
     "analyze_linear_forest",
     "edge",
     "is_hamiltonian_cycle",

@@ -1,6 +1,7 @@
 """Balanced colorings of bipartite multigraphs.
 
-Three operations used by the sparse completion pipeline:
+Three operations; the sparse completion pipeline calls the paired
+2-coloring, which is built on the balanced k-coloring:
 
 * balanced_k_coloring: split the edges into k classes so that every vertex
   and every parallel bundle sees each class within one of any other.  It
@@ -13,6 +14,7 @@ Three operations used by the sparse completion pipeline:
   in which every pair has a left vertex of its own.
 * rebalance_drop_one: shift one edge of a 2-class split away from a chosen
   left vertex along an alternating path, keeping right degrees intact.
+  Nothing in the package calls it; perfbench/tracer.py still wraps it.
 
 Left ("x") vertices are 0..x_size-1, right ("y") vertices 0..y_size-1.
 Edges carry integer ids in insertion order; a bundle is the set of ids
@@ -72,14 +74,6 @@ class BipartiteMultigraph:
     def degree_y(self, y: int, eids: set[int] | None = None) -> int:
         inc = self._by_y[y]
         return len(inc) if eids is None else sum(1 for e in inc if e in eids)
-
-
-def class_sets(coloring: dict[int, int], k: int) -> list[set[int]]:
-    """Edge ids per color, from a color map."""
-    out: list[set[int]] = [set() for _ in range(k)]
-    for eid, c in coloring.items():
-        out[c].add(eid)
-    return out
 
 
 # ---------------------------------------------------------------------------

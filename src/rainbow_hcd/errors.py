@@ -23,12 +23,6 @@ class InvariantViolation(InternalInfeasible):
     """A structural check failed mid-pipeline."""
 
 
-class WitnessRejected(InternalInfeasible):
-    """No witness candidate of an attach round passed verification: for
-    each of the round's fresh colorings, both sides of the first split
-    were given their final split and rejected."""
-
-
 class SearchExhausted(InternalInfeasible):
     """A backtracking search ran out of states without finding a solution
     that is guaranteed to exist."""

@@ -1,8 +1,8 @@
 """Growing a forest split of K_r by pairs of fresh vertices.
 
 Round s attaches host vertices m and m+1 (m = r + 2s) to the current
-split of K_m, and the reserved class with index s + t takes the bridge
-edge between them, which is exactly the matching component that class is
+split of K_m, and the reserved class cstar = s + t takes the bridge edge
+between them, which is exactly the matching component that class is
 responsible for.  The remaining 2m new edges must be spread over the
 classes so that every class stays a linear forest and sizes keep pace
 with the floor schedule
@@ -10,43 +10,59 @@ with the floor schedule
     |Q_i| >= 4s + 2r - 2n - 1   for i < t + s,
     |Q_i| >= 4s + 2r - 2n       otherwise.
 
-A round draws one balanced coloring of a doubled capacity multigraph
-(classes on one side, host vertices on the other, plus a guard vertex).
-Two of its colors give four free slots at every old vertex.  A first
-paired split cuts them into two sides of two slots per old vertex; the
-two copies of a slot land on different sides.  Each side in turn gets a
-paired final split between m and m+1: every old vertex sends one slot
-to each new vertex, and the two end slots of every path whose ends both
-sit in the side go to different new vertices, so no path closes a cycle
-at one new vertex.  _witness_ok checks each candidate against the full
-list of witness conditions, and only a verified witness is applied.  A
-fresh coloring is drawn only when both sides fail, which happens when a
-cycle closes through the bridge class or through two whole paths; that
-redraw, at most OUTER_TRIES times, is the only retry.
+A class takes a new edge only at a free slot: a path end offers one, an
+isolated vertex two.  A gate of a class is one of its paths, given by its
+two ends, or one of its isolated vertices.  Each round solves one
+max-flow with lower bounds, which picks two slots at every old vertex:
+
+    source -> class i        at least the gain floor need_i, at most 4
+                             (at most 2 for cstar)
+    class i -> gate          at most 1
+    class i -> doubler_i     at most 1, for every class but cstar
+    doubler_i -> gate        at most 1
+    path gate -> each end    at most 1
+    isolated gate -> vertex  at most 2
+    old vertex -> sink       exactly 2
+
+so a gate takes at most two slots, at most one gate per class takes two,
+and no gate of cstar does.  A paired 2-coloring then splits the chosen
+slots between m and m+1: every old vertex sends one slot to each, every
+class is split to within one, and the two slots of a gate that took two
+go to different new vertices.
+
+The flow is feasible exactly when the round has a witness.  A gate that
+takes two slots joins m to m+1 inside its class; two such gates close a
+cycle, and so does one in cstar together with the bridge.  A class with
+more than 4 new edges, or cstar with more than 2, puts a third edge at a
+new vertex.  So every valid witness is a feasible flow.  Conversely, the
+split of a feasible flow gives each new vertex at most two edges of a
+class (at most one of cstar beside the bridge), no path takes both its
+ends at one new vertex, and a class joins m to m+1 at most once, so every
+class stays a linear forest; the lower bounds keep the floors.
+_witness_ok re-checks the split before it is applied.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Iterable
 
-from .coloring import (
+# balanced_k_coloring and rebalance_drop_one are not called here, but
+# perfbench/tracer.py looks them up at these names
+from .coloring import (  # noqa: F401
     BipartiteMultigraph,
     balanced_k_coloring,
-    class_sets,
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
 from .errors import (
+    InternalInfeasible,
     InvariantViolation,
     NotLinearForest,
     PreconditionViolation,
-    WitnessRejected,
 )
 from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
-
-OUTER_TRIES = 60
+from .hilton import PathEnds, _Dinic
 
 # a witness side: one (class, vertex, capacity-slot id) triple per new edge
 Witness = list[tuple[int, int, int]]
@@ -110,13 +126,10 @@ def extend_with_k2s(
     verify_sparse_state(dec, r, t, n, 0)
     rng = random.Random(seed)
     for s in range(n - t):
-        g1, g2, colorings, checks = _stage_witness(dec, t, n, s, rng)
+        g1, g2 = _stage_witness(dec, t, n, s, rng)
         dec = _attach(dec, g1, g2, s + t)
         verify_sparse_state(dec, r, t, n, s + 1)
-        trace.append(
-            f"attach: s={s} order={dec.order} "
-            f"colorings={colorings} checks={checks}"
-        )
+        trace.append(f"attach: s={s} order={dec.order}")
     return dec
 
 
@@ -133,183 +146,125 @@ def _attach(
     return Decomposition(m + 2, classes)
 
 
+def _gain_floor(i: int, cstar: int, x: int) -> int:
+    """New edges class i must take this round to stay on the floor
+    schedule, given its x = k - (free slots) / 2; at most 0 means none."""
+    if i < cstar:
+        return 4 - x
+    if i == cstar:
+        return 3 - x
+    return 5 - x
+
+
 def _stage_witness(
     dec: Decomposition, t: int, n: int, s: int, rng: random.Random
-) -> tuple[Witness, Witness, int, int]:
-    """The two sides of round s's witness, one per new vertex, with the
-    number of colorings drawn and of candidates checked."""
+) -> tuple[Witness, Witness]:
+    """The two sides of round s's witness, one per new vertex."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
-    assert k >= 4
+    if k < 4:
+        raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
     gt = capacity_graph(dec)
     for u in range(m):
-        assert gt.degree_y(u) == k, "slot count at a vertex is off"
+        if gt.degree_y(u) != k:
+            raise InvariantViolation(
+                f"vertex {u} offers {gt.degree_y(u)} slots, wanted {k}"
+            )
     for i in range(n):
-        assert gt.degree_x(i) == 2 * (m - len(dec.classes[i]))
+        if gt.degree_x(i) != 2 * (m - len(dec.classes[i])):
+            raise InvariantViolation(f"class {i} offers the wrong slot count")
     x_of = [k - gt.degree_x(i) // 2 for i in range(n)]
     for i, x in enumerate(x_of):
-        assert x >= (1 if i >= cstar else 0), "size floor arithmetic broken"
+        if x < (1 if i >= cstar else 0):
+            raise InvariantViolation(f"class {i} is below its size floor")
 
-    # doubled slot graph plus a guard vertex tied by 4 parallel edges to
-    # every class from cstar on; the guard soaks up capacity so classes
-    # past the rainbow front keep one extra edge of slack per round
-    ne = len(gt.edges)
-    ghat = BipartiteMultigraph(n, m + 1)
-    for e in range(ne):
-        xe, ye = gt.edges[e]
-        ghat.add_edge(xe, ye)
-        ghat.add_edge(xe, ye)
-    for c in range(cstar, n):
-        for _ in range(4):
-            ghat.add_edge(c, m)
-    assert ghat.degree_y(m) <= 2 * k - 2
-    for u in range(m):
-        assert ghat.degree_y(u) == 2 * k
-    for i in range(n):
-        assert ghat.degree_x(i) <= 4 * k
+    gates = [
+        PathEnds(analyze_linear_forest(cls, range(m))).gates()
+        for cls in dec.classes
+    ]
+    floors = [max(0, _gain_floor(i, cstar, x)) for i, x in enumerate(x_of)]
+    picks = _slot_flow(m, gates, floors, cstar)
 
-    guard_ids = {e for e, (_, ye) in ghat.edges.items() if ye == m}
-    star_ids = {e for e in guard_ids if ghat.edges[e][0] == cstar}
-    assert len(star_ids) == 4
-
-    # path endpoints per class, for the pairing
-    path_ends: list[list[tuple[int, int]]] = []
-    for i in range(n):
-        view = analyze_linear_forest(dec.classes[i], range(m))
-        path_ends.append([(p[0], p[-1]) for p in view.paths])
-
-    colorings = checks = 0
-    for _try in range(OUTER_TRIES):
-        colorings += 1
-        col = balanced_k_coloring(ghat, k, rng)
-        colors = class_sets(col, k)
-        bundle_cols = sorted({col[e] for e in star_ids})
-        assert len(bundle_cols) == 4, "guard bundle not spread over 4 colors"
-        extras = {
-            q: [e for e in colors[q] if e in guard_ids and e not in star_ids]
-            for q in bundle_cols
-        }
-        bundle_cols.sort(key=lambda q: (len(extras[q]), q))
-        l1, l3, l2, l4 = bundle_cols
-
-        a1 = {e for e in colors[l1] if e not in guard_ids}
-        b2 = {e for e in colors[l2] if e not in guard_ids}
-        a3 = {e for e in colors[l3] if e not in guard_ids}
-        b4 = {e for e in colors[l4] if e not in guard_ids}
-        if ghat.degree_x(cstar, a1) == 3:
-            a1 = rebalance_drop_one(ghat, a1, b2, cstar, 4)
-        if ghat.degree_x(cstar, a3) == 3:
-            a3 = rebalance_drop_one(ghat, a3, b4, cstar, 4)
-        assert not a1 & a3
-        lprime = sorted(a1 | a3)
-        assert ghat.degree_x(cstar, set(lprime)) <= 4
-        for u in range(m):
-            assert ghat.degree_y(u, set(lprime)) == 4
-
-        fgr = BipartiteMultigraph(n, m)
-        fid_to_hat: list[int] = []
-        for e in lprime:
-            xe, ye = ghat.edges[e]
-            fgr.add_edge(xe, ye)
-            fid_to_hat.append(e)
-
-        pairing = _assemble_pairing(fgr, fid_to_hat, path_ends)
-        for chosen in paired_balanced_2_coloring(fgr, pairing, rng):
-            g1, g2 = _final_split(fgr, fid_to_hat, chosen, path_ends, rng)
-            checks += 1
-            if _witness_ok(dec, g1, g2, cstar, x_of):
-                return g1, g2, colorings, checks
-    raise WitnessRejected(
-        f"no witness after {colorings} colorings and {checks} checks at "
-        f"step s={s}, order {m}, n={n}, t={t}, k={k}"
-    )
-
-
-def _assemble_pairing(
-    fgr: BipartiteMultigraph,
-    fid_to_hat: list[int],
-    path_ends: list[list[tuple[int, int]]],
-) -> dict[int, int]:
-    """Pairing for the first split of the four-per-vertex slot graph.
-
-    Mate duplicated slot copies first, so no slot reaches both sides,
-    then parallel slots of one bundle, then slots at the two ends of one
-    path; the rest stay unpaired."""
+    # one edge per chosen slot; the two slots of a gate that took two are
+    # mated so they reach different new vertices
+    chosen = BipartiteMultigraph(n, m)
+    slot_of: list[int] = []
     mate: dict[int, int] = {}
-    unpaired: set[int] = set(range(len(fid_to_hat)))
-
-    by_under: dict[int, list[int]] = {}
-    for f, e in enumerate(fid_to_hat):
-        by_under.setdefault(e // 2, []).append(f)
-    for under in sorted(by_under):
-        fs = by_under[under]
-        if len(fs) == 2:
-            a, b = fs
-            mate[a] = b
-            mate[b] = a
-            unpaired -= {a, b}
-
-    for _, bund in sorted(fgr.bundles().items()):
-        free = [f for f in bund if f in unpaired]
-        while len(free) >= 2:
-            a, b = free.pop(0), free.pop(0)
-            mate[a] = b
-            mate[b] = a
-            unpaired -= {a, b}
-
-    mate.update(_mate_path_ends(fgr, unpaired, path_ends))
-    return mate
-
-
-def _final_split(
-    fgr: BipartiteMultigraph,
-    fid_to_hat: list[int],
-    chosen: set[int],
-    path_ends: list[list[tuple[int, int]]],
-    rng: random.Random,
-) -> tuple[Witness, Witness]:
-    """Split one side of the first split between the new vertices m and
-    m + 1.
-
-    Every old vertex holds two slots of `chosen`, and the paired
-    2-coloring gives one to each new vertex.  The two end slots of every
-    path whose ends both sit in `chosen` are mated, so no path closes a
-    cycle at one new vertex."""
-    fids = sorted(chosen)
-    sub = BipartiteMultigraph(fgr.x_size, fgr.y_size)
-    for f in fids:
-        sub.add_edge(*fgr.edges[f])
-    mate = _mate_path_ends(sub, sub.edges, path_ends)
-    sides = paired_balanced_2_coloring(sub, mate, rng)
+    free = gt.bundles()
+    for i, class_picks in enumerate(picks):
+        for pick in class_picks:
+            fs = []
+            for v in pick:
+                fs.append(chosen.add_edge(i, v))
+                slot_of.append(free[(i, v)].pop(0))
+            if len(fs) == 2:
+                mate[fs[0]] = fs[1]
+                mate[fs[1]] = fs[0]
+    sides = paired_balanced_2_coloring(chosen, mate, rng)
     g1, g2 = (
-        [(*sub.edges[j], fid_to_hat[fids[j]] // 2) for j in sorted(side)]
+        [(*chosen.edges[f], slot_of[f]) for f in sorted(side)]
         for side in sides
     )
+    if not _witness_ok(dec, g1, g2, cstar, x_of):
+        raise InvariantViolation(
+            f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
+        )
     return g1, g2
 
 
-def _mate_path_ends(
-    g: BipartiteMultigraph,
-    free: Iterable[int],
-    path_ends: list[list[tuple[int, int]]],
-) -> dict[int, int]:
-    """Mate one free slot at each end of every path whose two ends both
-    offer one in g."""
-    mate: dict[int, int] = {}
-    free_at: dict[tuple[int, int], list[int]] = {}
-    for f in sorted(free):
-        free_at.setdefault(g.edges[f], []).append(f)
-    for i, ends in enumerate(path_ends):
-        for z, w in ends:
-            fz = free_at.get((i, z), [])
-            fw = free_at.get((i, w), [])
-            if fz and fw:
-                a, b = fz.pop(0), fw.pop(0)
-                mate[a] = b
-                mate[b] = a
-    return mate
+def _slot_flow(
+    m: int,
+    gates: list[list[tuple[int, ...]]],
+    floors: list[int],
+    cstar: int,
+) -> list[list[tuple[int, ...]]]:
+    """Two free slots at each of the old vertices 0..m-1, chosen by one
+    max-flow with lower bounds (see the module docstring).
+
+    gates[i] lists the gates of class i: a path as its two ends, or an
+    isolated vertex alone.  Class i takes at least floors[i] slots and at
+    most 4, cstar at most 2.  The result lists, per class, the vertices at
+    which each gate that took a slot took one, a vertex twice for an
+    isolated gate that took two; at most one gate per class takes two,
+    and none of cstar.  Raises InternalInfeasible when no choice exists.
+    """
+    fl = _Dinic()
+    src = fl.add_node()
+    snk = fl.add_node()
+    vnode = [fl.add_node() for _ in range(m)]
+    gate_arcs: list[tuple[int, tuple[int, ...], list[int]]] = []
+    for i, class_gates in enumerate(gates):
+        cnode = fl.add_node()
+        fl.add_bounded_arc(src, cnode, floors[i], 2 if i == cstar else 4)
+        if i != cstar:
+            dbl = fl.add_node()
+            fl.add_arc(cnode, dbl, 1)
+        for ends in class_gates:
+            gate = fl.add_node()
+            fl.add_arc(cnode, gate, 1)
+            if i != cstar:
+                fl.add_arc(dbl, gate, 1)
+            cap = 2 if len(ends) == 1 else 1
+            gate_arcs.append(
+                (i, ends, [fl.add_arc(gate, vnode[v], cap) for v in ends])
+            )
+    for v in range(m):
+        fl.add_bounded_arc(vnode[v], snk, 2, 2)
+    if not fl.feasible(src, snk):
+        raise InternalInfeasible(
+            f"no slot choice meets the floors {floors} at order {m}"
+        )
+
+    picks: list[list[tuple[int, ...]]] = [[] for _ in gates]
+    for i, ends, arcs in gate_arcs:
+        pick = tuple(
+            v for v, aid in zip(ends, arcs) for _ in range(fl.flow_on(aid))
+        )
+        if pick:
+            picks[i].append(pick)
+    return picks
 
 
 def _witness_ok(
@@ -325,8 +280,7 @@ def _witness_ok(
     capacity slot is spent twice, every receiving class stays a linear
     forest when its new edges (bridge included) are laid in, and per-class
     gains keep the size floors on schedule.  Simulating the attach per
-    class is deliberate: degree caps and endpoint rules alone still admit
-    a cycle through both new vertices across two old paths."""
+    class is deliberate: it checks the result, not the flow's bounds."""
     m = dec.order
     n = len(dec.classes)
     for side in (g1, g2):
@@ -353,13 +307,6 @@ def _witness_ok(
             return False
 
     gain = Counter(i for i, _, _ in g1 + g2)
-    for i in range(n):
-        if i < cstar:
-            need = 4 - x_of[i]
-        elif i == cstar:
-            need = 3 - x_of[i]
-        else:
-            need = 5 - x_of[i]
-        if gain[i] < max(0, need):
-            return False
-    return True
+    return all(
+        gain[i] >= _gain_floor(i, cstar, x_of[i]) for i in range(n)
+    )

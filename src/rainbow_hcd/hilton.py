@@ -32,12 +32,15 @@ _INF = 1 << 30
 
 
 class _Dinic:
-    """Plain max-flow with deterministic arc order."""
+    """Max-flow with deterministic arc order, and feasibility of a flow
+    whose arcs carry lower bounds."""
 
     def __init__(self) -> None:
         self.adj: list[list[int]] = []
         self.to: list[int] = []
         self.cap: list[int] = []
+        # node -> lower-bound units it receives minus those it sends
+        self.excess: dict[int, int] = {}
 
     def add_node(self) -> int:
         self.adj.append([])
@@ -53,8 +56,38 @@ class _Dinic:
         self.adj[v].append(aid + 1)
         return aid
 
+    def add_bounded_arc(self, u: int, v: int, lo: int, hi: int) -> None:
+        """Arc u -> v that must carry between lo and hi units.  Its lo
+        units are forced: they count at u and v until feasible() routes
+        them.  Only the hi - lo free units become an arc, and none when
+        lo == hi, since an arc without capacity never carries flow."""
+        if hi > lo:
+            self.add_arc(u, v, hi - lo)
+        if lo:
+            self.excess[v] = self.excess.get(v, 0) + lo
+            self.excess[u] = self.excess.get(u, 0) - lo
+
     def flow_on(self, aid: int) -> int:
         return self.cap[aid ^ 1]
+
+    def feasible(self, src: int, snk: int) -> bool:
+        """Whether a flow from src to snk meets every arc's bounds; call
+        once, after the last arc.  Closes snk -> src and runs one max-flow
+        from a super source feeding each node's lower-bound surplus to a
+        super sink draining each deficit; the flow is feasible when that
+        saturates every surplus, and is then left on the arcs."""
+        self.add_arc(snk, src, _INF)
+        ssrc = self.add_node()
+        ssnk = self.add_node()
+        demand = 0
+        for node in sorted(self.excess):
+            ex = self.excess[node]
+            if ex > 0:
+                self.add_arc(ssrc, node, ex)
+                demand += ex
+            elif ex < 0:
+                self.add_arc(node, ssnk, -ex)
+        return self.max_flow(ssrc, ssnk) == demand
 
     def max_flow(self, s: int, t: int) -> int:
         adj, to, cap = self.adj, self.to, self.cap
@@ -176,13 +209,7 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
     fl = _Dinic()
     src = fl.add_node()
     snk = fl.add_node()
-    ssrc = fl.add_node()
-    ssnk = fl.add_node()
     vnode = [fl.add_node() for _ in range(m)]
-    excess: dict[int, int] = {}
-
-    def push_excess(node: int, amount: int) -> None:
-        excess[node] = excess.get(node, 0) + amount
 
     choice_arcs: list[tuple[int, int, int]] = []
     for i, cls in enumerate(dec.classes):
@@ -190,10 +217,7 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         if needed > 2:
             raise InvariantViolation(f"class {i} fell behind the size schedule")
         cnode = fl.add_node()
-        fl.add_arc(src, cnode, 2 - needed)
-        if needed:
-            push_excess(cnode, needed)
-            push_excess(src, -needed)
+        fl.add_bounded_arc(src, cnode, needed, 2)
         for gate_ends in ends[i].gates():
             gate = fl.add_node()
             fl.add_arc(cnode, gate, 1)
@@ -202,19 +226,8 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         ends[i].add_vertex(w)
     for v in range(m):
         # each old vertex gets exactly one new edge
-        push_excess(snk, 1)
-        push_excess(vnode[v], -1)
-    fl.add_arc(snk, src, _INF)
-
-    demand = 0
-    for node in sorted(excess):
-        ex = excess[node]
-        if ex > 0:
-            fl.add_arc(ssrc, node, ex)
-            demand += ex
-        elif ex < 0:
-            fl.add_arc(node, ssnk, -ex)
-    if fl.max_flow(ssrc, ssnk) != demand:
+        fl.add_bounded_arc(vnode[v], snk, 1, 1)
+    if not fl.feasible(src, snk):
         raise InternalInfeasible(f"no feasible attachment for vertex {w}")
 
     added = 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,6 @@ from rainbow_hcd.coloring import (
     _find_unbalanced_pair,
     _recolor_pair,
     balanced_k_coloring,
-    class_sets,
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
@@ -87,7 +87,7 @@ class TestBalancedK:
     def test_single_bundle(self):
         G, ids = build(1, 1, [(0, 0)] * 5)
         col = balanced_k_coloring(G, 2)
-        sizes = sorted(len(s) for s in class_sets(col, 2))
+        sizes = sorted(Counter(col.values()).values())
         assert sizes == [2, 3]
 
     def test_k_exceeding_degree(self):

@@ -173,11 +173,11 @@ class TestDeterminism:
         "h, seed, digest",
         [
             (disjoint_union(cycle_graph(3), k2s(9)), 0,
-             "c6383644f614aa22c1950536c30ef8c10286569805836a07d1357281115b8646"),
+             "24b448b638b3b7f475a80e518a9c098ce18977e5989bc106d86af370e68c34e0"),
             (disjoint_union(cycle_graph(3), k2s(9)), 1,
-             "aca2a75cb10c79f0b6d4b8435b2716e80c8814adcb2161959d34052ddf6e6615"),
+             "4af9a625622051881ad504c42641702d952ff89b56b865ce624eb80dbe1dc936"),
             (disjoint_union(cycle_graph(8), k2s(8)), 0,
-             "c55ecae9ae9405badd1ea46bd11930b3618f9cd373b0615f3ff53a5d84ce3d1d"),
+             "c8ea68484da11544fe700331c20e70021c4b305d64520f0420bbe6528c05109c"),
             (star_graph(16), 0,
              "80ed628d7c08cb9f955f49472e6cec176835b91ed4da81023012aed387eb6eb8"),
             (cycle_graph(16), 0,
@@ -271,7 +271,7 @@ def test_dense_scale_gate(h):
 
 @pytest.mark.slow
 def test_sparse_scale_gate():
-    # C3 + 29K2 runs 29 attach rounds, each drawing a balanced coloring
+    # C3 + 29K2 runs 29 attach rounds, each solving one slot flow
     h = disjoint_union(cycle_graph(3), k2s(29))
     t0 = time.perf_counter()
     cert = solve(h, seed=0)
@@ -279,6 +279,23 @@ def test_sparse_scale_gate():
     rep = verify_certificate(cert)
     assert rep.ok, "\n".join(rep.lines())
     assert dt < 20, f"C3+29K2 took {dt:.1f}s"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "h",
+    [disjoint_union(cycle_graph(3), k2s(61)),
+     disjoint_union(cycle_graph(32), k2s(32))],
+    ids=["C3+61K2", "C32+32K2"],
+)
+def test_sparse_scale_gate_n64(h):
+    # 61 and 32 attach rounds, then the Hilton completion to K_129
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 10, f"{len(h)}-edge sparse instance took {dt:.1f}s"
 
 
 class TestOracleAgreement:
