@@ -1,9 +1,9 @@
 """Embedding the dense part of an instance.
 
 Input: a graph on dense labels 0..r-1 whose components all have at least
-two edges (t edges total, t <= n).  Output: the edges of K_r split into n
-linear forests, edge i sitting alone-per-class in class i, every class
-meeting the size floor needed by the later completion stages:
+two edges (t edges total, t <= n), for n >= 6.  Output: the edges of K_r
+split into n linear forests, edge i sitting alone-per-class in class i,
+every class meeting the size floor needed by the later completion stages:
 2r - 2n - 1 edges for the first t classes, 2r - 2n for the rest.
 
 Two regimes.  With few vertices (r <= n) the floors are vacuous and a
@@ -61,6 +61,10 @@ def embed_dense(
 ) -> Decomposition:
     """Build the n-forest split of K_r described in the module docstring.
 
+    Requires n >= 6, else raises PreconditionViolation: solve routes every
+    n <= 5 to base-small, so only the pipeline calls this stage, always
+    with n >= 6, and below that the recursive regime fails (K_{1,3} at
+    n = 3, P3 at n = 2).
     recurse(edges, m, seed) must solve a smaller instance outright and
     return its certificate; it is only called when r > n.
     """
@@ -76,6 +80,8 @@ def embed_dense(
     for grp in component_edge_groups(h_edges):
         if len(grp) < 2:
             raise PreconditionViolation("every component needs >= 2 edges")
+    if n < 6:
+        raise PreconditionViolation(f"need n >= 6, got n={n}")
     if trace is None:
         trace = []
 
@@ -188,7 +194,8 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
 def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge], r: int) -> None:
     """Shift the `count` smallest allowed donor edges into the target, then
     re-check that the target is still a linear forest."""
-    assert count >= 0
+    if count < 0:
+        raise InvariantViolation(f"cannot move {count} edges")
     avail = sorted(e for e in donor.edges if e not in exclude)
     if len(avail) < count:
         raise InternalInfeasible(

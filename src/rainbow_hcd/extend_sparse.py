@@ -39,7 +39,18 @@ split of a feasible flow gives each new vertex at most two edges of a
 class (at most one of cstar beside the bridge), no path takes both its
 ends at one new vertex, and a class joins m to m+1 at most once, so every
 class stays a linear forest; the lower bounds keep the floors.
-_witness_ok re-checks the split before it is applied.
+
+Each class is scanned by analyze_linear_forest once, when the stage
+checks its input; a hilton.PathEnds state per class then carries its path
+ends through the rounds, and each round reads its gates and slots from
+the states alone.  _witness_ok checks the split before it is applied and
+leaves the states as they are: per class, each old vertex stands for the
+path or isolated vertex it lies on, a union-find over those and the new
+vertices finds any cycle the round's new edges would close, and a count
+of those edges at each vertex bounds its degree.  _attach lays every new
+edge through PathEnds.add_edge.  After each round every class must hold
+as many edges as its state implies, and the classes must partition K_m
+and meet their floors.
 """
 
 from __future__ import annotations
@@ -58,7 +69,6 @@ from .coloring import (  # noqa: F401
 from .errors import (
     InternalInfeasible,
     InvariantViolation,
-    NotLinearForest,
     PreconditionViolation,
 )
 from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
@@ -68,37 +78,65 @@ from .hilton import PathEnds, _Dinic
 Witness = list[tuple[int, int, int]]
 
 
-def capacity_graph(dec: Decomposition) -> BipartiteMultigraph:
-    """One edge per free endpoint slot: a path endpoint offers one slot to
-    its class, an isolated vertex offers two."""
-    m = dec.order
-    g = BipartiteMultigraph(len(dec.classes), m)
-    for i, cls in enumerate(dec.classes):
-        view = analyze_linear_forest(cls, range(m))
-        for p in view.paths:
-            g.add_edge(i, p[0])
-            g.add_edge(i, p[-1])
-        for v in view.isolated:
-            g.add_edge(i, v)
-            g.add_edge(i, v)
+def capacity_graph(
+    m: int, gates: list[list[tuple[int, ...]]]
+) -> BipartiteMultigraph:
+    """One edge per free slot at the old vertices 0..m-1: a path gate
+    offers one slot at each end to its class, an isolated vertex two.
+
+    gates[i] is PathEnds.gates() of class i, paths by (low, high) end and
+    then isolated vertices, the order LinearForestView lists them in, so
+    the slot ids are those a scan of every class would give."""
+    g = BipartiteMultigraph(len(gates), m)
+    for i, class_gates in enumerate(gates):
+        for gate in class_gates:
+            for v in gate:
+                g.add_edge(i, v)
+                if len(gate) == 1:
+                    g.add_edge(i, v)
     return g
 
 
 def verify_sparse_state(
-    dec: Decomposition, r: int, t: int, n: int, s: int
-) -> None:
+    dec: Decomposition,
+    r: int,
+    t: int,
+    n: int,
+    s: int,
+    ends: list[PathEnds] | None = None,
+) -> list[PathEnds]:
+    """Check the split after round s and return the path ends of each
+    class.
+
+    Without ends, every class is scanned by analyze_linear_forest and the
+    states are built from the scans.  With the states carried through the
+    rounds, whose add_edge checked each edge laid in since, every class
+    must hold exactly order - paths - isolated edges, which catches a
+    class that moved apart from its state.  Both check the order, the
+    class count, the partition of K_order and the size floors."""
     if dec.order != r + 2 * s:
         raise InvariantViolation(f"order {dec.order}, wanted {r + 2 * s}")
     if len(dec.classes) != n:
         raise InvariantViolation("wrong class count")
-    dec.check_partition()
-    for i, cls in enumerate(dec.classes):
-        analyze_linear_forest(cls, range(dec.order))
+    if ends is None:
+        ends = [
+            PathEnds(analyze_linear_forest(cls, range(dec.order)))
+            for cls in dec.classes
+        ]
+    for i, (cls, state) in enumerate(zip(dec.classes, ends)):
+        want = dec.order - len(state.partner) // 2 - len(state.isolated)
+        if len(cls) != want:
+            raise InvariantViolation(
+                f"class {i} drifted from its path ends: {len(cls)} edges, "
+                f"its ends imply {want}"
+            )
         floor = 4 * s + 2 * r - 2 * n - (1 if i < t + s else 0)
         if len(cls) < max(0, floor):
             raise InvariantViolation(
                 f"class {i} has {len(cls)} edges, floor {floor} at step {s}"
             )
+    dec.check_partition()
+    return ends
 
 
 def extend_with_k2s(
@@ -108,7 +146,8 @@ def extend_with_k2s(
     seed: int = 0,
     trace: list[str] | None = None,
 ) -> Decomposition:
-    """Attach n - t host pairs, one per round, and return the grown split.
+    """Attach n - t host pairs, one per round, and return the grown split;
+    the input is left unchanged.
 
     The input must be an n-class linear forest split of K_r meeting the
     s = 0 floors; class i is assumed to carry dense edge i for i < t and
@@ -123,27 +162,44 @@ def extend_with_k2s(
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
-    verify_sparse_state(dec, r, t, n, 0)
+    ends = verify_sparse_state(dec, r, t, n, 0)
+    dec = dec.copy()
     rng = random.Random(seed)
     for s in range(n - t):
-        g1, g2 = _stage_witness(dec, t, n, s, rng)
-        dec = _attach(dec, g1, g2, s + t)
-        verify_sparse_state(dec, r, t, n, s + 1)
+        g1, g2 = _stage_witness(dec, ends, t, n, s, rng)
+        _attach(dec, ends, g1, g2, s + t)
+        verify_sparse_state(dec, r, t, n, s + 1, ends)
         trace.append(f"attach: s={s} order={dec.order}")
     return dec
 
 
 def _attach(
-    dec: Decomposition, g1: Witness, g2: Witness, cstar: int
-) -> Decomposition:
+    dec: Decomposition,
+    ends: list[PathEnds],
+    g1: Witness,
+    g2: Witness,
+    cstar: int,
+) -> None:
+    """Lay the round's new edges into dec and the class states, in place."""
     m = dec.order
-    classes = [set(c) for c in dec.classes]
-    for i, u, _ in g1:
-        classes[i].add(edge(u, m))
-    for i, u, _ in g2:
-        classes[i].add(edge(u, m + 1))
-    classes[cstar].add(edge(m, m + 1))
-    return Decomposition(m + 2, classes)
+    for state in ends:
+        state.add_vertex(m)
+        state.add_vertex(m + 1)
+    for i, u, w in _new_edges(g1, g2, cstar, m):
+        ends[i].add_edge(u, w)
+        dec.classes[i].add(edge(u, w))
+    dec.order = m + 2
+
+
+def _new_edges(
+    g1: Witness, g2: Witness, cstar: int, m: int
+) -> list[tuple[int, int, int]]:
+    """(class, old or new vertex, new vertex) for every edge of the round,
+    the bridge last."""
+    out = [(i, u, m) for i, u, _ in g1]
+    out += [(i, u, m + 1) for i, u, _ in g2]
+    out.append((cstar, m, m + 1))
+    return out
 
 
 def _gain_floor(i: int, cstar: int, x: int) -> int:
@@ -157,16 +213,23 @@ def _gain_floor(i: int, cstar: int, x: int) -> int:
 
 
 def _stage_witness(
-    dec: Decomposition, t: int, n: int, s: int, rng: random.Random
+    dec: Decomposition,
+    ends: list[PathEnds],
+    t: int,
+    n: int,
+    s: int,
+    rng: random.Random,
 ) -> tuple[Witness, Witness]:
-    """The two sides of round s's witness, one per new vertex."""
+    """The two sides of round s's witness, one per new vertex; ends[i]
+    holds the path ends of class i and is not changed."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
     if k < 4:
         raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
-    gt = capacity_graph(dec)
+    gates = [state.gates() for state in ends]
+    gt = capacity_graph(m, gates)
     for u in range(m):
         if gt.degree_y(u) != k:
             raise InvariantViolation(
@@ -180,10 +243,6 @@ def _stage_witness(
         if x < (1 if i >= cstar else 0):
             raise InvariantViolation(f"class {i} is below its size floor")
 
-    gates = [
-        PathEnds(analyze_linear_forest(cls, range(m))).gates()
-        for cls in dec.classes
-    ]
     floors = [max(0, _gain_floor(i, cstar, x)) for i, x in enumerate(x_of)]
     picks = _slot_flow(m, gates, floors, cstar)
 
@@ -207,7 +266,7 @@ def _stage_witness(
         [(*chosen.edges[f], slot_of[f]) for f in sorted(side)]
         for side in sides
     )
-    if not _witness_ok(dec, g1, g2, cstar, x_of):
+    if not _witness_ok(dec, ends, g1, g2, cstar, x_of):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
@@ -269,6 +328,7 @@ def _slot_flow(
 
 def _witness_ok(
     dec: Decomposition,
+    ends: list[PathEnds],
     g1: Witness,
     g2: Witness,
     cstar: int,
@@ -280,7 +340,8 @@ def _witness_ok(
     capacity slot is spent twice, every receiving class stays a linear
     forest when its new edges (bridge included) are laid in, and per-class
     gains keep the size floors on schedule.  Simulating the attach per
-    class is deliberate: it checks the result, not the flow's bounds."""
+    class is deliberate: it checks the result, not the flow's bounds.
+    The states in ends are read, never changed."""
     m = dec.order
     n = len(dec.classes)
     for side in (g1, g2):
@@ -291,22 +352,45 @@ def _witness_ok(
         return False
 
     touched: dict[int, list[Edge]] = {}
-    for i, u, _ in g1:
-        touched.setdefault(i, []).append(edge(u, m))
-    for i, u, _ in g2:
-        touched.setdefault(i, []).append(edge(u, m + 1))
-    touched.setdefault(cstar, []).append(edge(m, m + 1))
+    for i, u, w in _new_edges(g1, g2, cstar, m):
+        touched.setdefault(i, []).append((u, w))
     for i, extra in touched.items():
-        trial = set(dec.classes[i])
-        trial.update(extra)
-        if len(trial) != len(dec.classes[i]) + len(extra):
-            return False
-        try:
-            analyze_linear_forest(trial, range(m + 2))
-        except NotLinearForest:
+        if not _stays_linear(ends[i], extra, m):
             return False
 
     gain = Counter(i for i, _, _ in g1 + g2)
     return all(
         gain[i] >= _gain_floor(i, cstar, x_of[i]) for i in range(n)
     )
+
+
+def _stays_linear(state: PathEnds, extra: list[Edge], m: int) -> bool:
+    """Whether the linear forest on 0..m-1 held by state stays one when
+    the edges in extra, each with an end at a new vertex m or m + 1, are
+    laid in.  Only the new edges are walked: each old vertex stands for
+    the path or isolated vertex it lies on, named by its low end, and a
+    union-find over those names and the new vertices finds any cycle the
+    new edges close.  A vertex may take two new edges if isolated or new,
+    one if a path end, none if interior."""
+    used: Counter[int] = Counter()
+    parent: dict[int, int] = {}
+    for e in extra:
+        roots = []
+        for x in e:
+            if x >= m or x in state.isolated:
+                name, free = x, 2
+            elif x in state.partner:
+                name, free = min(x, state.partner[x]), 1
+            else:
+                name, free = x, 0
+            used[x] += 1
+            if used[x] > free:
+                return False
+            while name in parent:
+                name = parent[name]
+            roots.append(name)
+        a, b = roots
+        if a == b:
+            return False
+        parent[a] = b
+    return True

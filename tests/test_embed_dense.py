@@ -65,6 +65,14 @@ class TestPreconditions:
         with pytest.raises(PreconditionViolation):
             embed_dense(disjoint_union(path_graph(2), path_graph(1)), 6, recurse)
 
+    @pytest.mark.parametrize(
+        "h, n", [(star_graph(3), 3), (path_graph(2), 2)], ids=["K1,3", "P3"]
+    )
+    def test_rejects_fewer_than_six_classes(self, h, n):
+        # solve sends every n <= 5 to base-small, never here
+        with pytest.raises(PreconditionViolation, match="n >= 6"):
+            embed_dense(h, n, recurse)
+
 
 class TestDirectRegime:
     # r <= n: one near-perfect matching schedule carries the split

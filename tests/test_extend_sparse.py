@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rainbow_hcd
+from rainbow_hcd import extend_sparse
 from rainbow_hcd.embed_dense import embed_dense
 from rainbow_hcd.errors import (
     InternalInfeasible,
@@ -14,6 +21,7 @@ from rainbow_hcd.errors import (
 from rainbow_hcd.extend_sparse import (
     _slot_flow,
     _stage_witness,
+    _witness_ok,
     capacity_graph,
     extend_with_k2s,
     verify_sparse_state,
@@ -31,12 +39,39 @@ from rainbow_hcd.graph_core import (
     edge_vertices,
     verify_certificate,
 )
-from rainbow_hcd.hilton import extend_to_hcd
+from rainbow_hcd.hilton import PathEnds, extend_to_hcd
 from rainbow_hcd.solver import solve, split_components
 
 
 def dense_split(h_edges, n, seed=0):
     return embed_dense(h_edges, n, lambda e, m, s: solve(e, s), seed=seed)
+
+
+def scan_ends(dec):
+    """Path ends of every class, from a full scan."""
+    return [
+        PathEnds(analyze_linear_forest(cls, range(dec.order)))
+        for cls in dec.classes
+    ]
+
+
+def scan_gates(dec):
+    return [state.gates() for state in scan_ends(dec)]
+
+
+def p3_split():
+    # the direct-matching split of P3 = 0-1-2 at n = 3, as embed_dense laid
+    # it before that stage took n >= 6 only
+    return Decomposition(3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()])
+
+
+def c4_split():
+    # the same for C4 = 0-1-2-3 at n = 4
+    return Decomposition(
+        4,
+        [{edge(0, 1)}, {edge(0, 2), edge(1, 2), edge(1, 3)}, {edge(2, 3)},
+         {edge(0, 3)}],
+    )
 
 
 def k5_forests():
@@ -49,24 +84,59 @@ def k5_forests():
     return Decomposition(5, classes)
 
 
+def matching_state():
+    """K_4 split into the perfect matchings {01, 23}, {02, 13}, {03, 12}
+    and three empty classes, with the path ends of each."""
+    dec = Decomposition(
+        4,
+        [{edge(0, 1), edge(2, 3)}, {edge(0, 2), edge(1, 3)},
+         {edge(0, 3), edge(1, 2)}, set(), set(), set()],
+    )
+    return dec, scan_ends(dec)
+
+
+# witness sides on matching_state, new vertices 4 and 5, one (class, old
+# vertex, slot id) triple per new edge
+GOOD_SPLIT = (
+    [(0, 0, 0), (0, 2, 1), (3, 1, 2), (3, 3, 3)],
+    [(1, 0, 4), (1, 1, 5), (3, 2, 6), (3, 3, 7)],
+)
+# class 0 sends paths 0-1 and 2-3 each to both new vertices: 4-0-1-5-3-2-4
+TWO_GATES_SPLIT = (
+    [(0, 0, 0), (0, 2, 1), (3, 1, 2), (3, 3, 3)],
+    [(0, 1, 4), (0, 3, 5), (3, 0, 6), (3, 2, 7)],
+)
+# class 0 sends path 0-1 to both new vertices; as cstar it also holds the
+# bridge 4-5 and closes 4-0-1-5-4
+CSTAR_SPLIT = (
+    [(0, 0, 0), (3, 1, 1), (3, 2, 2), (4, 3, 3)],
+    [(0, 1, 4), (3, 0, 5), (3, 3, 6), (4, 2, 7)],
+)
+# class 3 gives new vertex 4 three edges
+THIRD_EDGE_SPLIT = (
+    [(3, 0, 0), (3, 1, 1), (3, 2, 2), (4, 3, 3)],
+    [(4, 0, 4), (4, 1, 5), (1, 2, 6), (1, 3, 7)],
+)
+
+
 class TestCapacityGraph:
     def test_slot_counts(self):
         dec = k5_forests()
-        g = capacity_graph(dec)
+        g = capacity_graph(dec.order, scan_gates(dec))
         # class i offers 2 * (order - size) slots in total
         for i, cls in enumerate(dec.classes):
             assert len(g.incident_x(i)) == 2 * (dec.order - len(cls))
 
     def test_vertex_side_totals(self):
         dec = k5_forests()
-        g = capacity_graph(dec)
+        g = capacity_graph(dec.order, scan_gates(dec))
         m, n = dec.order, len(dec.classes)
         for u in range(m):
             assert len(g.incident_y(u)) == 2 * n - m + 1
 
     def test_isolated_vertex_offers_two(self):
         dec = Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}])
-        g = capacity_graph(dec)
+        g = capacity_graph(dec.order, scan_gates(dec))
         for i in range(3):
             inc = g.incident_x(i)
             assert len(inc) == 4
@@ -74,7 +144,7 @@ class TestCapacityGraph:
 
 class TestVerifySparseState:
     def test_accepts_valid_state(self):
-        dec = dense_split(path_graph(2), 3)
+        dec = p3_split()
         grown = extend_with_k2s(dec, t=2, n=3, seed=1)
         verify_sparse_state(grown, r=3, t=2, n=3, s=1)
 
@@ -105,7 +175,7 @@ class TestPreconditions:
 class TestGrowth:
     def test_path_to_five_vertices(self):
         # two planted edges, one round: 3 classes of K_5 sized (4, 3, 3)
-        dec = dense_split(path_graph(2), 3)
+        dec = p3_split()
         out = extend_with_k2s(dec, t=2, n=3, seed=1)
         assert out.order == 5
         assert sorted(len(c) for c in out.classes) == [3, 3, 4]
@@ -114,7 +184,7 @@ class TestGrowth:
         assert edge(3, 4) in out.classes[2]
 
     def test_grown_split_completes_to_cycles(self):
-        dec = dense_split(path_graph(2), 3)
+        dec = p3_split()
         out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3, seed=1), 3)
         out.check_hcd()
         assert out.order == 7
@@ -149,7 +219,7 @@ class TestGrowth:
         assert a.classes == b.classes
 
     def test_no_rounds_needed(self):
-        dec = dense_split(cycle_graph(4), 4)
+        dec = c4_split()
         out = extend_with_k2s(dec, t=4, n=4, seed=0)
         assert out.order == dec.order
         assert out.classes == dec.classes
@@ -186,11 +256,33 @@ class TestWitness:
 
     def test_stage_checks_raise_not_assert(self):
         # a missing edge leaves its ends with k + 1 free slots
-        dec = dense_split(path_graph(2), 3)
+        dec = p3_split()
         cls = next(c for c in dec.classes if c)
         cls.pop()
         with pytest.raises(InvariantViolation, match="slots, wanted"):
-            _stage_witness(dec, 2, 3, 0, random.Random(0))
+            _stage_witness(dec, scan_ends(dec), 2, 3, 0, random.Random(0))
+
+    def test_accepts_a_split_that_keeps_every_class_linear(self):
+        for g1, g2 in (GOOD_SPLIT, CSTAR_SPLIT):
+            dec, ends = matching_state()
+            assert _witness_ok(dec, ends, g1, g2, 5, [9] * 6)
+
+    @pytest.mark.parametrize(
+        "g1, g2, cstar",
+        [(*TWO_GATES_SPLIT, 5), (*CSTAR_SPLIT, 0), (*THIRD_EDGE_SPLIT, 5)],
+        ids=["two-gates-close-a-cycle", "cstar-gate-and-bridge",
+             "third-edge-at-new-vertex"],
+    )
+    def test_rejects_a_bad_split_and_keeps_the_states(self, g1, g2, cstar):
+        dec, ends = matching_state()
+        # both sides cover every old vertex once and spend distinct slots,
+        # and the floors are slack, so only the forest check can reject
+        for side in (g1, g2):
+            assert sorted(u for _, u, _ in side) == list(range(dec.order))
+        assert len({sl for _, _, sl in g1 + g2}) == len(g1 + g2)
+        before = [(dict(e.partner), set(e.isolated)) for e in ends]
+        assert not _witness_ok(dec, ends, g1, g2, cstar, [9] * 6)
+        assert [(e.partner, e.isolated) for e in ends] == before
 
     def test_witness_budget(self):
         # every round's first and only witness must verify: C3 + (n-3)K2
@@ -216,6 +308,81 @@ class TestWitness:
             assert verify_certificate(cert).ok, (h, seed)
 
 
+class TestCarriedState:
+    def test_ends_match_a_full_scan_after_every_round(self, monkeypatch):
+        rounds = []
+        real = extend_sparse.verify_sparse_state
+
+        def spy(dec, r, t, n, s, ends=None):
+            out = real(dec, r, t, n, s, ends)
+            if ends is not None:
+                assert [e.gates() for e in ends] == scan_gates(dec), (n, s)
+                rounds.append(s)
+            return out
+
+        monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
+        graphs = [
+            disjoint_union(cycle_graph(3), *[path_graph(1)] * (n - 3))
+            for n in range(6, 17)
+        ]
+        rng = random.Random("carried-state")
+        for _ in range(6):
+            thick = [cycle_graph(rng.randint(3, 5)), star_graph(3)]
+            graphs.append(
+                disjoint_union(*thick, *[path_graph(1)] * rng.randint(1, 6))
+            )
+        for h in graphs:
+            rounds.clear()
+            cert = solve(h, seed=0)
+            assert cert.trace[0] == "route: pipeline", h
+            assert len(rounds) == len(split_components(h).k2_idx) > 0, h
+
+    def test_class_moved_apart_from_its_state_is_caught(self, monkeypatch):
+        real = extend_sparse._attach
+
+        def attach_then_drop(dec, ends, g1, g2, cstar):
+            real(dec, ends, g1, g2, cstar)
+            dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
+
+        monkeypatch.setattr(extend_sparse, "_attach", attach_then_drop)
+        with pytest.raises(InvariantViolation, match="drifted"):
+            extend_with_k2s(p3_split(), t=2, n=3, seed=1)
+
+    def test_drift_is_caught_under_optimize(self):
+        # the same mutant under python -O, where asserts are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd import extend_sparse
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.graph_core import Decomposition, edge
+
+            real = extend_sparse._attach
+
+            def attach_then_drop(dec, ends, g1, g2, cstar):
+                real(dec, ends, g1, g2, cstar)
+                dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
+
+            extend_sparse._attach = attach_then_drop
+            dec = Decomposition(
+                3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()]
+            )
+            print(__debug__)
+            try:
+                extend_sparse.extend_with_k2s(dec, t=2, n=3, seed=1)
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(rainbow_hcd.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "drifted" in lines[1]
+
+
 @st.composite
 def thick_graphs(draw):
     """A graph whose components have 2+ edges each, one of them with a
@@ -238,8 +405,8 @@ def thick_graphs(draw):
 class TestStageContract:
     # extend_with_k2s on embed_dense's splits, not through solve's routing.
     # The thick part is drawn from the pipeline's domain (no linear forest,
-    # n >= 6): outside it embed_dense itself fails, on 3 x P3 at n = 6 and
-    # on K_{1,3} at n = 3, before any attach round runs.
+    # n >= 6): embed_dense rejects n < 6, and still fails on 3 x P3 at
+    # n = 6, before any attach round runs.
     @settings(max_examples=60, deadline=None)
     @given(thick_graphs(), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_attach_rounds_keep_the_contract(self, h, k2_count, seed):

@@ -298,6 +298,20 @@ def test_sparse_scale_gate_n64(h):
     assert dt < 10, f"{len(h)}-edge sparse instance took {dt:.1f}s"
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "h", [disjoint_union(cycle_graph(3), k2s(125))], ids=["C3+125K2"]
+)
+def test_sparse_scale_gate_n128(h):
+    # 125 attach rounds, then the Hilton completion to K_257
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 25, f"{len(h)}-edge sparse instance took {dt:.1f}s"
+
+
 class TestOracleAgreement:
     def test_solver_assignment_is_completable(self):
         # force the oracle to use the solver's classes for the planted edges
