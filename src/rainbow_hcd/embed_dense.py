@@ -118,7 +118,8 @@ def _round_robin(r: int) -> list[list[Edge]]:
                 [edge((k - i) % r, (k + i) % r) for i in range(1, r // 2 + 1)]
             )
     flat = [e for match in rounds for e in match]
-    assert len(flat) == len(set(flat)) == r * (r - 1) // 2
+    if not len(flat) == len(set(flat)) == r * (r - 1) // 2:
+        raise InvariantViolation(f"matchings do not partition K_{r}")
     return rounds
 
 
@@ -128,7 +129,8 @@ def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
         classes[i].add(e)
     h_set = set(h_edges)
     rounds = _round_robin(r)
-    assert len(rounds) <= n, "matching schedule exceeds the class count"
+    if len(rounds) > n:
+        raise InvariantViolation("matching schedule exceeds the class count")
     for k, match in enumerate(rounds):
         classes[k].update(e for e in match if e not in h_set)
     return Decomposition(r, classes)
@@ -172,7 +174,8 @@ def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    assert len(taken) == need
+    if len(taken) != need:
+        raise InvariantViolation(f"prefix has {len(taken)} edges, needs {need}")
     return taken
 
 
@@ -187,7 +190,8 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
             chosen.extend(_bfs_prefix(h_edges, grp, s - len(chosen)))
         if len(chosen) == s:
             break
-    assert len(chosen) == s
+    if len(chosen) != s:
+        raise InvariantViolation(f"subgraph has {len(chosen)} edges, needs {s}")
     return sorted(chosen)
 
 
@@ -259,7 +263,8 @@ def _case1_moves(
 ) -> None:
     s = len(big)
     t = s + len(singles)
-    assert n - s <= s
+    if n - s > s:
+        raise InvariantViolation(f"{n - s} classes to fill from {s} donors")
     if len(big[n - s - 1].edges) < 4 * r - 4 * n - 1:
         raise InternalInfeasible("donor classes below the spread bound")
     for pos, cls in enumerate(singles):
@@ -270,9 +275,7 @@ def _case1_moves(
     for pos, cls in enumerate(empties):
         donor = big[t - s + pos]
         _move(donor, cls, 2 * r - 2 * n, {donor.keep}, r)
-    for j, donor in enumerate(big):
-        floor = 2 * r - 2 * n - 1
-        assert len(donor.edges) >= floor, f"donor {j} drained below floor"
+    _check_donor_floors(big, r, n)
 
 
 def _case2_moves(
@@ -285,7 +288,8 @@ def _case2_moves(
     s = len(big)
     t = s + len(singles)
     eps = 1 if t == n else 0
-    assert 2 * n - 2 * s <= s
+    if 2 * n - 2 * s > s:
+        raise InvariantViolation(f"{2 * n - 2 * s} donor slots from {s} donors")
     if len(big[2 * n - 2 * s - 1].edges) < 3 * r - 3 * n - eps:
         raise InternalInfeasible("donor classes below the spread bound")
     for pos, cls in enumerate(singles):
@@ -302,8 +306,14 @@ def _case2_moves(
         donor2 = big[n + t - 2 * s + pos]
         cut = _second_donor_cut(cls, donor2, r)
         _move(donor2, cls, r - n + 1, cut | {donor2.keep}, r)
+    _check_donor_floors(big, r, n)
+
+
+def _check_donor_floors(big: list[_Cls], r: int, n: int) -> None:
+    """Every donor keeps the 2r - 2n - 1 edges its class needs."""
     for j, donor in enumerate(big):
-        assert len(donor.edges) >= 2 * r - 2 * n - 1, f"donor {j} drained below floor"
+        if len(donor.edges) < 2 * r - 2 * n - 1:
+            raise InvariantViolation(f"donor {j} drained below floor")
 
 
 def _recursive_dense(
@@ -339,12 +349,14 @@ def _recursive_dense(
     relab = relabel_decomposition(child.decomposition, pi)
     cut = truncate_to_order(relab, r)
     for cls in cut.classes:
-        assert len(cls) >= r - 2, "truncated cycle lost too many edges"
+        if len(cls) < r - 2:
+            raise InvariantViolation("truncated cycle lost too many edges")
 
     owner_of_class: dict[int, int] = {}
     for j, eidx in enumerate(sub_idx):
         owner_of_class[child.assignment[j]] = eidx
-    assert sorted(owner_of_class) == list(range(s))
+    if sorted(owner_of_class) != list(range(s)):
+        raise InvariantViolation("child classes do not each own one subgraph edge")
 
     big = [
         _Cls(set(cut.classes[ci]), owner_of_class[ci], h_edges[owner_of_class[ci]])
@@ -357,7 +369,8 @@ def _recursive_dense(
     for cls in big:
         cls.edges.difference_update(leftover)
     for cls in big:
-        assert cls.keep in cls.edges
+        if cls.keep not in cls.edges:
+            raise InvariantViolation(f"input edge {cls.keep} left its class")
     big.sort(key=lambda c: len(c.edges), reverse=True)
     singles = [_Cls({h_edges[i]}, i) for i in range(t) if i not in sub_set]
     empties = [_Cls(set(), None) for _ in range(n - t)]
@@ -371,7 +384,9 @@ def _recursive_dense(
     fillers = iter(range(t, n))
     for cls in big + singles + empties:
         slot = cls.owner if cls.owner is not None else next(fillers)
-        assert final[slot] is None
+        if final[slot] is not None:
+            raise InvariantViolation(f"two classes for slot {slot}")
         final[slot] = cls.edges
-    assert all(c is not None for c in final)
+    if any(c is None for c in final):
+        raise InvariantViolation("a class slot is left empty")
     return Decomposition(r, final)

@@ -2,15 +2,20 @@
 decompositions.
 
 Input: K_m split into n classes, each a linear forest with at least
-2m - 2n - 1 edges.  Vertices 2n-1, 2n-2, ... are appended one at a time;
-each new vertex hands one edge to every old vertex, and a feasible flow
-chooses the receiving classes so that every class stays a linear forest
+2m - 2n - 1 edges.  Vertices m, m+1, ..., 2n-1 are appended one at a
+time; each new vertex hands one edge to every old vertex, and the
+receiving classes are chosen so that every class stays a linear forest
 and keeps pace with the growing size bound.  At order 2n every class is a
 spanning path, and the last vertex closes each of them into a cycle.
 
 Each class is checked by analyze_linear_forest once, on entry; from then
-on a PathEnds state per class holds its path ends and checks every edge
-the flow adds, so no class is rescanned between vertices.
+on a PathEnds state per class holds its path ends and checks every edge a
+step adds, so no class is rescanned between vertices.  The choice at each
+vertex is a flow with lower bounds, source -> class -> gate -> vertex ->
+sink, where a gate is a path's pair of ends or an isolated vertex.
+_assign searches it by augmenting paths on the PathEnds states, without
+building a network.  _Dinic, a general max-flow with lower bounds, is kept
+for the slot flow of extend_sparse.
 """
 
 from __future__ import annotations
@@ -195,9 +200,10 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
 
     Every class may take at most two new edges, must take enough to reach
     2(m+1) - 2n - 1 edges, may touch a path only at one of its endpoints,
-    and may touch each isolated vertex once.  A feasible flow picks the
-    assignment; one always exists for in-contract states.  ends[i] holds
-    the path ends of class i and is updated with it; every edge added goes
+    and may touch each isolated vertex once.  _assign finds such an
+    assignment whenever one exists, and raises InternalInfeasible
+    otherwise; one always exists for in-contract states.  ends[i] holds the
+    path ends of class i and is updated with it; every edge added goes
     through its add_edge check.
     """
     m = dec.order
@@ -205,34 +211,19 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     w = m
     target = 2 * (m + 1) - 2 * n - 1
-
-    fl = _Dinic()
-    src = fl.add_node()
-    snk = fl.add_node()
-    vnode = [fl.add_node() for _ in range(m)]
-
-    choice_arcs: list[tuple[int, int, int]] = []
+    need = []
     for i, cls in enumerate(dec.classes):
         needed = max(0, target - len(cls))
         if needed > 2:
             raise InvariantViolation(f"class {i} fell behind the size schedule")
-        cnode = fl.add_node()
-        fl.add_bounded_arc(src, cnode, needed, 2)
-        for gate_ends in ends[i].gates():
-            gate = fl.add_node()
-            fl.add_arc(cnode, gate, 1)
-            for v in gate_ends:
-                choice_arcs.append((fl.add_arc(gate, vnode[v], 1), i, v))
-        ends[i].add_vertex(w)
-    for v in range(m):
-        # each old vertex gets exactly one new edge
-        fl.add_bounded_arc(vnode[v], snk, 1, 1)
-    if not fl.feasible(src, snk):
-        raise InternalInfeasible(f"no feasible attachment for vertex {w}")
+        need.append(needed)
+    owner = _assign(m, need, ends)
 
+    for e in ends:
+        e.add_vertex(w)
     added = 0
-    for aid, i, v in choice_arcs:
-        if fl.flow_on(aid):
+    for v, i in enumerate(owner):
+        if i >= 0:
             ends[i].add_edge(v, w)
             dec.classes[i].add(edge(v, w))
             added += 1
@@ -243,6 +234,151 @@ def single_vertex_step(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
             raise InvariantViolation(f"class {i} below schedule after step")
     if added != m:
         raise InvariantViolation(f"{added} edges added at vertex {w}, expected {m}")
+
+
+def _assign(m: int, need: list[int], ends: list[PathEnds]) -> list[int]:
+    """The class each old vertex 0..m-1 gives its new edge to: class i
+    takes need[i] to 2 vertices, at most one from each of its gates
+    ends[i].gates().  Raises InternalInfeasible when there is none.
+
+    This is the flow source -> class -> gate -> vertex -> sink, searched on
+    an owner per vertex and the vertices each class holds; a class holds a
+    path's gate when it owns either end.  _warm_start gives a start within
+    every upper bound.  Then each vertex left over gets a class by an
+    augmenting path (home), and each class below its floor gets one more
+    vertex by an augmenting cycle through a class above its floor (fill).
+
+    It is exact.  Let f be the current flow and f* a feasible one.  If a
+    vertex v has no class, f* - f holds a path from the source to v in the
+    residual network of f, because f* serves v; home searches that whole
+    network.  Once every vertex has a class, f* - f is a circulation, and
+    its cycle through a class below its floor leaves through a class above
+    it; fill searches that whole network too.  No step lowers a class
+    below its floor.  So a failed search means no feasible flow exists.
+    """
+    n = len(need)
+    gates = [e.gates() for e in ends]
+    partner = [e.partner for e in ends]
+    free: list[list[int]] = [[] for _ in range(m)]  # classes with v in a gate
+    for i, gs in enumerate(gates):
+        for g in gs:
+            for v in g:
+                free[v].append(i)
+    owner = _warm_start(need, free, partner)
+    held: list[list[int]] = [[] for _ in range(n)]
+    for v, i in enumerate(owner):
+        if i >= 0:
+            held[i].append(v)
+
+    def move(x: int, i: int) -> None:
+        if owner[x] >= 0:
+            held[owner[x]].remove(x)
+        owner[x] = i
+        held[i].append(x)
+
+    def home(v: int) -> bool:
+        """Augment from the unowned v to a class with room.  On the way a
+        class swaps the end of a path it holds for the other end, or a full
+        class hands one of its vertices on."""
+        came = {v: -1}  # displaced vertex -> the vertex taking its place
+        opened = [False] * n
+        queue = [v]
+        for y in queue:
+            for i in free[y]:
+                if i == owner[y]:
+                    continue
+                p = partner[i].get(y)
+                if p is not None and owner[p] == i:
+                    displaced = [p]
+                elif len(held[i]) < 2:
+                    x, to = y, i
+                    while x >= 0:
+                        prev, frm = came[x], owner[x]
+                        move(x, to)
+                        x, to = prev, frm
+                    return True
+                elif not opened[i]:
+                    opened[i] = True
+                    displaced = held[i]
+                else:
+                    continue
+                for x in displaced:
+                    if x not in came:
+                        came[x] = y
+                        queue.append(x)
+        return False
+
+    def fill(start: int) -> bool:
+        """Augment from the class start, below its floor, to a class above
+        its floor that gives up a vertex.  On the way a class gives up a
+        vertex and takes the other end of its path instead, or takes a
+        vertex from a free gate."""
+        came: dict[int, tuple[int, int]] = {}  # vertex -> (taker, given up)
+        opened = [False] * n
+        queue: list[int] = []
+
+        def open_class(i: int, given: int) -> None:
+            opened[i] = True
+            for g in gates[i]:
+                if owner[g[0]] != i and owner[g[-1]] != i:
+                    for y in g:
+                        if y not in came:
+                            came[y] = (i, given)
+                            queue.append(y)
+
+        open_class(start, -1)
+        for y in queue:
+            i = owner[y]
+            if len(held[i]) > need[i]:
+                x = y
+                while x >= 0:
+                    taker, given = came[x]
+                    move(x, taker)
+                    x = given
+                return True
+            p = partner[i].get(y)
+            if p is not None and p not in came:
+                came[p] = (i, y)
+                queue.append(p)
+            if not opened[i]:
+                open_class(i, y)
+        return False
+
+    for v in range(m):
+        if owner[v] < 0 and not home(v):
+            raise InternalInfeasible(f"no class can take vertex {v} at order {m}")
+    for i in range(n):
+        while len(held[i]) < need[i]:
+            if not fill(i):
+                raise InternalInfeasible(f"class {i} misses its floor at order {m}")
+    return owner
+
+
+def _warm_start(
+    need: list[int], free: list[list[int]], partner: list[dict[int, int]]
+) -> list[int]:
+    """A greedy start for _assign's search, within every upper bound:
+    vertices with the fewest classes first, each to the class furthest
+    below its floor; first up to the floors, then up to 2.  Unplaced
+    vertices are -1."""
+    owner = [-1] * len(free)
+    load = [0] * len(need)
+    order = sorted(range(len(free)), key=lambda v: len(free[v]))
+    for cap in (need, [2] * len(need)):
+        for v in order:
+            if owner[v] >= 0:
+                continue
+            best, gap = -1, -3
+            for i in free[v]:
+                k = load[i]
+                if k < cap[i] and need[i] - k > gap:
+                    p = partner[i].get(v)
+                    if p is None or owner[p] != i:
+                        best, gap = i, need[i] - k
+            if best >= 0:
+                owner[v] = best
+                load[best] += 1
+    return owner
 
 
 def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None:

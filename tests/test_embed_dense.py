@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import rainbow_hcd
 from rainbow_hcd.embed_dense import (
     _choose_subgraph,
     _round_robin,
@@ -143,6 +150,39 @@ class TestRecursiveRegime:
         a, _ = run(h, 9, seed=5)
         b, _ = run(h, 9, seed=5)
         assert a.classes == b.classes
+
+
+class TestInvariants:
+    def test_truncation_check_raises_under_optimize(self):
+        # a child certificate whose first cycle lost its edges, under
+        # python -O, where asserts are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd.embed_dense import embed_dense
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.families import star_graph
+            from rainbow_hcd.solver import solve
+
+            def recurse(edges, m, seed):
+                child = solve(edges, seed)
+                child.decomposition.classes[0].clear()
+                return child
+
+            print(__debug__)
+            try:
+                embed_dense(star_graph(6), 6, recurse)
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(rainbow_hcd.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "truncated cycle lost too many edges" in lines[1]
 
 
 class TestChooseSubgraph:

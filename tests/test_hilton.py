@@ -1,4 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -74,54 +80,45 @@ def recursive_max_flow(fl, s, t):
             total += pushed
 
 
-def full_rescan_extend(dec, n):
-    """Reference completion that rebuilds every class's paths from its edge
-    set before and after each vertex, with the recursive flow search."""
-    while dec.order < 2 * n:
-        m = w = dec.order
-        target = 2 * (m + 1) - 2 * n - 1
-        fl = _Dinic()
-        src, snk, ssrc, ssnk = (fl.add_node() for _ in range(4))
-        vnode = [fl.add_node() for _ in range(m)]
-        excess = {}
-        choice_arcs = []
-        for i, cls in enumerate(dec.classes):
-            needed = max(0, target - len(cls))
-            cnode = fl.add_node()
-            fl.add_arc(src, cnode, 2 - needed)
-            if needed:
-                excess[cnode] = excess.get(cnode, 0) + needed
-                excess[src] = excess.get(src, 0) - needed
-            for gate_ends in view_gates(cls, m):
-                gate = fl.add_node()
-                fl.add_arc(cnode, gate, 1)
-                for v in gate_ends:
-                    choice_arcs.append((fl.add_arc(gate, vnode[v], 1), i, v))
-        for v in range(m):
-            excess[snk] = excess.get(snk, 0) + 1
-            excess[vnode[v]] = excess.get(vnode[v], 0) - 1
-        fl.add_arc(snk, src, hilton._INF)
-        demand = 0
-        for node in sorted(excess):
-            ex = excess[node]
-            if ex > 0:
-                fl.add_arc(ssrc, node, ex)
-                demand += ex
-            elif ex < 0:
-                fl.add_arc(node, ssnk, -ex)
-        assert recursive_max_flow(fl, ssrc, ssnk) == demand
-        for aid, i, v in choice_arcs:
-            if fl.flow_on(aid):
-                dec.classes[i].add(edge(v, w))
-        dec.order = m + 1
-        for cls in dec.classes:
-            analyze_linear_forest(cls, range(m + 1))
-    w = dec.order
-    for cls in dec.classes:
-        p = analyze_linear_forest(cls, range(w)).paths[0]
-        cls.update({edge(w, p[0]), edge(w, p[-1])})
-    dec.order = w + 1
-    return dec
+def flow_feasible(dec, n, ends):
+    """Reference: whether the lower-bounded flow of one vertex step, built
+    on _Dinic from the same gates(), is feasible."""
+    m = dec.order
+    target = 2 * (m + 1) - 2 * n - 1
+    fl = _Dinic()
+    src, snk = fl.add_node(), fl.add_node()
+    vnode = [fl.add_node() for _ in range(m)]
+    for cls, e in zip(dec.classes, ends):
+        cnode = fl.add_node()
+        fl.add_bounded_arc(src, cnode, max(0, target - len(cls)), 2)
+        for gate_ends in e.gates():
+            gate = fl.add_node()
+            fl.add_arc(cnode, gate, 1)
+            for v in gate_ends:
+                fl.add_arc(gate, vnode[v], 1)
+    for v in range(m):
+        fl.add_bounded_arc(vnode[v], snk, 1, 1)
+    return fl.feasible(src, snk)
+
+
+def random_forest(rng, m, k):
+    """A random linear forest with k <= m - 1 edges on vertices 0..m-1."""
+    order = rng.sample(range(m), m)
+    cuts = set(rng.sample(range(1, m), m - 1 - k))
+    return {edge(order[j - 1], order[j]) for j in range(1, m) if j not in cuts}
+
+
+def random_step_state(rng):
+    """Classes that pass single_vertex_step's checks: n linear forests on
+    K_m, each at most 2 edges short of its size after the step.  They
+    need not partition K_m, so the step is feasible for some and not for
+    others."""
+    n = rng.randint(2, 7)
+    m = rng.randint(1, 2 * n - 1)
+    target = 2 * (m + 1) - 2 * n - 1
+    low = min(max(0, target - 2), m - 1)
+    classes = [random_forest(rng, m, rng.randint(low, m - 1)) for _ in range(n)]
+    return Decomposition(m, classes), n
 
 
 class TestTruncate:
@@ -145,11 +142,11 @@ class TestExtend:
     def test_rebuild_from_truncations(self, n):
         for m in range(1, 2 * n + 1):
             cut = truncate_to_order(walecki(n), m)
-            want = full_rescan_extend(cut.copy(), n)
+            kept = [set(c) for c in cut.classes]
             out = extend_to_hcd(cut, n)
             out.check_hcd()
             assert out.order == 2 * n + 1
-            assert out.classes == want.classes
+            assert all(old <= new for old, new in zip(kept, out.classes))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_from_nothing(self, n):
@@ -229,19 +226,145 @@ class TestSteps:
         b = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
         assert a.classes == b.classes
 
+    def test_insertion_order_does_not_matter(self):
+        # the same states, their partner dicts and isolated sets filled in
+        # the opposite order, give the same classes at every step
+        n = 8
+        a = truncate_to_order(walecki(n), 6)
+        b = a.copy()
+        ends_a = ends_of(a)
+        ends_b = ends_of(b)
+        for e in ends_b:
+            e.partner = dict(reversed(e.partner.items()))
+            e.isolated = set(sorted(e.isolated, reverse=True))
+        assert any(list(x.partner) != list(y.partner)
+                   for x, y in zip(ends_a, ends_b))
+        while a.order < 2 * n:
+            single_vertex_step(a, n, ends_a)
+            single_vertex_step(b, n, ends_b)
+            assert a.classes == b.classes
+
+
+class TestExactness:
+    # the greedy start only saves search; from no start at all the
+    # augmenting paths alone must settle every state the same way
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_succeeds_exactly_when_the_flow_is_feasible(
+        self, monkeypatch, cold
+    ):
+        if cold:
+            monkeypatch.setattr(
+                hilton, "_warm_start", lambda need, free, partner: [-1] * len(free)
+            )
+        rng = random.Random("hilton-step")
+        outcomes = Counter()
+        for _ in range(600):
+            dec, n = random_step_state(rng)
+            ends = ends_of(dec)
+            feasible = flow_feasible(dec, n, ends)
+            m = dec.order
+            before = [set(c) for c in dec.classes]
+            if not feasible:
+                with pytest.raises(InternalInfeasible) as err:
+                    single_vertex_step(dec, n, ends)
+                outcomes["floor" if "floor" in str(err.value) else "vertex"] += 1
+                continue
+            single_vertex_step(dec, n, ends)
+            outcomes["feasible"] += 1
+            # every old vertex gave its one edge to a class that took at
+            # most 2, met its floor and stayed a linear forest
+            target = 2 * (m + 1) - 2 * n - 1
+            grown = [c - old for c, old in zip(dec.classes, before)]
+            assert sorted(v for g in grown for v, _ in g) == list(range(m))
+            for cls, g, e in zip(dec.classes, grown, ends):
+                assert len(g) <= 2 and len(cls) >= target
+                assert e.gates() == view_gates(cls, m + 1)
+        # both ways to fail are reached: a vertex no class can take, and a
+        # class that cannot reach its floor
+        assert min(outcomes.values()) >= 5 and len(outcomes) == 3, outcomes
+
+    # each move of the augmenting search, from a start that needs it: two
+    # classes P, Q (or A, B, C) over K_3, a start within the upper bounds,
+    # and the one assignment the search then reaches
+    @pytest.mark.parametrize(
+        "forests, need, start, want",
+        [
+            # 1 is free only in P, whose gate (0, 1) holds 0; P takes 1
+            # instead, and 0 moves on to Q, which has room
+            ([[(0, 1)], [(0, 1), (1, 2)]], [0, 0], [0, -1, 0], [1, 0, 0]),
+            # 2 is free only in P, which is full; P hands 0 on to Q
+            ([[], [(0, 2), (1, 2)]], [0, 0], [0, 0, -1], [1, 0, 0]),
+            # A, below its floor, can take only 0 or 2, both held by B at
+            # its floor; B gives 0 up for 1, the other end of its path,
+            # which C, above its floor, gives up
+            ([[(0, 1), (1, 2)], [(0, 1)], []], [1, 2, 0], [1, 2, 1],
+             [0, 1, 1]),
+            # as before, but 0 is isolated in B: B gives 0 up and takes 1
+            # from a free gate of its own
+            ([[(0, 1), (1, 2)], [], []], [1, 2, 0], [1, 2, 1], [0, 1, 1]),
+        ],
+        ids=["home-swaps-path-end", "home-displaces-from-full-class",
+             "fill-swaps-path-end", "fill-opens-class-at-floor"],
+    )
+    def test_search_moves(self, monkeypatch, forests, need, start, want):
+        monkeypatch.setattr(
+            hilton, "_warm_start", lambda need, free, partner: list(start)
+        )
+        ends = [PathEnds(analyze_linear_forest(f, range(3))) for f in forests]
+        assert hilton._assign(3, need, ends) == want
+
 
 class TestInvariants:
     @pytest.mark.parametrize(
         "order, reason", [(4, "below schedule"), (2, "edges added")]
     )
     def test_empty_flow_raises(self, monkeypatch, order, reason):
-        # a flow that reports no edge chosen leaves the new vertex
+        # an assignment that gives no vertex a class leaves the new vertex
         # unattached; at order 4 (n=3) two classes also miss the 3 edges
         # the schedule asks for, at order 2 the schedule asks for none
-        monkeypatch.setattr(_Dinic, "flow_on", lambda self, aid: 0)
+        monkeypatch.setattr(hilton, "_assign", lambda m, need, ends: [-1] * m)
         cut = truncate_to_order(walecki(3), order)
         with pytest.raises(InvariantViolation, match=reason):
             single_vertex_step(cut, 3, ends_of(cut))
+
+    def test_short_assignment_raises(self, monkeypatch):
+        # one vertex left out of a feasible assignment
+        real = hilton._assign
+        monkeypatch.setattr(
+            hilton, "_assign", lambda *args: real(*args)[:-1] + [-1]
+        )
+        cut = truncate_to_order(walecki(3), 2)
+        with pytest.raises(InvariantViolation, match="1 edges added"):
+            single_vertex_step(cut, 3, ends_of(cut))
+
+    def test_short_assignment_raises_under_optimize(self):
+        # the short assignment under python -O, where asserts are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd import hilton
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.graph_core import analyze_linear_forest, walecki
+
+            real = hilton._assign
+            hilton._assign = lambda *args: real(*args)[:-1] + [-1]
+            cut = hilton.truncate_to_order(walecki(3), 2)
+            ends = [hilton.PathEnds(analyze_linear_forest(c, range(2)))
+                    for c in cut.classes]
+            print(__debug__)
+            try:
+                hilton.single_vertex_step(cut, 3, ends)
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(hilton.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "edges added" in lines[1]
 
     def test_class_behind_schedule_raises(self):
         # at order 5 with n=3 every class needs 5 edges after the step

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 import time
 
 import pytest
@@ -173,15 +175,15 @@ class TestDeterminism:
         "h, seed, digest",
         [
             (disjoint_union(cycle_graph(3), k2s(9)), 0,
-             "24b448b638b3b7f475a80e518a9c098ce18977e5989bc106d86af370e68c34e0"),
+             "fbd5f1baba4f0644ea2ed75740da7542e245b68f73bbb1bf54b76364d53e386d"),
             (disjoint_union(cycle_graph(3), k2s(9)), 1,
-             "4af9a625622051881ad504c42641702d952ff89b56b865ce624eb80dbe1dc936"),
+             "6be4b2839db775b0435cca6207713c2fa24608f902d6161535de2596b2c3620b"),
             (disjoint_union(cycle_graph(8), k2s(8)), 0,
-             "c8ea68484da11544fe700331c20e70021c4b305d64520f0420bbe6528c05109c"),
+             "618206c22106bcdfe7e69b86d2f0c54e4568c1d4ee6b917b65f54ef3b09517ef"),
             (star_graph(16), 0,
-             "80ed628d7c08cb9f955f49472e6cec176835b91ed4da81023012aed387eb6eb8"),
+             "47568318479aa54ad0ef26dff4576b675b6b835b36c942c645b4ec4547c88cdf"),
             (cycle_graph(16), 0,
-             "b82bf9c619bed031b8827b54945013c4f7f5d00971cddf7dd92e18529b5461ff"),
+             "51558dfdf3a938fb17c257b23aa44c53a41471cccec5c5c10e0fcfc3b0fb993e"),
             (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
              "adfcbeb433ea379741327fd399d1eea6655c80e4643534c835a3afabf48bf4d1"),
             (k2s(6), 0,
@@ -267,6 +269,34 @@ def test_dense_scale_gate(h):
     rep = verify_certificate(cert)
     assert rep.ok, "\n".join(rep.lines())
     assert dt < 12, f"{len(h)}-edge dense instance took {dt:.1f}s"
+
+
+def random_general(count, seed):
+    """count distinct edges sampled from K_v, v drawn from 12..2count+1,
+    the orders an instance with count edges may have (count <= 66)."""
+    rng = random.Random(seed)
+    v = rng.randint(12, 2 * count + 1)
+    return sorted(rng.sample(list(itertools.combinations(range(v), 2)), count))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "h, tag",
+    [(path_graph(64), "linear-forest"),
+     (random_general(64, 0), "pipeline"),
+     (random_general(64, 1), "pipeline")],
+    ids=["P65", "random64-s0", "random64-s1"],
+)
+def test_n64_scale_gate(h, tag):
+    # P65 lays its paths by formula; random64-s0 (120 vertices) runs 7
+    # attach rounds, random64-s1 (29 vertices) none
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    assert cert.trace[0] == f"route: {tag}"
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 5, f"{len(h)}-edge instance took {dt:.1f}s"
 
 
 @pytest.mark.slow
