@@ -28,20 +28,22 @@ from .graph_core import (
     edge_vertices,
     relabel_decomposition,
 )
-from .hilton import truncate_to_order
+from .hilton import PathEnds, truncate_to_order
 
 
 def verify_embedded_forests(
     dec: Decomposition, h_edges: list[Edge], n: int
-) -> None:
-    """Re-check every promise made by embed_dense."""
+) -> list[PathEnds]:
+    """Re-check every promise made by embed_dense, and return the path
+    ends of each class, built from the scan that checks it."""
     t = len(h_edges)
     r = dec.order
     if len(dec.classes) != n:
         raise InvariantViolation("wrong class count")
     dec.check_partition()
+    ends = []
     for i, cls in enumerate(dec.classes):
-        analyze_linear_forest(cls, range(r))
+        ends.append(PathEnds(analyze_linear_forest(cls, range(r))))
         floor = 2 * r - 2 * n - 1 if i < t else 2 * r - 2 * n
         if len(cls) < floor:
             raise InvariantViolation(
@@ -50,6 +52,7 @@ def verify_embedded_forests(
     for i, e in enumerate(h_edges):
         if e not in dec.classes[i]:
             raise InvariantViolation(f"edge {i} missing from class {i}")
+    return ends
 
 
 def embed_dense(
@@ -58,8 +61,10 @@ def embed_dense(
     recurse,
     seed: int = 0,
     trace: list[str] | None = None,
-) -> Decomposition:
-    """Build the n-forest split of K_r described in the module docstring.
+) -> tuple[Decomposition, list[PathEnds]]:
+    """Build the n-forest split of K_r described in the module docstring,
+    and return it with the path ends of each class from its exit check,
+    for the stages after it to carry on.
 
     Requires n >= 6, else raises PreconditionViolation: solve routes every
     n <= 5 to base-small, so only the pipeline calls this stage, always
@@ -90,8 +95,7 @@ def embed_dense(
         dec = _direct_small(h_edges, r, t, n)
     else:
         dec = _recursive_dense(h_edges, r, t, n, recurse, seed, trace)
-    verify_embedded_forests(dec, h_edges, n)
-    return dec
+    return dec, verify_embedded_forests(dec, h_edges, n)
 
 
 # ---------------------------------------------------------------------------

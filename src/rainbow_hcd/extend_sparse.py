@@ -40,17 +40,20 @@ class (at most one of cstar beside the bridge), no path takes both its
 ends at one new vertex, and a class joins m to m+1 at most once, so every
 class stays a linear forest; the lower bounds keep the floors.
 
-Each class is scanned by analyze_linear_forest once, when the stage
-checks its input; a hilton.PathEnds state per class then carries its path
-ends through the rounds, and each round reads its gates and slots from
-the states alone.  _witness_ok checks the split before it is applied and
-leaves the states as they are: per class, each old vertex stands for the
-path or isolated vertex it lies on, a union-find over those and the new
-vertices finds any cycle the round's new edges would close, and a count
-of those edges at each vertex bounds its degree.  _attach lays every new
-edge through PathEnds.add_edge.  After each round every class must hold
-as many edges as its state implies, and the classes must partition K_m
-and meet their floors.
+A hilton.PathEnds state per class carries its path ends through the
+rounds, and each round reads its gates and slots from the states alone.
+The states come from the caller, carried from the embed stage's exit
+scan, or else from one analyze_linear_forest scan of each class when the
+stage checks its input; they are copied with the split and handed on to
+the completion stage with it.  _witness_ok checks the split before it is
+applied and leaves the states as they are: per class, each old vertex
+stands for the path or isolated vertex it lies on, a union-find over
+those and the new vertices finds any cycle the round's new edges would
+close, and a count of those edges at each vertex bounds its degree.
+_attach lays every new edge through PathEnds.add_edge.  After each round
+every class must hold as many edges as its state implies, and the
+classes must partition K_m and meet their floors; the stage checks its
+input the same way when it is given states.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
-from .hilton import PathEnds, _Dinic
+from .hilton import PathEnds, _Dinic, check_ends
 
 # a witness side: one (class, vertex, capacity-slot id) triple per new edge
 Witness = list[tuple[int, int, int]]
@@ -109,11 +112,12 @@ def verify_sparse_state(
     class.
 
     Without ends, every class is scanned by analyze_linear_forest and the
-    states are built from the scans.  With the states carried through the
-    rounds, whose add_edge checked each edge laid in since, every class
-    must hold exactly order - paths - isolated edges, which catches a
-    class that moved apart from its state.  Both check the order, the
-    class count, the partition of K_order and the size floors."""
+    states are built from the scans.  With states carried from a scan,
+    whose add_edge checked each edge laid in since, every class must hold
+    exactly order - paths - isolated edges (hilton.check_ends), which
+    catches a class that moved apart from its state.  Both check the
+    order, the class count, the partition of K_order and the size
+    floors."""
     if dec.order != r + 2 * s:
         raise InvariantViolation(f"order {dec.order}, wanted {r + 2 * s}")
     if len(dec.classes) != n:
@@ -123,13 +127,8 @@ def verify_sparse_state(
             PathEnds(analyze_linear_forest(cls, range(dec.order)))
             for cls in dec.classes
         ]
-    for i, (cls, state) in enumerate(zip(dec.classes, ends)):
-        want = dec.order - len(state.partner) // 2 - len(state.isolated)
-        if len(cls) != want:
-            raise InvariantViolation(
-                f"class {i} drifted from its path ends: {len(cls)} edges, "
-                f"its ends imply {want}"
-            )
+    check_ends(dec, ends)
+    for i, cls in enumerate(dec.classes):
         floor = 4 * s + 2 * r - 2 * n - (1 if i < t + s else 0)
         if len(cls) < max(0, floor):
             raise InvariantViolation(
@@ -145,13 +144,17 @@ def extend_with_k2s(
     n: int,
     seed: int = 0,
     trace: list[str] | None = None,
-) -> Decomposition:
-    """Attach n - t host pairs, one per round, and return the grown split;
-    the input is left unchanged.
+    ends: list[PathEnds] | None = None,
+) -> tuple[Decomposition, list[PathEnds]]:
+    """Attach n - t host pairs, one per round, and return the grown split
+    with the path ends of each of its classes; the input split and states
+    are left unchanged.
 
     The input must be an n-class linear forest split of K_r meeting the
     s = 0 floors; class i is assumed to carry dense edge i for i < t and
-    class t + s receives the bridge of round s.
+    class t + s receives the bridge of round s.  ends, when given, holds
+    the path ends of each input class, as embed_dense returns them; the
+    input is then checked against them instead of by a scan.
     """
     r = dec.order
     if trace is None:
@@ -162,15 +165,16 @@ def extend_with_k2s(
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
-    ends = verify_sparse_state(dec, r, t, n, 0)
+    ends = verify_sparse_state(dec, r, t, n, 0, ends)
     dec = dec.copy()
+    ends = [state.copy() for state in ends]
     rng = random.Random(seed)
     for s in range(n - t):
         g1, g2 = _stage_witness(dec, ends, t, n, s, rng)
         _attach(dec, ends, g1, g2, s + t)
         verify_sparse_state(dec, r, t, n, s + 1, ends)
         trace.append(f"attach: s={s} order={dec.order}")
-    return dec
+    return dec, ends
 
 
 def _attach(

@@ -215,7 +215,10 @@ def analyze_linear_forest(
     if len(visited) != len(vs):
         raise NotLinearForest("edge set contains a cycle")
     view = LinearForestView(tuple(paths), tuple(isolated))
-    assert view.edge_count == len(seen_e)
+    if view.edge_count != len(seen_e):
+        raise InvariantViolation(
+            f"paths hold {view.edge_count} of {len(seen_e)} edges"
+        )
     return view
 
 

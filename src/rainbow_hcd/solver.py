@@ -294,7 +294,10 @@ def _main_pipeline(
     trace: list[str] = []
     thick_idx = sorted(i for g in split.thick_idx for i in g)
     t = split.t
-    assert t >= 3 and t + split.k2_count == n
+    if t < 3 or t + split.k2_count != n:
+        raise InvariantViolation(
+            f"pipeline split has t={t} and {split.k2_count} single edges, n={n}"
+        )
 
     thick_vs = edge_vertices([internal[i] for i in thick_idx])
     r = len(thick_vs)
@@ -305,15 +308,18 @@ def _main_pipeline(
     ]
 
     def recurse(sub_edges: list[Edge], m: int, sd: int) -> RainbowCertificate:
-        assert m < n
+        if m >= n:
+            raise InvariantViolation(f"recursive instance of size {m}, n={n}")
         return solve(sub_edges, seed=sd)
 
     child_seed = random.Random(f"{seed}:embed").getrandbits(32)
-    dec = embed_dense(hp_edges, n, recurse, child_seed, trace)
+    dec, ends = embed_dense(hp_edges, n, recurse, child_seed, trace)
 
+    # each stage hands its path-end states to the next, which checks them
+    # by count instead of rescanning the split
     sparse_seed = random.Random(f"{seed}:sparse").getrandbits(32)
-    dec = extend_with_k2s(dec, t, n, sparse_seed, trace)
-    dec = extend_to_hcd(dec, n)
+    dec, ends = extend_with_k2s(dec, t, n, sparse_seed, trace, ends)
+    dec = extend_to_hcd(dec, n, ends)
     trace.append(f"hilton: order={dec.order}")
 
     # dense vertices keep their index; single edge number s sits on hosts

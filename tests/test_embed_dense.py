@@ -30,7 +30,7 @@ def recurse(edges, m, seed):
 
 def run(h_edges, n, seed=0):
     trace = []
-    dec = embed_dense(h_edges, n, recurse, seed=seed, trace=trace)
+    dec, _ = embed_dense(h_edges, n, recurse, seed=seed, trace=trace)
     verify_embedded_forests(dec, h_edges, n)
     return dec, trace
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rainbow_hcd
-from rainbow_hcd import extend_sparse
+from rainbow_hcd import extend_sparse, hilton
 from rainbow_hcd.embed_dense import embed_dense
 from rainbow_hcd.errors import (
     InternalInfeasible,
@@ -44,7 +44,7 @@ from rainbow_hcd.solver import solve, split_components
 
 
 def dense_split(h_edges, n, seed=0):
-    return embed_dense(h_edges, n, lambda e, m, s: solve(e, s), seed=seed)
+    return embed_dense(h_edges, n, lambda e, m, s: solve(e, s), seed=seed)[0]
 
 
 def scan_ends(dec):
@@ -145,7 +145,7 @@ class TestCapacityGraph:
 class TestVerifySparseState:
     def test_accepts_valid_state(self):
         dec = p3_split()
-        grown = extend_with_k2s(dec, t=2, n=3, seed=1)
+        grown, _ = extend_with_k2s(dec, t=2, n=3, seed=1)
         verify_sparse_state(grown, r=3, t=2, n=3, s=1)
 
     def test_rejects_wrong_order(self):
@@ -176,7 +176,7 @@ class TestGrowth:
     def test_path_to_five_vertices(self):
         # two planted edges, one round: 3 classes of K_5 sized (4, 3, 3)
         dec = p3_split()
-        out = extend_with_k2s(dec, t=2, n=3, seed=1)
+        out, _ = extend_with_k2s(dec, t=2, n=3, seed=1)
         assert out.order == 5
         assert sorted(len(c) for c in out.classes) == [3, 3, 4]
         assert edge(0, 1) in out.classes[0]
@@ -185,7 +185,7 @@ class TestGrowth:
 
     def test_grown_split_completes_to_cycles(self):
         dec = p3_split()
-        out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3, seed=1), 3)
+        out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3, seed=1)[0], 3)
         out.check_hcd()
         assert out.order == 7
 
@@ -193,7 +193,7 @@ class TestGrowth:
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
         trace = []
-        out = extend_with_k2s(dec, t=5, n=8, seed=2, trace=trace)
+        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2, trace=trace)
         assert out.order == 7 + 2 * 3
         assert [line.split()[1] for line in trace] == ["s=0", "s=1", "s=2"]
         verify_sparse_state(out, r=7, t=5, n=8, s=3)
@@ -201,26 +201,26 @@ class TestGrowth:
     def test_bridge_lands_in_scheduled_class(self):
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
-        out = extend_with_k2s(dec, t=5, n=8, seed=2)
+        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2)
         for s in range(3):
             assert edge(7 + 2 * s, 8 + 2 * s) in out.classes[5 + s]
 
     def test_planted_edges_survive_every_round(self):
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
-        out = extend_with_k2s(dec, t=5, n=8, seed=2)
+        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2)
         for i, e in enumerate(h):
             assert e in out.classes[i]
 
     def test_deterministic_for_fixed_seed(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        a = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
-        b = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
+        a, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
+        b, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
         assert a.classes == b.classes
 
     def test_no_rounds_needed(self):
         dec = c4_split()
-        out = extend_with_k2s(dec, t=4, n=4, seed=0)
+        out, _ = extend_with_k2s(dec, t=4, n=4, seed=0)
         assert out.order == dec.order
         assert out.classes == dec.classes
 
@@ -317,7 +317,9 @@ class TestCarriedState:
             out = real(dec, r, t, n, s, ends)
             if ends is not None:
                 assert [e.gates() for e in ends] == scan_gates(dec), (n, s)
-                rounds.append(s)
+                # s = 0 is the stage entry, checked on embed_dense's states
+                if s > 0:
+                    rounds.append(s)
             return out
 
         monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
@@ -351,7 +353,7 @@ class TestCarriedState:
     def test_drift_is_caught_under_optimize(self):
         # the same mutant under python -O, where asserts are stripped
         code = textwrap.dedent("""
-            from rainbow_hcd import extend_sparse
+            from rainbow_hcd import extend_sparse, hilton
             from rainbow_hcd.errors import InvariantViolation
             from rainbow_hcd.graph_core import Decomposition, edge
 
@@ -381,6 +383,81 @@ class TestCarriedState:
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
         assert "drifted" in lines[1]
+
+
+def move_edge(dec, src, dst):
+    """Move the smallest edge of class src into class dst: the classes
+    still partition K_order, but both drift from their states."""
+    e = min(dec.classes[src])
+    dec.classes[src].discard(e)
+    dec.classes[dst].add(e)
+
+
+def state_snapshot(ends):
+    return [(dict(e.partner), set(e.isolated)) for e in ends]
+
+
+class TestStageBoundary:
+    # the states embed_dense builds from its exit scan go to the attach
+    # rounds, and from their last round to the Hilton completion
+    H = disjoint_union(star_graph(3), path_graph(2))
+
+    def embedded(self):
+        return embed_dense(self.H, 8, lambda e, m, s: solve(e, s), seed=0)
+
+    def test_embed_returns_the_states_of_its_split(self):
+        dec, ends = self.embedded()
+        assert [e.gates() for e in ends] == scan_gates(dec)
+
+    def test_given_states_no_stage_scans(self, monkeypatch):
+        dec, ends = self.embedded()
+
+        def no_scan(*args):
+            raise AssertionError("analyze_linear_forest called")
+
+        monkeypatch.setattr(extend_sparse, "analyze_linear_forest", no_scan)
+        monkeypatch.setattr(hilton, "analyze_linear_forest", no_scan)
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        extend_to_hcd(out, 8, out_ends).check_hcd()
+
+    def test_states_change_nothing(self):
+        # the same split grown from carried states and from a scan
+        dec, ends = self.embedded()
+        a, a_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        b, b_ends = extend_with_k2s(dec, t=5, n=8, seed=2)
+        assert a.classes == b.classes
+        assert state_snapshot(a_ends) == state_snapshot(b_ends)
+        assert (extend_to_hcd(a, 8, a_ends).classes
+                == extend_to_hcd(b, 8).classes)
+
+    def test_input_split_and_states_are_left_unchanged(self):
+        dec, ends = self.embedded()
+        classes = [set(c) for c in dec.classes]
+        states = state_snapshot(ends)
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        assert out.order == dec.order + 6
+        assert dec.classes == classes
+        assert state_snapshot(ends) == states
+        assert all(a is not b for a, b in zip(ends, out_ends))
+
+    def test_drift_is_caught_at_the_attach_entry(self):
+        dec, ends = self.embedded()
+        move_edge(dec, 6, 7)
+        with pytest.raises(InvariantViolation, match="drifted"):
+            extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+
+    def test_drift_is_caught_at_the_completion_entry(self):
+        dec, ends = self.embedded()
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        move_edge(out, 0, 1)
+        out.check_partition()
+        with pytest.raises(InvariantViolation, match="drifted"):
+            extend_to_hcd(out, 8, out_ends)
+
+    def test_state_count_is_checked(self):
+        dec, ends = self.embedded()
+        with pytest.raises(InvariantViolation, match="states for 8 classes"):
+            extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends[:-1])
 
 
 @st.composite
@@ -414,7 +491,7 @@ class TestStageContract:
         n = max(6, t + k2_count)
         r = len(edge_vertices(h))
         dec = dense_split(h, n, seed)
-        out = extend_with_k2s(dec, t, n, seed=seed)
+        out, _ = extend_with_k2s(dec, t, n, seed=seed)
         verify_sparse_state(out, r, t, n, n - t)
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]

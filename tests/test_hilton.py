@@ -15,6 +15,12 @@ from rainbow_hcd.errors import (
     NotLinearForest,
     PreconditionViolation,
 )
+from rainbow_hcd.families import (
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    star_graph,
+)
 from rainbow_hcd.graph_core import (
     Decomposition,
     analyze_linear_forest,
@@ -26,14 +32,21 @@ from rainbow_hcd.hilton import (
     _Dinic,
     close_final_vertex,
     extend_to_hcd,
+    free_classes,
     single_vertex_step,
     truncate_to_order,
 )
+from rainbow_hcd.solver import solve
 
 
 def ends_of(dec):
     return [PathEnds(analyze_linear_forest(c, range(dec.order)))
             for c in dec.classes]
+
+
+def step(dec, n, ends):
+    """One vertex step with free-class lists built from the states."""
+    single_vertex_step(dec, n, ends, free_classes(ends, dec.order))
 
 
 def view_gates(cls, order):
@@ -201,7 +214,7 @@ class TestSteps:
     def test_single_step_counts(self):
         cut = truncate_to_order(walecki(3), 4)
         sizes = [len(c) for c in cut.classes]
-        single_vertex_step(cut, 3, ends_of(cut))
+        step(cut, 3, ends_of(cut))
         assert cut.order == 5
         grown = [len(c) - s for c, s in zip(cut.classes, sizes)]
         assert sum(grown) == 4
@@ -219,7 +232,7 @@ class TestSteps:
     def test_step_rejects_large_order(self):
         dec = truncate_to_order(walecki(2), 4)
         with pytest.raises(PreconditionViolation):
-            single_vertex_step(dec, 2, ends_of(dec))
+            step(dec, 2, ends_of(dec))
 
     def test_deterministic(self):
         a = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
@@ -234,14 +247,16 @@ class TestSteps:
         b = a.copy()
         ends_a = ends_of(a)
         ends_b = ends_of(b)
+        free_a = free_classes(ends_a, a.order)
+        free_b = free_classes(ends_b, b.order)
         for e in ends_b:
             e.partner = dict(reversed(e.partner.items()))
             e.isolated = set(sorted(e.isolated, reverse=True))
         assert any(list(x.partner) != list(y.partner)
                    for x, y in zip(ends_a, ends_b))
         while a.order < 2 * n:
-            single_vertex_step(a, n, ends_a)
-            single_vertex_step(b, n, ends_b)
+            single_vertex_step(a, n, ends_a, free_a)
+            single_vertex_step(b, n, ends_b, free_b)
             assert a.classes == b.classes
 
 
@@ -266,10 +281,10 @@ class TestExactness:
             before = [set(c) for c in dec.classes]
             if not feasible:
                 with pytest.raises(InternalInfeasible) as err:
-                    single_vertex_step(dec, n, ends)
+                    step(dec, n, ends)
                 outcomes["floor" if "floor" in str(err.value) else "vertex"] += 1
                 continue
-            single_vertex_step(dec, n, ends)
+            step(dec, n, ends)
             outcomes["feasible"] += 1
             # every old vertex gave its one edge to a class that took at
             # most 2, met its floor and stayed a linear forest
@@ -311,7 +326,7 @@ class TestExactness:
             hilton, "_warm_start", lambda need, free, partner: list(start)
         )
         ends = [PathEnds(analyze_linear_forest(f, range(3))) for f in forests]
-        assert hilton._assign(3, need, ends) == want
+        assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want
 
 
 class TestInvariants:
@@ -322,10 +337,10 @@ class TestInvariants:
         # an assignment that gives no vertex a class leaves the new vertex
         # unattached; at order 4 (n=3) two classes also miss the 3 edges
         # the schedule asks for, at order 2 the schedule asks for none
-        monkeypatch.setattr(hilton, "_assign", lambda m, need, ends: [-1] * m)
+        monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
         cut = truncate_to_order(walecki(3), order)
         with pytest.raises(InvariantViolation, match=reason):
-            single_vertex_step(cut, 3, ends_of(cut))
+            step(cut, 3, ends_of(cut))
 
     def test_short_assignment_raises(self, monkeypatch):
         # one vertex left out of a feasible assignment
@@ -335,7 +350,7 @@ class TestInvariants:
         )
         cut = truncate_to_order(walecki(3), 2)
         with pytest.raises(InvariantViolation, match="1 edges added"):
-            single_vertex_step(cut, 3, ends_of(cut))
+            step(cut, 3, ends_of(cut))
 
     def test_short_assignment_raises_under_optimize(self):
         # the short assignment under python -O, where asserts are stripped
@@ -351,7 +366,9 @@ class TestInvariants:
                     for c in cut.classes]
             print(__debug__)
             try:
-                hilton.single_vertex_step(cut, 3, ends)
+                hilton.single_vertex_step(
+                    cut, 3, ends, hilton.free_classes(ends, 2)
+                )
             except InvariantViolation as exc:
                 print(exc)
         """)
@@ -371,7 +388,7 @@ class TestInvariants:
         cut = truncate_to_order(walecki(3), 5)
         cut.classes[0] = set(sorted(cut.classes[0])[:2])
         with pytest.raises(InvariantViolation, match="fell behind"):
-            single_vertex_step(cut, 3, ends_of(cut))
+            step(cut, 3, ends_of(cut))
 
 
 class TestPathEnds:
@@ -398,8 +415,8 @@ class TestPathEnds:
         real = hilton.single_vertex_step
         steps = []
 
-        def checked(dec, n, ends):
-            real(dec, n, ends)
+        def checked(dec, n, ends, free):
+            real(dec, n, ends, free)
             steps.append(dec.order)
             for cls, e in zip(dec.classes, ends):
                 assert e.gates() == view_gates(cls, dec.order)
@@ -408,6 +425,110 @@ class TestPathEnds:
         for m in range(1, 2 * n + 1):
             extend_to_hcd(truncate_to_order(walecki(n), m), n)
         assert len(steps) == sum(2 * n - m for m in range(1, 2 * n + 1))
+
+
+def rebuilt_free(ends, order):
+    """Free classes of every vertex, ascending, read off the states'
+    gates."""
+    free = [[] for _ in range(order)]
+    for i, e in enumerate(ends):
+        for gate in e.gates():
+            for v in gate:
+                free[v].append(i)
+    return free
+
+
+def random_pipeline_graphs(count):
+    """Seeded graphs that solve routes to the pipeline: a cycle and a star,
+    maybe a second cycle, and some single edges."""
+    rng = random.Random("free-lists")
+    graphs = []
+    for _ in range(count):
+        thick = [cycle_graph(rng.randint(3, 6)), star_graph(rng.randint(3, 5))]
+        if rng.random() < 0.5:
+            thick.append(cycle_graph(rng.randint(3, 5)))
+        graphs.append(
+            disjoint_union(*thick, *[path_graph(1)] * rng.randint(0, 5))
+        )
+    return graphs
+
+
+class NoRemove(list):
+    """A free-class list that never drops a class."""
+
+    def remove(self, value):
+        pass
+
+
+class TestFreeLists:
+    def carried_lists_checked(self, monkeypatch):
+        real = hilton.single_vertex_step
+        steps = []
+
+        def checked(dec, n, ends, free):
+            real(dec, n, ends, free)
+            assert free == rebuilt_free(ends, dec.order), (n, dec.order)
+            steps.append(dec.order)
+
+        monkeypatch.setattr(hilton, "single_vertex_step", checked)
+        return steps
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lists_match_the_states_on_truncations(self, n, monkeypatch):
+        steps = self.carried_lists_checked(monkeypatch)
+        for m in range(1, 2 * n + 1):
+            extend_to_hcd(truncate_to_order(walecki(n), m), n)
+        assert len(steps) == sum(2 * n - m for m in range(1, 2 * n + 1))
+
+    def test_lists_match_the_states_on_pipeline_graphs(self, monkeypatch):
+        steps = self.carried_lists_checked(monkeypatch)
+        for h in random_pipeline_graphs(6):
+            steps.clear()
+            cert = solve(h, seed=0)
+            assert cert.trace[0] == "route: pipeline", h
+            assert steps, h
+
+    def test_skipped_removal_trips_the_tie(self, monkeypatch):
+        real = hilton.free_classes
+        monkeypatch.setattr(
+            hilton,
+            "free_classes",
+            lambda ends, m: [NoRemove(f) for f in real(ends, m)],
+        )
+        with pytest.raises(InvariantViolation, match="free-class lists"):
+            extend_to_hcd(truncate_to_order(walecki(4), 3), 4)
+
+    def test_skipped_removal_trips_the_tie_under_optimize(self):
+        # the same mutant under python -O, where asserts are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd import hilton
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.graph_core import walecki
+
+            class NoRemove(list):
+                def remove(self, value):
+                    pass
+
+            real = hilton.free_classes
+            hilton.free_classes = lambda ends, m: [
+                NoRemove(f) for f in real(ends, m)
+            ]
+            print(__debug__)
+            try:
+                hilton.extend_to_hcd(hilton.truncate_to_order(walecki(4), 3), 4)
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(hilton.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "free-class lists" in lines[1]
 
 
 class TestFlow:

@@ -1,10 +1,16 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import rainbow_hcd
 from rainbow_hcd.errors import InfeasibleInput
 from rainbow_hcd.families import (
     cycle_graph,
@@ -27,6 +33,53 @@ from rainbow_hcd.solver import (
 
 def k2s(count):
     return disjoint_union(*[path_graph(1)] * count)
+
+
+class TestPipelineChecks:
+    def test_checks_raise_under_optimize(self):
+        # the pipeline's own checks and the closing check of
+        # analyze_linear_forest raise, also under python -O, where asserts
+        # are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd import graph_core, solver
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.families import star_graph
+
+            def probe(run):
+                try:
+                    run()
+                except InvariantViolation as exc:
+                    print(exc)
+                else:
+                    print("no error")
+
+            print(__debug__)
+            # P3 + K2: two thick edges, too few for the pipeline
+            h = [(0, 1), (1, 2), (3, 4)]
+            probe(lambda: solver._main_pipeline(
+                h, solver.split_components(h), 3, 0))
+            # an embed that asks for a recursive instance of the full size
+            solver.embed_dense = (
+                lambda edges, n, recurse, seed, trace: recurse(edges, n, seed))
+            h = star_graph(6)
+            probe(lambda: solver._main_pipeline(
+                h, solver.split_components(h), 6, 0))
+            # a view whose paths miss an edge
+            graph_core.LinearForestView.edge_count = property(lambda v: 0)
+            probe(lambda: graph_core.analyze_linear_forest([(0, 1)], range(2)))
+        """)
+        src = Path(rainbow_hcd.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "t=2" in lines[1]
+        assert "recursive instance of size 6" in lines[2]
+        assert "paths hold 0 of 1 edges" in lines[3]
 
 
 class TestSplitComponents:
@@ -268,7 +321,7 @@ def test_dense_scale_gate(h):
     dt = time.perf_counter() - t0
     rep = verify_certificate(cert)
     assert rep.ok, "\n".join(rep.lines())
-    assert dt < 12, f"{len(h)}-edge dense instance took {dt:.1f}s"
+    assert dt < 5, f"{len(h)}-edge dense instance took {dt:.1f}s"
 
 
 def random_general(count, seed):
