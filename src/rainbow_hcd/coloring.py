@@ -1,13 +1,13 @@
 """Balanced colorings of bipartite multigraphs.
 
 Three operations; the sparse completion pipeline calls the paired
-2-coloring, which is built on the balanced k-coloring:
+2-coloring, which is one balanced 2-coloring of a copy of its graph:
 
-* balanced_k_coloring: split the edges into k classes so that every vertex
-  and every parallel bundle sees each class within one of any other.  It
-  keeps color counts per vertex and bundle and recolors two colors per
-  round, updating only the groups their edges touch; a per-round check on
-  those groups proves progress.
+* balanced_k_coloring: color the edges 0 and 1 so that every vertex and
+  every parallel bundle sees the two colors within one of each other.  It
+  keeps a cyclic start that is already balanced, and otherwise recolors
+  all edges with one Euler split.  It keeps its k-color name because
+  perfbench/tracer.py looks it up by that name.
 * paired_balanced_2_coloring: a 2-coloring that separates prescribed edge
   pairs, is exactly balanced at every right vertex, and is within one at
   every left vertex.  It is a balanced 2-coloring of a copy of the graph
@@ -77,136 +77,72 @@ class BipartiteMultigraph:
 
 
 # ---------------------------------------------------------------------------
-# balanced k-coloring
+# balanced 2-coloring
 
 
 def balanced_k_coloring(
     G: BipartiteMultigraph,
-    k: int,
     rng: random.Random | None = None,
 ) -> dict[int, int]:
-    """Color the edges with colors 0..k-1 so that at every vertex and in
-    every bundle any two colors differ by at most one.
+    """Color the edges 0 and 1 so that at every vertex and in every bundle
+    the two colors differ by at most one.
 
-    Start from a cyclic assignment over the bundles.  Then, while some
-    group (x vertices, then y vertices, then bundles in (x, y) order) is
-    out of balance, take the first one, pair its most used color i with
-    its least used color j, and recolor the edges of colors i and j with
-    an Euler split.  Color counts per group, the edges of each color and
-    the set of unbalanced groups are kept up to date; a round changes
-    them only in the groups that the edges of i and j touch.
+    Start from a cyclic assignment over the bundles, shuffled by rng when
+    one is given.  Keep it if every x vertex, y vertex and bundle is
+    within one; otherwise recolor all edges with one Euler split, taken
+    bundle by bundle in (x, y) order.
 
-    The sum of c_i^2 + c_j^2 over all groups drops by at least 2 each
-    round, which bounds the number of rounds.  Groups the round does not
-    touch keep their counts of i and j, so the drop is computed over the
-    touched groups alone, and a round that misses it raises
-    InvariantViolation.  The finished coloring is rescanned once.
+    One split is enough.  Parallel edges pair off within each bundle, one
+    of each color, which leaves at most one edge per bundle.  Join the odd
+    vertices of that leftover simple bipartite graph in pairs by virtual
+    edges; every circuit of the result is cut by its virtual edges into
+    trails of real edges, and colors alternate along each trail.  A vertex
+    passed inside a trail gets one edge of each color; a closed trail is
+    even, as the graph is bipartite; and only an odd vertex, which has one
+    virtual edge, ends a trail.  So every vertex is within one, and every
+    bundle too.  The result is checked all the same.
     """
-    if k < 1:
-        raise PreconditionViolation("need k >= 1")
+    bundles = [bund for _, bund in sorted(G.bundles().items())]
+    groups: list[Sequence[int]] = [*G._by_x, *G._by_y, *bundles]
 
-    bundles = sorted(G.bundles().items())
-    groups: list[Sequence[int]] = [*G._by_x, *G._by_y]
-    groups.extend(bund for _, bund in bundles)
-    # group indices of each edge: its x vertex, its y vertex, its bundle;
-    # rank orders edges bundle by bundle, as _recolor_pair takes them
-    where: dict[int, tuple[int, int, int]] = {}
-    rank: dict[int, int] = {}
-    y0 = G.x_size
-    b0 = G.x_size + G.y_size
-    for b, ((x, y), bund) in enumerate(bundles):
-        for e in bund:
-            where[e] = (x, y0 + y, b0 + b)
-            rank[e] = len(rank)
-
-    bundle_list = [bund for _, bund in bundles]
+    start = list(bundles)
     if rng is not None:
-        rng.shuffle(bundle_list)
+        rng.shuffle(start)
     col: dict[int, int] = {}
-    c = rng.randrange(k) if rng is not None else 0
-    for bund in bundle_list:
+    c = rng.randrange(2) if rng is not None else 0
+    for bund in start:
         for e in bund:
             col[e] = c
-            c = (c + 1) % k
+            c ^= 1
+    if _balanced(groups, col):
+        return col
 
-    counts = [[0] * k for _ in groups]
-    members: list[set[int]] = [set() for _ in range(k)]
-    for e, c in col.items():
-        members[c].add(e)
-        for g in where[e]:
-            counts[g][c] += 1
-    unbalanced = {g for g, cnt in enumerate(counts) if max(cnt) - min(cnt) >= 2}
-
-    while unbalanced:
-        i, j = _unbalanced_pair(counts[min(unbalanced)])
-        sub = sorted(members[i] | members[j], key=rank.__getitem__)
-        old = [col[e] for e in sub]
-        touched = {g for e in sub for g in where[e]}
-        before = sum(counts[g][i] ** 2 + counts[g][j] ** 2 for g in touched)
-        _recolor_pair(G, col, i, j, sub)
-        members[i] = {e for e in sub if col[e] == i}
-        members[j] = {e for e in sub if col[e] == j}
-        for e, c in zip(sub, old):
-            d = col[e]
-            if d != c:
-                for g in where[e]:
-                    counts[g][c] -= 1
-                    counts[g][d] += 1
-        after = sum(counts[g][i] ** 2 + counts[g][j] ** 2 for g in touched)
-        if after > before - 2:
-            raise InvariantViolation(
-                f"recoloring colors {i} and {j} did not lower the potential "
-                f"({before} -> {after})"
-            )
-        for g in touched:
-            cnt = counts[g]
-            if max(cnt) - min(cnt) >= 2:
-                unbalanced.add(g)
-            else:
-                unbalanced.discard(g)
-
-    if _find_unbalanced_pair(groups, col, k) is not None:
+    _recolor_pair(G, col, [e for bund in bundles for e in bund])
+    if not _balanced(groups, col):
         raise InvariantViolation("balanced coloring left a group out of balance")
     return col
 
 
-def _unbalanced_pair(counts: list[int]) -> tuple[int, int] | None:
-    """(lower, higher) of the most and least used colors, ties to the
-    higher color, when their counts differ by two or more."""
-    if max(counts) - min(counts) < 2:
-        return None
-    colors = range(len(counts))
-    hi = max(colors, key=lambda c: (counts[c], c))
-    lo = min(colors, key=lambda c: (counts[c], -c))
-    return (hi, lo) if hi < lo else (lo, hi)
+def _balanced(groups: list[Sequence[int]], col: dict[int, int]) -> bool:
+    """Whether every group holds as many edges of color 1 as of color 0,
+    to within one."""
+    return all(abs(2 * sum(col[e] for e in g) - len(g)) <= 1 for g in groups)
 
 
-def _find_unbalanced_pair(groups, col, k):
-    """First (color, color) pair out of balance in any of the groups."""
-    for inc in groups:
-        counts = [0] * k
-        for e in inc:
-            counts[col[e]] += 1
-        pair = _unbalanced_pair(counts)
-        if pair is not None:
-            return pair
-    return None
+def _recolor_pair(G, col, eids):
+    """Split eids into colors 0 and 1, balanced at every vertex.
 
-
-def _recolor_pair(G, col, i, j, eids):
-    """Rebalance colors i and j on their joint subgraph.
-
-    eids are the edges of colors i and j, bundle by bundle in (x, y)
-    order and ascending within a bundle.  Parallel edges are pre-matched
-    into one-of-each pairs bundle by bundle; the leftover simple graph is
-    cut into trails whose alternation balances every vertex to within one.
+    eids are taken bundle by bundle in (x, y) order and ascending within a
+    bundle.  Parallel edges are pre-matched into one-of-each pairs bundle
+    by bundle; the leftover simple graph is cut into trails whose
+    alternation balances every vertex to within one.
     """
     residual: list[int] = []
     for _, run in groupby(eids, key=G.edges.__getitem__):
         es = list(run)
         for a, b in zip(es[0::2], es[1::2]):
-            col[a] = i
-            col[b] = j
+            col[a] = 0
+            col[b] = 1
         if len(es) % 2:
             residual.append(es[-1])
 
@@ -228,7 +164,7 @@ def _recolor_pair(G, col, i, j, eids):
         if all(e in used for e, _ in adj[start]):
             continue
         circuit = _euler_circuit(adj, start, used)
-        _color_split_circuit(circuit, col, i, j)
+        _color_split_circuit(circuit, col)
 
 
 def _euler_circuit(adj, start, used):
@@ -254,27 +190,25 @@ def _euler_circuit(adj, start, used):
     return circuit[::-1]
 
 
-def _color_split_circuit(circuit, col, i, j):
-    """Alternate colors along each maximal run of real edges."""
-    if not circuit:
-        return
+def _color_split_circuit(circuit, col):
+    """Alternate colors along each maximal run of real edges, starting
+    right after the first virtual edge.  A circuit with no virtual edge is
+    one closed run, which must be even, as every circuit of a bipartite
+    graph is; an odd one would give its start two edges of one color."""
     breaks = [t for t, e in enumerate(circuit) if e < 0]
-    if not breaks:
-        for t, e in enumerate(circuit):
-            col[e] = i if t % 2 == 0 else j
-        return
-    # rotate so the circuit starts right after a virtual edge
-    first = breaks[0]
-    rot = circuit[first + 1 :] + circuit[: first + 1]
+    if not breaks and len(circuit) % 2:
+        raise InvariantViolation(
+            f"closed circuit of {len(circuit)} real edges is odd"
+        )
+    first = breaks[0] if breaks else -1
     run: list[int] = []
-    for e in rot:
+    for e in circuit[first + 1 :] + circuit[: first + 1] + [-1]:
         if e < 0:
             for t, f in enumerate(run):
-                col[f] = i if t % 2 == 0 else j
+                col[f] = t % 2
             run = []
         else:
             run.append(e)
-    assert not run
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +248,7 @@ def paired_balanced_2_coloring(
     for e in ids:
         x, y = F.edges[e]
         S.add_edge(left.get(e, x), y)
-    col = balanced_k_coloring(S, 2, rng)
+    col = balanced_k_coloring(S, rng)
 
     sides = (
         {e for s, e in enumerate(ids) if col[s] == 0},

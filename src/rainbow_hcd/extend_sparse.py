@@ -77,8 +77,8 @@ from .errors import (
 from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
 from .hilton import PathEnds, _Dinic, check_ends
 
-# a witness side: one (class, vertex, capacity-slot id) triple per new edge
-Witness = list[tuple[int, int, int]]
+# a witness side: one (class, old vertex) pair per new edge
+Witness = list[tuple[int, int]]
 
 
 def capacity_graph(
@@ -87,9 +87,8 @@ def capacity_graph(
     """One edge per free slot at the old vertices 0..m-1: a path gate
     offers one slot at each end to its class, an isolated vertex two.
 
-    gates[i] is PathEnds.gates() of class i, paths by (low, high) end and
-    then isolated vertices, the order LinearForestView lists them in, so
-    the slot ids are those a scan of every class would give."""
+    gates[i] is PathEnds.gates() of class i.  The round checks its slot
+    counts: k at every old vertex and 2(m - |Q_i|) for class i."""
     g = BipartiteMultigraph(len(gates), m)
     for i, class_gates in enumerate(gates):
         for gate in class_gates:
@@ -200,8 +199,8 @@ def _new_edges(
 ) -> list[tuple[int, int, int]]:
     """(class, old or new vertex, new vertex) for every edge of the round,
     the bridge last."""
-    out = [(i, u, m) for i, u, _ in g1]
-    out += [(i, u, m + 1) for i, u, _ in g2]
+    out = [(i, u, m) for i, u in g1]
+    out += [(i, u, m + 1) for i, u in g2]
     out.append((cstar, m, m + 1))
     return out
 
@@ -253,23 +252,15 @@ def _stage_witness(
     # one edge per chosen slot; the two slots of a gate that took two are
     # mated so they reach different new vertices
     chosen = BipartiteMultigraph(n, m)
-    slot_of: list[int] = []
     mate: dict[int, int] = {}
-    free = gt.bundles()
     for i, class_picks in enumerate(picks):
         for pick in class_picks:
-            fs = []
-            for v in pick:
-                fs.append(chosen.add_edge(i, v))
-                slot_of.append(free[(i, v)].pop(0))
+            fs = [chosen.add_edge(i, v) for v in pick]
             if len(fs) == 2:
                 mate[fs[0]] = fs[1]
                 mate[fs[1]] = fs[0]
     sides = paired_balanced_2_coloring(chosen, mate, rng)
-    g1, g2 = (
-        [(*chosen.edges[f], slot_of[f]) for f in sorted(side)]
-        for side in sides
-    )
+    g1, g2 = ([chosen.edges[f] for f in sorted(side)] for side in sides)
     if not _witness_ok(dec, ends, g1, g2, cstar, x_of):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
@@ -340,20 +331,18 @@ def _witness_ok(
 ) -> bool:
     """Definitive acceptance test for a candidate witness.
 
-    Checks, in order: each side touches every old vertex exactly once, no
-    capacity slot is spent twice, every receiving class stays a linear
-    forest when its new edges (bridge included) are laid in, and per-class
-    gains keep the size floors on schedule.  Simulating the attach per
-    class is deliberate: it checks the result, not the flow's bounds.
-    The states in ends are read, never changed."""
+    Checks, in order: each side touches every old vertex exactly once,
+    every receiving class stays a linear forest when its new edges (bridge
+    included) are laid in, and per-class gains keep the size floors on
+    schedule.  The forest check bounds the new edges each class takes at
+    each old vertex by its free slots there, so no slot is spent twice.
+    Simulating the attach per class is deliberate: it checks the result,
+    not the flow's bounds.  The states in ends are read, never changed."""
     m = dec.order
     n = len(dec.classes)
     for side in (g1, g2):
-        if sorted(u for _, u, _ in side) != list(range(m)):
+        if sorted(u for _, u in side) != list(range(m)):
             return False
-    slots = [sl for _, _, sl in g1 + g2]
-    if len(set(slots)) != len(slots):
-        return False
 
     touched: dict[int, list[Edge]] = {}
     for i, u, w in _new_edges(g1, g2, cstar, m):
@@ -362,7 +351,7 @@ def _witness_ok(
         if not _stays_linear(ends[i], extra, m):
             return False
 
-    gain = Counter(i for i, _, _ in g1 + g2)
+    gain = Counter(i for i, _ in g1 + g2)
     return all(
         gain[i] >= _gain_floor(i, cstar, x_of[i]) for i in range(n)
     )

@@ -426,11 +426,20 @@ def _warm_start(
 
 
 def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None:
-    """Join vertex 2n to both ends of each spanning path, closing cycles."""
+    """Join vertex 2n to both ends of each spanning path, closing cycles.
+
+    Each class must hold 2n - 1 edges on one path by its state (check_ends
+    and a single path gate), and the 2n closing ends must cover 0..2n-1
+    once, so the new edges split the star at 2n among the classes.  The
+    classes must partition K_2n, as extend_to_hcd checks on entry and every
+    vertex step keeps; the full proof of the result is left to
+    verify_certificate."""
     m = dec.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
+    check_ends(dec, ends)
     w = m
+    closing: list[int] = []
     for i, cls in enumerate(dec.classes):
         gates = ends[i].gates()
         if len(gates) != 1 or len(gates[0]) != 2:
@@ -438,8 +447,10 @@ def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         a, b = gates[0]
         cls.add(edge(w, a))
         cls.add(edge(w, b))
+        closing += gates[0]
     dec.order = m + 1
-    dec.check_hcd()
+    if sorted(closing) != list(range(m)):
+        raise InvariantViolation(f"the closing ends do not cover 0..{m - 1} once")
 
 
 def check_ends(dec: Decomposition, ends: list[PathEnds]) -> None:

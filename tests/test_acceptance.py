@@ -193,10 +193,9 @@ def test_balanced_coloring_suite():
     for trial in range(1000):
         rng = random.Random(f"bal:{trial}")
         g = _random_multigraph(rng, 4)
-        k = rng.randint(2, 5)
-        col = balanced_k_coloring(g, k)
+        col = balanced_k_coloring(g)
         assert set(col) == set(g.edges)
-        _assert_balanced(g, col, k, set(g.edges))
+        _assert_balanced(g, col, 2, set(g.edges))
     dt = time.time() - t0
     assert dt < 120
     report("balanced coloring suite", f"1000 graphs, {dt:.1f}s")

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 from rainbow_hcd import coloring
 from rainbow_hcd.coloring import (
     BipartiteMultigraph,
-    _find_unbalanced_pair,
+    _color_split_circuit,
     _recolor_pair,
     balanced_k_coloring,
     paired_balanced_2_coloring,
@@ -24,35 +29,67 @@ def build(x_size, y_size, pairs):
     return G, ids
 
 
-def assert_balanced(G, col, k):
+def assert_balanced(G, col):
     assert set(col) == set(G.edges)
     groups = [G.incident_x(x) for x in range(G.x_size)]
     groups += [G.incident_y(y) for y in range(G.y_size)]
     groups += list(G.bundles().values())
     for inc in groups:
-        counts = [0] * k
-        for e in inc:
-            counts[col[e]] += 1
-        assert max(counts) - min(counts) <= 1
+        counts = Counter(col[e] for e in inc)
+        assert set(counts) <= {0, 1}
+        assert abs(counts[0] - counts[1]) <= 1
 
 
-def full_scan_coloring(G, k, rng):
-    """balanced_k_coloring without its incremental counts: every round
-    rescans all groups and recolors the first unbalanced one."""
+def full_scan_coloring(G, rng):
+    """The 2-color reference: from the cyclic start, while any group (x
+    vertices, then y vertices, then bundles) is out of balance, recolor
+    all edges with one Euler split.  Returns the coloring and the number
+    of splits it ran."""
     bundles = [bund for _, bund in sorted(G.bundles().items())]
     groups = [*G._by_x, *G._by_y, *bundles]
     order = [e for bund in bundles for e in bund]
     if rng is not None:
         rng.shuffle(bundles)
     col = {}
-    c = rng.randrange(k) if rng is not None else 0
+    c = rng.randrange(2) if rng is not None else 0
     for bund in bundles:
         for e in bund:
             col[e] = c
-            c = (c + 1) % k
-    while (pair := _find_unbalanced_pair(groups, col, k)) is not None:
-        _recolor_pair(G, col, *pair, [e for e in order if col[e] in pair])
-    return col
+            c = (c + 1) % 2
+
+    def first_unbalanced():
+        for inc in groups:
+            counts = [0, 0]
+            for e in inc:
+                counts[col[e]] += 1
+            if abs(counts[0] - counts[1]) >= 2:
+                return inc
+        return None
+
+    splits = 0
+    while first_unbalanced() is not None:
+        _recolor_pair(G, col, order)
+        splits += 1
+    return col, splits
+
+
+def seeded(seed):
+    return None if seed is None else random.Random(seed)
+
+
+def random_multigraph(rng):
+    """Up to 6 x 6 vertices and 30 edges, half the time shaped like the
+    attach round's slot graph: every edge doubled, plus a guard vertex tied
+    to one x vertex by a 4-edge bundle."""
+    nx = rng.randint(1, 6)
+    ny = rng.randint(1, 6)
+    pairs = [(rng.randrange(nx), rng.randrange(ny))
+             for _ in range(rng.randint(0, 30))]
+    if rng.random() < 0.5:
+        pairs = [p for p in pairs for _ in range(2)]
+        pairs += [(rng.randrange(nx), ny)] * 4
+        ny += 1
+    return build(nx, ny, pairs)[0]
 
 
 class TestMultigraph:
@@ -78,44 +115,36 @@ class TestMultigraph:
 class TestBalancedK:
     def test_four_cycle_two_colors(self):
         G, ids = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        col = balanced_k_coloring(G, 2)
-        assert_balanced(G, col, 2)
+        col = balanced_k_coloring(G)
+        assert_balanced(G, col)
         # degree two everywhere, so split is exact at each vertex
         assert col[0] != col[1] and col[2] != col[3]
         assert col[0] != col[2] and col[1] != col[3]
 
     def test_single_bundle(self):
         G, ids = build(1, 1, [(0, 0)] * 5)
-        col = balanced_k_coloring(G, 2)
+        col = balanced_k_coloring(G)
         sizes = sorted(Counter(col.values()).values())
         assert sizes == [2, 3]
-
-    def test_k_exceeding_degree(self):
-        G, ids = build(1, 3, [(0, 0), (0, 1), (0, 2)])
-        col = balanced_k_coloring(G, 5)
-        assert_balanced(G, col, 5)
-
-    def test_k_one(self):
-        G, ids = build(2, 2, [(0, 0), (1, 1), (0, 1)])
-        assert set(balanced_k_coloring(G, 1).values()) == {0}
 
     def test_deterministic_and_seed_stable(self):
         pairs = [(x, y) for x in range(3) for y in range(3)] * 2
         G1, _ = build(3, 3, pairs)
         G2, _ = build(3, 3, pairs)
-        assert balanced_k_coloring(G1, 3) == balanced_k_coloring(G2, 3)
-        a = balanced_k_coloring(G1, 3, rng=random.Random(7))
-        b = balanced_k_coloring(G2, 3, rng=random.Random(7))
+        assert balanced_k_coloring(G1) == balanced_k_coloring(G2)
+        a = balanced_k_coloring(G1, rng=random.Random(7))
+        b = balanced_k_coloring(G2, rng=random.Random(7))
         assert a == b
-        assert_balanced(G1, a, 3)
+        assert_balanced(G1, a)
 
-    def test_stuck_round_raises(self, monkeypatch):
-        # with the residual split disabled, a round on this simple graph
-        # leaves the counts as they were, so the potential check must fire
+    def test_failed_split_raises(self, monkeypatch):
+        # the cyclic start leaves y0 with two edges of color 0; with the
+        # residual split disabled the coloring stays so, and the final
+        # check must fire
         monkeypatch.setattr(coloring, "_color_split_circuit", lambda *a: None)
         G, ids = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        with pytest.raises(InvariantViolation, match="potential"):
-            balanced_k_coloring(G, 2)
+        with pytest.raises(InvariantViolation, match="out of balance"):
+            balanced_k_coloring(G)
 
     def test_bundles_built_once(self, monkeypatch):
         pairs = [(x, y) for x in range(4) for y in range(5)] * 3
@@ -123,9 +152,9 @@ class TestBalancedK:
         calls = []
         real = G.bundles
         monkeypatch.setattr(G, "bundles", lambda: calls.append(1) or real())
-        col = balanced_k_coloring(G, 4, rng=random.Random(3))
+        col = balanced_k_coloring(G, rng=random.Random(3))
         assert len(calls) == 1
-        assert_balanced(G, col, 4)
+        assert_balanced(G, col)
 
     @given(st.data())
     @settings(max_examples=250, deadline=None)
@@ -144,12 +173,68 @@ class TestBalancedK:
             guard = data.draw(st.integers(0, nx - 1))
             pairs = [p for p in pairs for _ in range(2)] + [(guard, ny)] * 4
             ny += 1
-        k = data.draw(st.integers(1, 12))
-        seed = data.draw(st.integers(0, 3))
+        seed = data.draw(st.one_of(st.none(), st.integers(0, 3)))
         G, ids = build(nx, ny, pairs)
-        col = balanced_k_coloring(G, k, rng=random.Random(seed))
-        assert_balanced(G, col, k)
-        assert col == full_scan_coloring(G, k, random.Random(seed))
+        col = balanced_k_coloring(G, rng=seeded(seed))
+        assert_balanced(G, col)
+        want, splits = full_scan_coloring(G, seeded(seed))
+        assert col == want
+        # one split always balances, so the reference never needs two
+        assert splits <= 1
+
+    def test_both_branches_run(self, monkeypatch):
+        # a balanced start is kept and an unbalanced one split once, as in
+        # the reference; random graphs reach both
+        runs = []
+        real = coloring._recolor_pair
+
+        def spy(*args):
+            runs.append(1)
+            real(*args)
+
+        monkeypatch.setattr(coloring, "_recolor_pair", spy)
+        kept = split = 0
+        rng = random.Random("both-branches")
+        for trial in range(300):
+            G = random_multigraph(rng)
+            seed = rng.choice([None, trial])
+            runs.clear()
+            col = balanced_k_coloring(G, rng=seeded(seed))
+            want, splits = full_scan_coloring(G, seeded(seed))
+            assert col == want
+            assert len(runs) == splits
+            kept += splits == 0
+            split += splits == 1
+        assert kept >= 20 and split >= 20, (kept, split)
+
+
+class TestSplitCircuit:
+    def test_odd_closed_circuit_raises(self):
+        with pytest.raises(InvariantViolation, match="is odd"):
+            _color_split_circuit([0, 1, 2], {})
+
+    def test_odd_closed_circuit_raises_under_optimize(self):
+        # the same circuit under python -O, where asserts are stripped
+        code = textwrap.dedent("""
+            from rainbow_hcd import coloring
+            from rainbow_hcd.errors import InvariantViolation
+
+            print(__debug__)
+            try:
+                coloring._color_split_circuit([0, 1, 2], {})
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(coloring.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "is odd" in lines[1]
 
 
 def verify_paired(F, mate, one, two):

@@ -96,26 +96,31 @@ def matching_state():
 
 
 # witness sides on matching_state, new vertices 4 and 5, one (class, old
-# vertex, slot id) triple per new edge
+# vertex) pair per new edge
 GOOD_SPLIT = (
-    [(0, 0, 0), (0, 2, 1), (3, 1, 2), (3, 3, 3)],
-    [(1, 0, 4), (1, 1, 5), (3, 2, 6), (3, 3, 7)],
+    [(0, 0), (0, 2), (3, 1), (3, 3)],
+    [(1, 0), (1, 1), (3, 2), (3, 3)],
 )
 # class 0 sends paths 0-1 and 2-3 each to both new vertices: 4-0-1-5-3-2-4
 TWO_GATES_SPLIT = (
-    [(0, 0, 0), (0, 2, 1), (3, 1, 2), (3, 3, 3)],
-    [(0, 1, 4), (0, 3, 5), (3, 0, 6), (3, 2, 7)],
+    [(0, 0), (0, 2), (3, 1), (3, 3)],
+    [(0, 1), (0, 3), (3, 0), (3, 2)],
 )
 # class 0 sends path 0-1 to both new vertices; as cstar it also holds the
 # bridge 4-5 and closes 4-0-1-5-4
 CSTAR_SPLIT = (
-    [(0, 0, 0), (3, 1, 1), (3, 2, 2), (4, 3, 3)],
-    [(0, 1, 4), (3, 0, 5), (3, 3, 6), (4, 2, 7)],
+    [(0, 0), (3, 1), (3, 2), (4, 3)],
+    [(0, 1), (3, 0), (3, 3), (4, 2)],
 )
 # class 3 gives new vertex 4 three edges
 THIRD_EDGE_SPLIT = (
-    [(3, 0, 0), (3, 1, 1), (3, 2, 2), (4, 3, 3)],
-    [(4, 0, 4), (4, 1, 5), (1, 2, 6), (1, 3, 7)],
+    [(3, 0), (3, 1), (3, 2), (4, 3)],
+    [(4, 0), (4, 1), (1, 2), (1, 3)],
+)
+# class 0 spends the one free slot of path end 0 on both new vertices
+SLOT_TWICE_SPLIT = (
+    [(0, 0), (3, 1), (4, 2), (5, 3)],
+    [(0, 0), (4, 1), (5, 2), (3, 3)],
 )
 
 
@@ -269,17 +274,17 @@ class TestWitness:
 
     @pytest.mark.parametrize(
         "g1, g2, cstar",
-        [(*TWO_GATES_SPLIT, 5), (*CSTAR_SPLIT, 0), (*THIRD_EDGE_SPLIT, 5)],
+        [(*TWO_GATES_SPLIT, 5), (*CSTAR_SPLIT, 0), (*THIRD_EDGE_SPLIT, 5),
+         (*SLOT_TWICE_SPLIT, 5)],
         ids=["two-gates-close-a-cycle", "cstar-gate-and-bridge",
-             "third-edge-at-new-vertex"],
+             "third-edge-at-new-vertex", "slot-spent-twice"],
     )
     def test_rejects_a_bad_split_and_keeps_the_states(self, g1, g2, cstar):
         dec, ends = matching_state()
-        # both sides cover every old vertex once and spend distinct slots,
-        # and the floors are slack, so only the forest check can reject
+        # both sides cover every old vertex once and the floors are slack,
+        # so only the forest check can reject
         for side in (g1, g2):
-            assert sorted(u for _, u, _ in side) == list(range(dec.order))
-        assert len({sl for _, _, sl in g1 + g2}) == len(g1 + g2)
+            assert sorted(u for _, u in side) == list(range(dec.order))
         before = [(dict(e.partner), set(e.isolated)) for e in ends]
         assert not _witness_ok(dec, ends, g1, g2, cstar, [9] * 6)
         assert [(e.partner, e.isolated) for e in ends] == before

@@ -49,6 +49,11 @@ def step(dec, n, ends):
     single_vertex_step(dec, n, ends, free_classes(ends, dec.order))
 
 
+def k4_paths():
+    """K_4 as the spanning paths 0-1-2-3 and 2-0-3-1."""
+    return Decomposition(4, [{(0, 1), (1, 2), (2, 3)}, {(0, 2), (0, 3), (1, 3)}])
+
+
 def view_gates(cls, order):
     view = analyze_linear_forest(cls, range(order))
     return [(p[0], p[-1]) for p in view.paths] + [(v,) for v in view.isolated]
@@ -172,6 +177,7 @@ class TestExtend:
         cut = truncate_to_order(base, 5)
         kept = [set(c) for c in cut.classes]
         out = extend_to_hcd(cut, 3)
+        out.check_hcd()
         for old, new in zip(kept, out.classes):
             assert old <= new
 
@@ -229,6 +235,22 @@ class TestSteps:
         with pytest.raises(PreconditionViolation):
             close_final_vertex(walecki(2), 2, [])
 
+    def test_close_rejects_a_drifted_class(self):
+        # class 1 loses an edge its state still counts
+        dec = k4_paths()
+        ends = ends_of(dec)
+        dec.classes[1].discard((1, 3))
+        with pytest.raises(InvariantViolation, match="drifted"):
+            close_final_vertex(dec, 2, ends)
+
+    def test_close_rejects_repeated_closing_ends(self):
+        # both states name the ends 0 and 3, so vertex 4 would meet 0 and 3
+        # twice and 1 and 2 never
+        dec = k4_paths()
+        ends = ends_of(dec)
+        with pytest.raises(InvariantViolation, match="closing ends"):
+            close_final_vertex(dec, 2, [ends[0], ends[0].copy()])
+
     def test_step_rejects_large_order(self):
         dec = truncate_to_order(walecki(2), 4)
         with pytest.raises(PreconditionViolation):
@@ -238,6 +260,7 @@ class TestSteps:
         a = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
         b = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
         assert a.classes == b.classes
+        a.check_hcd()
 
     def test_insertion_order_does_not_matter(self):
         # the same states, their partner dicts and isolated sets filled in
@@ -258,6 +281,10 @@ class TestSteps:
             single_vertex_step(a, n, ends_a, free_a)
             single_vertex_step(b, n, ends_b, free_b)
             assert a.classes == b.classes
+        close_final_vertex(a, n, ends_a)
+        close_final_vertex(b, n, ends_b)
+        assert a.classes == b.classes
+        a.check_hcd()
 
 
 class TestExactness:
