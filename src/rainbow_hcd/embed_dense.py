@@ -16,7 +16,8 @@ bookkeeping so no move ever breaks a forest or touches a protected edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import InternalInfeasible, InvariantViolation, PreconditionViolation
 from .graph_core import (
@@ -69,7 +70,10 @@ def embed_dense(
     Requires n >= 6, else raises PreconditionViolation: solve routes every
     n <= 5 to base-small, so only the pipeline calls this stage, always
     with n >= 6, and below that the recursive regime fails (K_{1,3} at
-    n = 3, P3 at n = 2).
+    n = 3, P3 at n = 2).  A linear forest with r > n raises it too: route
+    sends every linear forest with n >= 6 to the hub construction and
+    recursive sub-instances go through solve, and the recursive regime
+    fails on k x P3 at n = 2k for odd k.  The direct regime takes them.
     recurse(edges, m, seed) must solve a smaller instance outright and
     return its certificate; it is only called when r > n.
     """
@@ -82,11 +86,14 @@ def embed_dense(
         raise PreconditionViolation("dense labels 0..r-1 required")
     if len(set(h_edges)) != t:
         raise PreconditionViolation("repeated edge")
-    for grp in component_edge_groups(h_edges):
-        if len(grp) < 2:
-            raise PreconditionViolation("every component needs >= 2 edges")
+    groups = component_edge_groups(h_edges)
+    if min(map(len, groups)) < 2:
+        raise PreconditionViolation("every component needs >= 2 edges")
     if n < 6:
         raise PreconditionViolation(f"need n >= 6, got n={n}")
+    degree = Counter(v for e in h_edges for v in e)
+    if r > n and t == r - len(groups) and max(degree.values()) <= 2:
+        raise PreconditionViolation(f"a linear forest with r={r} > n={n}")
     if trace is None:
         trace = []
 
@@ -201,7 +208,8 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
 
 def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge], r: int) -> None:
     """Shift the `count` smallest allowed donor edges into the target, then
-    re-check that the target is still a linear forest."""
+    re-check that the target is still a linear forest.  The donor needs no
+    check: a linear forest stays one when edges leave it."""
     if count < 0:
         raise InvariantViolation(f"cannot move {count} edges")
     avail = sorted(e for e in donor.edges if e not in exclude)
@@ -213,7 +221,6 @@ def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge], r: int) -> 
     donor.edges.difference_update(moved)
     target.edges.update(moved)
     analyze_linear_forest(target.edges, range(r))
-    analyze_linear_forest(donor.edges, range(r))
 
 
 def _toward(path: tuple[int, ...], src: int, dst: int) -> Edge:

@@ -12,8 +12,9 @@ with the floor schedule
 
 A class takes a new edge only at a free slot: a path end offers one, an
 isolated vertex two.  A gate of a class is one of its paths, given by its
-two ends, or one of its isolated vertices.  Each round solves one
-max-flow with lower bounds, which picks two slots at every old vertex:
+two ends, or one of its isolated vertices.  Each round picks two slots at
+every old vertex by one flow with lower bounds, which hilton._assign
+searches on the class states, the same search as a Hilton vertex step:
 
     source -> class i        at least the gain floor need_i, at most 4
                              (at most 2 for cstar)
@@ -69,13 +70,15 @@ from .coloring import (  # noqa: F401
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
-from .errors import (
-    InternalInfeasible,
-    InvariantViolation,
-    PreconditionViolation,
+from .errors import InvariantViolation, PreconditionViolation
+from .graph_core import (
+    Decomposition,
+    Edge,
+    LinearForestView,
+    analyze_linear_forest,
+    edge,
 )
-from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
-from .hilton import PathEnds, _Dinic, check_ends
+from .hilton import PathEnds, _assign, check_ends, free_classes
 
 # a witness side: one (class, old vertex) pair per new edge
 Witness = list[tuple[int, int]]
@@ -274,8 +277,8 @@ def _slot_flow(
     floors: list[int],
     cstar: int,
 ) -> list[list[tuple[int, ...]]]:
-    """Two free slots at each of the old vertices 0..m-1, chosen by one
-    max-flow with lower bounds (see the module docstring).
+    """Two free slots at each of the old vertices 0..m-1, chosen by
+    hilton._assign on the round's flow (see the module docstring).
 
     gates[i] lists the gates of class i: a path as its two ends, or an
     isolated vertex alone.  Class i takes at least floors[i] slots and at
@@ -284,40 +287,27 @@ def _slot_flow(
     isolated gate that took two; at most one gate per class takes two,
     and none of cstar.  Raises InternalInfeasible when no choice exists.
     """
-    fl = _Dinic()
-    src = fl.add_node()
-    snk = fl.add_node()
-    vnode = [fl.add_node() for _ in range(m)]
-    gate_arcs: list[tuple[int, tuple[int, ...], list[int]]] = []
-    for i, class_gates in enumerate(gates):
-        cnode = fl.add_node()
-        fl.add_bounded_arc(src, cnode, floors[i], 2 if i == cstar else 4)
-        if i != cstar:
-            dbl = fl.add_node()
-            fl.add_arc(cnode, dbl, 1)
-        for ends in class_gates:
-            gate = fl.add_node()
-            fl.add_arc(cnode, gate, 1)
-            if i != cstar:
-                fl.add_arc(dbl, gate, 1)
-            cap = 2 if len(ends) == 1 else 1
-            gate_arcs.append(
-                (i, ends, [fl.add_arc(gate, vnode[v], cap) for v in ends])
-            )
-    for v in range(m):
-        fl.add_bounded_arc(vnode[v], snk, 2, 2)
-    if not fl.feasible(src, snk):
-        raise InternalInfeasible(
-            f"no slot choice meets the floors {floors} at order {m}"
-        )
-
+    # a path enters its state by its two ends, all the search reads
+    ends = [
+        PathEnds(LinearForestView(
+            tuple(g for g in gs if len(g) == 2), tuple(g[0] for g in gs if len(g) == 1)
+        ))
+        for gs in gates
+    ]
+    n = len(gates)
+    cap = [2 if i == cstar else 4 for i in range(n)]
+    owner = _assign(
+        m, floors, ends, free_classes(ends, m), 2, cap, [i != cstar for i in range(n)]
+    )
     picks: list[list[tuple[int, ...]]] = [[] for _ in gates]
-    for i, ends, arcs in gate_arcs:
-        pick = tuple(
-            v for v, aid in zip(ends, arcs) for _ in range(fl.flow_on(aid))
-        )
-        if pick:
-            picks[i].append(pick)
+    for v in range(m):
+        mine = owner[2 * v:2 * v + 2]
+        for i in sorted(set(mine)):
+            p = ends[i].partner.get(v, v)
+            if p == v or i not in owner[2 * p:2 * p + 2]:
+                picks[i].append((v,) * mine.count(i))
+            elif v < p:
+                picks[i].append((v, p))
     return picks
 
 

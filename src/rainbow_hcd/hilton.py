@@ -18,8 +18,9 @@ edge, and checks their total against the states.  The choice at each
 vertex is a flow with lower bounds, source -> class -> gate -> vertex ->
 sink, where a gate is a path's pair of ends or an isolated vertex.
 _assign searches it by augmenting paths on the states and the free lists,
-without building a network.  _Dinic, a general max-flow with lower bounds,
-is kept for the slot flow of extend_sparse.
+without building a network; each attach round of extend_sparse picks its
+slots with the same search.  _Dinic, a general max-flow with lower
+bounds, has no caller here: the tests check both uses of _assign on it.
 """
 
 from __future__ import annotations
@@ -279,118 +280,195 @@ def free_classes(ends: list[PathEnds], m: int) -> list[list[int]]:
 
 
 def _assign(
-    m: int, need: list[int], ends: list[PathEnds], free: list[list[int]]
+    m: int,
+    need: list[int],
+    ends: list[PathEnds],
+    free: list[list[int]],
+    units: int = 1,
+    cap: list[int] | None = None,
+    doubler: list[bool] | None = None,
 ) -> list[int]:
-    """The class each old vertex 0..m-1 gives its new edge to: class i
-    takes need[i] to 2 vertices, at most one from each of its gates
-    ends[i].gates().  free[v] lists the classes in which v lies in a gate,
-    ascending.  Raises InternalInfeasible when there is none.
+    """The class each old vertex 0..m-1 gives each of its units (new
+    edges) to, in one flat list: vertex v's units sit at v * units on.
+    Class i takes need[i] to cap[i] units (2 by default) at its gates
+    ends[i].gates(): one at a path end, up to units at an isolated vertex,
+    and two at one gate at most, only if doubler[i] (by default never).
+    free[v] lists the classes in which v lies in a gate, ascending.  Raises
+    InternalInfeasible when there is no such choice.  A Hilton step gives
+    1 unit a vertex; an attach round gives 2, to classes of cap 4 with a
+    doubler and to its bridge class cstar, of cap 2, without one.
 
-    This is the flow source -> class -> gate -> vertex -> sink, searched on
-    an owner per vertex and the vertices each class holds; a class holds a
-    path's gate when it owns either end.  _warm_start gives a start within
-    every upper bound.  Then each vertex left over gets a class by an
-    augmenting path (home), and each class below its floor gets one more
-    vertex by an augmenting cycle through a class above its floor (fill).
+    This is the flow source -> class -> gate -> vertex -> sink, with the
+    doublers of the extend_sparse module docstring, searched on the class
+    of each unit and the vertices each class holds.  _warm_start gives a
+    start within every upper bound.  Then each vertex short of a unit gets
+    one by an augmenting path (home), and each class below its floor one
+    more by an augmenting cycle through a class above its floor (fill).
     home needs only free and the path partners; fill reads a class's gates
     when it first opens that class, once per call.
 
-    It is exact.  Let f be the current flow and f* a feasible one.  If a
-    vertex v has no class, f* - f holds a path from the source to v in the
-    residual network of f, because f* serves v; home searches that whole
-    network.  Once every vertex has a class, f* - f is a circulation, and
-    its cycle through a class below its floor leaves through a class above
-    it; fill searches that whole network too.  No step lowers a class
-    below its floor.  So a failed search means no feasible flow exists.
+    It is exact.  Route the flow f by each gate's class arc first and its
+    doubler arc second; any loads within the bounds route so.  In the
+    residual network of f an empty gate is fed by its class, a gate with
+    one unit by its other end or the doubler, the doubler by its class
+    while no gate holds two and else by the gate that does, and a full
+    class by any of its units.  Let f* be a feasible flow.  If a vertex v
+    lacks a unit, f* - f holds a path from the source to v in that
+    network, because f* serves v; home searches all of it backward from
+    v.  Once every vertex has its units, f* - f is a circulation, and its
+    cycle through a class below its floor leaves through a class above
+    it; fill searches all of that forward.  No step lowers a class below
+    its floor.  So a failed search means no feasible flow exists.
     """
     n = len(need)
+    cap = cap or [2] * n
+    doubler = doubler or [False] * n
     partner = [e.partner for e in ends]
     gates: dict[int, list[tuple[int, ...]]] = {}  # class -> its gates()
-    owner = _warm_start(need, free, partner)
-    held: list[list[int]] = [[] for _ in range(n)]
-    for v, i in enumerate(owner):
+    owner = _warm_start(need, free, partner, units, cap)
+    held: list[list[int]] = [[] for _ in range(n)]  # a vertex per unit
+    for u, i in enumerate(owner):
         if i >= 0:
-            held[i].append(v)
+            held[i].append(u // units)
 
-    def move(x: int, i: int) -> None:
-        if owner[x] >= 0:
-            held[owner[x]].remove(x)
-        owner[x] = i
-        held[i].append(x)
+    def move(x: int, frm: int, to: int) -> None:
+        u = x * units
+        while owner[u] != frm:
+            u += 1
+        owner[u] = to
+        if frm >= 0:
+            held[frm].remove(x)
+        held[to].append(x)
+
+    def doubled(i: int) -> list[int]:
+        """The vertices of the gate of class i that holds two units."""
+        h = held[i]
+        for x in h:
+            p = partner[i].get(x, x)
+            if h.count(p) > (p == x):
+                return [x] if p == x else [x, p]
+        return []
 
     def home(v: int) -> bool:
-        """Augment from the unowned v to a class with room.  On the way a
-        class swaps the end of a path it holds for the other end, or a full
-        class hands one of its vertices on."""
-        came = {v: -1}  # displaced vertex -> the vertex taking its place
+        """Augment from v, short of a unit, to a class with room.  On the
+        way a class swaps the end of a path it holds for the other end,
+        moves its doubled gate, or, when full, hands a unit on."""
+        came = {v: (-1, -1)}  # vertex -> (vertex taking its unit, class)
         opened = [False] * n
+        dopened = [False] * n  # doubler searched
         queue = [v]
         for y in queue:
+            frm = came[y][1]
             for i in free[y]:
-                if i == owner[y]:
+                if i == frm:
                     continue
+                h = held[i]
                 p = partner[i].get(y)
-                if p is not None and owner[p] == i:
-                    displaced = [p]
-                elif len(held[i]) < 2:
+                if y in h:
+                    if p is not None:
+                        continue  # y holds an end of this path
+                    displaced, fed = [], False  # y holds its isolated gate once
+                elif p in h:
+                    displaced, fed = [p], False  # the other end gives way
+                else:
+                    displaced, fed = (), True  # an empty gate, fed by class i
+                if not fed and doubler[i] and not dopened[i]:
+                    dopened[i] = True
+                    pair = doubled(i)
+                    displaced += pair
+                    fed = not pair
+                if fed and len(h) < cap[i]:
                     x, to = y, i
                     while x >= 0:
-                        prev, frm = came[x], owner[x]
-                        move(x, to)
+                        prev, frm = came[x]
+                        move(x, frm, to)
                         x, to = prev, frm
                     return True
-                elif not opened[i]:
+                if fed and not opened[i]:
                     opened[i] = True
-                    displaced = held[i]
-                else:
-                    continue
+                    displaced = [*displaced, *h]
                 for x in displaced:
                     if x not in came:
-                        came[x] = y
+                        came[x] = (y, i)
                         queue.append(x)
         return False
 
     def fill(start: int) -> bool:
         """Augment from the class start, below its floor, to a class above
-        its floor that gives up a vertex.  On the way a class gives up a
-        vertex and takes the other end of its path instead, or takes a
-        vertex from a free gate."""
+        its floor that gives up a unit.  On the way a class gives up a unit
+        and takes the other end of its path instead, or takes a unit at a
+        gate with room."""
         came: dict[int, tuple[int, int]] = {}  # vertex -> (taker, given up)
         opened = [False] * n
+        dopened = [False] * n
         queue: list[int] = []
 
-        def open_class(i: int, given: int) -> None:
+        def open_class(i: int, given: int, p: int | None) -> None:
+            """Offer the vertices of the empty gates of class i, which given
+            leaves at its gate with other end p; once the doubler is fed, by
+            the class while no gate holds two or by that gate giving up its
+            second unit, of those with one unit too."""
+            h = held[i]
+            top = doubler[i] and not dopened[i] and (
+                h.count(given) == 2 or p in h or not doubled(i)
+            )
+            if opened[i] and not top:
+                return
             opened[i] = True
+            dopened[i] = dopened[i] or top
             if i not in gates:
                 gates[i] = ends[i].gates()
+            # the gates holding a unit hide their vertices while the empty
+            # gates are offered, which spares a test per gate
+            hidden = []
+            for y in h:
+                for x in (y, partner[i].get(y, y)):
+                    if x not in came:
+                        came[x] = (-1, -1)
+                        hidden.append(x)
             for g in gates[i]:
-                if owner[g[0]] != i and owner[g[-1]] != i:
-                    for y in g:
-                        if y not in came:
-                            came[y] = (i, given)
-                            queue.append(y)
+                for y in g:
+                    if y not in came:
+                        came[y] = (i, given)
+                        queue.append(y)
+            for x in hidden:
+                del came[x]
+            for y in h if top else ():
+                # a gate holding one unit takes another at its other end, or
+                # twice at an isolated vertex when a vertex gives two
+                x = partner[i].get(y, y)
+                one = h.count(y) + (x != y and x in h) == 1
+                if one and (x != y or units == 2) and x not in came:
+                    came[x] = (i, given)
+                    queue.append(x)
 
-        open_class(start, -1)
+        open_class(start, -1, None)
         for y in queue:
-            i = owner[y]
-            if len(held[i]) > need[i]:
-                x = y
-                while x >= 0:
-                    taker, given = came[x]
-                    move(x, taker)
-                    x = given
-                return True
-            p = partner[i].get(y)
-            if p is not None and p not in came:
-                came[p] = (i, y)
-                queue.append(p)
-            if not opened[i]:
-                open_class(i, y)
+            taker = came[y][0]
+            for i in owner[y * units:y * units + units]:
+                if i == taker:
+                    continue
+                h = held[i]
+                if len(h) > need[i]:
+                    x, frm = y, i
+                    while x >= 0:
+                        taker, given = came[x]
+                        move(x, frm, taker)
+                        x, frm = given, taker
+                    return True
+                p = partner[i].get(y)
+                if p is not None and p not in came and p not in h:
+                    came[p] = (i, y)
+                    queue.append(p)
+                if not opened[i] or doubler[i] and not dopened[i]:
+                    open_class(i, y, p)
         return False
 
-    for v in range(m):
-        if owner[v] < 0 and not home(v):
-            raise InternalInfeasible(f"no class can take vertex {v} at order {m}")
+    for u, i in enumerate(owner):
+        if i < 0 and not home(u // units):
+            raise InternalInfeasible(
+                f"no class can take vertex {u // units} at order {m}"
+            )
     for i in range(n):
         while len(held[i]) < need[i]:
             if not fill(i):
@@ -399,29 +477,35 @@ def _assign(
 
 
 def _warm_start(
-    need: list[int], free: list[list[int]], partner: list[dict[int, int]]
+    need: list[int],
+    free: list[list[int]],
+    partner: list[dict[int, int]],
+    units: int,
+    cap: list[int],
 ) -> list[int]:
-    """A greedy start for _assign's search, within every upper bound:
-    vertices with the fewest classes first, each to the class furthest
-    below its floor; first up to the floors, then up to 2.  Unplaced
-    vertices are -1."""
-    owner = [-1] * len(free)
+    """A greedy start for _assign's search, within every upper bound and
+    flat as _assign returns, unplaced units -1: vertices with the fewest
+    classes first, each unit to the class furthest below its floor whose
+    gate at the vertex holds no unit yet; first up to the floors, then up
+    to the caps."""
+    owner = [-1] * (len(free) * units)
+    held: list[list[int]] = [[] for _ in need]
     load = [0] * len(need)
     order = sorted(range(len(free)), key=lambda v: len(free[v]))
-    for cap in (need, [2] * len(need)):
-        for v in order:
-            if owner[v] >= 0:
-                continue
-            best, gap = -1, -3
-            for i in free[v]:
-                k = load[i]
-                if k < cap[i] and need[i] - k > gap:
-                    p = partner[i].get(v)
-                    if p is None or owner[p] != i:
-                        best, gap = i, need[i] - k
-            if best >= 0:
-                owner[v] = best
-                load[best] += 1
+    for top in (need, cap) if any(need) else (cap,):
+        for k in range(units):
+            for v in order:
+                if owner[v * units + k] >= 0:
+                    continue
+                best, gap = -1, -_INF
+                for i in free[v]:
+                    if load[i] < top[i] and need[i] - load[i] > gap:
+                        if v not in held[i] and partner[i].get(v) not in held[i]:
+                            best, gap = i, need[i] - load[i]
+                if best >= 0:
+                    owner[v * units + k] = best
+                    held[best].append(v)
+                    load[best] += 1
     return owner
 
 

@@ -245,7 +245,6 @@ def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
         for c in cycles
     ]
     dec = Decomposition(2 * n + 1, classes)
-    dec.check_hcd()
     nv = len(edge_vertices(internal))
     trace = ["completion: label=small attempt=0"]
     return dec, {i: i for i in range(nv)}, list(range(n)), trace

@@ -20,7 +20,7 @@ from rainbow_hcd.families import (
     path_graph,
     star_graph,
 )
-from rainbow_hcd.graph_core import edge
+from rainbow_hcd.graph_core import edge, verify_certificate
 from rainbow_hcd.solver import solve
 
 
@@ -79,6 +79,18 @@ class TestPreconditions:
         # solve sends every n <= 5 to base-small, never here
         with pytest.raises(PreconditionViolation, match="n >= 6"):
             embed_dense(h, n, recurse)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_rejects_a_linear_forest_above_the_direct_regime(self, k):
+        # k x P3 at n = 2k, k odd, is a linear forest the recursive regime
+        # cannot embed (donor classes below the spread bound); solve lays
+        # every linear forest with n >= 6 on the hub construction instead
+        h = disjoint_union(*[path_graph(2)] * k)
+        with pytest.raises(PreconditionViolation, match="linear forest"):
+            embed_dense(h, 2 * k, recurse)
+        cert = solve(h, seed=0)
+        assert cert.trace[0] == "route: linear-forest"
+        assert verify_certificate(cert).ok
 
 
 class TestDirectRegime:

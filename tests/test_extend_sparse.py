@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from rainbow_hcd.graph_core import (
     edge_vertices,
     verify_certificate,
 )
-from rainbow_hcd.hilton import PathEnds, extend_to_hcd
+from rainbow_hcd.hilton import PathEnds, _Dinic, extend_to_hcd
 from rainbow_hcd.solver import solve, split_components
 
 
@@ -230,6 +231,59 @@ class TestGrowth:
         assert out.classes == dec.classes
 
 
+def round_flow_feasible(m, gates, floors, cstar):
+    """Reference: whether the round's lower-bounded flow of the module
+    docstring, built on _Dinic from the same gates, is feasible."""
+    fl = _Dinic()
+    src, snk = fl.add_node(), fl.add_node()
+    vnode = [fl.add_node() for _ in range(m)]
+    for i, class_gates in enumerate(gates):
+        cnode, dbl = fl.add_node(), fl.add_node()
+        fl.add_bounded_arc(src, cnode, floors[i], 2 if i == cstar else 4)
+        if i != cstar:
+            fl.add_arc(cnode, dbl, 1)
+        for ends in class_gates:
+            gate = fl.add_node()
+            fl.add_arc(cnode, gate, 1)
+            fl.add_arc(dbl, gate, 1)
+            for v in ends:
+                fl.add_arc(gate, vnode[v], 2 if len(ends) == 1 else 1)
+    for v in range(m):
+        fl.add_bounded_arc(vnode[v], snk, 2, 2)
+    return fl.feasible(src, snk)
+
+
+def random_round(rng):
+    """Random gates, floors and cstar for one round: per class, every old
+    vertex lies in a path of 1 to 4 vertices (a gate by its ends, or an
+    isolated vertex) or inside a longer one (no gate).  The vertices need
+    not take 2 slots in all, so some rounds are infeasible."""
+    n, m = rng.randint(1, 8), rng.randint(1, 12)
+    gates = []
+    for _ in range(n):
+        order = rng.sample(range(m), m)
+        paths, isolated = [], []
+        while order:
+            size = rng.choice([0, 1, 1, 1, 2, 2, 3, 4])
+            seg, order = order[:max(size, 1)], order[max(size, 1):]
+            if size == 1:
+                isolated.append(seg[0])
+            elif len(seg) > 1:
+                paths.append(tuple(sorted((seg[0], seg[-1]))))
+        gates.append(sorted(paths) + [(v,) for v in sorted(isolated)])
+    cstar = rng.randrange(n)
+    cap = [2 if i == cstar else 4 for i in range(n)]
+    floors = [rng.randint(0, c) for c in cap]
+    if rng.random() < 0.5:
+        # floors near 2m in all, where most of them bind
+        floors = [0] * n
+        for _ in range(2 * m - rng.randint(0, 2)):
+            room = [i for i in range(n) if floors[i] < cap[i]]
+            if room:
+                floors[rng.choice(room)] += 1
+    return m, gates, floors, cstar
+
+
 class TestWitness:
     # _slot_flow on hand-made gates: a gate is a path by its two ends or an
     # isolated vertex alone, and every old vertex must get two slots
@@ -258,6 +312,57 @@ class TestWitness:
         assert _slot_flow(1, [[(0,)], []], [0, 0], cstar=1) == [[(0, 0)], []]
         with pytest.raises(InternalInfeasible):
             _slot_flow(1, [[(0,)], []], [0, 0], cstar=0)
+
+    # the greedy start only saves search; from no start at all the
+    # augmenting paths alone must settle every round the same way
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_slot_search_succeeds_exactly_when_the_flow_is_feasible(
+        self, monkeypatch, cold
+    ):
+        if cold:
+            monkeypatch.setattr(
+                hilton, "_warm_start",
+                lambda need, free, partner, units, *_: [-1] * (len(free) * units),
+            )
+        rng = random.Random("attach-round")
+        outcomes = Counter()
+        for _ in range(1500):
+            m, gates, floors, cstar = random_round(rng)
+            if not round_flow_feasible(m, gates, floors, cstar):
+                with pytest.raises(InternalInfeasible):
+                    _slot_flow(m, gates, floors, cstar)
+                outcomes["infeasible"] += 1
+                continue
+            picks = _slot_flow(m, gates, floors, cstar)
+            outcomes["feasible"] += 1
+            slots = Counter()
+            for i, class_picks in enumerate(picks):
+                assert floors[i] <= sum(map(len, class_picks))
+                assert sum(map(len, class_picks)) <= (2 if i == cstar else 4)
+                # each pick lies on its own gate; one at most takes two,
+                # both ends of a path or an isolated vertex twice
+                taken = [next(g for g in gates[i] if p[0] in g) for p in class_picks]
+                assert len(set(taken)) == len(taken)
+                for pick, gate in zip(class_picks, taken):
+                    assert set(pick) <= set(gate)
+                    if len(pick) == 2:
+                        outcomes["path" if len(gate) == 2 else "isolated"] += 1
+                        assert len(set(pick)) == len(gate)
+                doubles = sum(len(p) == 2 for p in class_picks)
+                assert doubles <= (0 if i == cstar else 1)
+                slots.update(v for p in class_picks for v in p)
+            assert slots == Counter(dict.fromkeys(range(m), 2))
+        # feasible and infeasible rounds, and rounds in which a path takes
+        # both its ends or an isolated vertex takes two slots
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
+
+    def test_two_classes_double_a_gate(self):
+        # class 0 must take both ends of its path and class 1 its isolated
+        # vertex 2 twice; the search reaches the second doubler through a
+        # class that gives up the second unit of a gate
+        gates = [[(0, 1), (3,)], [(0,), (2,), (3,)], [(1, 3), (2,)]]
+        picks = _slot_flow(4, gates, [3, 4, 0], cstar=2)
+        assert picks == [[(0, 1), (3,)], [(0,), (2, 2), (3,)], [(1,)]]
 
     def test_stage_checks_raise_not_assert(self):
         # a missing edge leaves its ends with k + 1 free slots
@@ -487,8 +592,8 @@ def thick_graphs(draw):
 class TestStageContract:
     # extend_with_k2s on embed_dense's splits, not through solve's routing.
     # The thick part is drawn from the pipeline's domain (no linear forest,
-    # n >= 6): embed_dense rejects n < 6, and still fails on 3 x P3 at
-    # n = 6, before any attach round runs.
+    # n >= 6): embed_dense rejects n < 6, and a linear forest with more
+    # vertices than classes, such as 3 x P3 at n = 6.
     @settings(max_examples=60, deadline=None)
     @given(thick_graphs(), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_attach_rounds_keep_the_contract(self, h, k2_count, seed):

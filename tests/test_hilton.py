@@ -296,7 +296,7 @@ class TestExactness:
     ):
         if cold:
             monkeypatch.setattr(
-                hilton, "_warm_start", lambda need, free, partner: [-1] * len(free)
+                hilton, "_warm_start", lambda need, free, partner, *_: [-1] * len(free)
             )
         rng = random.Random("hilton-step")
         outcomes = Counter()
@@ -350,7 +350,7 @@ class TestExactness:
     )
     def test_search_moves(self, monkeypatch, forests, need, start, want):
         monkeypatch.setattr(
-            hilton, "_warm_start", lambda need, free, partner: list(start)
+            hilton, "_warm_start", lambda need, free, partner, *_: list(start)
         )
         ends = [PathEnds(analyze_linear_forest(f, range(3))) for f in forests]
         assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want

@@ -228,11 +228,11 @@ class TestDeterminism:
         "h, seed, digest",
         [
             (disjoint_union(cycle_graph(3), k2s(9)), 0,
-             "fbd5f1baba4f0644ea2ed75740da7542e245b68f73bbb1bf54b76364d53e386d"),
+             "3f59213f9ed6fcf85cee625c0c6f5bcac8e3c8f530c2529fa1906da84b5b7180"),
             (disjoint_union(cycle_graph(3), k2s(9)), 1,
-             "6be4b2839db775b0435cca6207713c2fa24608f902d6161535de2596b2c3620b"),
+             "ec154af7f286c77daeb9120aaededbdb12154e3db327720832d247778b89c3a4"),
             (disjoint_union(cycle_graph(8), k2s(8)), 0,
-             "618206c22106bcdfe7e69b86d2f0c54e4568c1d4ee6b917b65f54ef3b09517ef"),
+             "bc850bec2fb89f353d5f4b48ead96bca72067afd8e24c9b872ae4d3e5d102588"),
             (star_graph(16), 0,
              "47568318479aa54ad0ef26dff4576b675b6b835b36c942c645b4ec4547c88cdf"),
             (cycle_graph(16), 0,
