@@ -46,15 +46,23 @@ rounds, and each round reads its gates and slots from the states alone.
 The states come from the caller, carried from the embed stage's exit
 scan, or else from one analyze_linear_forest scan of each class when the
 stage checks its input; they are copied with the split and handed on to
-the completion stage with it.  _witness_ok checks the split before it is
-applied and leaves the states as they are: per class, each old vertex
-stands for the path or isolated vertex it lies on, a union-find over
-those and the new vertices finds any cycle the round's new edges would
-close, and a count of those edges at each vertex bounds its degree.
-_attach lays every new edge through PathEnds.add_edge.  After each round
-every class must hold as many edges as its state implies, and the
-classes must partition K_m and meet their floors; the stage checks its
-input the same way when it is given states.
+the completion stage with it.  Next to them each old vertex keeps its
+free classes, those in which it is a path end or isolated, built once
+with hilton.free_classes when the stage has a round and kept by _attach
+as a Hilton vertex step keeps them; the search reads the states and these
+lists, and no round rebuilds either.  _witness_ok checks the split before
+it is applied and leaves the states as they are: per class, each old
+vertex stands for the path or isolated vertex it lies on, a union-find
+over those and the new vertices finds any cycle the round's new edges
+would close, and a count of those edges at each vertex bounds its degree.
+_attach checks that the round lays 2m + 1 distinct edges, each with an
+end at m or m + 1, which keeps a partition of K_m one of K_{m+2}, and
+lays every one through PathEnds.add_edge.  After each round every class
+must hold as many edges as its state implies and meet its floor, and the
+free lists must hold as many entries as the states have path ends and
+isolated vertices.  The stage checks its input against the states when it
+is given them, and the full partition of K_r once; verify_certificate is
+the one full proof of the result.
 """
 
 from __future__ import annotations
@@ -71,35 +79,44 @@ from .coloring import (  # noqa: F401
     rebalance_drop_one,
 )
 from .errors import InvariantViolation, PreconditionViolation
-from .graph_core import (
-    Decomposition,
-    Edge,
-    LinearForestView,
-    analyze_linear_forest,
-    edge,
-)
-from .hilton import PathEnds, _assign, check_ends, free_classes
+from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
+from .hilton import PathEnds, _assign, check_ends, check_free, free_classes
 
 # a witness side: one (class, old vertex) pair per new edge
 Witness = list[tuple[int, int]]
 
 
 def capacity_graph(
-    m: int, gates: list[list[tuple[int, ...]]]
-) -> BipartiteMultigraph:
-    """One edge per free slot at the old vertices 0..m-1: a path gate
-    offers one slot at each end to its class, an isolated vertex two.
+    dec: Decomposition, ends: list[PathEnds], free: list[list[int]]
+) -> list[int]:
+    """Check the round's free slots at the old vertices 0..m-1 and return
+    x_i = k - (slots of class i) / 2 for every class, k = 2n - m + 1.
 
-    gates[i] is PathEnds.gates() of class i.  The round checks its slot
-    counts: k at every old vertex and 2(m - |Q_i|) for class i."""
-    g = BipartiteMultigraph(len(gates), m)
-    for i, class_gates in enumerate(gates):
-        for gate in class_gates:
-            for v in gate:
-                g.add_edge(i, v)
-                if len(gate) == 1:
-                    g.add_edge(i, v)
-    return g
+    A path end offers its class one slot, an isolated vertex two.  Every
+    old vertex must offer k slots, read from its free list free[v] and the
+    states in ends, and class i must offer 2(m - |Q_i|), read from its
+    state.  No multigraph of the slots is built; the name stays from when
+    one was, since one call per round is how perfbench counts rounds."""
+    m = dec.order
+    k = 2 * len(dec.classes) - m + 1
+    if len(free) != m:
+        raise InvariantViolation(f"{len(free)} free lists at order {m}")
+    slots = [len(classes) for classes in free]
+    for state in ends:
+        for v in state.isolated:
+            slots[v] += 1
+    for u, count in enumerate(slots):
+        if count != k:
+            raise InvariantViolation(
+                f"vertex {u} offers {count} slots, wanted {k}"
+            )
+    x_of = []
+    for i, (cls, state) in enumerate(zip(dec.classes, ends)):
+        offered = len(state.partner) + 2 * len(state.isolated)
+        if offered != 2 * (m - len(cls)):
+            raise InvariantViolation(f"class {i} offers the wrong slot count")
+        x_of.append(k - offered // 2)
+    return x_of
 
 
 def verify_sparse_state(
@@ -109,6 +126,7 @@ def verify_sparse_state(
     n: int,
     s: int,
     ends: list[PathEnds] | None = None,
+    free: list[list[int]] | None = None,
 ) -> list[PathEnds]:
     """Check the split after round s and return the path ends of each
     class.
@@ -118,8 +136,11 @@ def verify_sparse_state(
     whose add_edge checked each edge laid in since, every class must hold
     exactly order - paths - isolated edges (hilton.check_ends), which
     catches a class that moved apart from its state.  Both check the
-    order, the class count, the partition of K_order and the size
-    floors."""
+    order, the class count and the size floors.  Without free, the
+    classes must partition K_order.  With free, the free-class lists
+    carried through the rounds, _attach has checked the round's new edges
+    against the partition before the round instead, and the lists must
+    match the states (hilton.check_free)."""
     if dec.order != r + 2 * s:
         raise InvariantViolation(f"order {dec.order}, wanted {r + 2 * s}")
     if len(dec.classes) != n:
@@ -136,7 +157,10 @@ def verify_sparse_state(
             raise InvariantViolation(
                 f"class {i} has {len(cls)} edges, floor {floor} at step {s}"
             )
-    dec.check_partition()
+    if free is None:
+        dec.check_partition()
+    else:
+        check_free(ends, free, f"after step {s}")
     return ends
 
 
@@ -171,10 +195,11 @@ def extend_with_k2s(
     dec = dec.copy()
     ends = [state.copy() for state in ends]
     rng = random.Random(seed)
+    free = free_classes(ends, r) if n > t else []
     for s in range(n - t):
-        g1, g2 = _stage_witness(dec, ends, t, n, s, rng)
-        _attach(dec, ends, g1, g2, s + t)
-        verify_sparse_state(dec, r, t, n, s + 1, ends)
+        g1, g2 = _stage_witness(dec, ends, free, t, n, s, rng)
+        _attach(dec, ends, free, g1, g2, s + t)
+        verify_sparse_state(dec, r, t, n, s + 1, ends, free)
         trace.append(f"attach: s={s} order={dec.order}")
     return dec, ends
 
@@ -182,18 +207,42 @@ def extend_with_k2s(
 def _attach(
     dec: Decomposition,
     ends: list[PathEnds],
+    free: list[list[int]],
     g1: Witness,
     g2: Witness,
     cstar: int,
 ) -> None:
-    """Lay the round's new edges into dec and the class states, in place."""
+    """Lay the round's new edges into dec, the class states and the free
+    lists, in place.
+
+    The round must lay 2m + 1 distinct edges, each with an end at m or
+    m + 1: then a split that partitions K_m partitions K_{m+2} after it.
+    The lists change as in hilton.single_vertex_step: a path end that
+    takes an edge of class i is no longer free in i, an isolated vertex
+    that takes one edge stays free, and m and m + 1 are free in the
+    classes in which each took at most one edge, the bridge included."""
     m = dec.order
+    new = _new_edges(g1, g2, cstar, m)
+    laid = {edge(u, w) for _, u, w in new if 0 <= u < w and w in (m, m + 1)}
+    if len(new) != 2 * m + 1 or len(laid) != 2 * m + 1:
+        raise InvariantViolation(
+            f"round at order {m} lays {len(new)} edges, {len(laid)} distinct "
+            f"new ones, wanted {2 * m + 1}"
+        )
     for state in ends:
         state.add_vertex(m)
         state.add_vertex(m + 1)
-    for i, u, w in _new_edges(g1, g2, cstar, m):
+    taken = [[0] * len(ends) for _ in range(2)]  # per new vertex, per class
+    for i, u, w in new:
+        if u < m and u in ends[i].partner:
+            free[u].remove(i)
         ends[i].add_edge(u, w)
         dec.classes[i].add(edge(u, w))
+        for x in (u, w):
+            if x >= m:
+                taken[x - m][i] += 1
+    for counts in taken:
+        free.append([i for i, c in enumerate(counts) if c <= 1])
     dec.order = m + 2
 
 
@@ -221,36 +270,28 @@ def _gain_floor(i: int, cstar: int, x: int) -> int:
 def _stage_witness(
     dec: Decomposition,
     ends: list[PathEnds],
+    free: list[list[int]],
     t: int,
     n: int,
     s: int,
     rng: random.Random,
 ) -> tuple[Witness, Witness]:
     """The two sides of round s's witness, one per new vertex; ends[i]
-    holds the path ends of class i and is not changed."""
+    holds the path ends of class i and free[v] the classes in which old
+    vertex v is free, and neither is changed."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
     if k < 4:
         raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
-    gates = [state.gates() for state in ends]
-    gt = capacity_graph(m, gates)
-    for u in range(m):
-        if gt.degree_y(u) != k:
-            raise InvariantViolation(
-                f"vertex {u} offers {gt.degree_y(u)} slots, wanted {k}"
-            )
-    for i in range(n):
-        if gt.degree_x(i) != 2 * (m - len(dec.classes[i])):
-            raise InvariantViolation(f"class {i} offers the wrong slot count")
-    x_of = [k - gt.degree_x(i) // 2 for i in range(n)]
+    x_of = capacity_graph(dec, ends, free)
     for i, x in enumerate(x_of):
         if x < (1 if i >= cstar else 0):
             raise InvariantViolation(f"class {i} is below its size floor")
 
     floors = [max(0, _gain_floor(i, cstar, x)) for i, x in enumerate(x_of)]
-    picks = _slot_flow(m, gates, floors, cstar)
+    picks = _slot_flow(m, ends, free, floors, cstar)
 
     # one edge per chosen slot; the two slots of a gate that took two are
     # mated so they reach different new vertices
@@ -273,33 +314,27 @@ def _stage_witness(
 
 def _slot_flow(
     m: int,
-    gates: list[list[tuple[int, ...]]],
+    ends: list[PathEnds],
+    free: list[list[int]],
     floors: list[int],
     cstar: int,
 ) -> list[list[tuple[int, ...]]]:
     """Two free slots at each of the old vertices 0..m-1, chosen by
     hilton._assign on the round's flow (see the module docstring).
 
-    gates[i] lists the gates of class i: a path as its two ends, or an
-    isolated vertex alone.  Class i takes at least floors[i] slots and at
-    most 4, cstar at most 2.  The result lists, per class, the vertices at
-    which each gate that took a slot took one, a vertex twice for an
-    isolated gate that took two; at most one gate per class takes two,
-    and none of cstar.  Raises InternalInfeasible when no choice exists.
+    ends[i] holds the path ends of class i, whose gates are its paths, by
+    their two ends, and its isolated vertices; free[v] lists the classes
+    in which v lies in a gate, ascending.  Class i takes at least
+    floors[i] slots and at most 4, cstar at most 2.  The result lists, per
+    class, the vertices at which each gate that took a slot took one, a
+    vertex twice for an isolated gate that took two; at most one gate per
+    class takes two, and none of cstar.  Raises InternalInfeasible when no
+    choice exists.
     """
-    # a path enters its state by its two ends, all the search reads
-    ends = [
-        PathEnds(LinearForestView(
-            tuple(g for g in gs if len(g) == 2), tuple(g[0] for g in gs if len(g) == 1)
-        ))
-        for gs in gates
-    ]
-    n = len(gates)
+    n = len(ends)
     cap = [2 if i == cstar else 4 for i in range(n)]
-    owner = _assign(
-        m, floors, ends, free_classes(ends, m), 2, cap, [i != cstar for i in range(n)]
-    )
-    picks: list[list[tuple[int, ...]]] = [[] for _ in gates]
+    owner = _assign(m, floors, ends, free, 2, cap, [i != cstar for i in range(n)])
+    picks: list[list[tuple[int, ...]]] = [[] for _ in ends]
     for v in range(m):
         mine = owner[2 * v:2 * v + 2]
         for i in sorted(set(mine)):

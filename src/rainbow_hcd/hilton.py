@@ -258,11 +258,18 @@ def single_vertex_step(
     added = sum(taken)
     if added != m:
         raise InvariantViolation(f"{added} edges added at vertex {w}, expected {m}")
+    check_free(ends, free, f"at vertex {w}")
+
+
+def check_free(ends: list[PathEnds], free: list[list[int]], where: str) -> None:
+    """Raise InvariantViolation unless the free-class lists hold as many
+    entries as the states have path ends and isolated vertices; where
+    names the step for the message."""
     listed = sum(map(len, free))
     held = sum(len(e.partner) + len(e.isolated) for e in ends)
     if listed != held:
         raise InvariantViolation(
-            f"free-class lists hold {listed} entries at vertex {w}, "
+            f"free-class lists hold {listed} entries {where}, "
             f"the path ends {held}"
         )
 

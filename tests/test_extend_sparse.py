@@ -35,12 +35,13 @@ from rainbow_hcd.families import (
 )
 from rainbow_hcd.graph_core import (
     Decomposition,
+    LinearForestView,
     analyze_linear_forest,
     edge,
     edge_vertices,
     verify_certificate,
 )
-from rainbow_hcd.hilton import PathEnds, _Dinic, extend_to_hcd
+from rainbow_hcd.hilton import PathEnds, _Dinic, extend_to_hcd, free_classes
 from rainbow_hcd.solver import solve, split_components
 
 
@@ -58,6 +59,26 @@ def scan_ends(dec):
 
 def scan_gates(dec):
     return [state.gates() for state in scan_ends(dec)]
+
+
+def scan_slots(dec):
+    """Path ends and free-class lists of every class, from a full scan."""
+    ends = scan_ends(dec)
+    return ends, free_classes(ends, dec.order)
+
+
+def slot_flow(m, gates, floors, cstar):
+    """_slot_flow on hand-made gates: each class's state and every vertex's
+    free list are built from gates[i], a path as its two ends or an
+    isolated vertex alone."""
+    ends = [
+        PathEnds(LinearForestView(
+            tuple(g for g in gs if len(g) == 2),
+            tuple(g[0] for g in gs if len(g) == 1),
+        ))
+        for gs in gates
+    ]
+    return _slot_flow(m, ends, free_classes(ends, m), floors, cstar)
 
 
 def p3_split():
@@ -126,26 +147,46 @@ SLOT_TWICE_SPLIT = (
 
 
 class TestCapacityGraph:
+    # capacity_graph checks the round's slot counts on the carried state and
+    # returns x_i = k - (slots of class i) / 2, k = 2n - m + 1
+
     def test_slot_counts(self):
         dec = k5_forests()
-        g = capacity_graph(dec.order, scan_gates(dec))
+        x_of = capacity_graph(dec, *scan_slots(dec))
+        k = 2 * len(dec.classes) - dec.order + 1
         # class i offers 2 * (order - size) slots in total
         for i, cls in enumerate(dec.classes):
-            assert len(g.incident_x(i)) == 2 * (dec.order - len(cls))
+            assert 2 * (k - x_of[i]) == 2 * (dec.order - len(cls))
+        # a class that lost an edge its state still holds offers too few
+        dec.classes[2].discard(edge(0, 4))
+        with pytest.raises(InvariantViolation, match="class 2 offers"):
+            capacity_graph(dec, *scan_slots(k5_forests()))
 
     def test_vertex_side_totals(self):
+        # every old vertex offers k = 2n - m + 1 slots in all; one free list
+        # that misses a class leaves its vertex a slot short
         dec = k5_forests()
-        g = capacity_graph(dec.order, scan_gates(dec))
+        ends, free = scan_slots(dec)
         m, n = dec.order, len(dec.classes)
-        for u in range(m):
-            assert len(g.incident_y(u)) == 2 * n - m + 1
+        assert all(
+            len(free[u]) + sum(u in e.isolated for e in ends) == 2 * n - m + 1
+            for u in range(m)
+        )
+        capacity_graph(dec, ends, free)
+        free[3].pop()
+        with pytest.raises(
+            InvariantViolation, match=f"vertex 3 offers {2 * n - m} slots, wanted"
+        ):
+            capacity_graph(dec, ends, free)
 
     def test_isolated_vertex_offers_two(self):
+        # each class holds one edge of K_3: two path ends and an isolated
+        # vertex, 4 slots, so k = 4 is met only if the isolated vertex
+        # counts twice
         dec = Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}])
-        g = capacity_graph(dec.order, scan_gates(dec))
-        for i in range(3):
-            inc = g.incident_x(i)
-            assert len(inc) == 4
+        ends, free = scan_slots(dec)
+        assert capacity_graph(dec, ends, free) == [2, 2, 2]
+        assert all(len(free[u]) == 3 for u in range(3))
 
 
 class TestVerifySparseState:
@@ -292,26 +333,26 @@ class TestWitness:
         # class 0 offers only the ends of path 0-1; class 1 can fill either
         # vertex from its isolated gates
         gates = [[(0, 1)], [(0,), (1,)], []]
-        assert _slot_flow(2, gates, [2, 0, 0], cstar=2)[0] == [(0, 1)]
-        picks = _slot_flow(2, gates, [1, 0, 0], cstar=0)
+        assert slot_flow(2, gates, [2, 0, 0], cstar=2)[0] == [(0, 1)]
+        picks = slot_flow(2, gates, [1, 0, 0], cstar=0)
         assert [len(p) for p in picks[0]] == [1]
         with pytest.raises(InternalInfeasible):
-            _slot_flow(2, gates, [2, 0, 0], cstar=0)
+            slot_flow(2, gates, [2, 0, 0], cstar=0)
 
     def test_one_path_per_class_takes_both_ends(self):
         # class 0 holds paths 0-1 and 2-3: both ends of both would join the
         # new vertices twice, so it reaches 3 slots but not 4
         iso = [(0,), (1,), (2,), (3,)]
         gates = [[(0, 1), (2, 3)], iso, iso, []]
-        picks = _slot_flow(4, gates, [3, 0, 0, 0], cstar=3)
+        picks = slot_flow(4, gates, [3, 0, 0, 0], cstar=3)
         assert sorted(len(p) for p in picks[0]) == [1, 2]
         with pytest.raises(InternalInfeasible):
-            _slot_flow(4, gates, [4, 0, 0, 0], cstar=3)
+            slot_flow(4, gates, [4, 0, 0, 0], cstar=3)
 
     def test_isolated_vertex_doubles_only_outside_cstar(self):
-        assert _slot_flow(1, [[(0,)], []], [0, 0], cstar=1) == [[(0, 0)], []]
+        assert slot_flow(1, [[(0,)], []], [0, 0], cstar=1) == [[(0, 0)], []]
         with pytest.raises(InternalInfeasible):
-            _slot_flow(1, [[(0,)], []], [0, 0], cstar=0)
+            slot_flow(1, [[(0,)], []], [0, 0], cstar=0)
 
     # the greedy start only saves search; from no start at all the
     # augmenting paths alone must settle every round the same way
@@ -330,10 +371,10 @@ class TestWitness:
             m, gates, floors, cstar = random_round(rng)
             if not round_flow_feasible(m, gates, floors, cstar):
                 with pytest.raises(InternalInfeasible):
-                    _slot_flow(m, gates, floors, cstar)
+                    slot_flow(m, gates, floors, cstar)
                 outcomes["infeasible"] += 1
                 continue
-            picks = _slot_flow(m, gates, floors, cstar)
+            picks = slot_flow(m, gates, floors, cstar)
             outcomes["feasible"] += 1
             slots = Counter()
             for i, class_picks in enumerate(picks):
@@ -361,7 +402,7 @@ class TestWitness:
         # vertex 2 twice; the search reaches the second doubler through a
         # class that gives up the second unit of a gate
         gates = [[(0, 1), (3,)], [(0,), (2,), (3,)], [(1, 3), (2,)]]
-        picks = _slot_flow(4, gates, [3, 4, 0], cstar=2)
+        picks = slot_flow(4, gates, [3, 4, 0], cstar=2)
         assert picks == [[(0, 1), (3,)], [(0,), (2, 2), (3,)], [(1,)]]
 
     def test_stage_checks_raise_not_assert(self):
@@ -370,7 +411,7 @@ class TestWitness:
         cls = next(c for c in dec.classes if c)
         cls.pop()
         with pytest.raises(InvariantViolation, match="slots, wanted"):
-            _stage_witness(dec, scan_ends(dec), 2, 3, 0, random.Random(0))
+            _stage_witness(dec, *scan_slots(dec), 2, 3, 0, random.Random(0))
 
     def test_accepts_a_split_that_keeps_every_class_linear(self):
         for g1, g2 in (GOOD_SPLIT, CSTAR_SPLIT):
@@ -418,13 +459,101 @@ class TestWitness:
             assert verify_certificate(cert).ok, (h, seed)
 
 
+def carried_graphs():
+    """C3 + (n - 3)K2 for n = 6..16 and six random pipeline graphs, each
+    with at least one attach round."""
+    graphs = [
+        disjoint_union(cycle_graph(3), *[path_graph(1)] * (n - 3))
+        for n in range(6, 17)
+    ]
+    rng = random.Random("carried-state")
+    for _ in range(6):
+        thick = [cycle_graph(rng.randint(3, 5)), star_graph(3)]
+        graphs.append(
+            disjoint_union(*thick, *[path_graph(1)] * rng.randint(1, 6))
+        )
+    return graphs
+
+
+# mutants of _attach, each caught by a check of the round that runs under
+# python -O too, and the message of the InvariantViolation it raises
+MUTANTS = {
+    # the class of the bridge drops it after the round
+    "drift": ("""
+        def attach(dec, ends, free, g1, g2, cstar):
+            real(dec, ends, free, g1, g2, cstar)
+            dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
+    """, "drifted from its path ends"),
+    # the old vertices keep every class they were free in
+    "keep-free": ("""
+        def attach(dec, ends, free, g1, g2, cstar):
+            before = [list(f) for f in free]
+            real(dec, ends, free, g1, g2, cstar)
+            free[:len(before)] = before
+    """, "free-class lists hold"),
+    # the first edge to new vertex m is laid twice, in place of the last
+    "edge-twice": ("""
+        def attach(dec, ends, free, g1, g2, cstar):
+            real(dec, ends, free, g1[:1] + g1[:-1], g2, cstar)
+    """, "lays 7 edges, 6 distinct new ones, wanted 7"),
+    # the round's edges leave out the bridge
+    "no-bridge": ("""
+        def attach(dec, ends, free, g1, g2, cstar):
+            new_edges = extend_sparse._new_edges
+            extend_sparse._new_edges = lambda *a: new_edges(*a)[:-1]
+            try:
+                real(dec, ends, free, g1, g2, cstar)
+            finally:
+                extend_sparse._new_edges = new_edges
+    """, "lays 6 edges, 6 distinct new ones, wanted 7"),
+}
+
+# runs extend_with_k2s on p3_split (one round, m = 3) with _attach replaced
+# by the mutant defined above it, and prints the error it raises
+MUTANT_RUN = """
+from rainbow_hcd import extend_sparse
+from rainbow_hcd.errors import InvariantViolation
+from rainbow_hcd.graph_core import Decomposition, edge
+
+real = extend_sparse._attach
+{mutant}
+extend_sparse._attach = attach
+try:
+    extend_sparse.extend_with_k2s(
+        Decomposition(3, [{{edge(0, 1)}}, {{edge(0, 2), edge(1, 2)}}, set()]),
+        t=2, n=3, seed=1,
+    )
+except InvariantViolation as exc:
+    print(exc)
+finally:
+    extend_sparse._attach = real
+"""
+
+
+def mutant_code(name):
+    return MUTANT_RUN.format(mutant=textwrap.dedent(MUTANTS[name][0]))
+
+
+def run_optimized(code):
+    """Standard output of code run by python -O, where asserts are
+    stripped, after a line with the value of __debug__."""
+    src = Path(rainbow_hcd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", "print(__debug__)\n" + code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 class TestCarriedState:
     def test_ends_match_a_full_scan_after_every_round(self, monkeypatch):
         rounds = []
         real = extend_sparse.verify_sparse_state
 
-        def spy(dec, r, t, n, s, ends=None):
-            out = real(dec, r, t, n, s, ends)
+        def spy(dec, r, t, n, s, ends=None, free=None):
+            out = real(dec, r, t, n, s, ends, free)
             if ends is not None:
                 assert [e.gates() for e in ends] == scan_gates(dec), (n, s)
                 # s = 0 is the stage entry, checked on embed_dense's states
@@ -433,66 +562,59 @@ class TestCarriedState:
             return out
 
         monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
-        graphs = [
-            disjoint_union(cycle_graph(3), *[path_graph(1)] * (n - 3))
-            for n in range(6, 17)
-        ]
-        rng = random.Random("carried-state")
-        for _ in range(6):
-            thick = [cycle_graph(rng.randint(3, 5)), star_graph(3)]
-            graphs.append(
-                disjoint_union(*thick, *[path_graph(1)] * rng.randint(1, 6))
-            )
-        for h in graphs:
+        for h in carried_graphs():
             rounds.clear()
             cert = solve(h, seed=0)
             assert cert.trace[0] == "route: pipeline", h
             assert len(rounds) == len(split_components(h).k2_idx) > 0, h
 
-    def test_class_moved_apart_from_its_state_is_caught(self, monkeypatch):
-        real = extend_sparse._attach
+    def test_free_lists_match_a_rebuild_after_every_round(self, monkeypatch):
+        rounds = []
+        real = extend_sparse.verify_sparse_state
 
-        def attach_then_drop(dec, ends, g1, g2, cstar):
-            real(dec, ends, g1, g2, cstar)
-            dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
+        def spy(dec, r, t, n, s, ends=None, free=None):
+            out = real(dec, r, t, n, s, ends, free)
+            if free is not None:
+                assert free == free_classes(ends, dec.order), (n, s)
+                rounds.append(s)
+            return out
 
-        monkeypatch.setattr(extend_sparse, "_attach", attach_then_drop)
-        with pytest.raises(InvariantViolation, match="drifted"):
-            extend_with_k2s(p3_split(), t=2, n=3, seed=1)
+        monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
+        for h in carried_graphs():
+            rounds.clear()
+            solve(h, seed=0)
+            assert rounds == list(range(1, len(split_components(h).k2_idx) + 1))
+
+    def test_no_round_builds_the_free_lists(self, monkeypatch):
+        # the dense-complete instances run no attach round
+        def no_lists(*args):
+            raise AssertionError("free_classes called")
+
+        monkeypatch.setattr(extend_sparse, "free_classes", no_lists)
+        out, _ = extend_with_k2s(c4_split(), t=4, n=4, seed=0)
+        assert out.classes == c4_split().classes
+
+    def test_class_moved_apart_from_its_state_is_caught(self, capsys):
+        exec(mutant_code("drift"), {})
+        assert MUTANTS["drift"][1] in capsys.readouterr().out
 
     def test_drift_is_caught_under_optimize(self):
-        # the same mutant under python -O, where asserts are stripped
-        code = textwrap.dedent("""
-            from rainbow_hcd import extend_sparse, hilton
-            from rainbow_hcd.errors import InvariantViolation
-            from rainbow_hcd.graph_core import Decomposition, edge
-
-            real = extend_sparse._attach
-
-            def attach_then_drop(dec, ends, g1, g2, cstar):
-                real(dec, ends, g1, g2, cstar)
-                dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
-
-            extend_sparse._attach = attach_then_drop
-            dec = Decomposition(
-                3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()]
-            )
-            print(__debug__)
-            try:
-                extend_sparse.extend_with_k2s(dec, t=2, n=3, seed=1)
-            except InvariantViolation as exc:
-                print(exc)
-        """)
-        src = Path(rainbow_hcd.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
+        lines = run_optimized(mutant_code("drift"))
         assert lines[0] == "False"
-        assert "drifted" in lines[1]
+        assert MUTANTS["drift"][1] in lines[1]
+
+    @pytest.mark.parametrize("name", ["keep-free", "edge-twice", "no-bridge"])
+    def test_round_mutant_is_caught(self, name, capsys):
+        exec(mutant_code(name), {})
+        assert MUTANTS[name][1] in capsys.readouterr().out
+
+    def test_round_mutants_are_caught_under_optimize(self):
+        names = ["keep-free", "edge-twice", "no-bridge"]
+        lines = run_optimized("".join(mutant_code(name) for name in names))
+        assert lines[0] == "False"
+        assert len(lines) == 4
+        for name, line in zip(names, lines[1:]):
+            assert MUTANTS[name][1] in line, name
 
 
 def move_edge(dec, src, dst):

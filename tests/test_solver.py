@@ -243,10 +243,15 @@ class TestDeterminism:
              "11a3b4cd1fd2f039bd38768514c71ce38b48f01d171f90008933aa79bbed15c6"),
             (path_graph(5), 0,
              "ea668b366f70d9ee8efee36bf8d2c1097d177863333e0f1af62d6717bcbb7b78"),
+            # 29 and 16 attach rounds
+            (disjoint_union(cycle_graph(3), k2s(29)), 0,
+             "9de0212da9956be72bb6c45da48d82b99a00b1c2dde8c1739a2a41cf4aaf6a1f"),
+            (disjoint_union(cycle_graph(16), k2s(16)), 0,
+             "db55e2081528cf5d9f16aa89ba75bd05de55dd12b548231e264851fc23f4a654"),
         ],
         ids=[
             "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
-            "6K2", "P6",
+            "6K2", "P6", "C3+29K2", "C16+16K2",
         ],
     )
     def test_pinned_bytes(self, h, seed, digest):
@@ -393,6 +398,22 @@ def test_sparse_scale_gate_n128(h):
     rep = verify_certificate(cert)
     assert rep.ok, "\n".join(rep.lines())
     assert dt < 25, f"{len(h)}-edge sparse instance took {dt:.1f}s"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "h", [disjoint_union(cycle_graph(3), k2s(253))], ids=["C3+253K2"]
+)
+def test_sparse_scale_gate_n256(h):
+    # 253 attach rounds, then the Hilton completion to K_513; the solve
+    # took about 5 s on a 2-core machine with Python 3.11, and the bound is
+    # three times that
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 15, f"{len(h)}-edge sparse instance took {dt:.1f}s"
 
 
 class TestOracleAgreement:
