@@ -3,8 +3,8 @@
 Input: a graph on dense labels 0..r-1 whose components all have at least
 two edges (t edges total, t <= n), for n >= 6.  Output: the edges of K_r
 split into n linear forests, edge i sitting alone-per-class in class i,
-every class meeting the size floor needed by the later completion stages:
-2r - 2n - 1 edges for the first t classes, 2r - 2n for the rest.
+every class meeting the size floor of the hilton module docstring at
+order r, the first t classes with their edge of H.
 
 Two regimes.  With few vertices (r <= n) the floors are vacuous and a
 round-robin matching schedule settles everything.  Otherwise the instance
@@ -19,7 +19,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InternalInfeasible, InvariantViolation, PreconditionViolation
+from .errors import (
+    InternalInfeasible,
+    InvariantViolation,
+    NotLinearForest,
+    PreconditionViolation,
+)
 from .graph_core import (
     Decomposition,
     Edge,
@@ -29,27 +34,20 @@ from .graph_core import (
     edge_vertices,
     relabel_decomposition,
 )
-from .hilton import PathEnds, truncate_to_order
+from .hilton import PathEnds, check_stage, truncate_to_order
 
 
 def verify_embedded_forests(
     dec: Decomposition, h_edges: list[Edge], n: int
 ) -> list[PathEnds]:
     """Re-check every promise made by embed_dense, and return the path
-    ends of each class, built from the scan that checks it."""
-    t = len(h_edges)
-    r = dec.order
-    if len(dec.classes) != n:
-        raise InvariantViolation("wrong class count")
-    dec.check_partition()
-    ends = []
-    for i, cls in enumerate(dec.classes):
-        ends.append(PathEnds(analyze_linear_forest(cls, range(r))))
-        floor = 2 * r - 2 * n - 1 if i < t else 2 * r - 2 * n
-        if len(cls) < floor:
-            raise InvariantViolation(
-                f"class {i} has {len(cls)} edges, floor {floor}"
-            )
+    ends of each class from the scan that checks it.  Every failure is
+    the stage's own fault, a class that is no linear forest too:
+    InvariantViolation."""
+    try:
+        ends = check_stage(dec, n, len(h_edges), "at the embed exit")
+    except NotLinearForest as exc:
+        raise InvariantViolation(str(exc)) from exc
     for i, e in enumerate(h_edges):
         if e not in dec.classes[i]:
             raise InvariantViolation(f"edge {i} missing from class {i}")
@@ -209,7 +207,8 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
 def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge], r: int) -> None:
     """Shift the `count` smallest allowed donor edges into the target, then
     re-check that the target is still a linear forest.  The donor needs no
-    check: a linear forest stays one when edges leave it."""
+    check: a linear forest stays one when edges leave it.  A target that
+    breaks is the move's fault: InvariantViolation."""
     if count < 0:
         raise InvariantViolation(f"cannot move {count} edges")
     avail = sorted(e for e in donor.edges if e not in exclude)
@@ -220,7 +219,12 @@ def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge], r: int) -> 
     moved = avail[:count]
     donor.edges.difference_update(moved)
     target.edges.update(moved)
-    analyze_linear_forest(target.edges, range(r))
+    try:
+        analyze_linear_forest(target.edges, range(r))
+    except NotLinearForest as exc:
+        raise InvariantViolation(
+            f"embed: moving {moved} breaks class of owner {target.owner}: {exc}"
+        ) from exc
 
 
 def _toward(path: tuple[int, ...], src: int, dst: int) -> Edge:
@@ -286,7 +290,6 @@ def _case1_moves(
     for pos, cls in enumerate(empties):
         donor = big[t - s + pos]
         _move(donor, cls, 2 * r - 2 * n, {donor.keep}, r)
-    _check_donor_floors(big, r, n)
 
 
 def _case2_moves(
@@ -317,14 +320,6 @@ def _case2_moves(
         donor2 = big[n + t - 2 * s + pos]
         cut = _second_donor_cut(cls, donor2, r)
         _move(donor2, cls, r - n + 1, cut | {donor2.keep}, r)
-    _check_donor_floors(big, r, n)
-
-
-def _check_donor_floors(big: list[_Cls], r: int, n: int) -> None:
-    """Every donor keeps the 2r - 2n - 1 edges its class needs."""
-    for j, donor in enumerate(big):
-        if len(donor.edges) < 2 * r - 2 * n - 1:
-            raise InvariantViolation(f"donor {j} drained below floor")
 
 
 def _recursive_dense(

@@ -10,8 +10,9 @@ class ParseError(SolverError):
 
 
 class InfeasibleInput(SolverError):
-    """Well-formed input that the solver does not accept (loops, repeated
-    edges, or a vertex count exceeding the host clique)."""
+    """Input that the solver does not accept (an edge that is not a pair of
+    integer labels, loops, repeated edges, or a vertex count exceeding the
+    host clique)."""
 
 
 class InternalInfeasible(SolverError):

@@ -4,11 +4,10 @@ Round s attaches host vertices m and m+1 (m = r + 2s) to the current
 split of K_m, and the reserved class cstar = s + t takes the bridge edge
 between them, which is exactly the matching component that class is
 responsible for.  The remaining 2m new edges must be spread over the
-classes so that every class stays a linear forest and sizes keep pace
-with the floor schedule
-
-    |Q_i| >= 4s + 2r - 2n - 1   for i < t + s,
-    |Q_i| >= 4s + 2r - 2n       otherwise.
+classes so that every class stays a linear forest and meets the size
+floor of the hilton module docstring at order m + 2, where the classes
+up to cstar hold their edge of H.  The gain floor need_i of class i is
+the number of new edges, the bridge not counted, it must take for that.
 
 A class takes a new edge only at a free slot: a path end offers one, an
 isolated vertex two.  A gate of a class is one of its paths, given by its
@@ -44,25 +43,21 @@ class stays a linear forest; the lower bounds keep the floors.
 A hilton.PathEnds state per class carries its path ends through the
 rounds, and each round reads its gates and slots from the states alone.
 The states come from the caller, carried from the embed stage's exit
-scan, or else from one analyze_linear_forest scan of each class when the
-stage checks its input; they are copied with the split and handed on to
-the completion stage with it.  Next to them each old vertex keeps its
-free classes, those in which it is a path end or isolated, built once
-with hilton.free_classes when the stage has a round and kept by _attach
-as a Hilton vertex step keeps them; the search reads the states and these
-lists, and no round rebuilds either.  _witness_ok checks the split before
-it is applied and leaves the states as they are: per class, each old
-vertex stands for the path or isolated vertex it lies on, a union-find
-over those and the new vertices finds any cycle the round's new edges
-would close, and a count of those edges at each vertex bounds its degree.
-_attach checks that the round lays 2m + 1 distinct edges, each with an
-end at m or m + 1, which keeps a partition of K_m one of K_{m+2}, and
-lays every one through PathEnds.add_edge.  After each round every class
-must hold as many edges as its state implies and meet its floor, and the
-free lists must hold as many entries as the states have path ends and
-isolated vertices.  The stage checks its input against the states when it
-is given them, and the full partition of K_r once; verify_certificate is
-the one full proof of the result.
+scan, or else from one scan of each class when the stage checks its
+input; they are copied with the split and handed on to the completion
+stage with it.  Next to them each old vertex keeps its free classes,
+those in which it is a path end or isolated, built once with
+hilton.free_classes when the stage has a round and kept by
+hilton.lay_edges as in a Hilton vertex step; no round rebuilds either.
+_witness_ok checks the split before it is applied and leaves the states
+as they are: per class, each old vertex stands for the path or isolated
+vertex it lies on, a union-find over those and the new vertices finds
+any cycle the round's new edges would close, and a count of those edges
+at each vertex bounds its degree.  _attach checks that the round lays
+2m + 1 distinct edges, each with an end at m or m + 1, which keeps a
+partition of K_m one of K_{m+2}, so hilton.check_stage checks the full
+partition at the stage entry only, and the free lists after each round;
+verify_certificate is the one full proof of the result.
 """
 
 from __future__ import annotations
@@ -70,8 +65,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-# balanced_k_coloring and rebalance_drop_one are not called here, but
-# perfbench/tracer.py looks them up at these names
+# balanced_k_coloring, rebalance_drop_one and analyze_linear_forest are
+# not called here, but perfbench/tracer.py looks them up at these names
 from .coloring import (  # noqa: F401
     BipartiteMultigraph,
     balanced_k_coloring,
@@ -79,8 +74,16 @@ from .coloring import (  # noqa: F401
     rebalance_drop_one,
 )
 from .errors import InvariantViolation, PreconditionViolation
-from .graph_core import Decomposition, Edge, analyze_linear_forest, edge
-from .hilton import PathEnds, _assign, check_ends, check_free, free_classes
+from .graph_core import Decomposition, Edge, edge
+from .graph_core import analyze_linear_forest  # noqa: F401
+from .hilton import (
+    PathEnds,
+    _assign,
+    check_stage,
+    free_classes,
+    lay_edges,
+    size_floor,
+)
 
 # a witness side: one (class, old vertex) pair per new edge
 Witness = list[tuple[int, int]]
@@ -88,15 +91,13 @@ Witness = list[tuple[int, int]]
 
 def capacity_graph(
     dec: Decomposition, ends: list[PathEnds], free: list[list[int]]
-) -> list[int]:
-    """Check the round's free slots at the old vertices 0..m-1 and return
-    x_i = k - (slots of class i) / 2 for every class, k = 2n - m + 1.
-
-    A path end offers its class one slot, an isolated vertex two.  Every
-    old vertex must offer k slots, read from its free list free[v] and the
-    states in ends, and class i must offer 2(m - |Q_i|), read from its
-    state.  No multigraph of the slots is built; the name stays from when
-    one was, since one call per round is how perfbench counts rounds."""
+) -> None:
+    """Check the round's free slots: a path end offers its class one, an
+    isolated vertex two.  Every old vertex must offer k = 2n - m + 1
+    slots, read from its free list free[v] and the states in ends, and
+    class i must offer 2(m - |Q_i|), read from its state.  No multigraph
+    of the slots is built; the name stays from when one was, since one
+    call per round is how perfbench counts rounds."""
     m = dec.order
     k = 2 * len(dec.classes) - m + 1
     if len(free) != m:
@@ -110,13 +111,10 @@ def capacity_graph(
             raise InvariantViolation(
                 f"vertex {u} offers {count} slots, wanted {k}"
             )
-    x_of = []
     for i, (cls, state) in enumerate(zip(dec.classes, ends)):
         offered = len(state.partner) + 2 * len(state.isolated)
         if offered != 2 * (m - len(cls)):
             raise InvariantViolation(f"class {i} offers the wrong slot count")
-        x_of.append(k - offered // 2)
-    return x_of
 
 
 def verify_sparse_state(
@@ -128,40 +126,12 @@ def verify_sparse_state(
     ends: list[PathEnds] | None = None,
     free: list[list[int]] | None = None,
 ) -> list[PathEnds]:
-    """Check the split after round s and return the path ends of each
-    class.
-
-    Without ends, every class is scanned by analyze_linear_forest and the
-    states are built from the scans.  With states carried from a scan,
-    whose add_edge checked each edge laid in since, every class must hold
-    exactly order - paths - isolated edges (hilton.check_ends), which
-    catches a class that moved apart from its state.  Both check the
-    order, the class count and the size floors.  Without free, the
-    classes must partition K_order.  With free, the free-class lists
-    carried through the rounds, _attach has checked the round's new edges
-    against the partition before the round instead, and the lists must
-    match the states (hilton.check_free)."""
+    """Check the split after round s, at order r + 2s, with classes
+    0..t+s-1 holding their edge of H, and return the path ends of each
+    class (hilton.check_stage)."""
     if dec.order != r + 2 * s:
         raise InvariantViolation(f"order {dec.order}, wanted {r + 2 * s}")
-    if len(dec.classes) != n:
-        raise InvariantViolation("wrong class count")
-    if ends is None:
-        ends = [
-            PathEnds(analyze_linear_forest(cls, range(dec.order)))
-            for cls in dec.classes
-        ]
-    check_ends(dec, ends)
-    for i, cls in enumerate(dec.classes):
-        floor = 4 * s + 2 * r - 2 * n - (1 if i < t + s else 0)
-        if len(cls) < max(0, floor):
-            raise InvariantViolation(
-                f"class {i} has {len(cls)} edges, floor {floor} at step {s}"
-            )
-    if free is None:
-        dec.check_partition()
-    else:
-        check_free(ends, free, f"after step {s}")
-    return ends
+    return check_stage(dec, n, t + s, f"after step {s}", ends=ends, free=free)
 
 
 def extend_with_k2s(
@@ -213,14 +183,10 @@ def _attach(
     cstar: int,
 ) -> None:
     """Lay the round's new edges into dec, the class states and the free
-    lists, in place.
+    lists, in place, by hilton.lay_edges.
 
     The round must lay 2m + 1 distinct edges, each with an end at m or
-    m + 1: then a split that partitions K_m partitions K_{m+2} after it.
-    The lists change as in hilton.single_vertex_step: a path end that
-    takes an edge of class i is no longer free in i, an isolated vertex
-    that takes one edge stays free, and m and m + 1 are free in the
-    classes in which each took at most one edge, the bridge included."""
+    m + 1: then a split that partitions K_m partitions K_{m+2} after it."""
     m = dec.order
     new = _new_edges(g1, g2, cstar, m)
     laid = {edge(u, w) for _, u, w in new if 0 <= u < w and w in (m, m + 1)}
@@ -229,21 +195,7 @@ def _attach(
             f"round at order {m} lays {len(new)} edges, {len(laid)} distinct "
             f"new ones, wanted {2 * m + 1}"
         )
-    for state in ends:
-        state.add_vertex(m)
-        state.add_vertex(m + 1)
-    taken = [[0] * len(ends) for _ in range(2)]  # per new vertex, per class
-    for i, u, w in new:
-        if u < m and u in ends[i].partner:
-            free[u].remove(i)
-        ends[i].add_edge(u, w)
-        dec.classes[i].add(edge(u, w))
-        for x in (u, w):
-            if x >= m:
-                taken[x - m][i] += 1
-    for counts in taken:
-        free.append([i for i, c in enumerate(counts) if c <= 1])
-    dec.order = m + 2
+    lay_edges(dec, ends, free, new, 2, "attach round")
 
 
 def _new_edges(
@@ -257,14 +209,15 @@ def _new_edges(
     return out
 
 
-def _gain_floor(i: int, cstar: int, x: int) -> int:
-    """New edges class i must take this round to stay on the floor
-    schedule, given its x = k - (free slots) / 2; at most 0 means none."""
-    if i < cstar:
-        return 4 - x
-    if i == cstar:
-        return 3 - x
-    return 5 - x
+def _gain_floors(dec: Decomposition, cstar: int) -> list[int]:
+    """The new edges each class must take in the round at order m, the
+    bridge not counted, to meet its size floor at order m + 2, where the
+    classes up to cstar hold their edge of H; at most 0 means none."""
+    m, n = dec.order, len(dec.classes)
+    return [
+        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
+        for i, cls in enumerate(dec.classes)
+    ]
 
 
 def _stage_witness(
@@ -285,12 +238,8 @@ def _stage_witness(
     if k < 4:
         raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
-    x_of = capacity_graph(dec, ends, free)
-    for i, x in enumerate(x_of):
-        if x < (1 if i >= cstar else 0):
-            raise InvariantViolation(f"class {i} is below its size floor")
-
-    floors = [max(0, _gain_floor(i, cstar, x)) for i, x in enumerate(x_of)]
+    capacity_graph(dec, ends, free)
+    floors = [max(0, floor) for floor in _gain_floors(dec, cstar)]
     picks = _slot_flow(m, ends, free, floors, cstar)
 
     # one edge per chosen slot; the two slots of a gate that took two are
@@ -305,7 +254,7 @@ def _stage_witness(
                 mate[fs[1]] = fs[0]
     sides = paired_balanced_2_coloring(chosen, mate, rng)
     g1, g2 = ([chosen.edges[f] for f in sorted(side)] for side in sides)
-    if not _witness_ok(dec, ends, g1, g2, cstar, x_of):
+    if not _witness_ok(dec, ends, g1, g2, cstar):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
@@ -352,19 +301,18 @@ def _witness_ok(
     g1: Witness,
     g2: Witness,
     cstar: int,
-    x_of: list[int],
 ) -> bool:
     """Definitive acceptance test for a candidate witness.
 
     Checks, in order: each side touches every old vertex exactly once,
     every receiving class stays a linear forest when its new edges (bridge
-    included) are laid in, and per-class gains keep the size floors on
-    schedule.  The forest check bounds the new edges each class takes at
-    each old vertex by its free slots there, so no slot is spent twice.
+    included) are laid in, and every class meets its gain floor
+    (_gain_floors).  The forest check bounds the new edges each class
+    takes at each old vertex by its free slots there, so no slot is spent
+    twice.
     Simulating the attach per class is deliberate: it checks the result,
     not the flow's bounds.  The states in ends are read, never changed."""
     m = dec.order
-    n = len(dec.classes)
     for side in (g1, g2):
         if sorted(u for _, u in side) != list(range(m)):
             return False
@@ -377,9 +325,7 @@ def _witness_ok(
             return False
 
     gain = Counter(i for i, _ in g1 + g2)
-    return all(
-        gain[i] >= _gain_floor(i, cstar, x_of[i]) for i in range(n)
-    )
+    return all(gain[i] >= f for i, f in enumerate(_gain_floors(dec, cstar)))
 
 
 def _stays_linear(state: PathEnds, extra: list[Edge], m: int) -> bool:

@@ -213,7 +213,8 @@ def analyze_linear_forest(
             prev, cur = cur, onward[0]
         paths.append(tuple(walk))
     if len(visited) != len(vs):
-        raise NotLinearForest("edge set contains a cycle")
+        v = next(v for v in vs if v not in visited)
+        raise NotLinearForest(f"a cycle runs through edge {edge(v, adj[v][0])}")
     view = LinearForestView(tuple(paths), tuple(isolated))
     if view.edge_count != len(seen_e):
         raise InvariantViolation(

@@ -1,12 +1,18 @@
 """Completion of linear-forest decompositions into Hamiltonian cycle
-decompositions.
+decompositions, and the rules all three stages of the pipeline share.
 
-Input: K_m split into n classes, each a linear forest with at least
-2m - 2n - 1 edges.  Vertices m, m+1, ..., 2n-1 are appended one at a
-time; each new vertex hands one edge to every old vertex, and the
-receiving classes are chosen so that every class stays a linear forest
-and keeps pace with the growing size bound.  At order 2n every class is a
-spanning path, and the last vertex closes each of them into a cycle.
+The size floor: in a split of K_m into n linear forests, class i must
+hold at least 2m - 2n - 1 edges if it already holds its edge of H, and
+2m - 2n otherwise (size_floor).  The embed meets it at order r, and each
+attach round and vertex step at the order it reaches.  check_stage checks
+a split where one stage hands it on, and lay_edges lays the new edges of
+a round or a step.
+
+Completion: vertices m, m+1, ..., 2n-1 are appended one at a time to a
+split of K_m whose classes all hold their edge; each new vertex hands one
+edge to every old vertex, to classes chosen so that every class stays a
+linear forest on the floor.  At order 2n every class is a spanning path,
+and the last vertex closes each of them into a cycle.
 
 A PathEnds state per class holds its path ends and checks every edge a
 step adds, so no class is rescanned between vertices.  The states come
@@ -32,6 +38,7 @@ from .errors import (
     InvariantViolation,
     NotLinearForest,
     PreconditionViolation,
+    SolverError,
 )
 from .graph_core import (
     Decomposition,
@@ -78,9 +85,6 @@ class _Dinic:
         if lo:
             self.excess[v] = self.excess.get(v, 0) + lo
             self.excess[u] = self.excess.get(u, 0) - lo
-
-    def flow_on(self, aid: int) -> int:
-        return self.cap[aid ^ 1]
 
     def feasible(self, src: int, snk: int) -> bool:
         """Whether a flow from src to snk meets every arc's bounds; call
@@ -209,25 +213,29 @@ class PathEnds:
         self.partner[b] = a
 
 
+def size_floor(m: int, n: int, holds_edge: bool) -> int:
+    """The size floor of the module docstring."""
+    return 2 * m - 2 * n - holds_edge
+
+
 def single_vertex_step(
     dec: Decomposition, n: int, ends: list[PathEnds], free: list[list[int]]
 ) -> None:
     """Attach vertex m to K_m in place, one new edge per old vertex.
 
-    Every class may take at most two new edges, must take enough to reach
-    2(m+1) - 2n - 1 edges, may touch a path only at one of its endpoints,
-    and may touch each isolated vertex once.  _assign finds such an
-    assignment whenever one exists, and raises InternalInfeasible
-    otherwise; one always exists for in-contract states.  ends[i] holds the
-    path ends of class i and free[v] the classes, ascending, in which
-    vertex v is a path end or isolated (free_classes); both are updated
-    with the step, and every edge added goes through its add_edge check.
+    Every class may take at most two new edges, must take enough to meet
+    its size floor at order m + 1, may touch a path only at one of its
+    endpoints, and may touch each isolated vertex once.  _assign finds
+    such an assignment whenever one exists, and raises InternalInfeasible
+    otherwise; one always exists for in-contract states.  ends[i] holds
+    the path ends of class i and free[v] the classes, ascending, in which
+    vertex v is a path end or isolated; lay_edges updates both.
     """
     m = dec.order
     if not 1 <= m <= 2 * n - 1:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     w = m
-    target = 2 * (m + 1) - 2 * n - 1
+    target = size_floor(m + 1, n, True)
     need = []
     for i, cls in enumerate(dec.classes):
         needed = max(0, target - len(cls))
@@ -235,30 +243,53 @@ def single_vertex_step(
             raise InvariantViolation(f"class {i} fell behind the size schedule")
         need.append(needed)
     owner = _assign(m, need, ends, free)
-
-    for e in ends:
-        e.add_vertex(w)
-    taken = [0] * n
-    for v, i in enumerate(owner):
-        if i >= 0:
-            if v in ends[i].partner:
-                # a path end that takes an edge becomes interior
-                free[v].remove(i)
-            ends[i].add_edge(v, w)
-            dec.classes[i].add(edge(v, w))
-            taken[i] += 1
-    # w is isolated in a class that took no edge and a path end in one
-    # that took one
-    free.append([i for i, k in enumerate(taken) if k <= 1])
-    dec.order = m + 1
+    new = [(i, v, w) for v, i in enumerate(owner) if i >= 0]
+    lay_edges(dec, ends, free, new, 1, "vertex step")
 
     for i, cls in enumerate(dec.classes):
         if len(cls) < target:
             raise InvariantViolation(f"class {i} below schedule after step")
-    added = sum(taken)
-    if added != m:
-        raise InvariantViolation(f"{added} edges added at vertex {w}, expected {m}")
+    if len(new) != m:
+        raise InvariantViolation(f"{len(new)} edges added at vertex {w}, expected {m}")
     check_free(ends, free, f"at vertex {w}")
+
+
+def lay_edges(
+    dec: Decomposition,
+    ends: list[PathEnds],
+    free: list[list[int]],
+    new: list[tuple[int, int, int]],
+    grow: int,
+    stage: str,
+) -> None:
+    """Append grow new vertices to dec and lay the edges (class, u, w), w
+    a new vertex, into the classes, their states and the free lists, in
+    place.  A path end that takes an edge of class i is no longer free in
+    i, an isolated vertex that takes one stays free, and a new vertex is
+    free in the classes in which it took at most one edge.  An edge its
+    state's add_edge refuses is the caller's fault: InvariantViolation,
+    naming stage, the class and the edge."""
+    m = dec.order
+    for w in range(m, m + grow):
+        for state in ends:
+            state.add_vertex(w)
+    taken = [[0] * len(ends) for _ in range(grow)]  # per new vertex, per class
+    for i, u, w in new:
+        if u >= m:
+            taken[u - m][i] += 1
+        elif u in ends[i].partner:
+            free[u].remove(i)
+        try:
+            ends[i].add_edge(u, w)
+        except NotLinearForest as exc:
+            raise InvariantViolation(
+                f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
+            ) from exc
+        dec.classes[i].add(edge(u, w))
+        taken[w - m][i] += 1
+    for counts in taken:
+        free.append([i for i, c in enumerate(counts) if c <= 1])
+    dec.order = m + grow
 
 
 def check_free(ends: list[PathEnds], free: list[list[int]], where: str) -> None:
@@ -563,38 +594,65 @@ def check_ends(dec: Decomposition, ends: list[PathEnds]) -> None:
             )
 
 
+def check_stage(
+    dec: Decomposition,
+    n: int,
+    held: int,
+    where: str,
+    error: type[SolverError] = InvariantViolation,
+    ends: list[PathEnds] | None = None,
+    free: list[list[int]] | None = None,
+) -> list[PathEnds]:
+    """Check a split handed from one stage to the next, and return the
+    path ends of each class; where names the stage for the messages.
+
+    The n classes must meet their size floors, 0..held-1 holding their
+    edge of H.  Without free lists they must partition K_order; with them
+    (only beside ends) the steps that laid the edges checked that, and
+    check_free ties the lists to the states.  Without ends every class is
+    scanned (NotLinearForest); carried ends, whose add_edge checked each
+    edge laid in since, are tied to the classes by check_ends.  A wrong
+    class count or a class below its floor raises error, the rest
+    InvariantViolation."""
+    if len(dec.classes) != n:
+        raise error(f"expected {n} classes {where}, got {len(dec.classes)}")
+    if free is None:
+        dec.check_partition()
+    else:
+        check_free(ends, free, where)
+    if ends is None:
+        ends = []
+        for i, cls in enumerate(dec.classes):
+            try:
+                ends.append(PathEnds(analyze_linear_forest(cls, range(dec.order))))
+            except NotLinearForest as exc:
+                raise NotLinearForest(f"class {i} {where}: {exc}") from exc
+    else:
+        check_ends(dec, ends)
+    for i, cls in enumerate(dec.classes):
+        floor = size_floor(dec.order, n, i < held)
+        if len(cls) < floor:
+            raise error(f"class {i} has {len(cls)} edges, floor {floor} {where}")
+    return ends
+
+
 def extend_to_hcd(
     dec: Decomposition, n: int, ends: list[PathEnds] | None = None
 ) -> Decomposition:
     """Grow a qualifying decomposition of K_m into an n-cycle decomposition
     of K_{2n+1}, in place.
 
-    Requires n classes partitioning K_m with m <= 2n, each class a linear
-    forest of at least 2m - 2n - 1 edges.  ends, when given, holds the path
-    ends of each class carried from the stage before; they are checked by
-    check_ends instead of a scan, and grow with the classes.  Without them
-    every class is scanned by analyze_linear_forest.
+    Requires m <= 2n and n classes partitioning K_m, each a linear forest
+    holding its edge and meeting its size floor, as check_stage checks.
+    ends, when given, holds the path ends of each class carried from the
+    stage before, checked by count instead of a scan; they grow with the
+    classes.
     """
-    if n < 1:
-        raise PreconditionViolation("need n >= 1")
-    if len(dec.classes) != n:
-        raise PreconditionViolation(f"expected {n} classes, got {len(dec.classes)}")
     if not 1 <= dec.order <= 2 * n:
         raise PreconditionViolation(f"order {dec.order} not in 1..2n")
-    dec.check_partition()
-    if ends is None:
-        ends = [
-            PathEnds(analyze_linear_forest(cls, range(dec.order)))
-            for cls in dec.classes
-        ]
-    else:
-        check_ends(dec, ends)
-    bound = 2 * dec.order - 2 * n - 1
-    for i, cls in enumerate(dec.classes):
-        if len(cls) < bound:
-            raise PreconditionViolation(
-                f"class {i} has {len(cls)} edges, needs {bound}"
-            )
+    ends = check_stage(
+        dec, n, n, "at the completion entry", PreconditionViolation, ends
+    )
     free = free_classes(ends, dec.order)
     while dec.order < 2 * n:
         single_vertex_step(dec, n, ends, free)

@@ -102,8 +102,13 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
     (input, seed)."""
     edges_in: list[Edge] = []
     for pair in h_edges:
-        u, v = pair
-        if not isinstance(u, int) or not isinstance(v, int):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InfeasibleInput(f"an edge must be a pair: {pair!r}") from None
+        # exactly int: a bool or other int subclass would be written into
+        # the certificate as a label it cannot be read back as
+        if type(u) is not int or type(v) is not int:
             raise InfeasibleInput(f"vertex labels must be integers: {pair!r}")
         if u == v:
             raise InfeasibleInput(f"loop at vertex {u}")

@@ -9,18 +9,20 @@ import pytest
 import rainbow_hcd
 from rainbow_hcd.embed_dense import (
     _choose_subgraph,
+    _Cls,
+    _move,
     _round_robin,
     embed_dense,
     verify_embedded_forests,
 )
-from rainbow_hcd.errors import PreconditionViolation
+from rainbow_hcd.errors import InvariantViolation, PreconditionViolation
 from rainbow_hcd.families import (
     cycle_graph,
     disjoint_union,
     path_graph,
     star_graph,
 )
-from rainbow_hcd.graph_core import edge, verify_certificate
+from rainbow_hcd.graph_core import Decomposition, edge, verify_certificate
 from rainbow_hcd.solver import solve
 
 
@@ -49,6 +51,39 @@ class TestRoundRobin:
     def test_trivial_sizes(self):
         assert _round_robin(0) == []
         assert _round_robin(1) == []
+
+
+class TestExitCheck:
+    # K_5 as the paths 0-1-2-3-4, 1-4-2-0 and 1-3-0-4 at n = 3: a class
+    # that holds its input edge needs 2r - 2n - 1 = 3 edges, one without 4
+    @staticmethod
+    def split():
+        return Decomposition(5, [
+            {edge(0, 1), edge(1, 2), edge(2, 3), edge(3, 4)},
+            {edge(1, 4), edge(2, 4), edge(0, 2)},
+            {edge(1, 3), edge(0, 3), edge(0, 4)},
+        ])
+
+    def test_class_on_its_floor_passes(self):
+        verify_embedded_forests(self.split(), [(0, 1), (0, 2), (0, 3)], 3)
+
+    def test_class_below_its_floor_is_rejected(self):
+        # class 2 holds 3 edges but no input edge
+        with pytest.raises(
+            InvariantViolation, match="class 2 has 3 edges, floor 4 at the embed exit"
+        ):
+            verify_embedded_forests(self.split(), [(0, 1), (0, 2)], 3)
+
+    def test_class_with_a_cycle_is_an_internal_fault(self):
+        dec = Decomposition(3, [{edge(0, 1), edge(1, 2), edge(0, 2)}])
+        with pytest.raises(InvariantViolation, match="class 0 at the embed exit"):
+            verify_embedded_forests(dec, [(0, 1)], 1)
+
+    def test_move_that_breaks_its_target_is_an_internal_fault(self):
+        donor = _Cls({edge(0, 1), edge(1, 2)}, 0)
+        target = _Cls({edge(0, 2)}, 1)
+        with pytest.raises(InvariantViolation, match="breaks class of owner 1"):
+            _move(donor, target, 2, set(), 3)
 
 
 class TestPreconditions:

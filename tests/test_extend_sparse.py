@@ -147,16 +147,16 @@ SLOT_TWICE_SPLIT = (
 
 
 class TestCapacityGraph:
-    # capacity_graph checks the round's slot counts on the carried state and
-    # returns x_i = k - (slots of class i) / 2, k = 2n - m + 1
+    # capacity_graph checks the round's slot counts on the carried state:
+    # k = 2n - m + 1 at every old vertex, 2(m - |Q_i|) for class i
 
     def test_slot_counts(self):
         dec = k5_forests()
-        x_of = capacity_graph(dec, *scan_slots(dec))
-        k = 2 * len(dec.classes) - dec.order + 1
+        ends, free = scan_slots(dec)
         # class i offers 2 * (order - size) slots in total
-        for i, cls in enumerate(dec.classes):
-            assert 2 * (k - x_of[i]) == 2 * (dec.order - len(cls))
+        for cls, e in zip(dec.classes, ends):
+            assert len(e.partner) + 2 * len(e.isolated) == 2 * (dec.order - len(cls))
+        capacity_graph(dec, ends, free)
         # a class that lost an edge its state still holds offers too few
         dec.classes[2].discard(edge(0, 4))
         with pytest.raises(InvariantViolation, match="class 2 offers"):
@@ -185,7 +185,7 @@ class TestCapacityGraph:
         # counts twice
         dec = Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}])
         ends, free = scan_slots(dec)
-        assert capacity_graph(dec, ends, free) == [2, 2, 2]
+        capacity_graph(dec, ends, free)
         assert all(len(free[u]) == 3 for u in range(3))
 
 
@@ -416,7 +416,7 @@ class TestWitness:
     def test_accepts_a_split_that_keeps_every_class_linear(self):
         for g1, g2 in (GOOD_SPLIT, CSTAR_SPLIT):
             dec, ends = matching_state()
-            assert _witness_ok(dec, ends, g1, g2, 5, [9] * 6)
+            assert _witness_ok(dec, ends, g1, g2, 5)
 
     @pytest.mark.parametrize(
         "g1, g2, cstar",
@@ -432,7 +432,7 @@ class TestWitness:
         for side in (g1, g2):
             assert sorted(u for _, u in side) == list(range(dec.order))
         before = [(dict(e.partner), set(e.isolated)) for e in ends]
-        assert not _witness_ok(dec, ends, g1, g2, cstar, [9] * 6)
+        assert not _witness_ok(dec, ends, g1, g2, cstar)
         assert [(e.partner, e.isolated) for e in ends] == before
 
     def test_witness_budget(self):

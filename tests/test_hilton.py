@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rainbow_hcd import hilton
+from rainbow_hcd.cli import main
 from rainbow_hcd.errors import (
     InternalInfeasible,
     InvariantViolation,
@@ -21,6 +22,7 @@ from rainbow_hcd.families import (
     path_graph,
     star_graph,
 )
+from rainbow_hcd.files import format_instance
 from rainbow_hcd.graph_core import (
     Decomposition,
     analyze_linear_forest,
@@ -165,6 +167,21 @@ class TestExtend:
             out.check_hcd()
             assert out.order == 2 * n + 1
             assert all(old <= new for old, new in zip(kept, out.classes))
+
+    def test_completes_truncated_pipeline_certificates(self):
+        # the stage contract beyond walecki(n): a pipeline certificate cut
+        # to a random order m <= 2n, classes shuffled, still meets it
+        rng = random.Random("extend-contract")
+        for h in random_pipeline_graphs(8):
+            cert = solve(h, seed=rng.randrange(1000))
+            n = cert.n
+            for _ in range(5):
+                cut = truncate_to_order(cert.decomposition, rng.randint(1, 2 * n))
+                rng.shuffle(cut.classes)
+                kept = [set(c) for c in cut.classes]
+                out = extend_to_hcd(cut, n)
+                out.check_hcd()
+                assert all(old <= new for old, new in zip(kept, out.classes))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_from_nothing(self, n):
@@ -409,6 +426,33 @@ class TestInvariants:
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
         assert "edges added" in lines[1]
+
+    def test_interior_vertex_is_an_internal_fault(self, monkeypatch, tmp_path):
+        # an assignment that hands a vertex a class in which it is interior:
+        # the path-end check refuses the edge, which is the step's fault and
+        # not a rejected input, so solve raises InvariantViolation and the
+        # command line exits 3
+        real = hilton._assign
+        handed = []
+
+        def interior(m, need, ends, free):
+            owner = real(m, need, ends, free)
+            for v in range(m):
+                for i, e in enumerate(ends):
+                    if v not in e.partner and v not in e.isolated:
+                        owner[v] = i
+                        handed.append((m, v, i))
+                        return owner
+            return owner
+
+        monkeypatch.setattr(hilton, "_assign", interior)
+        h = star_graph(6)
+        with pytest.raises(InvariantViolation, match="vertex step at order 7"):
+            solve(h)
+        assert handed
+        path = tmp_path / "star.txt"
+        path.write_text(format_instance(h))
+        assert main(["solve", str(path)]) == 3
 
     def test_class_behind_schedule_raises(self):
         # at order 5 with n=3 every class needs 5 edges after the step

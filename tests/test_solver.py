@@ -147,6 +147,17 @@ class TestValidation:
         with pytest.raises(InfeasibleInput):
             solve([("a", "b")])
 
+    @pytest.mark.parametrize(
+        "h",
+        [[(1, 2, 3)], [(1,)], [5], [(True, 2), (0, 3)]],
+        ids=["triple", "single", "bare-int", "bool-label"],
+    )
+    def test_rejects_malformed_pairs(self, h):
+        # a bool label would reach the certificate as "True", which
+        # certificate_from_text cannot read back
+        with pytest.raises(InfeasibleInput):
+            solve(h)
+
 
 class TestSolveRoutes:
     @pytest.mark.parametrize(
