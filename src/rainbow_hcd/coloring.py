@@ -1,7 +1,10 @@
 """Balanced colorings of bipartite multigraphs.
 
-Three operations; the sparse completion pipeline calls the paired
-2-coloring, which is one balanced 2-coloring of a copy of its graph:
+Nothing in the pipeline calls this module: each attach round splits its
+slots by extend_sparse._split_slots, one Euler split that gives the same
+sides as the paired 2-coloring whenever that one recolors.  The module
+stays because perfbench/tracer.py wraps its three operations at their
+names in extend_sparse, and for its own tests.  The operations:
 
 * balanced_k_coloring: color the edges 0 and 1 so that every vertex and
   every parallel bundle sees the two colors within one of each other.  It

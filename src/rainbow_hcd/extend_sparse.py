@@ -25,10 +25,11 @@ searches on the class states, the same search as a Hilton vertex step:
     old vertex -> sink       exactly 2
 
 so a gate takes at most two slots, at most one gate per class takes two,
-and no gate of cstar does.  A paired 2-coloring then splits the chosen
-slots between m and m+1: every old vertex sends one slot to each, every
-class is split to within one, and the two slots of a gate that took two
-go to different new vertices.
+and no gate of cstar does.  One Euler split (_split_slots) then divides
+the chosen slots between m and m+1: every old vertex sends one slot to
+each, every class is split to within one, and the two slots of a gate
+that took two go to different new vertices.  No round draws a random
+number.
 
 The flow is feasible exactly when the round has a witness.  A gate that
 takes two slots joins m to m+1 inside its class; two such gates close a
@@ -62,13 +63,11 @@ verify_certificate is the one full proof of the result.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
-# balanced_k_coloring, rebalance_drop_one and analyze_linear_forest are
-# not called here, but perfbench/tracer.py looks them up at these names
+# the colourings and analyze_linear_forest are not called here, but
+# perfbench/tracer.py looks them up at these names
 from .coloring import (  # noqa: F401
-    BipartiteMultigraph,
     balanced_k_coloring,
     paired_balanced_2_coloring,
     rebalance_drop_one,
@@ -94,10 +93,12 @@ def capacity_graph(
 ) -> None:
     """Check the round's free slots: a path end offers its class one, an
     isolated vertex two.  Every old vertex must offer k = 2n - m + 1
-    slots, read from its free list free[v] and the states in ends, and
-    class i must offer 2(m - |Q_i|), read from its state.  No multigraph
-    of the slots is built; the name stays from when one was, since one
-    call per round is how perfbench counts rounds."""
+    slots, read from its free list free[v] and the states in ends.  That
+    class i offers 2(m - |Q_i|) is hilton.check_ends's count tie, which
+    the stage entry or the previous round has just checked on the same
+    states.  No multigraph of the slots is built; the name stays from
+    when one was, since one call per round is how perfbench counts
+    rounds."""
     m = dec.order
     k = 2 * len(dec.classes) - m + 1
     if len(free) != m:
@@ -111,10 +112,6 @@ def capacity_graph(
             raise InvariantViolation(
                 f"vertex {u} offers {count} slots, wanted {k}"
             )
-    for i, (cls, state) in enumerate(zip(dec.classes, ends)):
-        offered = len(state.partner) + 2 * len(state.isolated)
-        if offered != 2 * (m - len(cls)):
-            raise InvariantViolation(f"class {i} offers the wrong slot count")
 
 
 def verify_sparse_state(
@@ -138,7 +135,6 @@ def extend_with_k2s(
     dec: Decomposition,
     t: int,
     n: int,
-    seed: int = 0,
     trace: list[str] | None = None,
     ends: list[PathEnds] | None = None,
 ) -> tuple[Decomposition, list[PathEnds]]:
@@ -164,10 +160,9 @@ def extend_with_k2s(
     ends = verify_sparse_state(dec, r, t, n, 0, ends)
     dec = dec.copy()
     ends = [state.copy() for state in ends]
-    rng = random.Random(seed)
     free = free_classes(ends, r) if n > t else []
     for s in range(n - t):
-        g1, g2 = _stage_witness(dec, ends, free, t, n, s, rng)
+        g1, g2 = _stage_witness(dec, ends, free, t, n, s)
         _attach(dec, ends, free, g1, g2, s + t)
         verify_sparse_state(dec, r, t, n, s + 1, ends, free)
         trace.append(f"attach: s={s} order={dec.order}")
@@ -227,11 +222,12 @@ def _stage_witness(
     t: int,
     n: int,
     s: int,
-    rng: random.Random,
 ) -> tuple[Witness, Witness]:
     """The two sides of round s's witness, one per new vertex; ends[i]
     holds the path ends of class i and free[v] the classes in which old
-    vertex v is free, and neither is changed."""
+    vertex v is free, and neither is changed.  _slot_flow picks the slots,
+    _split_slots divides them between the new vertices, and _witness_ok
+    must accept the result, or the round raises InvariantViolation."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
@@ -241,19 +237,7 @@ def _stage_witness(
     capacity_graph(dec, ends, free)
     floors = [max(0, floor) for floor in _gain_floors(dec, cstar)]
     picks = _slot_flow(m, ends, free, floors, cstar)
-
-    # one edge per chosen slot; the two slots of a gate that took two are
-    # mated so they reach different new vertices
-    chosen = BipartiteMultigraph(n, m)
-    mate: dict[int, int] = {}
-    for i, class_picks in enumerate(picks):
-        for pick in class_picks:
-            fs = [chosen.add_edge(i, v) for v in pick]
-            if len(fs) == 2:
-                mate[fs[0]] = fs[1]
-                mate[fs[1]] = fs[0]
-    sides = paired_balanced_2_coloring(chosen, mate, rng)
-    g1, g2 = ([chosen.edges[f] for f in sorted(side)] for side in sides)
+    g1, g2 = _split_slots(m, n, picks)
     if not _witness_ok(dec, ends, g1, g2, cstar):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
@@ -293,6 +277,79 @@ def _slot_flow(
             elif v < p:
                 picks[i].append((v, p))
     return picks
+
+
+def _split_slots(
+    m: int, n: int, picks: list[list[tuple[int, ...]]]
+) -> tuple[Witness, Witness]:
+    """Split the slots chosen by _slot_flow between the new vertices: the
+    two sides of the round's witness, for m and for m + 1, each listing
+    its (class, old vertex) pairs in the order of picks.
+
+    The graph has a node per class and one per doubled gate, a gate that
+    took two slots; each old vertex is an edge joining the nodes of its
+    two slots, so a doubled isolated gate is a loop.  The odd nodes are
+    joined in pairs, in ascending order, by virtual edges, and the Euler
+    circuit of each component (Hierholzer) is walked from its lowest
+    node.  Each old vertex sends the slot at the tail of its edge to m
+    and the one at the head to m + 1.
+
+    So every old vertex gives one slot to each side.  A circuit leaves
+    each node as often as it enters it, and a node has at most one
+    virtual edge, so every node's slots are split to within one.  A
+    doubled gate's node has degree 2 and no virtual edge, so its two
+    slots go to different sides; a class's slots are its own node's and
+    those of its doubled gate, so the class is split to within one too.
+    _witness_ok checks the result all the same.
+    """
+    slots: Witness = []
+    at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    nodes = n
+    for i, class_picks in enumerate(picks):
+        for pick in class_picks:
+            node = i
+            if len(pick) == 2:
+                node, nodes = nodes, nodes + 1
+            for v in pick:
+                at[v].append((len(slots), node))
+                slots.append((i, v))
+
+    # adj[x]: (edge, slot at the far end or -1 if virtual, far node)
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nodes)]
+    for v, mine in enumerate(at):
+        if len(mine) != 2:
+            raise InvariantViolation(
+                f"old vertex {v} has {len(mine)} chosen slots, wanted 2"
+            )
+        (a, x), (b, y) = mine
+        adj[x].append((v, b, y))
+        adj[y].append((v, a, x))
+    odd = [x for x, inc in enumerate(adj) if len(inc) % 2]
+    for e, (x, y) in enumerate(zip(odd[0::2], odd[1::2]), start=m):
+        adj[x].append((e, -1, y))
+        adj[y].append((e, -1, x))
+
+    used = [False] * (m + len(odd) // 2)
+    head = [False] * len(slots)
+    ptr = [0] * nodes
+    for start in range(nodes):
+        stack = [start]
+        while stack:
+            x = stack[-1]
+            inc = adj[x]
+            while ptr[x] < len(inc) and used[inc[ptr[x]][0]]:
+                ptr[x] += 1
+            if ptr[x] == len(inc):
+                stack.pop()
+                continue
+            e, far, y = inc[ptr[x]]
+            used[e] = True
+            if far >= 0:
+                head[far] = True
+            stack.append(y)
+    g1 = [slot for slot, h in zip(slots, head) if not h]
+    g2 = [slot for slot, h in zip(slots, head) if h]
+    return g1, g2
 
 
 def _witness_ok(

@@ -321,8 +321,7 @@ def _main_pipeline(
 
     # each stage hands its path-end states to the next, which checks them
     # by count instead of rescanning the split
-    sparse_seed = random.Random(f"{seed}:sparse").getrandbits(32)
-    dec, ends = extend_with_k2s(dec, t, n, sparse_seed, trace, ends)
+    dec, ends = extend_with_k2s(dec, t, n, trace, ends)
     dec = extend_to_hcd(dec, n, ends)
     trace.append(f"hilton: order={dec.order}")
 

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rainbow_hcd
-from rainbow_hcd import extend_sparse, hilton
+from rainbow_hcd import coloring, extend_sparse, hilton
+from rainbow_hcd.coloring import BipartiteMultigraph, paired_balanced_2_coloring
 from rainbow_hcd.embed_dense import embed_dense
 from rainbow_hcd.errors import (
     InternalInfeasible,
@@ -21,6 +22,7 @@ from rainbow_hcd.errors import (
 )
 from rainbow_hcd.extend_sparse import (
     _slot_flow,
+    _split_slots,
     _stage_witness,
     _witness_ok,
     capacity_graph,
@@ -41,7 +43,14 @@ from rainbow_hcd.graph_core import (
     edge_vertices,
     verify_certificate,
 )
-from rainbow_hcd.hilton import PathEnds, _Dinic, extend_to_hcd, free_classes
+from rainbow_hcd.hilton import (
+    PathEnds,
+    _Dinic,
+    check_ends,
+    extend_to_hcd,
+    free_classes,
+    size_floor,
+)
 from rainbow_hcd.solver import solve, split_components
 
 
@@ -67,18 +76,35 @@ def scan_slots(dec):
     return ends, free_classes(ends, dec.order)
 
 
-def slot_flow(m, gates, floors, cstar):
-    """_slot_flow on hand-made gates: each class's state and every vertex's
-    free list are built from gates[i], a path as its two ends or an
-    isolated vertex alone."""
-    ends = [
+def gate_states(gates):
+    """The state of each class from gates[i], a path as its two ends or an
+    isolated vertex alone; every other vertex lies inside a path."""
+    return [
         PathEnds(LinearForestView(
             tuple(g for g in gs if len(g) == 2),
             tuple(g[0] for g in gs if len(g) == 1),
         ))
         for gs in gates
     ]
+
+
+def slot_flow(m, gates, floors, cstar):
+    """_slot_flow on hand-made gates: each class's state and every vertex's
+    free list are built from gates[i] (gate_states)."""
+    ends = gate_states(gates)
     return _slot_flow(m, ends, free_classes(ends, m), floors, cstar)
+
+
+def sized_split(m, floors, cstar):
+    """A stand-in split at order m for _witness_ok, which reads only the
+    class sizes, for its gain floors: class i gets as many placeholder
+    edges as make its gain floor at most floors[i]."""
+    n = len(floors)
+    sizes = [
+        max(0, size_floor(m + 2, n, i <= cstar) - (i == cstar) - f)
+        for i, f in enumerate(floors)
+    ]
+    return Decomposition(m, [{(-1, j) for j in range(k)} for k in sizes])
 
 
 def p3_split():
@@ -148,7 +174,8 @@ SLOT_TWICE_SPLIT = (
 
 class TestCapacityGraph:
     # capacity_graph checks the round's slot counts on the carried state:
-    # k = 2n - m + 1 at every old vertex, 2(m - |Q_i|) for class i
+    # k = 2n - m + 1 at every old vertex; class i offers 2(m - |Q_i|),
+    # which check_ends ties to its state
 
     def test_slot_counts(self):
         dec = k5_forests()
@@ -157,10 +184,11 @@ class TestCapacityGraph:
         for cls, e in zip(dec.classes, ends):
             assert len(e.partner) + 2 * len(e.isolated) == 2 * (dec.order - len(cls))
         capacity_graph(dec, ends, free)
-        # a class that lost an edge its state still holds offers too few
+        # a class that lost an edge its state still holds is caught by the
+        # count tie every round's stage check runs on the same states
         dec.classes[2].discard(edge(0, 4))
-        with pytest.raises(InvariantViolation, match="class 2 offers"):
-            capacity_graph(dec, *scan_slots(k5_forests()))
+        with pytest.raises(InvariantViolation, match="drifted from its path ends"):
+            check_ends(dec, ends)
 
     def test_vertex_side_totals(self):
         # every old vertex offers k = 2n - m + 1 slots in all; one free list
@@ -192,7 +220,7 @@ class TestCapacityGraph:
 class TestVerifySparseState:
     def test_accepts_valid_state(self):
         dec = p3_split()
-        grown, _ = extend_with_k2s(dec, t=2, n=3, seed=1)
+        grown, _ = extend_with_k2s(dec, t=2, n=3)
         verify_sparse_state(grown, r=3, t=2, n=3, s=1)
 
     def test_rejects_wrong_order(self):
@@ -223,7 +251,7 @@ class TestGrowth:
     def test_path_to_five_vertices(self):
         # two planted edges, one round: 3 classes of K_5 sized (4, 3, 3)
         dec = p3_split()
-        out, _ = extend_with_k2s(dec, t=2, n=3, seed=1)
+        out, _ = extend_with_k2s(dec, t=2, n=3)
         assert out.order == 5
         assert sorted(len(c) for c in out.classes) == [3, 3, 4]
         assert edge(0, 1) in out.classes[0]
@@ -232,7 +260,7 @@ class TestGrowth:
 
     def test_grown_split_completes_to_cycles(self):
         dec = p3_split()
-        out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3, seed=1)[0], 3)
+        out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3)[0], 3)
         out.check_hcd()
         assert out.order == 7
 
@@ -240,7 +268,7 @@ class TestGrowth:
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
         trace = []
-        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2, trace=trace)
+        out, _ = extend_with_k2s(dec, t=5, n=8, trace=trace)
         assert out.order == 7 + 2 * 3
         assert [line.split()[1] for line in trace] == ["s=0", "s=1", "s=2"]
         verify_sparse_state(out, r=7, t=5, n=8, s=3)
@@ -248,26 +276,27 @@ class TestGrowth:
     def test_bridge_lands_in_scheduled_class(self):
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
-        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2)
+        out, _ = extend_with_k2s(dec, t=5, n=8)
         for s in range(3):
             assert edge(7 + 2 * s, 8 + 2 * s) in out.classes[5 + s]
 
     def test_planted_edges_survive_every_round(self):
         h = disjoint_union(star_graph(3), path_graph(2))
         dec = dense_split(h, 8)
-        out, _ = extend_with_k2s(dec, t=5, n=8, seed=2)
+        out, _ = extend_with_k2s(dec, t=5, n=8)
         for i, e in enumerate(h):
             assert e in out.classes[i]
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic(self):
+        # no round draws a random number: the same split grows the same way
         h = disjoint_union(star_graph(3), path_graph(2))
-        a, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
-        b, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8, seed=9)
+        a, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8)
+        b, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8)
         assert a.classes == b.classes
 
     def test_no_rounds_needed(self):
         dec = c4_split()
-        out, _ = extend_with_k2s(dec, t=4, n=4, seed=0)
+        out, _ = extend_with_k2s(dec, t=4, n=4)
         assert out.order == dec.order
         assert out.classes == dec.classes
 
@@ -411,7 +440,7 @@ class TestWitness:
         cls = next(c for c in dec.classes if c)
         cls.pop()
         with pytest.raises(InvariantViolation, match="slots, wanted"):
-            _stage_witness(dec, *scan_slots(dec), 2, 3, 0, random.Random(0))
+            _stage_witness(dec, *scan_slots(dec), 2, 3, 0)
 
     def test_accepts_a_split_that_keeps_every_class_linear(self):
         for g1, g2 in (GOOD_SPLIT, CSTAR_SPLIT):
@@ -434,6 +463,90 @@ class TestWitness:
         before = [(dict(e.partner), set(e.isolated)) for e in ends]
         assert not _witness_ok(dec, ends, g1, g2, cstar)
         assert [(e.partner, e.isolated) for e in ends] == before
+
+    def feasible_rounds(self, seed, count):
+        """(m, gates, floors, cstar, picks) for count feasible random
+        rounds."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            m, gates, floors, cstar = random_round(rng)
+            try:
+                picks = slot_flow(m, gates, floors, cstar)
+            except InternalInfeasible:
+                continue
+            out.append((m, gates, floors, cstar, picks))
+        return out
+
+    def test_split_gives_each_side_one_slot_a_vertex(self):
+        doubled = Counter()
+        for m, gates, floors, cstar, picks in self.feasible_rounds(
+            "euler-split", 400
+        ):
+            n = len(gates)
+            g1, g2 = _split_slots(m, n, picks)
+            for side in (g1, g2):
+                assert sorted(u for _, u in side) == list(range(m))
+            for i in range(n):
+                mine = [sum(j == i for j, _ in side) for side in (g1, g2)]
+                assert abs(mine[0] - mine[1]) <= 1, (i, picks)
+            for i, class_picks in enumerate(picks):
+                for pick in class_picks:
+                    if len(pick) == 2 and pick[0] == pick[1]:
+                        # an isolated vertex: one slot to each side
+                        assert (i, pick[0]) in g1 and (i, pick[0]) in g2
+                        doubled["isolated"] += 1
+                    elif len(pick) == 2:
+                        # a path's two ends: one to each side
+                        assert ((i, pick[0]) in g1) != ((i, pick[1]) in g1)
+                        doubled["path"] += 1
+            dec = sized_split(m, floors, cstar)
+            assert _witness_ok(dec, gate_states(gates), g1, g2, cstar)
+        # rounds with a path that takes both ends, and an isolated vertex
+        # that takes two slots
+        assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
+
+    def test_split_matches_the_paired_coloring_euler_split(self, monkeypatch):
+        # paired_balanced_2_coloring keeps a shuffled cyclic start when it
+        # is balanced, and otherwise recolours by one Euler split
+        # (_recolor_pair); that split is the same as _split_slots
+        ran = []
+        real = coloring._recolor_pair
+
+        def spy(*args):
+            ran.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(coloring, "_recolor_pair", spy)
+        rng = random.Random("paired-coloring")
+        outcomes = Counter()
+        for m, gates, _, _, picks in self.feasible_rounds("differential", 400):
+            n = len(gates)
+            chosen = BipartiteMultigraph(n, m)
+            mate = {}
+            for i, class_picks in enumerate(picks):
+                for pick in class_picks:
+                    fs = [chosen.add_edge(i, v) for v in pick]
+                    if len(fs) == 2:
+                        mate[fs[0]], mate[fs[1]] = fs[1], fs[0]
+            ran.clear()
+            sides = paired_balanced_2_coloring(chosen, mate, rng)
+            if not ran:
+                outcomes["start kept"] += 1
+                continue
+            old = tuple([chosen.edges[f] for f in sorted(side)] for side in sides)
+            assert _split_slots(m, n, picks) == old, picks
+            outcomes["euler"] += 1
+        assert outcomes["euler"] >= 300 and outcomes["start kept"] >= 5, outcomes
+
+    def test_doubled_gate_on_one_side_is_rejected(self, capsys):
+        exec(SPLIT_MUTANT, {})
+        assert "witness rejected" in capsys.readouterr().out
+
+    def test_doubled_gate_on_one_side_is_rejected_under_optimize(self):
+        lines = run_optimized(SPLIT_MUTANT)
+        assert lines[0] == "False"
+        assert "witness rejected" in lines[1]
 
     def test_witness_budget(self):
         # every round's first and only witness must verify: C3 + (n-3)K2
@@ -521,7 +634,7 @@ extend_sparse._attach = attach
 try:
     extend_sparse.extend_with_k2s(
         Decomposition(3, [{{edge(0, 1)}}, {{edge(0, 2), edge(1, 2)}}, set()]),
-        t=2, n=3, seed=1,
+        t=2, n=3,
     )
 except InvariantViolation as exc:
     print(exc)
@@ -529,6 +642,38 @@ finally:
     extend_sparse._attach = real
 """
 
+
+# runs the one round of p3_split, in which class 1 takes both ends of its
+# path 0-2-1, with a split that sends both of them to new vertex m and the
+# other slots at those ends to m + 1: every side still covers each old
+# vertex once, but class 1 closes the cycle m-0-2-1-m
+SPLIT_MUTANT = """
+from rainbow_hcd import extend_sparse
+from rainbow_hcd.errors import InvariantViolation
+from rainbow_hcd.graph_core import Decomposition, edge
+
+real = extend_sparse._split_slots
+
+def split(m, n, picks):
+    g1, g2 = real(m, n, picks)
+    i, pair = next((i, p) for i, ps in enumerate(picks) for p in ps
+                   if len(p) == 2 and p[0] != p[1])
+    others = [s for s in g1 + g2 if s[1] in pair and s[0] != i]
+    g1 = [s for s in g1 if s[1] not in pair] + [(i, v) for v in pair]
+    g2 = [s for s in g2 if s[1] not in pair] + others
+    return g1, g2
+
+extend_sparse._split_slots = split
+try:
+    extend_sparse.extend_with_k2s(
+        Decomposition(3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()]),
+        t=2, n=3,
+    )
+except InvariantViolation as exc:
+    print(exc)
+finally:
+    extend_sparse._split_slots = real
+"""
 
 def mutant_code(name):
     return MUTANT_RUN.format(mutant=textwrap.dedent(MUTANTS[name][0]))
@@ -591,7 +736,7 @@ class TestCarriedState:
             raise AssertionError("free_classes called")
 
         monkeypatch.setattr(extend_sparse, "free_classes", no_lists)
-        out, _ = extend_with_k2s(c4_split(), t=4, n=4, seed=0)
+        out, _ = extend_with_k2s(c4_split(), t=4, n=4)
         assert out.classes == c4_split().classes
 
     def test_class_moved_apart_from_its_state_is_caught(self, capsys):
@@ -649,14 +794,14 @@ class TestStageBoundary:
 
         monkeypatch.setattr(extend_sparse, "analyze_linear_forest", no_scan)
         monkeypatch.setattr(hilton, "analyze_linear_forest", no_scan)
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
         extend_to_hcd(out, 8, out_ends).check_hcd()
 
     def test_states_change_nothing(self):
         # the same split grown from carried states and from a scan
         dec, ends = self.embedded()
-        a, a_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
-        b, b_ends = extend_with_k2s(dec, t=5, n=8, seed=2)
+        a, a_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
+        b, b_ends = extend_with_k2s(dec, t=5, n=8)
         assert a.classes == b.classes
         assert state_snapshot(a_ends) == state_snapshot(b_ends)
         assert (extend_to_hcd(a, 8, a_ends).classes
@@ -666,7 +811,7 @@ class TestStageBoundary:
         dec, ends = self.embedded()
         classes = [set(c) for c in dec.classes]
         states = state_snapshot(ends)
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
         assert out.order == dec.order + 6
         assert dec.classes == classes
         assert state_snapshot(ends) == states
@@ -676,11 +821,11 @@ class TestStageBoundary:
         dec, ends = self.embedded()
         move_edge(dec, 6, 7)
         with pytest.raises(InvariantViolation, match="drifted"):
-            extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+            extend_with_k2s(dec, t=5, n=8, ends=ends)
 
     def test_drift_is_caught_at_the_completion_entry(self):
         dec, ends = self.embedded()
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends)
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
         move_edge(out, 0, 1)
         out.check_partition()
         with pytest.raises(InvariantViolation, match="drifted"):
@@ -689,7 +834,7 @@ class TestStageBoundary:
     def test_state_count_is_checked(self):
         dec, ends = self.embedded()
         with pytest.raises(InvariantViolation, match="states for 8 classes"):
-            extend_with_k2s(dec, t=5, n=8, seed=2, ends=ends[:-1])
+            extend_with_k2s(dec, t=5, n=8, ends=ends[:-1])
 
 
 @st.composite
@@ -723,7 +868,7 @@ class TestStageContract:
         n = max(6, t + k2_count)
         r = len(edge_vertices(h))
         dec = dense_split(h, n, seed)
-        out, _ = extend_with_k2s(dec, t, n, seed=seed)
+        out, _ = extend_with_k2s(dec, t, n)
         verify_sparse_state(out, r, t, n, n - t)
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]
