@@ -11,8 +11,7 @@ class ParseError(SolverError):
 
 class InfeasibleInput(SolverError):
     """Input that the solver does not accept (an edge that is not a pair of
-    integer labels, loops, repeated edges, or a vertex count exceeding the
-    host clique)."""
+    integer labels, loops, repeated edges, or no edge at all)."""
 
 
 class InternalInfeasible(SolverError):

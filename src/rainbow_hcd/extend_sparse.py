@@ -25,11 +25,12 @@ searches on the class states, the same search as a Hilton vertex step:
     old vertex -> sink       exactly 2
 
 so a gate takes at most two slots, at most one gate per class takes two,
-and no gate of cstar does.  One Euler split (_split_slots) then divides
-the chosen slots between m and m+1: every old vertex sends one slot to
-each, every class is split to within one, and the two slots of a gate
-that took two go to different new vertices.  No round draws a random
-number.
+and no gate of cstar does.  The round's witness is _assign's owner list,
+two classes per old vertex v at owner[2v] and owner[2v + 1].  One Euler
+split (_split_slots) orders each vertex's pair, so that owner[2v] goes to
+m and owner[2v + 1] to m + 1: every class is then split to within one,
+and the two slots of a gate that took two go to different new vertices.
+No round draws a random number.
 
 The flow is feasible exactly when the round has a witness.  A gate that
 takes two slots joins m to m+1 inside its class; two such gates close a
@@ -50,15 +51,16 @@ stage with it.  Next to them each old vertex keeps its free classes,
 those in which it is a path end or isolated, built once with
 hilton.free_classes when the stage has a round and kept by
 hilton.lay_edges as in a Hilton vertex step; no round rebuilds either.
-_witness_ok checks the split before it is applied and leaves the states
+_witness_ok checks the witness before it is applied and leaves the states
 as they are: per class, each old vertex stands for the path or isolated
 vertex it lies on, a union-find over those and the new vertices finds
 any cycle the round's new edges would close, and a count of those edges
 at each vertex bounds its degree.  _attach checks that the round lays
 2m + 1 distinct edges, each with an end at m or m + 1, which keeps a
 partition of K_m one of K_{m+2}, so hilton.check_stage checks the full
-partition at the stage entry only, and the free lists after each round;
-verify_certificate is the one full proof of the result.
+partition at the stage entry only, and the floors, the state counts and
+the free lists after each round; verify_certificate is the one full proof
+of the result.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ from .hilton import (
     size_floor,
 )
 
-# a witness side: one (class, old vertex) pair per new edge
-Witness = list[tuple[int, int]]
-
-
 def capacity_graph(
     dec: Decomposition, ends: list[PathEnds], free: list[list[int]]
 ) -> None:
@@ -112,23 +110,6 @@ def capacity_graph(
             raise InvariantViolation(
                 f"vertex {u} offers {count} slots, wanted {k}"
             )
-
-
-def verify_sparse_state(
-    dec: Decomposition,
-    r: int,
-    t: int,
-    n: int,
-    s: int,
-    ends: list[PathEnds] | None = None,
-    free: list[list[int]] | None = None,
-) -> list[PathEnds]:
-    """Check the split after round s, at order r + 2s, with classes
-    0..t+s-1 holding their edge of H, and return the path ends of each
-    class (hilton.check_stage)."""
-    if dec.order != r + 2 * s:
-        raise InvariantViolation(f"order {dec.order}, wanted {r + 2 * s}")
-    return check_stage(dec, n, t + s, f"after step {s}", ends=ends, free=free)
 
 
 def extend_with_k2s(
@@ -157,14 +138,14 @@ def extend_with_k2s(
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
-    ends = verify_sparse_state(dec, r, t, n, 0, ends)
+    ends = check_stage(dec, n, t, "at the attach entry", ends=ends)
     dec = dec.copy()
     ends = [state.copy() for state in ends]
     free = free_classes(ends, r) if n > t else []
     for s in range(n - t):
-        g1, g2 = _stage_witness(dec, ends, free, t, n, s)
-        _attach(dec, ends, free, g1, g2, s + t)
-        verify_sparse_state(dec, r, t, n, s + 1, ends, free)
+        owner = _stage_witness(dec, ends, free, t, n, s)
+        _attach(dec, ends, free, owner, s + t)
+        check_stage(dec, n, t + s + 1, f"after step {s + 1}", ends=ends, free=free)
         trace.append(f"attach: s={s} order={dec.order}")
     return dec, ends
 
@@ -173,8 +154,7 @@ def _attach(
     dec: Decomposition,
     ends: list[PathEnds],
     free: list[list[int]],
-    g1: Witness,
-    g2: Witness,
+    owner: list[int],
     cstar: int,
 ) -> None:
     """Lay the round's new edges into dec, the class states and the free
@@ -183,7 +163,7 @@ def _attach(
     The round must lay 2m + 1 distinct edges, each with an end at m or
     m + 1: then a split that partitions K_m partitions K_{m+2} after it."""
     m = dec.order
-    new = _new_edges(g1, g2, cstar, m)
+    new = _new_edges(owner, cstar, m)
     laid = {edge(u, w) for _, u, w in new if 0 <= u < w and w in (m, m + 1)}
     if len(new) != 2 * m + 1 or len(laid) != 2 * m + 1:
         raise InvariantViolation(
@@ -193,13 +173,12 @@ def _attach(
     lay_edges(dec, ends, free, new, 2, "attach round")
 
 
-def _new_edges(
-    g1: Witness, g2: Witness, cstar: int, m: int
-) -> list[tuple[int, int, int]]:
-    """(class, old or new vertex, new vertex) for every edge of the round,
-    the bridge last."""
-    out = [(i, u, m) for i, u in g1]
-    out += [(i, u, m + 1) for i, u in g2]
+def _new_edges(owner: list[int], cstar: int, m: int) -> list[tuple[int, int, int]]:
+    """(class, old or new vertex, new vertex) for every edge of the round:
+    old vertex v gives owner[2v] to m and owner[2v + 1] to m + 1, and the
+    bridge comes last."""
+    out = [(i, v, m) for v, i in enumerate(owner[0::2])]
+    out += [(i, v, m + 1) for v, i in enumerate(owner[1::2])]
     out.append((cstar, m, m + 1))
     return out
 
@@ -222,12 +201,15 @@ def _stage_witness(
     t: int,
     n: int,
     s: int,
-) -> tuple[Witness, Witness]:
-    """The two sides of round s's witness, one per new vertex; ends[i]
+) -> list[int]:
+    """Round s's witness: the class each old vertex v gives each of its
+    two new edges to, owner[2v] for m and owner[2v + 1] for m + 1.  ends[i]
     holds the path ends of class i and free[v] the classes in which old
-    vertex v is free, and neither is changed.  _slot_flow picks the slots,
-    _split_slots divides them between the new vertices, and _witness_ok
-    must accept the result, or the round raises InvariantViolation."""
+    vertex v is free, and neither is changed.  hilton._assign picks the
+    slots on the round's flow (see the module docstring), _split_slots
+    orders each vertex's pair, and _witness_ok must accept the result, or
+    the round raises InvariantViolation; _assign raises InternalInfeasible
+    when the flow has no solution."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
@@ -236,59 +218,28 @@ def _stage_witness(
 
     capacity_graph(dec, ends, free)
     floors = [max(0, floor) for floor in _gain_floors(dec, cstar)]
-    picks = _slot_flow(m, ends, free, floors, cstar)
-    g1, g2 = _split_slots(m, n, picks)
-    if not _witness_ok(dec, ends, g1, g2, cstar):
+    cap = [2 if i == cstar else 4 for i in range(n)]
+    owner = _assign(m, floors, ends, free, 2, cap, [i != cstar for i in range(n)])
+    owner = _split_slots(m, n, ends, owner)
+    if not _witness_ok(dec, ends, owner, cstar):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
-    return g1, g2
-
-
-def _slot_flow(
-    m: int,
-    ends: list[PathEnds],
-    free: list[list[int]],
-    floors: list[int],
-    cstar: int,
-) -> list[list[tuple[int, ...]]]:
-    """Two free slots at each of the old vertices 0..m-1, chosen by
-    hilton._assign on the round's flow (see the module docstring).
-
-    ends[i] holds the path ends of class i, whose gates are its paths, by
-    their two ends, and its isolated vertices; free[v] lists the classes
-    in which v lies in a gate, ascending.  Class i takes at least
-    floors[i] slots and at most 4, cstar at most 2.  The result lists, per
-    class, the vertices at which each gate that took a slot took one, a
-    vertex twice for an isolated gate that took two; at most one gate per
-    class takes two, and none of cstar.  Raises InternalInfeasible when no
-    choice exists.
-    """
-    n = len(ends)
-    cap = [2 if i == cstar else 4 for i in range(n)]
-    owner = _assign(m, floors, ends, free, 2, cap, [i != cstar for i in range(n)])
-    picks: list[list[tuple[int, ...]]] = [[] for _ in ends]
-    for v in range(m):
-        mine = owner[2 * v:2 * v + 2]
-        for i in sorted(set(mine)):
-            p = ends[i].partner.get(v, v)
-            if p == v or i not in owner[2 * p:2 * p + 2]:
-                picks[i].append((v,) * mine.count(i))
-            elif v < p:
-                picks[i].append((v, p))
-    return picks
+    return owner
 
 
 def _split_slots(
-    m: int, n: int, picks: list[list[tuple[int, ...]]]
-) -> tuple[Witness, Witness]:
-    """Split the slots chosen by _slot_flow between the new vertices: the
-    two sides of the round's witness, for m and for m + 1, each listing
-    its (class, old vertex) pairs in the order of picks.
+    m: int, n: int, ends: list[PathEnds], owner: list[int]
+) -> list[int]:
+    """Order the two classes of each old vertex v in owner, as
+    hilton._assign returns it, so that owner[2v] goes to m and
+    owner[2v + 1] to m + 1; a new list, ends[i] holding the path ends of
+    class i.
 
     The graph has a node per class and one per doubled gate, a gate that
-    took two slots; each old vertex is an edge joining the nodes of its
-    two slots, so a doubled isolated gate is a loop.  The odd nodes are
+    took two slots, numbered by (class, low end) after the classes; each
+    old vertex is an edge joining the nodes of its two slots, taken in
+    class order, so a doubled isolated gate is a loop.  The odd nodes are
     joined in pairs, in ascending order, by virtual edges, and the Euler
     circuit of each component (Hierholzer) is walked from its lowest
     node.  Each old vertex sends the slot at the tail of its edge to m
@@ -302,37 +253,32 @@ def _split_slots(
     those of its doubled gate, so the class is split to within one too.
     _witness_ok checks the result all the same.
     """
-    slots: Witness = []
-    at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    nodes = n
-    for i, class_picks in enumerate(picks):
-        for pick in class_picks:
-            node = i
-            if len(pick) == 2:
-                node, nodes = nodes, nodes + 1
-            for v in pick:
-                at[v].append((len(slots), node))
-                slots.append((i, v))
+    pairs = [sorted(owner[2 * v:2 * v + 2]) for v in range(m)]
+    # the gate of each slot, by its class and low end
+    gates = [
+        [(i, min(v, ends[i].partner.get(v, v))) for i in pair]
+        for v, pair in enumerate(pairs)
+    ]
+    load = Counter(g for pair in gates for g in pair)
+    doubled = sorted(g for g, count in load.items() if count == 2)
+    node = {g: x for x, g in enumerate(doubled, n)}
 
-    # adj[x]: (edge, slot at the far end or -1 if virtual, far node)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nodes)]
-    for v, mine in enumerate(at):
-        if len(mine) != 2:
-            raise InvariantViolation(
-                f"old vertex {v} has {len(mine)} chosen slots, wanted 2"
-            )
-        (a, x), (b, y) = mine
-        adj[x].append((v, b, y))
-        adj[y].append((v, a, x))
+    # adj[x]: (edge, far node, whether leaving x along it sends the
+    # vertex's first slot to m + 1), the edge a virtual one from m on
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + len(node))]
+    for v, (g, h) in enumerate(gates):
+        x, y = node.get(g, g[0]), node.get(h, h[0])
+        adj[x].append((v, y, False))
+        adj[y].append((v, x, True))
     odd = [x for x, inc in enumerate(adj) if len(inc) % 2]
     for e, (x, y) in enumerate(zip(odd[0::2], odd[1::2]), start=m):
-        adj[x].append((e, -1, y))
-        adj[y].append((e, -1, x))
+        adj[x].append((e, y, False))
+        adj[y].append((e, x, False))
 
+    out = [i for pair in pairs for i in pair]
     used = [False] * (m + len(odd) // 2)
-    head = [False] * len(slots)
-    ptr = [0] * nodes
-    for start in range(nodes):
+    ptr = [0] * len(adj)
+    for start in range(len(adj)):
         stack = [start]
         while stack:
             x = stack[-1]
@@ -342,46 +288,40 @@ def _split_slots(
             if ptr[x] == len(inc):
                 stack.pop()
                 continue
-            e, far, y = inc[ptr[x]]
+            e, y, flip = inc[ptr[x]]
             used[e] = True
-            if far >= 0:
-                head[far] = True
+            if flip:
+                out[2 * e], out[2 * e + 1] = out[2 * e + 1], out[2 * e]
             stack.append(y)
-    g1 = [slot for slot, h in zip(slots, head) if not h]
-    g2 = [slot for slot, h in zip(slots, head) if h]
-    return g1, g2
+    return out
 
 
 def _witness_ok(
-    dec: Decomposition,
-    ends: list[PathEnds],
-    g1: Witness,
-    g2: Witness,
-    cstar: int,
+    dec: Decomposition, ends: list[PathEnds], owner: list[int], cstar: int
 ) -> bool:
-    """Definitive acceptance test for a candidate witness.
+    """Definitive acceptance test for a candidate witness, the owner list
+    of _stage_witness.
 
-    Checks, in order: each side touches every old vertex exactly once,
-    every receiving class stays a linear forest when its new edges (bridge
-    included) are laid in, and every class meets its gain floor
+    Checks, in order: it gives every old vertex one edge to each new
+    vertex, every receiving class stays a linear forest when its new edges
+    (bridge included) are laid in, and every class meets its gain floor
     (_gain_floors).  The forest check bounds the new edges each class
     takes at each old vertex by its free slots there, so no slot is spent
     twice.
     Simulating the attach per class is deliberate: it checks the result,
     not the flow's bounds.  The states in ends are read, never changed."""
     m = dec.order
-    for side in (g1, g2):
-        if sorted(u for _, u in side) != list(range(m)):
-            return False
+    if len(owner) != 2 * m or min(owner) < 0:
+        return False
 
     touched: dict[int, list[Edge]] = {}
-    for i, u, w in _new_edges(g1, g2, cstar, m):
+    for i, u, w in _new_edges(owner, cstar, m):
         touched.setdefault(i, []).append((u, w))
     for i, extra in touched.items():
         if not _stays_linear(ends[i], extra, m):
             return False
 
-    gain = Counter(i for i, _ in g1 + g2)
+    gain = Counter(owner)
     return all(gain[i] >= f for i, f in enumerate(_gain_floors(dec, cstar)))
 
 

@@ -229,7 +229,8 @@ def single_vertex_step(
     such an assignment whenever one exists, and raises InternalInfeasible
     otherwise; one always exists for in-contract states.  ends[i] holds
     the path ends of class i and free[v] the classes, ascending, in which
-    vertex v is a path end or isolated; lay_edges updates both.
+    vertex v is a path end or isolated; lay_edges updates both, and
+    check_stage checks the floors, the states and the lists after the step.
     """
     m = dec.order
     if not 1 <= m <= 2 * n - 1:
@@ -245,13 +246,9 @@ def single_vertex_step(
     owner = _assign(m, need, ends, free)
     new = [(i, v, w) for v, i in enumerate(owner) if i >= 0]
     lay_edges(dec, ends, free, new, 1, "vertex step")
-
-    for i, cls in enumerate(dec.classes):
-        if len(cls) < target:
-            raise InvariantViolation(f"class {i} below schedule after step")
     if len(new) != m:
         raise InvariantViolation(f"{len(new)} edges added at vertex {w}, expected {m}")
-    check_free(ends, free, f"at vertex {w}")
+    check_stage(dec, n, n, f"at vertex {w}", ends=ends, free=free)
 
 
 def lay_edges(
@@ -629,8 +626,9 @@ def check_stage(
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
     else:
         check_ends(dec, ends)
+    floors = (size_floor(dec.order, n, False), size_floor(dec.order, n, True))
     for i, cls in enumerate(dec.classes):
-        floor = size_floor(dec.order, n, i < held)
+        floor = floors[i < held]
         if len(cls) < floor:
             raise error(f"class {i} has {len(cls)} edges, floor {floor} {where}")
     return ends

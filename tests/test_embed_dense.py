@@ -74,6 +74,11 @@ class TestExitCheck:
         ):
             verify_embedded_forests(self.split(), [(0, 1), (0, 2)], 3)
 
+    def test_class_without_its_edge_is_rejected(self):
+        # the split passes the stage check, but class 2 does not hold (0, 2)
+        with pytest.raises(InvariantViolation, match="edge 2 missing from class 2"):
+            verify_embedded_forests(self.split(), [(0, 1), (1, 4), (0, 2)], 3)
+
     def test_class_with_a_cycle_is_an_internal_fault(self):
         dec = Decomposition(3, [{edge(0, 1), edge(1, 2), edge(0, 2)}])
         with pytest.raises(InvariantViolation, match="class 0 at the embed exit"):

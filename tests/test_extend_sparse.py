@@ -21,13 +21,11 @@ from rainbow_hcd.errors import (
     PreconditionViolation,
 )
 from rainbow_hcd.extend_sparse import (
-    _slot_flow,
     _split_slots,
     _stage_witness,
     _witness_ok,
     capacity_graph,
     extend_with_k2s,
-    verify_sparse_state,
 )
 from rainbow_hcd.families import (
     cycle_graph,
@@ -47,6 +45,7 @@ from rainbow_hcd.hilton import (
     PathEnds,
     _Dinic,
     check_ends,
+    check_stage,
     extend_to_hcd,
     free_classes,
     size_floor,
@@ -88,11 +87,26 @@ def gate_states(gates):
     ]
 
 
-def slot_flow(m, gates, floors, cstar):
-    """_slot_flow on hand-made gates: each class's state and every vertex's
-    free list are built from gates[i] (gate_states)."""
+def round_owner(m, gates, floors, cstar):
+    """hilton._assign as an attach round calls it, on hand-made gates: each
+    class's state and every vertex's free list are built from gates[i]
+    (gate_states).  Class i takes floors[i] to 4 slots, cstar at most 2,
+    and every class but cstar may double one gate."""
     ends = gate_states(gates)
-    return _slot_flow(m, ends, free_classes(ends, m), floors, cstar)
+    n = len(gates)
+    cap = [2 if i == cstar else 4 for i in range(n)]
+    doubler = [i != cstar for i in range(n)]
+    return hilton._assign(m, floors, ends, free_classes(ends, m), 2, cap, doubler)
+
+
+def pairs(owner):
+    """The two classes of each old vertex in an owner list, ascending."""
+    return [sorted(owner[u:u + 2]) for u in range(0, len(owner), 2)]
+
+
+def holders(owner, i):
+    """The old vertices that give class i a slot, one entry per slot."""
+    return [u // 2 for u, j in enumerate(owner) if j == i]
 
 
 def sized_split(m, floors, cstar):
@@ -143,33 +157,43 @@ def matching_state():
     return dec, scan_ends(dec)
 
 
-# witness sides on matching_state, new vertices 4 and 5, one (class, old
-# vertex) pair per new edge
-GOOD_SPLIT = (
-    [(0, 0), (0, 2), (3, 1), (3, 3)],
-    [(1, 0), (1, 1), (3, 2), (3, 3)],
-)
+# witnesses on matching_state, new vertices 4 and 5: old vertex v gives
+# owner[2v] to 4 and owner[2v + 1] to 5, one pair a line
+GOOD_SPLIT = [
+    0, 1,
+    3, 1,
+    0, 3,
+    3, 3,
+]
 # class 0 sends paths 0-1 and 2-3 each to both new vertices: 4-0-1-5-3-2-4
-TWO_GATES_SPLIT = (
-    [(0, 0), (0, 2), (3, 1), (3, 3)],
-    [(0, 1), (0, 3), (3, 0), (3, 2)],
-)
+TWO_GATES_SPLIT = [
+    0, 3,
+    3, 0,
+    0, 3,
+    3, 0,
+]
 # class 0 sends path 0-1 to both new vertices; as cstar it also holds the
 # bridge 4-5 and closes 4-0-1-5-4
-CSTAR_SPLIT = (
-    [(0, 0), (3, 1), (3, 2), (4, 3)],
-    [(0, 1), (3, 0), (3, 3), (4, 2)],
-)
+CSTAR_SPLIT = [
+    0, 3,
+    3, 0,
+    3, 4,
+    4, 3,
+]
 # class 3 gives new vertex 4 three edges
-THIRD_EDGE_SPLIT = (
-    [(3, 0), (3, 1), (3, 2), (4, 3)],
-    [(4, 0), (4, 1), (1, 2), (1, 3)],
-)
+THIRD_EDGE_SPLIT = [
+    3, 4,
+    3, 4,
+    3, 1,
+    4, 1,
+]
 # class 0 spends the one free slot of path end 0 on both new vertices
-SLOT_TWICE_SPLIT = (
-    [(0, 0), (3, 1), (4, 2), (5, 3)],
-    [(0, 0), (4, 1), (5, 2), (3, 3)],
-)
+SLOT_TWICE_SPLIT = [
+    0, 0,
+    3, 4,
+    4, 5,
+    5, 3,
+]
 
 
 class TestCapacityGraph:
@@ -218,23 +242,31 @@ class TestCapacityGraph:
 
 
 class TestVerifySparseState:
+    # the stage's own checks of its split: hilton.check_stage at the entry,
+    # and after each round with the carried states and free lists
+
     def test_accepts_valid_state(self):
-        dec = p3_split()
-        grown, _ = extend_with_k2s(dec, t=2, n=3)
-        verify_sparse_state(grown, r=3, t=2, n=3, s=1)
+        grown, ends = extend_with_k2s(p3_split(), t=2, n=3)
+        check_stage(grown, 3, 3, "after step 1")
+        check_stage(grown, 3, 3, "after step 1", ends=ends,
+                    free=free_classes(ends, grown.order))
 
     def test_rejects_wrong_order(self):
-        with pytest.raises(InvariantViolation):
-            verify_sparse_state(k5_forests(), r=3, t=2, n=3, s=0)
+        # an order the carried states do not account for
+        grown, ends = extend_with_k2s(p3_split(), t=2, n=3)
+        grown.order += 1
+        with pytest.raises(InvariantViolation, match="drifted"):
+            check_stage(grown, 3, 3, "after step 1", ends=ends,
+                        free=free_classes(ends, grown.order))
 
     def test_rejects_wrong_class_count(self):
-        with pytest.raises(InvariantViolation):
-            verify_sparse_state(k5_forests(), r=5, t=2, n=4, s=0)
+        with pytest.raises(InvariantViolation, match="expected 4 classes"):
+            extend_with_k2s(k5_forests(), t=3, n=4)
 
     def test_rejects_floor_shortfall(self):
         # the floor is 3 for every class here; the last one holds 2 edges
-        with pytest.raises(InvariantViolation):
-            verify_sparse_state(k5_forests(), r=5, t=3, n=3, s=0)
+        with pytest.raises(InvariantViolation, match="class 2 has 2 edges, floor 3"):
+            extend_with_k2s(k5_forests(), t=3, n=3)
 
 
 class TestPreconditions:
@@ -271,7 +303,7 @@ class TestGrowth:
         out, _ = extend_with_k2s(dec, t=5, n=8, trace=trace)
         assert out.order == 7 + 2 * 3
         assert [line.split()[1] for line in trace] == ["s=0", "s=1", "s=2"]
-        verify_sparse_state(out, r=7, t=5, n=8, s=3)
+        check_stage(out, 8, 8, "after step 3")
 
     def test_bridge_lands_in_scheduled_class(self):
         h = disjoint_union(star_graph(3), path_graph(2))
@@ -355,33 +387,34 @@ def random_round(rng):
 
 
 class TestWitness:
-    # _slot_flow on hand-made gates: a gate is a path by its two ends or an
-    # isolated vertex alone, and every old vertex must get two slots
+    # _assign as an attach round calls it, on hand-made gates: a gate is a
+    # path by its two ends or an isolated vertex alone, and every old
+    # vertex must give two slots
 
     def test_cstar_takes_one_end_of_its_only_path(self):
         # class 0 offers only the ends of path 0-1; class 1 can fill either
         # vertex from its isolated gates
         gates = [[(0, 1)], [(0,), (1,)], []]
-        assert slot_flow(2, gates, [2, 0, 0], cstar=2)[0] == [(0, 1)]
-        picks = slot_flow(2, gates, [1, 0, 0], cstar=0)
-        assert [len(p) for p in picks[0]] == [1]
+        assert holders(round_owner(2, gates, [2, 0, 0], cstar=2), 0) == [0, 1]
+        owner = round_owner(2, gates, [1, 0, 0], cstar=0)
+        assert len(holders(owner, 0)) == 1
         with pytest.raises(InternalInfeasible):
-            slot_flow(2, gates, [2, 0, 0], cstar=0)
+            round_owner(2, gates, [2, 0, 0], cstar=0)
 
     def test_one_path_per_class_takes_both_ends(self):
         # class 0 holds paths 0-1 and 2-3: both ends of both would join the
         # new vertices twice, so it reaches 3 slots but not 4
         iso = [(0,), (1,), (2,), (3,)]
         gates = [[(0, 1), (2, 3)], iso, iso, []]
-        picks = slot_flow(4, gates, [3, 0, 0, 0], cstar=3)
-        assert sorted(len(p) for p in picks[0]) == [1, 2]
+        owner = round_owner(4, gates, [3, 0, 0, 0], cstar=3)
+        assert len(holders(owner, 0)) == 3
         with pytest.raises(InternalInfeasible):
-            slot_flow(4, gates, [4, 0, 0, 0], cstar=3)
+            round_owner(4, gates, [4, 0, 0, 0], cstar=3)
 
     def test_isolated_vertex_doubles_only_outside_cstar(self):
-        assert slot_flow(1, [[(0,)], []], [0, 0], cstar=1) == [[(0, 0)], []]
+        assert round_owner(1, [[(0,)], []], [0, 0], cstar=1) == [0, 0]
         with pytest.raises(InternalInfeasible):
-            slot_flow(1, [[(0,)], []], [0, 0], cstar=0)
+            round_owner(1, [[(0,)], []], [0, 0], cstar=0)
 
     # the greedy start only saves search; from no start at all the
     # augmenting paths alone must settle every round the same way
@@ -400,28 +433,27 @@ class TestWitness:
             m, gates, floors, cstar = random_round(rng)
             if not round_flow_feasible(m, gates, floors, cstar):
                 with pytest.raises(InternalInfeasible):
-                    slot_flow(m, gates, floors, cstar)
+                    round_owner(m, gates, floors, cstar)
                 outcomes["infeasible"] += 1
                 continue
-            picks = slot_flow(m, gates, floors, cstar)
+            owner = round_owner(m, gates, floors, cstar)
             outcomes["feasible"] += 1
-            slots = Counter()
-            for i, class_picks in enumerate(picks):
-                assert floors[i] <= sum(map(len, class_picks))
-                assert sum(map(len, class_picks)) <= (2 if i == cstar else 4)
-                # each pick lies on its own gate; one at most takes two,
-                # both ends of a path or an isolated vertex twice
-                taken = [next(g for g in gates[i] if p[0] in g) for p in class_picks]
-                assert len(set(taken)) == len(taken)
-                for pick, gate in zip(class_picks, taken):
-                    assert set(pick) <= set(gate)
-                    if len(pick) == 2:
+            # every old vertex gives two slots
+            assert len(owner) == 2 * m and min(owner) >= 0
+            for i, class_gates in enumerate(gates):
+                held = holders(owner, i)
+                assert floors[i] <= len(held) <= (2 if i == cstar else 4)
+                # each slot lies on a gate of the class; a path end gives
+                # one, and one gate at most takes two, both ends of a path
+                # or an isolated vertex twice
+                on = Counter(next(g for g in class_gates if v in g) for v in held)
+                for gate, count in on.items():
+                    assert count <= 2
+                    if count == 2:
                         outcomes["path" if len(gate) == 2 else "isolated"] += 1
-                        assert len(set(pick)) == len(gate)
-                doubles = sum(len(p) == 2 for p in class_picks)
+                        assert len({v for v in held if v in gate}) == len(gate)
+                doubles = sum(count == 2 for count in on.values())
                 assert doubles <= (0 if i == cstar else 1)
-                slots.update(v for p in class_picks for v in p)
-            assert slots == Counter(dict.fromkeys(range(m), 2))
         # feasible and infeasible rounds, and rounds in which a path takes
         # both its ends or an isolated vertex takes two slots
         assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
@@ -431,8 +463,8 @@ class TestWitness:
         # vertex 2 twice; the search reaches the second doubler through a
         # class that gives up the second unit of a gate
         gates = [[(0, 1), (3,)], [(0,), (2,), (3,)], [(1, 3), (2,)]]
-        picks = slot_flow(4, gates, [3, 4, 0], cstar=2)
-        assert picks == [[(0, 1), (3,)], [(0,), (2, 2), (3,)], [(1,)]]
+        owner = round_owner(4, gates, [3, 4, 0], cstar=2)
+        assert pairs(owner) == [[0, 1], [0, 2], [1, 1], [0, 1]]
 
     def test_stage_checks_raise_not_assert(self):
         # a missing edge leaves its ends with k + 1 free slots
@@ -443,65 +475,74 @@ class TestWitness:
             _stage_witness(dec, *scan_slots(dec), 2, 3, 0)
 
     def test_accepts_a_split_that_keeps_every_class_linear(self):
-        for g1, g2 in (GOOD_SPLIT, CSTAR_SPLIT):
+        for owner in (GOOD_SPLIT, CSTAR_SPLIT):
             dec, ends = matching_state()
-            assert _witness_ok(dec, ends, g1, g2, 5)
+            assert _witness_ok(dec, ends, owner, 5)
 
     @pytest.mark.parametrize(
-        "g1, g2, cstar",
-        [(*TWO_GATES_SPLIT, 5), (*CSTAR_SPLIT, 0), (*THIRD_EDGE_SPLIT, 5),
-         (*SLOT_TWICE_SPLIT, 5)],
+        "owner, cstar",
+        [(TWO_GATES_SPLIT, 5), (CSTAR_SPLIT, 0), (THIRD_EDGE_SPLIT, 5),
+         (SLOT_TWICE_SPLIT, 5)],
         ids=["two-gates-close-a-cycle", "cstar-gate-and-bridge",
              "third-edge-at-new-vertex", "slot-spent-twice"],
     )
-    def test_rejects_a_bad_split_and_keeps_the_states(self, g1, g2, cstar):
+    def test_rejects_a_bad_split_and_keeps_the_states(self, owner, cstar):
         dec, ends = matching_state()
-        # both sides cover every old vertex once and the floors are slack,
-        # so only the forest check can reject
-        for side in (g1, g2):
-            assert sorted(u for _, u in side) == list(range(dec.order))
+        # every old vertex gives one edge to each new vertex and the floors
+        # are slack, so only the forest check can reject
+        assert len(owner) == 2 * dec.order
         before = [(dict(e.partner), set(e.isolated)) for e in ends]
-        assert not _witness_ok(dec, ends, g1, g2, cstar)
+        assert not _witness_ok(dec, ends, owner, cstar)
         assert [(e.partner, e.isolated) for e in ends] == before
 
+    def test_rejects_a_slot_at_an_interior_vertex(self):
+        # class 0 is a path 0-x-2 whose inner vertex 1 offers no slot; the
+        # same witness with vertex 1's slot moved to cstar is accepted
+        gates = [[(0, 2)]] + [[(0,), (1,), (2,)]] * 3
+        ends = gate_states(gates)
+        dec = sized_split(3, [0, 0, 0, 0], cstar=3)
+        assert not _witness_ok(dec, ends, [1, 2, 0, 1, 1, 2], 3)
+        assert _witness_ok(dec, ends, [1, 2, 3, 1, 1, 2], 3)
+
     def feasible_rounds(self, seed, count):
-        """(m, gates, floors, cstar, picks) for count feasible random
-        rounds."""
+        """(m, gates, floors, cstar, owner) for count feasible random
+        rounds, owner as _assign returns it."""
         rng = random.Random(seed)
         out = []
         while len(out) < count:
             m, gates, floors, cstar = random_round(rng)
             try:
-                picks = slot_flow(m, gates, floors, cstar)
+                owner = round_owner(m, gates, floors, cstar)
             except InternalInfeasible:
                 continue
-            out.append((m, gates, floors, cstar, picks))
+            out.append((m, gates, floors, cstar, owner))
         return out
 
     def test_split_gives_each_side_one_slot_a_vertex(self):
         doubled = Counter()
-        for m, gates, floors, cstar, picks in self.feasible_rounds(
+        for m, gates, floors, cstar, owner in self.feasible_rounds(
             "euler-split", 400
         ):
             n = len(gates)
-            g1, g2 = _split_slots(m, n, picks)
-            for side in (g1, g2):
-                assert sorted(u for _, u in side) == list(range(m))
+            ends = gate_states(gates)
+            out = _split_slots(m, n, ends, owner)
+            # each vertex keeps its pair: one slot to m, the other to m + 1
+            at = pairs(out)
+            assert at == pairs(owner)
             for i in range(n):
-                mine = [sum(j == i for j, _ in side) for side in (g1, g2)]
-                assert abs(mine[0] - mine[1]) <= 1, (i, picks)
-            for i, class_picks in enumerate(picks):
-                for pick in class_picks:
-                    if len(pick) == 2 and pick[0] == pick[1]:
+                assert abs(out[0::2].count(i) - out[1::2].count(i)) <= 1, i
+            for i, class_gates in enumerate(gates):
+                for gate in class_gates:
+                    if len(gate) == 1 and at[gate[0]] == [i, i]:
                         # an isolated vertex: one slot to each side
-                        assert (i, pick[0]) in g1 and (i, pick[0]) in g2
                         doubled["isolated"] += 1
-                    elif len(pick) == 2:
+                    elif len(gate) == 2 and all(i in at[v] for v in gate):
                         # a path's two ends: one to each side
-                        assert ((i, pick[0]) in g1) != ((i, pick[1]) in g1)
+                        a, b = gate
+                        assert (out[2 * a] == i) != (out[2 * b] == i)
                         doubled["path"] += 1
             dec = sized_split(m, floors, cstar)
-            assert _witness_ok(dec, gate_states(gates), g1, g2, cstar)
+            assert _witness_ok(dec, ends, out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
@@ -520,22 +561,31 @@ class TestWitness:
         monkeypatch.setattr(coloring, "_recolor_pair", spy)
         rng = random.Random("paired-coloring")
         outcomes = Counter()
-        for m, gates, _, _, picks in self.feasible_rounds("differential", 400):
+        for m, gates, _, _, owner in self.feasible_rounds("differential", 400):
             n = len(gates)
+            ends = gate_states(gates)
+            # one edge per slot, class by class, and the two edges of a
+            # doubled gate mated
             chosen = BipartiteMultigraph(n, m)
+            at = {}  # gate, by class and low end -> its edges
+            for i, v in sorted((i, u // 2) for u, i in enumerate(owner)):
+                gate = (i, min(v, ends[i].partner.get(v, v)))
+                at.setdefault(gate, []).append(chosen.add_edge(i, v))
             mate = {}
-            for i, class_picks in enumerate(picks):
-                for pick in class_picks:
-                    fs = [chosen.add_edge(i, v) for v in pick]
-                    if len(fs) == 2:
-                        mate[fs[0]], mate[fs[1]] = fs[1], fs[0]
+            for fs in at.values():
+                if len(fs) == 2:
+                    mate[fs[0]], mate[fs[1]] = fs[1], fs[0]
             ran.clear()
             sides = paired_balanced_2_coloring(chosen, mate, rng)
             if not ran:
                 outcomes["start kept"] += 1
                 continue
-            old = tuple([chosen.edges[f] for f in sorted(side)] for side in sides)
-            assert _split_slots(m, n, picks) == old, picks
+            old = [-1] * (2 * m)
+            for new_vertex, side in enumerate(sides):
+                for f in side:
+                    i, v = chosen.edges[f]
+                    old[2 * v + new_vertex] = i
+            assert _split_slots(m, n, ends, owner) == old, owner
             outcomes["euler"] += 1
         assert outcomes["euler"] >= 300 and outcomes["start kept"] >= 5, outcomes
 
@@ -593,42 +643,47 @@ def carried_graphs():
 MUTANTS = {
     # the class of the bridge drops it after the round
     "drift": ("""
-        def attach(dec, ends, free, g1, g2, cstar):
-            real(dec, ends, free, g1, g2, cstar)
+        def attach(dec, ends, free, owner, cstar):
+            real(dec, ends, free, owner, cstar)
             dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
     """, "drifted from its path ends"),
     # the old vertices keep every class they were free in
     "keep-free": ("""
-        def attach(dec, ends, free, g1, g2, cstar):
+        def attach(dec, ends, free, owner, cstar):
             before = [list(f) for f in free]
-            real(dec, ends, free, g1, g2, cstar)
+            real(dec, ends, free, owner, cstar)
             free[:len(before)] = before
     """, "free-class lists hold"),
     # the first edge to new vertex m is laid twice, in place of the last
     "edge-twice": ("""
-        def attach(dec, ends, free, g1, g2, cstar):
-            real(dec, ends, free, g1[:1] + g1[:-1], g2, cstar)
+        attach = laying(lambda new, m: new[:1] + new[:m - 1] + new[m:])
     """, "lays 7 edges, 6 distinct new ones, wanted 7"),
     # the round's edges leave out the bridge
     "no-bridge": ("""
-        def attach(dec, ends, free, g1, g2, cstar):
-            new_edges = extend_sparse._new_edges
-            extend_sparse._new_edges = lambda *a: new_edges(*a)[:-1]
-            try:
-                real(dec, ends, free, g1, g2, cstar)
-            finally:
-                extend_sparse._new_edges = new_edges
+        attach = laying(lambda new, m: new[:-1])
     """, "lays 6 edges, 6 distinct new ones, wanted 7"),
 }
 
 # runs extend_with_k2s on p3_split (one round, m = 3) with _attach replaced
-# by the mutant defined above it, and prints the error it raises
+# by the mutant defined above it, and prints the error it raises; laying
+# makes an _attach that lays change(edges, m) in place of the round's edges
 MUTANT_RUN = """
 from rainbow_hcd import extend_sparse
 from rainbow_hcd.errors import InvariantViolation
 from rainbow_hcd.graph_core import Decomposition, edge
 
 real = extend_sparse._attach
+new_edges = extend_sparse._new_edges
+
+def laying(change):
+    def attach(dec, ends, free, owner, cstar):
+        m = dec.order
+        extend_sparse._new_edges = lambda *a: change(new_edges(*a), m)
+        try:
+            real(dec, ends, free, owner, cstar)
+        finally:
+            extend_sparse._new_edges = new_edges
+    return attach
 {mutant}
 extend_sparse._attach = attach
 try:
@@ -645,8 +700,8 @@ finally:
 
 # runs the one round of p3_split, in which class 1 takes both ends of its
 # path 0-2-1, with a split that sends both of them to new vertex m and the
-# other slots at those ends to m + 1: every side still covers each old
-# vertex once, but class 1 closes the cycle m-0-2-1-m
+# other slots at those ends to m + 1: every old vertex still gives one
+# edge to each new vertex, but class 1 closes the cycle m-0-2-1-m
 SPLIT_MUTANT = """
 from rainbow_hcd import extend_sparse
 from rainbow_hcd.errors import InvariantViolation
@@ -654,14 +709,17 @@ from rainbow_hcd.graph_core import Decomposition, edge
 
 real = extend_sparse._split_slots
 
-def split(m, n, picks):
-    g1, g2 = real(m, n, picks)
-    i, pair = next((i, p) for i, ps in enumerate(picks) for p in ps
-                   if len(p) == 2 and p[0] != p[1])
-    others = [s for s in g1 + g2 if s[1] in pair and s[0] != i]
-    g1 = [s for s in g1 if s[1] not in pair] + [(i, v) for v in pair]
-    g2 = [s for s in g2 if s[1] not in pair] + others
-    return g1, g2
+def split(m, n, ends, owner):
+    owner = real(m, n, ends, owner)
+    i, pair = next(
+        (i, (v, p)) for v in range(m) for i in owner[2 * v:2 * v + 2]
+        for p in [ends[i].partner.get(v)]
+        if p is not None and i in owner[2 * p:2 * p + 2]
+    )
+    for v in pair:
+        if owner[2 * v] != i:
+            owner[2 * v], owner[2 * v + 1] = owner[2 * v + 1], owner[2 * v]
+    return owner
 
 extend_sparse._split_slots = split
 try:
@@ -695,18 +753,19 @@ def run_optimized(code):
 class TestCarriedState:
     def test_ends_match_a_full_scan_after_every_round(self, monkeypatch):
         rounds = []
-        real = extend_sparse.verify_sparse_state
+        real = extend_sparse.check_stage
 
-        def spy(dec, r, t, n, s, ends=None, free=None):
-            out = real(dec, r, t, n, s, ends, free)
+        def spy(dec, n, held, where, *args, ends=None, free=None):
+            out = real(dec, n, held, where, *args, ends=ends, free=free)
             if ends is not None:
-                assert [e.gates() for e in ends] == scan_gates(dec), (n, s)
-                # s = 0 is the stage entry, checked on embed_dense's states
-                if s > 0:
-                    rounds.append(s)
+                assert [e.gates() for e in ends] == scan_gates(dec), where
+                # the stage entry is checked on embed_dense's states, each
+                # round with its free lists
+                if free is not None:
+                    rounds.append(where)
             return out
 
-        monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
+        monkeypatch.setattr(extend_sparse, "check_stage", spy)
         for h in carried_graphs():
             rounds.clear()
             cert = solve(h, seed=0)
@@ -715,20 +774,21 @@ class TestCarriedState:
 
     def test_free_lists_match_a_rebuild_after_every_round(self, monkeypatch):
         rounds = []
-        real = extend_sparse.verify_sparse_state
+        real = extend_sparse.check_stage
 
-        def spy(dec, r, t, n, s, ends=None, free=None):
-            out = real(dec, r, t, n, s, ends, free)
+        def spy(dec, n, held, where, *args, ends=None, free=None):
+            out = real(dec, n, held, where, *args, ends=ends, free=free)
             if free is not None:
-                assert free == free_classes(ends, dec.order), (n, s)
-                rounds.append(s)
+                assert free == free_classes(ends, dec.order), where
+                rounds.append(where)
             return out
 
-        monkeypatch.setattr(extend_sparse, "verify_sparse_state", spy)
+        monkeypatch.setattr(extend_sparse, "check_stage", spy)
         for h in carried_graphs():
             rounds.clear()
             solve(h, seed=0)
-            assert rounds == list(range(1, len(split_components(h).k2_idx) + 1))
+            k = len(split_components(h).k2_idx)
+            assert rounds == [f"after step {s}" for s in range(1, k + 1)]
 
     def test_no_round_builds_the_free_lists(self, monkeypatch):
         # the dense-complete instances run no attach round
@@ -869,7 +929,8 @@ class TestStageContract:
         r = len(edge_vertices(h))
         dec = dense_split(h, n, seed)
         out, _ = extend_with_k2s(dec, t, n)
-        verify_sparse_state(out, r, t, n, n - t)
+        assert out.order == r + 2 * (n - t)
+        check_stage(out, n, n, "after the rounds")
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]
         extend_to_hcd(out, n).check_hcd()

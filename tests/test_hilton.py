@@ -375,15 +375,30 @@ class TestExactness:
 
 class TestInvariants:
     @pytest.mark.parametrize(
-        "order, reason", [(4, "below schedule"), (2, "edges added")]
+        "order, reason", [(4, "0 edges added at vertex 4"), (2, "edges added")]
     )
     def test_empty_flow_raises(self, monkeypatch, order, reason):
         # an assignment that gives no vertex a class leaves the new vertex
         # unattached; at order 4 (n=3) two classes also miss the 3 edges
-        # the schedule asks for, at order 2 the schedule asks for none
+        # the schedule asks for, at order 2 the schedule asks for none, and
+        # the count is checked before the floors
         monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
         cut = truncate_to_order(walecki(3), order)
         with pytest.raises(InvariantViolation, match=reason):
+            step(cut, 3, ends_of(cut))
+
+    def test_class_below_its_floor_after_the_step_raises(self, monkeypatch):
+        # at order 3 (n=3) class 2 needs one edge; an assignment that gives
+        # every vertex a class but none to class 2 fails the stage check
+        real = hilton._assign
+        monkeypatch.setattr(
+            hilton, "_assign",
+            lambda m, need, ends, free: real(m, [0] * 3, ends, free, 1, [2, 2, 0]),
+        )
+        cut = truncate_to_order(walecki(3), 3)
+        with pytest.raises(
+            InvariantViolation, match="class 2 has 0 edges, floor 1 at vertex 3"
+        ):
             step(cut, 3, ends_of(cut))
 
     def test_short_assignment_raises(self, monkeypatch):
