@@ -48,9 +48,10 @@ The states come from the caller, carried from the embed stage's exit
 scan, or else from one scan of each class when the stage checks its
 input; they are copied with the split and handed on to the completion
 stage with it.  Next to them each old vertex keeps its free classes,
-those in which it is a path end or isolated, built once with
-hilton.free_classes when the stage has a round and kept by
-hilton.lay_edges as in a Hilton vertex step; no round rebuilds either.
+those in which it is a path end or isolated, as one mask with bit i for
+class i, built once with hilton.free_classes when the stage has a round
+and kept by hilton.lay_edges as in a Hilton vertex step; no round
+rebuilds either.
 _witness_ok checks the witness before it is applied and leaves the states
 as they are: per class, each old vertex stands for the path or isolated
 vertex it lies on, a union-find over those and the new vertices finds
@@ -59,8 +60,8 @@ at each vertex bounds its degree.  _attach checks that the round lays
 2m + 1 distinct edges, each with an end at m or m + 1, which keeps a
 partition of K_m one of K_{m+2}, so hilton.check_stage checks the full
 partition at the stage entry only, and the floors, the state counts and
-the free lists after each round; verify_certificate is the one full proof
-of the result.
+the free-class masks after each round; verify_certificate is the one full
+proof of the result.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ from .hilton import (
 )
 
 def capacity_graph(
-    dec: Decomposition, ends: list[PathEnds], free: list[list[int]]
+    dec: Decomposition, ends: list[PathEnds], free: list[int]
 ) -> None:
     """Check the round's free slots: a path end offers its class one, an
     isolated vertex two.  Every old vertex must offer k = 2n - m + 1
-    slots, read from its free list free[v] and the states in ends.  That
+    slots, one per set bit of its free-class mask free[v] and one more per
+    state in ends that holds it isolated.  That
     class i offers 2(m - |Q_i|) is hilton.check_ends's count tie, which
     the stage entry or the previous round has just checked on the same
     states.  No multigraph of the slots is built; the name stays from
@@ -100,8 +102,8 @@ def capacity_graph(
     m = dec.order
     k = 2 * len(dec.classes) - m + 1
     if len(free) != m:
-        raise InvariantViolation(f"{len(free)} free lists at order {m}")
-    slots = [len(classes) for classes in free]
+        raise InvariantViolation(f"{len(free)} free-class masks at order {m}")
+    slots = list(map(int.bit_count, free))
     for state in ends:
         for v in state.isolated:
             slots[v] += 1
@@ -153,12 +155,12 @@ def extend_with_k2s(
 def _attach(
     dec: Decomposition,
     ends: list[PathEnds],
-    free: list[list[int]],
+    free: list[int],
     owner: list[int],
     cstar: int,
 ) -> None:
-    """Lay the round's new edges into dec, the class states and the free
-    lists, in place, by hilton.lay_edges.
+    """Lay the round's new edges into dec, the class states and the
+    free-class masks, in place, by hilton.lay_edges.
 
     The round must lay 2m + 1 distinct edges, each with an end at m or
     m + 1: then a split that partitions K_m partitions K_{m+2} after it."""
@@ -197,19 +199,19 @@ def _gain_floors(dec: Decomposition, cstar: int) -> list[int]:
 def _stage_witness(
     dec: Decomposition,
     ends: list[PathEnds],
-    free: list[list[int]],
+    free: list[int],
     t: int,
     n: int,
     s: int,
 ) -> list[int]:
     """Round s's witness: the class each old vertex v gives each of its
     two new edges to, owner[2v] for m and owner[2v + 1] for m + 1.  ends[i]
-    holds the path ends of class i and free[v] the classes in which old
-    vertex v is free, and neither is changed.  hilton._assign picks the
-    slots on the round's flow (see the module docstring), _split_slots
-    orders each vertex's pair, and _witness_ok must accept the result, or
-    the round raises InvariantViolation; _assign raises InternalInfeasible
-    when the flow has no solution."""
+    holds the path ends of class i and free[v] the mask of the classes in
+    which old vertex v is free, and neither is changed.  hilton._assign
+    picks the slots on the round's flow (see the module docstring),
+    _split_slots orders each vertex's pair, and _witness_ok must accept
+    the result, or the round raises InvariantViolation; _assign raises
+    InternalInfeasible when the flow has no solution."""
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t

@@ -19,14 +19,16 @@ step adds, so no class is rescanned between vertices.  The states come
 from the caller, carried from the stage before and checked on entry by the
 edge count they imply, or else from one analyze_linear_forest scan of each
 class.  Next to them each vertex keeps its free classes, those in which it
-is a path end or isolated; each step updates those lists where it laid an
-edge, and checks their total against the states.  The choice at each
+is a path end or isolated, as one int: bit i is set when the vertex is
+free in class i.  Each step updates those masks where it laid an edge, and
+checks their total bit count against the states.  The choice at each
 vertex is a flow with lower bounds, source -> class -> gate -> vertex ->
 sink, where a gate is a path's pair of ends or an isolated vertex.
-_assign searches it by augmenting paths on the states and the free lists,
-without building a network; each attach round of extend_sparse picks its
-slots with the same search.  _Dinic, a general max-flow with lower
-bounds, has no caller here: the tests check both uses of _assign on it.
+_assign searches it by augmenting paths on the states and the free-class
+masks, without building a network; each attach round of extend_sparse
+picks its slots with the same search.  _Dinic, a general max-flow with
+lower bounds, has no caller here: the tests check both uses of _assign on
+it.
 """
 
 from __future__ import annotations
@@ -195,22 +197,27 @@ class PathEnds:
     def add_edge(self, u: int, v: int) -> None:
         """Join u and v, or raise NotLinearForest if that would give a
         vertex a third edge or close a path into a cycle."""
-        ends = []
-        for x in (u, v):
-            if x in self.isolated:
-                ends.append(x)
-            elif x in self.partner:
-                ends.append(self.partner[x])
-            else:
-                raise NotLinearForest(f"vertex {x} has no free end for {edge(u, v)}")
-        a, b = ends
+        partner, isolated = self.partner, self.isolated
+        # a and b: the far ends of the paths through u and v, an isolated
+        # vertex being its own
+        a = u if u in isolated else partner.get(u)
+        if a is None:
+            raise NotLinearForest(f"vertex {u} has no free end for {edge(u, v)}")
+        b = v if v in isolated else partner.get(v)
+        if b is None:
+            raise NotLinearForest(f"vertex {v} has no free end for {edge(u, v)}")
         if a == v:
             raise NotLinearForest(f"edge {edge(u, v)} closes a cycle")
-        for x in (u, v):
-            self.isolated.discard(x)
-            self.partner.pop(x, None)
-        self.partner[a] = b
-        self.partner[b] = a
+        if a == u:
+            isolated.remove(u)
+        else:
+            del partner[u]
+        if b == v:
+            isolated.remove(v)
+        else:
+            del partner[v]
+        partner[a] = b
+        partner[b] = a
 
 
 def size_floor(m: int, n: int, holds_edge: bool) -> int:
@@ -219,7 +226,7 @@ def size_floor(m: int, n: int, holds_edge: bool) -> int:
 
 
 def single_vertex_step(
-    dec: Decomposition, n: int, ends: list[PathEnds], free: list[list[int]]
+    dec: Decomposition, n: int, ends: list[PathEnds], free: list[int]
 ) -> None:
     """Attach vertex m to K_m in place, one new edge per old vertex.
 
@@ -228,9 +235,10 @@ def single_vertex_step(
     endpoints, and may touch each isolated vertex once.  _assign finds
     such an assignment whenever one exists, and raises InternalInfeasible
     otherwise; one always exists for in-contract states.  ends[i] holds
-    the path ends of class i and free[v] the classes, ascending, in which
-    vertex v is a path end or isolated; lay_edges updates both, and
-    check_stage checks the floors, the states and the lists after the step.
+    the path ends of class i and free[v] the mask of classes in which
+    vertex v is a path end or isolated (free_classes); lay_edges updates
+    both, and check_stage checks the floors, the states and the masks
+    after the step.
     """
     m = dec.order
     if not 1 <= m <= 2 * n - 1:
@@ -254,28 +262,32 @@ def single_vertex_step(
 def lay_edges(
     dec: Decomposition,
     ends: list[PathEnds],
-    free: list[list[int]],
+    free: list[int],
     new: list[tuple[int, int, int]],
     grow: int,
     stage: str,
 ) -> None:
     """Append grow new vertices to dec and lay the edges (class, u, w), w
-    a new vertex, into the classes, their states and the free lists, in
-    place.  A path end that takes an edge of class i is no longer free in
-    i, an isolated vertex that takes one stays free, and a new vertex is
-    free in the classes in which it took at most one edge.  An edge its
-    state's add_edge refuses is the caller's fault: InvariantViolation,
-    naming stage, the class and the edge."""
+    a new vertex, into the classes, their states and the free-class masks,
+    in place.  A path end that takes an edge of class i loses bit i, an
+    isolated vertex that takes one keeps it, and a new vertex's mask holds
+    the classes in which it took at most one edge.  An edge its state's
+    add_edge refuses is the caller's fault: InvariantViolation, naming
+    stage, the class and the edge."""
     m = dec.order
     for w in range(m, m + grow):
         for state in ends:
             state.add_vertex(w)
-    taken = [[0] * len(ends) for _ in range(grow)]  # per new vertex, per class
+    # per new vertex, the classes it took an edge of, and those it took two of
+    once = [0] * grow
+    twice = [0] * grow
     for i, u, w in new:
+        bit = 1 << i
         if u >= m:
-            taken[u - m][i] += 1
+            twice[u - m] |= once[u - m] & bit
+            once[u - m] |= bit
         elif u in ends[i].partner:
-            free[u].remove(i)
+            free[u] &= ~bit
         try:
             ends[i].add_edge(u, w)
         except NotLinearForest as exc:
@@ -283,34 +295,37 @@ def lay_edges(
                 f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
             ) from exc
         dec.classes[i].add(edge(u, w))
-        taken[w - m][i] += 1
-    for counts in taken:
-        free.append([i for i, c in enumerate(counts) if c <= 1])
+        twice[w - m] |= once[w - m] & bit
+        once[w - m] |= bit
+    every = (1 << len(ends)) - 1
+    free.extend(every & ~t for t in twice)
     dec.order = m + grow
 
 
-def check_free(ends: list[PathEnds], free: list[list[int]], where: str) -> None:
-    """Raise InvariantViolation unless the free-class lists hold as many
-    entries as the states have path ends and isolated vertices; where
-    names the step for the message."""
-    listed = sum(map(len, free))
+def check_free(ends: list[PathEnds], free: list[int], where: str) -> None:
+    """Raise InvariantViolation unless the free-class masks hold as many
+    set bits in all as the states have path ends and isolated vertices;
+    where names the step for the message."""
+    listed = sum(map(int.bit_count, free))
     held = sum(len(e.partner) + len(e.isolated) for e in ends)
     if listed != held:
         raise InvariantViolation(
-            f"free-class lists hold {listed} entries {where}, "
+            f"free-class masks hold {listed} classes {where}, "
             f"the path ends {held}"
         )
 
 
-def free_classes(ends: list[PathEnds], m: int) -> list[list[int]]:
-    """For each vertex 0..m-1, the classes in which it is a path end or
-    isolated, ascending: where it may take a new edge."""
-    free: list[list[int]] = [[] for _ in range(m)]
+def free_classes(ends: list[PathEnds], m: int) -> list[int]:
+    """For each vertex 0..m-1, the mask of the classes in which it is a
+    path end or isolated, bit i for class i: where it may take a new
+    edge."""
+    free = [0] * m
     for i, e in enumerate(ends):
+        bit = 1 << i
         for v in e.partner:
-            free[v].append(i)
+            free[v] |= bit
         for v in e.isolated:
-            free[v].append(i)
+            free[v] |= bit
     return free
 
 
@@ -318,7 +333,7 @@ def _assign(
     m: int,
     need: list[int],
     ends: list[PathEnds],
-    free: list[list[int]],
+    free: list[int],
     units: int = 1,
     cap: list[int] | None = None,
     doubler: list[bool] | None = None,
@@ -328,10 +343,11 @@ def _assign(
     Class i takes need[i] to cap[i] units (2 by default) at its gates
     ends[i].gates(): one at a path end, up to units at an isolated vertex,
     and two at one gate at most, only if doubler[i] (by default never).
-    free[v] lists the classes in which v lies in a gate, ascending.  Raises
-    InternalInfeasible when there is no such choice.  A Hilton step gives
-    1 unit a vertex; an attach round gives 2, to classes of cap 4 with a
-    doubler and to its bridge class cstar, of cap 2, without one.
+    free[v] is the mask of the classes in which v lies in a gate, bit i for
+    class i.  Raises InternalInfeasible when there is no such choice.  A
+    Hilton step gives 1 unit a vertex; an attach round gives 2, to classes
+    of cap 4 with a doubler and to its bridge class cstar, of cap 2,
+    without one.
 
     This is the flow source -> class -> gate -> vertex -> sink, with the
     doublers of the extend_sparse module docstring, searched on the class
@@ -339,8 +355,9 @@ def _assign(
     start within every upper bound.  Then each vertex short of a unit gets
     one by an augmenting path (home), and each class below its floor one
     more by an augmenting cycle through a class above its floor (fill).
-    home needs only free and the path partners; fill reads a class's gates
-    when it first opens that class, once per call.
+    home needs only free and the path partners, and walks a vertex's
+    classes in ascending order; fill reads a class's gates when it first
+    opens that class, once per call.
 
     It is exact.  Route the flow f by each gate's class arc first and its
     doubler arc second; any loads within the bounds route so.  In the
@@ -354,6 +371,13 @@ def _assign(
     cycle through a class below its floor leaves through a class above
     it; fill searches all of that forward.  No step lowers a class below
     its floor.  So a failed search means no feasible flow exists.
+
+    fill tests a vertex for a class above its floor when it offers the
+    vertex, not when it takes it off its queue.  Nothing moves during a
+    search and the queue is first in, first out, so the first vertex
+    offered that passes is the first one taken off that would: the search
+    ends at the same vertex, by the same path, having opened fewer
+    classes, and it still reaches every vertex before it fails.
     """
     n = len(need)
     cap = cap or [2] * n
@@ -394,9 +418,11 @@ def _assign(
         queue = [v]
         for y in queue:
             frm = came[y][1]
-            for i in free[y]:
-                if i == frm:
-                    continue
+            classes = free[y] & ~(1 << frm) if frm >= 0 else free[y]
+            while classes:
+                low = classes & -classes
+                classes ^= low
+                i = low.bit_length() - 1
                 h = held[i]
                 p = partner[i].get(y)
                 if y in h:
@@ -438,17 +464,33 @@ def _assign(
         dopened = [False] * n
         queue: list[int] = []
 
-        def open_class(i: int, given: int, p: int | None) -> None:
+        def offer(y: int, taker: int, given: int) -> bool:
+            """Queue y for taker, which gives up given for it, and augment
+            at once if one of y's units is in a class above its floor."""
+            came[y] = (taker, given)
+            queue.append(y)
+            for i in owner[y * units:y * units + units]:
+                if i != taker and len(held[i]) > need[i]:
+                    x, frm = y, i
+                    while x >= 0:
+                        taker, given = came[x]
+                        move(x, frm, taker)
+                        x, frm = given, taker
+                    return True
+            return False
+
+        def open_class(i: int, given: int, p: int | None) -> bool:
             """Offer the vertices of the empty gates of class i, which given
             leaves at its gate with other end p; once the doubler is fed, by
             the class while no gate holds two or by that gate giving up its
-            second unit, of those with one unit too."""
+            second unit, of those with one unit too.  True once an offer
+            has augmented."""
             h = held[i]
             top = doubler[i] and not dopened[i] and (
                 h.count(given) == 2 or p in h or not doubled(i)
             )
             if opened[i] and not top:
-                return
+                return False
             opened[i] = True
             dopened[i] = dopened[i] or top
             if i not in gates:
@@ -463,9 +505,8 @@ def _assign(
                         hidden.append(x)
             for g in gates[i]:
                 for y in g:
-                    if y not in came:
-                        came[y] = (i, given)
-                        queue.append(y)
+                    if y not in came and offer(y, i, given):
+                        return True
             for x in hidden:
                 del came[x]
             for y in h if top else ():
@@ -474,29 +515,24 @@ def _assign(
                 x = partner[i].get(y, y)
                 one = h.count(y) + (x != y and x in h) == 1
                 if one and (x != y or units == 2) and x not in came:
-                    came[x] = (i, given)
-                    queue.append(x)
+                    if offer(x, i, given):
+                        return True
+            return False
 
-        open_class(start, -1, None)
+        if open_class(start, -1, None):
+            return True
         for y in queue:
             taker = came[y][0]
             for i in owner[y * units:y * units + units]:
                 if i == taker:
                     continue
-                h = held[i]
-                if len(h) > need[i]:
-                    x, frm = y, i
-                    while x >= 0:
-                        taker, given = came[x]
-                        move(x, frm, taker)
-                        x, frm = given, taker
-                    return True
                 p = partner[i].get(y)
-                if p is not None and p not in came and p not in h:
-                    came[p] = (i, y)
-                    queue.append(p)
+                if p is not None and p not in came and p not in held[i]:
+                    if offer(p, i, y):
+                        return True
                 if not opened[i] or doubler[i] and not dopened[i]:
-                    open_class(i, y, p)
+                    if open_class(i, y, p):
+                        return True
         return False
 
     for u, i in enumerate(owner):
@@ -513,7 +549,7 @@ def _assign(
 
 def _warm_start(
     need: list[int],
-    free: list[list[int]],
+    free: list[int],
     partner: list[dict[int, int]],
     units: int,
     cap: list[int],
@@ -521,26 +557,57 @@ def _warm_start(
     """A greedy start for _assign's search, within every upper bound and
     flat as _assign returns, unplaced units -1: vertices with the fewest
     classes first, each unit to the class furthest below its floor whose
-    gate at the vertex holds no unit yet; first up to the floors, then up
-    to the caps."""
-    owner = [-1] * (len(free) * units)
-    held: list[list[int]] = [[] for _ in need]
-    load = [0] * len(need)
-    order = sorted(range(len(free)), key=lambda v: len(free[v]))
+    gate at the vertex holds no unit yet, the lowest such class on a tie;
+    first up to the floors, then up to the caps.
+
+    The classes are kept in one mask per gap (need - load) and one mask of
+    those still open (load below the pass's bound), so a vertex none of
+    whose classes is open costs one test, and the class it takes is the
+    lowest set bit, in the highest gap, that passes the gate test."""
+    m, n = len(free), len(need)
+    owner = [-1] * (m * units)
+    took = [0] * m  # per vertex, the classes holding one of its units
+    load = [0] * n
+    top_gap = max(need)
+    # by_gap[top_gap - g]: the classes with need - load == g, so the
+    # highest gap comes first; no load passes max(need, cap)
+    low_gap = min([0] + [d - c for d, c in zip(need, cap)])
+    by_gap = [0] * (top_gap - low_gap + 1)
+    for i, d in enumerate(need):
+        by_gap[top_gap - d] |= 1 << i
+
+    def pick(v: int, classes: int) -> int:
+        for bucket in by_gap:
+            tied = classes & bucket
+            while tied:
+                low = tied & -tied
+                p = partner[low.bit_length() - 1].get(v)
+                if p is None or not took[p] & low:
+                    return low.bit_length() - 1
+                tied ^= low
+        return -1
+
+    count = list(map(int.bit_count, free))
+    order = sorted(range(m), key=count.__getitem__)
     for top in (need, cap) if any(need) else (cap,):
+        room = sum(1 << i for i in range(n) if load[i] < top[i])
         for k in range(units):
             for v in order:
-                if owner[v * units + k] >= 0:
+                u = v * units + k
+                classes = free[v] & room & ~took[v]
+                if owner[u] >= 0 or not classes:
                     continue
-                best, gap = -1, -_INF
-                for i in free[v]:
-                    if load[i] < top[i] and need[i] - load[i] > gap:
-                        if v not in held[i] and partner[i].get(v) not in held[i]:
-                            best, gap = i, need[i] - load[i]
-                if best >= 0:
-                    owner[v * units + k] = best
-                    held[best].append(v)
-                    load[best] += 1
+                i = pick(v, classes)
+                if i >= 0:
+                    bit = 1 << i
+                    owner[u] = i
+                    took[v] |= bit
+                    g = top_gap - need[i] + load[i]
+                    by_gap[g] ^= bit
+                    by_gap[g + 1] |= bit
+                    load[i] += 1
+                    if load[i] == top[i]:
+                        room ^= bit
     return owner
 
 
@@ -598,15 +665,15 @@ def check_stage(
     where: str,
     error: type[SolverError] = InvariantViolation,
     ends: list[PathEnds] | None = None,
-    free: list[list[int]] | None = None,
+    free: list[int] | None = None,
 ) -> list[PathEnds]:
     """Check a split handed from one stage to the next, and return the
     path ends of each class; where names the stage for the messages.
 
     The n classes must meet their size floors, 0..held-1 holding their
-    edge of H.  Without free lists they must partition K_order; with them
-    (only beside ends) the steps that laid the edges checked that, and
-    check_free ties the lists to the states.  Without ends every class is
+    edge of H.  Without free-class masks they must partition K_order; with
+    them (only beside ends) the steps that laid the edges checked that,
+    and check_free ties the masks to the states.  Without ends every class is
     scanned (NotLinearForest); carried ends, whose add_edge checked each
     edge laid in since, are tied to the classes by check_ends.  A wrong
     class count or a class below its floor raises error, the rest

@@ -70,7 +70,8 @@ def scan_gates(dec):
 
 
 def scan_slots(dec):
-    """Path ends and free-class lists of every class, from a full scan."""
+    """Path ends of every class and free-class masks of every vertex,
+    from a full scan."""
     ends = scan_ends(dec)
     return ends, free_classes(ends, dec.order)
 
@@ -89,7 +90,7 @@ def gate_states(gates):
 
 def round_owner(m, gates, floors, cstar):
     """hilton._assign as an attach round calls it, on hand-made gates: each
-    class's state and every vertex's free list are built from gates[i]
+    class's state and every vertex's free-class mask are built from gates[i]
     (gate_states).  Class i takes floors[i] to 4 slots, cstar at most 2,
     and every class but cstar may double one gate."""
     ends = gate_states(gates)
@@ -215,17 +216,18 @@ class TestCapacityGraph:
             check_ends(dec, ends)
 
     def test_vertex_side_totals(self):
-        # every old vertex offers k = 2n - m + 1 slots in all; one free list
-        # that misses a class leaves its vertex a slot short
+        # every old vertex offers k = 2n - m + 1 slots in all; one free-class
+        # mask that misses a class leaves its vertex a slot short
         dec = k5_forests()
         ends, free = scan_slots(dec)
         m, n = dec.order, len(dec.classes)
         assert all(
-            len(free[u]) + sum(u in e.isolated for e in ends) == 2 * n - m + 1
+            free[u].bit_count() + sum(u in e.isolated for e in ends)
+            == 2 * n - m + 1
             for u in range(m)
         )
         capacity_graph(dec, ends, free)
-        free[3].pop()
+        free[3] &= free[3] - 1  # its lowest class
         with pytest.raises(
             InvariantViolation, match=f"vertex 3 offers {2 * n - m} slots, wanted"
         ):
@@ -238,12 +240,12 @@ class TestCapacityGraph:
         dec = Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}])
         ends, free = scan_slots(dec)
         capacity_graph(dec, ends, free)
-        assert all(len(free[u]) == 3 for u in range(3))
+        assert free == [0b111] * 3
 
 
 class TestVerifySparseState:
     # the stage's own checks of its split: hilton.check_stage at the entry,
-    # and after each round with the carried states and free lists
+    # and after each round with the carried states and free-class masks
 
     def test_accepts_valid_state(self):
         grown, ends = extend_with_k2s(p3_split(), t=2, n=3)
@@ -650,10 +652,10 @@ MUTANTS = {
     # the old vertices keep every class they were free in
     "keep-free": ("""
         def attach(dec, ends, free, owner, cstar):
-            before = [list(f) for f in free]
+            before = list(free)
             real(dec, ends, free, owner, cstar)
             free[:len(before)] = before
-    """, "free-class lists hold"),
+    """, "free-class masks hold"),
     # the first edge to new vertex m is laid twice, in place of the last
     "edge-twice": ("""
         attach = laying(lambda new, m: new[:1] + new[:m - 1] + new[m:])
@@ -760,7 +762,7 @@ class TestCarriedState:
             if ends is not None:
                 assert [e.gates() for e in ends] == scan_gates(dec), where
                 # the stage entry is checked on embed_dense's states, each
-                # round with its free lists
+                # round with its free-class masks
                 if free is not None:
                     rounds.append(where)
             return out

@@ -47,7 +47,7 @@ def ends_of(dec):
 
 
 def step(dec, n, ends):
-    """One vertex step with free-class lists built from the states."""
+    """One vertex step with free-class masks built from the states."""
     single_vertex_step(dec, n, ends, free_classes(ends, dec.order))
 
 
@@ -373,6 +373,68 @@ class TestExactness:
         assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want
 
 
+def list_warm_start(need, free, partner, units, cap):
+    """The warm start as it read on free-class lists, free[v] the classes
+    of vertex v ascending, before the masks replaced them: the reference
+    that _warm_start must match pick for pick."""
+    owner = [-1] * (len(free) * units)
+    held = [[] for _ in need]
+    load = [0] * len(need)
+    order = sorted(range(len(free)), key=lambda v: len(free[v]))
+    for top in (need, cap) if any(need) else (cap,):
+        for k in range(units):
+            for v in order:
+                if owner[v * units + k] >= 0:
+                    continue
+                best, gap = -1, -hilton._INF
+                for i in free[v]:
+                    if load[i] < top[i] and need[i] - load[i] > gap:
+                        if v not in held[i] and partner[i].get(v) not in held[i]:
+                            best, gap = i, need[i] - load[i]
+                if best >= 0:
+                    owner[v * units + k] = best
+                    held[best].append(v)
+                    load[best] += 1
+    return owner
+
+
+class TestWarmStart:
+    # a Hilton step gives 1 unit a vertex to classes of cap 2; an attach
+    # round gives 2, to classes of cap 4 and to one bridge class of cap 2
+    @pytest.mark.parametrize("units", [1, 2])
+    def test_masks_pick_as_the_list_scan(self, units):
+        rng = random.Random(f"warm-start-{units}")
+        outcomes = Counter()
+        for _ in range(1000):
+            m, n = rng.randint(1, 12), rng.randint(1, 8)
+            ends = [
+                PathEnds(analyze_linear_forest(
+                    random_forest(rng, m, rng.randint(0, m - 1)), range(m)
+                ))
+                for _ in range(n)
+            ]
+            partner = [e.partner for e in ends]
+            cstar = rng.randrange(n) if units == 2 else -1
+            cap = [2 if units == 1 or i == cstar else 4 for i in range(n)]
+            need = [rng.randint(0, c) for c in cap]
+            if rng.random() < 0.2:
+                need = [0] * n
+            lists = [
+                [i for i, e in enumerate(ends)
+                 if v in e.partner or v in e.isolated]
+                for v in range(m)
+            ]
+            want = list_warm_start(need, lists, partner, units, cap)
+            got = hilton._warm_start(
+                need, free_classes(ends, m), partner, units, cap
+            )
+            assert got == want, (need, cap, lists)
+            outcomes["placed all" if min(want) >= 0 else "left some"] += 1
+        # starts that place every unit and starts that leave some to the
+        # search are both compared
+        assert min(outcomes.values()) >= 100, outcomes
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "order, reason", [(4, "0 edges added at vertex 4"), (2, "edges added")]
@@ -514,13 +576,13 @@ class TestPathEnds:
 
 
 def rebuilt_free(ends, order):
-    """Free classes of every vertex, ascending, read off the states'
-    gates."""
-    free = [[] for _ in range(order)]
+    """The free-class mask of every vertex, bit i for class i, read off
+    the states' gates."""
+    free = [0] * order
     for i, e in enumerate(ends):
         for gate in e.gates():
             for v in gate:
-                free[v].append(i)
+                free[v] |= 1 << i
     return free
 
 
@@ -539,10 +601,11 @@ def random_pipeline_graphs(count):
     return graphs
 
 
-class NoRemove(list):
-    """A free-class list that never drops a class."""
+class NoClear(list):
+    """Free-class masks of which no entry ever changes, so no vertex drops
+    a class; masks of new vertices are still appended."""
 
-    def remove(self, value):
+    def __setitem__(self, index, value):
         pass
 
 
@@ -579,9 +642,9 @@ class TestFreeLists:
         monkeypatch.setattr(
             hilton,
             "free_classes",
-            lambda ends, m: [NoRemove(f) for f in real(ends, m)],
+            lambda ends, m: NoClear(real(ends, m)),
         )
-        with pytest.raises(InvariantViolation, match="free-class lists"):
+        with pytest.raises(InvariantViolation, match="free-class masks"):
             extend_to_hcd(truncate_to_order(walecki(4), 3), 4)
 
     def test_skipped_removal_trips_the_tie_under_optimize(self):
@@ -591,14 +654,12 @@ class TestFreeLists:
             from rainbow_hcd.errors import InvariantViolation
             from rainbow_hcd.graph_core import walecki
 
-            class NoRemove(list):
-                def remove(self, value):
+            class NoClear(list):
+                def __setitem__(self, index, value):
                     pass
 
             real = hilton.free_classes
-            hilton.free_classes = lambda ends, m: [
-                NoRemove(f) for f in real(ends, m)
-            ]
+            hilton.free_classes = lambda ends, m: NoClear(real(ends, m))
             print(__debug__)
             try:
                 hilton.extend_to_hcd(hilton.truncate_to_order(walecki(4), 3), 4)
@@ -614,7 +675,7 @@ class TestFreeLists:
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
-        assert "free-class lists" in lines[1]
+        assert "free-class masks" in lines[1]
 
 
 class TestFlow:

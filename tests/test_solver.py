@@ -340,6 +340,20 @@ def test_dense_scale_gate(h):
     assert dt < 5, f"{len(h)}-edge dense instance took {dt:.1f}s"
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("h", [star_graph(256)], ids=["K1,256"])
+def test_dense_scale_gate_n256(h):
+    # the recursive embed, then 503 Hilton steps to K_513; the solve took
+    # 2.4 to 3.0 s on a 2-core machine with Python 3.11, and the bound is
+    # three times the longer time
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 9, f"{len(h)}-edge dense instance took {dt:.1f}s"
+
+
 def random_general(count, seed):
     """count distinct edges sampled from K_v, v drawn from 12..2count+1,
     the orders an instance with count edges may have (count <= 66)."""
