@@ -22,6 +22,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .families import (
+    EXHAUSTIVE_CAP,
     cycle_graph,
     disjoint_union,
     nonisomorphic_edge_graphs,
@@ -225,8 +226,8 @@ def _cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
     if args.samples < 1:
         raise PreconditionViolation(f"need --samples >= 1: {args.samples}")
-    if args.exhaustive and hi > 6:
-        raise PreconditionViolation("exhaustive sweeps stop at n=6")
+    if args.exhaustive and hi > EXHAUSTIVE_CAP:
+        raise PreconditionViolation(f"exhaustive sweeps stop at n={EXHAUSTIVE_CAP}")
     rows: list[tuple[str, str, float, str]] = []
     failures = 0
     for n in range(lo, hi + 1):

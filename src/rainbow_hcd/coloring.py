@@ -383,11 +383,11 @@ def rebalance_drop_one(
         else:
             C.add(e)
 
-    deg_c_x = [G.degree_x(x, C) for x in range(G.x_size)]
-    assert deg_c_x[x0] == a0 - 1
-    assert deg_c_x[target] == deg_a_x[target] + 1 <= eta
-    assert all(
-        deg_c_x[x] == deg_a_x[x] for x in range(G.x_size) if x not in (x0, target)
-    )
-    assert all(G.degree_y(y, C) == deg_a_y[y] for y in range(G.y_size))
+    want = list(deg_a_x)
+    want[x0] -= 1
+    want[target] += 1
+    if want != [G.degree_x(x, C) for x in range(G.x_size)] or any(
+        G.degree_y(y, C) != deg_a_y[y] for y in range(G.y_size)
+    ):
+        raise InvariantViolation("the switching path moved the wrong degrees")
     return C

@@ -46,7 +46,7 @@ A hilton.PathEnds state per class carries its path ends through the
 rounds, and each round reads its gates and slots from the states alone.
 The states come from the caller, carried from the embed stage's exit
 scan, or else from one scan of each class when the stage checks its
-input; they are copied with the split and handed on to the completion
+input; they grow in place with the split and go on to the completion
 stage with it.  Next to them each old vertex keeps its free classes,
 those in which it is a path end or isolated, as one mask with bit i for
 class i, built once with hilton.free_classes when the stage has a round
@@ -58,10 +58,10 @@ vertex it lies on, a union-find over those and the new vertices finds
 any cycle the round's new edges would close, and a count of those edges
 at each vertex bounds its degree.  _attach checks that the round lays
 2m + 1 distinct edges, each with an end at m or m + 1, which keeps a
-partition of K_m one of K_{m+2}, so hilton.check_stage checks the full
-partition at the stage entry only, and the floors, the state counts and
-the free-class masks after each round; verify_certificate is the one full
-proof of the result.
+partition of K_m one of K_{m+2}.  So the partition is proved once, by
+the scan that built the states: the embed exit's, or this stage's entry.
+hilton.check_stage checks the floors, the state counts and the free-class
+masks after each round; verify_certificate proves the result.
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ def capacity_graph(
     """Check the round's free slots: a path end offers its class one, an
     isolated vertex two.  Every old vertex must offer k = 2n - m + 1
     slots, one per set bit of its free-class mask free[v] and one more per
-    state in ends that holds it isolated.  That
-    class i offers 2(m - |Q_i|) is hilton.check_ends's count tie, which
-    the stage entry or the previous round has just checked on the same
-    states.  No multigraph of the slots is built; the name stays from
+    state in ends that holds it isolated.  That class i offers 2(m - |Q_i|)
+    is hilton.check_ends's count tie, which the stage entry or the
+    previous round has just checked on the same states.  No multigraph of the slots is built; the name stays from
     when one was, since one call per round is how perfbench counts
     rounds."""
     m = dec.order
@@ -121,15 +120,15 @@ def extend_with_k2s(
     trace: list[str] | None = None,
     ends: list[PathEnds] | None = None,
 ) -> tuple[Decomposition, list[PathEnds]]:
-    """Attach n - t host pairs, one per round, and return the grown split
-    with the path ends of each of its classes; the input split and states
-    are left unchanged.
+    """Attach n - t host pairs, one per round, growing dec in place, and
+    return it with the path ends of each of its classes.
 
     The input must be an n-class linear forest split of K_r meeting the
     s = 0 floors; class i is assumed to carry dense edge i for i < t and
     class t + s receives the bridge of round s.  ends, when given, holds
-    the path ends of each input class, as embed_dense returns them; the
-    input is then checked against them instead of by a scan.
+    the path ends of each input class, as embed_dense returns them from
+    the scan that proved its split; the input is then tied to them by
+    count instead of proved again, and they grow with it.
     """
     r = dec.order
     if trace is None:
@@ -141,8 +140,6 @@ def extend_with_k2s(
             "vertex count must stay below twice the edge count"
         )
     ends = check_stage(dec, n, t, "at the attach entry", ends=ends)
-    dec = dec.copy()
-    ends = [state.copy() for state in ends]
     free = free_classes(ends, r) if n > t else []
     for s in range(n - t):
         owner = _stage_witness(dec, ends, free, t, n, s)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import PreconditionViolation
+from .errors import InvariantViolation, PreconditionViolation
 from .graph_core import Edge, component_edge_groups, edge, edge_vertices
+
+EXHAUSTIVE_CAP = 6  # largest k nonisomorphic_edge_graphs enumerates
 
 
 def canonical_form(edges: list[Edge]) -> tuple:
@@ -41,7 +43,7 @@ def nonisomorphic_edge_graphs(k: int) -> list[list[Edge]]:
     """
     if k < 0:
         raise PreconditionViolation("need k >= 0")
-    if k > 6:
+    if k > EXHAUSTIVE_CAP:
         raise PreconditionViolation("enumeration kept small on purpose")
     reps: list[list[Edge]] = [[]]
     for _ in range(k):
@@ -50,7 +52,8 @@ def nonisomorphic_edge_graphs(k: int) -> list[list[Edge]]:
         for g in reps:
             vs = edge_vertices(g)
             nv = len(vs)
-            assert vs == list(range(nv))
+            if vs != list(range(nv)):
+                raise InvariantViolation(f"graph {g} is not on dense labels")
             present = set(g)
             candidates: list[Edge] = []
             for u in range(nv):

@@ -15,10 +15,12 @@ linear forest on the floor.  At order 2n every class is a spanning path,
 and the last vertex closes each of them into a cycle.
 
 A PathEnds state per class holds its path ends and checks every edge a
-step adds, so no class is rescanned between vertices.  The states come
-from the caller, carried from the stage before and checked on entry by the
-edge count they imply, or else from one analyze_linear_forest scan of each
-class.  Next to them each vertex keeps its free classes, those in which it
+step adds.  The states come from the caller, carried from the stage
+before and tied to the classes by the edge count they imply, or else from
+one analyze_linear_forest scan of each class, beside which the partition
+is proved.  A step lays one edge from each old vertex to the new one,
+which keeps a partition of K_m one of K_{m+1}, so no step re-proves it.
+Next to the states each vertex keeps its free classes, those in which it
 is a path end or isolated, as one int: bit i is set when the vertex is
 free in class i.  Each step updates those masks where it laid an edge, and
 checks their total bit count against the states.  The choice at each
@@ -32,8 +34,6 @@ it.
 """
 
 from __future__ import annotations
-
-import copy
 
 from .errors import (
     InternalInfeasible,
@@ -183,13 +183,6 @@ class PathEnds:
         order LinearForestView lists them."""
         ends = sorted((a, b) for a, b in self.partner.items() if a < b)
         return ends + [(v,) for v in sorted(self.isolated)]
-
-    def copy(self) -> PathEnds:
-        """A copy that the other's add_vertex and add_edge leave alone."""
-        other = copy.copy(self)
-        other.partner = dict(self.partner)
-        other.isolated = set(self.isolated)
-        return other
 
     def add_vertex(self, v: int) -> None:
         self.isolated.add(v)
@@ -617,9 +610,8 @@ def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
     Each class must hold 2n - 1 edges on one path by its state (check_ends
     and a single path gate), and the 2n closing ends must cover 0..2n-1
     once, so the new edges split the star at 2n among the classes.  The
-    classes must partition K_2n, as extend_to_hcd checks on entry and every
-    vertex step keeps; the full proof of the result is left to
-    verify_certificate."""
+    classes must partition K_2n, as the stage that built the split proved
+    and every step since kept; verify_certificate proves the result."""
     m = dec.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
@@ -671,20 +663,17 @@ def check_stage(
     path ends of each class; where names the stage for the messages.
 
     The n classes must meet their size floors, 0..held-1 holding their
-    edge of H.  Without free-class masks they must partition K_order; with
-    them (only beside ends) the steps that laid the edges checked that,
-    and check_free ties the masks to the states.  Without ends every class is
-    scanned (NotLinearForest); carried ends, whose add_edge checked each
-    edge laid in since, are tied to the classes by check_ends.  A wrong
-    class count or a class below its floor raises error, the rest
-    InvariantViolation."""
+    edge of H.  Without ends the split is proved where it is built: the
+    classes must partition K_order, and each is scanned (NotLinearForest).
+    Carried ends come with a split an earlier check proved, grown since by
+    rounds and steps that keep the partition and whose add_edge checked
+    each edge; check_ends ties them to the classes, and check_free the
+    free-class masks, when given, to them.  A wrong class count or a class
+    below its floor raises error, the rest InvariantViolation."""
     if len(dec.classes) != n:
         raise error(f"expected {n} classes {where}, got {len(dec.classes)}")
-    if free is None:
-        dec.check_partition()
-    else:
-        check_free(ends, free, where)
     if ends is None:
+        dec.check_partition()
         ends = []
         for i, cls in enumerate(dec.classes):
             try:
@@ -693,6 +682,8 @@ def check_stage(
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
     else:
         check_ends(dec, ends)
+        if free is not None:
+            check_free(ends, free, where)
     floors = (size_floor(dec.order, n, False), size_floor(dec.order, n, True))
     for i, cls in enumerate(dec.classes):
         floor = floors[i < held]
@@ -710,8 +701,8 @@ def extend_to_hcd(
     Requires m <= 2n and n classes partitioning K_m, each a linear forest
     holding its edge and meeting its size floor, as check_stage checks.
     ends, when given, holds the path ends of each class carried from the
-    stage before, checked by count instead of a scan; they grow with the
-    classes.
+    stage before, which proved the split; they are tied to it by count
+    instead of a scan and a partition check, and grow with the classes.
     """
     if not 1 <= dec.order <= 2 * n:
         raise PreconditionViolation(f"order {dec.order} not in 1..2n")

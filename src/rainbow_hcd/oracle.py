@@ -207,7 +207,8 @@ def exhaustive_rainbow_hcd(
                 for e in cleaned
             ]
         for e, c in zip(cleaned, assignment):
-            assert e in dec.classes[c]
+            if e not in dec.classes[c]:
+                raise InvariantViolation(f"edge {e} is not in its class {c}")
         return OracleOutcome("found", dec, assignment, s.nodes)
     return OracleOutcome("none", None, None, s.nodes)
 
@@ -227,7 +228,8 @@ def _enumerate_edgewise(n: int) -> set[frozenset[frozenset[tuple[int, int]]]]:
     def rec(idx: int) -> None:
         if idx == len(eds):
             sol = frozenset(frozenset(c.edges) for c in classes)
-            assert sol not in out, "canonical order produced a duplicate"
+            if sol in out:
+                raise InvariantViolation("canonical order produced a duplicate")
             out.add(sol)
             return
         u, v = eds[idx]

@@ -336,8 +336,4 @@ def _main_pipeline(
         assignment[i] = pos
     for s, i in enumerate(split.k2_idx):
         assignment[i] = t + s
-    for i, (u, v) in enumerate(internal):
-        he = edge(hosts[u], hosts[v])
-        if he not in dec.classes[assignment[i]]:
-            raise InvariantViolation(f"edge {i} missed its class {assignment[i]}")
     return dec, hosts, assignment, trace

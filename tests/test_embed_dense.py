@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,8 +11,8 @@ import rainbow_hcd
 from rainbow_hcd.embed_dense import (
     _choose_subgraph,
     _Cls,
-    _move,
     _round_robin,
+    _second_donor_cut,
     embed_dense,
     verify_embedded_forests,
 )
@@ -22,7 +23,12 @@ from rainbow_hcd.families import (
     path_graph,
     star_graph,
 )
-from rainbow_hcd.graph_core import Decomposition, edge, verify_certificate
+from rainbow_hcd.graph_core import (
+    Decomposition,
+    analyze_linear_forest,
+    edge,
+    verify_certificate,
+)
 from rainbow_hcd.solver import solve
 
 
@@ -84,11 +90,43 @@ class TestExitCheck:
         with pytest.raises(InvariantViolation, match="class 0 at the embed exit"):
             verify_embedded_forests(dec, [(0, 1)], 1)
 
-    def test_move_that_breaks_its_target_is_an_internal_fault(self):
-        donor = _Cls({edge(0, 1), edge(1, 2)}, 0)
-        target = _Cls({edge(0, 2)}, 1)
-        with pytest.raises(InvariantViolation, match="breaks class of owner 1"):
-            _move(donor, target, 2, set(), 3)
+
+def random_linear_forest(rng, r):
+    """The edges of a random linear forest on 0..r-1: the vertices in a
+    random order, cut into runs, each run a path."""
+    order = rng.sample(range(r), r)
+    edges = set()
+    for a, b in zip(order, order[1:]):
+        if rng.random() < 0.7:
+            edges.add(edge(a, b))
+    return edges
+
+
+class TestSecondDonorCut:
+    @staticmethod
+    def reference(target, donor, r):
+        """The cut read from full scans of both classes: every donor edge
+        at an interior vertex of the target, and the edge entering each
+        target path end, walking each donor path from its lower end."""
+        tview = analyze_linear_forest(target.edges, range(r))
+        interior = set(tview.interior)
+        ends = set(tview.endpoints)
+        withheld = set()
+        for p in analyze_linear_forest(donor.edges, range(r)).paths:
+            for prev, v in zip(p, p[1:]):
+                if prev in interior or v in interior or v in ends:
+                    withheld.add(edge(prev, v))
+        return withheld
+
+    def test_degrees_give_the_cut_of_the_scans(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            r = rng.randrange(2, 16)
+            target = _Cls(random_linear_forest(rng, r), 1)
+            # a donor shares no edge with its target
+            donor = _Cls(random_linear_forest(rng, r) - target.edges, 0)
+            assert (_second_donor_cut(target, donor, r)
+                    == self.reference(target, donor, r))
 
 
 class TestPreconditions:

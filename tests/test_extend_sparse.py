@@ -859,25 +859,42 @@ class TestStageBoundary:
         out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
         extend_to_hcd(out, 8, out_ends).check_hcd()
 
+    @pytest.mark.parametrize("h, n", [(H, 8), (H + [(7, 8), (8, 9)], 7)])
+    def test_given_states_no_partition_proof(self, monkeypatch, h, n):
+        # embed_dense's exit check proved the split; with its states the
+        # attach rounds and the completion do not prove it again.  The
+        # second graph has t = n = 7, so it runs no attach round.
+        dec, ends = embed_dense(h, n, lambda e, m, s: solve(e, s), seed=0)
+
+        def no_proof(self):
+            raise AssertionError("check_partition called")
+
+        monkeypatch.setattr(Decomposition, "check_partition", no_proof)
+        out, out_ends = extend_with_k2s(dec, t=len(h), n=n, ends=ends)
+        extend_to_hcd(out, n, out_ends)
+        monkeypatch.undo()
+        out.check_hcd()
+
     def test_states_change_nothing(self):
         # the same split grown from carried states and from a scan
         dec, ends = self.embedded()
+        b, b_ends = extend_with_k2s(dec.copy(), t=5, n=8)
         a, a_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
-        b, b_ends = extend_with_k2s(dec, t=5, n=8)
         assert a.classes == b.classes
         assert state_snapshot(a_ends) == state_snapshot(b_ends)
         assert (extend_to_hcd(a, 8, a_ends).classes
                 == extend_to_hcd(b, 8).classes)
 
-    def test_input_split_and_states_are_left_unchanged(self):
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_input_grows_in_place(self, carried):
         dec, ends = self.embedded()
-        classes = [set(c) for c in dec.classes]
-        states = state_snapshot(ends)
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
-        assert out.order == dec.order + 6
-        assert dec.classes == classes
-        assert state_snapshot(ends) == states
-        assert all(a is not b for a, b in zip(ends, out_ends))
+        order = dec.order
+        given = ends if carried else None
+        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=given)
+        assert out is dec
+        assert dec.order == order + 6
+        assert (out_ends is ends) == carried
+        assert state_snapshot(out_ends) == state_snapshot(scan_ends(dec))
 
     def test_drift_is_caught_at_the_attach_entry(self):
         dec, ends = self.embedded()

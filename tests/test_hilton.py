@@ -266,7 +266,7 @@ class TestSteps:
         dec = k4_paths()
         ends = ends_of(dec)
         with pytest.raises(InvariantViolation, match="closing ends"):
-            close_final_vertex(dec, 2, [ends[0], ends[0].copy()])
+            close_final_vertex(dec, 2, [ends[0], ends_of(dec)[0]])
 
     def test_step_rejects_large_order(self):
         dec = truncate_to_order(walecki(2), 4)
