@@ -133,10 +133,8 @@ def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
     for i, e in enumerate(h_edges):
         classes[i].add(e)
     h_set = set(h_edges)
-    rounds = _round_robin(r)
-    if len(rounds) > n:
-        raise InvariantViolation("matching schedule exceeds the class count")
-    for k, match in enumerate(rounds):
+    # at most r matchings, and this regime runs only when r <= n
+    for k, match in enumerate(_round_robin(r)):
         classes[k].update(e for e in match if e not in h_set)
     return Decomposition(r, classes)
 

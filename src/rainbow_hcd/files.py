@@ -7,11 +7,17 @@ of line ends it; blank lines are skipped.
 Certificates: one JSON document with the keys n, order, label_map,
 classes, h_edges, assignment, seed, pipeline_trace, in that order, byte
 stable for a fixed certificate.  Class indices are 0 based everywhere.
+Reading one takes only what writing one gives: n, order, seed, each
+assignment entry and each label_map value a JSON integer (true and false
+are not), each edge a JSON array of two such integers, each label_map
+key a canonical decimal string ("7" or "-7", not "07", "+7" or " 7"),
+and pipeline_trace an array of strings; anything else is a ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
 from .graph_core import Decomposition, Edge, RainbowCertificate
@@ -96,23 +102,67 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     ]
     if missing:
         raise ParseError(f"certificate lacks keys: {', '.join(missing)}")
-    try:
-        n = int(doc["n"])
-        order = int(doc["order"])
-        seed = int(doc["seed"])
-        label_map = {int(k): int(v) for k, v in doc["label_map"].items()}
-        h_edges = [_pair(e) for e in doc["h_edges"]]
-        assignment = [int(c) for c in doc["assignment"]]
-        classes = [{_pair(e) for e in cls} for cls in doc["classes"]]
-        trace = [str(line) for line in doc["pipeline_trace"]]
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"malformed certificate field: {exc}") from None
+    n = _json_int(doc["n"], "n")
+    order = _json_int(doc["order"], "order")
+    seed = _json_int(doc["seed"], "seed")
+    label_map = _label_map(doc["label_map"])
+    h_edges = _edge_list(doc["h_edges"], "h_edges")
+    assignment = _array(doc["assignment"], "assignment")
+    if not _all_type(assignment, int):
+        raise ParseError("assignment holds an entry that is not an integer")
+    classes = [
+        set(_edge_list(cls, f"class {i}"))
+        for i, cls in enumerate(_array(doc["classes"], "classes"))
+    ]
+    trace = _array(doc["pipeline_trace"], "pipeline_trace")
+    if not _all_type(trace, str):
+        raise ParseError("pipeline_trace holds an entry that is not a string")
     if order != 2 * n + 1:
         raise ParseError(f"order {order} does not match n={n}")
     dec = Decomposition(order, classes)
     return RainbowCertificate(n, seed, h_edges, label_map, assignment, dec, trace)
 
 
-def _pair(e) -> Edge:
-    u, v = e
-    return (int(u), int(v))
+# an integer in the form str() writes it
+_CANONICAL = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _all_type(items: list, kind: type) -> bool:
+    """Whether every item is exactly of type kind: bool is not int."""
+    return not items or set(map(type, items)) == {kind}
+
+
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise ParseError(f"{what} is not an integer: {x!r}")
+    return x
+
+
+def _array(x, what: str) -> list:
+    if type(x) is not list:
+        raise ParseError(f"{what} is not a JSON array")
+    return x
+
+
+def _edge_list(rows, what: str) -> list[Edge]:
+    """rows as edges, or ParseError unless each is an array of two
+    integers."""
+    edges = []
+    for e in _array(rows, what):
+        if type(e) is not list or len(e) != 2:
+            raise ParseError(f"{what}: edge {e!r} is not two integers")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise ParseError(f"{what}: edge {e!r} is not two integers")
+        edges.append((u, v))
+    return edges
+
+
+def _label_map(doc) -> dict[int, int]:
+    if type(doc) is not dict:
+        raise ParseError("label_map is not a JSON object")
+    if not all(map(_CANONICAL.fullmatch, doc)):
+        raise ParseError("label_map has a key that is not a decimal integer")
+    if not _all_type(list(doc.values()), int):
+        raise ParseError("label_map has a value that is not an integer")
+    return {int(k): v for k, v in doc.items()}

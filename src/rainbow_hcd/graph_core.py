@@ -8,6 +8,8 @@ records the embedding in the certificate's label map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import lt
 from typing import Iterable
 
 from .errors import InvariantViolation, NotLinearForest
@@ -63,30 +65,75 @@ def component_edge_groups(edges: list[Edge]) -> list[list[int]]:
     return groups
 
 
+def _two_slots(
+    edges: Iterable[Edge], pos: dict[int, int] | list[int], k: int
+) -> tuple[list[int], list[int]]:
+    """Two neighbour slots per vertex, in lists indexed by the vertex's
+    position 0..k-1: first[x] and second[x] hold the positions of the
+    neighbours of the vertex at x in the order their edges came, -1 where
+    there is none.  pos[v] is the position of vertex v and raises
+    LookupError for any other v: a dict, or list(range(k)) when the
+    caller has kept negative ends out.  Raises NotLinearForest at the
+    first edge that is a loop, leaves the vertices, repeats an edge or
+    gives a vertex a third one, tested in that order."""
+    first = [-1] * k
+    second = [-1] * k
+    for u, v in edges:
+        if u == v:
+            raise NotLinearForest(f"loop at vertex {u}")
+        try:
+            x = pos[u]
+            y = pos[v]
+        except LookupError:
+            raise NotLinearForest(f"edge {edge(u, v)} leaves the vertex set") from None
+        a = first[x]
+        if a < 0:
+            first[x] = y
+        elif a != y and second[x] < 0:
+            second[x] = y
+        else:
+            # both ends of an edge fill a slot together, so a repeat
+            # shows at x
+            if a == y or second[x] == y:
+                raise NotLinearForest(f"repeated edge {edge(u, v)}")
+            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
+        if first[y] < 0:
+            first[y] = x
+        elif second[y] < 0:
+            second[y] = x
+        else:
+            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
+    return first, second
+
+
 def is_hamiltonian_cycle(edges: Iterable[Edge], order: int) -> bool:
-    """True when the edge set is a single cycle through all of 0..order-1."""
+    """True when the edge set is a single cycle through all of 0..order-1.
+
+    Each edge must be listed as (u, v) with 0 <= u < v < order.  The edges
+    fill two neighbour slots per vertex (_two_slots, the builder
+    analyze_linear_forest uses, with each vertex its own position), and
+    the cycle is walked from vertex 0 by taking, at each vertex, the slot
+    that does not lead back."""
     es = set(edges)
     if order < 3 or len(es) != order:
         return False
-    adj: dict[int, list[int]] = {v: [] for v in range(order)}
-    for u, v in es:
-        if not (0 <= u < v < order):
-            return False
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
+    # u < v in every edge and the least u is not negative, so each end
+    # indexes its own position in list(range(order)) or raises IndexError
+    if not all(starmap(lt, es)) or min(es)[0] < 0:
         return False
-    seen = 1
-    prev, cur = None, 0
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
+    try:
+        first, second = _two_slots(es, list(range(order)), order)
+    except NotLinearForest:  # a third edge at a vertex, or a stray one
+        return False
+    if -1 in second:  # with order edges, no degree above two means none below
+        return False
+    prev, cur = -1, 0
+    for seen in range(1, order + 1):
+        nxt = second[cur] if first[cur] == prev else first[cur]
         if nxt == 0:
             return seen == order
-        seen += 1
         prev, cur = cur, nxt
-        if seen > order:  # unreachable with degrees two, guards bad input
-            return False
+    return False  # unreachable with degrees two, guards bad input
 
 
 @dataclass
@@ -101,18 +148,24 @@ class Decomposition:
     classes: list[set[Edge]]
 
     def check_partition(self) -> None:
-        seen: set[Edge] = set()
+        """Raise InvariantViolation at the first edge, class by class, that
+        leaves 0..order-1 or lies in an earlier class, or else when the
+        classes do not hold every edge.  Each vertex keeps the set of
+        higher ends seen with it, in a list indexed by the vertex."""
+        order = self.order
+        higher: list[set[int]] = [set() for _ in range(order)]
         total = 0
         for i, cls in enumerate(self.classes):
             for e in cls:
                 u, v = e
-                if not (0 <= u < v < self.order):
+                if not (0 <= u < v < order):
                     raise InvariantViolation(f"class {i}: edge {e} out of range")
-                if e in seen:
+                seen = higher[u]
+                if v in seen:
                     raise InvariantViolation(f"edge {e} appears in two classes")
-                seen.add(e)
+                seen.add(v)
             total += len(cls)
-        want = self.order * (self.order - 1) // 2
+        want = order * (order - 1) // 2
         if total != want:
             raise InvariantViolation(f"{total} edges in classes, expected {want}")
 
@@ -173,53 +226,44 @@ def analyze_linear_forest(
     vertices, or raise NotLinearForest.
 
     Rejects loops, repeated edges, edges leaving the vertex set, any vertex
-    of degree above two, and cycles.
+    of degree above two, and cycles, each at the first edge that shows it.
+    The edges fill two neighbour slots per vertex, in lists indexed by the
+    vertex's position in the sorted vertex list (_two_slots).  A vertex
+    with its second slot empty is isolated or a path end, and each path
+    is walked from its lower end by taking, at each vertex, the slot that
+    does not lead back; a vertex no walk reaches lies on a cycle.
     """
     vs = sorted(set(vertices))
-    vset = set(vs)
-    adj: dict[int, list[int]] = {v: [] for v in vs}
-    seen_e: set[Edge] = set()
-    for u, v in edges:
-        if u == v:
-            raise NotLinearForest(f"loop at vertex {u}")
-        e = edge(u, v)
-        if e in seen_e:
-            raise NotLinearForest(f"repeated edge {e}")
-        seen_e.add(e)
-        if u not in vset or v not in vset:
-            raise NotLinearForest(f"edge {e} leaves the vertex set")
-        adj[u].append(v)
-        adj[v].append(u)
-        if len(adj[u]) > 2 or len(adj[v]) > 2:
-            raise NotLinearForest(f"degree above two at edge {e}")
-    visited: set[int] = set()
+    first, second = _two_slots(edges, dict(zip(vs, range(len(vs)))), len(vs))
+    done = bytearray(len(vs))  # the far ends of the paths walked
     paths: list[tuple[int, ...]] = []
     isolated: list[int] = []
-    for v in vs:
-        if v in visited or len(adj[v]) == 2:
+    covered = 0
+    for x, a in enumerate(first):
+        if second[x] >= 0 or done[x]:
             continue
-        visited.add(v)
-        if not adj[v]:
-            isolated.append(v)
+        if a < 0:
+            isolated.append(vs[x])
+            covered += 1
             continue
-        walk = [v]
-        prev, cur = v, adj[v][0]
-        while True:
-            walk.append(cur)
-            visited.add(cur)
-            onward = [w for w in adj[cur] if w != prev]
-            if not onward:
-                break
-            prev, cur = cur, onward[0]
+        walk = [vs[x]]
+        prev, cur = x, a
+        while cur >= 0:
+            walk.append(vs[cur])
+            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+        done[prev] = 1
         paths.append(tuple(walk))
-    if len(visited) != len(vs):
-        v = next(v for v in vs if v not in visited)
-        raise NotLinearForest(f"a cycle runs through edge {edge(v, adj[v][0])}")
-    view = LinearForestView(tuple(paths), tuple(isolated))
-    if view.edge_count != len(seen_e):
-        raise InvariantViolation(
-            f"paths hold {view.edge_count} of {len(seen_e)} edges"
+        covered += len(walk)
+    if covered != len(vs):
+        on_path = {v for p in paths for v in p}
+        x = next(x for x, v in enumerate(vs) if second[x] >= 0 and v not in on_path)
+        raise NotLinearForest(
+            f"a cycle runs through edge {edge(vs[x], vs[first[x]])}"
         )
+    view = LinearForestView(tuple(paths), tuple(isolated))
+    count = len(vs) - (first.count(-1) + second.count(-1)) // 2
+    if view.edge_count != count:
+        raise InvariantViolation(f"paths hold {view.edge_count} of {count} edges")
     return view
 
 

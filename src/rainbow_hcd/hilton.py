@@ -18,12 +18,16 @@ A PathEnds state per class holds its path ends and checks every edge a
 step adds.  The states come from the caller, carried from the stage
 before and tied to the classes by the edge count they imply, or else from
 one analyze_linear_forest scan of each class, beside which the partition
-is proved.  A step lays one edge from each old vertex to the new one,
-which keeps a partition of K_m one of K_{m+1}, so no step re-proves it.
-Next to the states each vertex keeps its free classes, those in which it
-is a path end or isolated, as one int: bit i is set when the vertex is
-free in class i.  Each step updates those masks where it laid an edge, and
-checks their total bit count against the states.  The choice at each
+is proved.  The scan keeps two neighbour slots per vertex, in flat lists
+indexed by the vertex, and walks each path from its lower end off them.
+A step lays one edge from each old vertex to the new one, which keeps a
+partition of K_m one of K_{m+1}, so no step re-proves it.  Next to the
+states each vertex keeps its free classes, those in which it is a path end
+or isolated, as one int: bit i is set when the vertex is free in class i.
+lay_edges runs each edge through add_edge, the one copy of the join rule,
+whose returned far end tells whether the old vertex was a path end and so
+loses the class; each step checks the masks' total bit count against the
+states.  The choice at each
 vertex is a flow with lower bounds, source -> class -> gate -> vertex ->
 sink, where a gate is a path's pair of ends or an isolated vertex.
 _assign searches it by augmenting paths on the states and the free-class
@@ -34,6 +38,9 @@ it.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import lt, sub
 
 from .errors import (
     InternalInfeasible,
@@ -168,6 +175,7 @@ class PathEnds:
 
     partner maps each path endpoint to the other end of its path; isolated
     holds the degree-zero vertices.  Interior vertices appear in neither.
+    A new vertex enters isolated, as lay_edges adds it to every class.
     """
 
     def __init__(self, view: LinearForestView) -> None:
@@ -184,12 +192,11 @@ class PathEnds:
         ends = sorted((a, b) for a, b in self.partner.items() if a < b)
         return ends + [(v,) for v in sorted(self.isolated)]
 
-    def add_vertex(self, v: int) -> None:
-        self.isolated.add(v)
-
-    def add_edge(self, u: int, v: int) -> None:
+    def add_edge(self, u: int, v: int) -> int:
         """Join u and v, or raise NotLinearForest if that would give a
-        vertex a third edge or close a path into a cycle."""
+        vertex a third edge or close a path into a cycle.  Returns the far
+        end of the path u ended before the join, u itself if u was
+        isolated."""
         partner, isolated = self.partner, self.isolated
         # a and b: the far ends of the paths through u and v, an isolated
         # vertex being its own
@@ -211,6 +218,7 @@ class PathEnds:
             del partner[v]
         partner[a] = b
         partner[b] = a
+        return a
 
 
 def size_floor(m: int, n: int, holds_edge: bool) -> int:
@@ -238,12 +246,10 @@ def single_vertex_step(
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     w = m
     target = size_floor(m + 1, n, True)
-    need = []
-    for i, cls in enumerate(dec.classes):
-        needed = max(0, target - len(cls))
-        if needed > 2:
-            raise InvariantViolation(f"class {i} fell behind the size schedule")
-        need.append(needed)
+    need = [target - k if k < target else 0 for k in map(len, dec.classes)]
+    if max(need, default=0) > 2:
+        i = next(i for i, d in enumerate(need) if d > 2)
+        raise InvariantViolation(f"class {i} fell behind the size schedule")
     owner = _assign(m, need, ends, free)
     new = [(i, v, w) for v, i in enumerate(owner) if i >= 0]
     lay_edges(dec, ends, free, new, 1, "vertex step")
@@ -268,28 +274,34 @@ def lay_edges(
     add_edge refuses is the caller's fault: InvariantViolation, naming
     stage, the class and the edge."""
     m = dec.order
+    classes = dec.classes
     for w in range(m, m + grow):
         for state in ends:
-            state.add_vertex(w)
+            state.isolated.add(w)
     # per new vertex, the classes it took an edge of, and those it took two of
     once = [0] * grow
     twice = [0] * grow
     for i, u, w in new:
         bit = 1 << i
-        if u >= m:
-            twice[u - m] |= once[u - m] & bit
-            once[u - m] |= bit
-        elif u in ends[i].partner:
-            free[u] &= ~bit
+        state = ends[i]
         try:
-            ends[i].add_edge(u, w)
+            far = state.add_edge(u, w)
         except NotLinearForest as exc:
             raise InvariantViolation(
                 f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
             ) from exc
-        dec.classes[i].add(edge(u, w))
-        twice[w - m] |= once[w - m] & bit
-        once[w - m] |= bit
+        if u < m:
+            if far != u:  # u was a path end, and is interior now
+                free[u] &= ~bit
+        elif once[u - m] & bit:
+            twice[u - m] |= bit
+        else:
+            once[u - m] |= bit
+        classes[i].add((u, w) if u < w else (w, u))
+        if once[w - m] & bit:
+            twice[w - m] |= bit
+        else:
+            once[w - m] |= bit
     every = (1 << len(ends)) - 1
     free.extend(every & ~t for t in twice)
     dec.order = m + grow
@@ -300,7 +312,7 @@ def check_free(ends: list[PathEnds], free: list[int], where: str) -> None:
     set bits in all as the states have path ends and isolated vertices;
     where names the step for the message."""
     listed = sum(map(int.bit_count, free))
-    held = sum(len(e.partner) + len(e.isolated) for e in ends)
+    held = sum([len(e.partner) + len(e.isolated) for e in ends])
     if listed != held:
         raise InvariantViolation(
             f"free-class masks hold {listed} classes {where}, "
@@ -377,6 +389,11 @@ def _assign(
     doubler = doubler or [False] * n
     partner = [e.partner for e in ends]
     gates: dict[int, list[tuple[int, ...]]] = {}  # class -> its gates()
+    # the search that last opened each class, and that last searched its
+    # doubler, numbered from 1: no buffer per search
+    opened = [0] * n
+    dopened = [0] * n
+    search = 0
     owner = _warm_start(need, free, partner, units, cap)
     held: list[list[int]] = [[] for _ in range(n)]  # a vertex per unit
     for u, i in enumerate(owner):
@@ -405,13 +422,19 @@ def _assign(
         """Augment from v, short of a unit, to a class with room.  On the
         way a class swaps the end of a path it holds for the other end,
         moves its doubled gate, or, when full, hands a unit on."""
+        nonlocal search
+        search += 1
         came = {v: (-1, -1)}  # vertex -> (vertex taking its unit, class)
-        opened = [False] * n
-        dopened = [False] * n  # doubler searched
         queue = [v]
+        # the classes without a doubler that this search has opened: each
+        # is full and its units' vertices are queued, so a later visit
+        # can neither augment nor queue through it, and is skipped
+        shut = 0
         for y in queue:
             frm = came[y][1]
-            classes = free[y] & ~(1 << frm) if frm >= 0 else free[y]
+            classes = free[y] & ~shut
+            if frm >= 0:
+                classes &= ~(1 << frm)
             while classes:
                 low = classes & -classes
                 classes ^= low
@@ -426,8 +449,8 @@ def _assign(
                     displaced, fed = [p], False  # the other end gives way
                 else:
                     displaced, fed = (), True  # an empty gate, fed by class i
-                if not fed and doubler[i] and not dopened[i]:
-                    dopened[i] = True
+                if not fed and doubler[i] and dopened[i] != search:
+                    dopened[i] = search
                     pair = doubled(i)
                     displaced += pair
                     fed = not pair
@@ -438,8 +461,10 @@ def _assign(
                         move(x, frm, to)
                         x, to = prev, frm
                     return True
-                if fed and not opened[i]:
-                    opened[i] = True
+                if fed and opened[i] != search:
+                    opened[i] = search
+                    if not doubler[i]:
+                        shut |= low
                     displaced = [*displaced, *h]
                 for x in displaced:
                     if x not in came:
@@ -452,9 +477,9 @@ def _assign(
         its floor that gives up a unit.  On the way a class gives up a unit
         and takes the other end of its path instead, or takes a unit at a
         gate with room."""
+        nonlocal search
+        search += 1
         came: dict[int, tuple[int, int]] = {}  # vertex -> (taker, given up)
-        opened = [False] * n
-        dopened = [False] * n
         queue: list[int] = []
 
         def offer(y: int, taker: int, given: int) -> bool:
@@ -479,13 +504,14 @@ def _assign(
             second unit, of those with one unit too.  True once an offer
             has augmented."""
             h = held[i]
-            top = doubler[i] and not dopened[i] and (
+            top = doubler[i] and dopened[i] != search and (
                 h.count(given) == 2 or p in h or not doubled(i)
             )
-            if opened[i] and not top:
+            if opened[i] == search and not top:
                 return False
-            opened[i] = True
-            dopened[i] = dopened[i] or top
+            opened[i] = search
+            if top:
+                dopened[i] = search
             if i not in gates:
                 gates[i] = ends[i].gates()
             # the gates holding a unit hide their vertices while the empty
@@ -523,17 +549,20 @@ def _assign(
                 if p is not None and p not in came and p not in held[i]:
                     if offer(p, i, y):
                         return True
-                if not opened[i] or doubler[i] and not dopened[i]:
+                if opened[i] != search or doubler[i] and dopened[i] != search:
                     if open_class(i, y, p):
                         return True
         return False
 
-    for u, i in enumerate(owner):
-        if i < 0 and not home(u // units):
+    # home places only the unit it starts from, and fill raises only the
+    # class it starts from and lowers none below its floor, so the units
+    # and classes short at the start are the ones to search from
+    for u in [u for u, i in enumerate(owner) if i < 0]:
+        if not home(u // units):
             raise InternalInfeasible(
                 f"no class can take vertex {u // units} at order {m}"
             )
-    for i in range(n):
+    for i in [i for i in range(n) if len(held[i]) < need[i]]:
         while len(held[i]) < need[i]:
             if not fill(i):
                 raise InternalInfeasible(f"class {i} misses its floor at order {m}")
@@ -561,46 +590,52 @@ def _warm_start(
     owner = [-1] * (m * units)
     took = [0] * m  # per vertex, the classes holding one of its units
     load = [0] * n
+    bits = [1 << i for i in range(n)]
     top_gap = max(need)
     # by_gap[top_gap - g]: the classes with need - load == g, so the
     # highest gap comes first; no load passes max(need, cap)
-    low_gap = min([0] + [d - c for d, c in zip(need, cap)])
+    low_gap = min(0, min(map(sub, need, cap)))
     by_gap = [0] * (top_gap - low_gap + 1)
-    for i, d in enumerate(need):
-        by_gap[top_gap - d] |= 1 << i
-
-    def pick(v: int, classes: int) -> int:
-        for bucket in by_gap:
-            tied = classes & bucket
-            while tied:
-                low = tied & -tied
-                p = partner[low.bit_length() - 1].get(v)
-                if p is None or not took[p] & low:
-                    return low.bit_length() - 1
-                tied ^= low
-        return -1
+    for bit, d in zip(bits, need):
+        by_gap[top_gap - d] |= bit
 
     count = list(map(int.bit_count, free))
     order = sorted(range(m), key=count.__getitem__)
     for top in (need, cap) if any(need) else (cap,):
-        room = sum(1 << i for i in range(n) if load[i] < top[i])
+        room = sum(compress(bits, map(lt, load, top)))
         for k in range(units):
             for v in order:
                 u = v * units + k
-                classes = free[v] & room & ~took[v]
-                if owner[u] >= 0 or not classes:
+                if owner[u] >= 0:
                     continue
-                i = pick(v, classes)
-                if i >= 0:
-                    bit = 1 << i
-                    owner[u] = i
-                    took[v] |= bit
-                    g = top_gap - need[i] + load[i]
-                    by_gap[g] ^= bit
-                    by_gap[g + 1] |= bit
-                    load[i] += 1
-                    if load[i] == top[i]:
-                        room ^= bit
+                classes = free[v] & room & ~took[v]
+                if not classes:
+                    continue
+                # the lowest class passing the gate test in the first bucket
+                # that holds one; with none, v gets no unit in this sweep
+                for g, bucket in enumerate(by_gap):
+                    tied = classes & bucket
+                    while tied:
+                        bit = tied & -tied
+                        i = bit.bit_length() - 1
+                        p = partner[i].get(v)
+                        if p is None or not took[p] & bit:
+                            break
+                        tied ^= bit
+                    else:
+                        continue
+                    break
+                else:
+                    continue
+                owner[u] = i
+                took[v] |= bit
+                by_gap[g] ^= bit
+                by_gap[g + 1] |= bit
+                load[i] += 1
+                if load[i] == top[i]:
+                    room ^= bit
+                    if not room:
+                        break
     return owner
 
 
@@ -641,13 +676,15 @@ def check_ends(dec: Decomposition, ends: list[PathEnds]) -> None:
         raise InvariantViolation(
             f"{len(ends)} path-end states for {len(dec.classes)} classes"
         )
-    for i, (cls, state) in enumerate(zip(dec.classes, ends)):
-        want = dec.order - len(state.partner) // 2 - len(state.isolated)
-        if len(cls) != want:
-            raise InvariantViolation(
-                f"class {i} drifted from its path ends: {len(cls)} edges, "
-                f"its ends imply {want}"
-            )
+    order = dec.order
+    implied = [order - len(s.partner) // 2 - len(s.isolated) for s in ends]
+    sizes = list(map(len, dec.classes))
+    if sizes != implied:
+        i = next(i for i, k in enumerate(sizes) if k != implied[i])
+        raise InvariantViolation(
+            f"class {i} drifted from its path ends: {sizes[i]} edges, "
+            f"its ends imply {implied[i]}"
+        )
 
 
 def check_stage(
@@ -685,10 +722,11 @@ def check_stage(
         if free is not None:
             check_free(ends, free, where)
     floors = (size_floor(dec.order, n, False), size_floor(dec.order, n, True))
-    for i, cls in enumerate(dec.classes):
-        floor = floors[i < held]
-        if len(cls) < floor:
-            raise error(f"class {i} has {len(cls)} edges, floor {floor} {where}")
+    sizes = list(map(len, dec.classes))
+    short = [i for i, k in enumerate(sizes) if k < floors[i < held]]
+    if short:
+        i = short[0]
+        raise error(f"class {i} has {sizes[i]} edges, floor {floors[i < held]} {where}")
     return ends
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rainbow_hcd.cli import main
 from rainbow_hcd.errors import ParseError
 from rainbow_hcd.files import (
     certificate_from_text,
@@ -140,6 +141,98 @@ class TestCertificateFromText:
 
         with pytest.raises(ParseError):
             certificate_from_text(self.corrupt(mutate))
+
+    # Each form int() would read as the intended number, so a reader that
+    # converted instead of checking would accept it.  The first edge of
+    # class 0 and of h_edges is rewritten in place.
+    def _first_class_edge(d, form):
+        d["classes"][0][0] = form(d["classes"][0][0])
+
+    def _first_h_edge(d, form):
+        d["h_edges"][0] = form(d["h_edges"][0])
+
+    def _rekey(d, form):
+        d["label_map"] = {form(k): v for k, v in d["label_map"].items()}
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(n=str(d["n"])),
+            lambda d: d.update(n=float(d["n"])),
+            lambda d: d.update(order=str(d["order"])),
+            lambda d: d.update(order=float(d["order"])),
+            lambda d: d.update(seed=True),
+            lambda d: d.update(seed=float(d["seed"])),
+            lambda d: d["assignment"].__setitem__(0, str(d["assignment"][0])),
+            lambda d: d["assignment"].__setitem__(0, float(d["assignment"][0])),
+            lambda d: d["assignment"].__setitem__(0, bool(d["assignment"][0])),
+            lambda d: d.update(assignment="01"),
+            lambda d: d["label_map"].update({"0": float(d["label_map"]["0"])}),
+            lambda d: d["label_map"].update({"0": str(d["label_map"]["0"])}),
+            lambda d: d["label_map"].update({"0": bool(d["label_map"]["0"])}),
+            lambda d: TestCertificateFromText._rekey(d, lambda k: "0" + k),
+            lambda d: TestCertificateFromText._rekey(d, lambda k: "+" + k),
+            lambda d: TestCertificateFromText._rekey(d, lambda k: " " + k),
+            lambda d: TestCertificateFromText._rekey(d, lambda k: k + ".0"),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: "".join(map(str, e))),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: [x + 0.4 for x in e]),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: [float(x) for x in e]),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: [str(x) for x in e]),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: [bool(x) for x in e]),
+            lambda d: TestCertificateFromText._first_class_edge(d, lambda e: e[:1]),
+            lambda d: TestCertificateFromText._first_class_edge(
+                d, lambda e: {str(x): x for x in e}),
+            lambda d: TestCertificateFromText._first_h_edge(
+                d, lambda e: [str(e[0]), e[1]]),
+            lambda d: TestCertificateFromText._first_h_edge(
+                d, lambda e: [float(x) for x in e]),
+            lambda d: d.update(h_edges={str(i): e for i, e in enumerate(d["h_edges"])}),
+            lambda d: d.update(classes=dict(enumerate(d["classes"]))),
+            lambda d: d["classes"].__setitem__(0, "".join(map(str, d["classes"][0]))),
+            lambda d: d.update(label_map=list(d["label_map"].items())),
+            lambda d: d["pipeline_trace"].__setitem__(0, 1),
+        ],
+        ids=[
+            "n-string", "n-float", "order-string", "order-float", "seed-bool",
+            "seed-float", "assignment-string", "assignment-float",
+            "assignment-bool", "assignment-not-array", "label-value-float",
+            "label-value-string", "label-value-bool", "label-key-leading-zero",
+            "label-key-plus", "label-key-space", "label-key-decimal-point",
+            "edge-string", "edge-fractions", "edge-floats", "edge-strings",
+            "edge-bools", "edge-one-end", "edge-object", "h-edge-string-label",
+            "h-edge-floats", "h-edges-object", "classes-object", "class-string",
+            "label-map-array", "trace-entry-number",
+        ],
+    )
+    def test_rejects_non_integer_forms(self, mutate):
+        with pytest.raises(ParseError):
+            certificate_from_text(self.corrupt(mutate))
+
+    def test_rejects_the_forms_int_would_accept_together(self, tmp_path, capsys):
+        # a class edge given as the string "01", another edge as
+        # [0.4, 3.2] and an input label "0": int() reads each as the
+        # certificate's own value, so without the type checks this text
+        # parsed and verified
+        cert = solve([(0, 1), (1, 3)], seed=1)
+        doc = json.loads(certificate_to_text(cert))
+        c01 = next(i for i, cls in enumerate(doc["classes"]) if [0, 1] in cls)
+        c03 = next(i for i, cls in enumerate(doc["classes"]) if [0, 3] in cls)
+        doc["classes"][c01][doc["classes"][c01].index([0, 1])] = "01"
+        doc["classes"][c03][doc["classes"][c03].index([0, 3])] = [0.4, 3.2]
+        doc["h_edges"][0][0] = "0"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        inst = tmp_path / "instance.txt"
+        inst.write_text(format_instance([(0, 1), (1, 3)]))
+        with pytest.raises(ParseError):
+            certificate_from_text(path.read_text())
+        assert main(["verify", str(path), str(inst)]) == 1
+        assert "parse error" in capsys.readouterr().err
 
     def test_tampered_assignment_still_parses_then_fails_verify(self):
         # parsing checks shape only; semantic damage is the verifier's call

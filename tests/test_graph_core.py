@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,3 +248,226 @@ class TestVerifyCertificate:
     def test_report_lines(self):
         rep = verify_certificate(_walecki_cert(1))
         assert all(line.split(": ")[1].startswith("ok") for line in rep.lines())
+
+
+# ---------------------------------------------------------------------------
+# The three kernels against the dict-based versions they replaced, kept
+# here as reference oracles: same verdict, exception type and message.
+
+
+def _dict_is_hamiltonian_cycle(edges, order):
+    es = set(edges)
+    if order < 3 or len(es) != order:
+        return False
+    adj = {v: [] for v in range(order)}
+    for u, v in es:
+        if not (0 <= u < v < order):
+            return False
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(len(nb) != 2 for nb in adj.values()):
+        return False
+    seen = 1
+    prev, cur = None, 0
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == 0:
+            return seen == order
+        seen += 1
+        prev, cur = cur, nxt
+        if seen > order:
+            return False
+
+
+def _dict_analyze_linear_forest(edges, vertices):
+    vs = sorted(set(vertices))
+    vset = set(vs)
+    adj = {v: [] for v in vs}
+    seen_e = set()
+    for u, v in edges:
+        if u == v:
+            raise NotLinearForest(f"loop at vertex {u}")
+        e = edge(u, v)
+        if e in seen_e:
+            raise NotLinearForest(f"repeated edge {e}")
+        seen_e.add(e)
+        if u not in vset or v not in vset:
+            raise NotLinearForest(f"edge {e} leaves the vertex set")
+        adj[u].append(v)
+        adj[v].append(u)
+        if len(adj[u]) > 2 or len(adj[v]) > 2:
+            raise NotLinearForest(f"degree above two at edge {e}")
+    visited = set()
+    paths = []
+    isolated = []
+    for v in vs:
+        if v in visited or len(adj[v]) == 2:
+            continue
+        visited.add(v)
+        if not adj[v]:
+            isolated.append(v)
+            continue
+        walk = [v]
+        prev, cur = v, adj[v][0]
+        while True:
+            walk.append(cur)
+            visited.add(cur)
+            onward = [w for w in adj[cur] if w != prev]
+            if not onward:
+                break
+            prev, cur = cur, onward[0]
+        paths.append(tuple(walk))
+    if len(visited) != len(vs):
+        v = next(v for v in vs if v not in visited)
+        raise NotLinearForest(f"a cycle runs through edge {edge(v, adj[v][0])}")
+    return tuple(paths), tuple(isolated)
+
+
+def _dict_check_partition(dec):
+    seen = set()
+    total = 0
+    for i, cls in enumerate(dec.classes):
+        for e in cls:
+            u, v = e
+            if not (0 <= u < v < dec.order):
+                raise InvariantViolation(f"class {i}: edge {e} out of range")
+            if e in seen:
+                raise InvariantViolation(f"edge {e} appears in two classes")
+            seen.add(e)
+        total += len(cls)
+    want = dec.order * (dec.order - 1) // 2
+    if total != want:
+        raise InvariantViolation(f"{total} edges in classes, expected {want}")
+
+
+def _outcome(fn, *args):
+    """What a call gives: ("ok", its value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+
+
+def _shuffled(edges, rng):
+    """The edges in random order, each turned either way round."""
+    out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def _random_forest(order, rng):
+    """A linear forest on 0..order-1: a shuffled vertex list cut into
+    segments, each segment a path or a lone vertex."""
+    vs = list(range(order))
+    rng.shuffle(vs)
+    edges = []
+    for a, b in zip(vs, vs[1:]):
+        if rng.random() < 0.75:
+            edges.append(edge(a, b))
+    return edges
+
+
+def _cycle_through(vs):
+    return [edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1])]
+
+
+def _forest_mutants(order, rng):
+    """Edge lists over 0..order-1, named, that break a linear forest in
+    each way the scan tests, at a random place in the list."""
+    base = _random_forest(order, rng)
+    out = {"forest": base}
+    if order < 2:
+        return out
+    u, v = rng.sample(range(order), 2)
+
+    def put(extra):
+        es = list(base)
+        es.insert(rng.randrange(len(es) + 1), extra)
+        return es
+
+    out["loop"] = put((u, u))
+    if base:
+        out["repeat"] = put(tuple(reversed(rng.choice(base))))
+    out["out of range"] = put((u, order + rng.randrange(3)))
+    out["negative"] = put((-1 - rng.randrange(3), v))
+    if order >= 4:
+        hub, *spokes = rng.sample(range(order), 4)
+        out["degree three"] = [edge(hub, s) for s in spokes]
+    if order >= 3:
+        vs = rng.sample(range(order), rng.randint(3, order))
+        out["closed cycle"] = _cycle_through(vs)
+    if order >= 6:
+        vs = rng.sample(range(order), order)
+        cut = rng.randint(3, order - 3)
+        out["two cycles"] = _cycle_through(vs[:cut]) + _cycle_through(vs[cut:])
+    return out
+
+
+class TestKernelsMatchDictOracles:
+    @pytest.mark.parametrize("order", range(41))
+    def test_analyze_linear_forest(self, order):
+        rng = random.Random(f"forest:{order}")
+        for _ in range(6):
+            # every vertex in order, out of order, and a random subset
+            vertex_sets = [
+                range(order),
+                list(range(order))[::-1],
+                rng.sample(range(order), rng.randint(0, order)),
+            ]
+            for name, edges in _forest_mutants(order, rng).items():
+                for es in (edges, _shuffled(edges, rng), set(edges)):
+                    for vertices in vertex_sets:
+                        got = _outcome(analyze_linear_forest, es, vertices)
+                        if got[0] == "ok":
+                            got = "ok", (got[1].paths, got[1].isolated)
+                        want = _outcome(_dict_analyze_linear_forest, es, vertices)
+                        assert got == want, (name, es, vertices)
+
+    @pytest.mark.parametrize("order", range(41))
+    def test_is_hamiltonian_cycle(self, order):
+        rng = random.Random(f"cycle:{order}")
+        for _ in range(6):
+            vs = rng.sample(range(order), order)
+            cyc = _cycle_through(vs) if order >= 3 else [edge(0, 1)] * (order == 2)
+            cases = {"cycle": cyc, "shuffled": _shuffled(cyc, rng)}
+            cases.update(_forest_mutants(order, rng))
+            if cyc:
+                drop = rng.randrange(len(cyc))
+                cases["missing edge"] = cyc[:drop] + cyc[drop + 1:]
+                cases["extra edge"] = cyc + [(0, order)]
+                u, v = cyc[drop]
+                cases["turned edge"] = cyc[:drop] + [(v, u)] + cyc[drop + 1:]
+            for name, es in cases.items():
+                for k in (order, order - 1, order + 1, 2):
+                    assert is_hamiltonian_cycle(es, k) == _dict_is_hamiltonian_cycle(
+                        es, k), (name, es, k)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_check_partition(self, n):
+        rng = random.Random(f"partition:{n}")
+        order = 2 * n + 1
+        for _ in range(4):
+            perm = dict(enumerate(rng.sample(range(order), order)))
+            good = relabel_decomposition(walecki(n), perm)
+            cases = {"partition": good}
+
+            def mutant(name, change):
+                dec = good.copy()
+                change(dec.classes)
+                cases[name] = dec
+
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            e = rng.choice(sorted(good.classes[i]))
+            mutant("missing edge", lambda cs: cs[i].discard(e))
+            mutant("edge in two classes", lambda cs: cs[j].add(e))
+            mutant("out of range", lambda cs: cs[j].add((0, order)))
+            mutant("negative", lambda cs: cs[j].add((-1, 0)))
+            mutant("turned edge", lambda cs: (cs[i].discard(e), cs[i].add(e[::-1])))
+            mutant("loop", lambda cs: cs[j].add((1, 1)))
+            mutant("extra class", lambda cs: cs.append({(0, 1)}))
+            cases["order below three"] = Decomposition(2, [{(0, 1)}])
+            cases["empty"] = Decomposition(0, [])
+            for name, dec in cases.items():
+                assert _outcome(dec.check_partition) == _outcome(
+                    _dict_check_partition, dec), name

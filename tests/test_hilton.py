@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -553,7 +554,7 @@ class TestPathEnds:
     def test_joins_paths(self):
         ends = PathEnds(analyze_linear_forest([(0, 3), (1, 4)], range(6)))
         ends.add_edge(3, 4)
-        ends.add_vertex(6)
+        ends.isolated.add(6)  # a new vertex joins isolated
         ends.add_edge(5, 6)
         assert ends.gates() == [(0, 1), (5, 6), (2,)]
         assert ends.gates() == view_gates({(0, 3), (1, 4), (3, 4), (5, 6)}, 7)
@@ -573,6 +574,41 @@ class TestPathEnds:
         for m in range(1, 2 * n + 1):
             extend_to_hcd(truncate_to_order(walecki(n), m), n)
         assert len(steps) == sum(2 * n - m for m in range(1, 2 * n + 1))
+
+
+class TestLayEdgesRefusals:
+    """An edge its class's state refuses is the caller's fault, reported
+    as InvariantViolation naming the stage, the class and the edge."""
+
+    def lay(self, classes, new, grow=1, stage="vertex step"):
+        dec = Decomposition(4, [set(c) for c in classes])
+        ends = ends_of(dec)
+        hilton.lay_edges(dec, ends, free_classes(ends, 4), new, grow, stage)
+
+    def test_old_vertex_without_a_free_end(self):
+        # 1 is interior on the path 0-1-2-3
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "vertex step at order 4: class 0 cannot take (1, 4): "
+            "vertex 1 has no free end for (1, 4)"
+        )):
+            self.lay([{(0, 1), (1, 2), (2, 3)}], [(0, 0, 4), (0, 1, 4)])
+
+    def test_new_vertex_without_a_free_end(self):
+        # 4 took two edges of class 1 and is interior when the third comes
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "attach round at order 4: class 1 cannot take (2, 4): "
+            "vertex 4 has no free end for (2, 4)"
+        )):
+            self.lay([set(), set()], [(1, 0, 4), (1, 1, 4), (1, 2, 4)],
+                     grow=2, stage="attach round")
+
+    def test_edge_closing_a_cycle(self):
+        # 0-1 and 0-4 leave 1 and 4 the ends of one path
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "vertex step at order 4: class 1 cannot take (1, 4): "
+            "edge (1, 4) closes a cycle"
+        )):
+            self.lay([set(), {(0, 1)}], [(1, 0, 4), (1, 1, 4)])
 
 
 def rebuilt_free(ends, order):
