@@ -57,7 +57,6 @@ def embed_dense(
     h_edges: list[Edge],
     n: int,
     recurse,
-    seed: int = 0,
     trace: list[str] | None = None,
 ) -> tuple[Decomposition, list[PathEnds]]:
     """Build the n-forest split of K_r described in the module docstring,
@@ -71,8 +70,9 @@ def embed_dense(
     sends every linear forest with n >= 6 to the hub construction and
     recursive sub-instances go through solve, and the recursive regime
     fails on k x P3 at n = 2k for odd k.  The direct regime takes them.
-    recurse(edges, m, seed) must solve a smaller instance outright and
-    return its certificate; it is only called when r > n.
+    recurse(edges) must solve the instance on edges (s = ceil(r/2) < n of
+    them) outright, under whatever seed the caller chose, and return its
+    certificate; it is only called when r > n.
     """
     t = len(h_edges)
     vs = edge_vertices(h_edges)
@@ -98,7 +98,7 @@ def embed_dense(
         trace.append(f"embed: r={r} t={t} direct matchings")
         dec = _direct_small(h_edges, r, t, n)
     else:
-        dec = _recursive_dense(h_edges, r, t, n, recurse, seed, trace)
+        dec = _recursive_dense(h_edges, r, t, n, recurse, trace)
     return dec, verify_embedded_forests(dec, h_edges, n)
 
 
@@ -316,17 +316,18 @@ def _recursive_dense(
     t: int,
     n: int,
     recurse,
-    seed: int,
     trace: list[str],
 ) -> Decomposition:
+    # r <= 3t/2 <= 3n/2 (each component has at least two edges), so
+    # s <= ceil(3n/4) < n for n >= 6
     s = (r + 1) // 2
     if not 1 <= s < n:
-        raise InternalInfeasible(f"recursion size s={s} out of range for n={n}")
+        raise InvariantViolation(f"recursive instance of size {s}, n={n}")
     sub_idx = _choose_subgraph(h_edges, s)
     sub_edges = [h_edges[i] for i in sub_idx]
     case = 1 if 3 * r <= 4 * n - 1 else 2
     trace.append(f"embed: r={r} t={t} s={s} case={case}")
-    child = recurse(sub_edges, s, seed)
+    child = recurse(sub_edges)
 
     # send each child host vertex to its place in the parent layout: the
     # subgraph keeps its labels, everything else fills the gaps upward

@@ -53,15 +53,16 @@ class i, built once with hilton.free_classes when the stage has a round
 and kept by hilton.lay_edges as in a Hilton vertex step; no round
 rebuilds either.
 _witness_ok checks the witness before it is applied and leaves the states
-as they are: per class, each old vertex stands for the path or isolated
-vertex it lies on, a union-find over those and the new vertices finds
-any cycle the round's new edges would close, and a count of those edges
-at each vertex bounds its degree.  _attach checks that the round lays
-2m + 1 distinct edges, each with an end at m or m + 1, which keeps a
-partition of K_m one of K_{m+2}.  So the partition is proved once, by
-the scan that built the states: the embed exit's, or this stage's entry.
-hilton.check_stage checks the floors, the state counts and the free-class
-masks after each round; verify_certificate proves the result.
+as they are: per class, it lays the round's new edges through
+PathEnds.add_edge, the one copy of the join rule, into a scratch state
+that holds only the paths and isolated vertices those edges reach, so a
+third edge at a vertex or a closed cycle is refused as lay_edges would
+refuse it.  _attach checks that the round lays 2m + 1 distinct edges,
+each with an end at m or m + 1, which keeps a partition of K_m one of
+K_{m+2}.  So the partition is proved once, by the scan that built the
+states: the embed exit's, or this stage's entry.  hilton.check_stage
+checks the floors, and in one pass the state counts and the free-class
+masks, after each round; verify_certificate proves the result.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from .coloring import (  # noqa: F401
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
-from .errors import InvariantViolation, PreconditionViolation
-from .graph_core import Decomposition, Edge, edge
+from .errors import InvariantViolation, NotLinearForest, PreconditionViolation
+from .graph_core import Decomposition, Edge, LinearForestView, edge
 from .graph_core import analyze_linear_forest  # noqa: F401
 from .hilton import (
     PathEnds,
@@ -304,11 +305,13 @@ def _witness_ok(
     Checks, in order: it gives every old vertex one edge to each new
     vertex, every receiving class stays a linear forest when its new edges
     (bridge included) are laid in, and every class meets its gain floor
-    (_gain_floors).  The forest check bounds the new edges each class
-    takes at each old vertex by its free slots there, so no slot is spent
-    twice.
-    Simulating the attach per class is deliberate: it checks the result,
-    not the flow's bounds.  The states in ends are read, never changed."""
+    (_gain_floors).  The forest check lays each touched class's new edges
+    into a scratch PathEnds through add_edge, the join rule lay_edges
+    applies, so a slot spent twice or a closed cycle is refused the same
+    way.  The scratch holds only what the new edges reach: each touched
+    old vertex, with the far end of its path, and the new vertices m and
+    m + 1, isolated as lay_edges adds them.  The states in ends are read,
+    never changed."""
     m = dec.order
     if len(owner) != 2 * m or min(owner) < 0:
         return False
@@ -316,41 +319,18 @@ def _witness_ok(
     touched: dict[int, list[Edge]] = {}
     for i, u, w in _new_edges(owner, cstar, m):
         touched.setdefault(i, []).append((u, w))
-    for i, extra in touched.items():
-        if not _stays_linear(ends[i], extra, m):
+    for i, laid in touched.items():
+        state = ends[i]
+        near = {u for u, _ in laid if u < m}
+        paths = {edge(u, state.partner[u]) for u in near if u in state.partner}
+        scratch = PathEnds(
+            LinearForestView(tuple(paths), (*(near & state.isolated), m, m + 1))
+        )
+        try:
+            for u, w in laid:
+                scratch.add_edge(u, w)
+        except NotLinearForest:
             return False
 
     gain = Counter(owner)
     return all(gain[i] >= f for i, f in enumerate(_gain_floors(dec, cstar)))
-
-
-def _stays_linear(state: PathEnds, extra: list[Edge], m: int) -> bool:
-    """Whether the linear forest on 0..m-1 held by state stays one when
-    the edges in extra, each with an end at a new vertex m or m + 1, are
-    laid in.  Only the new edges are walked: each old vertex stands for
-    the path or isolated vertex it lies on, named by its low end, and a
-    union-find over those names and the new vertices finds any cycle the
-    new edges close.  A vertex may take two new edges if isolated or new,
-    one if a path end, none if interior."""
-    used: Counter[int] = Counter()
-    parent: dict[int, int] = {}
-    for e in extra:
-        roots = []
-        for x in e:
-            if x >= m or x in state.isolated:
-                name, free = x, 2
-            elif x in state.partner:
-                name, free = min(x, state.partner[x]), 1
-            else:
-                name, free = x, 0
-            used[x] += 1
-            if used[x] > free:
-                return False
-            while name in parent:
-                name = parent[name]
-            roots.append(name)
-        a, b = roots
-        if a == b:
-            return False
-        parent[a] = b
-    return True

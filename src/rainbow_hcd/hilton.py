@@ -26,15 +26,15 @@ states each vertex keeps its free classes, those in which it is a path end
 or isolated, as one int: bit i is set when the vertex is free in class i.
 lay_edges runs each edge through add_edge, the one copy of the join rule,
 whose returned far end tells whether the old vertex was a path end and so
-loses the class; each step checks the masks' total bit count against the
-states.  The choice at each
-vertex is a flow with lower bounds, source -> class -> gate -> vertex ->
-sink, where a gate is a path's pair of ends or an isolated vertex.
-_assign searches it by augmenting paths on the states and the free-class
-masks, without building a network; each attach round of extend_sparse
-picks its slots with the same search.  _Dinic, a general max-flow with
-lower bounds, has no caller here: the tests check both uses of _assign on
-it.
+loses the class.  After each step one pass of check_ends over the states
+ties each class to its state by count and the masks' total bit count to
+the states.  The choice at each vertex is a flow with lower bounds,
+source -> class -> gate -> vertex -> sink, where a gate is a path's pair
+of ends or an isolated vertex.  _assign searches it by augmenting paths
+on the states and the free-class masks, without building a network; each
+attach round of extend_sparse picks its slots with the same search.
+_Dinic, a general max-flow with lower bounds, has no caller here: the
+tests check both uses of _assign on it.
 """
 
 from __future__ import annotations
@@ -305,19 +305,6 @@ def lay_edges(
     every = (1 << len(ends)) - 1
     free.extend(every & ~t for t in twice)
     dec.order = m + grow
-
-
-def check_free(ends: list[PathEnds], free: list[int], where: str) -> None:
-    """Raise InvariantViolation unless the free-class masks hold as many
-    set bits in all as the states have path ends and isolated vertices;
-    where names the step for the message."""
-    listed = sum(map(int.bit_count, free))
-    held = sum([len(e.partner) + len(e.isolated) for e in ends])
-    if listed != held:
-        raise InvariantViolation(
-            f"free-class masks hold {listed} classes {where}, "
-            f"the path ends {held}"
-        )
 
 
 def free_classes(ends: list[PathEnds], m: int) -> list[int]:
@@ -666,18 +653,31 @@ def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         raise InvariantViolation(f"the closing ends do not cover 0..{m - 1} once")
 
 
-def check_ends(dec: Decomposition, ends: list[PathEnds]) -> None:
+def check_ends(
+    dec: Decomposition,
+    ends: list[PathEnds],
+    free: list[int] | None = None,
+    where: str = "",
+) -> None:
     """Raise InvariantViolation unless there is one state per class and
     every class holds exactly order - paths - isolated edges, the count
     its state implies.  A state built by a scan, whose add_edge checked
     every edge laid in since, stays tied to its class this way; a class
-    that moved apart from its state breaks the tie."""
+    that moved apart from its state breaks the tie.  When free is given,
+    the free-class masks must also hold as many set bits in all as the
+    states have path ends and isolated vertices, counted in the same pass
+    over the states; where names the step for that message."""
     if len(ends) != len(dec.classes):
         raise InvariantViolation(
             f"{len(ends)} path-end states for {len(dec.classes)} classes"
         )
     order = dec.order
-    implied = [order - len(s.partner) // 2 - len(s.isolated) for s in ends]
+    implied = []
+    held = 0
+    for s in ends:
+        ends_count, isolated = len(s.partner), len(s.isolated)
+        implied.append(order - ends_count // 2 - isolated)
+        held += ends_count + isolated
     sizes = list(map(len, dec.classes))
     if sizes != implied:
         i = next(i for i, k in enumerate(sizes) if k != implied[i])
@@ -685,6 +685,13 @@ def check_ends(dec: Decomposition, ends: list[PathEnds]) -> None:
             f"class {i} drifted from its path ends: {sizes[i]} edges, "
             f"its ends imply {implied[i]}"
         )
+    if free is not None:
+        listed = sum(map(int.bit_count, free))
+        if listed != held:
+            raise InvariantViolation(
+                f"free-class masks hold {listed} classes {where}, "
+                f"the path ends {held}"
+            )
 
 
 def check_stage(
@@ -704,7 +711,7 @@ def check_stage(
     classes must partition K_order, and each is scanned (NotLinearForest).
     Carried ends come with a split an earlier check proved, grown since by
     rounds and steps that keep the partition and whose add_edge checked
-    each edge; check_ends ties them to the classes, and check_free the
+    each edge; one pass of check_ends ties them to the classes, and the
     free-class masks, when given, to them.  A wrong class count or a class
     below its floor raises error, the rest InvariantViolation."""
     if len(dec.classes) != n:
@@ -718,9 +725,7 @@ def check_stage(
             except NotLinearForest as exc:
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
     else:
-        check_ends(dec, ends)
-        if free is not None:
-            check_free(ends, free, where)
+        check_ends(dec, ends, free, where)
     floors = (size_floor(dec.order, n, False), size_floor(dec.order, n, True))
     sizes = list(map(len, dec.classes))
     short = [i for i, k in enumerate(sizes) if k < floors[i < held]]

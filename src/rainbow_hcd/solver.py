@@ -30,6 +30,7 @@ from .errors import (
     InternalInfeasible,
     InvariantViolation,
     NotLinearForest,
+    PreconditionViolation,
     SearchExhausted,
 )
 from .extend_sparse import extend_with_k2s
@@ -150,7 +151,16 @@ def relabel_hosts(
     cert: RainbowCertificate, perm: dict[int, int]
 ) -> RainbowCertificate:
     """Move a certificate onto another host labeling of the same clique.
-    perm must be a bijection on 0..2n."""
+    perm must be a bijection on 0..2n, with integer labels, else
+    PreconditionViolation."""
+    hosts = set(range(cert.order))
+    if not (
+        set(perm) == set(perm.values()) == hosts
+        and all(type(h) is int for h in (*perm, *perm.values()))
+    ):
+        raise PreconditionViolation(
+            f"perm must be a bijection on 0..{cert.order - 1}"
+        )
     dec = relabel_decomposition(cert.decomposition, perm)
     label_map = {lab: perm[h] for lab, h in cert.label_map.items()}
     return RainbowCertificate(
@@ -309,13 +319,12 @@ def _main_pipeline(
         for i in thick_idx
     ]
 
-    def recurse(sub_edges: list[Edge], m: int, sd: int) -> RainbowCertificate:
-        if m >= n:
-            raise InvariantViolation(f"recursive instance of size {m}, n={n}")
-        return solve(sub_edges, seed=sd)
-
     child_seed = random.Random(f"{seed}:embed").getrandbits(32)
-    dec, ends = embed_dense(hp_edges, n, recurse, child_seed, trace)
+
+    def recurse(sub_edges: list[Edge]) -> RainbowCertificate:
+        return solve(sub_edges, seed=child_seed)
+
+    dec, ends = embed_dense(hp_edges, n, recurse, trace)
 
     # each stage hands its path-end states to the next, which checks them
     # by count instead of rescanning the split

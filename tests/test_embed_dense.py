@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,27 +19,32 @@ from rainbow_hcd.embed_dense import (
 )
 from rainbow_hcd.errors import InvariantViolation, PreconditionViolation
 from rainbow_hcd.families import (
+    EXHAUSTIVE_CAP,
     cycle_graph,
     disjoint_union,
+    nonisomorphic_edge_graphs,
     path_graph,
     star_graph,
 )
 from rainbow_hcd.graph_core import (
     Decomposition,
     analyze_linear_forest,
+    component_edge_groups,
     edge,
+    edge_vertices,
     verify_certificate,
 )
+from rainbow_hcd.hilton import check_stage
 from rainbow_hcd.solver import solve
 
 
-def recurse(edges, m, seed):
-    return solve(edges, seed)
+def recurse(edges):
+    return solve(edges)
 
 
 def run(h_edges, n, seed=0):
     trace = []
-    dec, _ = embed_dense(h_edges, n, recurse, seed=seed, trace=trace)
+    dec, _ = embed_dense(h_edges, n, lambda e: solve(e, seed), trace=trace)
     verify_embedded_forests(dec, h_edges, n)
     return dec, trace
 
@@ -171,6 +177,32 @@ class TestPreconditions:
         assert verify_certificate(cert).ok
 
 
+class TestWholeDomain:
+    def test_every_small_graph_embeds_or_meets_its_precondition(self):
+        # every graph of at most EXHAUSTIVE_CAP edges whose components all
+        # have two or more edges, at n = max(6, k) .. k + 14: the embed
+        # returns the ends of a fresh scan of its split, or refuses a
+        # linear forest with r > n; an InternalInfeasible fails the test
+        outcomes = Counter()
+        for k in range(1, EXHAUSTIVE_CAP + 1):
+            for h in nonisomorphic_edge_graphs(k):
+                if min(map(len, component_edge_groups(h))) < 2:
+                    continue
+                r = len(edge_vertices(h))
+                for n in range(max(6, k), k + 15):
+                    try:
+                        dec, ends = embed_dense(h, n, recurse)
+                    except PreconditionViolation as exc:
+                        assert f"a linear forest with r={r} > n={n}" in str(exc)
+                        outcomes["precondition"] += 1
+                        continue
+                    scan = check_stage(dec, n, k, "after the embed")
+                    assert ([(e.partner, e.isolated) for e in ends]
+                            == [(e.partner, e.isolated) for e in scan])
+                    outcomes["recursive" if r > n else "direct"] += 1
+        assert outcomes == {"direct": 933, "recursive": 23, "precondition": 9}
+
+
 class TestDirectRegime:
     # r <= n: one near-perfect matching schedule carries the split
     def test_small_path(self):
@@ -252,8 +284,8 @@ class TestInvariants:
             from rainbow_hcd.families import star_graph
             from rainbow_hcd.solver import solve
 
-            def recurse(edges, m, seed):
-                child = solve(edges, seed)
+            def recurse(edges):
+                child = solve(edges)
                 child.decomposition.classes[0].clear()
                 return child
 

@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from rainbow_hcd.errors import (
     PreconditionViolation,
 )
 from rainbow_hcd.extend_sparse import (
+    _attach,
     _split_slots,
     _stage_witness,
     _witness_ok,
@@ -54,7 +56,7 @@ from rainbow_hcd.solver import solve, split_components
 
 
 def dense_split(h_edges, n, seed=0):
-    return embed_dense(h_edges, n, lambda e, m, s: solve(e, s), seed=seed)[0]
+    return embed_dense(h_edges, n, lambda e: solve(e, seed))[0]
 
 
 def scan_ends(dec):
@@ -549,6 +551,51 @@ class TestWitness:
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
 
+    def test_witness_check_agrees_with_laying_the_round(self):
+        # _witness_ok against the round itself: _attach and check_stage on
+        # a deep copy of a split whose classes hold as many placeholder
+        # edges as their states imply, so the count tie holds and the
+        # floors follow from the states.  Each round's owner list is tried
+        # as _assign returns it, Euler-split, with one vertex's pair
+        # swapped, and with one slot moved to another class
+        rng = random.Random("witness-differential")
+        outcomes = Counter()
+        for m, gates, _, cstar, owner in self.feasible_rounds(
+            "witness-differential", 600
+        ):
+            ends = gate_states(gates)
+            n = len(ends)
+            sizes = [m - len(e.partner) // 2 - len(e.isolated) for e in ends]
+            dec = Decomposition(m, [{(-1, j) for j in range(k)} for k in sizes])
+            free = free_classes(ends, m)
+            split = _split_slots(m, n, ends, owner)
+            v = rng.randrange(m)
+            swapped = list(split)
+            swapped[2 * v], swapped[2 * v + 1] = split[2 * v + 1], split[2 * v]
+            tries = {"assigned": owner, "split": split, "swapped": swapped}
+            if n > 1:
+                j = rng.randrange(2 * m)
+                moved = list(split)
+                moved[j] = rng.choice([i for i in range(n) if i != split[j]])
+                tries["moved"] = moved
+            before = [(dict(e.partner), set(e.isolated)) for e in ends]
+            for kind, cand in tries.items():
+                ok = _witness_ok(dec, ends, cand, cstar)
+                assert [(e.partner, e.isolated) for e in ends] == before
+                grown, grown_ends, grown_free = copy.deepcopy((dec, ends, free))
+                try:
+                    _attach(grown, grown_ends, grown_free, cand, cstar)
+                    check_stage(grown, n, cstar + 1, "after the round",
+                                ends=grown_ends, free=grown_free)
+                except InvariantViolation:
+                    laid = False
+                else:
+                    laid = True
+                assert ok == laid, (kind, m, gates, cstar, cand)
+                outcomes[kind, ok] += 1
+        # every kind of owner list is both accepted and rejected
+        assert len(outcomes) == 8 and min(outcomes.values()) >= 20, outcomes
+
     def test_split_matches_the_paired_coloring_euler_split(self, monkeypatch):
         # paired_balanced_2_coloring keeps a shuffled cyclic start when it
         # is balanced, and otherwise recolours by one Euler split
@@ -842,7 +889,7 @@ class TestStageBoundary:
     H = disjoint_union(star_graph(3), path_graph(2))
 
     def embedded(self):
-        return embed_dense(self.H, 8, lambda e, m, s: solve(e, s), seed=0)
+        return embed_dense(self.H, 8, lambda e: solve(e, 0))
 
     def test_embed_returns_the_states_of_its_split(self):
         dec, ends = self.embedded()
@@ -864,7 +911,7 @@ class TestStageBoundary:
         # embed_dense's exit check proved the split; with its states the
         # attach rounds and the completion do not prove it again.  The
         # second graph has t = n = 7, so it runs no attach round.
-        dec, ends = embed_dense(h, n, lambda e, m, s: solve(e, s), seed=0)
+        dec, ends = embed_dense(h, n, lambda e: solve(e, 0))
 
         def no_proof(self):
             raise AssertionError("check_partition called")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rainbow_hcd
-from rainbow_hcd.errors import InfeasibleInput
+from rainbow_hcd.errors import InfeasibleInput, PreconditionViolation
 from rainbow_hcd.families import (
     cycle_graph,
     disjoint_union,
@@ -42,6 +42,7 @@ class TestPipelineChecks:
         # are stripped
         code = textwrap.dedent("""
             from rainbow_hcd import graph_core, solver
+            from rainbow_hcd.embed_dense import _recursive_dense
             from rainbow_hcd.errors import InvariantViolation
             from rainbow_hcd.families import star_graph
 
@@ -58,12 +59,10 @@ class TestPipelineChecks:
             h = [(0, 1), (1, 2), (3, 4)]
             probe(lambda: solver._main_pipeline(
                 h, solver.split_components(h), 3, 0))
-            # an embed that asks for a recursive instance of the full size
-            solver.embed_dense = (
-                lambda edges, n, recurse, seed, trace: recurse(edges, n, seed))
-            h = star_graph(6)
-            probe(lambda: solver._main_pipeline(
-                h, solver.split_components(h), 6, 0))
+            # a recursive embed that would ask for an instance of the full
+            # size: r = 12 vertices at n = 6 gives s = 6
+            probe(lambda: _recursive_dense(
+                star_graph(6), 12, 6, 6, solver.solve, []))
             # a view whose paths miss an edge
             graph_core.LinearForestView.edge_count = property(lambda v: 0)
             probe(lambda: graph_core.analyze_linear_forest([(0, 1)], range(2)))
@@ -216,6 +215,23 @@ class TestRelabelHosts:
         back = relabel_hosts(moved, {v: k for k, v in perm.items()})
         assert back.decomposition.classes == cert.decomposition.classes
         assert back.label_map == cert.label_map
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda o: {0: 1},
+            lambda o: {i: 0 for i in range(o)},
+            lambda o: {i: i + 1 for i in range(o)},
+            lambda o: {i: i for i in range(o + 1)},
+            lambda o: {**{i: i for i in range(2, o)}, 0: False, 1: True},
+        ],
+        ids=["partial", "not-injective", "out-of-range", "too-long", "bools"],
+    )
+    def test_rejects_a_map_that_is_no_bijection(self, make):
+        # a bad perm is the caller's fault, not an internal one
+        cert = solve(path_graph(4), seed=2)
+        with pytest.raises(PreconditionViolation, match="bijection"):
+            relabel_hosts(cert, make(cert.order))
 
 
 class TestDeterminism:
