@@ -34,23 +34,24 @@ from .graph_core import (
     edge_vertices,
     relabel_decomposition,
 )
-from .hilton import PathEnds, check_stage, truncate_to_order
+from .hilton import ForestSplit, check_stage, truncate_to_order
 
 
 def verify_embedded_forests(
     dec: Decomposition, h_edges: list[Edge], n: int
-) -> list[PathEnds]:
-    """Re-check every promise made by embed_dense, and return the path ends
-    of each class from the scan that checks it.  Every failure, a class an
-    edge move broke too, is the stage's own fault: InvariantViolation."""
+) -> ForestSplit:
+    """Re-check every promise made by embed_dense, and return the split
+    from the scan that proves it.  Every failure, a class an edge move
+    broke too, is the stage's own fault: InvariantViolation."""
     try:
-        ends = check_stage(dec, n, len(h_edges), "at the embed exit")
+        split = ForestSplit.scan(dec, "at the embed exit")
     except NotLinearForest as exc:
         raise InvariantViolation(str(exc)) from exc
+    check_stage(split, n, len(h_edges), "at the embed exit")
     for i, e in enumerate(h_edges):
         if e not in dec.classes[i]:
             raise InvariantViolation(f"edge {i} missing from class {i}")
-    return ends
+    return split
 
 
 def embed_dense(
@@ -58,10 +59,10 @@ def embed_dense(
     n: int,
     recurse,
     trace: list[str] | None = None,
-) -> tuple[Decomposition, list[PathEnds]]:
+) -> ForestSplit:
     """Build the n-forest split of K_r described in the module docstring,
-    and return it with the path ends of each class from its exit check,
-    for the stages after it to carry on.
+    and return it as its exit check proved it, for the stages after it to
+    grow.
 
     Requires n >= 6, else raises PreconditionViolation: solve routes every
     n <= 5 to base-small, so only the pipeline calls this stage, always
@@ -99,7 +100,7 @@ def embed_dense(
         dec = _direct_small(h_edges, r, t, n)
     else:
         dec = _recursive_dense(h_edges, r, t, n, recurse, trace)
-    return dec, verify_embedded_forests(dec, h_edges, n)
+    return verify_embedded_forests(dec, h_edges, n)
 
 
 # ---------------------------------------------------------------------------

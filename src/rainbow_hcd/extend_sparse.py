@@ -42,27 +42,21 @@ class (at most one of cstar beside the bridge), no path takes both its
 ends at one new vertex, and a class joins m to m+1 at most once, so every
 class stays a linear forest; the lower bounds keep the floors.
 
-A hilton.PathEnds state per class carries its path ends through the
-rounds, and each round reads its gates and slots from the states alone.
-The states come from the caller, carried from the embed stage's exit
-scan, or else from one scan of each class when the stage checks its
-input; they grow in place with the split and go on to the completion
-stage with it.  Next to them each old vertex keeps its free classes,
-those in which it is a path end or isolated, as one mask with bit i for
-class i, built once with hilton.free_classes when the stage has a round
-and kept by hilton.lay_edges as in a Hilton vertex step; no round
-rebuilds either.
-_witness_ok checks the witness before it is applied and leaves the states
-as they are: per class, it lays the round's new edges through
-PathEnds.add_edge, the one copy of the join rule, into a scratch state
-that holds only the paths and isolated vertices those edges reach, so a
-third edge at a vertex or a closed cycle is refused as lay_edges would
-refuse it.  _attach checks that the round lays 2m + 1 distinct edges,
-each with an end at m or m + 1, which keeps a partition of K_m one of
-K_{m+2}.  So the partition is proved once, by the scan that built the
-states: the embed exit's, or this stage's entry.  hilton.check_stage
-checks the floors, and in one pass the state counts and the free-class
-masks, after each round; verify_certificate proves the result.
+The rounds grow the hilton.ForestSplit they are given: the classes, a
+hilton.PathEnds state per class holding its path ends, and per old vertex
+the mask of its free classes, those in which it is a path end or
+isolated, bit i for class i.  The split comes proved, by the scan of the
+embed stage's exit or of the caller; each round reads its gates and slots
+from the states and the masks, and hilton.lay_edges lays its edges into
+all three, as in a Hilton vertex step, so nothing is rebuilt between
+rounds.  _witness_ok checks the witness's shape and its gain floors
+before it is applied.  _attach checks that the round lays 2m + 1 distinct
+edges, each with an end at m or m + 1, which keeps a partition of K_m one
+of K_{m+2}, and lay_edges lays each through PathEnds.add_edge, the one
+copy of the join rule: a third edge at a vertex or a closed cycle is an
+InvariantViolation there.  hilton.check_stage checks the floors, and in
+one pass the state counts and the free-class masks, after each round;
+verify_certificate proves the result.
 """
 
 from __future__ import annotations
@@ -76,35 +70,28 @@ from .coloring import (  # noqa: F401
     paired_balanced_2_coloring,
     rebalance_drop_one,
 )
-from .errors import InvariantViolation, NotLinearForest, PreconditionViolation
-from .graph_core import Decomposition, Edge, LinearForestView, edge
+from .errors import InvariantViolation, PreconditionViolation
+from .graph_core import Decomposition, edge
 from .graph_core import analyze_linear_forest  # noqa: F401
-from .hilton import (
-    PathEnds,
-    _assign,
-    check_stage,
-    free_classes,
-    lay_edges,
-    size_floor,
-)
+from .hilton import ForestSplit, PathEnds, _assign, check_stage, lay_edges, size_floor
 
-def capacity_graph(
-    dec: Decomposition, ends: list[PathEnds], free: list[int]
-) -> None:
+
+def capacity_graph(split: ForestSplit) -> None:
     """Check the round's free slots: a path end offers its class one, an
     isolated vertex two.  Every old vertex must offer k = 2n - m + 1
-    slots, one per set bit of its free-class mask free[v] and one more per
-    state in ends that holds it isolated.  That class i offers 2(m - |Q_i|)
-    is hilton.check_ends's count tie, which the stage entry or the
-    previous round has just checked on the same states.  No multigraph of the slots is built; the name stays from
-    when one was, since one call per round is how perfbench counts
-    rounds."""
+    slots, one per set bit of its free-class mask and one more per state
+    that holds it isolated.  That class i offers 2(m - |Q_i|) is
+    hilton.check_stage's count tie, which the stage entry or the previous
+    round has just checked on the same states.  No multigraph of the
+    slots is built; the name stays from when one was, since one call per
+    round is how perfbench counts rounds."""
+    dec, free = split.dec, split.free
     m = dec.order
     k = 2 * len(dec.classes) - m + 1
     if len(free) != m:
         raise InvariantViolation(f"{len(free)} free-class masks at order {m}")
     slots = list(map(int.bit_count, free))
-    for state in ends:
+    for state in split.ends:
         for v in state.isolated:
             slots[v] += 1
     for u, count in enumerate(slots):
@@ -115,54 +102,40 @@ def capacity_graph(
 
 
 def extend_with_k2s(
-    dec: Decomposition,
-    t: int,
-    n: int,
-    trace: list[str] | None = None,
-    ends: list[PathEnds] | None = None,
-) -> tuple[Decomposition, list[PathEnds]]:
-    """Attach n - t host pairs, one per round, growing dec in place, and
-    return it with the path ends of each of its classes.
+    split: ForestSplit, t: int, n: int, trace: list[str] | None = None
+) -> ForestSplit:
+    """Attach n - t host pairs, one per round, growing the split in place,
+    and return it.
 
     The input must be an n-class linear forest split of K_r meeting the
     s = 0 floors; class i is assumed to carry dense edge i for i < t and
-    class t + s receives the bridge of round s.  ends, when given, holds
-    the path ends of each input class, as embed_dense returns them from
-    the scan that proved its split; the input is then tied to them by
-    count instead of proved again, and they grow with it.
+    class t + s receives the bridge of round s.
     """
-    r = dec.order
+    dec = split.dec
     if trace is None:
         trace = []
     if not 2 <= t <= n:
         raise PreconditionViolation(f"need 2 <= t <= n, got t={t}, n={n}")
-    if r > 2 * t - 1:
+    if dec.order > 2 * t - 1:
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
-    ends = check_stage(dec, n, t, "at the attach entry", ends=ends)
-    free = free_classes(ends, r) if n > t else []
+    check_stage(split, n, t, "at the attach entry")
     for s in range(n - t):
-        owner = _stage_witness(dec, ends, free, t, n, s)
-        _attach(dec, ends, free, owner, s + t)
-        check_stage(dec, n, t + s + 1, f"after step {s + 1}", ends=ends, free=free)
+        owner = _stage_witness(split, t, n, s)
+        _attach(split, owner, s + t)
+        check_stage(split, n, t + s + 1, f"after step {s + 1}")
         trace.append(f"attach: s={s} order={dec.order}")
-    return dec, ends
+    return split
 
 
-def _attach(
-    dec: Decomposition,
-    ends: list[PathEnds],
-    free: list[int],
-    owner: list[int],
-    cstar: int,
-) -> None:
-    """Lay the round's new edges into dec, the class states and the
-    free-class masks, in place, by hilton.lay_edges.
+def _attach(split: ForestSplit, owner: list[int], cstar: int) -> None:
+    """Lay the round's new edges into the split, in place, by
+    hilton.lay_edges, which refuses an edge that would break its class.
 
     The round must lay 2m + 1 distinct edges, each with an end at m or
     m + 1: then a split that partitions K_m partitions K_{m+2} after it."""
-    m = dec.order
+    m = split.dec.order
     new = _new_edges(owner, cstar, m)
     laid = {edge(u, w) for _, u, w in new if 0 <= u < w and w in (m, m + 1)}
     if len(new) != 2 * m + 1 or len(laid) != 2 * m + 1:
@@ -170,7 +143,7 @@ def _attach(
             f"round at order {m} lays {len(new)} edges, {len(laid)} distinct "
             f"new ones, wanted {2 * m + 1}"
         )
-    lay_edges(dec, ends, free, new, 2, "attach round")
+    lay_edges(split, new, 2, "attach round")
 
 
 def _new_edges(owner: list[int], cstar: int, m: int) -> list[tuple[int, int, int]]:
@@ -194,34 +167,28 @@ def _gain_floors(dec: Decomposition, cstar: int) -> list[int]:
     ]
 
 
-def _stage_witness(
-    dec: Decomposition,
-    ends: list[PathEnds],
-    free: list[int],
-    t: int,
-    n: int,
-    s: int,
-) -> list[int]:
+def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
     """Round s's witness: the class each old vertex v gives each of its
-    two new edges to, owner[2v] for m and owner[2v + 1] for m + 1.  ends[i]
-    holds the path ends of class i and free[v] the mask of the classes in
-    which old vertex v is free, and neither is changed.  hilton._assign
-    picks the slots on the round's flow (see the module docstring),
-    _split_slots orders each vertex's pair, and _witness_ok must accept
-    the result, or the round raises InvariantViolation; _assign raises
-    InternalInfeasible when the flow has no solution."""
+    two new edges to, owner[2v] for m and owner[2v + 1] for m + 1, read
+    from the split, which is not changed.  hilton._assign picks the slots
+    on the round's flow (see the module docstring), _split_slots orders
+    each vertex's pair, and _witness_ok must accept the result, or the
+    round raises InvariantViolation; _assign raises InternalInfeasible
+    when the flow has no solution."""
+    dec = split.dec
     m = dec.order
     k = 2 * n - m + 1
     cstar = s + t
     if k < 4:
         raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
-    capacity_graph(dec, ends, free)
+    capacity_graph(split)
     floors = [max(0, floor) for floor in _gain_floors(dec, cstar)]
     cap = [2 if i == cstar else 4 for i in range(n)]
-    owner = _assign(m, floors, ends, free, 2, cap, [i != cstar for i in range(n)])
-    owner = _split_slots(m, n, ends, owner)
-    if not _witness_ok(dec, ends, owner, cstar):
+    doubler = [i != cstar for i in range(n)]
+    owner = _assign(m, floors, split.ends, split.free, 2, cap, doubler)
+    owner = _split_slots(m, n, split.ends, owner)
+    if not _witness_ok(dec, owner, cstar):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
@@ -296,41 +263,14 @@ def _split_slots(
     return out
 
 
-def _witness_ok(
-    dec: Decomposition, ends: list[PathEnds], owner: list[int], cstar: int
-) -> bool:
-    """Definitive acceptance test for a candidate witness, the owner list
-    of _stage_witness.
-
-    Checks, in order: it gives every old vertex one edge to each new
-    vertex, every receiving class stays a linear forest when its new edges
-    (bridge included) are laid in, and every class meets its gain floor
-    (_gain_floors).  The forest check lays each touched class's new edges
-    into a scratch PathEnds through add_edge, the join rule lay_edges
-    applies, so a slot spent twice or a closed cycle is refused the same
-    way.  The scratch holds only what the new edges reach: each touched
-    old vertex, with the far end of its path, and the new vertices m and
-    m + 1, isolated as lay_edges adds them.  The states in ends are read,
-    never changed."""
+def _witness_ok(dec: Decomposition, owner: list[int], cstar: int) -> bool:
+    """Acceptance test for a candidate witness, the owner list of
+    _stage_witness: it gives every old vertex one edge to each new vertex,
+    and every class meets its gain floor (_gain_floors).  That every class
+    stays a linear forest is checked where the edges are laid, by
+    _attach."""
     m = dec.order
     if len(owner) != 2 * m or min(owner) < 0:
         return False
-
-    touched: dict[int, list[Edge]] = {}
-    for i, u, w in _new_edges(owner, cstar, m):
-        touched.setdefault(i, []).append((u, w))
-    for i, laid in touched.items():
-        state = ends[i]
-        near = {u for u, _ in laid if u < m}
-        paths = {edge(u, state.partner[u]) for u in near if u in state.partner}
-        scratch = PathEnds(
-            LinearForestView(tuple(paths), (*(near & state.isolated), m, m + 1))
-        )
-        try:
-            for u, w in laid:
-                scratch.add_edge(u, w)
-        except NotLinearForest:
-            return False
-
     gain = Counter(owner)
     return all(gain[i] >= f for i, f in enumerate(_gain_floors(dec, cstar)))

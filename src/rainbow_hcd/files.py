@@ -9,9 +9,10 @@ classes, h_edges, assignment, seed, pipeline_trace, in that order, byte
 stable for a fixed certificate.  Class indices are 0 based everywhere.
 Reading one takes only what writing one gives: n, order, seed, each
 assignment entry and each label_map value a JSON integer (true and false
-are not), each edge a JSON array of two such integers, each label_map
-key a canonical decimal string ("7" or "-7", not "07", "+7" or " 7"),
-and pipeline_trace an array of strings; anything else is a ParseError.
+are not), each edge a JSON array of two such integers, no class listing
+an edge twice, each label_map key a canonical decimal string ("7" or
+"-7", not "07", "+7", " 7" or "-0"), and pipeline_trace an array of
+strings; anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     assignment = _array(doc["assignment"], "assignment")
     if not _all_type(assignment, int):
         raise ParseError("assignment holds an entry that is not an integer")
-    classes = [
-        set(_edge_list(cls, f"class {i}"))
-        for i, cls in enumerate(_array(doc["classes"], "classes"))
-    ]
+    classes = []
+    for i, rows in enumerate(_array(doc["classes"], "classes")):
+        cls = set(_edge_list(rows, f"class {i}"))
+        if len(cls) != len(rows):
+            raise ParseError(f"class {i} lists an edge twice")
+        classes.append(cls)
     trace = _array(doc["pipeline_trace"], "pipeline_trace")
     if not _all_type(trace, str):
         raise ParseError("pipeline_trace holds an entry that is not a string")
@@ -123,8 +126,8 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     return RainbowCertificate(n, seed, h_edges, label_map, assignment, dec, trace)
 
 
-# an integer in the form str() writes it
-_CANONICAL = re.compile(r"-?(0|[1-9][0-9]*)")
+# an integer in the form str() writes it, so no "-0"
+_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _all_type(items: list, kind: type) -> bool:

@@ -14,31 +14,36 @@ edge to every old vertex, to classes chosen so that every class stays a
 linear forest on the floor.  At order 2n every class is a spanning path,
 and the last vertex closes each of them into a cycle.
 
-A PathEnds state per class holds its path ends and checks every edge a
-step adds.  The states come from the caller, carried from the stage
-before and tied to the classes by the edge count they imply, or else from
-one analyze_linear_forest scan of each class, beside which the partition
-is proved.  The scan keeps two neighbour slots per vertex, in flat lists
-indexed by the vertex, and walks each path from its lower end off them.
-A step lays one edge from each old vertex to the new one, which keeps a
-partition of K_m one of K_{m+1}, so no step re-proves it.  Next to the
-states each vertex keeps its free classes, those in which it is a path end
-or isolated, as one int: bit i is set when the vertex is free in class i.
-lay_edges runs each edge through add_edge, the one copy of the join rule,
-whose returned far end tells whether the old vertex was a path end and so
-loses the class.  After each step one pass of check_ends over the states
-ties each class to its state by count and the masks' total bit count to
-the states.  The choice at each vertex is a flow with lower bounds,
-source -> class -> gate -> vertex -> sink, where a gate is a path's pair
-of ends or an isolated vertex.  _assign searches it by augmenting paths
-on the states and the free-class masks, without building a network; each
-attach round of extend_sparse picks its slots with the same search.
-_Dinic, a general max-flow with lower bounds, has no caller here: the
-tests check both uses of _assign on it.
+The pipeline carries one ForestSplit from the embed exit to the close:
+the classes, a PathEnds state per class holding its path ends, and per
+vertex one int holding its free classes, those in which it is a path end
+or isolated, as bit i for class i.  ForestSplit.scan builds it from a
+bare Decomposition and is the one proof of the split: the classes must
+partition K_m, and one analyze_linear_forest scan of each class, which
+keeps two neighbour slots per vertex in flat lists and walks each path
+from its lower end off them, gives its state; the masks are read off the
+states.  From there the split grows in place.  lay_edges lays the new
+edges of a round or a step into the classes, the states and the masks
+together, each edge through add_edge, the one copy of the join rule,
+whose returned far end tells whether the old vertex was a path end and
+so loses the class.  A step lays one edge from each old vertex to the
+new one, which keeps a partition of K_m one of K_{m+1}, so no step
+re-proves it.  check_stage runs where a stage takes the split on and
+after each round and step: it checks the class count and the floors, and
+in one pass over the states ties each class to its state by the edge
+count the state implies and the masks' total bit count to the states.
+The choice at each vertex is a flow with lower bounds, source -> class
+-> gate -> vertex -> sink, where a gate is a path's pair of ends or an
+isolated vertex.  _assign searches it by augmenting paths on the states
+and the free-class masks, without building a network; each attach round
+of extend_sparse picks its slots with the same search.  _Dinic, a
+general max-flow with lower bounds, has no caller here: the tests check
+both uses of _assign on it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress
 from operator import lt, sub
 
@@ -221,26 +226,51 @@ class PathEnds:
         return a
 
 
+@dataclass
+class ForestSplit:
+    """A split of K_order into linear forests as the stages carry it:
+    the classes in dec, the path ends of class i in ends[i], and in
+    free[v] the mask of the classes in which vertex v is a path end or
+    isolated (free_classes).  scan builds one; lay_edges grows all three
+    in place, and check_stage ties them together."""
+
+    dec: Decomposition
+    ends: list[PathEnds]
+    free: list[int]
+
+    @classmethod
+    def scan(cls, dec: Decomposition, where: str = "in the scan") -> ForestSplit:
+        """The split of dec, proved: its classes must partition K_order
+        (InvariantViolation) and each must be a linear forest
+        (NotLinearForest, naming the class and where), which one
+        analyze_linear_forest scan of each class shows and turns into its
+        state."""
+        dec.check_partition()
+        ends = []
+        for i, edges in enumerate(dec.classes):
+            try:
+                ends.append(PathEnds(analyze_linear_forest(edges, range(dec.order))))
+            except NotLinearForest as exc:
+                raise NotLinearForest(f"class {i} {where}: {exc}") from exc
+        return cls(dec, ends, free_classes(ends, dec.order))
+
+
 def size_floor(m: int, n: int, holds_edge: bool) -> int:
     """The size floor of the module docstring."""
     return 2 * m - 2 * n - holds_edge
 
 
-def single_vertex_step(
-    dec: Decomposition, n: int, ends: list[PathEnds], free: list[int]
-) -> None:
+def single_vertex_step(split: ForestSplit, n: int) -> None:
     """Attach vertex m to K_m in place, one new edge per old vertex.
 
     Every class may take at most two new edges, must take enough to meet
     its size floor at order m + 1, may touch a path only at one of its
     endpoints, and may touch each isolated vertex once.  _assign finds
     such an assignment whenever one exists, and raises InternalInfeasible
-    otherwise; one always exists for in-contract states.  ends[i] holds
-    the path ends of class i and free[v] the mask of classes in which
-    vertex v is a path end or isolated (free_classes); lay_edges updates
-    both, and check_stage checks the floors, the states and the masks
-    after the step.
+    otherwise; one always exists for in-contract states.  lay_edges grows
+    the split, and check_stage checks it after the step.
     """
+    dec = split.dec
     m = dec.order
     if not 1 <= m <= 2 * n - 1:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
@@ -250,29 +280,25 @@ def single_vertex_step(
     if max(need, default=0) > 2:
         i = next(i for i, d in enumerate(need) if d > 2)
         raise InvariantViolation(f"class {i} fell behind the size schedule")
-    owner = _assign(m, need, ends, free)
+    owner = _assign(m, need, split.ends, split.free)
     new = [(i, v, w) for v, i in enumerate(owner) if i >= 0]
-    lay_edges(dec, ends, free, new, 1, "vertex step")
+    lay_edges(split, new, 1, "vertex step")
     if len(new) != m:
         raise InvariantViolation(f"{len(new)} edges added at vertex {w}, expected {m}")
-    check_stage(dec, n, n, f"at vertex {w}", ends=ends, free=free)
+    check_stage(split, n, n, f"at vertex {w}")
 
 
 def lay_edges(
-    dec: Decomposition,
-    ends: list[PathEnds],
-    free: list[int],
-    new: list[tuple[int, int, int]],
-    grow: int,
-    stage: str,
+    split: ForestSplit, new: list[tuple[int, int, int]], grow: int, stage: str
 ) -> None:
-    """Append grow new vertices to dec and lay the edges (class, u, w), w
-    a new vertex, into the classes, their states and the free-class masks,
-    in place.  A path end that takes an edge of class i loses bit i, an
-    isolated vertex that takes one keeps it, and a new vertex's mask holds
-    the classes in which it took at most one edge.  An edge its state's
-    add_edge refuses is the caller's fault: InvariantViolation, naming
-    stage, the class and the edge."""
+    """Append grow new vertices to the split and lay the edges (class, u,
+    w), w a new vertex, into the classes, their states and the free-class
+    masks, in place.  A path end that takes an edge of class i loses bit
+    i, an isolated vertex that takes one keeps it, and a new vertex's mask
+    holds the classes in which it took at most one edge.  An edge its
+    state's add_edge refuses is the caller's fault: InvariantViolation,
+    naming stage, the class and the edge."""
+    dec, ends, free = split.dec, split.ends, split.free
     m = dec.order
     classes = dec.classes
     for w in range(m, m + grow):
@@ -626,22 +652,24 @@ def _warm_start(
     return owner
 
 
-def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None:
+def close_final_vertex(split: ForestSplit, n: int) -> None:
     """Join vertex 2n to both ends of each spanning path, closing cycles.
 
-    Each class must hold 2n - 1 edges on one path by its state (check_ends
-    and a single path gate), and the 2n closing ends must cover 0..2n-1
-    once, so the new edges split the star at 2n among the classes.  The
-    classes must partition K_2n, as the stage that built the split proved
-    and every step since kept; verify_certificate proves the result."""
+    Each class must hold one path by its state (a single path gate), and
+    the 2n closing ends must cover 0..2n-1 once, so the new edges split
+    the star at 2n among the classes.  The states must be tied to their
+    classes, 2n - 1 edges each, by the check_stage that last ran on the
+    split: the last vertex step's, or at order 2n the completion entry's.
+    The classes must partition K_2n, as the scan proved and every step
+    since kept; verify_certificate proves the result."""
+    dec = split.dec
     m = dec.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
-    check_ends(dec, ends)
     w = m
     closing: list[int] = []
-    for i, cls in enumerate(dec.classes):
-        gates = ends[i].gates()
+    for i, (cls, state) in enumerate(zip(dec.classes, split.ends)):
+        gates = state.gates()
         if len(gates) != 1 or len(gates[0]) != 2:
             raise InternalInfeasible(f"class {i} is not a spanning path")
         a, b = gates[0]
@@ -653,109 +681,73 @@ def close_final_vertex(dec: Decomposition, n: int, ends: list[PathEnds]) -> None
         raise InvariantViolation(f"the closing ends do not cover 0..{m - 1} once")
 
 
-def check_ends(
-    dec: Decomposition,
-    ends: list[PathEnds],
-    free: list[int] | None = None,
-    where: str = "",
-) -> None:
-    """Raise InvariantViolation unless there is one state per class and
-    every class holds exactly order - paths - isolated edges, the count
-    its state implies.  A state built by a scan, whose add_edge checked
-    every edge laid in since, stays tied to its class this way; a class
-    that moved apart from its state breaks the tie.  When free is given,
-    the free-class masks must also hold as many set bits in all as the
-    states have path ends and isolated vertices, counted in the same pass
-    over the states; where names the step for that message."""
-    if len(ends) != len(dec.classes):
-        raise InvariantViolation(
-            f"{len(ends)} path-end states for {len(dec.classes)} classes"
-        )
-    order = dec.order
-    implied = []
-    held = 0
-    for s in ends:
-        ends_count, isolated = len(s.partner), len(s.isolated)
-        implied.append(order - ends_count // 2 - isolated)
-        held += ends_count + isolated
-    sizes = list(map(len, dec.classes))
-    if sizes != implied:
-        i = next(i for i, k in enumerate(sizes) if k != implied[i])
-        raise InvariantViolation(
-            f"class {i} drifted from its path ends: {sizes[i]} edges, "
-            f"its ends imply {implied[i]}"
-        )
-    if free is not None:
-        listed = sum(map(int.bit_count, free))
-        if listed != held:
-            raise InvariantViolation(
-                f"free-class masks hold {listed} classes {where}, "
-                f"the path ends {held}"
-            )
-
-
 def check_stage(
-    dec: Decomposition,
+    split: ForestSplit,
     n: int,
     held: int,
     where: str,
     error: type[SolverError] = InvariantViolation,
-    ends: list[PathEnds] | None = None,
-    free: list[int] | None = None,
-) -> list[PathEnds]:
-    """Check a split handed from one stage to the next, and return the
-    path ends of each class; where names the stage for the messages.
+) -> None:
+    """Check a split handed from one stage to the next; where names the
+    stage for the messages.
 
     The n classes must meet their size floors, 0..held-1 holding their
-    edge of H.  Without ends the split is proved where it is built: the
-    classes must partition K_order, and each is scanned (NotLinearForest).
-    Carried ends come with a split an earlier check proved, grown since by
-    rounds and steps that keep the partition and whose add_edge checked
-    each edge; one pass of check_ends ties them to the classes, and the
-    free-class masks, when given, to them.  A wrong class count or a class
-    below its floor raises error, the rest InvariantViolation."""
+    edge of H.  The split was proved by its scan and grown since by rounds
+    and steps that keep the partition and lay each edge through add_edge,
+    so one pass over the states ties it together: there must be one state
+    per class, every class must hold exactly order - paths - isolated
+    edges, the count its state implies, and the free-class masks must hold
+    as many set bits in all as the states have path ends and isolated
+    vertices.  A class that moved apart from its state breaks the tie.  A
+    wrong class count or a class below its floor raises error, the rest
+    InvariantViolation."""
+    dec, ends = split.dec, split.ends
     if len(dec.classes) != n:
         raise error(f"expected {n} classes {where}, got {len(dec.classes)}")
-    if ends is None:
-        dec.check_partition()
-        ends = []
-        for i, cls in enumerate(dec.classes):
-            try:
-                ends.append(PathEnds(analyze_linear_forest(cls, range(dec.order))))
-            except NotLinearForest as exc:
-                raise NotLinearForest(f"class {i} {where}: {exc}") from exc
-    else:
-        check_ends(dec, ends, free, where)
-    floors = (size_floor(dec.order, n, False), size_floor(dec.order, n, True))
+    if len(ends) != n:
+        raise InvariantViolation(f"{len(ends)} path-end states for {n} classes")
+    order = dec.order
+    implied = []
+    free_total = 0
+    for s in ends:
+        ends_count, isolated = len(s.partner), len(s.isolated)
+        implied.append(order - ends_count // 2 - isolated)
+        free_total += ends_count + isolated
     sizes = list(map(len, dec.classes))
+    if sizes != implied:
+        i = next(i for i, k in enumerate(sizes) if k != implied[i])
+        raise InvariantViolation(
+            f"class {i} drifted from its path ends {where}: {sizes[i]} edges, "
+            f"its ends imply {implied[i]}"
+        )
+    listed = sum(map(int.bit_count, split.free))
+    if listed != free_total:
+        raise InvariantViolation(
+            f"free-class masks hold {listed} classes {where}, "
+            f"the path ends {free_total}"
+        )
+    floors = (size_floor(order, n, False), size_floor(order, n, True))
     short = [i for i, k in enumerate(sizes) if k < floors[i < held]]
     if short:
         i = short[0]
         raise error(f"class {i} has {sizes[i]} edges, floor {floors[i < held]} {where}")
-    return ends
 
 
-def extend_to_hcd(
-    dec: Decomposition, n: int, ends: list[PathEnds] | None = None
-) -> Decomposition:
-    """Grow a qualifying decomposition of K_m into an n-cycle decomposition
-    of K_{2n+1}, in place.
+def extend_to_hcd(split: ForestSplit, n: int) -> Decomposition:
+    """Grow a qualifying split of K_m into an n-cycle decomposition of
+    K_{2n+1}, in place, and return its decomposition.
 
-    Requires m <= 2n and n classes partitioning K_m, each a linear forest
-    holding its edge and meeting its size floor, as check_stage checks.
-    ends, when given, holds the path ends of each class carried from the
-    stage before, which proved the split; they are tied to it by count
-    instead of a scan and a partition check, and grow with the classes.
+    Requires m <= 2n and n classes, each holding its edge and meeting its
+    size floor, as check_stage checks; that they partition K_m into linear
+    forests is what the split's scan proved.
     """
+    dec = split.dec
     if not 1 <= dec.order <= 2 * n:
         raise PreconditionViolation(f"order {dec.order} not in 1..2n")
-    ends = check_stage(
-        dec, n, n, "at the completion entry", PreconditionViolation, ends
-    )
-    free = free_classes(ends, dec.order)
+    check_stage(split, n, n, "at the completion entry", PreconditionViolation)
     while dec.order < 2 * n:
-        single_vertex_step(dec, n, ends, free)
-    close_final_vertex(dec, n, ends)
+        single_vertex_step(split, n)
+    close_final_vertex(split, n)
     return dec
 
 

@@ -324,12 +324,10 @@ def _main_pipeline(
     def recurse(sub_edges: list[Edge]) -> RainbowCertificate:
         return solve(sub_edges, seed=child_seed)
 
-    dec, ends = embed_dense(hp_edges, n, recurse, trace)
-
-    # each stage hands its path-end states to the next, which checks them
-    # by count instead of rescanning the split
-    dec, ends = extend_with_k2s(dec, t, n, trace, ends)
-    dec = extend_to_hcd(dec, n, ends)
+    # the split the embed exit proved grows through the attach rounds and
+    # the completion, its path-end states and free-class masks with it
+    forests = embed_dense(hp_edges, n, recurse, trace)
+    dec = extend_to_hcd(extend_with_k2s(forests, t, n, trace), n)
     trace.append(f"hilton: order={dec.order}")
 
     # dense vertices keep their index; single edge number s sits on hosts

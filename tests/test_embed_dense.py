@@ -34,7 +34,7 @@ from rainbow_hcd.graph_core import (
     edge_vertices,
     verify_certificate,
 )
-from rainbow_hcd.hilton import check_stage
+from rainbow_hcd.hilton import ForestSplit
 from rainbow_hcd.solver import solve
 
 
@@ -44,7 +44,7 @@ def recurse(edges):
 
 def run(h_edges, n, seed=0):
     trace = []
-    dec, _ = embed_dense(h_edges, n, lambda e: solve(e, seed), trace=trace)
+    dec = embed_dense(h_edges, n, lambda e: solve(e, seed), trace=trace).dec
     verify_embedded_forests(dec, h_edges, n)
     return dec, trace
 
@@ -181,8 +181,9 @@ class TestWholeDomain:
     def test_every_small_graph_embeds_or_meets_its_precondition(self):
         # every graph of at most EXHAUSTIVE_CAP edges whose components all
         # have two or more edges, at n = max(6, k) .. k + 14: the embed
-        # returns the ends of a fresh scan of its split, or refuses a
-        # linear forest with r > n; an InternalInfeasible fails the test
+        # returns the states and masks of a fresh scan of its split, or
+        # refuses a linear forest with r > n; an InternalInfeasible fails
+        # the test
         outcomes = Counter()
         for k in range(1, EXHAUSTIVE_CAP + 1):
             for h in nonisomorphic_edge_graphs(k):
@@ -191,14 +192,15 @@ class TestWholeDomain:
                 r = len(edge_vertices(h))
                 for n in range(max(6, k), k + 15):
                     try:
-                        dec, ends = embed_dense(h, n, recurse)
+                        split = embed_dense(h, n, recurse)
                     except PreconditionViolation as exc:
                         assert f"a linear forest with r={r} > n={n}" in str(exc)
                         outcomes["precondition"] += 1
                         continue
-                    scan = check_stage(dec, n, k, "after the embed")
-                    assert ([(e.partner, e.isolated) for e in ends]
-                            == [(e.partner, e.isolated) for e in scan])
+                    scan = ForestSplit.scan(split.dec.copy())
+                    assert ([(e.partner, e.isolated) for e in split.ends]
+                            == [(e.partner, e.isolated) for e in scan.ends])
+                    assert split.free == scan.free
                     outcomes["recursive" if r > n else "direct"] += 1
         assert outcomes == {"direct": 933, "recursive": 23, "precondition": 9}
 

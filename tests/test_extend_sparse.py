@@ -1,6 +1,6 @@
-import copy
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -44,9 +44,9 @@ from rainbow_hcd.graph_core import (
     verify_certificate,
 )
 from rainbow_hcd.hilton import (
+    ForestSplit,
     PathEnds,
     _Dinic,
-    check_ends,
     check_stage,
     extend_to_hcd,
     free_classes,
@@ -54,28 +54,16 @@ from rainbow_hcd.hilton import (
 )
 from rainbow_hcd.solver import solve, split_components
 
+scan = ForestSplit.scan
+
 
 def dense_split(h_edges, n, seed=0):
-    return embed_dense(h_edges, n, lambda e: solve(e, seed))[0]
-
-
-def scan_ends(dec):
-    """Path ends of every class, from a full scan."""
-    return [
-        PathEnds(analyze_linear_forest(cls, range(dec.order)))
-        for cls in dec.classes
-    ]
+    return embed_dense(h_edges, n, lambda e: solve(e, seed))
 
 
 def scan_gates(dec):
-    return [state.gates() for state in scan_ends(dec)]
-
-
-def scan_slots(dec):
-    """Path ends of every class and free-class masks of every vertex,
-    from a full scan."""
-    ends = scan_ends(dec)
-    return ends, free_classes(ends, dec.order)
+    """The gates of every class, from a full scan."""
+    return [state.gates() for state in scan(dec).ends]
 
 
 def gate_states(gates):
@@ -115,7 +103,8 @@ def holders(owner, i):
 def sized_split(m, floors, cstar):
     """A stand-in split at order m for _witness_ok, which reads only the
     class sizes, for its gain floors: class i gets as many placeholder
-    edges as make its gain floor at most floors[i]."""
+    edges as make its gain floor at most floors[i].  No scan would prove
+    it, but lay_edges reads only its states and masks."""
     n = len(floors)
     sizes = [
         max(0, size_floor(m + 2, n, i <= cstar) - (i == cstar) - f)
@@ -150,14 +139,13 @@ def k5_forests():
 
 
 def matching_state():
-    """K_4 split into the perfect matchings {01, 23}, {02, 13}, {03, 12}
-    and three empty classes, with the path ends of each."""
-    dec = Decomposition(
+    """The split of K_4 into the perfect matchings {01, 23}, {02, 13},
+    {03, 12} and three empty classes."""
+    return scan(Decomposition(
         4,
         [{edge(0, 1), edge(2, 3)}, {edge(0, 2), edge(1, 3)},
          {edge(0, 3), edge(1, 2)}, set(), set(), set()],
-    )
-    return dec, scan_ends(dec)
+    ))
 
 
 # witnesses on matching_state, new vertices 4 and 5: old vertex v gives
@@ -202,92 +190,88 @@ SLOT_TWICE_SPLIT = [
 class TestCapacityGraph:
     # capacity_graph checks the round's slot counts on the carried state:
     # k = 2n - m + 1 at every old vertex; class i offers 2(m - |Q_i|),
-    # which check_ends ties to its state
+    # which check_stage ties to its state
 
     def test_slot_counts(self):
-        dec = k5_forests()
-        ends, free = scan_slots(dec)
+        split = scan(k5_forests())
+        dec = split.dec
         # class i offers 2 * (order - size) slots in total
-        for cls, e in zip(dec.classes, ends):
+        for cls, e in zip(dec.classes, split.ends):
             assert len(e.partner) + 2 * len(e.isolated) == 2 * (dec.order - len(cls))
-        capacity_graph(dec, ends, free)
+        capacity_graph(split)
         # a class that lost an edge its state still holds is caught by the
         # count tie every round's stage check runs on the same states
         dec.classes[2].discard(edge(0, 4))
         with pytest.raises(InvariantViolation, match="drifted from its path ends"):
-            check_ends(dec, ends)
+            check_stage(split, 3, 3, "after the round")
 
     def test_vertex_side_totals(self):
         # every old vertex offers k = 2n - m + 1 slots in all; one free-class
         # mask that misses a class leaves its vertex a slot short
-        dec = k5_forests()
-        ends, free = scan_slots(dec)
-        m, n = dec.order, len(dec.classes)
+        split = scan(k5_forests())
+        free = split.free
+        m, n = split.dec.order, len(split.dec.classes)
         assert all(
-            free[u].bit_count() + sum(u in e.isolated for e in ends)
+            free[u].bit_count() + sum(u in e.isolated for e in split.ends)
             == 2 * n - m + 1
             for u in range(m)
         )
-        capacity_graph(dec, ends, free)
+        capacity_graph(split)
         free[3] &= free[3] - 1  # its lowest class
         with pytest.raises(
             InvariantViolation, match=f"vertex 3 offers {2 * n - m} slots, wanted"
         ):
-            capacity_graph(dec, ends, free)
+            capacity_graph(split)
 
     def test_isolated_vertex_offers_two(self):
         # each class holds one edge of K_3: two path ends and an isolated
         # vertex, 4 slots, so k = 4 is met only if the isolated vertex
         # counts twice
-        dec = Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}])
-        ends, free = scan_slots(dec)
-        capacity_graph(dec, ends, free)
-        assert free == [0b111] * 3
+        split = scan(Decomposition(3, [{edge(0, 1)}, {edge(0, 2)}, {edge(1, 2)}]))
+        capacity_graph(split)
+        assert split.free == [0b111] * 3
 
 
 class TestVerifySparseState:
-    # the stage's own checks of its split: hilton.check_stage at the entry,
-    # and after each round with the carried states and free-class masks
+    # the stage's own checks of its split: hilton.check_stage at the entry
+    # and after each round, on the carried states and free-class masks
 
     def test_accepts_valid_state(self):
-        grown, ends = extend_with_k2s(p3_split(), t=2, n=3)
+        grown = extend_with_k2s(scan(p3_split()), t=2, n=3)
         check_stage(grown, 3, 3, "after step 1")
-        check_stage(grown, 3, 3, "after step 1", ends=ends,
-                    free=free_classes(ends, grown.order))
+        check_stage(scan(grown.dec), 3, 3, "after step 1")
 
     def test_rejects_wrong_order(self):
         # an order the carried states do not account for
-        grown, ends = extend_with_k2s(p3_split(), t=2, n=3)
-        grown.order += 1
+        grown = extend_with_k2s(scan(p3_split()), t=2, n=3)
+        grown.dec.order += 1
         with pytest.raises(InvariantViolation, match="drifted"):
-            check_stage(grown, 3, 3, "after step 1", ends=ends,
-                        free=free_classes(ends, grown.order))
+            check_stage(grown, 3, 3, "after step 1")
 
     def test_rejects_wrong_class_count(self):
         with pytest.raises(InvariantViolation, match="expected 4 classes"):
-            extend_with_k2s(k5_forests(), t=3, n=4)
+            extend_with_k2s(scan(k5_forests()), t=3, n=4)
 
     def test_rejects_floor_shortfall(self):
         # the floor is 3 for every class here; the last one holds 2 edges
         with pytest.raises(InvariantViolation, match="class 2 has 2 edges, floor 3"):
-            extend_with_k2s(k5_forests(), t=3, n=3)
+            extend_with_k2s(scan(k5_forests()), t=3, n=3)
 
 
 class TestPreconditions:
     def test_rejects_single_planted_edge(self):
         with pytest.raises(PreconditionViolation):
-            extend_with_k2s(k5_forests(), t=1, n=3)
+            extend_with_k2s(scan(k5_forests()), t=1, n=3)
 
     def test_rejects_too_many_vertices(self):
         with pytest.raises(PreconditionViolation):
-            extend_with_k2s(k5_forests(), t=2, n=3)
+            extend_with_k2s(scan(k5_forests()), t=2, n=3)
 
 
 class TestGrowth:
     def test_path_to_five_vertices(self):
         # two planted edges, one round: 3 classes of K_5 sized (4, 3, 3)
-        dec = p3_split()
-        out, _ = extend_with_k2s(dec, t=2, n=3)
+        out = extend_with_k2s(scan(p3_split()), t=2, n=3).dec
         assert out.order == 5
         assert sorted(len(c) for c in out.classes) == [3, 3, 4]
         assert edge(0, 1) in out.classes[0]
@@ -295,46 +279,41 @@ class TestGrowth:
         assert edge(3, 4) in out.classes[2]
 
     def test_grown_split_completes_to_cycles(self):
-        dec = p3_split()
-        out = extend_to_hcd(extend_with_k2s(dec, t=2, n=3)[0], 3)
+        out = extend_to_hcd(extend_with_k2s(scan(p3_split()), t=2, n=3), 3)
         out.check_hcd()
         assert out.order == 7
 
     def test_three_rounds(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        dec = dense_split(h, 8)
         trace = []
-        out, _ = extend_with_k2s(dec, t=5, n=8, trace=trace)
+        out = extend_with_k2s(dense_split(h, 8), t=5, n=8, trace=trace).dec
         assert out.order == 7 + 2 * 3
         assert [line.split()[1] for line in trace] == ["s=0", "s=1", "s=2"]
-        check_stage(out, 8, 8, "after step 3")
+        check_stage(scan(out), 8, 8, "after step 3")
 
     def test_bridge_lands_in_scheduled_class(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        dec = dense_split(h, 8)
-        out, _ = extend_with_k2s(dec, t=5, n=8)
+        out = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
         for s in range(3):
             assert edge(7 + 2 * s, 8 + 2 * s) in out.classes[5 + s]
 
     def test_planted_edges_survive_every_round(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        dec = dense_split(h, 8)
-        out, _ = extend_with_k2s(dec, t=5, n=8)
+        out = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
         for i, e in enumerate(h):
             assert e in out.classes[i]
 
     def test_deterministic(self):
         # no round draws a random number: the same split grows the same way
         h = disjoint_union(star_graph(3), path_graph(2))
-        a, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8)
-        b, _ = extend_with_k2s(dense_split(h, 8), t=5, n=8)
+        a = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
+        b = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
         assert a.classes == b.classes
 
     def test_no_rounds_needed(self):
-        dec = c4_split()
-        out, _ = extend_with_k2s(dec, t=4, n=4)
-        assert out.order == dec.order
-        assert out.classes == dec.classes
+        out = extend_with_k2s(scan(c4_split()), t=4, n=4).dec
+        assert out.order == c4_split().order
+        assert out.classes == c4_split().classes
 
 
 def round_flow_feasible(m, gates, floors, cstar):
@@ -471,18 +450,22 @@ class TestWitness:
         assert pairs(owner) == [[0, 1], [0, 2], [1, 1], [0, 1]]
 
     def test_stage_checks_raise_not_assert(self):
-        # a missing edge leaves its ends with k + 1 free slots
-        dec = p3_split()
-        cls = next(c for c in dec.classes if c)
-        cls.pop()
+        # a mask that misses a class leaves its vertex a slot short
+        split = scan(p3_split())
+        split.free[0] &= split.free[0] - 1
         with pytest.raises(InvariantViolation, match="slots, wanted"):
-            _stage_witness(dec, *scan_slots(dec), 2, 3, 0)
+            _stage_witness(split, 2, 3, 0)
 
     def test_accepts_a_split_that_keeps_every_class_linear(self):
         for owner in (GOOD_SPLIT, CSTAR_SPLIT):
-            dec, ends = matching_state()
-            assert _witness_ok(dec, ends, owner, 5)
+            split = matching_state()
+            assert _witness_ok(split.dec, owner, 5)
+            _attach(split, owner, 5)
+            check_stage(split, 6, 6, "after the round")
 
+    # the witness check reads only the shape and the gain floors; a split
+    # that breaks a class is refused where _attach lays it, by the states'
+    # add_edge, as the solve's own fault
     @pytest.mark.parametrize(
         "owner, cstar",
         [(TWO_GATES_SPLIT, 5), (CSTAR_SPLIT, 0), (THIRD_EDGE_SPLIT, 5),
@@ -491,22 +474,35 @@ class TestWitness:
              "third-edge-at-new-vertex", "slot-spent-twice"],
     )
     def test_rejects_a_bad_split_and_keeps_the_states(self, owner, cstar):
-        dec, ends = matching_state()
+        split = matching_state()
         # every old vertex gives one edge to each new vertex and the floors
-        # are slack, so only the forest check can reject
-        assert len(owner) == 2 * dec.order
-        before = [(dict(e.partner), set(e.isolated)) for e in ends]
-        assert not _witness_ok(dec, ends, owner, cstar)
-        assert [(e.partner, e.isolated) for e in ends] == before
+        # are slack, so the witness check accepts it
+        assert len(owner) == 2 * split.dec.order
+        assert _witness_ok(split.dec, owner, cstar)
+        with pytest.raises(
+            InvariantViolation, match=r"attach round at order 4: class \d cannot take"
+        ):
+            _attach(split, owner, cstar)
 
     def test_rejects_a_slot_at_an_interior_vertex(self):
-        # class 0 is a path 0-x-2 whose inner vertex 1 offers no slot; the
-        # same witness with vertex 1's slot moved to cstar is accepted
-        gates = [[(0, 2)]] + [[(0,), (1,), (2,)]] * 3
-        ends = gate_states(gates)
-        dec = sized_split(3, [0, 0, 0, 0], cstar=3)
-        assert not _witness_ok(dec, ends, [1, 2, 0, 1, 1, 2], 3)
-        assert _witness_ok(dec, ends, [1, 2, 3, 1, 1, 2], 3)
+        # class 0 is the path 0-1-2, whose inner vertex 1 offers no slot;
+        # the same witness with vertex 1's slot moved to cstar is laid
+        def split():
+            return scan(Decomposition(
+                3, [{edge(0, 1), edge(1, 2)}, set(), set(), {edge(0, 2)}]
+            ))
+
+        bad, good = [1, 2, 0, 1, 1, 2], [1, 2, 3, 1, 1, 2]
+        laid = split()
+        assert _witness_ok(laid.dec, bad, 3)
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "class 0 cannot take (1, 3): vertex 1 has no free end"
+        )):
+            _attach(laid, bad, 3)
+        laid = split()
+        assert _witness_ok(laid.dec, good, 3)
+        _attach(laid, good, 3)
+        check_stage(laid, 4, 4, "after the round")
 
     def feasible_rounds(self, seed, count):
         """(m, gates, floors, cstar, owner) for count feasible random
@@ -546,55 +542,12 @@ class TestWitness:
                         assert (out[2 * a] == i) != (out[2 * b] == i)
                         doubled["path"] += 1
             dec = sized_split(m, floors, cstar)
-            assert _witness_ok(dec, ends, out, cstar)
+            assert _witness_ok(dec, out, cstar)
+            # laid through the states, every class stays a linear forest
+            _attach(ForestSplit(dec, ends, free_classes(ends, m)), out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
-
-    def test_witness_check_agrees_with_laying_the_round(self):
-        # _witness_ok against the round itself: _attach and check_stage on
-        # a deep copy of a split whose classes hold as many placeholder
-        # edges as their states imply, so the count tie holds and the
-        # floors follow from the states.  Each round's owner list is tried
-        # as _assign returns it, Euler-split, with one vertex's pair
-        # swapped, and with one slot moved to another class
-        rng = random.Random("witness-differential")
-        outcomes = Counter()
-        for m, gates, _, cstar, owner in self.feasible_rounds(
-            "witness-differential", 600
-        ):
-            ends = gate_states(gates)
-            n = len(ends)
-            sizes = [m - len(e.partner) // 2 - len(e.isolated) for e in ends]
-            dec = Decomposition(m, [{(-1, j) for j in range(k)} for k in sizes])
-            free = free_classes(ends, m)
-            split = _split_slots(m, n, ends, owner)
-            v = rng.randrange(m)
-            swapped = list(split)
-            swapped[2 * v], swapped[2 * v + 1] = split[2 * v + 1], split[2 * v]
-            tries = {"assigned": owner, "split": split, "swapped": swapped}
-            if n > 1:
-                j = rng.randrange(2 * m)
-                moved = list(split)
-                moved[j] = rng.choice([i for i in range(n) if i != split[j]])
-                tries["moved"] = moved
-            before = [(dict(e.partner), set(e.isolated)) for e in ends]
-            for kind, cand in tries.items():
-                ok = _witness_ok(dec, ends, cand, cstar)
-                assert [(e.partner, e.isolated) for e in ends] == before
-                grown, grown_ends, grown_free = copy.deepcopy((dec, ends, free))
-                try:
-                    _attach(grown, grown_ends, grown_free, cand, cstar)
-                    check_stage(grown, n, cstar + 1, "after the round",
-                                ends=grown_ends, free=grown_free)
-                except InvariantViolation:
-                    laid = False
-                else:
-                    laid = True
-                assert ok == laid, (kind, m, gates, cstar, cand)
-                outcomes[kind, ok] += 1
-        # every kind of owner list is both accepted and rejected
-        assert len(outcomes) == 8 and min(outcomes.values()) >= 20, outcomes
 
     def test_split_matches_the_paired_coloring_euler_split(self, monkeypatch):
         # paired_balanced_2_coloring keeps a shuffled cyclic start when it
@@ -640,12 +593,12 @@ class TestWitness:
 
     def test_doubled_gate_on_one_side_is_rejected(self, capsys):
         exec(SPLIT_MUTANT, {})
-        assert "witness rejected" in capsys.readouterr().out
+        assert SPLIT_MUTANT_ERROR in capsys.readouterr().out
 
     def test_doubled_gate_on_one_side_is_rejected_under_optimize(self):
         lines = run_optimized(SPLIT_MUTANT)
         assert lines[0] == "False"
-        assert "witness rejected" in lines[1]
+        assert SPLIT_MUTANT_ERROR in lines[1]
 
     def test_witness_budget(self):
         # every round's first and only witness must verify: C3 + (n-3)K2
@@ -692,16 +645,17 @@ def carried_graphs():
 MUTANTS = {
     # the class of the bridge drops it after the round
     "drift": ("""
-        def attach(dec, ends, free, owner, cstar):
-            real(dec, ends, free, owner, cstar)
+        def attach(split, owner, cstar):
+            real(split, owner, cstar)
+            dec = split.dec
             dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
     """, "drifted from its path ends"),
     # the old vertices keep every class they were free in
     "keep-free": ("""
-        def attach(dec, ends, free, owner, cstar):
-            before = list(free)
-            real(dec, ends, free, owner, cstar)
-            free[:len(before)] = before
+        def attach(split, owner, cstar):
+            before = list(split.free)
+            real(split, owner, cstar)
+            split.free[:len(before)] = before
     """, "free-class masks hold"),
     # the first edge to new vertex m is laid twice, in place of the last
     "edge-twice": ("""
@@ -720,26 +674,26 @@ MUTANT_RUN = """
 from rainbow_hcd import extend_sparse
 from rainbow_hcd.errors import InvariantViolation
 from rainbow_hcd.graph_core import Decomposition, edge
+from rainbow_hcd.hilton import ForestSplit
 
 real = extend_sparse._attach
 new_edges = extend_sparse._new_edges
 
 def laying(change):
-    def attach(dec, ends, free, owner, cstar):
-        m = dec.order
+    def attach(split, owner, cstar):
+        m = split.dec.order
         extend_sparse._new_edges = lambda *a: change(new_edges(*a), m)
         try:
-            real(dec, ends, free, owner, cstar)
+            real(split, owner, cstar)
         finally:
             extend_sparse._new_edges = new_edges
     return attach
 {mutant}
 extend_sparse._attach = attach
 try:
-    extend_sparse.extend_with_k2s(
-        Decomposition(3, [{{edge(0, 1)}}, {{edge(0, 2), edge(1, 2)}}, set()]),
-        t=2, n=3,
-    )
+    extend_sparse.extend_with_k2s(ForestSplit.scan(
+        Decomposition(3, [{{edge(0, 1)}}, {{edge(0, 2), edge(1, 2)}}, set()])
+    ), t=2, n=3)
 except InvariantViolation as exc:
     print(exc)
 finally:
@@ -750,11 +704,13 @@ finally:
 # runs the one round of p3_split, in which class 1 takes both ends of its
 # path 0-2-1, with a split that sends both of them to new vertex m and the
 # other slots at those ends to m + 1: every old vertex still gives one
-# edge to each new vertex, but class 1 closes the cycle m-0-2-1-m
+# edge to each new vertex, but class 1 closes the cycle m-0-2-1-m, which
+# laying the round refuses
 SPLIT_MUTANT = """
 from rainbow_hcd import extend_sparse
 from rainbow_hcd.errors import InvariantViolation
 from rainbow_hcd.graph_core import Decomposition, edge
+from rainbow_hcd.hilton import ForestSplit
 
 real = extend_sparse._split_slots
 
@@ -772,15 +728,15 @@ def split(m, n, ends, owner):
 
 extend_sparse._split_slots = split
 try:
-    extend_sparse.extend_with_k2s(
-        Decomposition(3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()]),
-        t=2, n=3,
-    )
+    extend_sparse.extend_with_k2s(ForestSplit.scan(
+        Decomposition(3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()])
+    ), t=2, n=3)
 except InvariantViolation as exc:
     print(exc)
 finally:
     extend_sparse._split_slots = real
 """
+SPLIT_MUTANT_ERROR = "attach round at order 3: class 1 cannot take (1, 3)"
 
 def mutant_code(name):
     return MUTANT_RUN.format(mutant=textwrap.dedent(MUTANTS[name][0]))
@@ -804,49 +760,46 @@ class TestCarriedState:
         rounds = []
         real = extend_sparse.check_stage
 
-        def spy(dec, n, held, where, *args, ends=None, free=None):
-            out = real(dec, n, held, where, *args, ends=ends, free=free)
-            if ends is not None:
-                assert [e.gates() for e in ends] == scan_gates(dec), where
-                # the stage entry is checked on embed_dense's states, each
-                # round with its free-class masks
-                if free is not None:
-                    rounds.append(where)
-            return out
+        def spy(split, n, held, where, *args):
+            real(split, n, held, where, *args)
+            assert [e.gates() for e in split.ends] == scan_gates(split.dec), where
+            rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
         for h in carried_graphs():
             rounds.clear()
             cert = solve(h, seed=0)
             assert cert.trace[0] == "route: pipeline", h
-            assert len(rounds) == len(split_components(h).k2_idx) > 0, h
+            # the stage entry, on embed_dense's split, and every round
+            assert len(rounds) == len(split_components(h).k2_idx) + 1 > 1, h
 
     def test_free_lists_match_a_rebuild_after_every_round(self, monkeypatch):
         rounds = []
         real = extend_sparse.check_stage
 
-        def spy(dec, n, held, where, *args, ends=None, free=None):
-            out = real(dec, n, held, where, *args, ends=ends, free=free)
-            if free is not None:
-                assert free == free_classes(ends, dec.order), where
-                rounds.append(where)
-            return out
+        def spy(split, n, held, where, *args):
+            real(split, n, held, where, *args)
+            assert split.free == free_classes(split.ends, split.dec.order), where
+            rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
         for h in carried_graphs():
             rounds.clear()
             solve(h, seed=0)
             k = len(split_components(h).k2_idx)
-            assert rounds == [f"after step {s}" for s in range(1, k + 1)]
+            assert rounds == ["at the attach entry"] + [
+                f"after step {s}" for s in range(1, k + 1)
+            ]
 
     def test_no_round_builds_the_free_lists(self, monkeypatch):
-        # the dense-complete instances run no attach round
+        # the masks come with the split from its scan; neither the rounds
+        # nor the completion build them again
         def no_lists(*args):
             raise AssertionError("free_classes called")
 
-        monkeypatch.setattr(extend_sparse, "free_classes", no_lists)
-        out, _ = extend_with_k2s(c4_split(), t=4, n=4)
-        assert out.classes == c4_split().classes
+        split = dense_split(disjoint_union(star_graph(3), path_graph(2)), 8)
+        monkeypatch.setattr(hilton, "free_classes", no_lists)
+        extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8).check_hcd()
 
     def test_class_moved_apart_from_its_state_is_caught(self, capsys):
         exec(mutant_code("drift"), {})
@@ -884,83 +837,87 @@ def state_snapshot(ends):
 
 
 class TestStageBoundary:
-    # the states embed_dense builds from its exit scan go to the attach
-    # rounds, and from their last round to the Hilton completion
+    # the split embed_dense proves at its exit goes to the attach rounds,
+    # and from their last round to the Hilton completion
     H = disjoint_union(star_graph(3), path_graph(2))
 
     def embedded(self):
         return embed_dense(self.H, 8, lambda e: solve(e, 0))
 
     def test_embed_returns_the_states_of_its_split(self):
-        dec, ends = self.embedded()
-        assert [e.gates() for e in ends] == scan_gates(dec)
+        split = self.embedded()
+        assert [e.gates() for e in split.ends] == scan_gates(split.dec)
+        assert split.free == scan(split.dec).free
 
     def test_given_states_no_stage_scans(self, monkeypatch):
-        dec, ends = self.embedded()
+        split = self.embedded()
 
         def no_scan(*args):
             raise AssertionError("analyze_linear_forest called")
 
         monkeypatch.setattr(extend_sparse, "analyze_linear_forest", no_scan)
         monkeypatch.setattr(hilton, "analyze_linear_forest", no_scan)
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
-        extend_to_hcd(out, 8, out_ends).check_hcd()
+        extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8).check_hcd()
 
     @pytest.mark.parametrize("h, n", [(H, 8), (H + [(7, 8), (8, 9)], 7)])
     def test_given_states_no_partition_proof(self, monkeypatch, h, n):
-        # embed_dense's exit check proved the split; with its states the
-        # attach rounds and the completion do not prove it again.  The
-        # second graph has t = n = 7, so it runs no attach round.
-        dec, ends = embed_dense(h, n, lambda e: solve(e, 0))
+        # embed_dense's exit check proved the split; the attach rounds and
+        # the completion do not prove it again.  The second graph has
+        # t = n = 7, so it runs no attach round.
+        split = embed_dense(h, n, lambda e: solve(e, 0))
 
         def no_proof(self):
             raise AssertionError("check_partition called")
 
         monkeypatch.setattr(Decomposition, "check_partition", no_proof)
-        out, out_ends = extend_with_k2s(dec, t=len(h), n=n, ends=ends)
-        extend_to_hcd(out, n, out_ends)
+        out = extend_to_hcd(extend_with_k2s(split, t=len(h), n=n), n)
         monkeypatch.undo()
         out.check_hcd()
 
     def test_states_change_nothing(self):
-        # the same split grown from carried states and from a scan
-        dec, ends = self.embedded()
-        b, b_ends = extend_with_k2s(dec.copy(), t=5, n=8)
-        a, a_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
-        assert a.classes == b.classes
-        assert state_snapshot(a_ends) == state_snapshot(b_ends)
-        assert (extend_to_hcd(a, 8, a_ends).classes
-                == extend_to_hcd(b, 8).classes)
+        # the same split grown from the embed's states and from a fresh scan
+        split = self.embedded()
+        b = extend_with_k2s(scan(split.dec.copy()), t=5, n=8)
+        a = extend_with_k2s(split, t=5, n=8)
+        assert a.dec.classes == b.dec.classes
+        assert state_snapshot(a.ends) == state_snapshot(b.ends)
+        assert a.free == b.free
+        assert extend_to_hcd(a, 8).classes == extend_to_hcd(b, 8).classes
 
     @pytest.mark.parametrize("carried", [True, False])
     def test_input_grows_in_place(self, carried):
-        dec, ends = self.embedded()
+        # the embed's split, or a fresh scan of its classes
+        split = self.embedded()
+        if not carried:
+            split = scan(split.dec)
+        dec, ends, free = split.dec, split.ends, split.free
         order = dec.order
-        given = ends if carried else None
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=given)
-        assert out is dec
+        out = extend_with_k2s(split, t=5, n=8)
+        assert out is split
+        assert out.dec is dec and out.ends is ends and out.free is free
         assert dec.order == order + 6
-        assert (out_ends is ends) == carried
-        assert state_snapshot(out_ends) == state_snapshot(scan_ends(dec))
+        fresh = scan(dec)
+        assert state_snapshot(ends) == state_snapshot(fresh.ends)
+        assert free == fresh.free
 
     def test_drift_is_caught_at_the_attach_entry(self):
-        dec, ends = self.embedded()
-        move_edge(dec, 6, 7)
+        split = self.embedded()
+        move_edge(split.dec, 6, 7)
         with pytest.raises(InvariantViolation, match="drifted"):
-            extend_with_k2s(dec, t=5, n=8, ends=ends)
+            extend_with_k2s(split, t=5, n=8)
 
     def test_drift_is_caught_at_the_completion_entry(self):
-        dec, ends = self.embedded()
-        out, out_ends = extend_with_k2s(dec, t=5, n=8, ends=ends)
-        move_edge(out, 0, 1)
-        out.check_partition()
+        split = extend_with_k2s(self.embedded(), t=5, n=8)
+        move_edge(split.dec, 0, 1)
+        split.dec.check_partition()
         with pytest.raises(InvariantViolation, match="drifted"):
-            extend_to_hcd(out, 8, out_ends)
+            extend_to_hcd(split, 8)
 
     def test_state_count_is_checked(self):
-        dec, ends = self.embedded()
+        split = self.embedded()
+        split.ends.pop()
         with pytest.raises(InvariantViolation, match="states for 8 classes"):
-            extend_with_k2s(dec, t=5, n=8, ends=ends[:-1])
+            extend_with_k2s(split, t=5, n=8)
 
 
 @st.composite
@@ -993,10 +950,10 @@ class TestStageContract:
         t = len(h)
         n = max(6, t + k2_count)
         r = len(edge_vertices(h))
-        dec = dense_split(h, n, seed)
-        out, _ = extend_with_k2s(dec, t, n)
+        split = extend_with_k2s(dense_split(h, n, seed), t, n)
+        out = split.dec
         assert out.order == r + 2 * (n - t)
-        check_stage(out, n, n, "after the rounds")
+        check_stage(scan(out), n, n, "after the rounds")
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]
-        extend_to_hcd(out, n).check_hcd()
+        extend_to_hcd(split, n).check_hcd()

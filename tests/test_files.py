@@ -234,6 +234,24 @@ class TestCertificateFromText:
         assert main(["verify", str(path), str(inst)]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    def test_rejects_a_class_that_lists_an_edge_twice(self):
+        # read into a set, the repeat would vanish: the text would verify
+        # and write back to other bytes
+        def mutate(d):
+            d["classes"][0].append(d["classes"][0][0])
+
+        with pytest.raises(ParseError, match="class 0 lists an edge twice"):
+            certificate_from_text(self.corrupt(mutate))
+
+    def test_rejects_label_key_minus_zero(self):
+        # "-0" reads as 0, as "0" does: the text would verify and write
+        # back with the key "0"
+        with pytest.raises(ParseError, match="not a decimal integer"):
+            certificate_from_text(self.corrupt(
+                lambda d: TestCertificateFromText._rekey(
+                    d, lambda k: "-0" if k == "0" else k)
+            ))
+
     def test_tampered_assignment_still_parses_then_fails_verify(self):
         # parsing checks shape only; semantic damage is the verifier's call
         def mutate(d):

@@ -27,10 +27,13 @@ from rainbow_hcd.files import format_instance
 from rainbow_hcd.graph_core import (
     Decomposition,
     analyze_linear_forest,
+    complete_edges,
     edge,
+    relabel_decomposition,
     walecki,
 )
 from rainbow_hcd.hilton import (
+    ForestSplit,
     PathEnds,
     _Dinic,
     close_final_vertex,
@@ -41,15 +44,15 @@ from rainbow_hcd.hilton import (
 )
 from rainbow_hcd.solver import solve
 
+scan = ForestSplit.scan
 
-def ends_of(dec):
-    return [PathEnds(analyze_linear_forest(c, range(dec.order)))
+
+def unproved(dec):
+    """The states and masks ForestSplit.scan builds, for classes that
+    need not partition K_order and so would fail its proof."""
+    ends = [PathEnds(analyze_linear_forest(c, range(dec.order)))
             for c in dec.classes]
-
-
-def step(dec, n, ends):
-    """One vertex step with free-class masks built from the states."""
-    single_vertex_step(dec, n, ends, free_classes(ends, dec.order))
+    return ForestSplit(dec, ends, free_classes(ends, dec.order))
 
 
 def k4_paths():
@@ -101,9 +104,10 @@ def recursive_max_flow(fl, s, t):
             total += pushed
 
 
-def flow_feasible(dec, n, ends):
+def flow_feasible(split, n):
     """Reference: whether the lower-bounded flow of one vertex step, built
     on _Dinic from the same gates(), is feasible."""
+    dec, ends = split.dec, split.ends
     m = dec.order
     target = 2 * (m + 1) - 2 * n - 1
     fl = _Dinic()
@@ -164,7 +168,7 @@ class TestExtend:
         for m in range(1, 2 * n + 1):
             cut = truncate_to_order(walecki(n), m)
             kept = [set(c) for c in cut.classes]
-            out = extend_to_hcd(cut, n)
+            out = extend_to_hcd(scan(cut), n)
             out.check_hcd()
             assert out.order == 2 * n + 1
             assert all(old <= new for old, new in zip(kept, out.classes))
@@ -180,21 +184,21 @@ class TestExtend:
                 cut = truncate_to_order(cert.decomposition, rng.randint(1, 2 * n))
                 rng.shuffle(cut.classes)
                 kept = [set(c) for c in cut.classes]
-                out = extend_to_hcd(cut, n)
+                out = extend_to_hcd(scan(cut), n)
                 out.check_hcd()
                 assert all(old <= new for old, new in zip(kept, out.classes))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_from_nothing(self, n):
         dec = Decomposition(1, [set() for _ in range(n)])
-        out = extend_to_hcd(dec, n)
+        out = extend_to_hcd(scan(dec), n)
         out.check_hcd()
 
     def test_preserves_kept_edges(self):
         base = walecki(3)
         cut = truncate_to_order(base, 5)
         kept = [set(c) for c in cut.classes]
-        out = extend_to_hcd(cut, 3)
+        out = extend_to_hcd(scan(cut), 3)
         out.check_hcd()
         for old, new in zip(kept, out.classes):
             assert old <= new
@@ -202,13 +206,13 @@ class TestExtend:
     def test_spanning_path_entry_case(self):
         # order exactly 2n: only the closing vertex is missing
         cut = truncate_to_order(walecki(3), 6)
-        out = extend_to_hcd(cut, 3)
+        out = extend_to_hcd(scan(cut), 3)
         out.check_hcd()
 
     def test_rejects_wrong_class_count(self):
-        dec = Decomposition(1, [set(), set()])
-        with pytest.raises(PreconditionViolation):
-            extend_to_hcd(dec, 3)
+        split = scan(Decomposition(1, [set(), set()]))
+        with pytest.raises(PreconditionViolation, match="expected 3 classes"):
+            extend_to_hcd(split, 3)
 
     def test_rejects_small_class(self):
         # sizes 4, 4, 2 over K_5 with n=3: bound is 2m-2n-1 = 3
@@ -220,63 +224,140 @@ class TestExtend:
                 {(0, 1), (2, 3)},
             ],
         )
-        with pytest.raises(PreconditionViolation):
-            extend_to_hcd(dec, 3)
+        with pytest.raises(PreconditionViolation, match="class 2 has 2 edges"):
+            extend_to_hcd(scan(dec), 3)
 
     def test_rejects_non_forest(self):
+        # the scan that builds the split refuses the triangle
         dec = Decomposition(3, [{(0, 1), (1, 2), (0, 2)}, set()])
-        with pytest.raises(PreconditionViolation):
-            extend_to_hcd(dec, 2)
+        with pytest.raises(PreconditionViolation, match="class 0"):
+            extend_to_hcd(scan(dec), 2)
 
     def test_rejects_overfull_order(self):
-        dec = walecki(2)
-        with pytest.raises(PreconditionViolation):
-            extend_to_hcd(dec, 2)
+        # K_5 as three paths is a split, but of order 5 > 2n for n = 2
+        split = scan(Decomposition(5, [
+            {(0, 1), (1, 2), (2, 3), (3, 4)},
+            {(0, 2), (0, 3), (1, 3), (1, 4)},
+            {(0, 4), (2, 4)},
+        ]))
+        with pytest.raises(PreconditionViolation, match="order 5 not in 1..2n"):
+            extend_to_hcd(split, 2)
+
+
+def greedy_forest_split(rng, m, n):
+    """A split of K_m into n linear forests, or None: the edges in a random
+    order, each to the first class, in a random order, that it keeps a
+    linear forest."""
+    states = [PathEnds(analyze_linear_forest((), range(m))) for _ in range(n)]
+    classes = [set() for _ in range(n)]
+    edges = complete_edges(m)
+    rng.shuffle(edges)
+    for u, v in edges:
+        for i in rng.sample(range(n), n):
+            try:
+                states[i].add_edge(u, v)
+            except NotLinearForest:
+                continue
+            classes[i].add((u, v))
+            break
+        else:
+            return None
+    return Decomposition(m, classes)
+
+
+class TestWholeDomain:
+    # the completion's contract over inputs no route sends it: any labels,
+    # any class order, and forests that no Walecki cycle restricts to
+
+    def test_relabelled_shuffled_truncations(self):
+        rng = random.Random("completion-truncations")
+        for _ in range(300):
+            n = rng.randint(3, 24)
+            m = rng.randint(1, 2 * n)
+            cut = truncate_to_order(walecki(n), m)
+            cut = relabel_decomposition(cut, dict(enumerate(rng.sample(range(m), m))))
+            rng.shuffle(cut.classes)
+            kept = [set(c) for c in cut.classes]
+            out = extend_to_hcd(scan(cut), n)
+            out.check_hcd()
+            assert all(old <= new for old, new in zip(kept, out.classes))
+
+    def test_greedy_forest_splits(self):
+        # m <= n + 1, where the floor 2m - 2n - 1 asks at most one edge a
+        # class; a split that misses it is drawn again
+        rng = random.Random("completion-greedy-splits")
+        done = at_floor = 0
+        while done < 300:
+            n = rng.randint(3, 20)
+            m = rng.randint(1, n + 1)
+            dec = greedy_forest_split(rng, m, n)
+            if dec is None or min(map(len, dec.classes)) < 2 * m - 2 * n - 1:
+                continue
+            kept = [set(c) for c in dec.classes]
+            out = extend_to_hcd(scan(dec), n)
+            out.check_hcd()
+            assert all(old <= new for old, new in zip(kept, out.classes))
+            done += 1
+            at_floor += m == n + 1
+        assert at_floor >= 10, at_floor
 
 
 class TestSteps:
     def test_single_step_counts(self):
         cut = truncate_to_order(walecki(3), 4)
         sizes = [len(c) for c in cut.classes]
-        step(cut, 3, ends_of(cut))
+        single_vertex_step(scan(cut), 3)
         assert cut.order == 5
         grown = [len(c) - s for c, s in zip(cut.classes, sizes)]
         assert sum(grown) == 4
         assert all(0 <= g <= 2 for g in grown)
 
     def test_close_rejects_matching(self):
+        # class 1 is the matching 0-2, 1-3: two path gates, no spanning path
         dec = Decomposition(4, [{(0, 1), (1, 2), (2, 3)}, {(0, 2), (1, 3)}])
         with pytest.raises(InternalInfeasible):
-            close_final_vertex(dec, 2, ends_of(dec))
+            close_final_vertex(unproved(dec), 2)
 
     def test_close_rejects_wrong_order(self):
         with pytest.raises(PreconditionViolation):
-            close_final_vertex(walecki(2), 2, [])
+            close_final_vertex(scan(k4_paths()), 1)
 
-    def test_close_rejects_a_drifted_class(self):
-        # class 1 loses an edge its state still counts
-        dec = k4_paths()
-        ends = ends_of(dec)
-        dec.classes[1].discard((1, 3))
-        with pytest.raises(InvariantViolation, match="drifted"):
-            close_final_vertex(dec, 2, ends)
+    def test_last_step_tie_catches_a_drifted_class(self, monkeypatch):
+        # close_final_vertex trusts the count tie that the last vertex
+        # step's check_stage runs; a class that drops an edge in that step
+        # is caught there, and the close never runs
+        real = hilton.lay_edges
+
+        def drift(split, new, grow, stage):
+            real(split, new, grow, stage)
+            if split.dec.order == 4:
+                split.dec.classes[1].discard(min(split.dec.classes[1]))
+
+        def no_close(*args):
+            raise AssertionError("close_final_vertex called")
+
+        monkeypatch.setattr(hilton, "lay_edges", drift)
+        monkeypatch.setattr(hilton, "close_final_vertex", no_close)
+        with pytest.raises(
+            InvariantViolation, match="class 1 drifted from its path ends at vertex 3"
+        ):
+            extend_to_hcd(scan(truncate_to_order(walecki(2), 3)), 2)
 
     def test_close_rejects_repeated_closing_ends(self):
         # both states name the ends 0 and 3, so vertex 4 would meet 0 and 3
         # twice and 1 and 2 never
-        dec = k4_paths()
-        ends = ends_of(dec)
+        split = scan(k4_paths())
+        split.ends[1] = scan(k4_paths()).ends[0]
         with pytest.raises(InvariantViolation, match="closing ends"):
-            close_final_vertex(dec, 2, [ends[0], ends_of(dec)[0]])
+            close_final_vertex(split, 2)
 
     def test_step_rejects_large_order(self):
-        dec = truncate_to_order(walecki(2), 4)
         with pytest.raises(PreconditionViolation):
-            step(dec, 2, ends_of(dec))
+            single_vertex_step(scan(truncate_to_order(walecki(2), 4)), 2)
 
     def test_deterministic(self):
-        a = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
-        b = extend_to_hcd(truncate_to_order(walecki(4), 5), 4)
+        a = extend_to_hcd(scan(truncate_to_order(walecki(4), 5)), 4)
+        b = extend_to_hcd(scan(truncate_to_order(walecki(4), 5)), 4)
         assert a.classes == b.classes
         a.check_hcd()
 
@@ -284,23 +365,20 @@ class TestSteps:
         # the same states, their partner dicts and isolated sets filled in
         # the opposite order, give the same classes at every step
         n = 8
-        a = truncate_to_order(walecki(n), 6)
-        b = a.copy()
-        ends_a = ends_of(a)
-        ends_b = ends_of(b)
-        free_a = free_classes(ends_a, a.order)
-        free_b = free_classes(ends_b, b.order)
-        for e in ends_b:
+        a = scan(truncate_to_order(walecki(n), 6))
+        b = scan(a.dec.copy())
+        for e in b.ends:
             e.partner = dict(reversed(e.partner.items()))
             e.isolated = set(sorted(e.isolated, reverse=True))
         assert any(list(x.partner) != list(y.partner)
-                   for x, y in zip(ends_a, ends_b))
-        while a.order < 2 * n:
-            single_vertex_step(a, n, ends_a, free_a)
-            single_vertex_step(b, n, ends_b, free_b)
-            assert a.classes == b.classes
-        close_final_vertex(a, n, ends_a)
-        close_final_vertex(b, n, ends_b)
+                   for x, y in zip(a.ends, b.ends))
+        while a.dec.order < 2 * n:
+            single_vertex_step(a, n)
+            single_vertex_step(b, n)
+            assert a.dec.classes == b.dec.classes
+        close_final_vertex(a, n)
+        close_final_vertex(b, n)
+        a, b = a.dec, b.dec
         assert a.classes == b.classes
         a.check_hcd()
 
@@ -320,16 +398,17 @@ class TestExactness:
         outcomes = Counter()
         for _ in range(600):
             dec, n = random_step_state(rng)
-            ends = ends_of(dec)
-            feasible = flow_feasible(dec, n, ends)
+            split = unproved(dec)
+            ends = split.ends
+            feasible = flow_feasible(split, n)
             m = dec.order
             before = [set(c) for c in dec.classes]
             if not feasible:
                 with pytest.raises(InternalInfeasible) as err:
-                    step(dec, n, ends)
+                    single_vertex_step(split, n)
                 outcomes["floor" if "floor" in str(err.value) else "vertex"] += 1
                 continue
-            step(dec, n, ends)
+            single_vertex_step(split, n)
             outcomes["feasible"] += 1
             # every old vertex gave its one edge to a class that took at
             # most 2, met its floor and stayed a linear forest
@@ -448,7 +527,7 @@ class TestInvariants:
         monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
         cut = truncate_to_order(walecki(3), order)
         with pytest.raises(InvariantViolation, match=reason):
-            step(cut, 3, ends_of(cut))
+            single_vertex_step(scan(cut), 3)
 
     def test_class_below_its_floor_after_the_step_raises(self, monkeypatch):
         # at order 3 (n=3) class 2 needs one edge; an assignment that gives
@@ -462,7 +541,7 @@ class TestInvariants:
         with pytest.raises(
             InvariantViolation, match="class 2 has 0 edges, floor 1 at vertex 3"
         ):
-            step(cut, 3, ends_of(cut))
+            single_vertex_step(scan(cut), 3)
 
     def test_short_assignment_raises(self, monkeypatch):
         # one vertex left out of a feasible assignment
@@ -472,25 +551,21 @@ class TestInvariants:
         )
         cut = truncate_to_order(walecki(3), 2)
         with pytest.raises(InvariantViolation, match="1 edges added"):
-            step(cut, 3, ends_of(cut))
+            single_vertex_step(scan(cut), 3)
 
     def test_short_assignment_raises_under_optimize(self):
         # the short assignment under python -O, where asserts are stripped
         code = textwrap.dedent("""
             from rainbow_hcd import hilton
             from rainbow_hcd.errors import InvariantViolation
-            from rainbow_hcd.graph_core import analyze_linear_forest, walecki
+            from rainbow_hcd.graph_core import walecki
 
             real = hilton._assign
             hilton._assign = lambda *args: real(*args)[:-1] + [-1]
             cut = hilton.truncate_to_order(walecki(3), 2)
-            ends = [hilton.PathEnds(analyze_linear_forest(c, range(2)))
-                    for c in cut.classes]
             print(__debug__)
             try:
-                hilton.single_vertex_step(
-                    cut, 3, ends, hilton.free_classes(ends, 2)
-                )
+                hilton.single_vertex_step(hilton.ForestSplit.scan(cut), 3)
             except InvariantViolation as exc:
                 print(exc)
         """)
@@ -536,8 +611,9 @@ class TestInvariants:
         # at order 5 with n=3 every class needs 5 edges after the step
         cut = truncate_to_order(walecki(3), 5)
         cut.classes[0] = set(sorted(cut.classes[0])[:2])
+        split = unproved(cut)
         with pytest.raises(InvariantViolation, match="fell behind"):
-            step(cut, 3, ends_of(cut))
+            single_vertex_step(split, 3)
 
 
 class TestPathEnds:
@@ -564,15 +640,16 @@ class TestPathEnds:
         real = hilton.single_vertex_step
         steps = []
 
-        def checked(dec, n, ends, free):
-            real(dec, n, ends, free)
+        def checked(split, n):
+            real(split, n)
+            dec = split.dec
             steps.append(dec.order)
-            for cls, e in zip(dec.classes, ends):
+            for cls, e in zip(dec.classes, split.ends):
                 assert e.gates() == view_gates(cls, dec.order)
 
         monkeypatch.setattr(hilton, "single_vertex_step", checked)
         for m in range(1, 2 * n + 1):
-            extend_to_hcd(truncate_to_order(walecki(n), m), n)
+            extend_to_hcd(scan(truncate_to_order(walecki(n), m)), n)
         assert len(steps) == sum(2 * n - m for m in range(1, 2 * n + 1))
 
 
@@ -582,8 +659,7 @@ class TestLayEdgesRefusals:
 
     def lay(self, classes, new, grow=1, stage="vertex step"):
         dec = Decomposition(4, [set(c) for c in classes])
-        ends = ends_of(dec)
-        hilton.lay_edges(dec, ends, free_classes(ends, 4), new, grow, stage)
+        hilton.lay_edges(unproved(dec), new, grow, stage)
 
     def test_old_vertex_without_a_free_end(self):
         # 1 is interior on the path 0-1-2-3
@@ -650,10 +726,11 @@ class TestFreeLists:
         real = hilton.single_vertex_step
         steps = []
 
-        def checked(dec, n, ends, free):
-            real(dec, n, ends, free)
-            assert free == rebuilt_free(ends, dec.order), (n, dec.order)
-            steps.append(dec.order)
+        def checked(split, n):
+            real(split, n)
+            order = split.dec.order
+            assert split.free == rebuilt_free(split.ends, order), (n, order)
+            steps.append(order)
 
         monkeypatch.setattr(hilton, "single_vertex_step", checked)
         return steps
@@ -662,7 +739,7 @@ class TestFreeLists:
     def test_lists_match_the_states_on_truncations(self, n, monkeypatch):
         steps = self.carried_lists_checked(monkeypatch)
         for m in range(1, 2 * n + 1):
-            extend_to_hcd(truncate_to_order(walecki(n), m), n)
+            extend_to_hcd(scan(truncate_to_order(walecki(n), m)), n)
         assert len(steps) == sum(2 * n - m for m in range(1, 2 * n + 1))
 
     def test_lists_match_the_states_on_pipeline_graphs(self, monkeypatch):
@@ -680,8 +757,9 @@ class TestFreeLists:
             "free_classes",
             lambda ends, m: NoClear(real(ends, m)),
         )
+        split = scan(truncate_to_order(walecki(4), 3))
         with pytest.raises(InvariantViolation, match="free-class masks"):
-            extend_to_hcd(truncate_to_order(walecki(4), 3), 4)
+            extend_to_hcd(split, 4)
 
     def test_skipped_removal_trips_the_tie_under_optimize(self):
         # the same mutant under python -O, where asserts are stripped
@@ -698,7 +776,8 @@ class TestFreeLists:
             hilton.free_classes = lambda ends, m: NoClear(real(ends, m))
             print(__debug__)
             try:
-                hilton.extend_to_hcd(hilton.truncate_to_order(walecki(4), 3), 4)
+                cut = hilton.truncate_to_order(walecki(4), 3)
+                hilton.extend_to_hcd(hilton.ForestSplit.scan(cut), 4)
             except InvariantViolation as exc:
                 print(exc)
         """)
