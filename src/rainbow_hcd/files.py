@@ -68,22 +68,37 @@ def _int(tok: str, what: str) -> int:
         raise ParseError(f"{what} is not an integer: {tok!r}") from None
 
 
+_KEYS = (
+    "n", "order", "label_map", "classes",
+    "h_edges", "assignment", "seed", "pipeline_trace",
+)
+
+
 def certificate_to_text(cert: RainbowCertificate) -> str:
-    doc = {
-        "n": cert.n,
-        "order": cert.order,
-        "label_map": {
-            str(lab): cert.label_map[lab] for lab in sorted(cert.label_map)
-        },
-        "classes": [
-            [list(e) for e in sorted(cls)] for cls in cert.decomposition.classes
-        ],
-        "h_edges": [list(e) for e in cert.h_edges],
-        "assignment": list(cert.assignment),
-        "seed": cert.seed,
-        "pipeline_trace": list(cert.trace),
-    }
-    return json.dumps(doc, indent=1) + "\n"
+    """The document json.dumps(doc, indent=1) would write, laid out here
+    (that encoder is pure Python): numbers by str, trace lines by
+    json.dumps."""
+    at_3 = "[\n    %s,\n    %s\n   ]".__mod__  # an edge inside a class
+    classes = [
+        _block(list(map(at_3, sorted(c))), 2) for c in cert.decomposition.classes
+    ]
+    labels = [f'"{lab}": {cert.label_map[lab]}' for lab in sorted(cert.label_map)]
+    values = (
+        cert.n, cert.order, _block(labels, 1, "{}"), _block(classes, 1),
+        _block(list(map("[\n   %s,\n   %s\n  ]".__mod__, cert.h_edges)), 1),
+        _block(list(map(str, cert.assignment)), 1), cert.seed,
+        _block(list(map(json.dumps, cert.trace)), 1),
+    )
+    return _block([f'"{k}": {v}' for k, v in zip(_KEYS, values)], 0, "{}") + "\n"
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array or object opened at nesting depth `depth`, its items
+    formatted for depth + 1, one per line."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * depth
+    return brackets[0] + pad + " " + ("," + pad + " ").join(items) + pad + brackets[1]
 
 
 def certificate_from_text(text: str) -> RainbowCertificate:
@@ -93,14 +108,7 @@ def certificate_from_text(text: str) -> RainbowCertificate:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
-    missing = [
-        k
-        for k in (
-            "n", "order", "label_map", "classes",
-            "h_edges", "assignment", "seed", "pipeline_trace",
-        )
-        if k not in doc
-    ]
+    missing = [k for k in _KEYS if k not in doc]
     if missing:
         raise ParseError(f"certificate lacks keys: {', '.join(missing)}")
     n = _json_int(doc["n"], "n")

@@ -2,14 +2,17 @@
 
 Vertices are integers.  Decompositions always live on the dense vertex set
 0..order-1.  Input graphs may use arbitrary integer labels; the solver
-records the embedding in the certificate's label map.
+records the embedding in the certificate's label map.  One pass over each
+class's edges (_prove) proves both the partition and the Hamiltonian
+cycles, for verify_certificate, check_hcd and is_hamiltonian_cycle alike.
+The hub construction is built on any host map (_walecki_on), so the hub
+route lays its cycles straight on their final hosts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import lt
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvariantViolation, NotLinearForest
@@ -65,75 +68,58 @@ def component_edge_groups(edges: list[Edge]) -> list[list[int]]:
     return groups
 
 
-def _two_slots(
-    edges: Iterable[Edge], pos: dict[int, int] | list[int], k: int
-) -> tuple[list[int], list[int]]:
-    """Two neighbour slots per vertex, in lists indexed by the vertex's
-    position 0..k-1: first[x] and second[x] hold the positions of the
-    neighbours of the vertex at x in the order their edges came, -1 where
-    there is none.  pos[v] is the position of vertex v and raises
-    LookupError for any other v: a dict, or list(range(k)) when the
-    caller has kept negative ends out.  Raises NotLinearForest at the
-    first edge that is a loop, leaves the vertices, repeats an edge or
-    gives a vertex a third one, tested in that order."""
-    first = [-1] * k
-    second = [-1] * k
-    for u, v in edges:
-        if u == v:
-            raise NotLinearForest(f"loop at vertex {u}")
-        try:
-            x = pos[u]
-            y = pos[v]
-        except LookupError:
-            raise NotLinearForest(f"edge {edge(u, v)} leaves the vertex set") from None
-        a = first[x]
-        if a < 0:
-            first[x] = y
-        elif a != y and second[x] < 0:
-            second[x] = y
-        else:
-            # both ends of an edge fill a slot together, so a repeat
-            # shows at x
-            if a == y or second[x] == y:
-                raise NotLinearForest(f"repeated edge {edge(u, v)}")
-            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
-        if first[y] < 0:
-            first[y] = x
-        elif second[y] < 0:
-            second[y] = x
-        else:
-            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
-    return first, second
-
-
 def is_hamiltonian_cycle(edges: Iterable[Edge], order: int) -> bool:
-    """True when the edge set is a single cycle through all of 0..order-1.
+    """True when the edge set is a single cycle through all of 0..order-1,
+    each edge listed as (u, v) with 0 <= u < v < order: the one-class
+    case of the certificate proof, _prove."""
+    return _prove(order, [set(edges)])[1] == []
 
-    Each edge must be listed as (u, v) with 0 <= u < v < order.  The edges
-    fill two neighbour slots per vertex (_two_slots, the builder
-    analyze_linear_forest uses, with each vertex its own position), and
-    the cycle is walked from vertex 0 by taking, at each vertex, the slot
-    that does not lead back."""
-    es = set(edges)
-    if order < 3 or len(es) != order:
-        return False
-    # u < v in every edge and the least u is not negative, so each end
-    # indexes its own position in list(range(order)) or raises IndexError
-    if not all(starmap(lt, es)) or min(es)[0] < 0:
-        return False
-    try:
-        first, second = _two_slots(es, list(range(order)), order)
-    except NotLinearForest:  # a third edge at a vertex, or a stray one
-        return False
-    if -1 in second:  # with order edges, no degree above two means none below
-        return False
-    prev, cur = -1, 0
-    for seen in range(1, order + 1):
-        nxt = second[cur] if first[cur] == prev else first[cur]
-        if nxt == 0:
-            return seen == order
-        prev, cur = cur, nxt
-    return False  # unreachable with degrees two, guards bad input
+
+def cycle_edges(cycle: list[int]) -> set[Edge]:
+    """The edges of the closed walk through cycle, each as (low, high)."""
+    return {(a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+
+
+def _prove(order: int, classes: list[set[Edge]]) -> tuple[str, list[int] | None]:
+    """Prove that classes partition K_order into Hamiltonian cycles, in one
+    pass over each class's edges.  Returns the first partition error ("" if
+    none) and the classes that are no Hamiltonian cycle (None if an edge
+    ended the pass).  Each edge must have 0 <= u < v < order and lie in no
+    earlier class (higher[u] holds the v seen with u), and fills a
+    neighbour slot at both ends, a third edge overwriting the second.  A class of order >= 3
+    edges that fills every second slot has every degree two, and is a
+    Hamiltonian cycle when vertex 0's cycle has order edges."""
+    higher: list[set[int]] = [set() for _ in range(order)]
+    bad: list[int] = []
+    total = 0
+    for i, cls in enumerate(classes):
+        first = [-1] * order
+        second = [-1] * order
+        for e in cls:
+            u, v = e
+            if not 0 <= u < v < order:
+                return f"class {i}: edge {e} out of range", None
+            seen = higher[u]
+            if v in seen:
+                return f"edge {e} appears in two classes", None
+            seen.add(v)
+            (first if first[u] < 0 else second)[u] = v
+            (first if first[v] < 0 else second)[v] = u
+        total += len(cls)
+        if order < 3 or len(cls) != order or -1 in second:
+            bad.append(i)
+            continue
+        # walk vertex 0's cycle, at each vertex the slot not leading back
+        prev, cur, length = 0, first[0], 1
+        while cur:
+            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+            length += 1
+        if length != order:
+            bad.append(i)
+    want = order * (order - 1) // 2
+    if total != want:
+        return f"{total} edges in classes, expected {want}", bad
+    return "", bad
 
 
 @dataclass
@@ -141,7 +127,8 @@ class Decomposition:
     """Disjoint edge classes meant to partition K_order on 0..order-1.
 
     Mutable on purpose: the completion stages grow the vertex set and the
-    classes in place.  Call check_partition or check_hcd to validate.
+    classes in place.  check_hcd validates with one _prove pass;
+    check_partition raises only on its partition half.
     """
 
     order: int
@@ -150,45 +137,42 @@ class Decomposition:
     def check_partition(self) -> None:
         """Raise InvariantViolation at the first edge, class by class, that
         leaves 0..order-1 or lies in an earlier class, or else when the
-        classes do not hold every edge.  Each vertex keeps the set of
-        higher ends seen with it, in a list indexed by the vertex."""
-        order = self.order
-        higher: list[set[int]] = [set() for _ in range(order)]
-        total = 0
-        for i, cls in enumerate(self.classes):
-            for e in cls:
-                u, v = e
-                if not (0 <= u < v < order):
-                    raise InvariantViolation(f"class {i}: edge {e} out of range")
-                seen = higher[u]
-                if v in seen:
-                    raise InvariantViolation(f"edge {e} appears in two classes")
-                seen.add(v)
-            total += len(cls)
-        want = order * (order - 1) // 2
-        if total != want:
-            raise InvariantViolation(f"{total} edges in classes, expected {want}")
+        classes do not hold every edge (the partition half of _prove)."""
+        error, _ = _prove(self.order, self.classes)
+        if error:
+            raise InvariantViolation(error)
 
     def check_hcd(self) -> None:
-        """Partition check plus one Hamiltonian cycle per class."""
-        self.check_partition()
-        for i, cls in enumerate(self.classes):
-            if not is_hamiltonian_cycle(cls, self.order):
-                raise InvariantViolation(f"class {i} is not a Hamiltonian cycle")
+        """Partition check plus one Hamiltonian cycle per class, both from
+        one _prove pass; InvariantViolation names the first failure."""
+        error, bad = _prove(self.order, self.classes)
+        if error:
+            raise InvariantViolation(error)
+        if bad:
+            raise InvariantViolation(f"class {bad[0]} is not a Hamiltonian cycle")
 
     def copy(self) -> Decomposition:
         return Decomposition(self.order, [set(c) for c in self.classes])
 
 
+def _as_list(perm: dict[int, int], order: int) -> list[int]:
+    """perm as the list of its values over 0..order-1, or
+    InvariantViolation unless it is a bijection on 0..order-1."""
+    p = [perm.get(v, -1) for v in range(order)]
+    if len(perm) != order or sorted(p) != list(range(order)):
+        raise InvariantViolation("relabel map is not a bijection on 0..order-1")
+    return p
+
+
 def relabel_decomposition(dec: Decomposition, perm: dict[int, int]) -> Decomposition:
     """Apply a bijection of 0..order-1 to every vertex of every class."""
-    if sorted(perm) != list(range(dec.order)) or sorted(perm.values()) != list(
-        range(dec.order)
-    ):
-        raise InvariantViolation("relabel map is not a bijection on 0..order-1")
+    p = _as_list(perm, dec.order)
     return Decomposition(
         dec.order,
-        [{edge(perm[u], perm[v]) for u, v in cls} for cls in dec.classes],
+        [
+            {(p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in cls}
+            for cls in dec.classes
+        ],
     )
 
 
@@ -228,13 +212,41 @@ def analyze_linear_forest(
     Rejects loops, repeated edges, edges leaving the vertex set, any vertex
     of degree above two, and cycles, each at the first edge that shows it.
     The edges fill two neighbour slots per vertex, in lists indexed by the
-    vertex's position in the sorted vertex list (_two_slots).  A vertex
-    with its second slot empty is isolated or a path end, and each path
-    is walked from its lower end by taking, at each vertex, the slot that
-    does not lead back; a vertex no walk reaches lies on a cycle.
+    vertex's position x in the sorted vertex list, first[x] and second[x]
+    (-1 where empty).  A vertex with its second slot empty is isolated or
+    a path end, and each path is walked from its lower end by taking, at
+    each vertex, the slot that does not lead back; a vertex no walk
+    reaches lies on a cycle.
     """
     vs = sorted(set(vertices))
-    first, second = _two_slots(edges, dict(zip(vs, range(len(vs)))), len(vs))
+    pos = dict(zip(vs, range(len(vs))))
+    first = [-1] * len(vs)
+    second = [-1] * len(vs)
+    for u, v in edges:
+        if u == v:
+            raise NotLinearForest(f"loop at vertex {u}")
+        try:
+            x = pos[u]
+            y = pos[v]
+        except KeyError:
+            raise NotLinearForest(f"edge {edge(u, v)} leaves the vertex set") from None
+        a = first[x]
+        if a < 0:
+            first[x] = y
+        elif a != y and second[x] < 0:
+            second[x] = y
+        else:
+            # both ends of an edge fill a slot together, so a repeat
+            # shows at x
+            if a == y or second[x] == y:
+                raise NotLinearForest(f"repeated edge {edge(u, v)}")
+            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
+        if first[y] < 0:
+            first[y] = x
+        elif second[y] < 0:
+            second[y] = x
+        else:
+            raise NotLinearForest(f"degree above two at edge {edge(u, v)}")
     done = bytearray(len(vs))  # the far ends of the paths walked
     paths: list[tuple[int, ...]] = []
     isolated: list[int] = []
@@ -273,21 +285,26 @@ def walecki(n: int) -> Decomposition:
     Vertex 2n is the hub.  Class j is the hub closed over the zig-zag path
     0, 1, 2n-1, 2, 2n-2, ... rotated by j among the non-hub vertices.
     Not re-checked per call: the tests check it for n = 1..128, and solve
-    verifies every certificate built on it.
+    verifies every certificate built on it.  The identity case of
+    _walecki_on.
     """
+    return _walecki_on(n, {v: v for v in range(2 * n + 1)})
+
+
+def _walecki_on(n: int, perm: dict[int, int]) -> Decomposition:
+    """walecki(n) with each vertex v laid on host perm[v]: the cycles are
+    built on the hosts, not relabelled after.  perm must be a bijection
+    on 0..2n, else InvariantViolation."""
     if n < 1:
         raise ValueError("need n >= 1")
     m = 2 * n
-    zig = [0] * m
-    for i in range(1, m):
-        zig[i] = (i + 1) // 2 if i % 2 else m - i // 2
-    classes: list[set[Edge]] = []
-    for j in range(n):
-        path = [(z + j) % m for z in zig]
-        cls = {edge(m, path[0]), edge(m, path[-1])}
-        cls.update(edge(a, b) for a, b in zip(path, path[1:]))
-        classes.append(cls)
-    return Decomposition(m + 1, classes)
+    p = _as_list(perm, m + 1)
+    # the zig-zag 0, 1, -1, 2, -2, ... mod 2n, read off the ring
+    # p[j:m] + p[:j] that holds at z the host of vertex (z + j) mod 2n
+    zig = itemgetter(*[((i + 1) // 2 if i % 2 else -(i // 2)) % m for i in range(m)])
+    return Decomposition(
+        m + 1, [cycle_edges([p[m], *zig(p[j:m] + p[:j])]) for j in range(n)]
+    )
 
 
 @dataclass
@@ -335,7 +352,9 @@ class VerificationReport:
 
 
 def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
-    """Re-check a certificate from scratch.  Never raises on bad content."""
+    """Re-check a certificate from scratch.  Never raises on bad content.
+    One _prove pass gives the partition check (the first error ends the
+    report) and the classes that are no Hamiltonian cycle."""
     rep = VerificationReport()
     dec = cert.decomposition
 
@@ -348,19 +367,12 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
     if not shape_ok:
         return rep
 
-    try:
-        dec.check_partition()
-        rep.add("partition", True, f"{dec.order * (dec.order - 1) // 2} edges")
-    except InvariantViolation as exc:
-        rep.add("partition", False, str(exc))
+    error, bad = _prove(dec.order, dec.classes)
+    rep.add("partition", not error, error or f"{cert.n * cert.order} edges")
+    if error:
         return rep
-
-    bad = [i for i, c in enumerate(dec.classes) if not is_hamiltonian_cycle(c, dec.order)]
-    rep.add(
-        "hamiltonian",
-        not bad,
-        "all classes are Hamiltonian cycles" if not bad else f"bad classes {bad}",
-    )
+    ham = f"bad classes {bad}" if bad else "all classes are Hamiltonian cycles"
+    rep.add("hamiltonian", not bad, ham)
 
     hvs = edge_vertices(cert.h_edges)
     emb_ok = True

@@ -38,13 +38,14 @@ from .graph_core import (
     Decomposition,
     Edge,
     RainbowCertificate,
+    _walecki_on,
     analyze_linear_forest,
     component_edge_groups,
+    cycle_edges,
     edge,
     edge_vertices,
     relabel_decomposition,
     verify_certificate,
-    walecki,
 )
 from .hilton import extend_to_hcd
 
@@ -176,11 +177,16 @@ def _canonical_hosts(
     ident = {i: i for i in range(nv)}
     if hosts == ident:
         return dec, hosts
-    perm = {hosts[i]: i for i in range(nv)}
-    spare = sorted(h for h in range(dec.order) if h not in perm)
-    for j, h in enumerate(spare):
-        perm[h] = nv + j
-    return relabel_decomposition(dec, perm), ident
+    return relabel_decomposition(dec, _canonical_perm(hosts, dec.order)), ident
+
+
+def _canonical_perm(hosts: dict[int, int], order: int) -> dict[int, int]:
+    """The host map that moves internal vertex i from hosts[i] to host i,
+    and the spare hosts, ascending, to the labels after them."""
+    perm = {h: i for i, h in hosts.items()}
+    spare = [h for h in range(order) if h not in perm]
+    perm.update(zip(spare, range(len(hosts), order)))
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +259,7 @@ def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
     300 seeds, completes with fewer than 1,000 branching nodes."""
     rng = random.Random(f"{seed}:small:0")
     cycles = _complete_planted(internal, n, rng)
-    classes = [
-        {edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
-        for c in cycles
-    ]
-    dec = Decomposition(2 * n + 1, classes)
+    dec = Decomposition(2 * n + 1, list(map(cycle_edges, cycles)))
     nv = len(edge_vertices(internal))
     trace = ["completion: label=small attempt=0"]
     return dec, {i: i for i in range(nv)}, list(range(n)), trace
@@ -283,6 +285,8 @@ def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
     by 0 or n, even-indexed paths sit in [0, n], odd-indexed ones (c_i
     >= 1) in [n+1, 2n], and two paths of one parity are separated by at
     least the one edge of the path between them.  Label 2n is the hub.
+    The cycles are laid straight on the canonical hosts that
+    _canonical_perm gives these, so _canonical_hosts has none to move.
     """
     nv = len(edge_vertices(internal))
     paths = analyze_linear_forest(internal, range(nv)).paths
@@ -293,7 +297,8 @@ def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
             hosts[v] = c + k + n * (i % 2)
         c += len(path) - 1
     assignment = [min(hosts[u], hosts[v]) % n for u, v in internal]
-    return walecki(n), hosts, assignment, [f"hub: paths={len(paths)}"]
+    dec = _walecki_on(n, _canonical_perm(hosts, 2 * n + 1))
+    return dec, {i: i for i in range(nv)}, assignment, [f"hub: paths={len(paths)}"]
 
 
 # ---------------------------------------------------------------------------

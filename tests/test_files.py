@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,13 @@ from rainbow_hcd.files import (
     certificate_to_text,
     format_instance,
     parse_instance,
+)
+from rainbow_hcd.families import (
+    cycle_graph,
+    disjoint_union,
+    nonisomorphic_edge_graphs,
+    path_graph,
+    star_graph,
 )
 from rainbow_hcd.graph_core import edge, verify_certificate
 from rainbow_hcd.solver import solve
@@ -96,6 +104,69 @@ class TestCertificateText:
         doc = json.loads(certificate_to_text(self.make()))
         for cls in doc["classes"]:
             assert cls == sorted(cls)
+
+
+def _dumps_text(cert):
+    """The certificate text as json.dumps(indent=1) wrote it, kept as the
+    reference that certificate_to_text must match byte for byte."""
+    doc = {
+        "n": cert.n,
+        "order": cert.order,
+        "label_map": {
+            str(lab): cert.label_map[lab] for lab in sorted(cert.label_map)
+        },
+        "classes": [
+            [list(e) for e in sorted(cls)] for cls in cert.decomposition.classes
+        ],
+        "h_edges": [list(e) for e in cert.h_edges],
+        "assignment": list(cert.assignment),
+        "seed": cert.seed,
+        "pipeline_trace": list(cert.trace),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _every_route_up_to_64():
+    """(graph, seed) pairs whose certificates cover the four routes, n <= 64:
+    every graph with at most five edges, matchings, paths, mixed linear
+    forests, cycles, stars, C3 + (n-3)K2, and one graph on labels that
+    are negative or far apart."""
+    def k2s(count):
+        return disjoint_union(*[path_graph(1)] * count)
+
+    out = [(h, seed) for k in range(1, 6)
+           for h in nonisomorphic_edge_graphs(k) for seed in (0, 1)]
+    for n in [*range(6, 25), 32, 48, 64]:
+        out += [(k2s(n), 0), (path_graph(n), 0), (cycle_graph(n), 0)]
+        out.append((disjoint_union(path_graph(n // 3), k2s(n - n // 3)), 0))
+        if n % 8 == 0:
+            out.append((star_graph(n), 0))
+    out += [(disjoint_union(cycle_graph(3), k2s(n - 3)), 0) for n in range(6, 13)]
+    out.append(([(1000 - 37 * u, 1000 - 37 * v) for u, v in cycle_graph(7)], 3))
+    return out
+
+
+class TestHandLaidWriter:
+    def test_bytes_match_json_dumps_on_every_route(self):
+        routes = set()
+        for h, seed in _every_route_up_to_64():
+            cert = solve(h, seed=seed)
+            routes.add(cert.trace[0])
+            assert certificate_to_text(cert) == _dumps_text(cert), (h, seed)
+        assert routes == {
+            "route: base-small", "route: all-k2",
+            "route: linear-forest", "route: pipeline",
+        }
+
+    @pytest.mark.parametrize(
+        "trace",
+        [[], ["route: all-k2", 'a "quote", a \\ backslash,\na newline, \u00e9 \u2603']],
+        ids=["empty", "escapes"],
+    )
+    def test_trace_lines_escape_as_json_dumps_does(self, trace):
+        cert = solve(path_graph(7), seed=0)
+        cert.trace = trace
+        assert certificate_to_text(cert) == _dumps_text(cert)
 
 
 class TestCertificateFromText:
@@ -259,3 +330,17 @@ class TestCertificateFromText:
 
         cert = certificate_from_text(self.corrupt(mutate))
         assert not verify_certificate(cert).ok
+
+
+@pytest.mark.slow
+def test_certificate_io_gate_order_513():
+    # the 256K2 certificate (order 513, 131,328 edges) written, read back
+    # and verified; that took 0.25 to 0.41 s on a 2-core machine with
+    # Python 3.11, and the bound is three times the longer time
+    cert = solve(disjoint_union(*[path_graph(1)] * 256), seed=0)
+    t0 = time.perf_counter()
+    text = certificate_to_text(cert)
+    rep = verify_certificate(certificate_from_text(text))
+    dt = time.perf_counter() - t0
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < 1.2, f"certificate I/O at order 513 took {dt:.2f}s"

@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_hcd.errors import InvariantViolation, NotLinearForest
+from rainbow_hcd.families import (
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    star_graph,
+)
 from rainbow_hcd.graph_core import (
     Decomposition,
     RainbowCertificate,
+    _walecki_on,
     analyze_linear_forest,
     complete_edges,
     component_edge_groups,
@@ -17,6 +24,7 @@ from rainbow_hcd.graph_core import (
     verify_certificate,
     walecki,
 )
+from rainbow_hcd.solver import solve
 
 
 def test_edge_normalizes():
@@ -78,6 +86,25 @@ class TestWalecki:
         with pytest.raises(ValueError):
             walecki(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 24])
+    def test_laid_on_hosts_is_the_relabelled_construction(self, n):
+        rng = random.Random(f"laid:{n}")
+        order = 2 * n + 1
+        for _ in range(5):
+            perm = dict(enumerate(rng.sample(range(order), order)))
+            laid = _walecki_on(n, perm)
+            assert laid.classes == relabel_decomposition(walecki(n), perm).classes
+
+    @pytest.mark.parametrize(
+        "perm",
+        [{0: 0, 1: 1, 2: 1}, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 2, 3: 3},
+         {0: 0, 1: 1, 2: 3}],
+        ids=["two-to-one", "short", "long", "leaves-the-range"],
+    )
+    def test_laid_on_hosts_needs_a_bijection(self, perm):
+        with pytest.raises(InvariantViolation, match="not a bijection"):
+            _walecki_on(1, perm)
+
 
 class TestDecomposition:
     def test_partition_catches_duplicate(self):
@@ -102,6 +129,18 @@ class TestDecomposition:
         out.check_hcd()
         e = edge(perm[0], perm[1])
         assert [e in c for c in out.classes] == [(0, 1) in c for c in dec.classes]
+
+    def test_relabel_builds_the_sets_edge_builds(self):
+        # the same members, inserted in the same order, so the same
+        # iteration order as well
+        rng = random.Random(4)
+        dec = solve(disjoint_union(cycle_graph(3), path_graph(1), path_graph(1),
+                                   path_graph(1)), seed=0).decomposition
+        perm = dict(enumerate(rng.sample(range(dec.order), dec.order)))
+        want = [{edge(perm[u], perm[v]) for u, v in cls} for cls in dec.classes]
+        got = relabel_decomposition(dec, perm).classes
+        assert got == want
+        assert [list(c) for c in got] == [list(c) for c in want]
 
     def test_relabel_rejects_non_bijection(self):
         with pytest.raises(InvariantViolation):
@@ -471,3 +510,160 @@ class TestKernelsMatchDictOracles:
             for name, dec in cases.items():
                 assert _outcome(dec.check_partition) == _outcome(
                     _dict_check_partition, dec), name
+
+
+# ---------------------------------------------------------------------------
+# The one-pass proof against the two separate checks it replaced: the
+# partition (_dict_check_partition, the reference check_partition was held
+# to) and then each class alone (_dict_is_hamiltonian_cycle).
+
+
+def _two_step_lines(cert):
+    """verify_certificate(cert).lines() as the two separate checks give
+    them.  The shape, embedding and rainbow lines read no class structure
+    and are taken from verify_certificate itself."""
+    got = verify_certificate(cert).lines()
+    dec = cert.decomposition
+    try:
+        _dict_check_partition(dec)
+    except InvariantViolation as exc:
+        return got[:1] + [f"partition: FAIL ({exc})"]
+    bad = [i for i, c in enumerate(dec.classes)
+           if not _dict_is_hamiltonian_cycle(c, dec.order)]
+    ham = (f"hamiltonian: FAIL (bad classes {bad})" if bad
+           else "hamiltonian: ok (all classes are Hamiltonian cycles)")
+    edges = dec.order * (dec.order - 1) // 2
+    return got[:1] + [f"partition: ok ({edges} edges)", ham] + got[3:]
+
+
+def _two_step_check_hcd(dec):
+    _dict_check_partition(dec)
+    for i, cls in enumerate(dec.classes):
+        if not _dict_is_hamiltonian_cycle(cls, dec.order):
+            raise InvariantViolation(f"class {i} is not a Hamiltonian cycle")
+
+
+def _proof_certificates():
+    """Walecki certificates, plain and relabelled, and solved ones from
+    each route."""
+    rng = random.Random("proof")
+    out = [_walecki_cert(n) for n in (2, 3, 5, 8)]
+    for n in (3, 6, 11):
+        cert = _walecki_cert(n)
+        order = 2 * n + 1
+        cert.decomposition = relabel_decomposition(
+            cert.decomposition, dict(enumerate(rng.sample(range(order), order))))
+        out.append(cert)
+    k2 = path_graph(1)
+    for h in (path_graph(4), disjoint_union(*[k2] * 9), path_graph(12),
+              cycle_graph(10), star_graph(9),
+              disjoint_union(cycle_graph(3), *[k2] * 5)):
+        out.append(solve(h, seed=1))
+    return out
+
+
+def _proof_mutants(cert, rng):
+    """Named copies of cert's decomposition, each broken one way at a
+    random place: an edge moved, dropped, copied, pushed out of range or
+    turned, a class of the wrong size, the two-class swap of
+    test_tampered_cycle_rejected, and a trade that keeps every degree two
+    but splits a class into two cycles."""
+    good = cert.decomposition
+    order, n = good.order, len(good.classes)
+    i, j = rng.sample(range(n), 2)
+    e = rng.choice(sorted(good.classes[i]))
+    u, v = e
+    out = {"unchanged": good}
+
+    def mutant(name, change):
+        dec = good.copy()
+        change(dec.classes)
+        out[name] = dec
+
+    def swap(cs, a, b):
+        ea, eb = min(cs[a]), min(cs[b])
+        cs[a].discard(ea); cs[b].discard(eb)
+        cs[a].add(eb); cs[b].add(ea)
+
+    mutant("moved", lambda cs: (cs[i].discard(e), cs[j].add(e)))
+    mutant("dropped", lambda cs: cs[i].discard(e))
+    mutant("copied", lambda cs: cs[j].add(e))
+    mutant("out of range", lambda cs: (cs[i].discard(e), cs[i].add((u, order))))
+    mutant("negative", lambda cs: (cs[i].discard(e), cs[i].add((-1, v))))
+    mutant("turned", lambda cs: (cs[i].discard(e), cs[i].add((v, u))))
+    mutant("wrong size", lambda cs: (cs[i].update(cs[j]), cs[j].clear()))
+    mutant("swap 0 1", lambda cs: swap(cs, 0, 1))
+    mutant("swap", lambda cs: swap(cs, i, j))
+    split = _two_cycle_trade(good, rng)
+    if split is not None:
+        out["two cycles"] = split
+    return out
+
+
+def _cycle_order(cls):
+    """The vertices of a Hamiltonian cycle class in walking order from 0."""
+    adj = {}
+    for a, b in cls:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    walk = [0, adj[0][0]]
+    while len(walk) < len(adj):
+        x, y = adj[walk[-1]]
+        walk.append(y if x == walk[-2] else x)
+    return walk
+
+
+def _two_cycle_trade(dec, rng):
+    """A copy of dec in which class i trades its edges ab and cd, for the
+    edges ad and bc of some class j.  a, b, c, d lie in that order on the
+    cycle of class i, so it falls apart into the cycles b..c and d..a,
+    while every vertex keeps degree two in both classes and the classes
+    still partition K_order.  None when no class has such a pair."""
+    owner = {e: k for k, cls in enumerate(dec.classes) for e in cls}
+    order = dec.order
+    for i in rng.sample(range(len(dec.classes)), len(dec.classes)):
+        walk = _cycle_order(dec.classes[i])
+        for p in range(order):
+            for q in range(p + 2, order - (p == 0)):
+                a, b = walk[p], walk[p + 1]
+                c, d = walk[q], walk[(q + 1) % order]
+                j = owner[edge(a, d)]
+                if j != i and owner[edge(b, c)] == j:
+                    out = dec.copy()
+                    ci, cj = out.classes[i], out.classes[j]
+                    ci.difference_update({edge(a, b), edge(c, d)})
+                    cj.difference_update({edge(a, d), edge(b, c)})
+                    ci.update({edge(a, d), edge(b, c)})
+                    cj.update({edge(a, b), edge(c, d)})
+                    return out
+    return None
+
+
+class TestOnePassProof:
+    @pytest.mark.parametrize("rep", range(4))
+    def test_mutants_match_the_two_step_checks(self, rep):
+        rng = random.Random(f"mutants:{rep}")
+        seen = set()
+        for cert in _proof_certificates():
+            for name, dec in _proof_mutants(cert, rng).items():
+                tampered = RainbowCertificate(
+                    cert.n, cert.seed, cert.h_edges, cert.label_map,
+                    cert.assignment, dec,
+                )
+                got = verify_certificate(tampered).lines()
+                assert got == _two_step_lines(tampered), (name, got)
+                assert _outcome(dec.check_hcd) == _outcome(
+                    _two_step_check_hcd, dec), name
+                assert (name == "unchanged") == verify_certificate(tampered).ok
+                seen.add(name)
+        assert "two cycles" in seen
+
+    def test_tampered_cycle_names_both_classes(self):
+        cert = _walecki_cert(3)
+        c0, c1 = cert.decomposition.classes[:2]
+        e0, e1 = min(c0), min(c1)
+        c0.discard(e0); c1.discard(e1)
+        c0.add(e1); c1.add(e0)
+        assert verify_certificate(cert).lines()[1:3] == [
+            "partition: ok (21 edges)", "hamiltonian: FAIL (bad classes [0, 1])",
+        ]

@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import rainbow_hcd
-from rainbow_hcd.errors import InfeasibleInput, PreconditionViolation
+from rainbow_hcd import solver
+from rainbow_hcd.errors import (
+    InfeasibleInput,
+    InvariantViolation,
+    PreconditionViolation,
+)
 from rainbow_hcd.families import (
     cycle_graph,
     disjoint_union,
@@ -275,10 +280,15 @@ class TestDeterminism:
              "9de0212da9956be72bb6c45da48d82b99a00b1c2dde8c1739a2a41cf4aaf6a1f"),
             (disjoint_union(cycle_graph(16), k2s(16)), 0,
              "db55e2081528cf5d9f16aa89ba75bd05de55dd12b548231e264851fc23f4a654"),
+            # the hub route at scale, where a wrong host map would show
+            (k2s(96), 0,
+             "1f2d9e1bec5ebd439b28f3774c8a92b80b35513515896fa7984ec883ee5ddb56"),
+            (disjoint_union(path_graph(2), k2s(38)), 0,
+             "b2ebaa7f829a2caf8d9069b5e7e34c78e04e5472c53541174d79a360c5d726fc"),
         ],
         ids=[
             "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
-            "6K2", "P6", "C3+29K2", "C16+16K2",
+            "6K2", "P6", "C3+29K2", "C16+16K2", "96K2", "P3+38K2",
         ],
     )
     def test_pinned_bytes(self, h, seed, digest):
@@ -326,6 +336,28 @@ class TestHubLinearForest:
         cert = solve(h, seed=0)
         assert cert.trace[0] == f"route: {tag}"
         assert verify_certificate(cert).ok
+
+    @pytest.mark.parametrize("h", [k2s(8), path_graph(9)], ids=["8K2", "P10"])
+    def test_cycles_laid_on_the_final_hosts(self, monkeypatch, h):
+        # no relabelling after the construction: the host map is applied
+        # as the cycles are built
+        def no_relabel(*args):
+            raise AssertionError("relabel_decomposition called")
+
+        monkeypatch.setattr(solver, "relabel_decomposition", no_relabel)
+        assert verify_certificate(solve(h, seed=0)).ok
+
+    def test_host_map_that_is_no_bijection_is_caught(self, monkeypatch):
+        real = solver._canonical_perm
+
+        def two_to_one(hosts, order):
+            perm = real(hosts, order)
+            perm[0] = perm[1]
+            return perm
+
+        monkeypatch.setattr(solver, "_canonical_perm", two_to_one)
+        with pytest.raises(InvariantViolation, match="not a bijection"):
+            solve(k2s(8), seed=0)
 
 
 @pytest.mark.slow
