@@ -9,7 +9,10 @@ order r, the first t classes with their edge of H.
 Two regimes.  With few vertices (r <= n) the floors are vacuous and a
 round-robin matching schedule settles everything.  Otherwise the instance
 is shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
-K_{2s+1}, the surplus vertices are cut away leaving s large forests, and
+K_{2s+1}, its classes are moved onto the parent's hosts by one map
+(graph_core.complete_perm: the subgraph keeps its labels, the child's
+other hosts fill the gaps upward), the surplus vertices are cut away
+leaving s large forests, and
 edges are moved out of them into the remaining classes, with blocker
 bookkeeping so no move ever breaks a forest or touches a protected edge.
 """
@@ -29,6 +32,7 @@ from .graph_core import (
     Decomposition,
     Edge,
     analyze_linear_forest,
+    complete_perm,
     component_edge_groups,
     edge,
     edge_vertices,
@@ -332,16 +336,7 @@ def _recursive_dense(
 
     # send each child host vertex to its place in the parent layout: the
     # subgraph keeps its labels, everything else fills the gaps upward
-    sub_vs = edge_vertices(sub_edges)
-    pi: dict[int, int] = {}
-    for x in sub_vs:
-        pi[child.label_map[x]] = x
-    free_parent = [v for v in range(2 * s + 1) if v not in set(sub_vs)]
-    rest_child = [
-        v for v in range(2 * s + 1) if v not in set(pi)
-    ]
-    for cv, slot in zip(rest_child, free_parent):
-        pi[cv] = slot
+    pi = complete_perm({h: x for x, h in child.label_map.items()}, 2 * s + 1)
     relab = relabel_decomposition(child.decomposition, pi)
     cut = truncate_to_order(relab, r)
     for cls in cut.classes:

@@ -71,7 +71,7 @@ from .coloring import (  # noqa: F401
     rebalance_drop_one,
 )
 from .errors import InvariantViolation, PreconditionViolation
-from .graph_core import Decomposition, edge
+from .graph_core import edge
 from .graph_core import analyze_linear_forest  # noqa: F401
 from .hilton import ForestSplit, PathEnds, _assign, check_stage, lay_edges, size_floor
 
@@ -107,9 +107,14 @@ def extend_with_k2s(
     """Attach n - t host pairs, one per round, growing the split in place,
     and return it.
 
-    The input must be an n-class linear forest split of K_r meeting the
-    s = 0 floors; class i is assumed to carry dense edge i for i < t and
-    class t + s receives the bridge of round s.
+    The domain is the whole contract, and a split outside it raises
+    PreconditionViolation: 2 <= t <= n; order r <= 2t - 1, which leaves
+    every round k = 2n - m + 1 >= 4 slots a vertex; and n classes, proved
+    linear forests partitioning K_r (the split's scan), classes 0..t-1
+    meeting the floor 2r - 2n - 1 and the rest 2r - 2n.  Class i is taken
+    to carry edge i of H for i < t, and class t + s receives the bridge
+    of round s.  A split whose states drifted from its classes raises
+    InvariantViolation.
     """
     dec = split.dec
     if trace is None:
@@ -120,7 +125,7 @@ def extend_with_k2s(
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
-    check_stage(split, n, t, "at the attach entry")
+    check_stage(split, n, t, "at the attach entry", PreconditionViolation)
     for s in range(n - t):
         owner = _stage_witness(split, t, n, s)
         _attach(split, owner, s + t)
@@ -156,17 +161,6 @@ def _new_edges(owner: list[int], cstar: int, m: int) -> list[tuple[int, int, int
     return out
 
 
-def _gain_floors(dec: Decomposition, cstar: int) -> list[int]:
-    """The new edges each class must take in the round at order m, the
-    bridge not counted, to meet its size floor at order m + 2, where the
-    classes up to cstar hold their edge of H; at most 0 means none."""
-    m, n = dec.order, len(dec.classes)
-    return [
-        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
-        for i, cls in enumerate(dec.classes)
-    ]
-
-
 def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
     """Round s's witness: the class each old vertex v gives each of its
     two new edges to, owner[2v] for m and owner[2v + 1] for m + 1, read
@@ -183,12 +177,19 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
         raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
 
     capacity_graph(split)
-    floors = [max(0, floor) for floor in _gain_floors(dec, cstar)]
+    # the new edges each class must take, the bridge not counted, to meet
+    # its size floor at order m + 2; at most 0 means none
+    floors = [
+        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
+        for i, cls in enumerate(dec.classes)
+    ]
     cap = [2 if i == cstar else 4 for i in range(n)]
     doubler = [i != cstar for i in range(n)]
-    owner = _assign(m, floors, split.ends, split.free, 2, cap, doubler)
+    owner = _assign(
+        m, [max(0, f) for f in floors], split.ends, split.free, 2, cap, doubler
+    )
     owner = _split_slots(m, n, split.ends, owner)
-    if not _witness_ok(dec, owner, cstar):
+    if not _witness_ok(owner, floors, m):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
@@ -263,14 +264,13 @@ def _split_slots(
     return out
 
 
-def _witness_ok(dec: Decomposition, owner: list[int], cstar: int) -> bool:
+def _witness_ok(owner: list[int], floors: list[int], m: int) -> bool:
     """Acceptance test for a candidate witness, the owner list of
-    _stage_witness: it gives every old vertex one edge to each new vertex,
-    and every class meets its gain floor (_gain_floors).  That every class
-    stays a linear forest is checked where the edges are laid, by
-    _attach."""
-    m = dec.order
+    _stage_witness at order m: it gives every old vertex one edge to each
+    new vertex, and class i takes at least floors[i] of them, the round's
+    gain floors.  That every class stays a linear forest is checked where
+    the edges are laid, by _attach."""
     if len(owner) != 2 * m or min(owner) < 0:
         return False
     gain = Counter(owner)
-    return all(gain[i] >= f for i, f in enumerate(_gain_floors(dec, cstar)))
+    return all(gain[i] >= f for i, f in enumerate(floors))

@@ -1,8 +1,9 @@
 """Flat file formats.
 
 Instances: first a line holding the edge count, then exactly that many
-"u v" lines with non-negative integer labels.  '#' starts a comment, end
-of line ends it; blank lines are skipped.
+"u v" lines, the count and the labels written in ASCII decimal digits
+only (no sign, underscore or other script's digits).  '#' starts a
+comment, end of line ends it; blank lines are skipped.
 
 Certificates: one JSON document with the keys n, order, label_map,
 classes, h_edges, assignment, seed, pipeline_trace, in that order, byte
@@ -47,11 +48,7 @@ def parse_instance(text: str) -> list[Edge]:
     for row in rows[1:]:
         if len(row) != 2:
             raise ParseError(f"edge line needs two labels: {' '.join(row)!r}")
-        u = _int(row[0], "vertex label")
-        v = _int(row[1], "vertex label")
-        if u < 0 or v < 0:
-            raise ParseError(f"negative vertex label in {' '.join(row)!r}")
-        edges.append((u, v))
+        edges.append((_int(row[0], "vertex label"), _int(row[1], "vertex label")))
     return edges
 
 
@@ -62,10 +59,11 @@ def format_instance(edges: list[Edge]) -> str:
 
 
 def _int(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {tok!r}") from None
+    """tok as a number, or ParseError unless it is ASCII decimal digits:
+    int() alone would also read "+3", "1_0" and other scripts' digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"{what} is not a decimal number: {tok!r}")
+    return int(tok)
 
 
 _KEYS = (

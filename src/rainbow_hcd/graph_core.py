@@ -6,7 +6,8 @@ records the embedding in the certificate's label map.  One pass over each
 class's edges (_prove) proves both the partition and the Hamiltonian
 cycles, for verify_certificate, check_hcd and is_hamiltonian_cycle alike.
 The hub construction is built on any host map (_walecki_on), so the hub
-route lays its cycles straight on their final hosts.
+route lays its cycles straight on their final hosts.  Every host map the
+solver builds is completed from the vertices it places by complete_perm.
 """
 
 from __future__ import annotations
@@ -162,6 +163,20 @@ def _as_list(perm: dict[int, int], order: int) -> list[int]:
     if len(perm) != order or sorted(p) != list(range(order)):
         raise InvariantViolation("relabel map is not a bijection on 0..order-1")
     return p
+
+
+def complete_perm(partial: dict[int, int], order: int) -> dict[int, int]:
+    """partial, an injective map on 0..order-1, extended to a bijection:
+    the unmapped keys, ascending, go to the unused values, ascending.
+    Not checked here; relabel_decomposition and _walecki_on refuse a map
+    that is no bijection."""
+    used = set(partial.values())
+    perm = dict(partial)
+    perm.update(zip(
+        (v for v in range(order) if v not in partial),
+        (v for v in range(order) if v not in used),
+    ))
+    return perm
 
 
 def relabel_decomposition(dec: Decomposition, perm: dict[int, int]) -> Decomposition:

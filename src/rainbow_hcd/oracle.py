@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graph_core import Decomposition, complete_edges, edge
 
-_ORACLE_CAP = 5  # largest n without allow_large
+_ORACLE_CAP = 5  # largest n the oracle takes
 
 
 @dataclass
@@ -137,17 +137,17 @@ def exhaustive_rainbow_hcd(
     n: int,
     precoloring: list[int] | None = None,
     budget: int = 10**8,
-    allow_large: bool = False,
 ) -> OracleOutcome:
     """Search for a cycle decomposition of K_{2n+1} that contains the given
     placed edges, each in its own class (or in fixed classes when a
-    precoloring is supplied).  Exhaustive up to the node budget.
+    precoloring is supplied).  Exhaustive up to the node budget.  Takes
+    1 <= n <= 5 only, else PreconditionViolation.
     """
     if n < 1:
         raise PreconditionViolation("need n >= 1")
-    if n > _ORACLE_CAP and not allow_large:
+    if n > _ORACLE_CAP:
         raise PreconditionViolation(
-            f"n={n} beyond oracle scale; pass allow_large to override"
+            f"n={n} beyond oracle scale: the oracle takes n <= {_ORACLE_CAP}"
         )
     order = 2 * n + 1
     cleaned = []

@@ -13,9 +13,11 @@ Strategies, tried in this order:
   into a small clique, grow it two vertices per remaining single edge,
   and finish by per-vertex extension to the full odd clique.
 
-Certificates always place the input graph on host vertices 0..v-1; use
-relabel_hosts to move it elsewhere.  Every route ends with a full
-certificate verification.
+Certificates always place the input graph on host vertices 0..v-1, and
+every route returns its classes on those final hosts, internal vertex i
+on host i, so solve relabels nothing; use relabel_hosts to move a
+certificate elsewhere.  Every route ends with a full certificate
+verification.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graph_core import (
     RainbowCertificate,
     _walecki_on,
     analyze_linear_forest,
+    complete_perm,
     component_edge_groups,
     cycle_edges,
     edge,
@@ -121,21 +124,21 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
     if n == 0:
         raise InfeasibleInput("instance needs at least one edge")
 
+    # input label vs[i] becomes internal vertex i, which every route
+    # lays on host i
     vs = edge_vertices(edges_in)
-    to_int = {v: i for i, v in enumerate(vs)}
-    internal = [edge(to_int[u], to_int[v]) for u, v in edges_in]
+    label_map = {v: i for i, v in enumerate(vs)}
+    internal = [edge(label_map[u], label_map[v]) for u, v in edges_in]
 
     split = split_components(internal)
     tag = route(split, internal, n)
     if tag is Strategy.BASE_SMALL:
-        dec, hosts, assignment, trace = _planted_solve(internal, n, seed)
+        dec, assignment, trace = _planted_solve(internal, n, seed)
     elif tag in (Strategy.ALL_K2, Strategy.LINEAR_FOREST):
-        dec, hosts, assignment, trace = _hub_linear_forest(internal, n)
+        dec, assignment, trace = _hub_linear_forest(internal, n)
     else:
-        dec, hosts, assignment, trace = _main_pipeline(internal, split, n, seed)
+        dec, assignment, trace = _main_pipeline(internal, split, n, seed)
 
-    dec, hosts = _canonical_hosts(dec, hosts, len(vs))
-    label_map = {lab: hosts[i] for i, lab in enumerate(vs)}
     cert = RainbowCertificate(
         n, seed, edges_in, label_map, assignment,
         dec, [f"route: {tag.value}"] + trace,
@@ -168,25 +171,6 @@ def relabel_hosts(
         cert.n, cert.seed, list(cert.h_edges), label_map,
         list(cert.assignment), dec, list(cert.trace),
     )
-
-
-def _canonical_hosts(
-    dec: Decomposition, hosts: dict[int, int], nv: int
-) -> tuple[Decomposition, dict[int, int]]:
-    """Permute host vertices so internal vertex i sits on host i."""
-    ident = {i: i for i in range(nv)}
-    if hosts == ident:
-        return dec, hosts
-    return relabel_decomposition(dec, _canonical_perm(hosts, dec.order)), ident
-
-
-def _canonical_perm(hosts: dict[int, int], order: int) -> dict[int, int]:
-    """The host map that moves internal vertex i from hosts[i] to host i,
-    and the spare hosts, ascending, to the labels after them."""
-    perm = {h: i for i, h in hosts.items()}
-    spare = [h for h in range(order) if h not in perm]
-    perm.update(zip(spare, range(len(hosts), order)))
-    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +231,22 @@ def _complete_planted(
     raise SearchExhausted("planted completion explored the whole space")
 
 
-_StageOut = tuple[Decomposition, dict[int, int], list[int], list[str]]
+# the classes on their final hosts, internal vertex i on host i, the class
+# of each edge, and the trace
+_StageOut = tuple[Decomposition, list[int], list[str]]
 
 
 def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
-    """Plant edge i in class i on hosts 0..v-1 and complete the classes
-    by one seeded search.  Planting edge i in class i loses no
-    generality: class indices are symmetric and host vertices get
-    permuted afterwards anyway.  With at most five edges the search is
-    short: every such graph up to isomorphism, with shuffled labels over
-    300 seeds, completes with fewer than 1,000 branching nodes."""
+    """Plant edge i in class i on hosts 0..v-1, vertex i on host i, and
+    complete the classes by one seeded search.  Planting edge i in class
+    i loses no generality: class indices and host vertices are both
+    symmetric.  With at most five edges the search is short: every such
+    graph up to isomorphism, with shuffled labels over 300 seeds,
+    completes with fewer than 1,000 branching nodes."""
     rng = random.Random(f"{seed}:small:0")
     cycles = _complete_planted(internal, n, rng)
     dec = Decomposition(2 * n + 1, list(map(cycle_edges, cycles)))
-    nv = len(edge_vertices(internal))
-    trace = ["completion: label=small attempt=0"]
-    return dec, {i: i for i in range(nv)}, list(range(n)), trace
+    return dec, list(range(n)), ["completion: label=small attempt=0"]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +269,9 @@ def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
     by 0 or n, even-indexed paths sit in [0, n], odd-indexed ones (c_i
     >= 1) in [n+1, 2n], and two paths of one parity are separated by at
     least the one edge of the path between them.  Label 2n is the hub.
-    The cycles are laid straight on the canonical hosts that
-    _canonical_perm gives these, so _canonical_hosts has none to move.
+    The cycles are laid straight on the final hosts: the host map sends
+    each of these hosts back to its vertex, and the unused ones, ascending,
+    to the labels after the vertices (complete_perm).
     """
     nv = len(edge_vertices(internal))
     paths = analyze_linear_forest(internal, range(nv)).paths
@@ -297,8 +282,9 @@ def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
             hosts[v] = c + k + n * (i % 2)
         c += len(path) - 1
     assignment = [min(hosts[u], hosts[v]) % n for u, v in internal]
-    dec = _walecki_on(n, _canonical_perm(hosts, 2 * n + 1))
-    return dec, {i: i for i in range(nv)}, assignment, [f"hub: paths={len(paths)}"]
+    perm = complete_perm({h: v for v, h in hosts.items()}, 2 * n + 1)
+    dec = _walecki_on(n, perm)
+    return dec, assignment, [f"hub: paths={len(paths)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +321,19 @@ def _main_pipeline(
     dec = extend_to_hcd(extend_with_k2s(forests, t, n, trace), n)
     trace.append(f"hilton: order={dec.order}")
 
-    # dense vertices keep their index; single edge number s sits on hosts
-    # r+2s and r+2s+1, lower input endpoint on the even one
-    hosts: dict[int, int] = dict(dense_of)
+    # host h holds internal vertex at[h]: dense vertices keep their index,
+    # and single edge number s sits on hosts r+2s and r+2s+1, lower input
+    # endpoint on the even one.  Unless that is already vertex i on host
+    # i, the classes move once so that it is.
+    at = dict(enumerate(thick_vs))
     for s, i in enumerate(split.k2_idx):
-        u, v = internal[i]
-        hosts[u] = r + 2 * s
-        hosts[v] = r + 2 * s + 1
+        at[r + 2 * s], at[r + 2 * s + 1] = internal[i]
+    if any(h != v for h, v in at.items()):
+        dec = relabel_decomposition(dec, complete_perm(at, dec.order))
 
     assignment = [0] * n
     for pos, i in enumerate(thick_idx):
         assignment[i] = pos
     for s, i in enumerate(split.k2_idx):
         assignment[i] = t + s
-    return dec, hosts, assignment, trace
+    return dec, assignment, trace

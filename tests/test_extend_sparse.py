@@ -39,6 +39,7 @@ from rainbow_hcd.graph_core import (
     Decomposition,
     LinearForestView,
     analyze_linear_forest,
+    complete_edges,
     edge,
     edge_vertices,
     verify_certificate,
@@ -100,17 +101,16 @@ def holders(owner, i):
     return [u // 2 for u, j in enumerate(owner) if j == i]
 
 
-def sized_split(m, floors, cstar):
-    """A stand-in split at order m for _witness_ok, which reads only the
-    class sizes, for its gain floors: class i gets as many placeholder
-    edges as make its gain floor at most floors[i].  No scan would prove
-    it, but lay_edges reads only its states and masks."""
-    n = len(floors)
-    sizes = [
-        max(0, size_floor(m + 2, n, i <= cstar) - (i == cstar) - f)
-        for i, f in enumerate(floors)
+def gain_floors(split, cstar):
+    """The gain floors of an attach round on split with the bridge in
+    cstar: each class's size floor at order m + 2, less its edges and the
+    bridge."""
+    dec = split.dec
+    m, n = dec.order, len(dec.classes)
+    return [
+        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
+        for i, cls in enumerate(dec.classes)
     ]
-    return Decomposition(m, [{(-1, j) for j in range(k)} for k in sizes])
 
 
 def p3_split():
@@ -248,13 +248,16 @@ class TestVerifySparseState:
         with pytest.raises(InvariantViolation, match="drifted"):
             check_stage(grown, 3, 3, "after step 1")
 
+    # a split outside the stage's contract is the caller's fault
     def test_rejects_wrong_class_count(self):
-        with pytest.raises(InvariantViolation, match="expected 4 classes"):
+        with pytest.raises(PreconditionViolation, match="expected 4 classes"):
             extend_with_k2s(scan(k5_forests()), t=3, n=4)
 
     def test_rejects_floor_shortfall(self):
         # the floor is 3 for every class here; the last one holds 2 edges
-        with pytest.raises(InvariantViolation, match="class 2 has 2 edges, floor 3"):
+        with pytest.raises(
+            PreconditionViolation, match="class 2 has 2 edges, floor 3"
+        ):
             extend_with_k2s(scan(k5_forests()), t=3, n=3)
 
 
@@ -459,9 +462,18 @@ class TestWitness:
     def test_accepts_a_split_that_keeps_every_class_linear(self):
         for owner in (GOOD_SPLIT, CSTAR_SPLIT):
             split = matching_state()
-            assert _witness_ok(split.dec, owner, 5)
+            assert _witness_ok(owner, gain_floors(split, 5), 4)
             _attach(split, owner, 5)
             check_stage(split, 6, 6, "after the round")
+
+    def test_checks_the_shape_and_the_gain_floors(self):
+        # GOOD_SPLIT gives class 0 two slots, class 1 two and class 3 four
+        floors = [2, 2, 0, 4, 0, 0]
+        assert _witness_ok(GOOD_SPLIT, floors, 4)
+        assert not _witness_ok(GOOD_SPLIT, [3, 2, 0, 4, 0, 0], 4)
+        assert not _witness_ok(GOOD_SPLIT, [2, 2, 0, 4, 0, 1], 4)
+        assert not _witness_ok(GOOD_SPLIT[:-2], floors, 4)
+        assert not _witness_ok(GOOD_SPLIT, floors, 5)
 
     # the witness check reads only the shape and the gain floors; a split
     # that breaks a class is refused where _attach lays it, by the states'
@@ -478,7 +490,7 @@ class TestWitness:
         # every old vertex gives one edge to each new vertex and the floors
         # are slack, so the witness check accepts it
         assert len(owner) == 2 * split.dec.order
-        assert _witness_ok(split.dec, owner, cstar)
+        assert _witness_ok(owner, gain_floors(split, cstar), 4)
         with pytest.raises(
             InvariantViolation, match=r"attach round at order 4: class \d cannot take"
         ):
@@ -494,13 +506,13 @@ class TestWitness:
 
         bad, good = [1, 2, 0, 1, 1, 2], [1, 2, 3, 1, 1, 2]
         laid = split()
-        assert _witness_ok(laid.dec, bad, 3)
+        assert _witness_ok(bad, gain_floors(laid, 3), 3)
         with pytest.raises(InvariantViolation, match=re.escape(
             "class 0 cannot take (1, 3): vertex 1 has no free end"
         )):
             _attach(laid, bad, 3)
         laid = split()
-        assert _witness_ok(laid.dec, good, 3)
+        assert _witness_ok(good, gain_floors(laid, 3), 3)
         _attach(laid, good, 3)
         check_stage(laid, 4, 4, "after the round")
 
@@ -541,9 +553,11 @@ class TestWitness:
                         a, b = gate
                         assert (out[2 * a] == i) != (out[2 * b] == i)
                         doubled["path"] += 1
-            dec = sized_split(m, floors, cstar)
-            assert _witness_ok(dec, out, cstar)
-            # laid through the states, every class stays a linear forest
+            assert _witness_ok(out, floors, m)
+            # laid through the states, every class stays a linear forest;
+            # _attach reads only the order of the classes, lay_edges only
+            # the states and masks
+            dec = Decomposition(m, [set() for _ in range(n)])
             _attach(ForestSplit(dec, ends, free_classes(ends, m)), out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
@@ -957,3 +971,56 @@ class TestStageContract:
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]
         extend_to_hcd(split, n).check_hcd()
+
+
+def greedy_entry_split(rng, r, n):
+    """A split of K_r into n linear forests, or None: the edges in a random
+    order, each to the smallest class, ties in a random order, that it
+    keeps a linear forest."""
+    states = [PathEnds(analyze_linear_forest((), range(r))) for _ in range(n)]
+    classes = [set() for _ in range(n)]
+    edges = complete_edges(r)
+    rng.shuffle(edges)
+    for u, v in edges:
+        for i in sorted(rng.sample(range(n), n), key=lambda i: len(classes[i])):
+            try:
+                states[i].add_edge(u, v)
+            except NotLinearForest:
+                continue
+            classes[i].add((u, v))
+            break
+        else:
+            return None
+    return Decomposition(r, classes)
+
+
+class TestWholeDomain:
+    # the attach rounds' contract over splits no embed builds: any linear
+    # forests of K_r meeting the entry floors, r <= 2t - 1.  Three cases in
+    # four are tight, n < r, where every class has a floor to meet; a split
+    # that misses its floors is drawn again.
+    def test_greedy_entry_splits_grow_and_complete(self):
+        rng = random.Random("attach-entry-splits")
+        done = tight = at_edge = 0
+        while done < 300:
+            n = rng.randint(4, 20)
+            r = rng.randint(n + 1, 2 * n - 1) if done % 4 else rng.randint(1, n)
+            t = rng.randint(max(2, r // 2 + 1), n)
+            dec = greedy_entry_split(rng, r, n)
+            if dec is None or any(
+                len(cls) < size_floor(r, n, i < t)
+                for i, cls in enumerate(dec.classes)
+            ):
+                continue
+            kept = [set(cls) for cls in dec.classes]
+            split = extend_with_k2s(scan(dec), t, n)
+            assert dec.order == r + 2 * (n - t)
+            for s in range(n - t):
+                assert edge(r + 2 * s, r + 2 * s + 1) in dec.classes[t + s]
+            extend_to_hcd(split, n).check_hcd()
+            assert all(old <= new for old, new in zip(kept, dec.classes))
+            done += 1
+            tight += r > n
+            # the last round then leaves k = 4 slots a vertex
+            at_edge += r == 2 * t - 1 and t < n
+        assert tight == 225 and at_edge >= 10, (tight, at_edge)

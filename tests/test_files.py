@@ -48,6 +48,11 @@ class TestParseInstance:
             "1\n0 1 2\n",
             "1\n0 -1\n",
             "1\na b\n",
+            # int() reads each of these as a number: an underscore, a
+            # sign, an Arabic-Indic digit
+            "1_0\n",
+            "1\n+3 4\n",
+            "1\n\u0663 4\n",
         ],
     )
     def test_rejects_malformed(self, text):

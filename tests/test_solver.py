@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rainbow_hcd
-from rainbow_hcd import solver
+from rainbow_hcd import embed_dense, solver
 from rainbow_hcd.errors import (
     InfeasibleInput,
     InvariantViolation,
@@ -337,27 +337,47 @@ class TestHubLinearForest:
         assert cert.trace[0] == f"route: {tag}"
         assert verify_certificate(cert).ok
 
-    @pytest.mark.parametrize("h", [k2s(8), path_graph(9)], ids=["8K2", "P10"])
-    def test_cycles_laid_on_the_final_hosts(self, monkeypatch, h):
-        # no relabelling after the construction: the host map is applied
-        # as the cycles are built
+    @pytest.mark.parametrize(
+        "h, tag",
+        [
+            (k2s(8), "all-k2"),
+            (path_graph(9), "linear-forest"),
+            (star_graph(4), "base-small"),
+            (disjoint_union(cycle_graph(3), k2s(5)), "pipeline"),
+        ],
+        ids=["8K2", "P10", "K1,4", "C3+5K2"],
+    )
+    def test_cycles_laid_on_the_final_hosts(self, monkeypatch, h, tag):
+        # no relabelling after the construction: the hub route applies its
+        # host map as the cycles are built, base-small plants vertex i on
+        # host i, and a pipeline whose layout already puts vertex i on
+        # host i (C3 first, then the single edges) has nothing to move
         def no_relabel(*args):
             raise AssertionError("relabel_decomposition called")
 
         monkeypatch.setattr(solver, "relabel_decomposition", no_relabel)
-        assert verify_certificate(solve(h, seed=0)).ok
+        cert = solve(h, seed=0)
+        assert cert.trace[0] == f"route: {tag}"
+        assert verify_certificate(cert).ok
 
-    def test_host_map_that_is_no_bijection_is_caught(self, monkeypatch):
-        real = solver._canonical_perm
+    # K_{1,16} has r = 17 > n vertices, so the embed recurses and moves the
+    # child's classes onto its hosts by complete_perm
+    @pytest.mark.parametrize(
+        "module, h",
+        [(solver, k2s(8)), (embed_dense, star_graph(16))],
+        ids=["hub-8K2", "recursive-embed-K1,16"],
+    )
+    def test_host_map_that_is_no_bijection_is_caught(self, monkeypatch, module, h):
+        real = module.complete_perm
 
-        def two_to_one(hosts, order):
-            perm = real(hosts, order)
+        def two_to_one(partial, order):
+            perm = real(partial, order)
             perm[0] = perm[1]
             return perm
 
-        monkeypatch.setattr(solver, "_canonical_perm", two_to_one)
+        monkeypatch.setattr(module, "complete_perm", two_to_one)
         with pytest.raises(InvariantViolation, match="not a bijection"):
-            solve(k2s(8), seed=0)
+            solve(h, seed=0)
 
 
 @pytest.mark.slow
