@@ -32,7 +32,6 @@ from .families import (
 from .files import (
     certificate_from_text,
     certificate_to_text,
-    format_instance,
     parse_instance,
 )
 from .graph_core import verify_certificate, walecki

@@ -11,10 +11,15 @@ round-robin matching schedule settles everything.  Otherwise the instance
 is shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
 K_{2s+1}, its classes are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
-other hosts fill the gaps upward), the surplus vertices are cut away
-leaving s large forests, and
-edges are moved out of them into the remaining classes, with blocker
-bookkeeping so no move ever breaks a forest or touches a protected edge.
+other hosts fill the gaps upward), and the surplus vertices are cut away,
+leaving s large forests.  These donors, largest first, then give edges to
+the remaining classes below their floors, in one schedule: in case 1
+(3r <= 4n - 1) each class takes from one donor, in case 2 from two, and
+every move withholds the donor's own input edge and the edges one cut
+rule (_donor_cut) names, so that no move breaks a forest.  A donor too
+small for its moves fails the move itself (InternalInfeasible) or leaves
+a class below its floor, which the exit check reports as
+InvariantViolation.
 """
 
 from __future__ import annotations
@@ -205,9 +210,9 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
 
 def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge]) -> None:
     """Shift the `count` smallest allowed donor edges into the target.  The
-    blockers and cuts in exclude keep the target a linear forest; a move
-    that breaks it all the same is caught by the exit scan of
-    verify_embedded_forests as InvariantViolation."""
+    cut in exclude keeps the target a linear forest; a move that breaks it
+    all the same is caught by the exit scan of verify_embedded_forests as
+    InvariantViolation."""
     if count < 0:
         raise InvariantViolation(f"cannot move {count} edges")
     avail = sorted(e for e in donor.edges if e not in exclude)
@@ -220,39 +225,15 @@ def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge]) -> None:
     target.edges.update(moved)
 
 
-def _toward(path: tuple[int, ...], src: int, dst: int) -> Edge:
-    """Edge leaving src in the direction of dst along the path holding both."""
-    i, j = path.index(src), path.index(dst)
-    step = 1 if j > i else -1
-    return edge(src, path[i + step])
-
-
-def _first_donor_blockers(ab: Edge, donor: _Cls, r: int) -> set[Edge]:
-    """Edges that must stay put so any moved subset keeps degrees at the
-    target edge's endpoints at most one and never links them."""
-    a, b = ab
-    view = analyze_linear_forest(donor.edges, range(r))
-    path_of: dict[int, tuple[int, ...]] = {}
-    for p in view.paths:
-        for v in p:
-            path_of[v] = p
-    blockers: set[Edge] = set()
-    if a in path_of and b in path_of and path_of[a] is path_of[b]:
-        blockers.add(_toward(path_of[a], a, b))
-        blockers.add(_toward(path_of[b], b, a))
-    else:
-        for v in (a, b):
-            p = path_of.get(v)
-            if p is not None and v in p[1:-1]:
-                # interior vertex: withhold one of its two edges
-                blockers.add(edge(v, p[p.index(v) - 1]))
-    return blockers
-
-
-def _second_donor_cut(target: _Cls, donor: _Cls, r: int) -> set[Edge]:
-    """Withheld donor edges: all at the target's interior (degree-two)
-    vertices, plus the inbound edge of each target path end (degree one),
-    walking each donor path from its lower end.  The rest moves freely."""
+def _donor_cut(target: _Cls, donor: _Cls, r: int) -> set[Edge]:
+    """Donor edges that stay behind so that the target plus the rest of the
+    donor is still a linear forest: every donor edge at a degree-two target
+    vertex, and the edge entering each degree-one target vertex as each
+    donor path is walked from its lower end.  A moved segment then never
+    joins two target path ends, so no cycle forms and no degree passes two.
+    A single-edge target withholds at most two edges, an empty one none."""
+    if not target.edges:
+        return set()
     degree = Counter(v for e in target.edges for v in e)
     interior = {v for v, d in degree.items() if d == 2}
     ends = {v for v, d in degree.items() if d == 1}
@@ -260,59 +241,9 @@ def _second_donor_cut(target: _Cls, donor: _Cls, r: int) -> set[Edge]:
     withheld: set[Edge] = set()
     for p in dview.paths:
         for prev, v in zip(p, p[1:]):
-            e = edge(prev, v)
             if prev in interior or v in interior or v in ends:
-                withheld.add(e)
+                withheld.add(edge(prev, v))
     return withheld
-
-
-def _case1_moves(
-    big: list[_Cls], singles: list[_Cls], empties: list[_Cls], r: int, n: int
-) -> None:
-    s = len(big)
-    t = s + len(singles)
-    if n - s > s:
-        raise InvariantViolation(f"{n - s} classes to fill from {s} donors")
-    if len(big[n - s - 1].edges) < 4 * r - 4 * n - 1:
-        raise InternalInfeasible("donor classes below the spread bound")
-    for pos, cls in enumerate(singles):
-        donor = big[pos]
-        ab = next(iter(cls.edges))
-        blockers = _first_donor_blockers(ab, donor, r)
-        _move(donor, cls, 2 * r - 2 * n - 2, blockers | {donor.keep})
-    for pos, cls in enumerate(empties):
-        donor = big[t - s + pos]
-        _move(donor, cls, 2 * r - 2 * n, {donor.keep})
-
-
-def _case2_moves(
-    big: list[_Cls],
-    singles: list[_Cls],
-    empties: list[_Cls],
-    r: int,
-    n: int,
-) -> None:
-    s = len(big)
-    t = s + len(singles)
-    eps = 1 if t == n else 0
-    if 2 * n - 2 * s > s:
-        raise InvariantViolation(f"{2 * n - 2 * s} donor slots from {s} donors")
-    if len(big[2 * n - 2 * s - 1].edges) < 3 * r - 3 * n - eps:
-        raise InternalInfeasible("donor classes below the spread bound")
-    for pos, cls in enumerate(singles):
-        donor = big[pos]
-        ab = next(iter(cls.edges))
-        blockers = _first_donor_blockers(ab, donor, r)
-        _move(donor, cls, r - n - 2, blockers | {donor.keep})
-        donor2 = big[t - s + pos]
-        cut = _second_donor_cut(cls, donor2, r)
-        _move(donor2, cls, r - n, cut | {donor2.keep})
-    for pos, cls in enumerate(empties):
-        donor = big[2 * t - 2 * s + pos]
-        _move(donor, cls, r - n - 1, {donor.keep})
-        donor2 = big[n + t - 2 * s + pos]
-        cut = _second_donor_cut(cls, donor2, r)
-        _move(donor2, cls, r - n + 1, cut | {donor2.keep})
 
 
 def _recursive_dense(
@@ -350,7 +281,7 @@ def _recursive_dense(
         raise InvariantViolation("child classes do not each own one subgraph edge")
 
     big = [
-        _Cls(set(cut.classes[ci]), owner_of_class[ci], h_edges[owner_of_class[ci]])
+        _Cls(cut.classes[ci], owner_of_class[ci], h_edges[owner_of_class[ci]])
         for ci in range(s)
     ]
     # pull the leftover input edges out of the truncated classes; each one
@@ -363,10 +294,23 @@ def _recursive_dense(
     singles = [_Cls({h_edges[i]}, i) for i in range(t) if i not in sub_set]
     empties = [_Cls(set(), None) for _ in range(n - t)]
 
+    # each row's targets take that many edges each, from the donors
+    # big[0], big[1], ... in turn: one donor per class in case 1, two in
+    # case 2
     if case == 1:
-        _case1_moves(big, singles, empties, r, n)
+        plan = [(singles, 2 * r - 2 * n - 2), (empties, 2 * r - 2 * n)]
     else:
-        _case2_moves(big, singles, empties, r, n)
+        plan = [(singles, r - n - 2), (singles, r - n),
+                (empties, r - n - 1), (empties, r - n + 1)]
+    needed = sum(len(targets) for targets, _ in plan)
+    if needed > len(big):
+        raise InvariantViolation(f"{needed} donor moves from {len(big)} donors")
+    donors = iter(big)
+    for targets, count in plan:
+        for target in targets:
+            donor = next(donors)
+            withheld = _donor_cut(target, donor, r)
+            _move(donor, target, count, withheld | {donor.keep})
 
     # n classes, no slot taken twice: every slot is filled
     final: list[set[Edge] | None] = [None] * n

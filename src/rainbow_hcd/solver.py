@@ -39,6 +39,7 @@ from .extend_sparse import extend_with_k2s
 from .graph_core import (
     Decomposition,
     Edge,
+    LinearForestView,
     RainbowCertificate,
     _walecki_on,
     analyze_linear_forest,
@@ -87,18 +88,18 @@ def split_components(internal: list[Edge]) -> ComponentSplit:
     )
 
 
-def route(split: ComponentSplit, internal: list[Edge], n: int) -> Strategy:
-    """Pick the strategy for a validated instance."""
+def route(
+    split: ComponentSplit, internal: list[Edge], n: int, nv: int
+) -> tuple[Strategy, LinearForestView | None]:
+    """Pick the strategy for a validated instance on vertices 0..nv-1, with
+    the linear-forest view the hub routes lay (None on the others)."""
     if n <= 5:
-        return Strategy.BASE_SMALL
-    if split.t == 0:
-        return Strategy.ALL_K2
-    nv = len(edge_vertices(internal))
+        return Strategy.BASE_SMALL, None
     try:
-        analyze_linear_forest(internal, range(nv))
+        view = analyze_linear_forest(internal, range(nv))
     except NotLinearForest:
-        return Strategy.MAIN_PIPELINE
-    return Strategy.LINEAR_FOREST
+        return Strategy.MAIN_PIPELINE, None
+    return (Strategy.ALL_K2 if split.t == 0 else Strategy.LINEAR_FOREST), view
 
 
 def solve(h_edges, seed: int = 0) -> RainbowCertificate:
@@ -131,11 +132,11 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
     internal = [edge(label_map[u], label_map[v]) for u, v in edges_in]
 
     split = split_components(internal)
-    tag = route(split, internal, n)
+    tag, view = route(split, internal, n, len(vs))
     if tag is Strategy.BASE_SMALL:
         dec, assignment, trace = _planted_solve(internal, n, seed)
     elif tag in (Strategy.ALL_K2, Strategy.LINEAR_FOREST):
-        dec, assignment, trace = _hub_linear_forest(internal, n)
+        dec, assignment, trace = _hub_linear_forest(internal, n, view.paths)
     else:
         dec, assignment, trace = _main_pipeline(internal, split, n, seed)
 
@@ -253,7 +254,9 @@ def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
 # ALL_K2 and LINEAR_FOREST: closed form on the hub construction
 
 
-def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
+def _hub_linear_forest(
+    internal: list[Edge], n: int, paths: tuple[tuple[int, ...], ...]
+) -> _StageOut:
     """Lay a linear forest with n edges on walecki(n) without search.
 
     Class j of walecki(n) holds the non-hub edges {a, b} with a + b = 2j
@@ -261,20 +264,19 @@ def _hub_linear_forest(internal: list[Edge], n: int) -> _StageOut:
     edge {a, a+1} with a < 2n lies in class a mod n: for a+1 < 2n the sum
     is 2a+1, and the hub edge {2n-1, 2n} lies in class n-1.
 
-    Take the paths in the order analyze_linear_forest lists them, with
-    c_i the number of edges before path i, and put vertex k of path i on
-    host c_i + k + n*(i mod 2).  Edge k of path i then joins consecutive
-    hosts and lands in class c_i + k, so the n edges hit n distinct
-    classes.  The hosts are distinct: path i covers c_i..c_{i+1} shifted
-    by 0 or n, even-indexed paths sit in [0, n], odd-indexed ones (c_i
-    >= 1) in [n+1, 2n], and two paths of one parity are separated by at
-    least the one edge of the path between them.  Label 2n is the hub.
+    Take the paths in the order analyze_linear_forest lists them (route
+    hands its view over), with c_i the number of edges before path i, and
+    put vertex k of path i on host c_i + k + n*(i mod 2).  Edge k of path
+    i then joins consecutive hosts and lands in class c_i + k, so the n
+    edges hit n distinct classes.  The hosts are distinct: path i covers
+    c_i..c_{i+1} shifted by 0 or n, even-indexed paths sit in [0, n],
+    odd-indexed ones (c_i >= 1) in [n+1, 2n], and two paths of one parity
+    are separated by at least the one edge of the path between them.
+    Label 2n is the hub.
     The cycles are laid straight on the final hosts: the host map sends
     each of these hosts back to its vertex, and the unused ones, ascending,
     to the labels after the vertices (complete_perm).
     """
-    nv = len(edge_vertices(internal))
-    paths = analyze_linear_forest(internal, range(nv)).paths
     hosts: dict[int, int] = {}
     c = 0
     for i, path in enumerate(paths):

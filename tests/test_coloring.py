@@ -4,11 +4,10 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_hcd import coloring

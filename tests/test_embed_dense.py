@@ -12,12 +12,17 @@ import rainbow_hcd
 from rainbow_hcd.embed_dense import (
     _choose_subgraph,
     _Cls,
+    _donor_cut,
+    _recursive_dense,
     _round_robin,
-    _second_donor_cut,
     embed_dense,
     verify_embedded_forests,
 )
-from rainbow_hcd.errors import InvariantViolation, PreconditionViolation
+from rainbow_hcd.errors import (
+    InternalInfeasible,
+    InvariantViolation,
+    PreconditionViolation,
+)
 from rainbow_hcd.families import (
     EXHAUSTIVE_CAP,
     cycle_graph,
@@ -108,7 +113,7 @@ def random_linear_forest(rng, r):
     return edges
 
 
-class TestSecondDonorCut:
+class TestDonorCut:
     @staticmethod
     def reference(target, donor, r):
         """The cut read from full scans of both classes: every donor edge
@@ -131,8 +136,38 @@ class TestSecondDonorCut:
             target = _Cls(random_linear_forest(rng, r), 1)
             # a donor shares no edge with its target
             donor = _Cls(random_linear_forest(rng, r) - target.edges, 0)
-            assert (_second_donor_cut(target, donor, r)
+            assert (_donor_cut(target, donor, r)
                     == self.reference(target, donor, r))
+
+    def test_the_rest_of_the_donor_keeps_the_target_a_linear_forest(self):
+        # the target a linear forest, a single edge or empty: all the donor
+        # edges outside the cut move at once, and the target stays a linear
+        # forest; a single edge withholds at most two, an empty target none
+        rng = random.Random(1)
+        kinds = Counter()
+        for i in range(500):
+            r = rng.randrange(2, 16)
+            kind = ("forest", "single", "empty")[i % 3]
+            if kind == "forest":
+                edges = random_linear_forest(rng, r)
+            elif kind == "single":
+                edges = {edge(*rng.sample(range(r), 2))}
+            else:
+                edges = set()
+            target = _Cls(edges, 1)
+            donor = _Cls(random_linear_forest(rng, r) - target.edges, 0)
+            withheld = _donor_cut(target, donor, r)
+            assert withheld <= donor.edges
+            analyze_linear_forest(
+                target.edges | (donor.edges - withheld), range(r)
+            )
+            if kind == "single":
+                assert len(withheld) <= 2
+            if kind == "empty":
+                assert withheld == set()
+            kinds[kind] += len(withheld) > 0
+        # the cut is not vacuous on any kind that can need one
+        assert kinds["forest"] > 100 and kinds["single"] > 50
 
 
 class TestPreconditions:
@@ -167,7 +202,7 @@ class TestPreconditions:
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_rejects_a_linear_forest_above_the_direct_regime(self, k):
         # k x P3 at n = 2k, k odd, is a linear forest the recursive regime
-        # cannot embed (donor classes below the spread bound); solve lays
+        # cannot embed (a donor runs short, see TestInvariants); solve lays
         # every linear forest with n >= 6 on the hub construction instead
         h = disjoint_union(*[path_graph(2)] * k)
         with pytest.raises(PreconditionViolation, match="linear forest"):
@@ -307,6 +342,24 @@ class TestInvariants:
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
         assert "truncated cycle lost too many edges" in lines[1]
+
+    @pytest.mark.parametrize(
+        "k, error, message",
+        [
+            (3, InvariantViolation, "class 1 has 4 edges, floor 5 at the embed exit"),
+            (5, InternalInfeasible, "donor has 4 spare edges, needs 5"),
+            (7, InvariantViolation, "class 4 has 12 edges, floor 13 at the embed exit"),
+        ],
+    )
+    def test_a_donor_too_short_for_its_moves_is_caught(self, k, error, message):
+        # k x P3 at n = 2k, past the precondition that keeps it out: its
+        # donors are too short for the move schedule.  One fails the move
+        # for want of spare edges, or gives them and ends below its floor,
+        # which the exit check reports
+        h = disjoint_union(*[path_graph(2)] * k)
+        with pytest.raises(error, match=message):
+            dec = _recursive_dense(h, 3 * k, 2 * k, 2 * k, solve, [])
+            verify_embedded_forests(dec, h, 2 * k)
 
 
 class TestChooseSubgraph:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,14 @@ from rainbow_hcd.families import (
     star_graph,
 )
 from rainbow_hcd.files import certificate_to_text
-from rainbow_hcd.graph_core import analyze_linear_forest, edge, verify_certificate
+from rainbow_hcd.graph_core import (
+    analyze_linear_forest,
+    edge,
+    edge_vertices,
+    verify_certificate,
+)
 from rainbow_hcd.oracle import exhaustive_rainbow_hcd
 from rainbow_hcd.solver import (
-    ComponentSplit,
     Strategy,
     relabel_hosts,
     route,
@@ -106,27 +111,50 @@ class TestSplitComponents:
         assert split.thick_idx == [[1, 2], [0, 3]]
 
 
+def strategy(h):
+    return route(split_components(h), h, len(h), len(edge_vertices(h)))[0]
+
+
 class TestRoute:
     def test_small_instances_always_base(self):
         for h in (path_graph(5), disjoint_union(cycle_graph(3), k2s(2))):
-            split = split_components(h)
-            assert route(split, h, len(h)) is Strategy.BASE_SMALL
+            assert strategy(h) is Strategy.BASE_SMALL
 
     def test_matching_route(self):
-        h = k2s(7)
-        assert route(split_components(h), h, 7) is Strategy.ALL_K2
+        assert strategy(k2s(7)) is Strategy.ALL_K2
 
     def test_linear_forest_route(self):
         h = disjoint_union(path_graph(2), k2s(4))
-        assert route(split_components(h), h, 6) is Strategy.LINEAR_FOREST
+        assert strategy(h) is Strategy.LINEAR_FOREST
 
     def test_pipeline_route_cycle(self):
         h = disjoint_union(cycle_graph(3), k2s(3))
-        assert route(split_components(h), h, 6) is Strategy.MAIN_PIPELINE
+        assert strategy(h) is Strategy.MAIN_PIPELINE
 
     def test_pipeline_route_high_degree(self):
         h = disjoint_union(star_graph(3), k2s(3))
-        assert route(split_components(h), h, 6) is Strategy.MAIN_PIPELINE
+        assert strategy(h) is Strategy.MAIN_PIPELINE
+
+    @pytest.mark.parametrize(
+        "h", [k2s(8), disjoint_union(path_graph(4), k2s(3))], ids=["8K2", "P5+3K2"]
+    )
+    def test_hub_solve_lists_and_scans_once(self, monkeypatch, h):
+        # solve sorts the vertex set once and route's linear-forest view
+        # is the one the hub lays
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(solver, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("edge_vertices", "analyze_linear_forest"):
+            monkeypatch.setattr(solver, name, counted(name))
+        assert verify_certificate(solve(h)).ok
+        assert calls == {"edge_vertices": 1, "analyze_linear_forest": 1}
 
     def test_tag_strings(self):
         assert {s.value for s in Strategy} == {
@@ -285,10 +313,15 @@ class TestDeterminism:
              "1f2d9e1bec5ebd439b28f3774c8a92b80b35513515896fa7984ec883ee5ddb56"),
             (disjoint_union(path_graph(2), k2s(38)), 0,
              "b2ebaa7f829a2caf8d9069b5e7e34c78e04e5472c53541174d79a360c5d726fc"),
+            # the recursive embed (r=16, case 2), where the cut of a
+            # single-edge class's first donor decides which edges move
+            (disjoint_union(star_graph(3), *[path_graph(2)] * 4, path_graph(1)), 0,
+             "81d0b5d45421ac9bfcad75c4e129b1f6c4ff06cbf99e0e364f9de22fd8aa6344"),
         ],
         ids=[
             "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
             "6K2", "P6", "C3+29K2", "C16+16K2", "96K2", "P3+38K2",
+            "K1,3+4P3+K2",
         ],
     )
     def test_pinned_bytes(self, h, seed, digest):

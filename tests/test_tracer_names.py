@@ -6,8 +6,13 @@ dotted into a class.  A change that deletes or renames one of them
 breaks the benchmark, so it fails here too.  perfbench/run.py derives
 per-layer counters from how often some of them are called, which must
 stay what the counters say.
+
+A module keeps an import only the tracer looks up by marking it
+# noqa: F401; any other imported name that a module of the package or of
+the tests never uses fails here.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -92,3 +97,60 @@ def test_counted_calls_match_the_pipeline(n):
     assert calls["extend_sparse.capacity_graph"] == n - t
     assert calls["extend_sparse._witness_ok"] == n - t
     assert calls["hilton.single_vertex_step"] == 2 * n - (3 + 2 * (n - t))
+
+
+def unused_imports(source):
+    """(line, name) of each name the source imports and never uses, leaving
+    out __future__ imports and lines marked # noqa: F401.  A name counts
+    as used where it is read, or listed in __all__."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            marks = (lines[node.lineno - 1], lines[alias.lineno - 1])
+            if any("# noqa: F401" in line for line in marks):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                found.append((alias.lineno, name))
+    return found
+
+
+def test_unused_imports_finds_what_is_never_read():
+    source = textwrap.dedent("""
+        from __future__ import annotations
+        import os
+        import os.path
+        import sys  # noqa: F401
+        from json import (  # noqa: F401
+            dumps,
+        )
+        from a import b as c, d
+        __all__ = ["d"]
+        print(c, os.sep)
+    """)
+    assert unused_imports(source) == []
+    assert unused_imports(source.replace("os.sep", "1")) == [(3, "os"), (4, "os")]
+
+
+def test_every_imported_name_is_used():
+    modules = sorted((ROOT / "src" / "rainbow_hcd").glob("*.py"))
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    unused = {
+        str(path.relative_to(ROOT)): found
+        for path in modules
+        if (found := unused_imports(path.read_text()))
+    }
+    assert len(modules) > 20
+    assert unused == {}
