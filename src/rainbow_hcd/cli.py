@@ -34,7 +34,7 @@ from .files import (
     certificate_to_text,
     parse_instance,
 )
-from .graph_core import verify_certificate, walecki
+from .graph_core import edge_vertices, verify_certificate, walecki
 from .oracle import exhaustive_rainbow_hcd
 from .solver import solve
 
@@ -114,6 +114,16 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is a rejected
+    argument."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionViolation(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
     edges = parse_instance(_read(args.instance))
     cert = solve(edges, seed=args.seed)
@@ -124,8 +134,7 @@ def _cmd_solve(args) -> int:
         for line in cert.trace:
             print(line, file=stream)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"certificate: n={cert.n} order={cert.order} -> {args.out}")
     else:
         sys.stdout.write(text)
@@ -160,11 +169,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     edges = parse_instance(_read(args.instance))
-    n = len(edges)
-    vs = sorted({v for e in edges for v in e})
-    dense = {v: i for i, v in enumerate(vs)}
+    dense = {v: i for i, v in enumerate(edge_vertices(edges))}
     placed = [(dense[u], dense[v]) for u, v in edges]
-    out = exhaustive_rainbow_hcd(placed, n, budget=args.budget)
+    out = exhaustive_rainbow_hcd(placed, len(edges), budget=args.budget)
     print(f"{out.status} nodes={out.nodes}")
     return 0
 
@@ -179,8 +186,7 @@ def _cmd_walecki(args) -> int:
         lines.append(f"{i}: " + " ".join(f"{u}-{v}" for u, v in sorted(cls)))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -13,12 +13,14 @@ K_{2s+1}, its classes are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
 other hosts fill the gaps upward), and the surplus vertices are cut away,
 leaving s large forests.  These donors, largest first, then give edges to
-the remaining classes below their floors, in one schedule: in case 1
-(3r <= 4n - 1) each class takes from one donor, in case 2 from two, and
-every move withholds the donor's own input edge and the edges one cut
-rule (_donor_cut) names, so that no move breaks a forest.  A donor too
-small for its moves fails the move itself (InternalInfeasible) or leaves
-a class below its floor, which the exit check reports as
+the remaining classes below their floors, in one schedule, each move
+counted from the target's gap to its floor (size_floor): in case 1
+(3r <= 4n - 1) a class takes its whole gap from one donor, in case 2 half
+the gap less one from one donor and the rest from a second.  Every move
+withholds the donor's own input edge and the edges one cut rule
+(_donor_cut) names, so that no move breaks a forest.  A donor too small
+for its moves fails the move itself (InternalInfeasible) or leaves a
+class below its floor, which the exit check reports as
 InvariantViolation.
 """
 
@@ -43,7 +45,7 @@ from .graph_core import (
     edge_vertices,
     relabel_decomposition,
 )
-from .hilton import ForestSplit, check_stage, truncate_to_order
+from .hilton import ForestSplit, check_stage, size_floor, truncate_to_order
 
 
 def verify_embedded_forests(
@@ -157,7 +159,6 @@ def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
 class _Cls:
     edges: set[Edge]
     owner: int | None  # index into h_edges, None for filler classes
-    keep: Edge | None = None  # protected edge, never moved out
 
 
 def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
@@ -280,10 +281,7 @@ def _recursive_dense(
     if sorted(owner_of_class) != list(range(s)):
         raise InvariantViolation("child classes do not each own one subgraph edge")
 
-    big = [
-        _Cls(cut.classes[ci], owner_of_class[ci], h_edges[owner_of_class[ci]])
-        for ci in range(s)
-    ]
+    big = [_Cls(cut.classes[ci], owner_of_class[ci]) for ci in range(s)]
     # pull the leftover input edges out of the truncated classes; each one
     # restarts as a singleton class of its own
     sub_set = set(sub_idx)
@@ -294,23 +292,25 @@ def _recursive_dense(
     singles = [_Cls({h_edges[i]}, i) for i in range(t) if i not in sub_set]
     empties = [_Cls(set(), None) for _ in range(n - t)]
 
-    # each row's targets take that many edges each, from the donors
-    # big[0], big[1], ... in turn: one donor per class in case 1, two in
-    # case 2
+    # each row's targets take edges toward their size floor from the
+    # donors big[0], big[1], ... in turn: in case 1 the whole gap from one
+    # donor, in case 2 half the gap less one, then the rest from a second
     if case == 1:
-        plan = [(singles, 2 * r - 2 * n - 2), (empties, 2 * r - 2 * n)]
+        plan = [(singles, False), (empties, False)]
     else:
-        plan = [(singles, r - n - 2), (singles, r - n),
-                (empties, r - n - 1), (empties, r - n + 1)]
+        plan = [(singles, True), (singles, False),
+                (empties, True), (empties, False)]
     needed = sum(len(targets) for targets, _ in plan)
     if needed > len(big):
         raise InvariantViolation(f"{needed} donor moves from {len(big)} donors")
     donors = iter(big)
-    for targets, count in plan:
+    for targets, half in plan:
         for target in targets:
             donor = next(donors)
+            gap = size_floor(r, n, target.owner is not None) - len(target.edges)
             withheld = _donor_cut(target, donor, r)
-            _move(donor, target, count, withheld | {donor.keep})
+            withheld.add(h_edges[donor.owner])
+            _move(donor, target, gap // 2 - 1 if half else gap, withheld)
 
     # n classes, no slot taken twice: every slot is filled
     final: list[set[Edge] | None] = [None] * n

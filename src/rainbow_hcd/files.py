@@ -8,12 +8,12 @@ comment, end of line ends it; blank lines are skipped.
 Certificates: one JSON document with the keys n, order, label_map,
 classes, h_edges, assignment, seed, pipeline_trace, in that order, byte
 stable for a fixed certificate.  Class indices are 0 based everywhere.
-Reading one takes only what writing one gives: n, order, seed, each
-assignment entry and each label_map value a JSON integer (true and false
-are not), each edge a JSON array of two such integers, no class listing
-an edge twice, each label_map key a canonical decimal string ("7" or
-"-7", not "07", "+7", " 7" or "-0"), and pipeline_trace an array of
-strings; anything else is a ParseError.
+Reading one takes only what writing one gives: these keys and no other,
+n, order, seed, each assignment entry and each label_map value a JSON
+integer (true and false are not), each edge a JSON array of two such
+integers, no class listing an edge twice, each label_map key a canonical
+decimal string ("7" or "-7", not "07", "+7", " 7" or "-0"), and
+pipeline_trace an array of strings; anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     missing = [k for k in _KEYS if k not in doc]
     if missing:
         raise ParseError(f"certificate lacks keys: {', '.join(missing)}")
+    unknown = [k for k in doc if k not in _KEYS]
+    if unknown:
+        raise ParseError(f"certificate has unknown keys: {', '.join(unknown)}")
     n = _json_int(doc["n"], "n")
     order = _json_int(doc["order"], "order")
     seed = _json_int(doc["seed"], "seed")

@@ -26,7 +26,8 @@ states.  From there the split grows in place.  lay_edges lays the new
 edges of a round or a step into the classes, the states and the masks
 together, each edge through add_edge, the one copy of the join rule,
 whose returned far end tells whether the old vertex was a path end and
-so loses the class.  A step lays one edge from each old vertex to the
+so loses the class; a new vertex's mask is read off the states once its
+edges are laid.  A step lays one edge from each old vertex to the
 new one, which keeps a partition of K_m one of K_{m+1}, so no step
 re-proves it.  check_stage runs where a stage takes the split on and
 after each round and step: it checks the class count and the floors, and
@@ -295,20 +296,17 @@ def lay_edges(
     w), w a new vertex, into the classes, their states and the free-class
     masks, in place.  A path end that takes an edge of class i loses bit
     i, an isolated vertex that takes one keeps it, and a new vertex's mask
-    holds the classes in which it took at most one edge.  An edge its
-    state's add_edge refuses is the caller's fault: InvariantViolation,
-    naming stage, the class and the edge."""
+    is read off the states once its edges are laid: the classes in which
+    it is still isolated or is a path end.  An edge its state's add_edge
+    refuses is the caller's fault: InvariantViolation, naming stage, the
+    class and the edge."""
     dec, ends, free = split.dec, split.ends, split.free
     m = dec.order
     classes = dec.classes
     for w in range(m, m + grow):
         for state in ends:
             state.isolated.add(w)
-    # per new vertex, the classes it took an edge of, and those it took two of
-    once = [0] * grow
-    twice = [0] * grow
     for i, u, w in new:
-        bit = 1 << i
         state = ends[i]
         try:
             far = state.add_edge(u, w)
@@ -316,20 +314,14 @@ def lay_edges(
             raise InvariantViolation(
                 f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
             ) from exc
-        if u < m:
-            if far != u:  # u was a path end, and is interior now
-                free[u] &= ~bit
-        elif once[u - m] & bit:
-            twice[u - m] |= bit
-        else:
-            once[u - m] |= bit
+        if u < m and far != u:  # u was a path end, and is interior now
+            free[u] &= ~(1 << i)
         classes[i].add((u, w) if u < w else (w, u))
-        if once[w - m] & bit:
-            twice[w - m] |= bit
-        else:
-            once[w - m] |= bit
-    every = (1 << len(ends)) - 1
-    free.extend(every & ~t for t in twice)
+    for w in range(m, m + grow):
+        free.append(sum(
+            1 << i for i, state in enumerate(ends)
+            if w in state.isolated or w in state.partner
+        ))
     dec.order = m + grow
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 
 from .embed_dense import embed_dense
 from .errors import (
@@ -61,45 +60,20 @@ class Strategy(enum.Enum):
     MAIN_PIPELINE = "pipeline"
 
 
-@dataclass
-class ComponentSplit:
-    """Instance split into thick components (2+ edges each) and the rest,
-    which are single disjoint edges.  Indices point into the edge list."""
-
-    thick_idx: list[list[int]]
-    k2_idx: list[int]
-
-    @property
-    def t(self) -> int:
-        return sum(len(g) for g in self.thick_idx)
-
-    @property
-    def k2_count(self) -> int:
-        return len(self.k2_idx)
-
-
-def split_components(internal: list[Edge]) -> ComponentSplit:
-    """Group edge indices by connected component, components ordered by
-    smallest vertex, and split off the single-edge components."""
-    groups = component_edge_groups(internal)
-    return ComponentSplit(
-        [g for g in groups if len(g) >= 2],
-        [g[0] for g in groups if len(g) == 1],
-    )
-
-
 def route(
-    split: ComponentSplit, internal: list[Edge], n: int, nv: int
+    internal: list[Edge], n: int, nv: int
 ) -> tuple[Strategy, LinearForestView | None]:
     """Pick the strategy for a validated instance on vertices 0..nv-1, with
-    the linear-forest view the hub routes lay (None on the others)."""
+    the linear-forest view the hub routes lay (None on the others).  A
+    linear forest is a matching exactly when its n edges make n paths."""
     if n <= 5:
         return Strategy.BASE_SMALL, None
     try:
         view = analyze_linear_forest(internal, range(nv))
     except NotLinearForest:
         return Strategy.MAIN_PIPELINE, None
-    return (Strategy.ALL_K2 if split.t == 0 else Strategy.LINEAR_FOREST), view
+    tag = Strategy.ALL_K2 if len(view.paths) == n else Strategy.LINEAR_FOREST
+    return tag, view
 
 
 def solve(h_edges, seed: int = 0) -> RainbowCertificate:
@@ -131,14 +105,13 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
     label_map = {v: i for i, v in enumerate(vs)}
     internal = [edge(label_map[u], label_map[v]) for u, v in edges_in]
 
-    split = split_components(internal)
-    tag, view = route(split, internal, n, len(vs))
+    tag, view = route(internal, n, len(vs))
     if tag is Strategy.BASE_SMALL:
         dec, assignment, trace = _planted_solve(internal, n, seed)
     elif tag in (Strategy.ALL_K2, Strategy.LINEAR_FOREST):
         dec, assignment, trace = _hub_linear_forest(internal, n, view.paths)
     else:
-        dec, assignment, trace = _main_pipeline(internal, split, n, seed)
+        dec, assignment, trace = _main_pipeline(internal, n, seed)
 
     cert = RainbowCertificate(
         n, seed, edges_in, label_map, assignment,
@@ -293,15 +266,17 @@ def _hub_linear_forest(
 # the general pipeline
 
 
-def _main_pipeline(
-    internal: list[Edge], split: ComponentSplit, n: int, seed: int
-) -> _StageOut:
+def _main_pipeline(internal: list[Edge], n: int, seed: int) -> _StageOut:
     trace: list[str] = []
-    thick_idx = sorted(i for g in split.thick_idx for i in g)
-    t = split.t
-    if t < 3 or t + split.k2_count != n:
+    # the edges of components with 2+ edges, ascending, and the single
+    # edges in the order of their components (by smallest vertex)
+    groups = component_edge_groups(internal)
+    thick_idx = sorted(i for g in groups if len(g) >= 2 for i in g)
+    k2_idx = [g[0] for g in groups if len(g) == 1]
+    t = len(thick_idx)
+    if t < 3 or t + len(k2_idx) != n:
         raise InvariantViolation(
-            f"pipeline split has t={t} and {split.k2_count} single edges, n={n}"
+            f"pipeline split has t={t} and {len(k2_idx)} single edges, n={n}"
         )
 
     thick_vs = edge_vertices([internal[i] for i in thick_idx])
@@ -328,14 +303,13 @@ def _main_pipeline(
     # endpoint on the even one.  Unless that is already vertex i on host
     # i, the classes move once so that it is.
     at = dict(enumerate(thick_vs))
-    for s, i in enumerate(split.k2_idx):
+    for s, i in enumerate(k2_idx):
         at[r + 2 * s], at[r + 2 * s + 1] = internal[i]
     if any(h != v for h, v in at.items()):
         dec = relabel_decomposition(dec, complete_perm(at, dec.order))
 
+    # the thick edges own classes 0..t-1 in order, single edge s class t + s
     assignment = [0] * n
-    for pos, i in enumerate(thick_idx):
-        assignment[i] = pos
-    for s, i in enumerate(split.k2_idx):
-        assignment[i] = t + s
+    for c, i in enumerate(thick_idx + k2_idx):
+        assignment[i] = c
     return dec, assignment, trace

@@ -47,6 +47,14 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "absent.txt")]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [(0, 1), (1, 2), (2, 3)])
+        dest = tmp_path / "missing_dir" / "x.json"
+        assert main(["solve", inst, "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rejected arguments: cannot write {dest}: ")
+        assert len(err.splitlines()) == 1
+
     def test_zero_edge_instance(self, tmp_path, capsys):
         path = tmp_path / "zero.txt"
         path.write_text("0\n")
@@ -145,6 +153,12 @@ class TestWalecki:
         dest = tmp_path / "walecki.txt"
         assert main(["walecki", "4", "--out", str(dest)]) == 0
         assert dest.read_text().splitlines()[0] == "order 9 classes 4"
+
+    def test_out_directory(self, tmp_path, capsys):
+        assert main(["walecki", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rejected arguments: cannot write {tmp_path}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestBench:

@@ -40,6 +40,7 @@ from rainbow_hcd.graph_core import (
     LinearForestView,
     analyze_linear_forest,
     complete_edges,
+    component_edge_groups,
     edge,
     edge_vertices,
     verify_certificate,
@@ -53,7 +54,7 @@ from rainbow_hcd.hilton import (
     free_classes,
     size_floor,
 )
-from rainbow_hcd.solver import solve, split_components
+from rainbow_hcd.solver import solve
 
 scan = ForestSplit.scan
 
@@ -634,8 +635,13 @@ class TestWitness:
             cert = solve(h, seed)
             rounds = sum(1 for ln in cert.trace if ln.startswith("attach:"))
             assert cert.trace[0] == "route: pipeline", h
-            assert rounds == len(split_components(h).k2_idx), h
+            assert rounds == single_edges(h), h
             assert verify_certificate(cert).ok, (h, seed)
+
+
+def single_edges(h):
+    """The number of single-edge components of h: its attach rounds."""
+    return sum(len(g) == 1 for g in component_edge_groups(h))
 
 
 def carried_graphs():
@@ -785,7 +791,7 @@ class TestCarriedState:
             cert = solve(h, seed=0)
             assert cert.trace[0] == "route: pipeline", h
             # the stage entry, on embed_dense's split, and every round
-            assert len(rounds) == len(split_components(h).k2_idx) + 1 > 1, h
+            assert len(rounds) == single_edges(h) + 1 > 1, h
 
     def test_free_lists_match_a_rebuild_after_every_round(self, monkeypatch):
         rounds = []
@@ -800,7 +806,7 @@ class TestCarriedState:
         for h in carried_graphs():
             rounds.clear()
             solve(h, seed=0)
-            k = len(split_components(h).k2_idx)
+            k = single_edges(h)
             assert rounds == ["at the attach entry"] + [
                 f"after step {s}" for s in range(1, k + 1)
             ]

@@ -197,6 +197,12 @@ class TestCertificateFromText:
         with pytest.raises(ParseError):
             certificate_from_text(text)
 
+    def test_rejects_unknown_key(self):
+        # the writer never writes it, so the reader takes it for a fault
+        text = self.corrupt(lambda d: d.update(extra=1))
+        with pytest.raises(ParseError, match="unknown keys: extra"):
+            certificate_from_text(text)
+
     def test_rejects_order_mismatch(self):
         def mutate(d):
             d["order"] = 99

@@ -37,7 +37,6 @@ from rainbow_hcd.solver import (
     relabel_hosts,
     route,
     solve,
-    split_components,
 )
 
 
@@ -67,8 +66,7 @@ class TestPipelineChecks:
             print(__debug__)
             # P3 + K2: two thick edges, too few for the pipeline
             h = [(0, 1), (1, 2), (3, 4)]
-            probe(lambda: solver._main_pipeline(
-                h, solver.split_components(h), 3, 0))
+            probe(lambda: solver._main_pipeline(h, 3, 0))
             # a recursive embed that would ask for an instance of the full
             # size: r = 12 vertices at n = 6 gives s = 6
             probe(lambda: _recursive_dense(
@@ -91,28 +89,8 @@ class TestPipelineChecks:
         assert "paths hold 0 of 1 edges" in lines[3]
 
 
-class TestSplitComponents:
-    def test_mixed_instance(self):
-        h = disjoint_union(cycle_graph(3), path_graph(1), path_graph(1))
-        split = split_components(h)
-        assert split.thick_idx == [[0, 1, 2]]
-        assert split.k2_idx == [3, 4]
-        assert split.t == 3
-        assert split.k2_count == 2
-
-    def test_all_single_edges(self):
-        split = split_components(k2s(4))
-        assert split.thick_idx == []
-        assert split.k2_idx == [0, 1, 2, 3]
-
-    def test_component_order_follows_smallest_vertex(self):
-        h = [edge(5, 6), edge(0, 1), edge(1, 2), edge(6, 7)]
-        split = split_components(h)
-        assert split.thick_idx == [[1, 2], [0, 3]]
-
-
 def strategy(h):
-    return route(split_components(h), h, len(h), len(edge_vertices(h)))[0]
+    return route(h, len(h), len(edge_vertices(h)))[0]
 
 
 class TestRoute:
@@ -136,11 +114,20 @@ class TestRoute:
         assert strategy(h) is Strategy.MAIN_PIPELINE
 
     @pytest.mark.parametrize(
-        "h", [k2s(8), disjoint_union(path_graph(4), k2s(3))], ids=["8K2", "P5+3K2"]
+        "h,want",
+        [
+            (k2s(8), [1, 1, 0]),
+            (disjoint_union(path_graph(4), k2s(3)), [1, 1, 0]),
+            (path_graph(4), [1, 0, 0]),
+            (disjoint_union(cycle_graph(3), k2s(3)), [2, 1, 1]),
+        ],
+        ids=["8K2", "P5+3K2", "P5", "C3+3K2"],
     )
-    def test_hub_solve_lists_and_scans_once(self, monkeypatch, h):
+    def test_hub_solve_lists_and_scans_once(self, monkeypatch, h, want):
         # solve sorts the vertex set once and route's linear-forest view
-        # is the one the hub lays
+        # is the one the hub lays; only the pipeline groups the components
+        # (once), and sorts the vertices of its thick part
+        names = ("edge_vertices", "analyze_linear_forest", "component_edge_groups")
         calls = Counter()
 
         def counted(name):
@@ -151,10 +138,10 @@ class TestRoute:
                 return real(*args)
             return wrapper
 
-        for name in ("edge_vertices", "analyze_linear_forest"):
+        for name in names:
             monkeypatch.setattr(solver, name, counted(name))
         assert verify_certificate(solve(h)).ok
-        assert calls == {"edge_vertices": 1, "analyze_linear_forest": 1}
+        assert [calls[name] for name in names] == want
 
     def test_tag_strings(self):
         assert {s.value for s in Strategy} == {

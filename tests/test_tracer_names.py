@@ -99,11 +99,28 @@ def test_counted_calls_match_the_pipeline(n):
     assert calls["hilton.single_vertex_step"] == 2 * n - (3 + 2 * (n - t))
 
 
+def imported_names(source):
+    """(line, name, marked) of each name the source imports, leaving out
+    __future__ imports; marked when its line is marked # noqa: F401."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            marks = (lines[node.lineno - 1], lines[alias.lineno - 1])
+            marked = any("# noqa: F401" in line for line in marks)
+            name = alias.asname or alias.name.split(".")[0]
+            found.append((alias.lineno, name, marked))
+    return found
+
+
 def unused_imports(source):
     """(line, name) of each name the source imports and never uses, leaving
     out __future__ imports and lines marked # noqa: F401.  A name counts
     as used where it is read, or listed in __all__."""
-    lines = source.splitlines()
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
@@ -111,20 +128,11 @@ def unused_imports(source):
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        for alias in node.names:
-            marks = (lines[node.lineno - 1], lines[alias.lineno - 1])
-            if any("# noqa: F401" in line for line in marks):
-                continue
-            name = alias.asname or alias.name.split(".")[0]
-            if name not in used:
-                found.append((alias.lineno, name))
-    return found
+    return [
+        (line, name)
+        for line, name, marked in imported_names(source)
+        if not marked and name not in used
+    ]
 
 
 def test_unused_imports_finds_what_is_never_read():
@@ -142,6 +150,25 @@ def test_unused_imports_finds_what_is_never_read():
     """)
     assert unused_imports(source) == []
     assert unused_imports(source.replace("os.sep", "1")) == [(3, "os"), (4, "os")]
+    assert [(name, marked) for _, name, marked in imported_names(source)] == [
+        ("os", False), ("os", False), ("sys", True), ("dumps", True),
+        ("c", False), ("d", False),
+    ]
+
+
+def test_tracer_only_imports_are_wrapped():
+    # a module of the package imports a name it never reads only for the
+    # tracer to wrap it there; once the tracer stops looking it up there,
+    # the import fails here and goes
+    wrapped = {(mod, attr) for mod, attr, _ in load_tracer().WRAPPED}
+    marked = [
+        (path.stem, name)
+        for path in sorted((ROOT / "src" / "rainbow_hcd").glob("*.py"))
+        for _, name, mark in imported_names(path.read_text())
+        if mark
+    ]
+    unwrapped = [f"{mod}.{name}" for mod, name in marked if (mod, name) not in wrapped]
+    assert unwrapped == []
 
 
 def test_every_imported_name_is_used():
