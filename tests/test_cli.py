@@ -5,6 +5,7 @@ import pytest
 from rainbow_hcd.cli import main
 from rainbow_hcd.files import certificate_from_text, format_instance
 from rainbow_hcd.graph_core import verify_certificate
+from test_files import _dumps_text
 
 
 def write_instance(tmp_path, edges, name="instance.txt"):
@@ -81,6 +82,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "instance: ok" in out
         assert "verification passed" in out
+
+    def test_format_1_certificate(self, tmp_path, capsys):
+        inst, cert = self.roundtrip(tmp_path)
+        cert.write_text(_dumps_text(certificate_from_text(cert.read_text())))
+        assert '"format"' not in cert.read_text()
+        capsys.readouterr()
+        assert main(["verify", str(cert), inst]) == 0
+        assert "verification passed" in capsys.readouterr().out
 
     def test_tampered_assignment(self, tmp_path, capsys):
         inst, cert = self.roundtrip(tmp_path)

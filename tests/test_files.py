@@ -1,10 +1,11 @@
 import json
 import time
+from collections import defaultdict
 
 import pytest
 
 from rainbow_hcd.cli import main
-from rainbow_hcd.errors import ParseError
+from rainbow_hcd.errors import ParseError, PreconditionViolation
 from rainbow_hcd.files import (
     certificate_from_text,
     certificate_to_text,
@@ -85,7 +86,7 @@ class TestCertificateText:
             object_pairs_hook=lambda ps: [k for k, _ in ps],
         )
         assert doc == [
-            "n", "order", "label_map", "classes",
+            "format", "n", "order", "label_map", "classes",
             "h_edges", "assignment", "seed", "pipeline_trace",
         ]
 
@@ -105,29 +106,82 @@ class TestCertificateText:
         cert = certificate_from_text(certificate_to_text(self.make()))
         assert verify_certificate(cert).ok
 
-    def test_classes_sorted(self):
-        doc = json.loads(certificate_to_text(self.make()))
-        for cls in doc["classes"]:
-            assert cls == sorted(cls)
+    def test_classes_are_cycle_sequences(self):
+        cert = self.make()
+        doc = json.loads(certificate_to_text(cert))
+        assert doc["format"] == 2
+        for seq, cls in zip(doc["classes"], cert.decomposition.classes):
+            assert sorted(seq) == list(range(cert.order))
+            assert seq[0] == 0 and seq[1] < seq[-1]
+            pairs = zip(seq, seq[1:] + seq[:1])
+            assert {(min(p), max(p)) for p in pairs} == cls
+
+    def _swap_an_edge(classes):
+        # each class keeps 2n+1 edges, but two vertices of each get
+        # degree 1 and two degree 3
+        a, b = classes[:2]
+        ea = min(a)
+        eb = next(e for e in sorted(b) if not set(e) & set(ea))
+        a ^= {ea, eb}
+        b ^= {ea, eb}
+
+    def _two_cycles(classes):
+        # every degree is 2, but 0's cycle misses four vertices
+        classes[0] = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}
+
+    @pytest.mark.parametrize("damage", [_swap_an_edge, _two_cycles],
+                             ids=["swapped-edge", "two-cycles"])
+    def test_refuses_a_class_that_is_no_hamiltonian_cycle(self, damage):
+        # no vertex sequence describes such a class
+        cert = self.make()
+        assert cert.order == 7
+        damage(cert.decomposition.classes)
+        with pytest.raises(PreconditionViolation, match="not a Hamiltonian cycle"):
+            certificate_to_text(cert)
 
 
-def _dumps_text(cert):
-    """The certificate text as json.dumps(indent=1) wrote it, kept as the
-    reference that certificate_to_text must match byte for byte."""
-    doc = {
+def _doc(cert, classes):
+    return {
         "n": cert.n,
         "order": cert.order,
         "label_map": {
             str(lab): cert.label_map[lab] for lab in sorted(cert.label_map)
         },
-        "classes": [
-            [list(e) for e in sorted(cls)] for cls in cert.decomposition.classes
-        ],
+        "classes": classes,
         "h_edges": [list(e) for e in cert.h_edges],
         "assignment": list(cert.assignment),
         "seed": cert.seed,
         "pipeline_trace": list(cert.trace),
     }
+
+
+def _dumps_text(cert):
+    """The format-1 certificate text, each class as its sorted edge pairs,
+    as json.dumps(indent=1) writes it: the reference for reading format 1
+    and for the format-1 byte pins."""
+    classes = [[list(e) for e in sorted(c)] for c in cert.decomposition.classes]
+    return json.dumps(_doc(cert, classes), indent=1) + "\n"
+
+
+def _cycle_by_adjacency(cls):
+    """The class's cycle as a vertex sequence from 0 toward its lower
+    neighbour, walked on an adjacency map."""
+    nbrs = defaultdict(list)
+    for u, v in cls:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seq = [0, min(nbrs[0])]
+    while len(seq) < len(cls):
+        a, b = nbrs[seq[-1]]
+        seq.append(b if a == seq[-2] else a)
+    return seq
+
+
+def _dumps_format_2(cert):
+    """The format-2 certificate text as json.dumps(indent=1) writes it,
+    the reference that certificate_to_text must match byte for byte."""
+    classes = [_cycle_by_adjacency(c) for c in cert.decomposition.classes]
+    doc = {"format": 2, **_doc(cert, classes)}
     return json.dumps(doc, indent=1) + "\n"
 
 
@@ -151,17 +205,29 @@ def _every_route_up_to_64():
     return out
 
 
+@pytest.fixture(scope="module")
+def every_route_cert():
+    return [solve(h, seed=seed) for h, seed in _every_route_up_to_64()]
+
+
 class TestHandLaidWriter:
-    def test_bytes_match_json_dumps_on_every_route(self):
+    def test_bytes_match_json_dumps_on_every_route(self, every_route_cert):
         routes = set()
-        for h, seed in _every_route_up_to_64():
-            cert = solve(h, seed=seed)
+        for cert in every_route_cert:
             routes.add(cert.trace[0])
-            assert certificate_to_text(cert) == _dumps_text(cert), (h, seed)
+            text = certificate_to_text(cert)
+            assert text == _dumps_format_2(cert), cert.h_edges
+            assert certificate_to_text(certificate_from_text(text)) == text
         assert routes == {
             "route: base-small", "route: all-k2",
             "route: linear-forest", "route: pipeline",
         }
+
+    def test_both_formats_read_back_to_one_certificate(self, every_route_cert):
+        for cert in every_route_cert:
+            back = certificate_from_text(certificate_to_text(cert))
+            assert back == cert
+            assert certificate_from_text(_dumps_text(cert)) == back
 
     @pytest.mark.parametrize(
         "trace",
@@ -171,12 +237,15 @@ class TestHandLaidWriter:
     def test_trace_lines_escape_as_json_dumps_does(self, trace):
         cert = solve(path_graph(7), seed=0)
         cert.trace = trace
-        assert certificate_to_text(cert) == _dumps_text(cert)
+        assert certificate_to_text(cert) == _dumps_format_2(cert)
 
 
 class TestCertificateFromText:
+    """Each rejection here is run against a format-1 text; TestFormat2
+    holds the format-2 twins of those that concern a class."""
+
     def corrupt(self, mutate):
-        doc = json.loads(certificate_to_text(solve([(0, 1), (1, 2)], seed=1)))
+        doc = json.loads(_dumps_text(solve([(0, 1), (1, 2)], seed=1)))
         mutate(doc)
         return json.dumps(doc)
 
@@ -301,7 +370,7 @@ class TestCertificateFromText:
         # certificate's own value, so without the type checks this text
         # parsed and verified
         cert = solve([(0, 1), (1, 3)], seed=1)
-        doc = json.loads(certificate_to_text(cert))
+        doc = json.loads(_dumps_text(cert))
         c01 = next(i for i, cls in enumerate(doc["classes"]) if [0, 1] in cls)
         c03 = next(i for i, cls in enumerate(doc["classes"]) if [0, 3] in cls)
         doc["classes"][c01][doc["classes"][c01].index([0, 1])] = "01"
@@ -342,16 +411,113 @@ class TestCertificateFromText:
         cert = certificate_from_text(self.corrupt(mutate))
         assert not verify_certificate(cert).ok
 
+    @pytest.mark.parametrize("fmt", [_dumps_text, certificate_to_text])
+    def test_rejects_a_top_level_key_written_twice(self, fmt):
+        # json.loads keeps the last value, so this text read as seed 1
+        text = fmt(solve([(0, 1), (1, 2)], seed=1))
+        assert '\n "seed": 1,\n' in text
+        text = text.replace('\n "seed": 1,', '\n "seed": 5,\n "seed": 1,')
+        with pytest.raises(ParseError, match="repeats a key"):
+            certificate_from_text(text)
+
+    @pytest.mark.parametrize("fmt", [_dumps_text, certificate_to_text])
+    def test_rejects_a_label_map_key_written_twice(self, fmt):
+        text = fmt(solve([(0, 1), (1, 2)], seed=1))
+        assert '"label_map": {\n  "0": 0,' in text
+        text = text.replace('"label_map": {', '"label_map": {\n  "0": 1,')
+        with pytest.raises(ParseError, match="repeats a key"):
+            certificate_from_text(text)
+
+
+class TestFormat2:
+    """The format-2 twins of TestCertificateFromText's class rejections,
+    and the format key itself."""
+
+    def corrupt(self, mutate):
+        doc = json.loads(certificate_to_text(solve([(0, 1), (1, 2)], seed=1)))
+        mutate(doc)
+        return json.dumps(doc, indent=1)
+
+    def test_reads_what_it_writes(self):
+        cert = solve([(0, 1), (1, 2)], seed=1)
+        assert certificate_from_text(self.corrupt(lambda d: None)) == cert
+
+    def _first_class(d, change):
+        d["classes"][0] = change(d["classes"][0])
+
+    def _repeat_a_vertex(s):
+        # s[1] again in place of a vertex that is not the greatest, so
+        # the least and the greatest entries stay 0 and 2n
+        j = next(j for j in range(2, len(s)) if s[j] != len(s) - 1)
+        return s[:j] + [s[1]] + s[j + 1:]
+
+    def _from_vertex_1(s):
+        # the same cycle from s[1] on, in the direction that puts the
+        # lower neighbour second
+        return s[1:2] + s[:1] + s[:1:-1]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda s: [str(s[0])] + s[1:], "not an integer"),
+            (lambda s: [float(s[0])] + s[1:], "not an integer"),
+            (lambda s: [bool(s[0])] + s[1:], "not an integer"),
+            (lambda s: s[:1] + [s[1] + 0.4] + s[2:], "not an integer"),
+            (lambda s: "".join(map(str, s)), "not an array"),
+            (lambda s: s[:-1], "not an array of 5 vertices"),
+            (lambda s: s + [5], "not an array of 5 vertices"),
+            (lambda s: [[s[0], s[1]]] + s[1:], "not an integer"),
+            (_repeat_a_vertex, "not a permutation"),
+            (lambda s: s[:-1] + [5], "not a permutation"),
+            (lambda s: s[:-1] + [-1], "not a permutation"),
+            (lambda s: s[1:] + s[:1], "does not start at 0"),
+            (_from_vertex_1, "does not start at 0"),
+            (lambda s: s[:1] + s[:0:-1], "does not start at 0"),
+        ],
+        ids=[
+            "string", "float", "bool", "fraction", "class-string",
+            "short", "long", "pair", "repeated-vertex", "vertex-above",
+            "vertex-below", "rotated", "from-vertex-1", "reversed",
+        ],
+    )
+    def test_rejects_a_class_that_is_not_the_written_sequence(self, change, message):
+        text = self.corrupt(lambda d: TestFormat2._first_class(d, change))
+        with pytest.raises(ParseError, match=f"class 0 .*{message}"):
+            certificate_from_text(text)
+
+    def test_checks_the_length_before_anything_of_size_order(self):
+        # a huge order with a short class fails at once on the length
+        text = self.corrupt(lambda d: d.update(order=10**12))
+        with pytest.raises(ParseError, match="not an array of 1000000000000"):
+            certificate_from_text(text)
+
+    @pytest.mark.parametrize(
+        "value", [1, 3, "2", 2.0, True, None],
+        ids=["one", "three", "string", "float", "bool", "null"],
+    )
+    def test_rejects_any_format_but_2(self, value):
+        with pytest.raises(ParseError, match="format"):
+            certificate_from_text(self.corrupt(lambda d: d.update(format=value)))
+
+    def test_reads_a_document_without_format_as_format_1(self):
+        # format-2 classes under format 1 are no edge pairs
+        with pytest.raises(ParseError, match="class 0: edge 0 is not two integers"):
+            certificate_from_text(self.corrupt(lambda d: d.pop("format")))
+
 
 @pytest.mark.slow
 def test_certificate_io_gate_order_513():
-    # the 256K2 certificate (order 513, 131,328 edges) written, read back
-    # and verified; that took 0.25 to 0.41 s on a 2-core machine with
-    # Python 3.11, and the bound is three times the longer time
+    # the 256K2 certificate (order 513, 131,328 edges) written, read
+    # back and verified; on a 2-core machine with Python 3.11 that took
+    # 0.25 to 0.41 s in format 1 and 0.14 to 0.16 s in format 2, and the
+    # bound is three times format 1's longer time.  The text took
+    # 3.64 MB in format 1 and takes 1.04 MB in format 2: the size bound
+    # fails a format that grows, without depending on timing.
     cert = solve(disjoint_union(*[path_graph(1)] * 256), seed=0)
     t0 = time.perf_counter()
     text = certificate_to_text(cert)
     rep = verify_certificate(certificate_from_text(text))
     dt = time.perf_counter() - t0
     assert rep.ok, "\n".join(rep.lines())
+    assert len(text) <= 1_100_000, f"the text takes {len(text):,} bytes"
     assert dt < 1.2, f"certificate I/O at order 513 took {dt:.2f}s"

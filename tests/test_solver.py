@@ -38,6 +38,7 @@ from rainbow_hcd.solver import (
     route,
     solve,
 )
+from test_files import _dumps_text
 
 
 def k2s(count):
@@ -269,40 +270,54 @@ class TestDeterminism:
         b = certificate_to_text(solve(h, seed=11))
         assert a == b
 
-    # sha256 of the certificate text; a change that moves any of these
-    # bytes updates the digest and says why in CHANGES.md
+    # sha256 of the certificate text, and of its format-1 rendering,
+    # which pins the decomposition itself; a change that moves any of
+    # these bytes updates the digest and says why in CHANGES.md
     @pytest.mark.parametrize(
-        "h, seed, digest",
+        "h, seed, digest, format_1_digest",
         [
             (disjoint_union(cycle_graph(3), k2s(9)), 0,
+             "b1ed0beace227581e380c32b1de3ee63cd6f67724419e7e8e0e4b943a4f1ca08",
              "3f59213f9ed6fcf85cee625c0c6f5bcac8e3c8f530c2529fa1906da84b5b7180"),
             (disjoint_union(cycle_graph(3), k2s(9)), 1,
+             "9b94414ce82f0e76ff9b0944f92cce3a3428b02985a5911f45c6f7b77e0abd8f",
              "ec154af7f286c77daeb9120aaededbdb12154e3db327720832d247778b89c3a4"),
             (disjoint_union(cycle_graph(8), k2s(8)), 0,
+             "b48196d44e6892c99963ba78f3acd888c5a0c8b632664cb4b16fb63c6367fc21",
              "bc850bec2fb89f353d5f4b48ead96bca72067afd8e24c9b872ae4d3e5d102588"),
             (star_graph(16), 0,
+             "277e267c91cf0be6dfd2e4d2a3265cfb67eeacdec5ee2847a222c7602bc093b8",
              "47568318479aa54ad0ef26dff4576b675b6b835b36c942c645b4ec4547c88cdf"),
             (cycle_graph(16), 0,
+             "a4f258ea33510451070cee31cb169ab8bb78c6c10fc44f7ed014db70a347529e",
              "51558dfdf3a938fb17c257b23aa44c53a41471cccec5c5c10e0fcfc3b0fb993e"),
             (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
+             "c73fc8da0d58e4f8febd5d6909a7e882c85fb8be6b3e4951b46299b3e4327f2e",
              "adfcbeb433ea379741327fd399d1eea6655c80e4643534c835a3afabf48bf4d1"),
             (k2s(6), 0,
+             "8d365b9668ae6ad22864bd21553a80ea722dec60ff4443748494b31bc3487c95",
              "11a3b4cd1fd2f039bd38768514c71ce38b48f01d171f90008933aa79bbed15c6"),
             (path_graph(5), 0,
+             "1fb1a36712c1aeacb5951a828b9cae4564f791e2f13e42f6b2b86bd940860d31",
              "ea668b366f70d9ee8efee36bf8d2c1097d177863333e0f1af62d6717bcbb7b78"),
             # 29 and 16 attach rounds
             (disjoint_union(cycle_graph(3), k2s(29)), 0,
+             "126e0912c5c44b97274ce23668c6d8d9e919a86359d98f3fc29ed81a227d5c03",
              "9de0212da9956be72bb6c45da48d82b99a00b1c2dde8c1739a2a41cf4aaf6a1f"),
             (disjoint_union(cycle_graph(16), k2s(16)), 0,
+             "64d30de327bc824e422c9115e3ddb4fcd04b051a3542c211f4d196f07c37ea09",
              "db55e2081528cf5d9f16aa89ba75bd05de55dd12b548231e264851fc23f4a654"),
             # the hub route at scale, where a wrong host map would show
             (k2s(96), 0,
+             "606c09339907cccd17f41bf3b893d0cec4ca9627d4e159d4b180fd940b884bf7",
              "1f2d9e1bec5ebd439b28f3774c8a92b80b35513515896fa7984ec883ee5ddb56"),
             (disjoint_union(path_graph(2), k2s(38)), 0,
+             "25bdbcfb4c22c7122caae1433a92e5c1cefde8c9f25b11b4d05376b87406f93a",
              "b2ebaa7f829a2caf8d9069b5e7e34c78e04e5472c53541174d79a360c5d726fc"),
             # the recursive embed (r=16, case 2), where the cut of a
             # single-edge class's first donor decides which edges move
             (disjoint_union(star_graph(3), *[path_graph(2)] * 4, path_graph(1)), 0,
+             "ce9f3a31c5763b71ad8599fc85bb5e0e300ec7443386f189c166f749fd5d6085",
              "81d0b5d45421ac9bfcad75c4e129b1f6c4ff06cbf99e0e364f9de22fd8aa6344"),
         ],
         ids=[
@@ -311,9 +326,12 @@ class TestDeterminism:
             "K1,3+4P3+K2",
         ],
     )
-    def test_pinned_bytes(self, h, seed, digest):
-        text = certificate_to_text(solve(h, seed=seed))
+    def test_pinned_bytes(self, h, seed, digest, format_1_digest):
+        cert = solve(h, seed=seed)
+        text = certificate_to_text(cert)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        text = _dumps_text(cert)
+        assert hashlib.sha256(text.encode()).hexdigest() == format_1_digest
 
 
 def partitions(n, largest=None):
