@@ -12,22 +12,31 @@ is shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
 K_{2s+1}, its classes are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
 other hosts fill the gaps upward), and the surplus vertices are cut away,
-leaving s large forests.  These donors, largest first, then give edges to
-the remaining classes below their floors, in one schedule, each move
-counted from the target's gap to its floor (size_floor): in case 1
-(3r <= 4n - 1) a class takes its whole gap from one donor, in case 2 half
-the gap less one from one donor and the rest from a second.  Every move
-withholds the donor's own input edge and the edges one cut rule
-(_donor_cut) names, so that no move breaks a forest.  A donor too small
-for its moves fails the move itself (InternalInfeasible) or leaves a
-class below its floor, which the exit check reports as
-InvariantViolation.
+leaving s large forests.  From there the n classes sit in one list by
+final slot: each child class in the slot of the input edge it carries,
+read off the child's assignment, each other input edge alone in its own
+slot, and the rest empty.  The child's classes, largest first, are the
+donors; they give edges to the remaining classes below their floors, in
+one schedule, each move counted from the target's gap to its floor
+(size_floor): in case 1 (3r <= 4n - 1) a class takes its whole gap from
+one donor, in case 2 half the gap less one from one donor and the rest
+from a second.  Every move withholds the donor's own input edge and the
+edges one cut rule (_donor_cut) names, so that no move breaks a forest.
+A donor too small for its moves fails the move itself
+(InternalInfeasible) or leaves a class below its floor, which the exit
+check reports as InvariantViolation.
+
+The child's cycles and its owners are proved by the verify_certificate
+that ends the child's solve, so nothing here checks them again: a
+truncated Hamiltonian cycle on 2s + 1 >= r + 1 vertices keeps at least
+r - 2 edges, and the child's assignment gives each class one subgraph
+edge.  A child that broke that contract all the same leaves the classes
+short of a partition of K_r, which the exit scan reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     InternalInfeasible,
@@ -83,8 +92,8 @@ def embed_dense(
     recursive sub-instances go through solve, and the recursive regime
     fails on k x P3 at n = 2k for odd k.  The direct regime takes them.
     recurse(edges) must solve the instance on edges (s = ceil(r/2) < n of
-    them) outright, under whatever seed the caller chose, and return its
-    certificate; it is only called when r > n.
+    them) outright, under whatever seed the caller chose, and return a
+    certificate that solve has verified; it is only called when r > n.
     """
     t = len(h_edges)
     vs = edge_vertices(h_edges)
@@ -155,12 +164,6 @@ def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
 # large-r regime: recursion plus edge moves
 
 
-@dataclass
-class _Cls:
-    edges: set[Edge]
-    owner: int | None  # index into h_edges, None for filler classes
-
-
 def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
     """First `need` edges of the component in breadth-first order from its
     smallest vertex; the chosen part stays connected."""
@@ -170,27 +173,16 @@ def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
         adj.setdefault(u, []).append((v, idx))
         adj.setdefault(v, []).append((u, idx))
     start = min(adj)
-    taken: list[int] = []
-    taken_set: set[int] = set()
+    taken: dict[int, None] = {}  # edge indices in the order first met
     seen = {start}
     queue = [start]
-    qi = 0
-    while qi < len(queue) and len(taken) < need:
-        u = queue[qi]
-        qi += 1
+    for u in queue:
         for v, idx in sorted(adj[u]):
-            if len(taken) == need:
-                break
-            if idx in taken_set:
-                continue
-            taken.append(idx)
-            taken_set.add(idx)
+            taken[idx] = None
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    if len(taken) != need:
-        raise InvariantViolation(f"prefix has {len(taken)} edges, needs {need}")
-    return taken
+    return list(taken)[:need]
 
 
 def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
@@ -209,36 +201,36 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
     return sorted(chosen)
 
 
-def _move(donor: _Cls, target: _Cls, count: int, exclude: set[Edge]) -> None:
+def _move(donor: set[Edge], target: set[Edge], count: int, exclude: set[Edge]) -> None:
     """Shift the `count` smallest allowed donor edges into the target.  The
     cut in exclude keeps the target a linear forest; a move that breaks it
     all the same is caught by the exit scan of verify_embedded_forests as
     InvariantViolation."""
     if count < 0:
         raise InvariantViolation(f"cannot move {count} edges")
-    avail = sorted(e for e in donor.edges if e not in exclude)
+    avail = sorted(e for e in donor if e not in exclude)
     if len(avail) < count:
         raise InternalInfeasible(
             f"donor has {len(avail)} spare edges, needs {count}"
         )
     moved = avail[:count]
-    donor.edges.difference_update(moved)
-    target.edges.update(moved)
+    donor.difference_update(moved)
+    target.update(moved)
 
 
-def _donor_cut(target: _Cls, donor: _Cls, r: int) -> set[Edge]:
+def _donor_cut(target: set[Edge], donor: set[Edge], r: int) -> set[Edge]:
     """Donor edges that stay behind so that the target plus the rest of the
     donor is still a linear forest: every donor edge at a degree-two target
     vertex, and the edge entering each degree-one target vertex as each
     donor path is walked from its lower end.  A moved segment then never
     joins two target path ends, so no cycle forms and no degree passes two.
     A single-edge target withholds at most two edges, an empty one none."""
-    if not target.edges:
+    if not target:
         return set()
-    degree = Counter(v for e in target.edges for v in e)
+    degree = Counter(v for e in target for v in e)
     interior = {v for v, d in degree.items() if d == 2}
     ends = {v for v, d in degree.items() if d == 1}
-    dview = analyze_linear_forest(donor.edges, range(r))
+    dview = analyze_linear_forest(donor, range(r))
     withheld: set[Edge] = set()
     for p in dview.paths:
         for prev, v in zip(p, p[1:]):
@@ -261,63 +253,49 @@ def _recursive_dense(
     if not 1 <= s < n:
         raise InvariantViolation(f"recursive instance of size {s}, n={n}")
     sub_idx = _choose_subgraph(h_edges, s)
-    sub_edges = [h_edges[i] for i in sub_idx]
     case = 1 if 3 * r <= 4 * n - 1 else 2
     trace.append(f"embed: r={r} t={t} s={s} case={case}")
-    child = recurse(sub_edges)
+    child = recurse([h_edges[i] for i in sub_idx])
 
     # send each child host vertex to its place in the parent layout: the
     # subgraph keeps its labels, everything else fills the gaps upward
     pi = complete_perm({h: x for x, h in child.label_map.items()}, 2 * s + 1)
-    relab = relabel_decomposition(child.decomposition, pi)
-    cut = truncate_to_order(relab, r)
-    for cls in cut.classes:
-        if len(cls) < r - 2:
-            raise InvariantViolation("truncated cycle lost too many edges")
+    cut = truncate_to_order(relabel_decomposition(child.decomposition, pi), r)
 
-    owner_of_class: dict[int, int] = {}
-    for j, eidx in enumerate(sub_idx):
-        owner_of_class[child.assignment[j]] = eidx
-    if sorted(owner_of_class) != list(range(s)):
-        raise InvariantViolation("child classes do not each own one subgraph edge")
-
-    big = [_Cls(cut.classes[ci], owner_of_class[ci]) for ci in range(s)]
-    # pull the leftover input edges out of the truncated classes; each one
-    # restarts as a singleton class of its own
-    sub_set = set(sub_idx)
-    leftover = {h_edges[i] for i in range(t) if i not in sub_set}
-    for cls in big:
-        cls.edges.difference_update(leftover)
-    big.sort(key=lambda c: len(c.edges), reverse=True)
-    singles = [_Cls({h_edges[i]}, i) for i in range(t) if i not in sub_set]
-    empties = [_Cls(set(), None) for _ in range(n - t)]
+    # the n classes by final slot: child class c holds the child's edge j
+    # with assignment[j] == c, which is h_edges[sub_idx[j]] and so goes to
+    # slot sub_idx[j]; each other input edge restarts alone in its own
+    # slot, pulled out of the child class it fell in, and slots t..n-1
+    # start empty
+    slot = [0] * s
+    for j, c in enumerate(child.assignment):
+        slot[c] = sub_idx[j]
+    singles = sorted(set(range(t)).difference(sub_idx))
+    leftover = {h_edges[i] for i in singles}
+    classes = [{e} for e in h_edges] + [set() for _ in range(t, n)]
+    for c, cls in enumerate(cut.classes):
+        classes[slot[c]] = cls - leftover
+    # the donors, largest first, ties in child-class order
+    donors = sorted(slot, key=lambda i: len(classes[i]), reverse=True)
 
     # each row's targets take edges toward their size floor from the
-    # donors big[0], big[1], ... in turn: in case 1 the whole gap from one
-    # donor, in case 2 half the gap less one, then the rest from a second
+    # donors in turn: in case 1 the whole gap from one donor, in case 2
+    # half the gap less one, then the rest from a second
+    empties = range(t, n)
     if case == 1:
         plan = [(singles, False), (empties, False)]
     else:
         plan = [(singles, True), (singles, False),
                 (empties, True), (empties, False)]
     needed = sum(len(targets) for targets, _ in plan)
-    if needed > len(big):
-        raise InvariantViolation(f"{needed} donor moves from {len(big)} donors")
-    donors = iter(big)
+    if needed > len(donors):
+        raise InvariantViolation(f"{needed} donor moves from {len(donors)} donors")
+    next_donor = iter(donors)
     for targets, half in plan:
-        for target in targets:
-            donor = next(donors)
-            gap = size_floor(r, n, target.owner is not None) - len(target.edges)
-            withheld = _donor_cut(target, donor, r)
-            withheld.add(h_edges[donor.owner])
-            _move(donor, target, gap // 2 - 1 if half else gap, withheld)
-
-    # n classes, no slot taken twice: every slot is filled
-    final: list[set[Edge] | None] = [None] * n
-    fillers = iter(range(t, n))
-    for cls in big + singles + empties:
-        slot = cls.owner if cls.owner is not None else next(fillers)
-        if final[slot] is not None:
-            raise InvariantViolation(f"two classes for slot {slot}")
-        final[slot] = cls.edges
-    return Decomposition(r, final)
+        for i in targets:
+            d = next(next_donor)
+            gap = size_floor(r, n, i < t) - len(classes[i])
+            withheld = _donor_cut(classes[i], classes[d], r)
+            withheld.add(h_edges[d])
+            _move(classes[d], classes[i], gap // 2 - 1 if half else gap, withheld)
+    return Decomposition(r, classes)

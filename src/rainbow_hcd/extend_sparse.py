@@ -49,14 +49,16 @@ isolated, bit i for class i.  The split comes proved, by the scan of the
 embed stage's exit or of the caller; each round reads its gates and slots
 from the states and the masks, and hilton.lay_edges lays its edges into
 all three, as in a Hilton vertex step, so nothing is rebuilt between
-rounds.  _witness_ok checks the witness's shape and its gain floors
-before it is applied.  _attach checks that the round lays 2m + 1 distinct
-edges, each with an end at m or m + 1, which keeps a partition of K_m one
-of K_{m+2}, and lay_edges lays each through PathEnds.add_edge, the one
-copy of the join rule: a third edge at a vertex or a closed cycle is an
-InvariantViolation there.  hilton.check_stage checks the floors, and in
-one pass the state counts and the free-class masks, after each round;
-verify_certificate proves the result.
+rounds.  _witness_ok checks the witness's gain floors before it is
+applied.  The round hands lay_edges the witness as one owner list per new
+vertex, owner[0::2] for m and owner[1::2] for m + 1, with cstar as the
+bridge class.  lay_edges checks that every old vertex gives each new
+vertex one edge, which keeps a partition of K_m one of K_{m+2}, and lays
+each edge through PathEnds.add_edge, the one copy of the join rule: a
+third edge at a vertex or a closed cycle is an InvariantViolation there.
+hilton.check_stage checks the floors, and in one pass the state counts
+and the free-class masks, after each round; verify_certificate proves
+the result.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .coloring import (  # noqa: F401
     rebalance_drop_one,
 )
 from .errors import InvariantViolation, PreconditionViolation
-from .graph_core import edge
 from .graph_core import analyze_linear_forest  # noqa: F401
 from .hilton import ForestSplit, PathEnds, _assign, check_stage, lay_edges, size_floor
 
@@ -128,37 +129,10 @@ def extend_with_k2s(
     check_stage(split, n, t, "at the attach entry", PreconditionViolation)
     for s in range(n - t):
         owner = _stage_witness(split, t, n, s)
-        _attach(split, owner, s + t)
+        lay_edges(split, [owner[0::2], owner[1::2]], s + t, "attach round")
         check_stage(split, n, t + s + 1, f"after step {s + 1}")
         trace.append(f"attach: s={s} order={dec.order}")
     return split
-
-
-def _attach(split: ForestSplit, owner: list[int], cstar: int) -> None:
-    """Lay the round's new edges into the split, in place, by
-    hilton.lay_edges, which refuses an edge that would break its class.
-
-    The round must lay 2m + 1 distinct edges, each with an end at m or
-    m + 1: then a split that partitions K_m partitions K_{m+2} after it."""
-    m = split.dec.order
-    new = _new_edges(owner, cstar, m)
-    laid = {edge(u, w) for _, u, w in new if 0 <= u < w and w in (m, m + 1)}
-    if len(new) != 2 * m + 1 or len(laid) != 2 * m + 1:
-        raise InvariantViolation(
-            f"round at order {m} lays {len(new)} edges, {len(laid)} distinct "
-            f"new ones, wanted {2 * m + 1}"
-        )
-    lay_edges(split, new, 2, "attach round")
-
-
-def _new_edges(owner: list[int], cstar: int, m: int) -> list[tuple[int, int, int]]:
-    """(class, old or new vertex, new vertex) for every edge of the round:
-    old vertex v gives owner[2v] to m and owner[2v + 1] to m + 1, and the
-    bridge comes last."""
-    out = [(i, v, m) for v, i in enumerate(owner[0::2])]
-    out += [(i, v, m + 1) for v, i in enumerate(owner[1::2])]
-    out.append((cstar, m, m + 1))
-    return out
 
 
 def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
@@ -268,8 +242,9 @@ def _witness_ok(owner: list[int], floors: list[int], m: int) -> bool:
     """Acceptance test for a candidate witness, the owner list of
     _stage_witness at order m: it gives every old vertex one edge to each
     new vertex, and class i takes at least floors[i] of them, the round's
-    gain floors.  That every class stays a linear forest is checked where
-    the edges are laid, by _attach."""
+    gain floors.  The shape test repeats the one hilton.lay_edges makes
+    before it lays the round, and that every class stays a linear forest
+    is checked there too, as each edge is laid."""
     if len(owner) != 2 * m or min(owner) < 0:
         return False
     gain = Counter(owner)

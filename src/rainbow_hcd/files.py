@@ -20,12 +20,12 @@ integer 2, n, order, seed, each assignment entry and each label_map
 value a JSON integer (true and false are not), each label_map key a
 canonical decimal string ("7" or "-7", not "07", "+7", " 7" or "-0"),
 each h_edges edge (and in format 1 each class edge) a JSON array of two
-such integers, no format-1 class listing an edge twice, and
-pipeline_trace an array of strings.  A format-2 class must be an array
-of exactly order entries (checked before anything of that size is
-built), each an integer, together a permutation of 0..order-1, starting
-at 0 with its second entry below its last.  Anything else is a
-ParseError.
+such integers, each h_edges edge low end first (so no loop), no format-1
+class listing an edge twice, and pipeline_trace an array of strings.  A
+format-2 class must be an array of exactly order entries (checked before
+anything of that size is built), each an integer, together a permutation
+of 0..order-1, starting at 0 with its second entry below its last.
+Anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import re
 
 from .errors import ParseError, PreconditionViolation
-from .graph_core import Decomposition, Edge, RainbowCertificate
+from .graph_core import Decomposition, Edge, RainbowCertificate, cycle_edges
 
 
 def parse_instance(text: str) -> list[Edge]:
@@ -155,6 +155,9 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     seed = _json_int(doc["seed"], "seed")
     label_map = _label_map(doc["label_map"])
     h_edges = _edge_list(doc["h_edges"], "h_edges")
+    bad = next(([u, v] for u, v in h_edges if u >= v), None)
+    if bad is not None:
+        raise ParseError(f"h_edges: edge {bad} is not written low end first")
     assignment = _array(doc["assignment"], "assignment")
     if not _all_type(assignment, int):
         raise ParseError("assignment holds an entry that is not an integer")
@@ -191,7 +194,7 @@ def _cycle_edges(seq, order: int, i: int) -> set[Edge]:
         raise ParseError(f"class {i} is not a permutation of 0..{order - 1}")
     if seq[0] != 0 or seq[1] > seq[-1]:
         raise ParseError(f"class {i} does not start at 0 toward its lower neighbour")
-    return {(u, v) if u < v else (v, u) for u, v in zip(seq, seq[1:] + [0])}
+    return cycle_edges(seq)
 
 
 def _pair_edges(rows, i: int) -> set[Edge]:

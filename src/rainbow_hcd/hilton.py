@@ -22,14 +22,16 @@ bare Decomposition and is the one proof of the split: the classes must
 partition K_m, and one analyze_linear_forest scan of each class, which
 keeps two neighbour slots per vertex in flat lists and walks each path
 from its lower end off them, gives its state; the masks are read off the
-states.  From there the split grows in place.  lay_edges lays the new
-edges of a round or a step into the classes, the states and the masks
-together, each edge through add_edge, the one copy of the join rule,
+states.  From there the split grows in place.  lay_edges takes a step's
+or a round's edges as one owner list per new vertex, the class each old
+vertex gives its edge to, plus a round's bridge class, and first checks
+that every old vertex gives each new vertex exactly one edge: that keeps
+a partition of K_m one of the grown clique, so no step or round
+re-proves it.  It lays the edges into the classes, the states and the
+masks together, each through add_edge, the one copy of the join rule,
 whose returned far end tells whether the old vertex was a path end and
 so loses the class; a new vertex's mask is read off the states once its
-edges are laid.  A step lays one edge from each old vertex to the
-new one, which keeps a partition of K_m one of K_{m+1}, so no step
-re-proves it.  check_stage runs where a stage takes the split on and
+edges are laid.  check_stage runs where a stage takes the split on and
 after each round and step: it checks the class count and the floors, and
 in one pass over the states ties each class to its state by the edge
 count the state implies and the masks' total bit count to the states.
@@ -275,35 +277,55 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
     m = dec.order
     if not 1 <= m <= 2 * n - 1:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
-    w = m
     target = size_floor(m + 1, n, True)
     need = [target - k if k < target else 0 for k in map(len, dec.classes)]
     if max(need, default=0) > 2:
         i = next(i for i, d in enumerate(need) if d > 2)
         raise InvariantViolation(f"class {i} fell behind the size schedule")
-    owner = _assign(m, need, split.ends, split.free)
-    new = [(i, v, w) for v, i in enumerate(owner) if i >= 0]
-    lay_edges(split, new, 1, "vertex step")
-    if len(new) != m:
-        raise InvariantViolation(f"{len(new)} edges added at vertex {w}, expected {m}")
-    check_stage(split, n, n, f"at vertex {w}")
+    lay_edges(split, [_assign(m, need, split.ends, split.free)], None, "vertex step")
+    check_stage(split, n, n, f"at vertex {m}")
 
 
 def lay_edges(
-    split: ForestSplit, new: list[tuple[int, int, int]], grow: int, stage: str
+    split: ForestSplit, owners: list[list[int]], bridge: int | None, stage: str
 ) -> None:
-    """Append grow new vertices to the split and lay the edges (class, u,
-    w), w a new vertex, into the classes, their states and the free-class
-    masks, in place.  A path end that takes an edge of class i loses bit
-    i, an isolated vertex that takes one keeps it, and a new vertex's mask
-    is read off the states once its edges are laid: the classes in which
-    it is still isolated or is a path end.  An edge its state's add_edge
-    refuses is the caller's fault: InvariantViolation, naming stage, the
-    class and the edge."""
+    """Append one new vertex per owner list to the split, and lay its
+    edges into the classes, their states and the free-class masks, in
+    place: old vertex v gives new vertex m + k the edge of class
+    owners[k][v], and with two new vertices class bridge takes the edge
+    between them.
+
+    Before anything is laid, every owner list must name a class of the
+    split for each of the m old vertices, and a bridge must come exactly
+    when two vertices do: then the new edges are those of the grown
+    clique that K_m lacks, each once, and a split that partitions K_m
+    partitions the grown clique.  A path end that takes an edge of class i loses bit i,
+    an isolated vertex that takes one keeps it, and a new vertex's mask is
+    read off the states once its edges are laid: the classes in which it
+    is still isolated or is a path end.  A wrong shape, or an edge its
+    state's add_edge refuses, is the caller's fault: InvariantViolation,
+    naming stage (and the class and the edge)."""
     dec, ends, free = split.dec, split.ends, split.free
     m = dec.order
+    n = len(ends)
+    for w, owner in enumerate(owners, m):
+        if len(owner) != m or min(owner) < 0 or max(owner) >= n:
+            valid = sum(0 <= i < n for i in owner)
+            raise InvariantViolation(
+                f"{stage} at order {m}: {valid} of {len(owner)} owners of new "
+                f"vertex {w} are classes 0..{n - 1}, wanted {m}"
+            )
+    if len(owners) != (1 if bridge is None else 2) or not 0 <= (bridge or 0) < n:
+        raise InvariantViolation(
+            f"{stage} at order {m}: {len(owners)} new vertices with bridge "
+            f"class {bridge}, wanted one without or two with a class 0..{n - 1}"
+        )
+    grown = range(m, m + len(owners))
+    new = [(i, v, w) for w, owner in zip(grown, owners) for v, i in enumerate(owner)]
+    if bridge is not None:
+        new.append((bridge, m, m + 1))
     classes = dec.classes
-    for w in range(m, m + grow):
+    for w in grown:
         for state in ends:
             state.isolated.add(w)
     for i, u, w in new:
@@ -316,13 +338,13 @@ def lay_edges(
             ) from exc
         if u < m and far != u:  # u was a path end, and is interior now
             free[u] &= ~(1 << i)
-        classes[i].add((u, w) if u < w else (w, u))
-    for w in range(m, m + grow):
+        classes[i].add((u, w))  # u < w: an old vertex, or m for the bridge
+    for w in grown:
         free.append(sum(
             1 << i for i, state in enumerate(ends)
             if w in state.isolated or w in state.partner
         ))
-    dec.order = m + grow
+    dec.order = grown.stop
 
 
 def free_classes(ends: list[PathEnds], m: int) -> list[int]:

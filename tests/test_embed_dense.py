@@ -10,8 +10,8 @@ import pytest
 
 import rainbow_hcd
 from rainbow_hcd.embed_dense import (
+    _bfs_prefix,
     _choose_subgraph,
-    _Cls,
     _donor_cut,
     _recursive_dense,
     _round_robin,
@@ -119,11 +119,11 @@ class TestDonorCut:
         """The cut read from full scans of both classes: every donor edge
         at an interior vertex of the target, and the edge entering each
         target path end, walking each donor path from its lower end."""
-        tview = analyze_linear_forest(target.edges, range(r))
+        tview = analyze_linear_forest(target, range(r))
         interior = set(tview.interior)
         ends = set(tview.endpoints)
         withheld = set()
-        for p in analyze_linear_forest(donor.edges, range(r)).paths:
+        for p in analyze_linear_forest(donor, range(r)).paths:
             for prev, v in zip(p, p[1:]):
                 if prev in interior or v in interior or v in ends:
                     withheld.add(edge(prev, v))
@@ -133,9 +133,9 @@ class TestDonorCut:
         rng = random.Random(0)
         for _ in range(500):
             r = rng.randrange(2, 16)
-            target = _Cls(random_linear_forest(rng, r), 1)
+            target = random_linear_forest(rng, r)
             # a donor shares no edge with its target
-            donor = _Cls(random_linear_forest(rng, r) - target.edges, 0)
+            donor = random_linear_forest(rng, r) - target
             assert (_donor_cut(target, donor, r)
                     == self.reference(target, donor, r))
 
@@ -154,13 +154,10 @@ class TestDonorCut:
                 edges = {edge(*rng.sample(range(r), 2))}
             else:
                 edges = set()
-            target = _Cls(edges, 1)
-            donor = _Cls(random_linear_forest(rng, r) - target.edges, 0)
-            withheld = _donor_cut(target, donor, r)
-            assert withheld <= donor.edges
-            analyze_linear_forest(
-                target.edges | (donor.edges - withheld), range(r)
-            )
+            donor = random_linear_forest(rng, r) - edges
+            withheld = _donor_cut(edges, donor, r)
+            assert withheld <= donor
+            analyze_linear_forest(edges | (donor - withheld), range(r))
             if kind == "single":
                 assert len(withheld) <= 2
             if kind == "empty":
@@ -314,7 +311,9 @@ class TestRecursiveRegime:
 class TestInvariants:
     def test_truncation_check_raises_under_optimize(self):
         # a child certificate whose first cycle lost its edges, under
-        # python -O, where asserts are stripped
+        # python -O, where asserts are stripped: no check reads the child
+        # again, but its classes no longer partition K_r, which the exit
+        # scan reports
         code = textwrap.dedent("""
             from rainbow_hcd.embed_dense import embed_dense
             from rainbow_hcd.errors import InvariantViolation
@@ -341,7 +340,48 @@ class TestInvariants:
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
-        assert "truncated cycle lost too many edges" in lines[1]
+        assert "16 edges in classes, expected 21" in lines[1]
+
+    def test_owner_and_prefix_faults_raise_under_optimize(self):
+        # faults that no check of the embed reads for itself any more, each
+        # reported by a kept check under python -O: a child assignment that
+        # names one class twice, so the classes no longer sit one per input
+        # edge (the exit check of the input edges), and a component group
+        # that is not connected, so the breadth-first prefix runs short
+        # (_choose_subgraph's count)
+        code = textwrap.dedent("""
+            from rainbow_hcd import embed_dense as ed
+            from rainbow_hcd.errors import InvariantViolation
+            from rainbow_hcd.families import disjoint_union, path_graph, star_graph
+            from rainbow_hcd.solver import solve
+
+            def recurse(edges):
+                child = solve(edges)
+                child.assignment[1] = child.assignment[0]
+                return child
+
+            print(__debug__)
+            try:
+                ed.embed_dense(star_graph(6), 6, recurse)
+            except InvariantViolation as exc:
+                print(exc)
+            real = ed.component_edge_groups
+            ed.component_edge_groups = lambda h: [sorted(sum(real(h), []))]
+            try:
+                ed._choose_subgraph(disjoint_union(path_graph(3), path_graph(3)), 4)
+            except InvariantViolation as exc:
+                print(exc)
+        """)
+        src = Path(rainbow_hcd.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "False", "edge 0 missing from class 0", "subgraph has 3 edges, needs 4",
+        ]
 
     @pytest.mark.parametrize(
         "k, error, message",
@@ -383,3 +423,14 @@ class TestChooseSubgraph:
         h = disjoint_union(cycle_graph(3), path_graph(4))
         assert _choose_subgraph(h, 5) == _choose_subgraph(h, 5)
         assert _choose_subgraph(h, 5) == sorted(_choose_subgraph(h, 5))
+
+    def test_bfs_prefixes_grow_one_connected_order(self):
+        # a tree of 7 edges: each prefix extends the shorter ones, and its
+        # edges span one more vertex than they number
+        h = [(0, 1), (0, 2), (1, 3), (3, 4), (2, 5), (5, 6), (0, 7)]
+        full = _bfs_prefix(h, list(range(7)), 7)
+        assert full == [0, 1, 6, 2, 4, 3, 5]
+        for need in range(1, 8):
+            picked = _bfs_prefix(h, list(range(7)), need)
+            assert picked == full[:need]
+            assert len(edge_vertices([h[i] for i in picked])) == need + 1

@@ -22,7 +22,6 @@ from rainbow_hcd.errors import (
     PreconditionViolation,
 )
 from rainbow_hcd.extend_sparse import (
-    _attach,
     _split_slots,
     _stage_witness,
     _witness_ok,
@@ -57,6 +56,13 @@ from rainbow_hcd.hilton import (
 from rainbow_hcd.solver import solve
 
 scan = ForestSplit.scan
+
+
+def attach(split, owner, cstar):
+    """Lay a round's witness as extend_with_k2s does: old vertex v gives
+    owner[2v] to new vertex m and owner[2v + 1] to m + 1, and cstar takes
+    the bridge."""
+    hilton.lay_edges(split, [owner[0::2], owner[1::2]], cstar, "attach round")
 
 
 def dense_split(h_edges, n, seed=0):
@@ -464,7 +470,7 @@ class TestWitness:
         for owner in (GOOD_SPLIT, CSTAR_SPLIT):
             split = matching_state()
             assert _witness_ok(owner, gain_floors(split, 5), 4)
-            _attach(split, owner, 5)
+            attach(split, owner, 5)
             check_stage(split, 6, 6, "after the round")
 
     def test_checks_the_shape_and_the_gain_floors(self):
@@ -477,8 +483,8 @@ class TestWitness:
         assert not _witness_ok(GOOD_SPLIT, floors, 5)
 
     # the witness check reads only the shape and the gain floors; a split
-    # that breaks a class is refused where _attach lays it, by the states'
-    # add_edge, as the solve's own fault
+    # that breaks a class is refused where lay_edges lays it, by the
+    # states' add_edge, as the solve's own fault
     @pytest.mark.parametrize(
         "owner, cstar",
         [(TWO_GATES_SPLIT, 5), (CSTAR_SPLIT, 0), (THIRD_EDGE_SPLIT, 5),
@@ -495,7 +501,7 @@ class TestWitness:
         with pytest.raises(
             InvariantViolation, match=r"attach round at order 4: class \d cannot take"
         ):
-            _attach(split, owner, cstar)
+            attach(split, owner, cstar)
 
     def test_rejects_a_slot_at_an_interior_vertex(self):
         # class 0 is the path 0-1-2, whose inner vertex 1 offers no slot;
@@ -511,10 +517,10 @@ class TestWitness:
         with pytest.raises(InvariantViolation, match=re.escape(
             "class 0 cannot take (1, 3): vertex 1 has no free end"
         )):
-            _attach(laid, bad, 3)
+            attach(laid, bad, 3)
         laid = split()
         assert _witness_ok(good, gain_floors(laid, 3), 3)
-        _attach(laid, good, 3)
+        attach(laid, good, 3)
         check_stage(laid, 4, 4, "after the round")
 
     def feasible_rounds(self, seed, count):
@@ -556,10 +562,10 @@ class TestWitness:
                         doubled["path"] += 1
             assert _witness_ok(out, floors, m)
             # laid through the states, every class stays a linear forest;
-            # _attach reads only the order of the classes, lay_edges only
-            # the states and masks
+            # lay_edges reads only the order of the classes, the states and
+            # the masks
             dec = Decomposition(m, [set() for _ in range(n)])
-            _attach(ForestSplit(dec, ends, free_classes(ends, m)), out, cstar)
+            attach(ForestSplit(dec, ends, free_classes(ends, m)), out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
@@ -660,56 +666,50 @@ def carried_graphs():
     return graphs
 
 
-# mutants of _attach, each caught by a check of the round that runs under
-# python -O too, and the message of the InvariantViolation it raises
+# mutants of the round's lay_edges, each caught by a check of the round
+# that runs under python -O too, and the message of the InvariantViolation
+# it raises
 MUTANTS = {
     # the class of the bridge drops it after the round
     "drift": ("""
-        def attach(split, owner, cstar):
-            real(split, owner, cstar)
+        def lay(split, owners, bridge, stage):
+            real(split, owners, bridge, stage)
             dec = split.dec
-            dec.classes[cstar].discard(edge(dec.order - 2, dec.order - 1))
+            dec.classes[bridge].discard(edge(dec.order - 2, dec.order - 1))
     """, "drifted from its path ends"),
     # the old vertices keep every class they were free in
     "keep-free": ("""
-        def attach(split, owner, cstar):
+        def lay(split, owners, bridge, stage):
             before = list(split.free)
-            real(split, owner, cstar)
+            real(split, owners, bridge, stage)
             split.free[:len(before)] = before
     """, "free-class masks hold"),
-    # the first edge to new vertex m is laid twice, in place of the last
+    # new vertex m is offered the class of its first edge twice: one edge
+    # too many
     "edge-twice": ("""
-        attach = laying(lambda new, m: new[:1] + new[:m - 1] + new[m:])
-    """, "lays 7 edges, 6 distinct new ones, wanted 7"),
+        def lay(split, owners, bridge, stage):
+            real(split, [owners[0][:1] + owners[0], owners[1]], bridge, stage)
+    """, "attach round at order 3: 4 of 4 owners of new vertex 3 are "
+         "classes 0..2, wanted 3"),
     # the round's edges leave out the bridge
     "no-bridge": ("""
-        attach = laying(lambda new, m: new[:-1])
-    """, "lays 6 edges, 6 distinct new ones, wanted 7"),
+        def lay(split, owners, bridge, stage):
+            real(split, owners, None, stage)
+    """, "attach round at order 3: 2 new vertices with bridge class None"),
 }
 
-# runs extend_with_k2s on p3_split (one round, m = 3) with _attach replaced
-# by the mutant defined above it, and prints the error it raises; laying
-# makes an _attach that lays change(edges, m) in place of the round's edges
+# runs extend_with_k2s on p3_split (one round, m = 3) with the lay_edges
+# it calls replaced by the mutant defined above it, and prints the error
+# it raises
 MUTANT_RUN = """
 from rainbow_hcd import extend_sparse
 from rainbow_hcd.errors import InvariantViolation
 from rainbow_hcd.graph_core import Decomposition, edge
 from rainbow_hcd.hilton import ForestSplit
 
-real = extend_sparse._attach
-new_edges = extend_sparse._new_edges
-
-def laying(change):
-    def attach(split, owner, cstar):
-        m = split.dec.order
-        extend_sparse._new_edges = lambda *a: change(new_edges(*a), m)
-        try:
-            real(split, owner, cstar)
-        finally:
-            extend_sparse._new_edges = new_edges
-    return attach
+real = extend_sparse.lay_edges
 {mutant}
-extend_sparse._attach = attach
+extend_sparse.lay_edges = lay
 try:
     extend_sparse.extend_with_k2s(ForestSplit.scan(
         Decomposition(3, [{{edge(0, 1)}}, {{edge(0, 2), edge(1, 2)}}, set()])
@@ -717,7 +717,7 @@ try:
 except InvariantViolation as exc:
     print(exc)
 finally:
-    extend_sparse._attach = real
+    extend_sparse.lay_edges = real
 """
 
 

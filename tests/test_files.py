@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from collections import defaultdict
 
@@ -428,6 +429,21 @@ class TestCertificateFromText:
         with pytest.raises(ParseError, match="repeats a key"):
             certificate_from_text(text)
 
+
+    @pytest.mark.parametrize("fmt", [_dumps_text, certificate_to_text])
+    @pytest.mark.parametrize(
+        "pair", [[1, 0], [3, 3]], ids=["high-end-first", "loop"]
+    )
+    def test_rejects_an_h_edge_not_written_low_end_first(self, fmt, pair):
+        # the writer writes each input edge low end first; read as it
+        # stands, [1, 0] would verify and write back as [0, 1]
+        doc = json.loads(fmt(solve([(0, 1), (1, 2)], seed=1)))
+        assert doc["h_edges"][0] == [0, 1]
+        doc["h_edges"][0] = pair
+        with pytest.raises(ParseError, match=re.escape(
+            f"h_edges: edge {pair} is not written low end first"
+        )):
+            certificate_from_text(json.dumps(doc))
 
 class TestFormat2:
     """The format-2 twins of TestCertificateFromText's class rejections,

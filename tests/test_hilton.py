@@ -328,8 +328,8 @@ class TestSteps:
         # is caught there, and the close never runs
         real = hilton.lay_edges
 
-        def drift(split, new, grow, stage):
-            real(split, new, grow, stage)
+        def drift(split, owners, bridge, stage):
+            real(split, owners, bridge, stage)
             if split.dec.order == 4:
                 split.dec.classes[1].discard(min(split.dec.classes[1]))
 
@@ -517,17 +517,25 @@ class TestWarmStart:
 
 class TestInvariants:
     @pytest.mark.parametrize(
-        "order, reason", [(4, "0 edges added at vertex 4"), (2, "edges added")]
+        "order, reason",
+        [(4, "0 of 4 owners of new vertex 4 are classes 0..2, wanted 4"),
+         (2, "0 of 2 owners of new vertex 2 are classes 0..2, wanted 2")],
+        ids=["order-4", "order-2"],
     )
     def test_empty_flow_raises(self, monkeypatch, order, reason):
-        # an assignment that gives no vertex a class leaves the new vertex
-        # unattached; at order 4 (n=3) two classes also miss the 3 edges
-        # the schedule asks for, at order 2 the schedule asks for none, and
-        # the count is checked before the floors
+        # an assignment that gives no vertex a class would leave the new
+        # vertex unattached; at order 4 (n=3) two classes would also miss
+        # the 3 edges the schedule asks for, at order 2 the schedule asks
+        # for none.  lay_edges refuses the shape before it lays anything,
+        # and leaves the split as it was
         monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
         cut = truncate_to_order(walecki(3), order)
-        with pytest.raises(InvariantViolation, match=reason):
+        before = [set(c) for c in cut.classes]
+        with pytest.raises(
+            InvariantViolation, match=re.escape(f"vertex step at order {order}: {reason}")
+        ):
             single_vertex_step(scan(cut), 3)
+        assert cut.order == order and cut.classes == before
 
     def test_class_below_its_floor_after_the_step_raises(self, monkeypatch):
         # at order 3 (n=3) class 2 needs one edge; an assignment that gives
@@ -550,7 +558,9 @@ class TestInvariants:
             hilton, "_assign", lambda *args: real(*args)[:-1] + [-1]
         )
         cut = truncate_to_order(walecki(3), 2)
-        with pytest.raises(InvariantViolation, match="1 edges added"):
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "1 of 2 owners of new vertex 2 are classes 0..2, wanted 2"
+        )):
             single_vertex_step(scan(cut), 3)
 
     def test_short_assignment_raises_under_optimize(self):
@@ -578,7 +588,7 @@ class TestInvariants:
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
-        assert "edges added" in lines[1]
+        assert "1 of 2 owners of new vertex 2 are classes" in lines[1]
 
     def test_interior_vertex_is_an_internal_fault(self, monkeypatch, tmp_path):
         # an assignment that hands a vertex a class in which it is interior:
@@ -654,12 +664,13 @@ class TestPathEnds:
 
 
 class TestLayEdgesRefusals:
-    """An edge its class's state refuses is the caller's fault, reported
-    as InvariantViolation naming the stage, the class and the edge."""
+    """A round or step of the wrong shape, or an edge its class's state
+    refuses, is the caller's fault, reported as InvariantViolation naming
+    the stage (and the class and the edge)."""
 
-    def lay(self, classes, new, grow=1, stage="vertex step"):
+    def lay(self, classes, owners, bridge=None, stage="vertex step"):
         dec = Decomposition(4, [set(c) for c in classes])
-        hilton.lay_edges(unproved(dec), new, grow, stage)
+        hilton.lay_edges(unproved(dec), owners, bridge, stage)
 
     def test_old_vertex_without_a_free_end(self):
         # 1 is interior on the path 0-1-2-3
@@ -667,7 +678,7 @@ class TestLayEdgesRefusals:
             "vertex step at order 4: class 0 cannot take (1, 4): "
             "vertex 1 has no free end for (1, 4)"
         )):
-            self.lay([{(0, 1), (1, 2), (2, 3)}], [(0, 0, 4), (0, 1, 4)])
+            self.lay([{(0, 1), (1, 2), (2, 3)}], [[0, 0, 0, 0]])
 
     def test_new_vertex_without_a_free_end(self):
         # 4 took two edges of class 1 and is interior when the third comes
@@ -675,8 +686,8 @@ class TestLayEdgesRefusals:
             "attach round at order 4: class 1 cannot take (2, 4): "
             "vertex 4 has no free end for (2, 4)"
         )):
-            self.lay([set(), set()], [(1, 0, 4), (1, 1, 4), (1, 2, 4)],
-                     grow=2, stage="attach round")
+            self.lay([set(), set()], [[1, 1, 1, 0], [0, 0, 0, 0]],
+                     bridge=0, stage="attach round")
 
     def test_edge_closing_a_cycle(self):
         # 0-1 and 0-4 leave 1 and 4 the ends of one path
@@ -684,7 +695,40 @@ class TestLayEdgesRefusals:
             "vertex step at order 4: class 1 cannot take (1, 4): "
             "edge (1, 4) closes a cycle"
         )):
-            self.lay([set(), {(0, 1)}], [(1, 0, 4), (1, 1, 4)])
+            self.lay([set(), {(0, 1)}], [[1, 1, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "owners, message",
+        [([[0, 1, 0]], "3 of 3 owners of new vertex 4 are classes 0..1, wanted 4"),
+         ([[0, 1, 0, 1, 0]], "5 of 5 owners of new vertex 4"),
+         ([[0, 1, -1, 1]], "3 of 4 owners of new vertex 4"),
+         ([[0, 1, 2, 1]], "3 of 4 owners of new vertex 4"),
+         ([[0, 1, 0, 1], [0]], "1 of 1 owners of new vertex 5")],
+        ids=["short", "long", "no-class", "class-out-of-range", "second-short"],
+    )
+    def test_owner_list_of_the_wrong_shape(self, owners, message):
+        with pytest.raises(InvariantViolation, match=re.escape(
+            f"vertex step at order 4: {message}"
+        )):
+            self.lay([set(), set()], owners)
+
+    @pytest.mark.parametrize(
+        "owners, bridge",
+        [([[0, 1, 0, 1]] * 2, None), ([[0, 1, 0, 1]], 0),
+         ([[0, 1, 0, 1]] * 3, 1), ([[0, 1, 0, 1]] * 2, 2), ([], None)],
+        ids=["two-without", "one-with", "three", "bridge-out-of-range", "none"],
+    )
+    def test_bridge_comes_exactly_with_two_new_vertices(self, owners, bridge):
+        split = unproved(Decomposition(4, [set(), set()]))
+        with pytest.raises(InvariantViolation, match=re.escape(
+            f"attach round at order 4: {len(owners)} new vertices with "
+            f"bridge class {bridge}, wanted one without or two with a class "
+            "0..1"
+        )):
+            hilton.lay_edges(split, owners, bridge, "attach round")
+        # refused before anything is laid
+        assert split.dec.order == 4 and split.dec.classes == [set(), set()]
+        assert all(4 not in e.isolated for e in split.ends)
 
 
 def rebuilt_free(ends, order):

@@ -547,6 +547,64 @@ def test_sparse_scale_gate_n256(h):
     assert dt < 15, f"{len(h)}-edge sparse instance took {dt:.1f}s"
 
 
+def p3_heavy_instances(count, seed):
+    """count pipeline instances of n = 6..64 edges: a K_{1,3} or a C3,
+    then parts drawn four times in five a P3, else one of P4, C3, K_{1,3},
+    K_{1,4} and K2, each kept if it fits in n.  A P3 brings 3 vertices
+    for 2 edges, so most instances reach case 2 of the recursive embed."""
+    rng = random.Random(seed)
+    others = [path_graph(3), cycle_graph(3), star_graph(3), star_graph(4),
+              path_graph(1)]
+    out = []
+    for _ in range(count):
+        n = rng.randint(6, 64)
+        parts = [rng.choice([star_graph(3), cycle_graph(3)])]
+        size = len(parts[0])
+        while size < n:
+            part = path_graph(2) if rng.random() < 0.8 else rng.choice(others)
+            if size + len(part) <= n:
+                parts.append(part)
+                size += len(part)
+        out.append(disjoint_union(*parts))
+    return out
+
+
+@pytest.mark.slow
+def test_p3_heavy_sweep():
+    # 200 instances, solved at seeds 0 and 1 in turn: 144 reach case 2 of
+    # the recursive embed, 26 sit at its last case-1 order r = (4n-1)//3
+    # and 24 one above it, and 227 attach rounds run.  The sweep took
+    # 6.1 s on a 2-core machine with Python 3.11; the bound is five times
+    # that.  The digest of the concatenated certificate texts pins every
+    # byte; a change that moves it says why in CHANGES.md
+    counts = Counter()
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for i, h in enumerate(p3_heavy_instances(200, 0)):
+        n = len(h)
+        cert = solve(h, seed=i % 2)
+        rep = verify_certificate(cert)
+        assert rep.ok, "\n".join(rep.lines())
+        digest.update(certificate_to_text(cert).encode())
+        counts[cert.trace[0]] += 1
+        for line in cert.trace:
+            if line.startswith("attach:"):
+                counts["round"] += 1
+            if line.startswith("embed:") and "case=" in line:
+                r = int(line.split()[1][2:])
+                counts[line[-6:]] += 1
+                counts[r - (4 * n - 1) // 3] += 1
+    dt = time.perf_counter() - t0
+    assert dt < 30, f"the sweep took {dt:.1f}s"
+    assert counts["route: pipeline"] == 200
+    assert (counts["case=2"], counts[0], counts[1], counts["round"]) == (
+        144, 26, 24, 227
+    )
+    assert digest.hexdigest() == (
+        "bc50966d8a0d114c4d0e77c825a7d1df6e328ac2f82b3800bf3bda9e60cbe234"
+    )
+
+
 class TestOracleAgreement:
     def test_solver_assignment_is_completable(self):
         # force the oracle to use the solver's classes for the planted edges
