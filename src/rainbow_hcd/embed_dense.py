@@ -6,9 +6,23 @@ split into n linear forests, edge i sitting alone-per-class in class i,
 every class meeting the size floor of the hilton module docstring at
 order r, the first t classes with their edge of H.
 
-Two regimes.  With few vertices (r <= n) the floors are vacuous and a
-round-robin matching schedule settles everything.  Otherwise the instance
-is shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
+Two regimes.  With at most n + 1 vertices the classes are matchings of a
+round-robin schedule of K_r, at most one per class, each class i < t
+with h_i added to the part of its matching outside H; a matching plus
+one edge is a linear forest.  For r <= n the floors are vacuous.  At
+r = n + 1 the classes t..n-1 need two edges, and every other floor holds
+by the class's edge of H.  Even r gives n perfect matchings of r/2 edges,
+at most 2t/(n-1) <= t of them with r/2 - 1 or more edges of H, so the
+n - t with the fewest H edges leave two edges each.  Odd r gives n + 1
+near-perfect matchings, M_k missing vertex k, so two of them share a
+class: M_k then M_{k+1} maps x to 2k - x, then to x + 2, which generates
+Z_r, so their union is a Hamiltonian path of K_r.  If t = n, class 0
+takes the pair whose M_k holds h_0, and lies on that path.  Otherwise the
+r pairs hold 2t < 2r H-edge incidences, so one holds at most one H edge
+and leaves class t at least r - 2 edges, and the other n - t - 1 empty
+classes take the lightest of the rest, as for even r (at most
+2t/(n-2) <= t of them too full).  Past n + 1 vertices the instance is
+shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
 K_{2s+1}, its classes are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
 other hosts fill the gaps upward), and the surplus vertices are cut away,
@@ -87,13 +101,14 @@ def embed_dense(
     Requires n >= 6, else raises PreconditionViolation: solve routes every
     n <= 5 to base-small, so only the pipeline calls this stage, always
     with n >= 6, and below that the recursive regime fails (K_{1,3} at
-    n = 3, P3 at n = 2).  A linear forest with r > n raises it too: route
-    sends every linear forest with n >= 6 to the hub construction and
-    recursive sub-instances go through solve, and the recursive regime
-    fails on k x P3 at n = 2k for odd k.  The direct regime takes them.
-    recurse(edges) must solve the instance on edges (s = ceil(r/2) < n of
-    them) outright, under whatever seed the caller chose, and return a
-    certificate that solve has verified; it is only called when r > n.
+    n = 3, P3 at n = 2).  A linear forest with r > n + 1 raises it too:
+    route sends every linear forest with n >= 6 to the hub construction
+    and recursive sub-instances go through solve, and the recursive regime
+    fails on k x P3 at n = 2k for odd k.  The direct regime takes the
+    linear forests with r <= n + 1.  recurse(edges) must solve the
+    instance on edges (s = ceil(r/2) < n of them) outright, under whatever
+    seed the caller chose, and return a certificate that solve has
+    verified; it is only called when r > n + 1.
     """
     t = len(h_edges)
     vs = edge_vertices(h_edges)
@@ -110,12 +125,12 @@ def embed_dense(
     if n < 6:
         raise PreconditionViolation(f"need n >= 6, got n={n}")
     degree = Counter(v for e in h_edges for v in e)
-    if r > n and t == r - len(groups) and max(degree.values()) <= 2:
-        raise PreconditionViolation(f"a linear forest with r={r} > n={n}")
+    if r > n + 1 and t == r - len(groups) and max(degree.values()) <= 2:
+        raise PreconditionViolation(f"a linear forest with r={r} > n+1={n + 1}")
     if trace is None:
         trace = []
 
-    if r <= n:
+    if r <= n + 1:
         trace.append(f"embed: r={r} t={t} direct matchings")
         dec = _direct_small(h_edges, r, t, n)
     else:
@@ -124,7 +139,8 @@ def embed_dense(
 
 
 # ---------------------------------------------------------------------------
-# small-r regime: one matching per class
+# r <= n + 1: one round-robin matching per class, for odd r = n + 1 two
+# in one class
 
 
 def _round_robin(r: int) -> list[list[Edge]]:
@@ -149,19 +165,43 @@ def _round_robin(r: int) -> list[list[Edge]]:
     return rounds
 
 
-def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
-    classes: list[set[Edge]] = [set() for _ in range(n)]
-    for i, e in enumerate(h_edges):
-        classes[i].add(e)
+def _class_rounds(h_edges: list[Edge], r: int, t: int, n: int) -> list[list[Edge]]:
+    """The rounds of _round_robin(r) in class order, as the module
+    docstring sets out: round k in class k for r <= n; at r = n + 1 the
+    lightest rounds, those with the fewest H edges, in classes t..n-1, and
+    for odd r rounds k and k + 1 merged into class 0 or class t."""
+    rounds = _round_robin(r)
+    if r <= n:
+        return rounds
     h_set = set(h_edges)
-    # at most r matchings, and this regime runs only when r <= n
-    for k, match in enumerate(_round_robin(r)):
-        classes[k].update(e for e in match if e not in h_set)
+    load = [sum(e in h_set for e in m) for m in rounds]
+    idx = list(range(len(rounds)))
+    head: list[list[Edge]] = []
+    tail: list[list[Edge]] = []
+    if r % 2:
+        if t == n:
+            k = next(k for k, m in enumerate(rounds) if h_edges[0] in m)
+        else:
+            k = min(idx, key=lambda k: load[k] + load[(k + 1) % r])
+        j = (k + 1) % r
+        idx.remove(k)
+        idx.remove(j)
+        (head if t == n else tail).append(rounds[k] + rounds[j])
+    light = sorted(idx, key=load.__getitem__)[: n - t - len(tail)]
+    heavy = [rounds[k] for k in idx if k not in light]
+    return head + heavy + tail + [rounds[k] for k in light]
+
+
+def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
+    h_set = set(h_edges)
+    classes = [{e} for e in h_edges] + [set() for _ in range(t, n)]
+    for cls, match in zip(classes, _class_rounds(h_edges, r, t, n)):
+        cls.update(e for e in match if e not in h_set)
     return Decomposition(r, classes)
 
 
 # ---------------------------------------------------------------------------
-# large-r regime: recursion plus edge moves
+# r >= n + 2: recursion plus edge moves
 
 
 def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:

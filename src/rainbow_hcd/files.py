@@ -20,8 +20,8 @@ integer 2, n, order, seed, each assignment entry and each label_map
 value a JSON integer (true and false are not), each label_map key a
 canonical decimal string ("7" or "-7", not "07", "+7", " 7" or "-0"),
 each h_edges edge (and in format 1 each class edge) a JSON array of two
-such integers, each h_edges edge low end first (so no loop), no format-1
-class listing an edge twice, and pipeline_trace an array of strings.  A
+such integers written low end first (so no loop), no format-1 class
+listing an edge twice, and pipeline_trace an array of strings.  A
 format-2 class must be an array of exactly order entries (checked before
 anything of that size is built), each an integer, together a permutation
 of 0..order-1, starting at 0 with its second entry below its last.
@@ -155,9 +155,6 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     seed = _json_int(doc["seed"], "seed")
     label_map = _label_map(doc["label_map"])
     h_edges = _edge_list(doc["h_edges"], "h_edges")
-    bad = next(([u, v] for u, v in h_edges if u >= v), None)
-    if bad is not None:
-        raise ParseError(f"h_edges: edge {bad} is not written low end first")
     assignment = _array(doc["assignment"], "assignment")
     if not _all_type(assignment, int):
         raise ParseError("assignment holds an entry that is not an integer")
@@ -199,7 +196,7 @@ def _cycle_edges(seq, order: int, i: int) -> set[Edge]:
 
 def _pair_edges(rows, i: int) -> set[Edge]:
     """Format-1 class i: its edges, or ParseError unless rows lists each
-    once as an array of two integers."""
+    once as an array of two integers, low end first."""
     cls = set(_edge_list(rows, f"class {i}"))
     if len(cls) != len(rows):
         raise ParseError(f"class {i} lists an edge twice")
@@ -229,7 +226,7 @@ def _array(x, what: str) -> list:
 
 def _edge_list(rows, what: str) -> list[Edge]:
     """rows as edges, or ParseError unless each is an array of two
-    integers."""
+    integers, the lower first."""
     edges = []
     for e in _array(rows, what):
         if type(e) is not list or len(e) != 2:
@@ -237,6 +234,8 @@ def _edge_list(rows, what: str) -> list[Edge]:
         u, v = e
         if type(u) is not int or type(v) is not int:
             raise ParseError(f"{what}: edge {e!r} is not two integers")
+        if u >= v:
+            raise ParseError(f"{what}: edge {e!r} is not written low end first")
         edges.append((u, v))
     return edges
 

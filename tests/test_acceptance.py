@@ -105,9 +105,9 @@ def test_pipeline_branch_coverage():
     families = [
         (disjoint_union(cycle_graph(3), path_graph(2), path_graph(1)),
          6, "direct"),
-        (disjoint_union(star_graph(3), path_graph(2), path_graph(2),
-                        path_graph(1), path_graph(1)),
-         9, "case=1 even t<n"),
+        (disjoint_union(star_graph(3), path_graph(2), path_graph(4),
+                        path_graph(1)),
+         10, "case=1 even t<n"),
         (disjoint_union(star_graph(3), path_graph(6)),
          9, "case=1 odd t=n"),
         (disjoint_union(cycle_graph(3), path_graph(2), path_graph(2),

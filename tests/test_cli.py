@@ -126,6 +126,17 @@ class TestVerify:
         assert main(["verify", str(cert), inst]) == 1
         assert "parse error: h_edges: edge [0, 0]" in capsys.readouterr().err
 
+    def test_format_1_class_edge_high_end_first(self, tmp_path, capsys):
+        # a parse error (exit 1), not a partition failure (exit 5) that
+        # names the reversed pair out of range
+        inst, cert = self.roundtrip(tmp_path)
+        doc = json.loads(_dumps_text(certificate_from_text(cert.read_text())))
+        doc["classes"][0][0].reverse()
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert), inst]) == 1
+        assert "parse error: class 0: edge [1, 0]" in capsys.readouterr().err
+
     def test_truncated_json(self, tmp_path, capsys):
         inst, cert = self.roundtrip(tmp_path)
         cert.write_text(cert.read_text()[:40])

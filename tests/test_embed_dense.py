@@ -1,8 +1,10 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from rainbow_hcd.families import (
     path_graph,
     star_graph,
 )
+from rainbow_hcd.files import certificate_to_text
 from rainbow_hcd.graph_core import (
     Decomposition,
     analyze_linear_forest,
@@ -214,8 +217,10 @@ class TestWholeDomain:
         # every graph of at most EXHAUSTIVE_CAP edges whose components all
         # have two or more edges, at n = max(6, k) .. k + 14: the embed
         # returns the states and masks of a fresh scan of its split, or
-        # refuses a linear forest with r > n; an InternalInfeasible fails
-        # the test
+        # refuses a linear forest with r > n + 1; an InternalInfeasible
+        # fails the test.  The trace names the regime, direct exactly when
+        # r <= n + 1.  The 24 pairs with r = n + 1, 19 that recursed and 5
+        # linear forests that the precondition refused, now embed directly
         outcomes = Counter()
         for k in range(1, EXHAUSTIVE_CAP + 1):
             for h in nonisomorphic_edge_graphs(k):
@@ -223,18 +228,21 @@ class TestWholeDomain:
                     continue
                 r = len(edge_vertices(h))
                 for n in range(max(6, k), k + 15):
+                    trace = []
                     try:
-                        split = embed_dense(h, n, recurse)
+                        split = embed_dense(h, n, recurse, trace)
                     except PreconditionViolation as exc:
-                        assert f"a linear forest with r={r} > n={n}" in str(exc)
+                        assert f"a linear forest with r={r} > n+1={n + 1}" in str(exc)
                         outcomes["precondition"] += 1
                         continue
                     scan = ForestSplit.scan(split.dec.copy())
                     assert ([(e.partner, e.isolated) for e in split.ends]
                             == [(e.partner, e.isolated) for e in scan.ends])
                     assert split.free == scan.free
-                    outcomes["recursive" if r > n else "direct"] += 1
-        assert outcomes == {"direct": 933, "recursive": 23, "precondition": 9}
+                    direct = trace[0].endswith("direct matchings")
+                    assert direct == (r <= n + 1), trace
+                    outcomes["direct" if direct else "recursive"] += 1
+        assert outcomes == {"direct": 957, "recursive": 4, "precondition": 4}
 
 
 class TestDirectRegime:
@@ -260,13 +268,76 @@ class TestDirectRegime:
         assert "direct" in trace[0]
 
 
+def spider(legs):
+    """A tree: legs of the given lengths joined at vertex 0."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append(edge(prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return sorted(edges)
+
+
+class TestDirectAtNPlusOne:
+    # r = n + 1: n perfect matchings for even r, one per class; for odd r,
+    # n + 1 near-perfect ones, two consecutive ones sharing a class
+    @pytest.mark.parametrize(
+        "h, n, merged",
+        [
+            (star_graph(7), 7, None),
+            (spider([3, 2, 2]), 7, None),
+            (star_graph(8), 8, 0),
+            (spider([2, 2, 2, 2]), 8, 0),
+            (disjoint_union(star_graph(3), path_graph(2), path_graph(2)), 9, None),
+            (disjoint_union(star_graph(3), path_graph(2)), 6, 5),
+            (disjoint_union(cycle_graph(3), star_graph(3), star_graph(3)), 10, 9),
+            # H holds all of round 0 of K_8, which leaves class 6 nothing,
+            # and all but one edge of rounds 0 and 1 of K_7, which leave a
+            # class one edge: the lightest rounds must go to classes
+            # t..n-1
+            ([(0, 7), (1, 7), (1, 6), (2, 5), (3, 5), (3, 4)], 7, None),
+            ([(1, 6), (3, 6), (3, 4), (0, 2), (2, 5)], 6, 5),
+        ],
+        ids=["K1,7", "spider-7", "K1,8", "spider-8", "K1,3+2P3", "K1,3+P3",
+             "C3+2K1,3", "heavy-round", "heavy-pair"],
+    )
+    def test_one_class_per_matching(self, h, n, merged):
+        dec, trace = run(h, n)
+        r, t = n + 1, len(h)
+        assert dec.order == r
+        assert trace == [f"embed: r={r} t={t} direct matchings"]
+        # the classes without an edge of H meet their floor of two edges
+        assert all(len(dec.classes[i]) >= 2 for i in range(t, n))
+        # the rounds each class's edges outside H come from: one at most
+        # (none if H holds its whole round), two in the merged class
+        rounds = _round_robin(r)
+        outside = [{k for k, m in enumerate(rounds) if cls & set(m) - set(h)}
+                   for cls in dec.classes]
+        if merged is None:
+            assert r % 2 == 0
+            assert all(len(ks) <= 1 for ks in outside)
+            return
+        # odd r: the merged class (class 0 if t = n, else class t) is the
+        # one on two rounds k, k + 1, and lies on their union, one
+        # Hamiltonian path of K_r
+        assert r % 2 == 1 and merged == (0 if t == n else t)
+        assert [i for i, ks in enumerate(outside) if len(ks) > 1] == [merged]
+        k = min(outside[merged]) if outside[merged] != {0, r - 1} else r - 1
+        assert outside[merged] == {k, (k + 1) % r}
+        path = set(rounds[k]) | set(rounds[(k + 1) % r])
+        assert dec.classes[merged] <= path
+        view = analyze_linear_forest(path, range(r))
+        assert len(view.paths) == 1 and len(view.paths[0]) == r
+
+
 class TestRecursiveRegime:
     def test_case1_even_r(self):
-        # r=10, n=9: 3r <= 4n-1 picks the single-donor moves
-        h = disjoint_union(star_graph(3), path_graph(2), path_graph(2))
-        dec, trace = run(h, 9)
-        assert dec.order == 10
-        assert trace[-1] == "embed: r=10 t=7 s=5 case=1"
+        # r=12, n=10: 3r <= 4n-1 picks the single-donor moves
+        h = disjoint_union(star_graph(3), path_graph(2), path_graph(4))
+        dec, trace = run(h, 10)
+        assert dec.order == 12
+        assert trace[-1] == "embed: r=12 t=9 s=6 case=1"
 
     def test_case1_odd_r(self):
         h = disjoint_union(star_graph(3), path_graph(6))
@@ -317,7 +388,7 @@ class TestInvariants:
         code = textwrap.dedent("""
             from rainbow_hcd.embed_dense import embed_dense
             from rainbow_hcd.errors import InvariantViolation
-            from rainbow_hcd.families import star_graph
+            from rainbow_hcd.families import disjoint_union, path_graph, star_graph
             from rainbow_hcd.solver import solve
 
             def recurse(edges):
@@ -327,7 +398,8 @@ class TestInvariants:
 
             print(__debug__)
             try:
-                embed_dense(star_graph(6), 6, recurse)
+                h = disjoint_union(star_graph(3), path_graph(2), path_graph(2))
+                embed_dense(h, 7, recurse)
             except InvariantViolation as exc:
                 print(exc)
         """)
@@ -340,7 +412,7 @@ class TestInvariants:
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0] == "False"
-        assert "16 edges in classes, expected 21" in lines[1]
+        assert "36 edges in classes, expected 45" in lines[1]
 
     def test_owner_and_prefix_faults_raise_under_optimize(self):
         # faults that no check of the embed reads for itself any more, each
@@ -362,7 +434,8 @@ class TestInvariants:
 
             print(__debug__)
             try:
-                ed.embed_dense(star_graph(6), 6, recurse)
+                h = disjoint_union(star_graph(3), path_graph(2), path_graph(2))
+                ed.embed_dense(h, 7, recurse)
             except InvariantViolation as exc:
                 print(exc)
             real = ed.component_edge_groups
@@ -434,3 +507,69 @@ class TestChooseSubgraph:
             picked = _bfs_prefix(h, list(range(7)), need)
             assert picked == full[:need]
             assert len(edge_vertices([h[i] for i in picked])) == need + 1
+
+
+def random_tree(rng, m):
+    """A random tree of m edges: each vertex v >= 1 joins an earlier one."""
+    return [edge(rng.randrange(v), v) for v in range(1, m + 1)]
+
+
+def tree_mix_instances(count, seed):
+    """Random trees with 6..40 edges, and in turn mixes of 1..5 random
+    trees, up to two cycles and some K2s, in a shuffled order, with 6..40
+    edges in all.  Half the mixes take one K2 fewer than they have trees,
+    so that the dense part has exactly n + 1 vertices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2 == 0:
+            out.append(random_tree(rng, rng.randint(6, 40)))
+            continue
+        trees = [random_tree(rng, rng.randint(2, 8))
+                 for _ in range(rng.randint(1, 5))]
+        cycles = [cycle_graph(rng.randint(3, 8)) for _ in range(rng.randint(0, 2))]
+        k2 = len(trees) - 1 if rng.random() < 0.5 else rng.randint(0, 6)
+        parts = trees + cycles + [path_graph(1)] * k2
+        h = disjoint_union(*rng.sample(parts, len(parts)))
+        if 6 <= len(h) <= 40:
+            out.append(h)
+    return out
+
+
+@pytest.mark.slow
+def test_tree_mix_sweep():
+    # 600 instances, solved at seeds 0 and 1 in turn, each verified; one
+    # mix is a linear forest and takes the hub route.  The top-level embed
+    # of every dense part on n + 1 vertices is direct, 477 of them, over
+    # all four cases: r odd or even, t = n or t < n.  Of the rest, 83 have
+    # r <= n and 39 recurse.  The sweep took 3.8-5.6 s on a 2-core machine
+    # with Python 3.11; the bound is five times the slower.  The digest of the concatenated certificate texts pins
+    # every byte; a change that moves it says why in CHANGES.md
+    counts = Counter()
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for i, h in enumerate(tree_mix_instances(600, 0)):
+        n = len(h)
+        cert = solve(h, seed=i % 2)
+        rep = verify_certificate(cert)
+        assert rep.ok, "\n".join(rep.lines())
+        digest.update(certificate_to_text(cert).encode())
+        counts[cert.trace[0]] += 1
+        embed = next((x for x in cert.trace if x.startswith("embed:")), None)
+        if embed is None:
+            continue
+        r, t = (int(x[2:]) for x in embed.split()[1:3])
+        if r == n + 1:
+            assert embed.endswith("direct matchings"), (h, embed)
+            counts["odd" if r % 2 else "even", "t=n" if t == n else "t<n"] += 1
+        else:
+            counts["direct" if embed.endswith("direct matchings") else "recursive"] += 1
+    dt = time.perf_counter() - t0
+    assert dt < 28, f"the sweep took {dt:.1f}s"
+    assert counts["route: pipeline"] == 599
+    assert [counts[k] for k in [("odd", "t=n"), ("odd", "t<n"),
+                                ("even", "t=n"), ("even", "t<n")]] == [172, 76, 156, 73]
+    assert (counts["direct"], counts["recursive"]) == (83, 39)
+    assert digest.hexdigest() == (
+        "32ad52d0e111470440cfaf613c8117aa54c8ee62623241886635e2d9ea7c145b"
+    )

@@ -445,6 +445,21 @@ class TestCertificateFromText:
         )):
             certificate_from_text(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "pair", [[1, 0], [3, 3]], ids=["high-end-first", "loop"]
+    )
+    def test_rejects_a_format_1_class_edge_not_written_low_end_first(self, pair):
+        # format 1 writes each class edge as its sorted pair; [1, 0] used
+        # to parse and then fail verify as an edge out of range
+        doc = json.loads(_dumps_text(solve([(0, 1), (1, 2)], seed=1)))
+        assert doc["classes"][0][0] == [0, 1]
+        doc["classes"][0][0] = pair
+        with pytest.raises(ParseError, match=re.escape(
+            f"class 0: edge {pair} is not written low end first"
+        )):
+            certificate_from_text(json.dumps(doc))
+
+
 class TestFormat2:
     """The format-2 twins of TestCertificateFromText's class rejections,
     and the format key itself."""

@@ -286,8 +286,8 @@ class TestDeterminism:
              "b48196d44e6892c99963ba78f3acd888c5a0c8b632664cb4b16fb63c6367fc21",
              "bc850bec2fb89f353d5f4b48ead96bca72067afd8e24c9b872ae4d3e5d102588"),
             (star_graph(16), 0,
-             "277e267c91cf0be6dfd2e4d2a3265cfb67eeacdec5ee2847a222c7602bc093b8",
-             "47568318479aa54ad0ef26dff4576b675b6b835b36c942c645b4ec4547c88cdf"),
+             "fb7079e609529c416013ceebf9edfbc386cfe2f487cfb69cf8c9a66f0c657c00",
+             "92ca263327453fa0429ca76205600d38656105aa5f567b0f211ac3bbf8df57fb"),
             (cycle_graph(16), 0,
              "a4f258ea33510451070cee31cb169ab8bb78c6c10fc44f7ed014db70a347529e",
              "51558dfdf3a938fb17c257b23aa44c53a41471cccec5c5c10e0fcfc3b0fb993e"),
@@ -398,12 +398,14 @@ class TestHubLinearForest:
         assert cert.trace[0] == f"route: {tag}"
         assert verify_certificate(cert).ok
 
-    # K_{1,16} has r = 17 > n vertices, so the embed recurses and moves the
-    # child's classes onto its hosts by complete_perm
+    # K_{1,3} + 4P3 + K2 has a dense part of r = 16 >= n + 2 vertices, so
+    # the embed recurses and moves the child's classes onto its hosts by
+    # complete_perm
     @pytest.mark.parametrize(
         "module, h",
-        [(solver, k2s(8)), (embed_dense, star_graph(16))],
-        ids=["hub-8K2", "recursive-embed-K1,16"],
+        [(solver, k2s(8)),
+         (embed_dense, disjoint_union(star_graph(3), *[path_graph(2)] * 4, k2s(1)))],
+        ids=["hub-8K2", "recursive-embed-K1,3+4P3+K2"],
     )
     def test_host_map_that_is_no_bijection_is_caught(self, monkeypatch, module, h):
         real = module.complete_perm
@@ -601,7 +603,7 @@ def test_p3_heavy_sweep():
         144, 26, 24, 227
     )
     assert digest.hexdigest() == (
-        "bc50966d8a0d114c4d0e77c825a7d1df6e328ac2f82b3800bf3bda9e60cbe234"
+        "c445f3cc066982bbbbe386be4bfde50d5128d5c9d519d16fb3b30767c54d9561"
     )
 
 
