@@ -7,13 +7,15 @@ every class meeting the size floor of the hilton module docstring at
 order r, the first t classes with their edge of H.
 
 Two regimes.  With at most n + 1 vertices the classes are matchings of a
-round-robin schedule of K_r, at most one per class, each class i < t
-with h_i added to the part of its matching outside H; a matching plus
-one edge is a linear forest.  For r <= n the floors are vacuous.  At
-r = n + 1 the classes t..n-1 need two edges, and every other floor holds
-by the class's edge of H.  Even r gives n perfect matchings of r/2 edges,
-at most 2t/(n-1) <= t of them with r/2 - 1 or more edges of H, so the
-n - t with the fewest H edges leave two edges each.  Odd r gives n + 1
+round-robin schedule of K_r (one odd schedule, on r or r - 1 vertices,
+with vertex r - 1 added to each round for even r), at most one per
+class, each class i < t with h_i added to the part of its matching
+outside H; a matching plus one edge is a linear forest.  For r <= n the
+floors are vacuous.  At r = n + 1 the classes t..n-1 need two edges, and
+every other floor holds by the class's edge of H.  Even r gives n
+perfect matchings of r/2 edges, at most 2t/(n-1) <= t of them with
+r/2 - 1 or more edges of H, so the n - t with the fewest H edges leave
+two edges each.  Odd r gives n + 1
 near-perfect matchings, M_k missing vertex k, so two of them share a
 class: M_k then M_{k+1} maps x to 2k - x, then to x + 2, which generates
 Z_r, so their union is a Hamiltonian path of K_r.  If t = n, class 0
@@ -22,7 +24,8 @@ r pairs hold 2t < 2r H-edge incidences, so one holds at most one H edge
 and leaves class t at least r - 2 edges, and the other n - t - 1 empty
 classes take the lightest of the rest, as for even r (at most
 2t/(n-2) <= t of them too full).  Past n + 1 vertices the instance is
-shrunk: a subgraph with s = ceil(r/2) edges is solved recursively on
+shrunk: a subgraph with s = ceil(r/2) edges, the first s of the
+components' breadth-first edge orders, is solved recursively on
 K_{2s+1}, its classes are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
 other hosts fill the gaps upward), and the surplus vertices are cut away,
@@ -145,23 +148,17 @@ def embed_dense(
 
 def _round_robin(r: int) -> list[list[Edge]]:
     """Matchings partitioning K_r: r-1 perfect ones for even r, r
-    near-perfect ones for odd r."""
-    rounds: list[list[Edge]] = []
+    near-perfect ones for odd r.  On the odd order m = r - 1 + (r mod 2),
+    M_k pairs k - i with k + i mod m for i = 1..floor(m/2), missing k;
+    for even r, round k also takes (k, r - 1), at its front."""
     if r < 2:
-        return rounds
+        return []
+    m = r - 1 + r % 2
+    rounds = [[edge((k - i) % m, (k + i) % m) for i in range(1, m // 2 + 1)]
+              for k in range(m)]
     if r % 2 == 0:
-        m = r - 1
-        for k in range(m):
-            match = [edge(k, r - 1)]
-            match += [
-                edge((k - i) % m, (k + i) % m) for i in range(1, m // 2 + 1)
-            ]
-            rounds.append(match)
-    else:
-        for k in range(r):
-            rounds.append(
-                [edge((k - i) % r, (k + i) % r) for i in range(1, r // 2 + 1)]
-            )
+        for k, match in enumerate(rounds):
+            match.insert(0, edge(k, r - 1))
     return rounds
 
 
@@ -204,9 +201,9 @@ def _direct_small(h_edges: list[Edge], r: int, t: int, n: int) -> Decomposition:
 # r >= n + 2: recursion plus edge moves
 
 
-def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
-    """First `need` edges of the component in breadth-first order from its
-    smallest vertex; the chosen part stays connected."""
+def _bfs_order(h_edges: list[Edge], grp: list[int]) -> list[int]:
+    """The component's edges in breadth-first order from its smallest
+    vertex: each prefix of the order is connected."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for idx in grp:
         u, v = h_edges[idx]
@@ -222,20 +219,16 @@ def _bfs_prefix(h_edges: list[Edge], grp: list[int], need: int) -> list[int]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    return list(taken)[:need]
+    return list(taken)
 
 
 def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
-    """Pick s edge indices: whole components first, then a connected prefix
-    of the component that would overflow."""
-    chosen: list[int] = []
-    for grp in component_edge_groups(h_edges):
-        if len(chosen) + len(grp) <= s:
-            chosen.extend(grp)
-        else:
-            chosen.extend(_bfs_prefix(h_edges, grp, s - len(chosen)))
-        if len(chosen) == s:
-            break
+    """The first s edge indices of the components' _bfs_order lists, laid
+    end to end in component_edge_groups order, sorted: the whole
+    components that fit, then a connected part of the one that
+    overflows."""
+    chosen = [idx for grp in component_edge_groups(h_edges)
+              for idx in _bfs_order(h_edges, grp)][:s]
     if len(chosen) != s:
         raise InvariantViolation(f"subgraph has {len(chosen)} edges, needs {s}")
     return sorted(chosen)

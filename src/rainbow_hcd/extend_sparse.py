@@ -49,13 +49,14 @@ isolated, bit i for class i.  The split comes proved, by the scan of the
 embed stage's exit or of the caller; each round reads its gates and slots
 from the states and the masks, and hilton.lay_edges lays its edges into
 all three, as in a Hilton vertex step, so nothing is rebuilt between
-rounds.  _witness_ok checks the witness's gain floors before it is
+rounds.  _witness_ok checks only the witness's gain floors before it is
 applied.  The round hands lay_edges the witness as one owner list per new
 vertex, owner[0::2] for m and owner[1::2] for m + 1, with cstar as the
-bridge class.  lay_edges checks that every old vertex gives each new
-vertex one edge, which keeps a partition of K_m one of K_{m+2}, and lays
-each edge through PathEnds.add_edge, the one copy of the join rule: a
-third edge at a vertex or a closed cycle is an InvariantViolation there.
+bridge class.  lay_edges checks its shape, that every old vertex gives
+each new vertex one edge, which keeps a partition of K_m one of
+K_{m+2}, and lays each edge through PathEnds.add_edge, the one copy of
+the join rule: a third edge at a vertex or a closed cycle is an
+InvariantViolation there.
 hilton.check_stage checks the floors, and in one pass the state counts
 and the free-class masks, after each round; verify_certificate proves
 the result.
@@ -142,14 +143,14 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
     on the round's flow (see the module docstring), _split_slots orders
     each vertex's pair, and _witness_ok must accept the result, or the
     round raises InvariantViolation; _assign raises InternalInfeasible
-    when the flow has no solution."""
+    when the flow has no solution.
+
+    Every vertex offers k = 2n - m + 1 >= 4 slots: extend_with_k2s takes
+    order r <= 2t - 1 only, and round s <= n - t - 1 runs at m = r + 2s,
+    so k >= 2(n - t - s) + 2 >= 4."""
     dec = split.dec
     m = dec.order
-    k = 2 * n - m + 1
     cstar = s + t
-    if k < 4:
-        raise InvariantViolation(f"order {m} leaves {k} slots a vertex, n={n}")
-
     capacity_graph(split)
     # the new edges each class must take, the bridge not counted, to meet
     # its size floor at order m + 2; at most 0 means none
@@ -163,7 +164,7 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
         m, [max(0, f) for f in floors], split.ends, split.free, 2, cap, doubler
     )
     owner = _split_slots(m, n, split.ends, owner)
-    if not _witness_ok(owner, floors, m):
+    if not _witness_ok(owner, floors):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
         )
@@ -193,7 +194,8 @@ def _split_slots(
     doubled gate's node has degree 2 and no virtual edge, so its two
     slots go to different sides; a class's slots are its own node's and
     those of its doubled gate, so the class is split to within one too.
-    _witness_ok checks the result all the same.
+    hilton.lay_edges checks the result all the same: its shape before the
+    round is laid, and each class as its edges are laid.
     """
     pairs = [sorted(owner[2 * v:2 * v + 2]) for v in range(m)]
     # the gate of each slot, by its class and low end
@@ -238,14 +240,11 @@ def _split_slots(
     return out
 
 
-def _witness_ok(owner: list[int], floors: list[int], m: int) -> bool:
+def _witness_ok(owner: list[int], floors: list[int]) -> bool:
     """Acceptance test for a candidate witness, the owner list of
-    _stage_witness at order m: it gives every old vertex one edge to each
-    new vertex, and class i takes at least floors[i] of them, the round's
-    gain floors.  The shape test repeats the one hilton.lay_edges makes
-    before it lays the round, and that every class stays a linear forest
-    is checked there too, as each edge is laid."""
-    if len(owner) != 2 * m or min(owner) < 0:
-        return False
+    _stage_witness: class i takes at least floors[i] new edges, the
+    round's gain floors.  hilton.lay_edges checks the witness's shape, one
+    class for each old vertex and new vertex, before it lays the round,
+    and that every class stays a linear forest as each edge is laid."""
     gain = Counter(owner)
     return all(gain[i] >= f for i, f in enumerate(floors))

@@ -1,10 +1,5 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -212,28 +207,18 @@ class TestSplitCircuit:
         with pytest.raises(InvariantViolation, match="is odd"):
             _color_split_circuit([0, 1, 2], {})
 
-    def test_odd_closed_circuit_raises_under_optimize(self):
+    def test_odd_closed_circuit_raises_under_optimize(self, run_optimized):
         # the same circuit under python -O, where asserts are stripped
-        code = textwrap.dedent("""
+        lines = run_optimized("""
             from rainbow_hcd import coloring
             from rainbow_hcd.errors import InvariantViolation
 
-            print(__debug__)
             try:
                 coloring._color_split_circuit([0, 1, 2], {})
             except InvariantViolation as exc:
                 print(exc)
         """)
-        src = Path(coloring.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
-        assert lines[0] == "False"
-        assert "is odd" in lines[1]
+        assert "is odd" in lines[0]
 
 
 def verify_paired(F, mate, one, two):

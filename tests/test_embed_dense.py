@@ -1,18 +1,12 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import rainbow_hcd
 from rainbow_hcd.embed_dense import (
-    _bfs_prefix,
+    _bfs_order,
     _choose_subgraph,
     _donor_cut,
     _recursive_dense,
@@ -380,12 +374,12 @@ class TestRecursiveRegime:
 
 
 class TestInvariants:
-    def test_truncation_check_raises_under_optimize(self):
+    def test_truncation_check_raises_under_optimize(self, run_optimized):
         # a child certificate whose first cycle lost its edges, under
         # python -O, where asserts are stripped: no check reads the child
         # again, but its classes no longer partition K_r, which the exit
         # scan reports
-        code = textwrap.dedent("""
+        lines = run_optimized("""
             from rainbow_hcd.embed_dense import embed_dense
             from rainbow_hcd.errors import InvariantViolation
             from rainbow_hcd.families import disjoint_union, path_graph, star_graph
@@ -396,32 +390,22 @@ class TestInvariants:
                 child.decomposition.classes[0].clear()
                 return child
 
-            print(__debug__)
             try:
                 h = disjoint_union(star_graph(3), path_graph(2), path_graph(2))
                 embed_dense(h, 7, recurse)
             except InvariantViolation as exc:
                 print(exc)
         """)
-        src = Path(rainbow_hcd.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
-        assert lines[0] == "False"
-        assert "36 edges in classes, expected 45" in lines[1]
+        assert "36 edges in classes, expected 45" in lines[0]
 
-    def test_owner_and_prefix_faults_raise_under_optimize(self):
+    def test_owner_and_prefix_faults_raise_under_optimize(self, run_optimized):
         # faults that no check of the embed reads for itself any more, each
         # reported by a kept check under python -O: a child assignment that
         # names one class twice, so the classes no longer sit one per input
         # edge (the exit check of the input edges), and a component group
         # that is not connected, so the breadth-first prefix runs short
         # (_choose_subgraph's count)
-        code = textwrap.dedent("""
+        lines = run_optimized("""
             from rainbow_hcd import embed_dense as ed
             from rainbow_hcd.errors import InvariantViolation
             from rainbow_hcd.families import disjoint_union, path_graph, star_graph
@@ -432,7 +416,6 @@ class TestInvariants:
                 child.assignment[1] = child.assignment[0]
                 return child
 
-            print(__debug__)
             try:
                 h = disjoint_union(star_graph(3), path_graph(2), path_graph(2))
                 ed.embed_dense(h, 7, recurse)
@@ -445,16 +428,7 @@ class TestInvariants:
             except InvariantViolation as exc:
                 print(exc)
         """)
-        src = Path(rainbow_hcd.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [
-            "False", "edge 0 missing from class 0", "subgraph has 3 edges, needs 4",
-        ]
+        assert lines == ["edge 0 missing from class 0", "subgraph has 3 edges, needs 4"]
 
     @pytest.mark.parametrize(
         "k, error, message",
@@ -498,13 +472,13 @@ class TestChooseSubgraph:
         assert _choose_subgraph(h, 5) == sorted(_choose_subgraph(h, 5))
 
     def test_bfs_prefixes_grow_one_connected_order(self):
-        # a tree of 7 edges: each prefix extends the shorter ones, and its
-        # edges span one more vertex than they number
+        # a tree of 7 edges: each prefix of the order extends the shorter
+        # ones, and its edges span one more vertex than they number
         h = [(0, 1), (0, 2), (1, 3), (3, 4), (2, 5), (5, 6), (0, 7)]
-        full = _bfs_prefix(h, list(range(7)), 7)
+        full = _bfs_order(h, list(range(7)))
         assert full == [0, 1, 6, 2, 4, 3, 5]
         for need in range(1, 8):
-            picked = _bfs_prefix(h, list(range(7)), need)
+            picked = _bfs_order(h, list(range(7)))[:need]
             assert picked == full[:need]
             assert len(edge_vertices([h[i] for i in picked])) == need + 1
 

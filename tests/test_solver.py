@@ -1,17 +1,11 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import rainbow_hcd
 from rainbow_hcd import embed_dense, solver
 from rainbow_hcd.errors import (
     InfeasibleInput,
@@ -46,11 +40,11 @@ def k2s(count):
 
 
 class TestPipelineChecks:
-    def test_checks_raise_under_optimize(self):
+    def test_checks_raise_under_optimize(self, run_optimized):
         # the pipeline's own checks and the closing check of
         # analyze_linear_forest raise, also under python -O, where asserts
         # are stripped
-        code = textwrap.dedent("""
+        lines = run_optimized("""
             from rainbow_hcd import graph_core, solver
             from rainbow_hcd.embed_dense import _recursive_dense
             from rainbow_hcd.errors import InvariantViolation
@@ -64,7 +58,6 @@ class TestPipelineChecks:
                 else:
                     print("no error")
 
-            print(__debug__)
             # P3 + K2: two thick edges, too few for the pipeline
             h = [(0, 1), (1, 2), (3, 4)]
             probe(lambda: solver._main_pipeline(h, 3, 0))
@@ -76,18 +69,9 @@ class TestPipelineChecks:
             graph_core.LinearForestView.edge_count = property(lambda v: 0)
             probe(lambda: graph_core.analyze_linear_forest([(0, 1)], range(2)))
         """)
-        src = Path(rainbow_hcd.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
-        assert lines[0] == "False"
-        assert "t=2" in lines[1]
-        assert "recursive instance of size 6" in lines[2]
-        assert "paths hold 0 of 1 edges" in lines[3]
+        assert "t=2" in lines[0]
+        assert "recursive instance of size 6" in lines[1]
+        assert "paths hold 0 of 1 edges" in lines[2]
 
 
 def strategy(h):
@@ -255,6 +239,60 @@ class TestRelabelHosts:
             relabel_hosts(cert, make(cert.order))
 
 
+# sha256 of the certificate text, and of its format-1 rendering,
+# which pins the decomposition itself; a change that moves any of
+# these bytes updates the digest and says why in CHANGES.md
+PINNED = [
+    (disjoint_union(cycle_graph(3), k2s(9)), 0,
+     "b1ed0beace227581e380c32b1de3ee63cd6f67724419e7e8e0e4b943a4f1ca08",
+     "3f59213f9ed6fcf85cee625c0c6f5bcac8e3c8f530c2529fa1906da84b5b7180"),
+    (disjoint_union(cycle_graph(3), k2s(9)), 1,
+     "9b94414ce82f0e76ff9b0944f92cce3a3428b02985a5911f45c6f7b77e0abd8f",
+     "ec154af7f286c77daeb9120aaededbdb12154e3db327720832d247778b89c3a4"),
+    (disjoint_union(cycle_graph(8), k2s(8)), 0,
+     "b48196d44e6892c99963ba78f3acd888c5a0c8b632664cb4b16fb63c6367fc21",
+     "bc850bec2fb89f353d5f4b48ead96bca72067afd8e24c9b872ae4d3e5d102588"),
+    (star_graph(16), 0,
+     "fb7079e609529c416013ceebf9edfbc386cfe2f487cfb69cf8c9a66f0c657c00",
+     "92ca263327453fa0429ca76205600d38656105aa5f567b0f211ac3bbf8df57fb"),
+    (cycle_graph(16), 0,
+     "a4f258ea33510451070cee31cb169ab8bb78c6c10fc44f7ed014db70a347529e",
+     "51558dfdf3a938fb17c257b23aa44c53a41471cccec5c5c10e0fcfc3b0fb993e"),
+    (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
+     "c73fc8da0d58e4f8febd5d6909a7e882c85fb8be6b3e4951b46299b3e4327f2e",
+     "adfcbeb433ea379741327fd399d1eea6655c80e4643534c835a3afabf48bf4d1"),
+    (k2s(6), 0,
+     "8d365b9668ae6ad22864bd21553a80ea722dec60ff4443748494b31bc3487c95",
+     "11a3b4cd1fd2f039bd38768514c71ce38b48f01d171f90008933aa79bbed15c6"),
+    (path_graph(5), 0,
+     "1fb1a36712c1aeacb5951a828b9cae4564f791e2f13e42f6b2b86bd940860d31",
+     "ea668b366f70d9ee8efee36bf8d2c1097d177863333e0f1af62d6717bcbb7b78"),
+    # 29 and 16 attach rounds
+    (disjoint_union(cycle_graph(3), k2s(29)), 0,
+     "126e0912c5c44b97274ce23668c6d8d9e919a86359d98f3fc29ed81a227d5c03",
+     "9de0212da9956be72bb6c45da48d82b99a00b1c2dde8c1739a2a41cf4aaf6a1f"),
+    (disjoint_union(cycle_graph(16), k2s(16)), 0,
+     "64d30de327bc824e422c9115e3ddb4fcd04b051a3542c211f4d196f07c37ea09",
+     "db55e2081528cf5d9f16aa89ba75bd05de55dd12b548231e264851fc23f4a654"),
+    # the hub route at scale, where a wrong host map would show
+    (k2s(96), 0,
+     "606c09339907cccd17f41bf3b893d0cec4ca9627d4e159d4b180fd940b884bf7",
+     "1f2d9e1bec5ebd439b28f3774c8a92b80b35513515896fa7984ec883ee5ddb56"),
+    (disjoint_union(path_graph(2), k2s(38)), 0,
+     "25bdbcfb4c22c7122caae1433a92e5c1cefde8c9f25b11b4d05376b87406f93a",
+     "b2ebaa7f829a2caf8d9069b5e7e34c78e04e5472c53541174d79a360c5d726fc"),
+    # the recursive embed (r=16, case 2), where the cut of a
+    # single-edge class's first donor decides which edges move
+    (disjoint_union(star_graph(3), *[path_graph(2)] * 4, path_graph(1)), 0,
+     "ce9f3a31c5763b71ad8599fc85bb5e0e300ec7443386f189c166f749fd5d6085",
+     "81d0b5d45421ac9bfcad75c4e129b1f6c4ff06cbf99e0e364f9de22fd8aa6344"),
+]
+PINNED_IDS = [
+    "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
+    "6K2", "P6", "C3+29K2", "C16+16K2", "96K2", "P3+38K2", "K1,3+4P3+K2",
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "h",
@@ -270,61 +308,8 @@ class TestDeterminism:
         b = certificate_to_text(solve(h, seed=11))
         assert a == b
 
-    # sha256 of the certificate text, and of its format-1 rendering,
-    # which pins the decomposition itself; a change that moves any of
-    # these bytes updates the digest and says why in CHANGES.md
     @pytest.mark.parametrize(
-        "h, seed, digest, format_1_digest",
-        [
-            (disjoint_union(cycle_graph(3), k2s(9)), 0,
-             "b1ed0beace227581e380c32b1de3ee63cd6f67724419e7e8e0e4b943a4f1ca08",
-             "3f59213f9ed6fcf85cee625c0c6f5bcac8e3c8f530c2529fa1906da84b5b7180"),
-            (disjoint_union(cycle_graph(3), k2s(9)), 1,
-             "9b94414ce82f0e76ff9b0944f92cce3a3428b02985a5911f45c6f7b77e0abd8f",
-             "ec154af7f286c77daeb9120aaededbdb12154e3db327720832d247778b89c3a4"),
-            (disjoint_union(cycle_graph(8), k2s(8)), 0,
-             "b48196d44e6892c99963ba78f3acd888c5a0c8b632664cb4b16fb63c6367fc21",
-             "bc850bec2fb89f353d5f4b48ead96bca72067afd8e24c9b872ae4d3e5d102588"),
-            (star_graph(16), 0,
-             "fb7079e609529c416013ceebf9edfbc386cfe2f487cfb69cf8c9a66f0c657c00",
-             "92ca263327453fa0429ca76205600d38656105aa5f567b0f211ac3bbf8df57fb"),
-            (cycle_graph(16), 0,
-             "a4f258ea33510451070cee31cb169ab8bb78c6c10fc44f7ed014db70a347529e",
-             "51558dfdf3a938fb17c257b23aa44c53a41471cccec5c5c10e0fcfc3b0fb993e"),
-            (disjoint_union(path_graph(3), path_graph(2), path_graph(1)), 0,
-             "c73fc8da0d58e4f8febd5d6909a7e882c85fb8be6b3e4951b46299b3e4327f2e",
-             "adfcbeb433ea379741327fd399d1eea6655c80e4643534c835a3afabf48bf4d1"),
-            (k2s(6), 0,
-             "8d365b9668ae6ad22864bd21553a80ea722dec60ff4443748494b31bc3487c95",
-             "11a3b4cd1fd2f039bd38768514c71ce38b48f01d171f90008933aa79bbed15c6"),
-            (path_graph(5), 0,
-             "1fb1a36712c1aeacb5951a828b9cae4564f791e2f13e42f6b2b86bd940860d31",
-             "ea668b366f70d9ee8efee36bf8d2c1097d177863333e0f1af62d6717bcbb7b78"),
-            # 29 and 16 attach rounds
-            (disjoint_union(cycle_graph(3), k2s(29)), 0,
-             "126e0912c5c44b97274ce23668c6d8d9e919a86359d98f3fc29ed81a227d5c03",
-             "9de0212da9956be72bb6c45da48d82b99a00b1c2dde8c1739a2a41cf4aaf6a1f"),
-            (disjoint_union(cycle_graph(16), k2s(16)), 0,
-             "64d30de327bc824e422c9115e3ddb4fcd04b051a3542c211f4d196f07c37ea09",
-             "db55e2081528cf5d9f16aa89ba75bd05de55dd12b548231e264851fc23f4a654"),
-            # the hub route at scale, where a wrong host map would show
-            (k2s(96), 0,
-             "606c09339907cccd17f41bf3b893d0cec4ca9627d4e159d4b180fd940b884bf7",
-             "1f2d9e1bec5ebd439b28f3774c8a92b80b35513515896fa7984ec883ee5ddb56"),
-            (disjoint_union(path_graph(2), k2s(38)), 0,
-             "25bdbcfb4c22c7122caae1433a92e5c1cefde8c9f25b11b4d05376b87406f93a",
-             "b2ebaa7f829a2caf8d9069b5e7e34c78e04e5472c53541174d79a360c5d726fc"),
-            # the recursive embed (r=16, case 2), where the cut of a
-            # single-edge class's first donor decides which edges move
-            (disjoint_union(star_graph(3), *[path_graph(2)] * 4, path_graph(1)), 0,
-             "ce9f3a31c5763b71ad8599fc85bb5e0e300ec7443386f189c166f749fd5d6085",
-             "81d0b5d45421ac9bfcad75c4e129b1f6c4ff06cbf99e0e364f9de22fd8aa6344"),
-        ],
-        ids=[
-            "C3+9K2-s0", "C3+9K2-s1", "C8+8K2", "K1,16", "C16", "P4+P3+P2",
-            "6K2", "P6", "C3+29K2", "C16+16K2", "96K2", "P3+38K2",
-            "K1,3+4P3+K2",
-        ],
+        "h, seed, digest, format_1_digest", PINNED, ids=PINNED_IDS
     )
     def test_pinned_bytes(self, h, seed, digest, format_1_digest):
         cert = solve(h, seed=seed)
@@ -332,6 +317,22 @@ class TestDeterminism:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         text = _dumps_text(cert)
         assert hashlib.sha256(text.encode()).hexdigest() == format_1_digest
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, run_python):
+        # the pinned instances solved under two string hash seeds: no set
+        # or dict order that the hash seed moves may reach the bytes
+        cases = [(h, seed) for h, seed, _, _ in PINNED]
+        code = f"""
+            import hashlib
+            from rainbow_hcd.files import certificate_to_text
+            from rainbow_hcd.solver import solve
+
+            for h, seed in {cases!r}:
+                text = certificate_to_text(solve(h, seed=seed))
+                print(hashlib.sha256(text.encode()).hexdigest())
+        """
+        digests = [run_python(code, PYTHONHASHSEED=str(hs)) for hs in (0, 1)]
+        assert digests[0] == digests[1] == [digest for _, _, digest, _ in PINNED]
 
 
 def partitions(n, largest=None):
@@ -420,18 +421,25 @@ class TestHubLinearForest:
             solve(h, seed=0)
 
 
+def timed_solve(h, bound, what):
+    """Solve h at seed 0, verify the certificate and return it: the solve
+    must take under bound seconds, or the gate fails naming what."""
+    t0 = time.perf_counter()
+    cert = solve(h, seed=0)
+    dt = time.perf_counter() - t0
+    rep = verify_certificate(cert)
+    assert rep.ok, "\n".join(rep.lines())
+    assert dt < bound, f"{what} took {dt:.1f}s"
+    return cert
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "h", [disjoint_union(path_graph(2), k2s(254)), k2s(256)],
     ids=["P3+254K2", "256K2"],
 )
 def test_hub_scale_gate(h):
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 5, f"{len(h)}-edge linear forest took {dt:.1f}s"
+    timed_solve(h, 5, f"{len(h)}-edge linear forest")
 
 
 @pytest.mark.slow
@@ -440,12 +448,7 @@ def test_hub_scale_gate(h):
 )
 def test_dense_scale_gate(h):
     # no attach round: the dense embed and the Hilton completion do the work
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 5, f"{len(h)}-edge dense instance took {dt:.1f}s"
+    timed_solve(h, 5, f"{len(h)}-edge dense instance")
 
 
 @pytest.mark.slow
@@ -454,12 +457,7 @@ def test_dense_scale_gate_n256(h):
     # the recursive embed, then 503 Hilton steps to K_513; the solve took
     # 2.4 to 3.0 s on a 2-core machine with Python 3.11, and the bound is
     # three times the longer time
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 9, f"{len(h)}-edge dense instance took {dt:.1f}s"
+    timed_solve(h, 9, f"{len(h)}-edge dense instance")
 
 
 def random_general(count, seed):
@@ -481,25 +479,15 @@ def random_general(count, seed):
 def test_n64_scale_gate(h, tag):
     # P65 lays its paths by formula; random64-s0 (120 vertices) runs 7
     # attach rounds, random64-s1 (29 vertices) none
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
+    cert = timed_solve(h, 5, f"{len(h)}-edge instance")
     assert cert.trace[0] == f"route: {tag}"
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 5, f"{len(h)}-edge instance took {dt:.1f}s"
 
 
 @pytest.mark.slow
 def test_sparse_scale_gate():
     # C3 + 29K2 runs 29 attach rounds, each solving one slot flow
     h = disjoint_union(cycle_graph(3), k2s(29))
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 20, f"C3+29K2 took {dt:.1f}s"
+    timed_solve(h, 20, "C3+29K2")
 
 
 @pytest.mark.slow
@@ -511,12 +499,7 @@ def test_sparse_scale_gate():
 )
 def test_sparse_scale_gate_n64(h):
     # 61 and 32 attach rounds, then the Hilton completion to K_129
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 10, f"{len(h)}-edge sparse instance took {dt:.1f}s"
+    timed_solve(h, 10, f"{len(h)}-edge sparse instance")
 
 
 @pytest.mark.slow
@@ -525,12 +508,7 @@ def test_sparse_scale_gate_n64(h):
 )
 def test_sparse_scale_gate_n128(h):
     # 125 attach rounds, then the Hilton completion to K_257
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 25, f"{len(h)}-edge sparse instance took {dt:.1f}s"
+    timed_solve(h, 25, f"{len(h)}-edge sparse instance")
 
 
 @pytest.mark.slow
@@ -541,12 +519,7 @@ def test_sparse_scale_gate_n256(h):
     # 253 attach rounds, then the Hilton completion to K_513; the solve
     # took about 5 s on a 2-core machine with Python 3.11, and the bound is
     # three times that
-    t0 = time.perf_counter()
-    cert = solve(h, seed=0)
-    dt = time.perf_counter() - t0
-    rep = verify_certificate(cert)
-    assert rep.ok, "\n".join(rep.lines())
-    assert dt < 15, f"{len(h)}-edge sparse instance took {dt:.1f}s"
+    timed_solve(h, 15, f"{len(h)}-edge sparse instance")
 
 
 def p3_heavy_instances(count, seed):

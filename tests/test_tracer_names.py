@@ -16,31 +16,27 @@ import ast
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import rainbow_hcd
 from rainbow_hcd.families import cycle_graph, disjoint_union, path_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_every_wrapped_name_resolves():
+def test_every_wrapped_name_resolves(run_python):
     # a fresh interpreter, so no earlier test's patching can hide a name
-    code = textwrap.dedent("""
+    code = """
         import importlib
         import importlib.util
         import json
-        import sys
+        import os
 
-        spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+        spec = importlib.util.spec_from_file_location("tracer", os.environ["TRACER"])
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         missing = []
@@ -55,15 +51,8 @@ def test_every_wrapped_name_resolves():
             except AttributeError:
                 missing.append(f"{mod}.{attr}")
         print(json.dumps([len(tracer.WRAPPED), missing]))
-    """)
-    src = Path(rainbow_hcd.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(TRACER)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    count, missing = json.loads(out.stdout.splitlines()[-1])
+    """
+    count, missing = json.loads(run_python(code, TRACER=str(TRACER))[-1])
     assert count > 0
     assert missing == []
 
