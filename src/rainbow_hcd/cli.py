@@ -107,10 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The text of path; a file that cannot be read, or is not UTF-8, is a
+    parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

@@ -1,7 +1,7 @@
 """Embedding the dense part of an instance.
 
 Input: a graph on dense labels 0..r-1 whose components all have at least
-two edges (t edges total, t <= n), for n >= 6.  Output: the edges of K_r
+two edges (t edges total, 1 <= t <= n).  Output: the edges of K_r
 split into n linear forests, edge i sitting alone-per-class in class i,
 every class meeting the size floor of the hilton module docstring at
 order r, the first t classes with their edge of H.
@@ -101,17 +101,18 @@ def embed_dense(
     and return it as its exit check proved it, for the stages after it to
     grow.
 
-    Requires n >= 6, else raises PreconditionViolation: solve routes every
-    n <= 5 to base-small, so only the pipeline calls this stage, always
-    with n >= 6, and below that the recursive regime fails (K_{1,3} at
-    n = 3, P3 at n = 2).  A linear forest with r > n + 1 raises it too:
-    route sends every linear forest with n >= 6 to the hub construction
-    and recursive sub-instances go through solve, and the recursive regime
-    fails on k x P3 at n = 2k for odd k.  The direct regime takes the
-    linear forests with r <= n + 1.  recurse(edges) must solve the
-    instance on edges (s = ceil(r/2) < n of them) outright, under whatever
-    seed the caller chose, and return a certificate that solve has
-    verified; it is only called when r > n + 1.
+    Requires 1 <= t <= n, dense labels, no repeated edge and no
+    component of one edge, else raises PreconditionViolation.  A linear
+    forest with r > n + 1 raises it too: the recursive regime fails on
+    k x P3 at n = 2k for odd k, and route sends every linear forest of
+    six or more edges to the hub construction, every smaller instance to
+    base-small.
+    Every other input is taken at any n: by the direct regime when r <=
+    n + 1, a linear forest too, and by the recursive one otherwise.
+    recurse(edges) must solve the instance on edges (s = ceil(r/2)
+    < n of them) outright, under whatever seed the caller chose, and
+    return a certificate that solve has verified; it is only called when
+    r > n + 1.
     """
     t = len(h_edges)
     vs = edge_vertices(h_edges)
@@ -125,8 +126,6 @@ def embed_dense(
     groups = component_edge_groups(h_edges)
     if min(map(len, groups)) < 2:
         raise PreconditionViolation("every component needs >= 2 edges")
-    if n < 6:
-        raise PreconditionViolation(f"need n >= 6, got n={n}")
     degree = Counter(v for e in h_edges for v in e)
     if r > n + 1 and t == r - len(groups) and max(degree.values()) <= 2:
         raise PreconditionViolation(f"a linear forest with r={r} > n+1={n + 1}")
@@ -235,12 +234,10 @@ def _choose_subgraph(h_edges: list[Edge], s: int) -> list[int]:
 
 
 def _move(donor: set[Edge], target: set[Edge], count: int, exclude: set[Edge]) -> None:
-    """Shift the `count` smallest allowed donor edges into the target.  The
-    cut in exclude keeps the target a linear forest; a move that breaks it
-    all the same is caught by the exit scan of verify_embedded_forests as
-    InvariantViolation."""
-    if count < 0:
-        raise InvariantViolation(f"cannot move {count} edges")
+    """Shift the `count` >= 0 smallest allowed donor edges into the
+    target.  The cut in exclude keeps the target a linear forest; a move
+    that breaks it all the same is caught by the exit scan of
+    verify_embedded_forests as InvariantViolation."""
     avail = sorted(e for e in donor if e not in exclude)
     if len(avail) < count:
         raise InternalInfeasible(
@@ -280,11 +277,9 @@ def _recursive_dense(
     recurse,
     trace: list[str],
 ) -> Decomposition:
-    # r <= 3t/2 <= 3n/2 (each component has at least two edges), so
-    # s <= ceil(3n/4) < n for n >= 6
+    # r <= 3t/2 <= 3n/2 (each component has at least two edges) and
+    # r >= n + 2 give n >= 4 and s <= ceil(3n/4) < n
     s = (r + 1) // 2
-    if not 1 <= s < n:
-        raise InvariantViolation(f"recursive instance of size {s}, n={n}")
     sub_idx = _choose_subgraph(h_edges, s)
     case = 1 if 3 * r <= 4 * n - 1 else 2
     trace.append(f"embed: r={r} t={t} s={s} case={case}")
@@ -313,16 +308,16 @@ def _recursive_dense(
 
     # each row's targets take edges toward their size floor from the
     # donors in turn: in case 1 the whole gap from one donor, in case 2
-    # half the gap less one, then the rest from a second
+    # half the gap less one, then the rest from a second.  The s donors
+    # last: case 1 takes n - s < s of them (2s >= r >= n + 2), and case 2
+    # 2(n - s) <= s (3r >= 4n).  Every gap is at least 2 at r >= n + 2,
+    # so no move count is negative
     empties = range(t, n)
     if case == 1:
         plan = [(singles, False), (empties, False)]
     else:
         plan = [(singles, True), (singles, False),
                 (empties, True), (empties, False)]
-    needed = sum(len(targets) for targets, _ in plan)
-    if needed > len(donors):
-        raise InvariantViolation(f"{needed} donor moves from {len(donors)} donors")
     next_donor = iter(donors)
     for targets, half in plan:
         for i in targets:

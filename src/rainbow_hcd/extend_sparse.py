@@ -143,7 +143,8 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
     on the round's flow (see the module docstring), _split_slots orders
     each vertex's pair, and _witness_ok must accept the result, or the
     round raises InvariantViolation; _assign raises InternalInfeasible
-    when the flow has no solution.
+    when the flow has no solution.  Every class but cstar has cap 4, and
+    _assign gives a class a doubler exactly when its cap passes 2.
 
     Every vertex offers k = 2n - m + 1 >= 4 slots: extend_with_k2s takes
     order r <= 2t - 1 only, and round s <= n - t - 1 runs at m = r + 2s,
@@ -159,10 +160,7 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
         for i, cls in enumerate(dec.classes)
     ]
     cap = [2 if i == cstar else 4 for i in range(n)]
-    doubler = [i != cstar for i in range(n)]
-    owner = _assign(
-        m, [max(0, f) for f in floors], split.ends, split.free, 2, cap, doubler
-    )
+    owner = _assign(m, [max(0, f) for f in floors], split.ends, split.free, 2, cap)
     owner = _split_slots(m, n, split.ends, owner)
     if not _witness_ok(owner, floors):
         raise InvariantViolation(

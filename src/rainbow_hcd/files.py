@@ -139,6 +139,8 @@ def certificate_from_text(text: str) -> RainbowCertificate:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("certificate nests deeper than JSON can be read") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     keys = _KEYS if "format" in doc else _KEYS[1:]

@@ -272,6 +272,11 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
     such an assignment whenever one exists, and raises InternalInfeasible
     otherwise; one always exists for in-contract states.  lay_edges grows
     the split, and check_stage checks it after the step.
+
+    Each class must meet its floor at order m, as the check_stage that
+    last ran on the split shows: extend_to_hcd's entry check, or the one
+    after the previous step.  The floor grows by two a vertex, so no
+    class needs more than the two edges it may take.
     """
     dec = split.dec
     m = dec.order
@@ -279,9 +284,6 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     target = size_floor(m + 1, n, True)
     need = [target - k if k < target else 0 for k in map(len, dec.classes)]
-    if max(need, default=0) > 2:
-        i = next(i for i, d in enumerate(need) if d > 2)
-        raise InvariantViolation(f"class {i} fell behind the size schedule")
     lay_edges(split, [_assign(m, need, split.ends, split.free)], None, "vertex step")
     check_stage(split, n, n, f"at vertex {m}")
 
@@ -368,18 +370,17 @@ def _assign(
     free: list[int],
     units: int = 1,
     cap: list[int] | None = None,
-    doubler: list[bool] | None = None,
 ) -> list[int]:
     """The class each old vertex 0..m-1 gives each of its units (new
     edges) to, in one flat list: vertex v's units sit at v * units on.
     Class i takes need[i] to cap[i] units (2 by default) at its gates
     ends[i].gates(): one at a path end, up to units at an isolated vertex,
-    and two at one gate at most, only if doubler[i] (by default never).
-    free[v] is the mask of the classes in which v lies in a gate, bit i for
-    class i.  Raises InternalInfeasible when there is no such choice.  A
-    Hilton step gives 1 unit a vertex; an attach round gives 2, to classes
-    of cap 4 with a doubler and to its bridge class cstar, of cap 2,
-    without one.
+    and two at one gate at most, only if it has a doubler, which is when
+    cap[i] > 2.  free[v] is the mask of the classes in which v lies in a
+    gate, bit i for class i.  Raises InternalInfeasible when there is no
+    such choice.  A Hilton step gives 1 unit a vertex to classes of cap 2;
+    an attach round gives 2, to classes of cap 4, each with a doubler, and
+    to its bridge class cstar, of cap 2, without one.
 
     This is the flow source -> class -> gate -> vertex -> sink, with the
     doublers of the extend_sparse module docstring, searched on the class
@@ -413,7 +414,7 @@ def _assign(
     """
     n = len(need)
     cap = cap or [2] * n
-    doubler = doubler or [False] * n
+    doubler = [c > 2 for c in cap]
     partner = [e.partner for e in ends]
     gates: dict[int, list[tuple[int, ...]]] = {}  # class -> its gates()
     # the search that last opened each class, and that last searched its
@@ -669,30 +670,27 @@ def _warm_start(
 def close_final_vertex(split: ForestSplit, n: int) -> None:
     """Join vertex 2n to both ends of each spanning path, closing cycles.
 
-    Each class must hold one path by its state (a single path gate), and
-    the 2n closing ends must cover 0..2n-1 once, so the new edges split
-    the star at 2n among the classes.  The states must be tied to their
-    classes, 2n - 1 edges each, by the check_stage that last ran on the
-    split: the last vertex step's, or at order 2n the completion entry's.
-    The classes must partition K_2n, as the scan proved and every step
-    since kept; verify_certificate proves the result."""
+    Each class must hold one path by its state (a single path gate).  The
+    states must be tied to their classes, 2n - 1 edges each, by the
+    check_stage that last ran on the split: the last vertex step's, or at
+    order 2n the completion entry's.  The classes must partition K_2n, as
+    the scan proved and every step since kept.  Then each vertex has
+    degree 2n - 1 over n spanning paths, so it ends exactly one of them,
+    and the 2n closing ends cover 0..2n-1 once: the new edges split the
+    star at 2n among the classes.  verify_certificate proves the
+    result."""
     dec = split.dec
     m = dec.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
-    w = m
-    closing: list[int] = []
     for i, (cls, state) in enumerate(zip(dec.classes, split.ends)):
         gates = state.gates()
         if len(gates) != 1 or len(gates[0]) != 2:
             raise InternalInfeasible(f"class {i} is not a spanning path")
         a, b = gates[0]
-        cls.add(edge(w, a))
-        cls.add(edge(w, b))
-        closing += gates[0]
+        cls.add(edge(m, a))
+        cls.add(edge(m, b))
     dec.order = m + 1
-    if sorted(closing) != list(range(m)):
-        raise InvariantViolation(f"the closing ends do not cover 0..{m - 1} once")
 
 
 def check_stage(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,26 @@ class TestVerify:
         inst, cert = self.roundtrip(tmp_path)
         cert.write_text(cert.read_text()[:40])
         assert main(["verify", str(cert), inst]) == 1
+
+    @pytest.mark.parametrize("fault", ["latin-1-instance", "latin-1-certificate",
+                                       "deep-certificate"])
+    def test_unreadable_text_is_one_parse_error_line(self, tmp_path, capsys, fault):
+        # a file that is not UTF-8, or a certificate nested past the
+        # recursion limit, ends in exit 1 and one line, not a traceback
+        inst, cert = self.roundtrip(tmp_path)
+        if fault == "latin-1-instance":
+            Path(inst).write_bytes(b"3\n0 1\n1 2\n5 9 # \xe9\n")
+            argv = ["solve", inst]
+        elif fault == "latin-1-certificate":
+            cert.write_bytes(cert.read_bytes().replace(b"route", b"\xe9"))
+            argv = ["verify", str(cert), inst]
+        else:
+            cert.write_text("[" * 200_000)
+            argv = ["verify", str(cert), inst]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and len(err.splitlines()) == 1
 
 
 class TestOracle:

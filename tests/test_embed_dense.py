@@ -185,14 +185,6 @@ class TestPreconditions:
         with pytest.raises(PreconditionViolation):
             embed_dense(disjoint_union(path_graph(2), path_graph(1)), 6, recurse)
 
-    @pytest.mark.parametrize(
-        "h, n", [(star_graph(3), 3), (path_graph(2), 2)], ids=["K1,3", "P3"]
-    )
-    def test_rejects_fewer_than_six_classes(self, h, n):
-        # solve sends every n <= 5 to base-small, never here
-        with pytest.raises(PreconditionViolation, match="n >= 6"):
-            embed_dense(h, n, recurse)
-
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_rejects_a_linear_forest_above_the_direct_regime(self, k):
         # k x P3 at n = 2k, k odd, is a linear forest the recursive regime
@@ -209,19 +201,20 @@ class TestPreconditions:
 class TestWholeDomain:
     def test_every_small_graph_embeds_or_meets_its_precondition(self):
         # every graph of at most EXHAUSTIVE_CAP edges whose components all
-        # have two or more edges, at n = max(6, k) .. k + 14: the embed
+        # have two or more edges, at every n = k .. k + 14: the embed
         # returns the states and masks of a fresh scan of its split, or
         # refuses a linear forest with r > n + 1; an InternalInfeasible
         # fails the test.  The trace names the regime, direct exactly when
-        # r <= n + 1.  The 24 pairs with r = n + 1, 19 that recursed and 5
-        # linear forests that the precondition refused, now embed directly
+        # r <= n + 1.  The n below 6 add 37 direct embeds, one recursive
+        # (K_{1,3} + P3 at n = 5, r = 7, case 2) and two refused linear
+        # forests (2 x P3 at n = 4, P4 + P3 at n = 5)
         outcomes = Counter()
         for k in range(1, EXHAUSTIVE_CAP + 1):
             for h in nonisomorphic_edge_graphs(k):
                 if min(map(len, component_edge_groups(h))) < 2:
                     continue
                 r = len(edge_vertices(h))
-                for n in range(max(6, k), k + 15):
+                for n in range(k, k + 15):
                     trace = []
                     try:
                         split = embed_dense(h, n, recurse, trace)
@@ -236,7 +229,7 @@ class TestWholeDomain:
                     direct = trace[0].endswith("direct matchings")
                     assert direct == (r <= n + 1), trace
                     outcomes["direct" if direct else "recursive"] += 1
-        assert outcomes == {"direct": 957, "recursive": 4, "precondition": 4}
+        assert outcomes == {"direct": 994, "recursive": 5, "precondition": 6}
 
 
 class TestDirectRegime:
@@ -260,6 +253,16 @@ class TestDirectRegime:
         dec, trace = run(h, 8)
         assert dec.order == 8
         assert "direct" in trace[0]
+
+    @pytest.mark.parametrize(
+        "h, n", [(star_graph(3), 3), (path_graph(2), 2)], ids=["K1,3", "P3"]
+    )
+    def test_fewer_than_six_classes_embed_directly(self, h, n):
+        # r = n + 1 = t + 1: odd r merges two rounds into class 0, even r
+        # gives every class one perfect matching
+        dec, trace = run(h, n)
+        assert trace == [f"embed: r={n + 1} t={n} direct matchings"]
+        assert all(e in dec.classes[i] for i, e in enumerate(h))
 
 
 def spider(legs):

@@ -85,12 +85,10 @@ def round_owner(m, gates, floors, cstar):
     """hilton._assign as an attach round calls it, on hand-made gates: each
     class's state and every vertex's free-class mask are built from gates[i]
     (gate_states).  Class i takes floors[i] to 4 slots, cstar at most 2,
-    and every class but cstar may double one gate."""
+    and every class but cstar, the classes of cap 4, may double one gate."""
     ends = gate_states(gates)
-    n = len(gates)
-    cap = [2 if i == cstar else 4 for i in range(n)]
-    doubler = [i != cstar for i in range(n)]
-    return hilton._assign(m, floors, ends, free_classes(ends, m), 2, cap, doubler)
+    cap = [2 if i == cstar else 4 for i in range(len(gates))]
+    return hilton._assign(m, floors, ends, free_classes(ends, m), 2, cap)
 
 
 def pairs(owner):
@@ -116,8 +114,7 @@ def gain_floors(split, cstar):
 
 
 def p3_split():
-    # the direct-matching split of P3 = 0-1-2 at n = 3, as embed_dense laid
-    # it before that stage took n >= 6 only
+    # the direct-matching split embed_dense lays for P3 = 0-1-2 at n = 3
     return Decomposition(3, [{edge(0, 1)}, {edge(0, 2), edge(1, 2)}, set()])
 
 
@@ -961,14 +958,15 @@ def thick_graphs(draw):
 
 class TestStageContract:
     # extend_with_k2s on embed_dense's splits, not through solve's routing.
-    # The thick part is drawn from the pipeline's domain (no linear forest,
-    # n >= 6): embed_dense rejects n < 6, and a linear forest with more
-    # vertices than classes, such as 3 x P3 at n = 6.
+    # The thick part is drawn from the pipeline's domain, no linear forest
+    # (embed_dense refuses one with more vertices than classes, such as
+    # 3 x P3 at n = 6), at every n, the n <= 5 that route sends to
+    # base-small too.
     @settings(max_examples=60, deadline=None)
     @given(thick_graphs(), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_attach_rounds_keep_the_contract(self, h, k2_count, seed):
         t = len(h)
-        n = max(6, t + k2_count)
+        n = t + k2_count
         r = len(edge_vertices(h))
         split = extend_with_k2s(dense_split(h, n, seed), t, n)
         out = split.dec

@@ -258,6 +258,11 @@ class TestCertificateFromText:
         with pytest.raises(ParseError):
             certificate_from_text("[1, 2]")
 
+    def test_rejects_nesting_past_the_recursion_limit(self):
+        # json.loads raises RecursionError here, which is no ParseError
+        with pytest.raises(ParseError, match="nests deeper"):
+            certificate_from_text("[" * 200_000)
+
     @pytest.mark.parametrize(
         "key",
         ["n", "order", "label_map", "classes", "h_edges", "assignment", "seed"],

@@ -339,12 +339,16 @@ class TestSteps:
             extend_to_hcd(scan(truncate_to_order(walecki(2), 3)), 2)
 
     def test_close_rejects_repeated_closing_ends(self):
-        # both states name the ends 0 and 3, so vertex 4 would meet 0 and 3
-        # twice and 1 and 2 never
+        # both states name the ends 0 and 3, so vertex 4 meets 0 and 3
+        # twice and 1 and 2 never; the close trusts the states, and the
+        # proof of the result names the edge that lies in two classes
         split = scan(k4_paths())
         split.ends[1] = scan(k4_paths()).ends[0]
-        with pytest.raises(InvariantViolation, match="closing ends"):
-            close_final_vertex(split, 2)
+        close_final_vertex(split, 2)
+        with pytest.raises(
+            InvariantViolation, match=r"edge \([03], 4\) appears in two classes"
+        ):
+            split.dec.check_hcd()
 
     def test_step_rejects_large_order(self):
         with pytest.raises(PreconditionViolation):
@@ -603,12 +607,18 @@ class TestInvariants:
         assert main(["solve", str(path)]) == 3
 
     def test_class_behind_schedule_raises(self):
-        # at order 5 with n=3 every class needs 5 edges after the step
+        # at order 5 with n=3 every class needs 5 edges after the step, so
+        # a class of 2 is 3 short; the completion entry refuses it below
+        # its floor before any step runs
         cut = truncate_to_order(walecki(3), 5)
         cut.classes[0] = set(sorted(cut.classes[0])[:2])
         split = unproved(cut)
-        with pytest.raises(InvariantViolation, match="fell behind"):
-            single_vertex_step(split, 3)
+        with pytest.raises(
+            PreconditionViolation,
+            match="class 0 has 2 edges, floor 3 at the completion entry",
+        ):
+            extend_to_hcd(split, 3)
+        assert split.dec.order == 5
 
 
 class TestPathEnds:

@@ -10,16 +10,19 @@ from rainbow_hcd import embed_dense, solver
 from rainbow_hcd.errors import (
     InfeasibleInput,
     InvariantViolation,
+    NotLinearForest,
     PreconditionViolation,
 )
 from rainbow_hcd.families import (
     cycle_graph,
     disjoint_union,
+    nonisomorphic_edge_graphs,
     path_graph,
     star_graph,
 )
 from rainbow_hcd.files import certificate_to_text
 from rainbow_hcd.graph_core import (
+    RainbowCertificate,
     analyze_linear_forest,
     edge,
     edge_vertices,
@@ -39,39 +42,30 @@ def k2s(count):
     return disjoint_union(*[path_graph(1)] * count)
 
 
-class TestPipelineChecks:
-    def test_checks_raise_under_optimize(self, run_optimized):
-        # the pipeline's own checks and the closing check of
-        # analyze_linear_forest raise, also under python -O, where asserts
-        # are stripped
-        lines = run_optimized("""
-            from rainbow_hcd import graph_core, solver
-            from rainbow_hcd.embed_dense import _recursive_dense
-            from rainbow_hcd.errors import InvariantViolation
-            from rainbow_hcd.families import star_graph
-
-            def probe(run):
+class TestStagesBelowSixEdges:
+    def test_every_graph_of_at_most_five_edges_without_the_planted_search(self):
+        # route sends every n <= 5 to base-small; called directly, the hub
+        # construction lays each of the 45 graphs of 1 to 5 edges that is
+        # a linear forest, and the pipeline each other one, one of them
+        # (K_{1,3} + P3) through a recursive embed
+        routes = Counter()
+        for k in range(1, 6):
+            for h in nonisomorphic_edge_graphs(k):
+                nv = len(edge_vertices(h))
                 try:
-                    run()
-                except InvariantViolation as exc:
-                    print(exc)
+                    paths = analyze_linear_forest(h, range(nv)).paths
+                except NotLinearForest:
+                    dec, assignment, trace = solver._main_pipeline(h, k, 0)
                 else:
-                    print("no error")
-
-            # P3 + K2: two thick edges, too few for the pipeline
-            h = [(0, 1), (1, 2), (3, 4)]
-            probe(lambda: solver._main_pipeline(h, 3, 0))
-            # a recursive embed that would ask for an instance of the full
-            # size: r = 12 vertices at n = 6 gives s = 6
-            probe(lambda: _recursive_dense(
-                star_graph(6), 12, 6, 6, solver.solve, []))
-            # a view whose paths miss an edge
-            graph_core.LinearForestView.edge_count = property(lambda v: 0)
-            probe(lambda: graph_core.analyze_linear_forest([(0, 1)], range(2)))
-        """)
-        assert "t=2" in lines[0]
-        assert "recursive instance of size 6" in lines[1]
-        assert "paths hold 0 of 1 edges" in lines[2]
+                    dec, assignment, trace = solver._hub_linear_forest(h, k, paths)
+                cert = RainbowCertificate(
+                    k, 0, h, {v: v for v in range(nv)}, assignment, dec, trace
+                )
+                report = verify_certificate(cert)
+                assert report.ok, (h, report.lines())
+                routes[trace[0].split(":")[0]] += 1
+                routes["recursive"] += any("case=" in line for line in trace)
+        assert routes == {"hub": 18, "embed": 27, "recursive": 1}
 
 
 def strategy(h):
