@@ -72,10 +72,15 @@ def format_instance(edges: list[Edge]) -> str:
 
 def _int(tok: str, what: str) -> int:
     """tok as a number, or ParseError unless it is ASCII decimal digits:
-    int() alone would also read "+3", "1_0" and other scripts' digits."""
+    int() alone would also read "+3", "1_0" and other scripts' digits.
+    int() refuses more digits than sys.get_int_max_str_digits() allows
+    with a ValueError, which is a ParseError here too."""
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"{what} is not a decimal number: {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ParseError(f"{what} is too long a number: {exc}") from None
 
 
 _KEYS = (
@@ -139,6 +144,8 @@ def certificate_from_text(text: str) -> RainbowCertificate:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
+    except ValueError as exc:  # a number past int()'s digit limit
+        raise ParseError(f"certificate holds too long a number: {exc}") from None
     except RecursionError:
         raise ParseError("certificate nests deeper than JSON can be read") from None
     if not isinstance(doc, dict):
@@ -249,4 +256,7 @@ def _label_map(doc) -> dict[int, int]:
         raise ParseError("label_map has a key that is not a decimal integer")
     if not _all_type(list(doc.values()), int):
         raise ParseError("label_map has a value that is not an integer")
-    return {int(k): v for k, v in doc.items()}
+    try:
+        return {int(k): v for k, v in doc.items()}
+    except ValueError as exc:  # a key past int()'s digit limit
+        raise ParseError(f"label_map has too long a key: {exc}") from None

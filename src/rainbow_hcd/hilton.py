@@ -18,37 +18,39 @@ The pipeline carries one ForestSplit from the embed exit to the close:
 the classes, a PathEnds state per class holding its path ends, and per
 vertex one int holding its free classes, those in which it is a path end
 or isolated, as bit i for class i.  ForestSplit.scan builds it from a
-bare Decomposition and is the one proof of the split: the classes must
-partition K_m, and one analyze_linear_forest scan of each class, which
-keeps two neighbour slots per vertex in flat lists and walks each path
-from its lower end off them, gives its state; the masks are read off the
-states.  From there the split grows in place.  lay_edges takes a step's
-or a round's edges as one owner list per new vertex, the class each old
-vertex gives its edge to, plus a round's bridge class, and first checks
-that every old vertex gives each new vertex exactly one edge: that keeps
-a partition of K_m one of the grown clique, so no step or round
-re-proves it.  It lays the edges into the classes, the states and the
-masks together, each through add_edge, the one copy of the join rule,
-whose returned far end tells whether the old vertex was a path end and
-so loses the class; a new vertex's mask is read off the states once its
-edges are laid.  check_stage runs where a stage takes the split on and
-after each round and step: it checks the class count and the floors, and
-in one pass over the states ties each class to its state by the edge
-count the state implies and the masks' total bit count to the states.
-The choice at each vertex is a flow with lower bounds, source -> class
--> gate -> vertex -> sink, where a gate is a path's pair of ends or an
-isolated vertex.  _assign searches it by augmenting paths on the states
-and the free-class masks, without building a network; each attach round
-of extend_sparse picks its slots with the same search.  _Dinic, a
-general max-flow with lower bounds, has no caller here: the tests check
-both uses of _assign on it.
+bare Decomposition and is the one proof of the split: check_partition
+proves that the classes partition K_m, and then one pass over each
+class, which fills two neighbour slots per vertex in flat lists and
+walks each path once from its lower end off them, shows it is a linear
+forest and gives its state and its bits of the masks.  From there the
+split grows in place.  lay_edges takes a step's or a round's edges as
+one owner list per new vertex, the class each old vertex gives its edge
+to, plus a round's bridge class, and first checks that every old vertex
+gives each new vertex exactly one edge: that keeps a partition of K_m
+one of the grown clique, so no step or round re-proves it.  It lays the
+edges into the classes, the states and the masks together, each through
+add_edge, the one copy of the join rule, whose returned far end tells
+whether the old vertex was a path end and so loses the class; a new
+vertex's mask is read off the states once its edges are laid.
+check_stage runs where a stage takes the split on and after each round
+and step: it checks the class count and the floors, and in one pass over
+the states ties each class to its state by the edge count the state
+implies and the masks' total bit count to the states.  The choice at
+each vertex is a flow with lower bounds, source -> class -> gate ->
+vertex -> sink, where a gate is a path's pair of ends or an isolated
+vertex.  _assign takes a greedy start when it already meets every bound,
+as most vertex steps' starts do, and otherwise searches the flow by
+augmenting paths on the states and the free-class masks, without
+building a network; each attach round of extend_sparse picks its slots
+with the same search.  _Dinic, a general max-flow with lower bounds, has
+no caller here: the tests check both uses of _assign on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import lt, sub
+from operator import ge, lt, sub
 
 from .errors import (
     InternalInfeasible,
@@ -57,12 +59,11 @@ from .errors import (
     PreconditionViolation,
     SolverError,
 )
-from .graph_core import (
-    Decomposition,
-    LinearForestView,
-    analyze_linear_forest,
-    edge,
-)
+from .graph_core import Decomposition, Edge, edge
+
+# analyze_linear_forest is not called here, but perfbench/tracer.py looks
+# it up at this name
+from .graph_core import analyze_linear_forest  # noqa: F401
 
 _INF = 1 << 30
 
@@ -186,12 +187,9 @@ class PathEnds:
     A new vertex enters isolated, as lay_edges adds it to every class.
     """
 
-    def __init__(self, view: LinearForestView) -> None:
-        self.partner: dict[int, int] = {}
-        for p in view.paths:
-            self.partner[p[0]] = p[-1]
-            self.partner[p[-1]] = p[0]
-        self.isolated = set(view.isolated)
+    def __init__(self, partner: dict[int, int], isolated: set[int]) -> None:
+        self.partner = partner
+        self.isolated = isolated
 
     def gates(self) -> list[tuple[int, ...]]:
         """Where the forest may take a new edge: each path as its (low,
@@ -234,8 +232,8 @@ class ForestSplit:
     """A split of K_order into linear forests as the stages carry it:
     the classes in dec, the path ends of class i in ends[i], and in
     free[v] the mask of the classes in which vertex v is a path end or
-    isolated (free_classes).  scan builds one; lay_edges grows all three
-    in place, and check_stage ties them together."""
+    isolated.  scan builds one; lay_edges grows all three in place, and
+    check_stage ties them together."""
 
     dec: Decomposition
     ends: list[PathEnds]
@@ -245,17 +243,76 @@ class ForestSplit:
     def scan(cls, dec: Decomposition, where: str = "in the scan") -> ForestSplit:
         """The split of dec, proved: its classes must partition K_order
         (InvariantViolation) and each must be a linear forest
-        (NotLinearForest, naming the class and where), which one
-        analyze_linear_forest scan of each class shows and turns into its
-        state."""
+        (NotLinearForest, naming the class and where), which one slot pass
+        over each class shows and turns into its state and mask bits."""
         dec.check_partition()
+        order = dec.order
         ends = []
+        free = [0] * order
         for i, edges in enumerate(dec.classes):
             try:
-                ends.append(PathEnds(analyze_linear_forest(edges, range(dec.order))))
+                ends.append(_forest_state(edges, order, free, 1 << i))
             except NotLinearForest as exc:
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
-        return cls(dec, ends, free_classes(ends, dec.order))
+        return cls(dec, ends, free)
+
+
+def _forest_state(
+    edges: set[Edge], order: int, free: list[int], bit: int
+) -> PathEnds:
+    """The state of one class of a partition of K_order, each edge (u, v)
+    with 0 <= u < v < order, or NotLinearForest; bit is set in free[v] for
+    each path end and isolated vertex v.  The edges fill two neighbour
+    slots per vertex, as in graph_core._prove, a third edge at a vertex
+    refusing the class.  A vertex with its second slot empty is isolated
+    or a path end, and each path is walked once, from its lower end, to
+    find its other: from cur it steps to first[cur] + second[cur] - prev,
+    the slot that does not lead back, which past an end, its second slot
+    empty, is -1.  The walks cover every edge unless an edge lies on a
+    cycle."""
+    first = [-1] * order
+    second = [-1] * order
+    for e in edges:
+        u, v = e
+        if first[u] < 0:
+            first[u] = v
+        elif second[u] < 0:
+            second[u] = v
+        else:
+            raise NotLinearForest(f"degree above two at edge {e}")
+        if first[v] < 0:
+            first[v] = u
+        elif second[v] < 0:
+            second[v] = u
+        else:
+            raise NotLinearForest(f"degree above two at edge {e}")
+    partner: dict[int, int] = {}
+    isolated: set[int] = set()
+    walked = 0
+    for x in range(order):
+        if second[x] >= 0:
+            continue
+        free[x] |= bit
+        cur = first[x]
+        if cur < 0:
+            isolated.add(x)
+        elif x not in partner:  # else x is the far end of a walked path
+            prev = x
+            while cur >= 0:
+                prev, cur = cur, first[cur] + second[cur] - prev
+                walked += 1
+            partner[x] = prev
+            partner[prev] = x
+    if walked != len(edges):
+        # an edge lies on a cycle: name the lowest vertex whose walk
+        # comes back to it
+        for x in range(order):
+            prev, cur = x, first[x]
+            while cur >= 0 and cur != x:
+                prev, cur = cur, first[cur] + second[cur] - prev
+            if cur == x:
+                raise NotLinearForest(f"a cycle runs through edge {edge(x, first[x])}")
+    return PathEnds(partner, isolated)
 
 
 def size_floor(m: int, n: int, holds_edge: bool) -> int:
@@ -323,44 +380,31 @@ def lay_edges(
             f"class {bridge}, wanted one without or two with a class 0..{n - 1}"
         )
     grown = range(m, m + len(owners))
-    new = [(i, v, w) for w, owner in zip(grown, owners) for v, i in enumerate(owner)]
-    if bridge is not None:
-        new.append((bridge, m, m + 1))
     classes = dec.classes
     for w in grown:
         for state in ends:
             state.isolated.add(w)
-    for i, u, w in new:
-        state = ends[i]
-        try:
-            far = state.add_edge(u, w)
-        except NotLinearForest as exc:
-            raise InvariantViolation(
-                f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
-            ) from exc
-        if u < m and far != u:  # u was a path end, and is interior now
-            free[u] &= ~(1 << i)
-        classes[i].add((u, w))  # u < w: an old vertex, or m for the bridge
+    try:
+        for w, owner in zip(grown, owners):
+            for u, i in enumerate(owner):
+                # add_edge returns u unless u was a path end, interior now
+                if ends[i].add_edge(u, w) != u:
+                    free[u] &= ~(1 << i)
+                classes[i].add((u, w))
+        if bridge is not None:
+            i, u, w = bridge, m, m + 1
+            ends[i].add_edge(u, w)
+            classes[i].add((u, w))
+    except NotLinearForest as exc:
+        raise InvariantViolation(
+            f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
+        ) from exc
     for w in grown:
         free.append(sum(
             1 << i for i, state in enumerate(ends)
             if w in state.isolated or w in state.partner
         ))
     dec.order = grown.stop
-
-
-def free_classes(ends: list[PathEnds], m: int) -> list[int]:
-    """For each vertex 0..m-1, the mask of the classes in which it is a
-    path end or isolated, bit i for class i: where it may take a new
-    edge."""
-    free = [0] * m
-    for i, e in enumerate(ends):
-        bit = 1 << i
-        for v in e.partner:
-            free[v] |= bit
-        for v in e.isolated:
-            free[v] |= bit
-    return free
 
 
 def _assign(
@@ -385,9 +429,11 @@ def _assign(
     This is the flow source -> class -> gate -> vertex -> sink, with the
     doublers of the extend_sparse module docstring, searched on the class
     of each unit and the vertices each class holds.  _warm_start gives a
-    start within every upper bound.  Then each vertex short of a unit gets
-    one by an augmenting path (home), and each class below its floor one
-    more by an augmenting cycle through a class above its floor (fill).
+    start within every upper bound.  A start that places every unit and
+    meets every floor is a feasible flow, and is returned as it is.
+    Otherwise each vertex short of a unit gets one by an augmenting path
+    (home), and each class below its floor one more by an augmenting
+    cycle through a class above its floor (fill).
     home needs only free and the path partners, and walks a vertex's
     classes in ascending order; fill reads a class's gates when it first
     opens that class, once per call.
@@ -423,6 +469,12 @@ def _assign(
     dopened = [0] * n
     search = 0
     owner = _warm_start(need, free, partner, units, cap)
+    if -1 not in owner:
+        load = [0] * n
+        for i in owner:
+            load[i] += 1
+        if all(map(ge, load, need)):
+            return owner  # a feasible start: nothing to search
     held: list[list[int]] = [[] for _ in range(n)]  # a vertex per unit
     for u, i in enumerate(owner):
         if i >= 0:
@@ -613,7 +665,9 @@ def _warm_start(
     The classes are kept in one mask per gap (need - load) and one mask of
     those still open (load below the pass's bound), so a vertex none of
     whose classes is open costs one test, and the class it takes is the
-    lowest set bit, in the highest gap, that passes the gate test."""
+    lowest set bit, in the highest gap, that passes the gate test.  A
+    class's gap only falls, so once the buckets of the highest gaps are
+    empty they stay so, and each scan starts at the first that is not."""
     m, n = len(free), len(need)
     owner = [-1] * (m * units)
     took = [0] * m  # per vertex, the classes holding one of its units
@@ -623,12 +677,14 @@ def _warm_start(
     # by_gap[top_gap - g]: the classes with need - load == g, so the
     # highest gap comes first; no load passes max(need, cap)
     low_gap = min(0, min(map(sub, need, cap)))
-    by_gap = [0] * (top_gap - low_gap + 1)
+    gaps = top_gap - low_gap + 1
+    by_gap = [0] * gaps
     for bit, d in zip(bits, need):
         by_gap[top_gap - d] |= bit
 
     count = list(map(int.bit_count, free))
     order = sorted(range(m), key=count.__getitem__)
+    first = 0  # the first bucket that is not empty
     for top in (need, cap) if any(need) else (cap,):
         room = sum(compress(bits, map(lt, load, top)))
         for k in range(units):
@@ -641,8 +697,8 @@ def _warm_start(
                     continue
                 # the lowest class passing the gate test in the first bucket
                 # that holds one; with none, v gets no unit in this sweep
-                for g, bucket in enumerate(by_gap):
-                    tied = classes & bucket
+                for g in range(first, gaps):
+                    tied = classes & by_gap[g]
                     while tied:
                         bit = tied & -tied
                         i = bit.bit_length() - 1
@@ -659,6 +715,8 @@ def _warm_start(
                 took[v] |= bit
                 by_gap[g] ^= bit
                 by_gap[g + 1] |= bit
+                if g == first and not by_gap[g]:
+                    first += 1
                 load[i] += 1
                 if load[i] == top[i]:
                     room ^= bit

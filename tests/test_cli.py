@@ -6,7 +6,7 @@ import pytest
 from rainbow_hcd.cli import main
 from rainbow_hcd.files import certificate_from_text, format_instance
 from rainbow_hcd.graph_core import verify_certificate
-from test_files import _dumps_text
+from test_files import LONG, _dumps_text, digit_limit
 
 
 def write_instance(tmp_path, edges, name="instance.txt"):
@@ -143,17 +143,27 @@ class TestVerify:
         cert.write_text(cert.read_text()[:40])
         assert main(["verify", str(cert), inst]) == 1
 
-    @pytest.mark.parametrize("fault", ["latin-1-instance", "latin-1-certificate",
-                                       "deep-certificate"])
+    @pytest.mark.parametrize("fault", [
+        "latin-1-instance", "latin-1-certificate", "deep-certificate",
+        pytest.param("long-number-instance", marks=digit_limit),
+        pytest.param("long-number-certificate", marks=digit_limit),
+    ])
     def test_unreadable_text_is_one_parse_error_line(self, tmp_path, capsys, fault):
-        # a file that is not UTF-8, or a certificate nested past the
-        # recursion limit, ends in exit 1 and one line, not a traceback
+        # a file that is not UTF-8, a certificate nested past the
+        # recursion limit, or a number of more digits than int() reads,
+        # ends in exit 1 and one line, not a traceback
         inst, cert = self.roundtrip(tmp_path)
         if fault == "latin-1-instance":
             Path(inst).write_bytes(b"3\n0 1\n1 2\n5 9 # \xe9\n")
             argv = ["solve", inst]
         elif fault == "latin-1-certificate":
             cert.write_bytes(cert.read_bytes().replace(b"route", b"\xe9"))
+            argv = ["verify", str(cert), inst]
+        elif fault == "long-number-instance":
+            Path(inst).write_text(f"1\n0 {LONG}\n")
+            argv = ["solve", inst]
+        elif fault == "long-number-certificate":
+            cert.write_text(f'{{"n": {LONG}}}')
             argv = ["verify", str(cert), inst]
         else:
             cert.write_text("[" * 200_000)
@@ -162,6 +172,7 @@ class TestVerify:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestOracle:

@@ -38,6 +38,7 @@ from rainbow_hcd.graph_core import (
 )
 from rainbow_hcd.hilton import ForestSplit
 from rainbow_hcd.solver import solve
+from test_hilton import held_state, scans_checked, view_scan
 
 
 def recurse(edges):
@@ -222,10 +223,10 @@ class TestWholeDomain:
                         assert f"a linear forest with r={r} > n+1={n + 1}" in str(exc)
                         outcomes["precondition"] += 1
                         continue
+                    # and the composition the scan replaced agrees
                     scan = ForestSplit.scan(split.dec.copy())
-                    assert ([(e.partner, e.isolated) for e in split.ends]
-                            == [(e.partner, e.isolated) for e in scan.ends])
-                    assert split.free == scan.free
+                    assert held_state(split) == held_state(scan)
+                    assert held_state(scan) == held_state(view_scan(split.dec))
                     direct = trace[0].endswith("direct matchings")
                     assert direct == (r <= n + 1), trace
                     outcomes["direct" if direct else "recursive"] += 1
@@ -514,14 +515,16 @@ def tree_mix_instances(count, seed):
 
 
 @pytest.mark.slow
-def test_tree_mix_sweep():
+def test_tree_mix_sweep(monkeypatch):
     # 600 instances, solved at seeds 0 and 1 in turn, each verified; one
     # mix is a linear forest and takes the hub route.  The top-level embed
     # of every dense part on n + 1 vertices is direct, 477 of them, over
     # all four cases: r odd or even, t = n or t < n.  Of the rest, 83 have
     # r <= n and 39 recurse.  The sweep took 3.8-5.6 s on a 2-core machine
     # with Python 3.11; the bound is five times the slower.  The digest of the concatenated certificate texts pins
-    # every byte; a change that moves it says why in CHANGES.md
+    # every byte; a change that moves it says why in CHANGES.md.  Every
+    # embed exit's scan is checked against view_scan
+    scans = scans_checked(monkeypatch)
     counts = Counter()
     digest = hashlib.sha256()
     t0 = time.perf_counter()
@@ -547,6 +550,7 @@ def test_tree_mix_sweep():
     assert [counts[k] for k in [("odd", "t=n"), ("odd", "t<n"),
                                 ("even", "t=n"), ("even", "t<n")]] == [172, 76, 156, 73]
     assert (counts["direct"], counts["recursive"]) == (83, 39)
+    assert len(scans) >= 477 + 83 + 39
     assert digest.hexdigest() == (
         "32ad52d0e111470440cfaf613c8117aa54c8ee62623241886635e2d9ea7c145b"
     )

@@ -31,7 +31,6 @@ from rainbow_hcd.families import (
 )
 from rainbow_hcd.graph_core import (
     Decomposition,
-    LinearForestView,
     analyze_linear_forest,
     complete_edges,
     component_edge_groups,
@@ -45,10 +44,10 @@ from rainbow_hcd.hilton import (
     _Dinic,
     check_stage,
     extend_to_hcd,
-    free_classes,
     size_floor,
 )
 from rainbow_hcd.solver import solve
+from test_hilton import free_classes
 
 scan = ForestSplit.scan
 
@@ -73,10 +72,10 @@ def gate_states(gates):
     """The state of each class from gates[i], a path as its two ends or an
     isolated vertex alone; every other vertex lies inside a path."""
     return [
-        PathEnds(LinearForestView(
-            tuple(g for g in gs if len(g) == 2),
-            tuple(g[0] for g in gs if len(g) == 1),
-        ))
+        PathEnds(
+            {v: w for g in gs if len(g) == 2 for v, w in (g, g[::-1])},
+            {g[0] for g in gs if len(g) == 1},
+        )
         for gs in gates
     ]
 
@@ -812,12 +811,12 @@ class TestCarriedState:
 
     def test_no_round_builds_the_free_lists(self, monkeypatch):
         # the masks come with the split from its scan; neither the rounds
-        # nor the completion build them again
-        def no_lists(*args):
-            raise AssertionError("free_classes called")
+        # nor the completion scan again
+        def no_scan(*args):
+            raise AssertionError("ForestSplit.scan called")
 
         split = dense_split(disjoint_union(star_graph(3), path_graph(2)), 8)
-        monkeypatch.setattr(hilton, "free_classes", no_lists)
+        monkeypatch.setattr(ForestSplit, "scan", no_scan)
         extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8).check_hcd()
 
     def test_class_moved_apart_from_its_state_is_caught(self, capsys):
@@ -981,7 +980,7 @@ def greedy_entry_split(rng, r, n):
     """A split of K_r into n linear forests, or None: the edges in a random
     order, each to the smallest class, ties in a random order, that it
     keeps a linear forest."""
-    states = [PathEnds(analyze_linear_forest((), range(r))) for _ in range(n)]
+    states = [PathEnds({}, set(range(r))) for _ in range(n)]
     classes = [set() for _ in range(n)]
     edges = complete_edges(r)
     rng.shuffle(edges)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from collections import defaultdict
 
@@ -22,6 +23,15 @@ from rainbow_hcd.families import (
 )
 from rainbow_hcd.graph_core import edge, verify_certificate
 from rainbow_hcd.solver import solve
+
+
+# 5,000 digits: more than int() reads from text, 4,300 by default; a
+# Python without that limit, or with it raised or off, reads them all
+LONG = "9" * 5000
+digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG),
+    reason="int() reads 5,000 digits here",
+)
 
 
 class TestParseInstance:
@@ -59,6 +69,15 @@ class TestParseInstance:
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
+            parse_instance(text)
+
+    @digit_limit
+    @pytest.mark.parametrize("text, what", [
+        (f"{LONG}\n0 1\n", "edge count"), (f"1\n0 {LONG}\n", "vertex label"),
+    ], ids=["edge-count", "label"])
+    def test_rejects_a_number_past_the_digit_limit(self, text, what):
+        # int() raises ValueError on it, which is no ParseError
+        with pytest.raises(ParseError, match=f"{what} is too long a number"):
             parse_instance(text)
 
     def test_loops_and_repeats_pass_through(self):
@@ -262,6 +281,23 @@ class TestCertificateFromText:
         # json.loads raises RecursionError here, which is no ParseError
         with pytest.raises(ParseError, match="nests deeper"):
             certificate_from_text("[" * 200_000)
+
+    @digit_limit
+    def test_rejects_a_number_past_the_digit_limit(self):
+        # json.loads raises ValueError on it, which is no ParseError
+        with pytest.raises(ParseError, match="holds too long a number"):
+            certificate_from_text(f'{{"n": {LONG}}}')
+        text = self.corrupt(lambda d: d["label_map"].update({"0": 0}))
+        with pytest.raises(ParseError, match="holds too long a number"):
+            certificate_from_text(text.replace('"0": 0', f'"0": {LONG}'))
+
+    @digit_limit
+    def test_rejects_a_label_key_past_the_digit_limit(self):
+        # a key is a string to json.loads; int() reads it after
+        text = self.corrupt(lambda d: TestCertificateFromText._rekey(
+            d, lambda k: LONG if k == "0" else k))
+        with pytest.raises(ParseError, match="label_map has too long a key"):
+            certificate_from_text(text)
 
     @pytest.mark.parametrize(
         "key",

@@ -11,6 +11,7 @@ from rainbow_hcd.errors import (
     InvariantViolation,
     NotLinearForest,
     PreconditionViolation,
+    SolverError,
 )
 from rainbow_hcd.families import (
     cycle_graph,
@@ -33,7 +34,6 @@ from rainbow_hcd.hilton import (
     _Dinic,
     close_final_vertex,
     extend_to_hcd,
-    free_classes,
     single_vertex_step,
     truncate_to_order,
 )
@@ -42,12 +42,75 @@ from rainbow_hcd.solver import solve
 scan = ForestSplit.scan
 
 
+def path_ends(cls, order):
+    """The state of the linear forest cls on 0..order-1, read off its
+    analyze_linear_forest view: each path's two ends partnered, and the
+    isolated vertices."""
+    view = analyze_linear_forest(cls, range(order))
+    partner = {}
+    for p in view.paths:
+        partner[p[0]] = p[-1]
+        partner[p[-1]] = p[0]
+    return PathEnds(partner, set(view.isolated))
+
+
+def free_classes(ends, m):
+    """For each vertex 0..m-1, the mask of the classes in which it is a
+    path end or isolated, bit i for class i, read off the states: the
+    reference for the masks that ForestSplit.scan builds."""
+    free = [0] * m
+    for i, e in enumerate(ends):
+        bit = 1 << i
+        for v in e.partner:
+            free[v] |= bit
+        for v in e.isolated:
+            free[v] |= bit
+    return free
+
+
 def unproved(dec):
     """The states and masks ForestSplit.scan builds, for classes that
     need not partition K_order and so would fail its proof."""
-    ends = [PathEnds(analyze_linear_forest(c, range(dec.order)))
-            for c in dec.classes]
+    ends = [path_ends(c, dec.order) for c in dec.classes]
     return ForestSplit(dec, ends, free_classes(ends, dec.order))
+
+
+def view_scan(dec, where="in the scan"):
+    """ForestSplit.scan as a composition of the reference pieces: the
+    partition proof, one analyze_linear_forest view per class turned into
+    its state, a refusal naming the class and where, then the masks read
+    off the states.  The scan must give equal states and masks, and the
+    same errors."""
+    dec.check_partition()
+    ends = []
+    for i, cls in enumerate(dec.classes):
+        try:
+            ends.append(path_ends(cls, dec.order))
+        except NotLinearForest as exc:
+            raise NotLinearForest(f"class {i} {where}: {exc}") from exc
+    return ForestSplit(dec, ends, free_classes(ends, dec.order))
+
+
+def scans_checked(monkeypatch):
+    """Make every ForestSplit.scan compare its split with view_scan's; the
+    list returned collects the order of each split compared."""
+    real = ForestSplit.scan
+    checked = []
+
+    def compared(dec, where="in the scan"):
+        split = real(dec, where)
+        assert held_state(split) == held_state(view_scan(dec, where)), where
+        checked.append(dec.order)
+        return split
+
+    monkeypatch.setattr(ForestSplit, "scan", compared)
+    return checked
+
+
+def held_state(split):
+    """What a split holds, comparable by ==: per class its partner map and
+    isolated set, and the masks."""
+    return [(e.partner, e.isolated) for e in split.ends], split.free
 
 
 def k4_paths():
@@ -243,7 +306,7 @@ def greedy_forest_split(rng, m, n):
     """A split of K_m into n linear forests, or None: the edges in a random
     order, each to the first class, in a random order, that it keeps a
     linear forest."""
-    states = [PathEnds(analyze_linear_forest((), range(m))) for _ in range(n)]
+    states = [PathEnds({}, set(range(m))) for _ in range(n)]
     classes = [set() for _ in range(n)]
     edges = complete_edges(m)
     rng.shuffle(edges)
@@ -260,41 +323,127 @@ def greedy_forest_split(rng, m, n):
     return Decomposition(m, classes)
 
 
+def relabelled_truncations():
+    """(split, n): 300 Walecki truncations to a random order m <= 2n,
+    relabelled at random, their classes shuffled."""
+    rng = random.Random("completion-truncations")
+    for _ in range(300):
+        n = rng.randint(3, 24)
+        m = rng.randint(1, 2 * n)
+        cut = truncate_to_order(walecki(n), m)
+        cut = relabel_decomposition(cut, dict(enumerate(rng.sample(range(m), m))))
+        rng.shuffle(cut.classes)
+        yield cut, n
+
+
+def greedy_splits():
+    """(split, n): 300 greedy forest splits of K_m, m <= n + 1, where the
+    floor 2m - 2n - 1 asks at most one edge a class; a split that misses
+    it is drawn again."""
+    rng = random.Random("completion-greedy-splits")
+    done = 0
+    while done < 300:
+        n = rng.randint(3, 20)
+        m = rng.randint(1, n + 1)
+        dec = greedy_forest_split(rng, m, n)
+        if dec is None or min(map(len, dec.classes)) < 2 * m - 2 * n - 1:
+            continue
+        yield dec, n
+        done += 1
+
+
 class TestWholeDomain:
     # the completion's contract over inputs no route sends it: any labels,
     # any class order, and forests that no Walecki cycle restricts to
 
     def test_relabelled_shuffled_truncations(self):
-        rng = random.Random("completion-truncations")
-        for _ in range(300):
-            n = rng.randint(3, 24)
-            m = rng.randint(1, 2 * n)
-            cut = truncate_to_order(walecki(n), m)
-            cut = relabel_decomposition(cut, dict(enumerate(rng.sample(range(m), m))))
-            rng.shuffle(cut.classes)
+        for cut, n in relabelled_truncations():
             kept = [set(c) for c in cut.classes]
             out = extend_to_hcd(scan(cut), n)
             out.check_hcd()
             assert all(old <= new for old, new in zip(kept, out.classes))
 
     def test_greedy_forest_splits(self):
-        # m <= n + 1, where the floor 2m - 2n - 1 asks at most one edge a
-        # class; a split that misses it is drawn again
-        rng = random.Random("completion-greedy-splits")
-        done = at_floor = 0
-        while done < 300:
-            n = rng.randint(3, 20)
-            m = rng.randint(1, n + 1)
-            dec = greedy_forest_split(rng, m, n)
-            if dec is None or min(map(len, dec.classes)) < 2 * m - 2 * n - 1:
-                continue
+        at_floor = 0
+        for dec, n in greedy_splits():
+            at_floor += dec.order == n + 1
             kept = [set(c) for c in dec.classes]
             out = extend_to_hcd(scan(dec), n)
             out.check_hcd()
             assert all(old <= new for old, new in zip(kept, out.classes))
-            done += 1
-            at_floor += m == n + 1
         assert at_floor >= 10, at_floor
+
+
+# splits that break the scan's proof, each as (order, classes): an edge
+# out of range, an edge in two classes, and over K_5 a class with a vertex
+# of degree 3, the low end of its edges (0) or the high end (4), and a
+# class that holds a triangle
+FAULTS = {
+    "out-of-range": (4, [[(0, 1), (1, 2)], [(2, 9)]]),
+    "two-classes": (3, [[(0, 1), (1, 2)], [(0, 1), (0, 2)]]),
+    "degree-at-low-end": (5, [[(0, 1), (1, 2), (2, 3), (3, 4)],
+                              [(1, 3), (1, 4), (2, 4)], [(0, 2), (0, 3), (0, 4)]]),
+    "degree-at-high-end": (5, [[(0, 1), (1, 2), (2, 3), (3, 4)],
+                               [(0, 2), (0, 3), (1, 3)], [(0, 4), (1, 4), (2, 4)]]),
+    "cycle": (5, [[(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 2), (2, 4), (0, 4)],
+                  [(0, 3), (1, 3), (1, 4)]]),
+}
+# what each error must name: the partition proof's message, or the class
+# the scan refuses and where
+FAULT_NAMES = {
+    "out-of-range": "class 1: edge (2, 9) out of range",
+    "two-classes": "edge (0, 1) appears in two classes",
+    "degree-at-low-end": "class 2 at the embed exit: degree above two at edge (0, ",
+    "degree-at-high-end": "class 2 at the embed exit: degree above two at edge (",
+    "cycle": "class 1 at the embed exit: a cycle runs through edge (0, ",
+}
+
+
+def fault_split(name):
+    order, classes = FAULTS[name]
+    return Decomposition(order, [set(c) for c in classes])
+
+
+class TestScan:
+    # ForestSplit.scan against view_scan, the composition it replaced
+
+    def test_matches_the_view_composition(self):
+        splits = [*relabelled_truncations(), *greedy_splits()]
+        for dec, _ in splits:
+            assert held_state(scan(dec)) == held_state(view_scan(dec))
+        assert len(splits) == 600
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_fault_raises_as_the_view_composition(self, name):
+        with pytest.raises(SolverError) as want:
+            view_scan(fault_split(name), "at the embed exit")
+        with pytest.raises(SolverError) as got:
+            scan(fault_split(name), "at the embed exit")
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert FAULT_NAMES[name] in str(got.value)
+
+    def test_faults_raise_under_optimize(self, run_optimized):
+        # the same faults under python -O, where asserts are stripped
+        lines = run_optimized(f"""
+            from rainbow_hcd.errors import SolverError
+            from rainbow_hcd.graph_core import Decomposition
+            from rainbow_hcd.hilton import ForestSplit
+
+            for order, classes in {list(FAULTS.values())!r}:
+                dec = Decomposition(order, [set(c) for c in classes])
+                try:
+                    ForestSplit.scan(dec, "at the embed exit")
+                except SolverError as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        want = []
+        for name in FAULTS:
+            with pytest.raises(SolverError) as err:
+                view_scan(fault_split(name), "at the embed exit")
+            want.append(f"{type(err.value).__name__} {err.value}")
+        assert lines == want
+        assert all(FAULT_NAMES[name] in line for name, line in zip(FAULTS, lines))
 
 
 class TestSteps:
@@ -448,8 +597,48 @@ class TestExactness:
         monkeypatch.setattr(
             hilton, "_warm_start", lambda need, free, partner, *_: list(start)
         )
-        ends = [PathEnds(analyze_linear_forest(f, range(3))) for f in forests]
+        ends = [path_ends(f, 3) for f in forests]
         assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want
+
+
+class TestFeasibleStart:
+    # _assign ends at a warm start that places every unit and meets every
+    # floor; any other start goes on to home and fill
+    def test_a_feasible_start_is_returned_unchanged(self, monkeypatch):
+        real = hilton._warm_start
+        starts = []
+
+        def kept(*args):
+            start = real(*args)
+            starts.append((start, list(start)))
+            return start
+
+        monkeypatch.setattr(hilton, "_warm_start", kept)
+        rng = random.Random("feasible-start")
+        outcomes = Counter()
+        for _ in range(600):
+            dec, n = random_step_state(rng)
+            split = unproved(dec)
+            m = dec.order
+            target = 2 * (m + 1) - 2 * n - 1
+            need = [max(0, target - len(c)) for c in dec.classes]
+            try:
+                owner = hilton._assign(m, need, split.ends, split.free)
+            except InternalInfeasible:
+                continue
+            start, before = starts.pop()
+            load = Counter(owner)
+            assert -1 not in owner and owner is start
+            assert all(need[i] <= load[i] <= 2 for i in range(n))
+            if -1 in before or any(before.count(i) < k for i, k in enumerate(need)):
+                assert owner != before
+                outcomes["searched"] += 1
+            else:
+                assert owner == before
+                outcomes["kept"] += 1
+        # most starts are kept; those that leave a unit short are searched,
+        # and test_search_moves searches starts with a class below its floor
+        assert outcomes["kept"] >= 300 and outcomes["searched"] >= 10, outcomes
 
 
 def list_warm_start(need, free, partner, units, cap):
@@ -487,9 +676,7 @@ class TestWarmStart:
         for _ in range(1000):
             m, n = rng.randint(1, 12), rng.randint(1, 8)
             ends = [
-                PathEnds(analyze_linear_forest(
-                    random_forest(rng, m, rng.randint(0, m - 1)), range(m)
-                ))
+                path_ends(random_forest(rng, m, rng.randint(0, m - 1)), m)
                 for _ in range(n)
             ]
             partner = [e.partner for e in ends]
@@ -623,17 +810,17 @@ class TestInvariants:
 
 class TestPathEnds:
     def test_third_edge_rejected(self):
-        ends = PathEnds(analyze_linear_forest([(0, 1), (1, 2)], range(4)))
+        ends = path_ends([(0, 1), (1, 2)], 4)
         with pytest.raises(NotLinearForest):
             ends.add_edge(1, 3)
 
     def test_cycle_rejected(self):
-        ends = PathEnds(analyze_linear_forest([(0, 1), (1, 2)], range(4)))
+        ends = path_ends([(0, 1), (1, 2)], 4)
         with pytest.raises(NotLinearForest):
             ends.add_edge(2, 0)
 
     def test_joins_paths(self):
-        ends = PathEnds(analyze_linear_forest([(0, 3), (1, 4)], range(6)))
+        ends = path_ends([(0, 3), (1, 4)], 6)
         ends.add_edge(3, 4)
         ends.isolated.add(6)  # a new vertex joins isolated
         ends.add_edge(5, 6)
@@ -789,14 +976,11 @@ class TestFreeLists:
             assert cert.trace[0] == "route: pipeline", h
             assert steps, h
 
-    def test_skipped_removal_trips_the_tie(self, monkeypatch):
-        real = hilton.free_classes
-        monkeypatch.setattr(
-            hilton,
-            "free_classes",
-            lambda ends, m: NoClear(real(ends, m)),
-        )
+    # the masks come out of the scan as NoClear lists: a path end that
+    # becomes interior keeps its bit, which the masks' tie catches
+    def test_skipped_removal_trips_the_tie(self):
         split = scan(truncate_to_order(walecki(4), 3))
+        split.free = NoClear(split.free)
         with pytest.raises(InvariantViolation, match="free-class masks"):
             extend_to_hcd(split, 4)
 
@@ -811,11 +995,10 @@ class TestFreeLists:
                 def __setitem__(self, index, value):
                     pass
 
-            real = hilton.free_classes
-            hilton.free_classes = lambda ends, m: NoClear(real(ends, m))
+            split = hilton.ForestSplit.scan(hilton.truncate_to_order(walecki(4), 3))
+            split.free = NoClear(split.free)
             try:
-                cut = hilton.truncate_to_order(walecki(4), 3)
-                hilton.extend_to_hcd(hilton.ForestSplit.scan(cut), 4)
+                hilton.extend_to_hcd(split, 4)
             except InvariantViolation as exc:
                 print(exc)
         """)

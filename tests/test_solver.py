@@ -36,6 +36,7 @@ from rainbow_hcd.solver import (
     solve,
 )
 from test_files import _dumps_text
+from test_hilton import scans_checked
 
 
 def k2s(count):
@@ -539,13 +540,15 @@ def p3_heavy_instances(count, seed):
 
 
 @pytest.mark.slow
-def test_p3_heavy_sweep():
+def test_p3_heavy_sweep(monkeypatch):
     # 200 instances, solved at seeds 0 and 1 in turn: 144 reach case 2 of
     # the recursive embed, 26 sit at its last case-1 order r = (4n-1)//3
     # and 24 one above it, and 227 attach rounds run.  The sweep took
     # 6.1 s on a 2-core machine with Python 3.11; the bound is five times
     # that.  The digest of the concatenated certificate texts pins every
-    # byte; a change that moves it says why in CHANGES.md
+    # byte; a change that moves it says why in CHANGES.md.  Every embed
+    # exit's scan is checked against view_scan
+    scans = scans_checked(monkeypatch)
     counts = Counter()
     digest = hashlib.sha256()
     t0 = time.perf_counter()
@@ -569,6 +572,7 @@ def test_p3_heavy_sweep():
     assert (counts["case=2"], counts[0], counts[1], counts["round"]) == (
         144, 26, 24, 227
     )
+    assert len(scans) >= 200
     assert digest.hexdigest() == (
         "c445f3cc066982bbbbe386be4bfde50d5128d5c9d519d16fb3b30767c54d9561"
     )
