@@ -30,7 +30,10 @@ two classes per old vertex v at owner[2v] and owner[2v + 1].  One Euler
 split (_split_slots) orders each vertex's pair, so that owner[2v] goes to
 m and owner[2v + 1] to m + 1: every class is then split to within one,
 and the two slots of a gate that took two go to different new vertices.
-No round draws a random number.
+The split works on flat int lists, as the hilton kernels do: a slot's
+gate is one key i * m + low for class i and low end low, each old
+vertex's edge has two end ids, 2v and 2v + 1, and the virtual edges
+joining odd nodes are numbered from m.  No round draws a random number.
 
 The flow is feasible exactly when the round has a witness.  A gate that
 takes two slots joins m to m+1 inside its class; two such gates close a
@@ -186,6 +189,20 @@ def _split_slots(
     node.  Each old vertex sends the slot at the tail of its edge to m
     and the one at the head to m + 1.
 
+    The graph lives in flat int lists.  A slot's gate is the key
+    i * m + low for class i and low end low, which sorts as (i, low) does
+    because low < m, and a doubled gate is a key seen twice.  End 2v of
+    old vertex v's edge leaves the node of its first slot, walking the
+    edge forward, and end 2v + 1 leaves that of its second, walking it
+    back, which swaps the pair; virtual edge e, numbered from m, has ends
+    2e and 2e + 1 and swaps nothing.  far[d] is the node at the other end
+    of end d.  Each node lists its ends in the order their edges were
+    added, old vertices by number and virtual edges last, so the walk
+    takes every edge in the same direction as one on (class, low end)
+    tuples and (edge, far node, flip) triples would, and the result is
+    the same list; the tests keep that tuple form as reference_split and
+    compare the two.
+
     So every old vertex gives one slot to each side.  A circuit leaves
     each node as often as it enters it, and a node has at most one
     virtual edge, so every node's slots are split to within one.  A
@@ -195,46 +212,54 @@ def _split_slots(
     hilton.lay_edges checks the result all the same: its shape before the
     round is laid, and each class as its edges are laid.
     """
-    pairs = [sorted(owner[2 * v:2 * v + 2]) for v in range(m)]
-    # the gate of each slot, by its class and low end
-    gates = [
-        [(i, min(v, ends[i].partner.get(v, v))) for i in pair]
-        for v, pair in enumerate(pairs)
-    ]
-    load = Counter(g for pair in gates for g in pair)
-    doubled = sorted(g for g, count in load.items() if count == 2)
-    node = {g: x for x, g in enumerate(doubled, n)}
-
-    # adj[x]: (edge, far node, whether leaving x along it sends the
-    # vertex's first slot to m + 1), the edge a virtual one from m on
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + len(node))]
-    for v, (g, h) in enumerate(gates):
-        x, y = node.get(g, g[0]), node.get(h, h[0])
-        adj[x].append((v, y, False))
-        adj[y].append((v, x, True))
+    out = owner[:]
+    # each vertex's pair in class order, and the gate key of each slot
+    keys = []
+    for v, a, b in zip(range(m), owner[0::2], owner[1::2]):
+        if a > b:
+            a, b = b, a
+            out[2 * v], out[2 * v + 1] = a, b
+        p = ends[a].partner.get(v, v)
+        keys.append(a * m + (p if p < v else v))
+        p = ends[b].partner.get(v, v)
+        keys.append(b * m + (p if p < v else v))
+    # a gate takes at most two slots, so a doubled key sorts next to itself
+    ranked = sorted(keys)
+    twice = [key for key, nxt in zip(ranked, ranked[1:]) if key == nxt]
+    node = dict(zip(twice, range(n, n + len(twice))))
+    # the node of each slot: its doubled gate's, or its class's
+    at = [node.get(key, i) for key, i in zip(keys, out)]
+    far = at[:]
+    far[0::2], far[1::2] = at[1::2], at[0::2]
+    adj: list[list[int]] = [[] for _ in range(n + len(twice))]
+    for d, x in enumerate(at):
+        adj[x].append(d)
     odd = [x for x, inc in enumerate(adj) if len(inc) % 2]
-    for e, (x, y) in enumerate(zip(odd[0::2], odd[1::2]), start=m):
-        adj[x].append((e, y, False))
-        adj[y].append((e, x, False))
+    d = 2 * m
+    for x, y in zip(odd[0::2], odd[1::2]):
+        adj[x].append(d)
+        adj[y].append(d + 1)
+        far += (y, x)
+        d += 2
 
-    out = [i for pair in pairs for i in pair]
-    used = [False] * (m + len(odd) // 2)
-    ptr = [0] * len(adj)
+    # used[d]: end d's edge was walked from its other end; each node's
+    # iterator has passed the ends walked from it
+    used = [False] * len(far)
+    walk = [iter(inc) for inc in adj]
     for start in range(len(adj)):
         stack = [start]
         while stack:
             x = stack[-1]
-            inc = adj[x]
-            while ptr[x] < len(inc) and used[inc[ptr[x]][0]]:
-                ptr[x] += 1
-            if ptr[x] == len(inc):
+            for d in walk[x]:
+                if not used[d]:
+                    break
+            else:
                 stack.pop()
                 continue
-            e, y, flip = inc[ptr[x]]
-            used[e] = True
-            if flip:
-                out[2 * e], out[2 * e + 1] = out[2 * e + 1], out[2 * e]
-            stack.append(y)
+            used[d ^ 1] = True
+            if d & 1 and d < 2 * m:
+                out[d - 1], out[d] = out[d], out[d - 1]
+            stack.append(far[d])
     return out
 
 

@@ -662,12 +662,21 @@ def _warm_start(
     gate at the vertex holds no unit yet, the lowest such class on a tie;
     first up to the floors, then up to the caps.
 
+    Each pass sweeps the vertices once per unit k, in that order.  A pass
+    after the first sweeps, for each k, only the vertices that the last
+    sweep of k left unplaced, in the same order, since it would skip the
+    others.  A sweep stops when every class is at the pass's bound, and
+    the tail it did not reach goes on to the next pass with its
+    leftovers.
+
     The classes are kept in one mask per gap (need - load) and one mask of
     those still open (load below the pass's bound), so a vertex none of
     whose classes is open costs one test, and the class it takes is the
     lowest set bit, in the highest gap, that passes the gate test.  A
     class's gap only falls, so once the buckets of the highest gaps are
-    empty they stay so, and each scan starts at the first that is not."""
+    empty they stay so, and each scan starts at the first that is not.
+    Each class sits in one bucket, so a scan also stops once it has
+    tested every class open at the vertex."""
     m, n = len(free), len(need)
     owner = [-1] * (m * units)
     took = [0] * m  # per vertex, the classes holding one of its units
@@ -684,21 +693,25 @@ def _warm_start(
 
     count = list(map(int.bit_count, free))
     order = sorted(range(m), key=count.__getitem__)
+    # per unit, the vertices the next sweep of it visits, in order: all of
+    # them at first, then those the last sweep left unplaced
+    sweeps = [order] * units
     first = 0  # the first bucket that is not empty
     for top in (need, cap) if any(need) else (cap,):
         room = sum(compress(bits, map(lt, load, top)))
         for k in range(units):
-            for v in order:
-                u = v * units + k
-                if owner[u] >= 0:
-                    continue
-                classes = free[v] & room & ~took[v]
-                if not classes:
-                    continue
+            if not room:
+                break
+            left = []
+            swept = iter(sweeps[k])
+            for v in swept:
                 # the lowest class passing the gate test in the first bucket
-                # that holds one; with none, v gets no unit in this sweep
-                for g in range(first, gaps):
+                # that holds one; with none, v is left to the next pass
+                classes = free[v] & room & ~took[v]
+                g = first
+                while classes:
                     tied = classes & by_gap[g]
+                    classes ^= tied
                     while tied:
                         bit = tied & -tied
                         i = bit.bit_length() - 1
@@ -707,11 +720,13 @@ def _warm_start(
                             break
                         tied ^= bit
                     else:
+                        g += 1
                         continue
                     break
                 else:
+                    left.append(v)
                     continue
-                owner[u] = i
+                owner[v * units + k] = i
                 took[v] |= bit
                 by_gap[g] ^= bit
                 by_gap[g + 1] |= bit
@@ -721,7 +736,9 @@ def _warm_start(
                 if load[i] == top[i]:
                     room ^= bit
                     if not room:
+                        left += swept  # the tail this sweep did not reach
                         break
+            sweeps[k] = left
     return owner
 
 

@@ -319,6 +319,66 @@ class TestGrowth:
         assert out.classes == c4_split().classes
 
 
+def reference_split(m, n, ends, owner):
+    """extend_sparse._split_slots as first written, on (class, low end)
+    gate tuples, a Counter of them, a dict of node numbers and (edge, far
+    node, flip) triples: the reference that the flat-list split must match
+    list for list."""
+    pairs = [sorted(owner[2 * v:2 * v + 2]) for v in range(m)]
+    gates = [
+        [(i, min(v, ends[i].partner.get(v, v))) for i in pair]
+        for v, pair in enumerate(pairs)
+    ]
+    load = Counter(g for pair in gates for g in pair)
+    doubled = sorted(g for g, count in load.items() if count == 2)
+    node = {g: x for x, g in enumerate(doubled, n)}
+    adj = [[] for _ in range(n + len(node))]
+    for v, (g, h) in enumerate(gates):
+        x, y = node.get(g, g[0]), node.get(h, h[0])
+        adj[x].append((v, y, False))
+        adj[y].append((v, x, True))
+    odd = [x for x, inc in enumerate(adj) if len(inc) % 2]
+    for e, (x, y) in enumerate(zip(odd[0::2], odd[1::2]), start=m):
+        adj[x].append((e, y, False))
+        adj[y].append((e, x, False))
+    out = [i for pair in pairs for i in pair]
+    used = [False] * (m + len(odd) // 2)
+    ptr = [0] * len(adj)
+    for start in range(len(adj)):
+        stack = [start]
+        while stack:
+            x = stack[-1]
+            inc = adj[x]
+            while ptr[x] < len(inc) and used[inc[ptr[x]][0]]:
+                ptr[x] += 1
+            if ptr[x] == len(inc):
+                stack.pop()
+                continue
+            e, y, flip = inc[ptr[x]]
+            used[e] = True
+            if flip:
+                out[2 * e], out[2 * e + 1] = out[2 * e + 1], out[2 * e]
+            stack.append(y)
+    return out
+
+
+def check_splits(monkeypatch):
+    """Make every _split_slots call of a solve also compare its result with
+    reference_split's; returns the list of the orders m of the rounds
+    compared."""
+    orders = []
+    real = extend_sparse._split_slots
+
+    def spy(m, n, ends, owner):
+        out = real(m, n, ends, owner)
+        assert out == reference_split(m, n, ends, owner), (m, owner)
+        orders.append(m)
+        return out
+
+    monkeypatch.setattr(extend_sparse, "_split_slots", spy)
+    return orders
+
+
 def round_flow_feasible(m, gates, floors, cstar):
     """Reference: whether the round's lower-bounded flow of the module
     docstring, built on _Dinic from the same gates, is feasible."""
@@ -582,6 +642,19 @@ class TestWitness:
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
 
+    def test_split_matches_the_reference_split(self, monkeypatch):
+        # on random rounds, then on every round of the carried graphs
+        for m, gates, _, _, owner in self.feasible_rounds("differential", 400):
+            ends = gate_states(gates)
+            assert _split_slots(m, len(gates), ends, owner) == reference_split(
+                m, len(gates), ends, owner
+            ), owner
+        orders = check_splits(monkeypatch)
+        graphs = carried_graphs()
+        for h in graphs:
+            solve(h, seed=0)
+        assert len(orders) == sum(map(single_edges, graphs))
+
     def test_split_matches_the_paired_coloring_euler_split(self, monkeypatch):
         # paired_balanced_2_coloring keeps a shuffled cyclic start when it
         # is balanced, and otherwise recolours by one Euler split
@@ -632,9 +705,11 @@ class TestWitness:
         lines = run_optimized(SPLIT_MUTANT)
         assert SPLIT_MUTANT_ERROR in lines[0]
 
-    def test_witness_budget(self):
+    def test_witness_budget(self, monkeypatch):
         # every round's first and only witness must verify: C3 + (n-3)K2
-        # over five seeds, then random graphs with 1-8 single edges
+        # over five seeds, then random graphs with 1-8 single edges; each
+        # round's split must be reference_split's
+        orders = check_splits(monkeypatch)
         cases = [
             (disjoint_union(cycle_graph(3), *[path_graph(1)] * (n - 3)), seed)
             for n in range(6, 17)
@@ -654,6 +729,7 @@ class TestWitness:
             assert cert.trace[0] == "route: pipeline", h
             assert rounds == single_edges(h), h
             assert verify_certificate(cert).ok, (h, seed)
+        assert len(orders) == sum(single_edges(h) for h, _ in cases)
 
 
 def single_edges(h):

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from operator import lt
 
 import pytest
 
@@ -641,17 +642,28 @@ class TestFeasibleStart:
         assert outcomes["kept"] >= 300 and outcomes["searched"] >= 10, outcomes
 
 
-def list_warm_start(need, free, partner, units, cap):
+def list_warm_start(need, free, partner, units, cap, seen=None):
     """The warm start as it read on free-class lists, free[v] the classes
     of vertex v ascending, before the masks replaced them: the reference
-    that _warm_start must match pick for pick."""
-    owner = [-1] * (len(free) * units)
+    that _warm_start must match pick for pick.  Every sweep visits every
+    vertex.  seen, a Counter if given, counts the sweeps that a full class
+    set cut short, with a vertex still to visit that lacks the sweep's
+    unit ("cut short"), and the later sweeps of a unit that start with
+    room left and some vertices, not all, lacking it ("leftovers")."""
+    m = len(free)
+    owner = [-1] * (m * units)
     held = [[] for _ in need]
     load = [0] * len(need)
-    order = sorted(range(len(free)), key=lambda v: len(free[v]))
-    for top in (need, cap) if any(need) else (cap,):
+    order = sorted(range(m), key=lambda v: len(free[v]))
+    tops = (need, cap) if any(need) else (cap,)
+    for top in tops:
         for k in range(units):
-            for v in order:
+            # whether a class is below the pass's bound, tracked for seen
+            room = seen is not None and any(map(lt, load, top))
+            if room and top is not tops[0]:
+                short = sum(owner[v * units + k] < 0 for v in order)
+                seen["leftovers"] += 0 < short < m
+            for pos, v in enumerate(order):
                 if owner[v * units + k] >= 0:
                     continue
                 best, gap = -1, -hilton._INF
@@ -663,6 +675,11 @@ def list_warm_start(need, free, partner, units, cap):
                     owner[v * units + k] = best
                     held[best].append(v)
                     load[best] += 1
+                    if room and not any(map(lt, load, top)):
+                        room = False
+                        seen["cut short"] += any(
+                            owner[w * units + k] < 0 for w in order[pos + 1:]
+                        )
     return owner
 
 
@@ -673,6 +690,7 @@ class TestWarmStart:
     def test_masks_pick_as_the_list_scan(self, units):
         rng = random.Random(f"warm-start-{units}")
         outcomes = Counter()
+        sweeps = Counter()
         for _ in range(1000):
             m, n = rng.randint(1, 12), rng.randint(1, 8)
             ends = [
@@ -690,7 +708,7 @@ class TestWarmStart:
                  if v in e.partner or v in e.isolated]
                 for v in range(m)
             ]
-            want = list_warm_start(need, lists, partner, units, cap)
+            want = list_warm_start(need, lists, partner, units, cap, sweeps)
             got = hilton._warm_start(
                 need, free_classes(ends, m), partner, units, cap
             )
@@ -699,6 +717,9 @@ class TestWarmStart:
         # starts that place every unit and starts that leave some to the
         # search are both compared
         assert min(outcomes.values()) >= 100, outcomes
+        # _warm_start sweeps only what the last sweep of a unit left, and
+        # hands on the tail of a sweep cut short: both are compared
+        assert sweeps["cut short"] >= 50 and sweeps["leftovers"] >= 50, sweeps
 
 
 class TestInvariants:
