@@ -26,19 +26,20 @@ classes take the lightest of the rest, as for even r (at most
 2t/(n-2) <= t of them too full).  Past n + 1 vertices the instance is
 shrunk: a subgraph with s = ceil(r/2) edges, the first s of the
 components' breadth-first edge orders, is solved recursively on
-K_{2s+1}, its classes are moved onto the parent's hosts by one map
+K_{2s+1}, its rows are moved onto the parent's hosts by one map
 (graph_core.complete_perm: the subgraph keeps its labels, the child's
-other hosts fill the gaps upward), and the surplus vertices are cut away,
-leaving s large forests.  From there the n classes sit in one list by
-final slot: each child class in the slot of the input edge it carries,
-read off the child's assignment, each other input edge alone in its own
-slot, and the rest empty.  The child's classes, largest first, are the
-donors; they give edges to the remaining classes below their floors, in
-one schedule, each move counted from the target's gap to its floor
-(size_floor): in case 1 (3r <= 4n - 1) a class takes its whole gap from
-one donor, in case 2 half the gap less one from one donor and the rest
-from a second.  Every move withholds the donor's own input edge and the
-edges one cut rule (_donor_cut) names, so that no move breaks a forest.
+other hosts fill the gaps upward) and read as edge sets, and the surplus
+vertices are cut away, leaving s large forests.  From there the n
+classes sit in one list by final slot: each child class in the slot of
+the input edge it carries, read off the child's assignment, each other
+input edge alone in its own slot, and the rest empty.  The child's
+classes, largest first, are the donors; they give edges to the remaining
+classes below their floors, in one schedule, each move counted from the
+target's gap to its floor (size_floor): in case 1 (3r <= 4n - 1) a class
+takes its whole gap from one donor, in case 2 half the gap less one from
+one donor and the rest from a second.  Every move withholds the donor's
+own input edge and the edges one cut rule (_donor_cut) names, so that no
+move breaks a forest.
 A donor too small for its moves fails the move itself
 (InternalInfeasible) or leaves a class below its floor, which the exit
 check reports as InvariantViolation.
@@ -67,9 +68,10 @@ from .graph_core import (
     analyze_linear_forest,
     complete_perm,
     component_edge_groups,
+    cycle_edges,
     edge,
     edge_vertices,
-    relabel_decomposition,
+    relabel_rows,
 )
 from .hilton import ForestSplit, check_stage, size_floor, truncate_to_order
 
@@ -288,7 +290,10 @@ def _recursive_dense(
     # send each child host vertex to its place in the parent layout: the
     # subgraph keeps its labels, everything else fills the gaps upward
     pi = complete_perm({h: x for x, h in child.label_map.items()}, 2 * s + 1)
-    cut = truncate_to_order(relabel_decomposition(child.decomposition, pi), r)
+    rows = relabel_rows(child.cycles, pi, 2 * s + 1)
+    cut = truncate_to_order(
+        Decomposition(2 * s + 1, list(map(cycle_edges, rows))), r
+    )
 
     # the n classes by final slot: child class c holds the child's edge j
     # with assignment[j] == c, which is h_edges[sub_idx[j]] and so goes to

@@ -45,21 +45,21 @@ class (at most one of cstar beside the bridge), no path takes both its
 ends at one new vertex, and a class joins m to m+1 at most once, so every
 class stays a linear forest; the lower bounds keep the floors.
 
-The rounds grow the hilton.ForestSplit they are given: the classes, a
-hilton.PathEnds state per class holding its path ends, and per old vertex
-the mask of its free classes, those in which it is a path end or
-isolated, bit i for class i.  The split comes proved, by the scan of the
-embed stage's exit or of the caller; each round reads its gates and slots
-from the states and the masks, and hilton.lay_edges lays its edges into
-all three, as in a Hilton vertex step, so nothing is rebuilt between
-rounds.  _witness_ok checks only the witness's gain floors before it is
-applied.  The round hands lay_edges the witness as one owner list per new
-vertex, owner[0::2] for m and owner[1::2] for m + 1, with cstar as the
-bridge class.  lay_edges checks its shape, that every old vertex gives
-each new vertex one edge, which keeps a partition of K_m one of
-K_{m+2}, and lays each edge through PathEnds.add_edge, the one copy of
-the join rule: a third edge at a vertex or a closed cycle is an
-InvariantViolation there.
+The rounds grow the hilton.ForestSplit they are given: per class its
+edge count, neighbour slots and a hilton.PathEnds state holding its path
+ends, and per old vertex the mask of its free classes, those in which it
+is a path end or isolated, bit i for class i.  The split comes proved,
+by the scan of the embed stage's exit or of the caller; each round reads
+its gates and slots from the states and the masks, and hilton.lay_edges
+lays its edges into all of them, as in a Hilton vertex step, so nothing
+is rebuilt between rounds.  _witness_ok checks only the witness's gain
+floors before it is applied.  The round hands lay_edges the witness as
+one owner list per new vertex, owner[0::2] for m and owner[1::2] for
+m + 1, with cstar as the bridge class.  lay_edges checks its shape, that
+every old vertex gives each new vertex one edge, which keeps a partition
+of K_m one of K_{m+2}, and lays each edge through PathEnds.add_edge, the
+one copy of the join rule: a third edge at a vertex or a closed cycle is
+an InvariantViolation there.
 hilton.check_stage checks the floors, and in one pass the state counts
 and the free-class masks, after each round; verify_certificate proves
 the result.
@@ -90,9 +90,9 @@ def capacity_graph(split: ForestSplit) -> None:
     round has just checked on the same states.  No multigraph of the
     slots is built; the name stays from when one was, since one call per
     round is how perfbench counts rounds."""
-    dec, free = split.dec, split.free
-    m = dec.order
-    k = 2 * len(dec.classes) - m + 1
+    free = split.free
+    m = split.order
+    k = 2 * len(split.count) - m + 1
     if len(free) != m:
         raise InvariantViolation(f"{len(free)} free-class masks at order {m}")
     slots = list(map(int.bit_count, free))
@@ -121,12 +121,11 @@ def extend_with_k2s(
     of round s.  A split whose states drifted from its classes raises
     InvariantViolation.
     """
-    dec = split.dec
     if trace is None:
         trace = []
     if not 2 <= t <= n:
         raise PreconditionViolation(f"need 2 <= t <= n, got t={t}, n={n}")
-    if dec.order > 2 * t - 1:
+    if split.order > 2 * t - 1:
         raise PreconditionViolation(
             "vertex count must stay below twice the edge count"
         )
@@ -135,7 +134,7 @@ def extend_with_k2s(
         owner = _stage_witness(split, t, n, s)
         lay_edges(split, [owner[0::2], owner[1::2]], s + t, "attach round")
         check_stage(split, n, t + s + 1, f"after step {s + 1}")
-        trace.append(f"attach: s={s} order={dec.order}")
+        trace.append(f"attach: s={s} order={split.order}")
     return split
 
 
@@ -152,15 +151,14 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
     Every vertex offers k = 2n - m + 1 >= 4 slots: extend_with_k2s takes
     order r <= 2t - 1 only, and round s <= n - t - 1 runs at m = r + 2s,
     so k >= 2(n - t - s) + 2 >= 4."""
-    dec = split.dec
-    m = dec.order
+    m = split.order
     cstar = s + t
     capacity_graph(split)
     # the new edges each class must take, the bridge not counted, to meet
     # its size floor at order m + 2; at most 0 means none
     floors = [
-        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
-        for i, cls in enumerate(dec.classes)
+        size_floor(m + 2, n, i <= cstar) - k - (i == cstar)
+        for i, k in enumerate(split.count)
     ]
     cap = [2 if i == cstar else 4 for i in range(n)]
     owner = _assign(m, [max(0, f) for f in floors], split.ends, split.free, 2, cap)

@@ -8,11 +8,13 @@ comment, end of line ends it; blank lines are skipped.
 Certificates: one JSON document with the keys format, n, order,
 label_map, classes, h_edges, assignment, seed, pipeline_trace, in that
 order, byte stable for a fixed certificate.  Class indices are 0 based
-everywhere.  The writer writes format 2: each class is its Hamiltonian
-cycle as a vertex sequence, the 2n+1 hosts from 0 on toward the lower of
-0's two neighbours.  A document without the format key is format 1, in
-which each class is its 2n+1 edges as sorted [low, high] pairs; no
-writer writes the key with value 1.
+everywhere.  The writer writes format 2: each class is the row the
+certificate carries, its Hamiltonian cycle as a vertex sequence, the
+2n+1 hosts from 0 on toward the lower of 0's two neighbours.  A document
+without the format key is format 1, in which each class is its 2n+1
+edges as sorted [low, high] pairs; no writer writes the key with value
+1.  The reader hands back rows either way: a format-2 class as it
+stands, a format-1 class walked into its row (graph_core.edge_row).
 
 Reading one takes only what writing one gives: these keys and no other
 (format 1 lacking the first), no key twice in one object, format the
@@ -24,7 +26,10 @@ such integers written low end first (so no loop), no format-1 class
 listing an edge twice, and pipeline_trace an array of strings.  A
 format-2 class must be an array of exactly order entries (checked before
 anything of that size is built), each an integer, together a permutation
-of 0..order-1, starting at 0 with its second entry below its last.
+of 0..order-1, starting at 0 with its second entry below its last.  A
+format-1 class must be one Hamiltonian cycle on 0..order-1: exactly
+order edges (checked first, as in format 2), none with an end out of
+range, no vertex of degree three, and one cycle through every vertex.
 Anything else is a ParseError.
 """
 
@@ -33,8 +38,8 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ParseError, PreconditionViolation
-from .graph_core import Decomposition, Edge, RainbowCertificate, cycle_edges
+from .errors import ParseError
+from .graph_core import Edge, RainbowCertificate, edge_row
 
 
 def parse_instance(text: str) -> list[Edge]:
@@ -92,12 +97,11 @@ _KEYS = (
 def certificate_to_text(cert: RainbowCertificate) -> str:
     """The format-2 document json.dumps(doc, indent=1) would write, laid
     out here (that encoder is pure Python): numbers by str, trace lines
-    by json.dumps.  PreconditionViolation unless every class is a
-    Hamiltonian cycle on 0..order-1."""
-    classes = [
-        _block(list(map(str, _cycle(c, cert.order))), 2)
-        for c in cert.decomposition.classes
-    ]
+    by json.dumps.  Each class is written as its row stands, without a
+    walk: solve's certificates, whose rows are canonical and verified,
+    read back to themselves, and certificate_from_text refuses a row that
+    is no canonical cycle order."""
+    classes = [_block(list(map(str, row)), 2) for row in cert.cycles]
     labels = [f'"{lab}": {cert.label_map[lab]}' for lab in sorted(cert.label_map)]
     values = (
         2, cert.n, cert.order, _block(labels, 1, "{}"), _block(classes, 1),
@@ -106,28 +110,6 @@ def certificate_to_text(cert: RainbowCertificate) -> str:
         _block(list(map(json.dumps, cert.trace)), 1),
     )
     return _block([f'"{k}": {v}' for k, v in zip(_KEYS, values)], 0, "{}") + "\n"
-
-
-def _cycle(cls: set[Edge], order: int) -> list[int]:
-    """cls's vertex sequence from 0 toward the lower of 0's neighbours.
-    Each edge fills a neighbour slot at both ends, as in graph_core's
-    _prove: order edges that fill every second slot give every vertex
-    degree two, and then cls is a Hamiltonian cycle when the walk from 0
-    meets 0 again after order vertices."""
-    first = [-1] * order
-    second = [-1] * order
-    for u, v in cls:
-        (first if first[u] < 0 else second)[u] = v
-        (first if first[v] < 0 else second)[v] = u
-    seq = [0]
-    if len(cls) == order and -1 not in second:
-        prev, cur = 0, min(first[0], second[0])
-        while cur:
-            seq.append(cur)
-            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
-    if len(seq) != order:
-        raise PreconditionViolation("a class is not a Hamiltonian cycle on 0..2n")
-    return seq
 
 
 def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -167,18 +149,17 @@ def certificate_from_text(text: str) -> RainbowCertificate:
     assignment = _array(doc["assignment"], "assignment")
     if not _all_type(assignment, int):
         raise ParseError("assignment holds an entry that is not an integer")
-    rows = _array(doc["classes"], "classes")
+    classes = _array(doc["classes"], "classes")
     if "format" in doc:
-        classes = [_cycle_edges(seq, order, i) for i, seq in enumerate(rows)]
+        rows = [_row(seq, order, i) for i, seq in enumerate(classes)]
     else:
-        classes = [_pair_edges(cls, i) for i, cls in enumerate(rows)]
+        rows = [_pair_row(pairs, order, i) for i, pairs in enumerate(classes)]
     trace = _array(doc["pipeline_trace"], "pipeline_trace")
     if not _all_type(trace, str):
         raise ParseError("pipeline_trace holds an entry that is not a string")
     if order != 2 * n + 1:
         raise ParseError(f"order {order} does not match n={n}")
-    dec = Decomposition(order, classes)
-    return RainbowCertificate(n, seed, h_edges, label_map, assignment, dec, trace)
+    return RainbowCertificate(n, seed, h_edges, label_map, assignment, rows, trace)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -188,10 +169,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _cycle_edges(seq, order: int, i: int) -> set[Edge]:
-    """Format-2 class i: the edges of the cycle seq, consecutive entries
-    and the last with the first, or ParseError unless seq is the
-    sequence _cycle writes."""
+def _row(seq, order: int, i: int) -> list[int]:
+    """Format-2 class i: seq itself, or ParseError unless it is a row as
+    the writer writes it."""
     if type(seq) is not list or len(seq) != order or order < 3:
         raise ParseError(f"class {i} is not an array of {order} vertices")
     if not _all_type(seq, int):
@@ -200,16 +180,20 @@ def _cycle_edges(seq, order: int, i: int) -> set[Edge]:
         raise ParseError(f"class {i} is not a permutation of 0..{order - 1}")
     if seq[0] != 0 or seq[1] > seq[-1]:
         raise ParseError(f"class {i} does not start at 0 toward its lower neighbour")
-    return cycle_edges(seq)
+    return seq
 
 
-def _pair_edges(rows, i: int) -> set[Edge]:
-    """Format-1 class i: its edges, or ParseError unless rows lists each
-    once as an array of two integers, low end first."""
-    cls = set(_edge_list(rows, f"class {i}"))
-    if len(cls) != len(rows):
+def _pair_row(pairs, order: int, i: int) -> list[int]:
+    """Format-1 class i walked into its row, or ParseError unless pairs
+    lists each edge once as an array of two integers, low end first, and
+    the edges are one Hamiltonian cycle on 0..order-1."""
+    cls = set(_edge_list(pairs, f"class {i}"))
+    if len(cls) != len(pairs):
         raise ParseError(f"class {i} lists an edge twice")
-    return cls
+    row = edge_row(cls, order)
+    if row is None:
+        raise ParseError(f"class {i} is not a Hamiltonian cycle on 0..{order - 1}")
+    return row
 
 
 # an integer in the form str() writes it, so no "-0"

@@ -2,19 +2,25 @@
 
 Vertices are integers.  Decompositions always live on the dense vertex set
 0..order-1.  Input graphs may use arbitrary integer labels; the solver
-records the embedding in the certificate's label map.  One pass over each
-class's edges (_prove) proves both the partition and the Hamiltonian
-cycles, for verify_certificate, check_hcd and is_hamiltonian_cycle alike.
-The hub construction is built on any host map (_walecki_on), so the hub
-route lays its cycles straight on their final hosts.  Every host map the
-solver builds is completed from the vertices it places by complete_perm.
+records the embedding in the certificate's label map.  A certificate
+carries each class as its Hamiltonian cycle's vertex order, a row, in
+the one canonical form canonical_row gives: from 0 toward the lower of
+0's two neighbours.  slot_row reads a row off two neighbour slots per
+vertex, and edge_row off an edge set through them.  One pass over the
+rows (_prove_rows) proves the partition and the Hamiltonian cycles for
+verify_certificate; check_hcd and is_hamiltonian_cycle walk edge sets
+into rows.  Edge sets (Decomposition) remain where forests are built:
+the embed stage, the hub construction walecki and the oracle.  The hub
+construction is built on any host map (_walecki_on), so the hub route
+lays its rows straight on their final hosts.  Every host map the solver
+builds is completed from the vertices it places by complete_perm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable
+from operator import add, itemgetter
+from typing import Collection, Iterable
 
 from .errors import InvariantViolation, NotLinearForest
 
@@ -71,9 +77,9 @@ def component_edge_groups(edges: list[Edge]) -> list[list[int]]:
 
 def is_hamiltonian_cycle(edges: Iterable[Edge], order: int) -> bool:
     """True when the edge set is a single cycle through all of 0..order-1,
-    each edge listed as (u, v) with 0 <= u < v < order: the one-class
-    case of the certificate proof, _prove."""
-    return _prove(order, [set(edges)])[1] == []
+    each edge listed as (u, v) with 0 <= u < v < order: when it walks
+    into a row (edge_row)."""
+    return edge_row(set(edges), order) is not None
 
 
 def cycle_edges(cycle: list[int]) -> set[Edge]:
@@ -81,76 +87,142 @@ def cycle_edges(cycle: list[int]) -> set[Edge]:
     return {(a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
 
 
-def _prove(order: int, classes: list[set[Edge]]) -> tuple[str, list[int] | None]:
-    """Prove that classes partition K_order into Hamiltonian cycles, in one
-    pass over each class's edges.  Returns the first partition error ("" if
-    none) and the classes that are no Hamiltonian cycle (None if an edge
-    ended the pass).  Each edge must have 0 <= u < v < order and lie in no
-    earlier class (higher[u] holds the v seen with u), and fills a
-    neighbour slot at both ends, a third edge overwriting the second.  A class of order >= 3
-    edges that fills every second slot has every degree two, and is a
-    Hamiltonian cycle when vertex 0's cycle has order edges."""
+def canonical_row(cycle: list[int]) -> list[int]:
+    """The cycle through the vertices of cycle, 0 among them, as a
+    certificate row: from 0 toward the lower of 0's two neighbours."""
+    k = cycle.index(0)
+    row = cycle[k:] + cycle[:k]
+    if row[1] > row[-1]:
+        row[1:] = row[:0:-1]
+    return row
+
+
+def slot_row(first: list[int], second: list[int]) -> list[int] | None:
+    """The row of the cycle that the neighbour slots hold through 0, or
+    None unless it runs through every vertex 0..len(first)-1.  Slot lists
+    hold each vertex's neighbours, -1 where empty, each edge filling a
+    slot at both ends.  The walk takes, at each vertex, the slot that does
+    not lead back, and is bounded by the order: it stops at an empty slot
+    or back at 0, and must have met order vertices when it meets 0
+    again."""
+    order = len(first)
+    if order < 3:
+        return None
+    cycle = [0]
+    prev, cur = 0, first[0]
+    for _ in range(order - 1):
+        if cur <= 0:
+            return None
+        cycle.append(cur)
+        prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+    return canonical_row(cycle) if cur == 0 else None
+
+
+def edge_row(edges: Collection[Edge], order: int) -> list[int] | None:
+    """The row of edges, or None unless they are one Hamiltonian cycle of
+    K_order, each edge listed once as (u, v) with 0 <= u < v < order.
+    The order edges fill two neighbour slots per vertex, refusing a third
+    edge at a vertex, and slot_row walks them."""
+    if order < 3 or len(edges) != order:
+        return None
+    first = [-1] * order
+    second = [-1] * order
+    for u, v in edges:
+        if not 0 <= u < v < order:
+            return None
+        for x, y in ((u, v), (v, u)):
+            if first[x] < 0:
+                first[x] = y
+            elif second[x] < 0:
+                second[x] = y
+            else:
+                return None
+    return slot_row(first, second)
+
+
+def _prove_rows(order: int, rows: list[list[int]]) -> tuple[str, list[int]]:
+    """Prove that rows, lists of order integers each, are Hamiltonian
+    cycles partitioning K_order.  Returns the first partition error (""
+    if none) and the rows that are no permutation of 0..order-1, which
+    are the classes that are no Hamiltonian cycle.
+
+    A permutation row of order >= 3 is a Hamiltonian cycle of order
+    distinct edges, so when every row is one, the rows partition K_order
+    when their steps number its edges and no two steps join the same two
+    vertices.  One set of keys shows that: the step between u and v, either
+    way, has the key key(u) + key(v), where key(u) = big * u + u * u and
+    big = 2 * order**2.  u * u + v * v < big, so the key holds u + v and
+    u * u + v * v, which fix {u, v}: two keys agree exactly when their
+    steps join the same two vertices.  Otherwise the edge sets of the
+    rows' closed walks name the first fault (_partition_fault): an edge
+    with an end out of range or a loop, an edge in an earlier class, or
+    too few edges in all."""
+    full = set(range(order))
+    bad = [i for i, row in enumerate(rows) if set(row) != full]
+    want = order * (order - 1) // 2
+    if not bad and len(rows) * order == want:
+        big = 2 * order * order
+        key = [big * u + u * u for u in range(order)].__getitem__
+        keys: set[int] = set()
+        for row in rows:
+            t = list(map(key, row))
+            keys.update(map(add, t, t[1:]))
+            keys.add(t[0] + t[-1])
+        if len(keys) == want:
+            return "", bad
+    return _partition_fault(order, list(map(cycle_edges, rows))), bad
+
+
+def _partition_fault(order: int, classes: list[set[Edge]]) -> str:
+    """The first edge, class by class, that leaves 0..order-1 or lies in an
+    earlier class (higher[u] holds the v seen with u), or else the edge
+    count when the classes do not hold every edge of K_order; "" when
+    they partition it."""
     higher: list[set[int]] = [set() for _ in range(order)]
-    bad: list[int] = []
     total = 0
     for i, cls in enumerate(classes):
-        first = [-1] * order
-        second = [-1] * order
         for e in cls:
             u, v = e
             if not 0 <= u < v < order:
-                return f"class {i}: edge {e} out of range", None
+                return f"class {i}: edge {e} out of range"
             seen = higher[u]
             if v in seen:
-                return f"edge {e} appears in two classes", None
+                return f"edge {e} appears in two classes"
             seen.add(v)
-            (first if first[u] < 0 else second)[u] = v
-            (first if first[v] < 0 else second)[v] = u
         total += len(cls)
-        if order < 3 or len(cls) != order or -1 in second:
-            bad.append(i)
-            continue
-        # walk vertex 0's cycle, at each vertex the slot not leading back
-        prev, cur, length = 0, first[0], 1
-        while cur:
-            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
-            length += 1
-        if length != order:
-            bad.append(i)
     want = order * (order - 1) // 2
     if total != want:
-        return f"{total} edges in classes, expected {want}", bad
-    return "", bad
+        return f"{total} edges in classes, expected {want}"
+    return ""
 
 
 @dataclass
 class Decomposition:
     """Disjoint edge classes meant to partition K_order on 0..order-1.
 
-    Mutable on purpose: the completion stages grow the vertex set and the
-    classes in place.  check_hcd validates with one _prove pass;
-    check_partition raises only on its partition half.
+    Mutable on purpose: the embed stage moves edges between the classes in
+    place, and ForestSplit.scan takes the result.  check_partition proves
+    the partition; check_hcd also walks each class into a row.
     """
 
     order: int
     classes: list[set[Edge]]
 
     def check_partition(self) -> None:
-        """Raise InvariantViolation at the first edge, class by class, that
-        leaves 0..order-1 or lies in an earlier class, or else when the
-        classes do not hold every edge (the partition half of _prove)."""
-        error, _ = _prove(self.order, self.classes)
-        if error:
-            raise InvariantViolation(error)
+        """Raise InvariantViolation naming the first fault _partition_fault
+        finds."""
+        fault = _partition_fault(self.order, self.classes)
+        if fault:
+            raise InvariantViolation(fault)
 
     def check_hcd(self) -> None:
-        """Partition check plus one Hamiltonian cycle per class, both from
-        one _prove pass; InvariantViolation names the first failure."""
-        error, bad = _prove(self.order, self.classes)
-        if error:
-            raise InvariantViolation(error)
-        if bad:
-            raise InvariantViolation(f"class {bad[0]} is not a Hamiltonian cycle")
+        """Partition check plus one Hamiltonian cycle per class, each class
+        walked into a row (edge_row); InvariantViolation names the first
+        failure."""
+        self.check_partition()
+        for i, cls in enumerate(self.classes):
+            if edge_row(cls, self.order) is None:
+                raise InvariantViolation(f"class {i} is not a Hamiltonian cycle")
 
     def copy(self) -> Decomposition:
         return Decomposition(self.order, [set(c) for c in self.classes])
@@ -168,8 +240,8 @@ def _as_list(perm: dict[int, int], order: int) -> list[int]:
 def complete_perm(partial: dict[int, int], order: int) -> dict[int, int]:
     """partial, an injective map on 0..order-1, extended to a bijection:
     the unmapped keys, ascending, go to the unused values, ascending.
-    Not checked here; relabel_decomposition and _walecki_on refuse a map
-    that is no bijection."""
+    Not checked here; relabel_rows and _walecki_on refuse a map that is
+    no bijection."""
     used = set(partial.values())
     perm = dict(partial)
     perm.update(zip(
@@ -179,16 +251,13 @@ def complete_perm(partial: dict[int, int], order: int) -> dict[int, int]:
     return perm
 
 
-def relabel_decomposition(dec: Decomposition, perm: dict[int, int]) -> Decomposition:
-    """Apply a bijection of 0..order-1 to every vertex of every class."""
-    p = _as_list(perm, dec.order)
-    return Decomposition(
-        dec.order,
-        [
-            {(p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in cls}
-            for cls in dec.classes
-        ],
-    )
+def relabel_rows(
+    rows: list[list[int]], perm: dict[int, int], order: int
+) -> list[list[int]]:
+    """Apply a bijection of 0..order-1 to every vertex of every row, each
+    row kept canonical."""
+    p = _as_list(perm, order)
+    return [canonical_row(list(map(p.__getitem__, row))) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -297,16 +366,17 @@ def walecki(n: int) -> Decomposition:
     Vertex 2n is the hub.  Class j is the hub closed over the zig-zag path
     0, 1, 2n-1, 2, 2n-2, ... rotated by j among the non-hub vertices.
     Not re-checked per call: the tests check it for n = 1..128, and solve
-    verifies every certificate built on it.  The identity case of
-    _walecki_on.
+    verifies every certificate built on it.  The edge sets of the rows
+    of _walecki_on on the identity.
     """
-    return _walecki_on(n, {v: v for v in range(2 * n + 1)})
+    rows = _walecki_on(n, {v: v for v in range(2 * n + 1)})
+    return Decomposition(2 * n + 1, list(map(cycle_edges, rows)))
 
 
-def _walecki_on(n: int, perm: dict[int, int]) -> Decomposition:
-    """walecki(n) with each vertex v laid on host perm[v]: the cycles are
-    built on the hosts, not relabelled after.  perm must be a bijection
-    on 0..2n, else InvariantViolation."""
+def _walecki_on(n: int, perm: dict[int, int]) -> list[list[int]]:
+    """The rows of walecki(n) with each vertex v laid on host perm[v]: the
+    cycles are built on the hosts, not relabelled after.  perm must be a
+    bijection on 0..2n, else InvariantViolation."""
     if n < 1:
         raise ValueError("need n >= 1")
     m = 2 * n
@@ -314,9 +384,7 @@ def _walecki_on(n: int, perm: dict[int, int]) -> Decomposition:
     # the zig-zag 0, 1, -1, 2, -2, ... mod 2n, read off the ring
     # p[j:m] + p[:j] that holds at z the host of vertex (z + j) mod 2n
     zig = itemgetter(*[((i + 1) // 2 if i % 2 else -(i // 2)) % m for i in range(m)])
-    return Decomposition(
-        m + 1, [cycle_edges([p[m], *zig(p[j:m] + p[:j])]) for j in range(n)]
-    )
+    return [canonical_row([p[m], *zig(p[j:m] + p[:j])]) for j in range(n)]
 
 
 @dataclass
@@ -327,6 +395,9 @@ class RainbowCertificate:
     h_edges: the input graph in its own labels, normalized endpoint order.
     label_map: input vertex -> host vertex in 0..2n.
     assignment: class index (0 based) per input edge, parallel to h_edges.
+    cycles: the n classes, each as the row of its Hamiltonian cycle: its
+        2n + 1 hosts in cycle order, from 0 toward the lower of 0's two
+        neighbours (canonical_row).
     """
 
     n: int
@@ -334,7 +405,7 @@ class RainbowCertificate:
     h_edges: list[Edge]
     label_map: dict[int, int]
     assignment: list[int]
-    decomposition: Decomposition
+    cycles: list[list[int]]
     trace: list[str] = field(default_factory=list)
 
     @property
@@ -364,23 +435,24 @@ class VerificationReport:
 
 
 def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
-    """Re-check a certificate from scratch.  Never raises on bad content.
-    One _prove pass gives the partition check (the first error ends the
-    report) and the classes that are no Hamiltonian cycle."""
+    """Re-check a certificate from scratch.  Never raises on bad content:
+    the shape check fails unless n >= 1 and the cycles are a list of n
+    rows, each a list of 2n + 1 integers (a bool is none), and only then
+    do the rows meet _prove_rows.  Its partition error fails the
+    partition check and ends the report, a vertex out of range among
+    them; a row that is no permutation of 0..2n fails the hamiltonian
+    check."""
     rep = VerificationReport()
-    dec = cert.decomposition
-
-    shape_ok = cert.n >= 1 and dec.order == cert.order and len(dec.classes) == cert.n
-    rep.add(
-        "shape",
-        shape_ok,
-        f"n={cert.n} order={dec.order} classes={len(dec.classes)}",
-    )
-    if not shape_ok:
+    n, rows = cert.n, cert.cycles
+    fault = _shape_fault(n, rows)
+    if fault:
+        rep.add("shape", False, fault)
         return rep
+    order = 2 * n + 1
+    rep.add("shape", True, f"n={n} order={order} classes={n}")
 
-    error, bad = _prove(dec.order, dec.classes)
-    rep.add("partition", not error, error or f"{cert.n * cert.order} edges")
+    error, bad = _prove_rows(order, rows)
+    rep.add("partition", not error, error or f"{n * order} edges")
     if error:
         return rep
     ham = f"bad classes {bad}" if bad else "all classes are Hamiltonian cycles"
@@ -393,7 +465,7 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
         emb_ok, detail = False, "label map keys differ from input vertices"
     elif len(set(cert.label_map.values())) != len(cert.label_map):
         emb_ok, detail = False, "label map is not injective"
-    elif any(not 0 <= w < cert.order for w in cert.label_map.values()):
+    elif any(not 0 <= w < order for w in cert.label_map.values()):
         emb_ok, detail = False, "label map leaves the host vertex range"
     elif any(u == v for u, v in cert.h_edges):
         emb_ok, detail = False, "input graph has a loop"
@@ -409,13 +481,35 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
         rb_ok, detail = False, "assignment length differs from edge count"
     elif len(set(cert.assignment)) != len(cert.assignment):
         rb_ok, detail = False, "two edges share a class"
-    elif any(not 0 <= c < cert.n for c in cert.assignment):
+    elif any(not 0 <= c < n for c in cert.assignment):
         rb_ok, detail = False, "class index out of range"
     else:
         for (u, v), c in zip(cert.h_edges, cert.assignment):
-            e = edge(cert.label_map[u], cert.label_map[v])
-            if e not in dec.classes[c]:
+            a, b = cert.label_map[u], cert.label_map[v]
+            row = rows[c]
+            if c in bad:
+                held = edge(a, b) in cycle_edges(row)
+            else:
+                k = row.index(a)
+                held = b == row[k - 1] or b == row[k + 1 - order]
+            if not held:
                 rb_ok, detail = False, f"edge {(u, v)} not in class {c}"
                 break
     rep.add("rainbow", rb_ok, detail)
     return rep
+
+
+def _shape_fault(n, rows) -> str:
+    """What keeps rows from being n >= 1 rows of 2n + 1 integers, "" if
+    nothing."""
+    if type(n) is not int or n < 1:
+        return f"n={n!r} is no positive integer"
+    if type(rows) is not list:
+        return "the classes are no list"
+    order = 2 * n + 1
+    if len(rows) != n:
+        return f"n={n} order={order} classes={len(rows)}"
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != order or set(map(type, row)) != {int}:
+            return f"class {i} is no list of {order} integers"
+    return ""

@@ -14,36 +14,40 @@ edge to every old vertex, to classes chosen so that every class stays a
 linear forest on the floor.  At order 2n every class is a spanning path,
 and the last vertex closes each of them into a cycle.
 
-The pipeline carries one ForestSplit from the embed exit to the close:
-the classes, a PathEnds state per class holding its path ends, and per
-vertex one int holding its free classes, those in which it is a path end
-or isolated, as bit i for class i.  ForestSplit.scan builds it from a
-bare Decomposition and is the one proof of the split: check_partition
-proves that the classes partition K_m, and then one pass over each
-class, which fills two neighbour slots per vertex in flat lists and
-walks each path once from its lower end off them, shows it is a linear
-forest and gives its state and its bits of the masks.  From there the
-split grows in place.  lay_edges takes a step's or a round's edges as
-one owner list per new vertex, the class each old vertex gives its edge
-to, plus a round's bridge class, and first checks that every old vertex
-gives each new vertex exactly one edge: that keeps a partition of K_m
-one of the grown clique, so no step or round re-proves it.  It lays the
-edges into the classes, the states and the masks together, each through
-add_edge, the one copy of the join rule, whose returned far end tells
-whether the old vertex was a path end and so loses the class; a new
+The pipeline carries one ForestSplit from the embed exit to the close.
+It keeps no edge set: per class an edge count, two neighbour-slot lists
+sized 2n + 1 (first[v] and second[v], -1 where empty) and a PathEnds
+state holding its path ends, and per vertex one int holding its free
+classes, those in which it is a path end or isolated, as bit i for
+class i.  ForestSplit.scan builds it from a bare Decomposition and is
+the one proof of the split: check_partition proves that the classes
+partition K_m, and then one pass over each class, which fills its slots
+and walks each path once from its lower end off them, shows it is a
+linear forest and gives its state and its bits of the masks.  From there
+the split grows in place.  lay_edges takes a step's or a round's edges
+as one owner list per new vertex, the class each old vertex gives its
+edge to, plus a round's bridge class, and first checks that every old
+vertex gives each new vertex exactly one edge: that keeps a partition of
+K_m one of the grown clique, so no step or round re-proves it.  It lays
+the edges into the slots, the counts, the states and the masks together,
+each through add_edge, the one copy of the join rule, whose returned far
+end tells whether the old vertex was a path end, and so fills its second
+slot and loses the class, or was isolated and fills its first; a new
 vertex's mask is read off the states once its edges are laid.
 check_stage runs where a stage takes the split on and after each round
 and step: it checks the class count and the floors, and in one pass over
-the states ties each class to its state by the edge count the state
-implies and the masks' total bit count to the states.  The choice at
-each vertex is a flow with lower bounds, source -> class -> gate ->
-vertex -> sink, where a gate is a path's pair of ends or an isolated
-vertex.  _assign takes a greedy start when it already meets every bound,
-as most vertex steps' starts do, and otherwise searches the flow by
-augmenting paths on the states and the free-class masks, without
-building a network; each attach round of extend_sparse picks its slots
-with the same search.  _Dinic, a general max-flow with lower bounds, has
-no caller here: the tests check both uses of _assign on it.
+the states ties each class's count to the count its state implies and
+the masks' total bit count to the states.  close_final_vertex fills the
+last vertex's slots and walks each class's slots into its row, the
+cycle order a certificate carries.  The choice at each vertex is a flow
+with lower bounds, source -> class -> gate -> vertex -> sink, where a
+gate is a path's pair of ends or an isolated vertex.  _assign takes a
+greedy start when it already meets every bound, as most vertex steps'
+starts do, and otherwise searches the flow by augmenting paths on the
+states and the free-class masks, without building a network; each
+attach round of extend_sparse picks its slots with the same search.
+_Dinic, a general max-flow with lower bounds, has no caller here: the
+tests check both uses of _assign on it.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .errors import (
     PreconditionViolation,
     SolverError,
 )
-from .graph_core import Decomposition, Edge, edge
+from .graph_core import Decomposition, Edge, edge, slot_row
 
 # analyze_linear_forest is not called here, but perfbench/tracer.py looks
 # it up at this name
@@ -229,13 +233,19 @@ class PathEnds:
 
 @dataclass
 class ForestSplit:
-    """A split of K_order into linear forests as the stages carry it:
-    the classes in dec, the path ends of class i in ends[i], and in
-    free[v] the mask of the classes in which vertex v is a path end or
-    isolated.  scan builds one; lay_edges grows all three in place, and
-    check_stage ties them together."""
+    """A split of K_order into linear forests as the stages carry it, with
+    no edge set: class i holds count[i] edges, the neighbours of vertex v
+    in first[i][v] and second[i][v] (-1 where empty, both lists sized
+    2n + 1 for the n classes), and its path ends in ends[i]; free[v] is
+    the mask of the classes in which vertex v is a path end or isolated.
+    scan builds one; lay_edges grows it in place, check_stage ties the
+    counts, the states and the masks together, and close_final_vertex
+    walks the slots into rows."""
 
-    dec: Decomposition
+    order: int
+    count: list[int]
+    first: list[list[int]]
+    second: list[list[int]]
     ends: list[PathEnds]
     free: list[int]
 
@@ -244,34 +254,42 @@ class ForestSplit:
         """The split of dec, proved: its classes must partition K_order
         (InvariantViolation) and each must be a linear forest
         (NotLinearForest, naming the class and where), which one slot pass
-        over each class shows and turns into its state and mask bits."""
+        over each class shows and turns into its slots, state and mask
+        bits."""
         dec.check_partition()
         order = dec.order
-        ends = []
-        free = [0] * order
+        size = max(order, 2 * len(dec.classes) + 1)
+        split = cls(order, list(map(len, dec.classes)), [], [], [], [0] * order)
         for i, edges in enumerate(dec.classes):
+            first = [-1] * size
+            second = [-1] * size
             try:
-                ends.append(_forest_state(edges, order, free, 1 << i))
+                state = _forest_state(edges, order, first, second, split.free, 1 << i)
             except NotLinearForest as exc:
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
-        return cls(dec, ends, free)
+            split.first.append(first)
+            split.second.append(second)
+            split.ends.append(state)
+        return split
 
 
 def _forest_state(
-    edges: set[Edge], order: int, free: list[int], bit: int
+    edges: set[Edge],
+    order: int,
+    first: list[int],
+    second: list[int],
+    free: list[int],
+    bit: int,
 ) -> PathEnds:
     """The state of one class of a partition of K_order, each edge (u, v)
-    with 0 <= u < v < order, or NotLinearForest; bit is set in free[v] for
-    each path end and isolated vertex v.  The edges fill two neighbour
-    slots per vertex, as in graph_core._prove, a third edge at a vertex
-    refusing the class.  A vertex with its second slot empty is isolated
-    or a path end, and each path is walked once, from its lower end, to
-    find its other: from cur it steps to first[cur] + second[cur] - prev,
-    the slot that does not lead back, which past an end, its second slot
-    empty, is -1.  The walks cover every edge unless an edge lies on a
-    cycle."""
-    first = [-1] * order
-    second = [-1] * order
+    with 0 <= u < v < order, or NotLinearForest; the edges fill the empty
+    neighbour slots first and second, and bit is set in free[v] for each
+    path end and isolated vertex v.  A third edge at a vertex refuses the
+    class.  A vertex with its second slot empty is isolated or a path end,
+    and each path is walked once, from its lower end, to find its other:
+    from cur it steps to first[cur] + second[cur] - prev, the slot that
+    does not lead back, which past an end, its second slot empty, is -1.
+    The walks cover every edge unless an edge lies on a cycle."""
     for e in edges:
         u, v = e
         if first[u] < 0:
@@ -335,12 +353,11 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
     after the previous step.  The floor grows by two a vertex, so no
     class needs more than the two edges it may take.
     """
-    dec = split.dec
-    m = dec.order
+    m = split.order
     if not 1 <= m <= 2 * n - 1:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     target = size_floor(m + 1, n, True)
-    need = [target - k if k < target else 0 for k in map(len, dec.classes)]
+    need = [target - k if k < target else 0 for k in split.count]
     lay_edges(split, [_assign(m, need, split.ends, split.free)], None, "vertex step")
     check_stage(split, n, n, f"at vertex {m}")
 
@@ -349,23 +366,26 @@ def lay_edges(
     split: ForestSplit, owners: list[list[int]], bridge: int | None, stage: str
 ) -> None:
     """Append one new vertex per owner list to the split, and lay its
-    edges into the classes, their states and the free-class masks, in
-    place: old vertex v gives new vertex m + k the edge of class
-    owners[k][v], and with two new vertices class bridge takes the edge
-    between them.
+    edges into the slots, counts and states of the classes and the
+    free-class masks, in place: old vertex v gives new vertex m + k the
+    edge of class owners[k][v], and with two new vertices class bridge
+    takes the edge between them.
 
     Before anything is laid, every owner list must name a class of the
     split for each of the m old vertices, and a bridge must come exactly
     when two vertices do: then the new edges are those of the grown
     clique that K_m lacks, each once, and a split that partitions K_m
-    partitions the grown clique.  A path end that takes an edge of class i loses bit i,
-    an isolated vertex that takes one keeps it, and a new vertex's mask is
-    read off the states once its edges are laid: the classes in which it
-    is still isolated or is a path end.  A wrong shape, or an edge its
-    state's add_edge refuses, is the caller's fault: InvariantViolation,
-    naming stage (and the class and the edge)."""
-    dec, ends, free = split.dec, split.ends, split.free
-    m = dec.order
+    partitions the grown clique.  A path end that takes an edge of class
+    i fills its second slot and loses bit i, an isolated vertex that
+    takes one fills its first and keeps it, a new vertex fills its slots
+    in the order its edges come, and its mask is read off the states once
+    its edges are laid: the classes in which it is still isolated or is a
+    path end.  A wrong shape, or an edge its state's add_edge refuses, is
+    the caller's fault: InvariantViolation, naming stage (and the class
+    and the edge)."""
+    ends, free, count = split.ends, split.free, split.count
+    first, second = split.first, split.second
+    m = split.order
     n = len(ends)
     for w, owner in enumerate(owners, m):
         if len(owner) != m or min(owner) < 0 or max(owner) >= n:
@@ -380,7 +400,6 @@ def lay_edges(
             f"class {bridge}, wanted one without or two with a class 0..{n - 1}"
         )
     grown = range(m, m + len(owners))
-    classes = dec.classes
     for w in grown:
         for state in ends:
             state.isolated.add(w)
@@ -388,13 +407,23 @@ def lay_edges(
         for w, owner in zip(grown, owners):
             for u, i in enumerate(owner):
                 # add_edge returns u unless u was a path end, interior now
-                if ends[i].add_edge(u, w) != u:
+                if ends[i].add_edge(u, w) == u:
+                    first[i][u] = w
+                else:
                     free[u] &= ~(1 << i)
-                classes[i].add((u, w))
+                    second[i][u] = w
+                slots = first[i]
+                if slots[w] < 0:
+                    slots[w] = u
+                else:
+                    second[i][w] = u
+                count[i] += 1
         if bridge is not None:
             i, u, w = bridge, m, m + 1
             ends[i].add_edge(u, w)
-            classes[i].add((u, w))
+            for x, y in ((u, w), (w, u)):
+                (first[i] if first[i][x] < 0 else second[i])[x] = y
+            count[i] += 1
     except NotLinearForest as exc:
         raise InvariantViolation(
             f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
@@ -404,7 +433,7 @@ def lay_edges(
             1 << i for i, state in enumerate(ends)
             if w in state.isolated or w in state.partner
         ))
-    dec.order = grown.stop
+    split.order = grown.stop
 
 
 def _assign(
@@ -468,13 +497,9 @@ def _assign(
     opened = [0] * n
     dopened = [0] * n
     search = 0
-    owner = _warm_start(need, free, partner, units, cap)
-    if -1 not in owner:
-        load = [0] * n
-        for i in owner:
-            load[i] += 1
-        if all(map(ge, load, need)):
-            return owner  # a feasible start: nothing to search
+    owner, load = _warm_start(need, free, partner, units, cap)
+    if -1 not in owner and all(map(ge, load, need)):
+        return owner  # a feasible start: nothing to search
     held: list[list[int]] = [[] for _ in range(n)]  # a vertex per unit
     for u, i in enumerate(owner):
         if i >= 0:
@@ -655,12 +680,13 @@ def _warm_start(
     partner: list[dict[int, int]],
     units: int,
     cap: list[int],
-) -> list[int]:
+) -> tuple[list[int], list[int]]:
     """A greedy start for _assign's search, within every upper bound and
-    flat as _assign returns, unplaced units -1: vertices with the fewest
-    classes first, each unit to the class furthest below its floor whose
-    gate at the vertex holds no unit yet, the lowest such class on a tie;
-    first up to the floors, then up to the caps.
+    flat as _assign returns, unplaced units -1, and the units it gives
+    each class, its load: vertices with the fewest classes first, each
+    unit to the class furthest below its floor whose gate at the vertex
+    holds no unit yet, the lowest such class on a tie; first up to the
+    floors, then up to the caps.
 
     Each pass sweeps the vertices once per unit k, in that order.  A pass
     after the first sweeps, for each k, only the vertices that the last
@@ -739,11 +765,14 @@ def _warm_start(
                         left += swept  # the tail this sweep did not reach
                         break
             sweeps[k] = left
-    return owner
+    return owner, load
 
 
-def close_final_vertex(split: ForestSplit, n: int) -> None:
-    """Join vertex 2n to both ends of each spanning path, closing cycles.
+def close_final_vertex(split: ForestSplit, n: int) -> list[list[int]]:
+    """Join vertex 2n to both ends of each spanning path, closing cycles,
+    and return each class's row: its slots walked from 0 toward the lower
+    of 0's two neighbours (graph_core.slot_row), the order a certificate
+    carries.
 
     Each class must hold one path by its state (a single path gate).  The
     states must be tied to their classes, 2n - 1 edges each, by the
@@ -752,20 +781,32 @@ def close_final_vertex(split: ForestSplit, n: int) -> None:
     the scan proved and every step since kept.  Then each vertex has
     degree 2n - 1 over n spanning paths, so it ends exactly one of them,
     and the 2n closing ends cover 0..2n-1 once: the new edges split the
-    star at 2n among the classes.  verify_certificate proves the
-    result."""
-    dec = split.dec
-    m = dec.order
+    star at 2n among the classes.  The closing ends fill their second
+    slots, and 2n its two.  A class that does not walk into one cycle
+    through all 2n + 1 vertices raises InvariantViolation;
+    verify_certificate proves the rows."""
+    m = split.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
-    for i, (cls, state) in enumerate(zip(dec.classes, split.ends)):
+    for i, state in enumerate(split.ends):
         gates = state.gates()
         if len(gates) != 1 or len(gates[0]) != 2:
             raise InternalInfeasible(f"class {i} is not a spanning path")
         a, b = gates[0]
-        cls.add(edge(m, a))
-        cls.add(edge(m, b))
-    dec.order = m + 1
+        first, second = split.first[i], split.second[i]
+        first[m], second[m] = a, b
+        second[a] = second[b] = m
+        split.count[i] += 2
+    split.order = m + 1
+    rows = []
+    for i, (first, second) in enumerate(zip(split.first, split.second)):
+        row = slot_row(first, second)
+        if row is None:
+            raise InvariantViolation(
+                f"class {i} does not close into one Hamiltonian cycle"
+            )
+        rows.append(row)
+    return rows
 
 
 def check_stage(
@@ -779,28 +820,27 @@ def check_stage(
     stage for the messages.
 
     The n classes must meet their size floors, 0..held-1 holding their
-    edge of H.  The split was proved by its scan and grown since by rounds
-    and steps that keep the partition and lay each edge through add_edge,
-    so one pass over the states ties it together: there must be one state
-    per class, every class must hold exactly order - paths - isolated
-    edges, the count its state implies, and the free-class masks must hold
-    as many set bits in all as the states have path ends and isolated
-    vertices.  A class that moved apart from its state breaks the tie.  A
-    wrong class count or a class below its floor raises error, the rest
-    InvariantViolation."""
-    dec, ends = split.dec, split.ends
-    if len(dec.classes) != n:
-        raise error(f"expected {n} classes {where}, got {len(dec.classes)}")
+    edge of H, by their edge counts.  The split was proved by its scan and
+    grown since by rounds and steps that keep the partition and lay each
+    edge through add_edge, so one pass over the states ties it together:
+    there must be one state per class, every class's count must be exactly
+    order - paths - isolated, the count its state implies, and the
+    free-class masks must hold as many set bits in all as the states have
+    path ends and isolated vertices.  A class that moved apart from its
+    state breaks the tie.  A wrong class count or a class below its floor
+    raises error, the rest InvariantViolation."""
+    ends, sizes = split.ends, split.count
+    if len(sizes) != n:
+        raise error(f"expected {n} classes {where}, got {len(sizes)}")
     if len(ends) != n:
         raise InvariantViolation(f"{len(ends)} path-end states for {n} classes")
-    order = dec.order
+    order = split.order
     implied = []
     free_total = 0
     for s in ends:
         ends_count, isolated = len(s.partner), len(s.isolated)
         implied.append(order - ends_count // 2 - isolated)
         free_total += ends_count + isolated
-    sizes = list(map(len, dec.classes))
     if sizes != implied:
         i = next(i for i, k in enumerate(sizes) if k != implied[i])
         raise InvariantViolation(
@@ -820,22 +860,20 @@ def check_stage(
         raise error(f"class {i} has {sizes[i]} edges, floor {floors[i < held]} {where}")
 
 
-def extend_to_hcd(split: ForestSplit, n: int) -> Decomposition:
+def extend_to_hcd(split: ForestSplit, n: int) -> list[list[int]]:
     """Grow a qualifying split of K_m into an n-cycle decomposition of
-    K_{2n+1}, in place, and return its decomposition.
+    K_{2n+1}, in place, and return its n rows (close_final_vertex).
 
     Requires m <= 2n and n classes, each holding its edge and meeting its
     size floor, as check_stage checks; that they partition K_m into linear
     forests is what the split's scan proved.
     """
-    dec = split.dec
-    if not 1 <= dec.order <= 2 * n:
-        raise PreconditionViolation(f"order {dec.order} not in 1..2n")
+    if not 1 <= split.order <= 2 * n:
+        raise PreconditionViolation(f"order {split.order} not in 1..2n")
     check_stage(split, n, n, "at the completion entry", PreconditionViolation)
-    while dec.order < 2 * n:
+    while split.order < 2 * n:
         single_vertex_step(split, n)
-    close_final_vertex(split, n)
-    return dec
+    return close_final_vertex(split, n)
 
 
 def truncate_to_order(dec: Decomposition, m: int) -> Decomposition:

@@ -15,9 +15,9 @@ Strategies, tried in this order:
 
 Certificates always place the input graph on host vertices 0..v-1, and
 every route returns its classes on those final hosts, internal vertex i
-on host i, so solve relabels nothing; use relabel_hosts to move a
-certificate elsewhere.  Every route ends with a full certificate
-verification.
+on host i, as rows (graph_core.canonical_row), so solve relabels
+nothing; use relabel_hosts to move a certificate elsewhere.  Every route
+ends with a full certificate verification.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ from .errors import (
 )
 from .extend_sparse import extend_with_k2s
 from .graph_core import (
-    Decomposition,
     Edge,
     LinearForestView,
     RainbowCertificate,
     _walecki_on,
     analyze_linear_forest,
+    canonical_row,
     complete_perm,
     component_edge_groups,
-    cycle_edges,
     edge,
     edge_vertices,
-    relabel_decomposition,
+    relabel_rows,
     verify_certificate,
 )
 from .hilton import extend_to_hcd
@@ -106,15 +105,15 @@ def solve(h_edges, seed: int = 0) -> RainbowCertificate:
 
     tag, view = route(internal, n, len(vs))
     if tag is Strategy.BASE_SMALL:
-        dec, assignment, trace = _planted_solve(internal, n, seed)
+        rows, assignment, trace = _planted_solve(internal, n, seed)
     elif tag in (Strategy.ALL_K2, Strategy.LINEAR_FOREST):
-        dec, assignment, trace = _hub_linear_forest(internal, n, view.paths)
+        rows, assignment, trace = _hub_linear_forest(internal, n, view.paths)
     else:
-        dec, assignment, trace = _main_pipeline(internal, n, seed)
+        rows, assignment, trace = _main_pipeline(internal, n, seed)
 
     cert = RainbowCertificate(
         n, seed, edges_in, label_map, assignment,
-        dec, [f"route: {tag.value}"] + trace,
+        rows, [f"route: {tag.value}"] + trace,
     )
     report = verify_certificate(cert)
     if not report.ok:
@@ -138,11 +137,11 @@ def relabel_hosts(
         raise PreconditionViolation(
             f"perm must be a bijection on 0..{cert.order - 1}"
         )
-    dec = relabel_decomposition(cert.decomposition, perm)
+    rows = relabel_rows(cert.cycles, perm, cert.order)
     label_map = {lab: perm[h] for lab, h in cert.label_map.items()}
     return RainbowCertificate(
         cert.n, cert.seed, list(cert.h_edges), label_map,
-        list(cert.assignment), dec, list(cert.trace),
+        list(cert.assignment), rows, list(cert.trace),
     )
 
 
@@ -203,9 +202,9 @@ def _complete_planted(
     raise SearchExhausted("planted completion explored the whole space")
 
 
-# the classes on their final hosts, internal vertex i on host i, the class
+# the rows on their final hosts, internal vertex i on host i, the class
 # of each edge, and the trace
-_StageOut = tuple[Decomposition, list[int], list[str]]
+_StageOut = tuple[list[list[int]], list[int], list[str]]
 
 
 def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
@@ -217,8 +216,8 @@ def _planted_solve(internal: list[Edge], n: int, seed: int) -> _StageOut:
     completes with fewer than 1,000 branching nodes."""
     rng = random.Random(f"{seed}:small:0")
     cycles = _complete_planted(internal, n, rng)
-    dec = Decomposition(2 * n + 1, list(map(cycle_edges, cycles)))
-    return dec, list(range(n)), ["completion: label=small attempt=0"]
+    rows = list(map(canonical_row, cycles))
+    return rows, list(range(n)), ["completion: label=small attempt=0"]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,7 @@ def _hub_linear_forest(
         c += len(path) - 1
     assignment = [min(hosts[u], hosts[v]) % n for u, v in internal]
     perm = complete_perm({h: v for v, h in hosts.items()}, 2 * n + 1)
-    dec = _walecki_on(n, perm)
-    return dec, assignment, [f"hub: paths={len(paths)}"]
+    return _walecki_on(n, perm), assignment, [f"hub: paths={len(paths)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +293,22 @@ def _main_pipeline(internal: list[Edge], n: int, seed: int) -> _StageOut:
     # the split the embed exit proved grows through the attach rounds and
     # the completion, its path-end states and free-class masks with it
     forests = embed_dense(hp_edges, n, recurse, trace)
-    dec = extend_to_hcd(extend_with_k2s(forests, t, n, trace), n)
-    trace.append(f"hilton: order={dec.order}")
+    rows = extend_to_hcd(extend_with_k2s(forests, t, n, trace), n)
+    order = 2 * n + 1
+    trace.append(f"hilton: order={order}")
 
     # host h holds internal vertex at[h]: dense vertices keep their index,
     # and single edge number s sits on hosts r+2s and r+2s+1, lower input
     # endpoint on the even one.  Unless that is already vertex i on host
-    # i, the classes move once so that it is.
+    # i, the rows move once so that it is.
     at = dict(enumerate(thick_vs))
     for s, i in enumerate(k2_idx):
         at[r + 2 * s], at[r + 2 * s + 1] = internal[i]
     if any(h != v for h, v in at.items()):
-        dec = relabel_decomposition(dec, complete_perm(at, dec.order))
+        rows = relabel_rows(rows, complete_perm(at, order), order)
 
     # the thick edges own classes 0..t-1 in order, single edge s class t + s
     assignment = [0] * n
     for c, i in enumerate(thick_idx + k2_idx):
         assignment[i] = c
-    return dec, assignment, trace
+    return rows, assignment, trace

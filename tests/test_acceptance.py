@@ -30,6 +30,7 @@ from rainbow_hcd.graph_core import edge, verify_certificate, walecki
 from rainbow_hcd.hilton import ForestSplit, extend_to_hcd, truncate_to_order
 from rainbow_hcd.oracle import exhaustive_rainbow_hcd
 from rainbow_hcd.solver import solve
+from test_graph_core import assert_proved_as_the_parent, hcd
 
 
 def report(name, detail):
@@ -87,6 +88,8 @@ def test_five_edge_sweep_with_oracle():
     reps = nonisomorphic_edge_graphs(5)
     assert reps
     certs = [solve_and_check(h, seed=5) for h in reps]
+    for cert in certs:
+        assert_proved_as_the_parent(cert)
     rng = random.Random("sweep-5")
     picked = rng.sample(range(len(reps)), 20)
     for idx in picked:
@@ -119,6 +122,7 @@ def test_six_edge_sweep():
     for h in reps:
         for seed in (0, 1):
             cert = solve_and_check(h, seed=seed)
+            assert_proved_as_the_parent(cert)
             text = certificate_to_text(cert)
             assert certificate_to_text(certificate_from_text(text)) == text
             counts[cert.trace[0]] += 1
@@ -343,10 +347,8 @@ def test_completion_suite():
             cut = truncate_to_order(base, m)
             floor = 2 * m - 2 * n - 1
             assert all(len(cls) >= floor for cls in cut.classes)
-            # the completion grows cut in place, so its classes are kept
-            # apart first
             kept = [set(cls) for cls in cut.classes]
-            out = extend_to_hcd(ForestSplit.scan(cut), n)
+            out = hcd(extend_to_hcd(ForestSplit.scan(cut), n))
             out.check_hcd()
             assert out.order == 2 * n + 1
             for old, new in zip(kept, out.classes):

@@ -47,7 +47,8 @@ from rainbow_hcd.hilton import (
     size_floor,
 )
 from rainbow_hcd.solver import solve
-from test_hilton import free_classes
+from test_graph_core import hcd
+from test_hilton import classes_of, dec_of, free_classes
 
 scan = ForestSplit.scan
 
@@ -104,11 +105,10 @@ def gain_floors(split, cstar):
     """The gain floors of an attach round on split with the bridge in
     cstar: each class's size floor at order m + 2, less its edges and the
     bridge."""
-    dec = split.dec
-    m, n = dec.order, len(dec.classes)
+    m, n = split.order, len(split.count)
     return [
-        size_floor(m + 2, n, i <= cstar) - len(cls) - (i == cstar)
-        for i, cls in enumerate(dec.classes)
+        size_floor(m + 2, n, i <= cstar) - k - (i == cstar)
+        for i, k in enumerate(split.count)
     ]
 
 
@@ -192,14 +192,13 @@ class TestCapacityGraph:
 
     def test_slot_counts(self):
         split = scan(k5_forests())
-        dec = split.dec
         # class i offers 2 * (order - size) slots in total
-        for cls, e in zip(dec.classes, split.ends):
-            assert len(e.partner) + 2 * len(e.isolated) == 2 * (dec.order - len(cls))
+        for k, e in zip(split.count, split.ends):
+            assert len(e.partner) + 2 * len(e.isolated) == 2 * (split.order - k)
         capacity_graph(split)
         # a class that lost an edge its state still holds is caught by the
         # count tie every round's stage check runs on the same states
-        dec.classes[2].discard(edge(0, 4))
+        split.count[2] -= 1
         with pytest.raises(InvariantViolation, match="drifted from its path ends"):
             check_stage(split, 3, 3, "after the round")
 
@@ -208,7 +207,7 @@ class TestCapacityGraph:
         # mask that misses a class leaves its vertex a slot short
         split = scan(k5_forests())
         free = split.free
-        m, n = split.dec.order, len(split.dec.classes)
+        m, n = split.order, len(split.count)
         assert all(
             free[u].bit_count() + sum(u in e.isolated for e in split.ends)
             == 2 * n - m + 1
@@ -237,12 +236,12 @@ class TestVerifySparseState:
     def test_accepts_valid_state(self):
         grown = extend_with_k2s(scan(p3_split()), t=2, n=3)
         check_stage(grown, 3, 3, "after step 1")
-        check_stage(scan(grown.dec), 3, 3, "after step 1")
+        check_stage(scan(dec_of(grown)), 3, 3, "after step 1")
 
     def test_rejects_wrong_order(self):
         # an order the carried states do not account for
         grown = extend_with_k2s(scan(p3_split()), t=2, n=3)
-        grown.dec.order += 1
+        grown.order += 1
         with pytest.raises(InvariantViolation, match="drifted"):
             check_stage(grown, 3, 3, "after step 1")
 
@@ -274,7 +273,7 @@ class TestPreconditions:
 class TestGrowth:
     def test_path_to_five_vertices(self):
         # two planted edges, one round: 3 classes of K_5 sized (4, 3, 3)
-        out = extend_with_k2s(scan(p3_split()), t=2, n=3).dec
+        out = dec_of(extend_with_k2s(scan(p3_split()), t=2, n=3))
         assert out.order == 5
         assert sorted(len(c) for c in out.classes) == [3, 3, 4]
         assert edge(0, 1) in out.classes[0]
@@ -282,39 +281,39 @@ class TestGrowth:
         assert edge(3, 4) in out.classes[2]
 
     def test_grown_split_completes_to_cycles(self):
-        out = extend_to_hcd(extend_with_k2s(scan(p3_split()), t=2, n=3), 3)
+        out = hcd(extend_to_hcd(extend_with_k2s(scan(p3_split()), t=2, n=3), 3))
         out.check_hcd()
         assert out.order == 7
 
     def test_three_rounds(self):
         h = disjoint_union(star_graph(3), path_graph(2))
         trace = []
-        out = extend_with_k2s(dense_split(h, 8), t=5, n=8, trace=trace).dec
+        out = dec_of(extend_with_k2s(dense_split(h, 8), t=5, n=8, trace=trace))
         assert out.order == 7 + 2 * 3
         assert [line.split()[1] for line in trace] == ["s=0", "s=1", "s=2"]
         check_stage(scan(out), 8, 8, "after step 3")
 
     def test_bridge_lands_in_scheduled_class(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        out = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
+        out = dec_of(extend_with_k2s(dense_split(h, 8), t=5, n=8))
         for s in range(3):
             assert edge(7 + 2 * s, 8 + 2 * s) in out.classes[5 + s]
 
     def test_planted_edges_survive_every_round(self):
         h = disjoint_union(star_graph(3), path_graph(2))
-        out = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
+        out = dec_of(extend_with_k2s(dense_split(h, 8), t=5, n=8))
         for i, e in enumerate(h):
             assert e in out.classes[i]
 
     def test_deterministic(self):
         # no round draws a random number: the same split grows the same way
         h = disjoint_union(star_graph(3), path_graph(2))
-        a = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
-        b = extend_with_k2s(dense_split(h, 8), t=5, n=8).dec
+        a = dec_of(extend_with_k2s(dense_split(h, 8), t=5, n=8))
+        b = dec_of(extend_with_k2s(dense_split(h, 8), t=5, n=8))
         assert a.classes == b.classes
 
     def test_no_rounds_needed(self):
-        out = extend_with_k2s(scan(c4_split()), t=4, n=4).dec
+        out = dec_of(extend_with_k2s(scan(c4_split()), t=4, n=4))
         assert out.order == c4_split().order
         assert out.classes == c4_split().classes
 
@@ -471,7 +470,8 @@ class TestWitness:
         if cold:
             monkeypatch.setattr(
                 hilton, "_warm_start",
-                lambda need, free, partner, units, *_: [-1] * (len(free) * units),
+                lambda need, free, partner, units, *_: (
+                    [-1] * (len(free) * units), [0] * len(need)),
             )
         rng = random.Random("attach-round")
         outcomes = Counter()
@@ -546,13 +546,13 @@ class TestWitness:
     )
     def test_lay_edges_refuses_a_witness_of_the_wrong_shape(self, owner, valid):
         split = matching_state()
-        before = [set(cls) for cls in split.dec.classes], list(split.free)
+        before = classes_of(split), list(split.count), list(split.free)
         with pytest.raises(InvariantViolation, match=re.escape(
             f"attach round at order 4: {valid} are classes 0..5, wanted 4"
         )):
             attach(split, owner, 5)
-        assert split.dec.order == 4
-        assert (split.dec.classes, split.free) == before
+        assert split.order == 4
+        assert (classes_of(split), split.count, split.free) == before
 
     # the witness check reads only the gain floors; a split that breaks a
     # class is refused where lay_edges lays it, by the states' add_edge,
@@ -568,7 +568,7 @@ class TestWitness:
         split = matching_state()
         # every old vertex gives one edge to each new vertex and the floors
         # are slack, so the witness check accepts it
-        assert len(owner) == 2 * split.dec.order
+        assert len(owner) == 2 * split.order
         assert _witness_ok(owner, gain_floors(split, cstar))
         with pytest.raises(
             InvariantViolation, match=r"attach round at order 4: class \d cannot take"
@@ -634,10 +634,12 @@ class TestWitness:
                         doubled["path"] += 1
             assert _witness_ok(out, floors)
             # laid through the states, every class stays a linear forest;
-            # lay_edges reads only the order of the classes, the states and
-            # the masks
-            dec = Decomposition(m, [set() for _ in range(n)])
-            attach(ForestSplit(dec, ends, free_classes(ends, m)), out, cstar)
+            # lay_edges reads the states and the masks, and fills slots
+            # that start empty
+            size = max(m + 2, 2 * n + 1)
+            attach(ForestSplit(m, [0] * n, [[-1] * size for _ in range(n)],
+                               [[-1] * size for _ in range(n)], ends,
+                               free_classes(ends, m)), out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
@@ -757,12 +759,11 @@ def carried_graphs():
 # that runs under python -O too, and the message of the InvariantViolation
 # it raises
 MUTANTS = {
-    # the class of the bridge drops it after the round
+    # the class of the bridge drops it from its count after the round
     "drift": ("""
         def lay(split, owners, bridge, stage):
             real(split, owners, bridge, stage)
-            dec = split.dec
-            dec.classes[bridge].discard(edge(dec.order - 2, dec.order - 1))
+            split.count[bridge] -= 1
     """, "drifted from its path ends"),
     # the old vertices keep every class they were free in
     "keep-free": ("""
@@ -856,7 +857,7 @@ class TestCarriedState:
 
         def spy(split, n, held, where, *args):
             real(split, n, held, where, *args)
-            assert [e.gates() for e in split.ends] == scan_gates(split.dec), where
+            assert [e.gates() for e in split.ends] == scan_gates(dec_of(split)), where
             rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
@@ -873,7 +874,7 @@ class TestCarriedState:
 
         def spy(split, n, held, where, *args):
             real(split, n, held, where, *args)
-            assert split.free == free_classes(split.ends, split.dec.order), where
+            assert split.free == free_classes(split.ends, split.order), where
             rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
@@ -893,7 +894,7 @@ class TestCarriedState:
 
         split = dense_split(disjoint_union(star_graph(3), path_graph(2)), 8)
         monkeypatch.setattr(ForestSplit, "scan", no_scan)
-        extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8).check_hcd()
+        hcd(extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8)).check_hcd()
 
     def test_class_moved_apart_from_its_state_is_caught(self, capsys):
         exec(mutant_code("drift"), {})
@@ -916,12 +917,12 @@ class TestCarriedState:
             assert MUTANTS[name][1] in line, name
 
 
-def move_edge(dec, src, dst):
-    """Move the smallest edge of class src into class dst: the classes
-    still partition K_order, but both drift from their states."""
-    e = min(dec.classes[src])
-    dec.classes[src].discard(e)
-    dec.classes[dst].add(e)
+def move_edge(split, src, dst):
+    """Count one edge of class src in class dst, as moving it there would:
+    the slots still partition K_order, but both counts drift from their
+    states."""
+    split.count[src] -= 1
+    split.count[dst] += 1
 
 
 def state_snapshot(ends):
@@ -938,8 +939,8 @@ class TestStageBoundary:
 
     def test_embed_returns_the_states_of_its_split(self):
         split = self.embedded()
-        assert [e.gates() for e in split.ends] == scan_gates(split.dec)
-        assert split.free == scan(split.dec).free
+        assert [e.gates() for e in split.ends] == scan_gates(dec_of(split))
+        assert split.free == scan(dec_of(split)).free
 
     def test_given_states_no_stage_scans(self, monkeypatch):
         split = self.embedded()
@@ -949,7 +950,7 @@ class TestStageBoundary:
 
         monkeypatch.setattr(extend_sparse, "analyze_linear_forest", no_scan)
         monkeypatch.setattr(hilton, "analyze_linear_forest", no_scan)
-        extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8).check_hcd()
+        hcd(extend_to_hcd(extend_with_k2s(split, t=5, n=8), 8)).check_hcd()
 
     @pytest.mark.parametrize("h, n", [(H, 8), (H + [(7, 8), (8, 9)], 7)])
     def test_given_states_no_partition_proof(self, monkeypatch, h, n):
@@ -964,44 +965,45 @@ class TestStageBoundary:
         monkeypatch.setattr(Decomposition, "check_partition", no_proof)
         out = extend_to_hcd(extend_with_k2s(split, t=len(h), n=n), n)
         monkeypatch.undo()
-        out.check_hcd()
+        hcd(out).check_hcd()
 
     def test_states_change_nothing(self):
         # the same split grown from the embed's states and from a fresh scan
         split = self.embedded()
-        b = extend_with_k2s(scan(split.dec.copy()), t=5, n=8)
+        b = extend_with_k2s(scan(dec_of(split)), t=5, n=8)
         a = extend_with_k2s(split, t=5, n=8)
-        assert a.dec.classes == b.dec.classes
+        assert classes_of(a) == classes_of(b) and a.count == b.count
         assert state_snapshot(a.ends) == state_snapshot(b.ends)
         assert a.free == b.free
-        assert extend_to_hcd(a, 8).classes == extend_to_hcd(b, 8).classes
+        assert extend_to_hcd(a, 8) == extend_to_hcd(b, 8)
 
     @pytest.mark.parametrize("carried", [True, False])
     def test_input_grows_in_place(self, carried):
         # the embed's split, or a fresh scan of its classes
         split = self.embedded()
         if not carried:
-            split = scan(split.dec)
-        dec, ends, free = split.dec, split.ends, split.free
-        order = dec.order
+            split = scan(dec_of(split))
+        held = split.count, split.first, split.second, split.ends, split.free
+        order = split.order
         out = extend_with_k2s(split, t=5, n=8)
         assert out is split
-        assert out.dec is dec and out.ends is ends and out.free is free
-        assert dec.order == order + 6
-        fresh = scan(dec)
-        assert state_snapshot(ends) == state_snapshot(fresh.ends)
-        assert free == fresh.free
+        assert all(a is b for a, b in zip(
+            (out.count, out.first, out.second, out.ends, out.free), held))
+        assert split.order == order + 6
+        fresh = scan(dec_of(split))
+        assert state_snapshot(split.ends) == state_snapshot(fresh.ends)
+        assert (split.count, split.free) == (fresh.count, fresh.free)
 
     def test_drift_is_caught_at_the_attach_entry(self):
         split = self.embedded()
-        move_edge(split.dec, 6, 7)
+        move_edge(split, 6, 7)
         with pytest.raises(InvariantViolation, match="drifted"):
             extend_with_k2s(split, t=5, n=8)
 
     def test_drift_is_caught_at_the_completion_entry(self):
         split = extend_with_k2s(self.embedded(), t=5, n=8)
-        move_edge(split.dec, 0, 1)
-        split.dec.check_partition()
+        move_edge(split, 0, 1)
+        dec_of(split).check_partition()
         with pytest.raises(InvariantViolation, match="drifted"):
             extend_to_hcd(split, 8)
 
@@ -1044,12 +1046,12 @@ class TestStageContract:
         n = t + k2_count
         r = len(edge_vertices(h))
         split = extend_with_k2s(dense_split(h, n, seed), t, n)
-        out = split.dec
+        out = dec_of(split)
         assert out.order == r + 2 * (n - t)
         check_stage(scan(out), n, n, "after the rounds")
         for s in range(n - t):
             assert edge(r + 2 * s, r + 2 * s + 1) in out.classes[t + s]
-        extend_to_hcd(split, n).check_hcd()
+        hcd(extend_to_hcd(split, n)).check_hcd()
 
 
 def greedy_entry_split(rng, r, n):
@@ -1093,11 +1095,13 @@ class TestWholeDomain:
                 continue
             kept = [set(cls) for cls in dec.classes]
             split = extend_with_k2s(scan(dec), t, n)
-            assert dec.order == r + 2 * (n - t)
+            grown = dec_of(split)
+            assert grown.order == r + 2 * (n - t)
             for s in range(n - t):
-                assert edge(r + 2 * s, r + 2 * s + 1) in dec.classes[t + s]
-            extend_to_hcd(split, n).check_hcd()
-            assert all(old <= new for old, new in zip(kept, dec.classes))
+                assert edge(r + 2 * s, r + 2 * s + 1) in grown.classes[t + s]
+            out = hcd(extend_to_hcd(split, n))
+            out.check_hcd()
+            assert all(old <= new for old, new in zip(kept, out.classes))
             done += 1
             tight += r > n
             # the last round then leaves k = 4 slots a vertex

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from rainbow_hcd.cli import main
 from rainbow_hcd.errors import ParseError, PreconditionViolation
+from test_graph_core import assert_proved_as_the_parent
 from rainbow_hcd.files import (
     certificate_from_text,
     certificate_to_text,
@@ -21,7 +23,13 @@ from rainbow_hcd.families import (
     path_graph,
     star_graph,
 )
-from rainbow_hcd.graph_core import edge, verify_certificate
+from rainbow_hcd.graph_core import (
+    complete_edges,
+    cycle_edges,
+    edge,
+    edge_row,
+    verify_certificate,
+)
 from rainbow_hcd.solver import solve
 
 
@@ -130,11 +138,12 @@ class TestCertificateText:
         cert = self.make()
         doc = json.loads(certificate_to_text(cert))
         assert doc["format"] == 2
-        for seq, cls in zip(doc["classes"], cert.decomposition.classes):
+        assert doc["classes"] == cert.cycles
+        for seq in doc["classes"]:
             assert sorted(seq) == list(range(cert.order))
             assert seq[0] == 0 and seq[1] < seq[-1]
             pairs = zip(seq, seq[1:] + seq[:1])
-            assert {(min(p), max(p)) for p in pairs} == cls
+            assert parent_cycle({(min(p), max(p)) for p in pairs}, cert.order) == seq
 
     def _swap_an_edge(classes):
         # each class keeps 2n+1 edges, but two vertices of each get
@@ -152,12 +161,15 @@ class TestCertificateText:
     @pytest.mark.parametrize("damage", [_swap_an_edge, _two_cycles],
                              ids=["swapped-edge", "two-cycles"])
     def test_refuses_a_class_that_is_no_hamiltonian_cycle(self, damage):
-        # no vertex sequence describes such a class
+        # no row describes such a class: the format-1 reader, which walks
+        # each class into its row, refuses it
         cert = self.make()
         assert cert.order == 7
-        damage(cert.decomposition.classes)
-        with pytest.raises(PreconditionViolation, match="not a Hamiltonian cycle"):
-            certificate_to_text(cert)
+        classes = list(map(cycle_edges, cert.cycles))
+        damage(classes)
+        doc = _doc(cert, [[list(e) for e in sorted(c)] for c in classes])
+        with pytest.raises(ParseError, match="not a Hamiltonian cycle on 0..6"):
+            certificate_from_text(json.dumps(doc))
 
 
 def _doc(cert, classes):
@@ -179,7 +191,7 @@ def _dumps_text(cert):
     """The format-1 certificate text, each class as its sorted edge pairs,
     as json.dumps(indent=1) writes it: the reference for reading format 1
     and for the format-1 byte pins."""
-    classes = [[list(e) for e in sorted(c)] for c in cert.decomposition.classes]
+    classes = [[list(e) for e in sorted(cycle_edges(r))] for r in cert.cycles]
     return json.dumps(_doc(cert, classes), indent=1) + "\n"
 
 
@@ -200,7 +212,7 @@ def _cycle_by_adjacency(cls):
 def _dumps_format_2(cert):
     """The format-2 certificate text as json.dumps(indent=1) writes it,
     the reference that certificate_to_text must match byte for byte."""
-    classes = [_cycle_by_adjacency(c) for c in cert.decomposition.classes]
+    classes = [_cycle_by_adjacency(cycle_edges(r)) for r in cert.cycles]
     doc = {"format": 2, **_doc(cert, classes)}
     return json.dumps(doc, indent=1) + "\n"
 
@@ -228,6 +240,79 @@ def _every_route_up_to_64():
 @pytest.fixture(scope="module")
 def every_route_cert():
     return [solve(h, seed=seed) for h, seed in _every_route_up_to_64()]
+
+
+def parent_cycle(cls, order):
+    """cls's vertex sequence from 0 toward the lower of 0's neighbours.
+    Each edge fills a neighbour slot at both ends, as in graph_core's
+    _prove: order edges that fill every second slot give every vertex
+    degree two, and then cls is a Hamiltonian cycle when the walk from 0
+    meets 0 again after order vertices."""
+    first = [-1] * order
+    second = [-1] * order
+    for u, v in cls:
+        (first if first[u] < 0 else second)[u] = v
+        (first if first[v] < 0 else second)[v] = u
+    seq = [0]
+    if len(cls) == order and -1 not in second:
+        prev, cur = 0, min(first[0], second[0])
+        while cur:
+            seq.append(cur)
+            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+    if len(seq) != order:
+        raise PreconditionViolation("a class is not a Hamiltonian cycle on 0..2n")
+    return seq
+
+
+def _edge_set_mutants(order, rng):
+    """Named edge sets on 0..order-1 with order edges or near it: a
+    Hamiltonian cycle, and one with an edge swapped for a chord, one split
+    into two cycles, one missing an edge or holding an extra one, and a
+    triangle cut in at a vertex."""
+    vs = [0, *rng.sample(range(1, order), order - 1)]
+    cyc = cycle_edges(vs)
+    out = {"cycle": cyc}
+    free = sorted(set(complete_edges(order)) - cyc)
+    drop = rng.choice(sorted(cyc))
+    out["missing"] = cyc - {drop}
+    if free:
+        out["chord"] = (cyc - {drop}) | {rng.choice(free)}
+        out["extra"] = cyc | {rng.choice(free)}
+    if order >= 6:
+        cut = rng.randint(3, order - 3)
+        out["two cycles"] = cycle_edges(vs[:cut]) | cycle_edges(vs[cut:])
+    return out
+
+
+class TestRowWalk:
+    # edge_row, which the format-1 reader and check_hcd walk edge sets
+    # with, against the writer's walk it replaced
+    @pytest.mark.parametrize("order", range(3, 30))
+    def test_walks_as_the_parent_writer(self, order):
+        rng = random.Random(f"walk:{order}")
+        seen = set()
+        for _ in range(5):
+            for name, cls in _edge_set_mutants(order, rng).items():
+                try:
+                    want = parent_cycle(cls, order)
+                except PreconditionViolation:
+                    want = None
+                assert edge_row(cls, order) == want, (name, cls)
+                seen.add((name, want is None))
+        assert ("cycle", False) in seen and ("missing", True) in seen
+
+    def test_format_1_reads_the_parent_rows(self, every_route_cert):
+        for cert in every_route_cert[::7]:
+            back = certificate_from_text(_dumps_text(cert))
+            assert back.cycles == [
+                parent_cycle(cycle_edges(r), cert.order) for r in cert.cycles]
+
+
+def test_every_route_is_proved_as_the_parent(every_route_cert):
+    # the row proof's report on every route's certificates is the edge-set
+    # proof's, word for word
+    for cert in every_route_cert:
+        assert_proved_as_the_parent(cert)
 
 
 class TestHandLaidWriter:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +15,42 @@ from rainbow_hcd.families import (
 from rainbow_hcd.graph_core import (
     Decomposition,
     RainbowCertificate,
+    VerificationReport,
+    _as_list,
     _walecki_on,
     analyze_linear_forest,
+    canonical_row,
     complete_edges,
     component_edge_groups,
+    cycle_edges,
     edge,
+    edge_row,
+    edge_vertices,
     is_hamiltonian_cycle,
-    relabel_decomposition,
+    relabel_rows,
+    slot_row,
     verify_certificate,
     walecki,
 )
 from rainbow_hcd.solver import solve
+
+
+def relabel_decomposition(dec, perm):
+    """Every vertex of every class of dec moved by the bijection perm:
+    the edge-set relabelling that relabel_rows replaced, kept as the
+    reference for it and for building relabelled splits."""
+    p = _as_list(perm, dec.order)
+    return Decomposition(
+        dec.order,
+        [
+            {(p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in cls}
+            for cls in dec.classes
+        ],
+    )
+
+
+def identity(order):
+    return {v: v for v in range(order)}
 
 
 def test_edge_normalizes():
@@ -88,12 +114,14 @@ class TestWalecki:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 24])
     def test_laid_on_hosts_is_the_relabelled_construction(self, n):
+        # rows, each canonical, of the relabelled edge sets
         rng = random.Random(f"laid:{n}")
         order = 2 * n + 1
         for _ in range(5):
             perm = dict(enumerate(rng.sample(range(order), order)))
             laid = _walecki_on(n, perm)
-            assert laid.classes == relabel_decomposition(walecki(n), perm).classes
+            want = relabel_decomposition(walecki(n), perm).classes
+            assert laid == [edge_row(cls, order) for cls in want]
 
     @pytest.mark.parametrize(
         "perm",
@@ -123,28 +151,31 @@ class TestDecomposition:
             dec.check_partition()
 
     def test_relabel_preserves_hcd(self):
-        dec = walecki(3)
+        rows = _walecki_on(3, identity(7))
         perm = {v: (3 * v + 1) % 7 for v in range(7)}
-        out = relabel_decomposition(dec, perm)
-        out.check_hcd()
+        out = relabel_rows(rows, perm, 7)
+        hcd(out).check_hcd()
         e = edge(perm[0], perm[1])
-        assert [e in c for c in out.classes] == [(0, 1) in c for c in dec.classes]
+        assert ([e in cycle_edges(r) for r in out]
+                == [(0, 1) in cycle_edges(r) for r in rows])
 
     def test_relabel_builds_the_sets_edge_builds(self):
-        # the same members, inserted in the same order, so the same
-        # iteration order as well
+        # the rows walk the edge sets edge() builds of the moved classes,
+        # each from 0 toward its lower neighbour
         rng = random.Random(4)
-        dec = solve(disjoint_union(cycle_graph(3), path_graph(1), path_graph(1),
-                                   path_graph(1)), seed=0).decomposition
-        perm = dict(enumerate(rng.sample(range(dec.order), dec.order)))
-        want = [{edge(perm[u], perm[v]) for u, v in cls} for cls in dec.classes]
-        got = relabel_decomposition(dec, perm).classes
-        assert got == want
-        assert [list(c) for c in got] == [list(c) for c in want]
+        cert = solve(disjoint_union(cycle_graph(3), path_graph(1), path_graph(1),
+                                    path_graph(1)), seed=0)
+        order = cert.order
+        perm = dict(enumerate(rng.sample(range(order), order)))
+        want = [{edge(perm[u], perm[v]) for u, v in cycle_edges(r)}
+                for r in cert.cycles]
+        got = relabel_rows(cert.cycles, perm, order)
+        assert list(map(cycle_edges, got)) == want
+        assert all(r[0] == 0 and r[1] < r[-1] for r in got)
 
     def test_relabel_rejects_non_bijection(self):
         with pytest.raises(InvariantViolation):
-            relabel_decomposition(walecki(1), {0: 0, 1: 0, 2: 2})
+            relabel_rows(_walecki_on(1, identity(3)), {0: 0, 1: 0, 2: 2}, 3)
 
     def test_copy_is_deep(self):
         dec = walecki(1)
@@ -211,11 +242,41 @@ class TestLinearForest:
         assert rebuilt == set(edges)
 
 
+def hcd(rows):
+    """The edge sets of rows, as a Decomposition to check."""
+    return Decomposition(len(rows[0]), list(map(cycle_edges, rows)))
+
+
 def _walecki_cert(n):
     return RainbowCertificate(
         n=n, seed=0, h_edges=[], label_map={}, assignment=[],
-        decomposition=walecki(n),
+        cycles=_walecki_on(n, identity(2 * n + 1)),
     )
+
+
+def _figure_eight(rows, i=None, j=None):
+    """A copy of rows in which classes i and j trade a vertex: the walk of
+    i passes p, y, q and that of j p, x, q, and i takes x there, j takes
+    y.  Each class then holds the same number of edges, and the two
+    together the same edges, but walks a figure eight: i through x
+    twice, missing y, and j through y twice, missing x.  The first such
+    trade of classes i and j (any two when not given) whose classes keep
+    all their edges distinct; None when there is none."""
+    order = len(rows[0])
+    pairs = [(i, j)] if i is not None else [
+        (a, b) for a in range(len(rows)) for b in range(len(rows)) if a != b]
+    for a, b in pairs:
+        ra, rb = rows[a], rows[b]
+        at = {frozenset((rb[k - 1], rb[(k + 1) % order])): k for k in range(order)}
+        for k in range(order):
+            ends = frozenset((ra[k - 1], ra[(k + 1) % order]))
+            if ends not in at or rb[at[ends]] == ra[k]:
+                continue
+            out = [list(r) for r in rows]
+            out[a][k], out[b][at[ends]] = rb[at[ends]], ra[k]
+            if all(len(cycle_edges(out[c])) == order for c in (a, b)):
+                return out
+    return None
 
 
 class TestVerifyCertificate:
@@ -230,7 +291,7 @@ class TestVerifyCertificate:
         cert = _walecki_cert(2)
         cert.h_edges = [(0, 1), (1, 2)]
         cert.label_map = {0: 0, 1: 1, 2: 2}
-        dec = cert.decomposition
+        dec = hcd(cert.cycles)
         cert.assignment = [
             next(i for i, c in enumerate(dec.classes) if e in c)
             for e in [(0, 1), (1, 2)]
@@ -241,7 +302,7 @@ class TestVerifyCertificate:
         cert = _walecki_cert(2)
         cert.h_edges = [(0, 1), (1, 2)]
         cert.label_map = {0: 0, 1: 1, 2: 2}
-        c = next(i for i, cls in enumerate(cert.decomposition.classes)
+        c = next(i for i, cls in enumerate(hcd(cert.cycles).classes)
                  if (0, 1) in cls)
         cert.assignment = [c, c]
         rep = verify_certificate(cert)
@@ -261,25 +322,21 @@ class TestVerifyCertificate:
         cert = _walecki_cert(2)
         cert.h_edges = [(0, 1)]
         cert.label_map = {0: 0, 1: 1}
-        c = next(i for i, cls in enumerate(cert.decomposition.classes)
+        c = next(i for i, cls in enumerate(hcd(cert.cycles).classes)
                  if (0, 1) in cls)
         cert.assignment = [1 - c]
         assert not verify_certificate(cert).ok
 
     def test_tampered_partition_rejected(self):
         cert = _walecki_cert(3)
-        cert.decomposition.classes[0].discard((0, 1))
+        cert.cycles[0] = list(cert.cycles[1])
         rep = verify_certificate(cert)
         assert not rep.ok
         assert any(name == "partition" and not p for name, p, _ in rep.checks)
 
     def test_tampered_cycle_rejected(self):
         cert = _walecki_cert(3)
-        c0, c1 = cert.decomposition.classes[:2]
-        e0 = min(c0)
-        e1 = min(c1)
-        c0.discard(e0); c1.discard(e1)
-        c0.add(e1); c1.add(e0)
+        cert.cycles = _figure_eight(cert.cycles, 0, 1)
         rep = verify_certificate(cert)
         assert not rep.ok
         assert any(name == "hamiltonian" and not p for name, p, _ in rep.checks)
@@ -513,27 +570,9 @@ class TestKernelsMatchDictOracles:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass proof against the two separate checks it replaced: the
-# partition (_dict_check_partition, the reference check_partition was held
-# to) and then each class alone (_dict_is_hamiltonian_cycle).
-
-
-def _two_step_lines(cert):
-    """verify_certificate(cert).lines() as the two separate checks give
-    them.  The shape, embedding and rainbow lines read no class structure
-    and are taken from verify_certificate itself."""
-    got = verify_certificate(cert).lines()
-    dec = cert.decomposition
-    try:
-        _dict_check_partition(dec)
-    except InvariantViolation as exc:
-        return got[:1] + [f"partition: FAIL ({exc})"]
-    bad = [i for i, c in enumerate(dec.classes)
-           if not _dict_is_hamiltonian_cycle(c, dec.order)]
-    ham = (f"hamiltonian: FAIL (bad classes {bad})" if bad
-           else "hamiltonian: ok (all classes are Hamiltonian cycles)")
-    edges = dec.order * (dec.order - 1) // 2
-    return got[:1] + [f"partition: ok ({edges} edges)", ham] + got[3:]
+# check_hcd against the two separate checks it was held to: the partition
+# (_dict_check_partition) and then each class alone
+# (_dict_is_hamiltonian_cycle).
 
 
 def _two_step_check_hcd(dec):
@@ -551,8 +590,8 @@ def _proof_certificates():
     for n in (3, 6, 11):
         cert = _walecki_cert(n)
         order = 2 * n + 1
-        cert.decomposition = relabel_decomposition(
-            cert.decomposition, dict(enumerate(rng.sample(range(order), order))))
+        cert.cycles = relabel_rows(
+            cert.cycles, dict(enumerate(rng.sample(range(order), order))), order)
         out.append(cert)
     k2 = path_graph(1)
     for h in (path_graph(4), disjoint_union(*[k2] * 9), path_graph(12),
@@ -563,12 +602,12 @@ def _proof_certificates():
 
 
 def _proof_mutants(cert, rng):
-    """Named copies of cert's decomposition, each broken one way at a
-    random place: an edge moved, dropped, copied, pushed out of range or
-    turned, a class of the wrong size, the two-class swap of
-    test_tampered_cycle_rejected, and a trade that keeps every degree two
-    but splits a class into two cycles."""
-    good = cert.decomposition
+    """Named copies of the edge sets of cert's rows, each broken one way
+    at a random place: an edge moved, dropped, copied, pushed out of
+    range or turned, a class of the wrong size, a swap of two classes'
+    least edges, and a trade that keeps every degree two but splits a
+    class into two cycles."""
+    good = hcd(cert.cycles)
     order, n = good.order, len(good.classes)
     i, j = rng.sample(range(n), 2)
     e = rng.choice(sorted(good.classes[i]))
@@ -646,24 +685,275 @@ class TestOnePassProof:
         seen = set()
         for cert in _proof_certificates():
             for name, dec in _proof_mutants(cert, rng).items():
-                tampered = RainbowCertificate(
-                    cert.n, cert.seed, cert.h_edges, cert.label_map,
-                    cert.assignment, dec,
-                )
-                got = verify_certificate(tampered).lines()
-                assert got == _two_step_lines(tampered), (name, got)
                 assert _outcome(dec.check_hcd) == _outcome(
                     _two_step_check_hcd, dec), name
-                assert (name == "unchanged") == verify_certificate(tampered).ok
                 seen.add(name)
         assert "two cycles" in seen
 
     def test_tampered_cycle_names_both_classes(self):
         cert = _walecki_cert(3)
-        c0, c1 = cert.decomposition.classes[:2]
-        e0, e1 = min(c0), min(c1)
-        c0.discard(e0); c1.discard(e1)
-        c0.add(e1); c1.add(e0)
+        cert.cycles = _figure_eight(cert.cycles, 0, 1)
         assert verify_certificate(cert).lines()[1:3] == [
             "partition: ok (21 edges)", "hamiltonian: FAIL (bad classes [0, 1])",
         ]
+
+
+# ---------------------------------------------------------------------------
+# The row proof against the edge-set proof it replaced, kept here as it
+# stood: parent_prove, and parent_verify, verify_certificate as it read
+# on the edge sets of the rows.
+
+
+def parent_prove(order: int, classes: list[set]) -> tuple[str, list[int] | None]:
+    """Prove that classes partition K_order into Hamiltonian cycles, in one
+    pass over each class's edges.  Returns the first partition error ("" if
+    none) and the classes that are no Hamiltonian cycle (None if an edge
+    ended the pass).  Each edge must have 0 <= u < v < order and lie in no
+    earlier class (higher[u] holds the v seen with u), and fills a
+    neighbour slot at both ends, a third edge overwriting the second.  A class of order >= 3
+    edges that fills every second slot has every degree two, and is a
+    Hamiltonian cycle when vertex 0's cycle has order edges."""
+    higher: list[set[int]] = [set() for _ in range(order)]
+    bad: list[int] = []
+    total = 0
+    for i, cls in enumerate(classes):
+        first = [-1] * order
+        second = [-1] * order
+        for e in cls:
+            u, v = e
+            if not 0 <= u < v < order:
+                return f"class {i}: edge {e} out of range", None
+            seen = higher[u]
+            if v in seen:
+                return f"edge {e} appears in two classes", None
+            seen.add(v)
+            (first if first[u] < 0 else second)[u] = v
+            (first if first[v] < 0 else second)[v] = u
+        total += len(cls)
+        if order < 3 or len(cls) != order or -1 in second:
+            bad.append(i)
+            continue
+        # walk vertex 0's cycle, at each vertex the slot not leading back
+        prev, cur, length = 0, first[0], 1
+        while cur:
+            prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+            length += 1
+        if length != order:
+            bad.append(i)
+    want = order * (order - 1) // 2
+    if total != want:
+        return f"{total} edges in classes, expected {want}", bad
+    return "", bad
+
+
+def parent_verify(cert):
+    """verify_certificate as it read when a certificate carried edge sets,
+    run on the edge sets of cert's rows."""
+    rep = VerificationReport()
+    dec = Decomposition(cert.order, [cycle_edges(r) for r in cert.cycles])
+
+    shape_ok = cert.n >= 1 and dec.order == cert.order and len(dec.classes) == cert.n
+    rep.add(
+        "shape",
+        shape_ok,
+        f"n={cert.n} order={dec.order} classes={len(dec.classes)}",
+    )
+    if not shape_ok:
+        return rep
+
+    error, bad = parent_prove(dec.order, dec.classes)
+    rep.add("partition", not error, error or f"{cert.n * cert.order} edges")
+    if error:
+        return rep
+    ham = f"bad classes {bad}" if bad else "all classes are Hamiltonian cycles"
+    rep.add("hamiltonian", not bad, ham)
+
+    hvs = edge_vertices(cert.h_edges)
+    emb_ok = True
+    detail = f"{len(hvs)} vertices embedded"
+    if sorted(cert.label_map) != hvs:
+        emb_ok, detail = False, "label map keys differ from input vertices"
+    elif len(set(cert.label_map.values())) != len(cert.label_map):
+        emb_ok, detail = False, "label map is not injective"
+    elif any(not 0 <= w < cert.order for w in cert.label_map.values()):
+        emb_ok, detail = False, "label map leaves the host vertex range"
+    elif any(u == v for u, v in cert.h_edges):
+        emb_ok, detail = False, "input graph has a loop"
+    elif len(set(edge(u, v) for u, v in cert.h_edges)) != len(cert.h_edges):
+        emb_ok, detail = False, "input graph repeats an edge"
+    rep.add("embedding", emb_ok, detail)
+    if not emb_ok:
+        return rep
+
+    rb_ok = True
+    detail = f"{len(cert.h_edges)} edges in {len(cert.h_edges)} distinct classes"
+    if len(cert.assignment) != len(cert.h_edges):
+        rb_ok, detail = False, "assignment length differs from edge count"
+    elif len(set(cert.assignment)) != len(cert.assignment):
+        rb_ok, detail = False, "two edges share a class"
+    elif any(not 0 <= c < cert.n for c in cert.assignment):
+        rb_ok, detail = False, "class index out of range"
+    else:
+        for (u, v), c in zip(cert.h_edges, cert.assignment):
+            e = edge(cert.label_map[u], cert.label_map[v])
+            if e not in dec.classes[c]:
+                rb_ok, detail = False, f"edge {(u, v)} not in class {c}"
+                break
+    rep.add("rainbow", rb_ok, detail)
+    return rep
+
+
+def marks(rep):
+    """Each report line's name and whether it passed."""
+    return [(name, passed) for name, passed, _ in rep.checks]
+
+
+def assert_proved_as_the_parent(cert):
+    """verify_certificate(cert) gives the parent's lines, word for word."""
+    assert verify_certificate(cert).lines() == parent_verify(cert).lines()
+
+
+def _row_mutants(cert, rng):
+    """Named copies of cert's rows, each broken one way at a random place:
+    two entries swapped, one row copied over another, a vertex repeated,
+    a vertex out of range or negative, a row rotated or reversed, and
+    two rows that trade a vertex into figure eights."""
+    rows = cert.cycles
+    order, n = cert.order, cert.n
+    i, j = rng.sample(range(n), 2)
+    a, b = rng.sample(range(order), 2)
+    out = {"unchanged": rows}
+
+    def mutant(name, change):
+        copy = [list(r) for r in rows]
+        change(copy)
+        out[name] = copy
+
+    def swap(cs):
+        cs[i][a], cs[i][b] = cs[i][b], cs[i][a]
+
+    def put(value):
+        return lambda cs: cs[i].__setitem__(a, value)
+
+    mutant("swapped entries", swap)
+    mutant("copied row", lambda cs: cs.__setitem__(j, list(cs[i])))
+    mutant("repeated vertex", put(rows[i][b]))
+    mutant("out of range", put(order + rng.randrange(3)))
+    mutant("negative", put(-1 - rng.randrange(3)))
+    mutant("rotated", lambda cs: cs.__setitem__(i, cs[i][a:] + cs[i][:a]))
+    mutant("reversed", lambda cs: cs[i].reverse())
+    eight = _figure_eight(rows)
+    if eight is not None:
+        out["figure eight"] = eight
+    return out
+
+
+class TestRowProof:
+    def test_certificates_give_the_parent_lines(self):
+        for cert in _proof_certificates():
+            assert_proved_as_the_parent(cert)
+
+    @pytest.mark.parametrize("rep", range(4))
+    def test_row_mutants_give_the_parent_lines(self, rep):
+        rng = random.Random(f"row-mutants:{rep}")
+        seen = Counter()
+        for cert in _proof_certificates():
+            for name, rows in _row_mutants(cert, rng).items():
+                tampered = RainbowCertificate(
+                    cert.n, cert.seed, cert.h_edges, cert.label_map,
+                    cert.assignment, rows,
+                )
+                got = verify_certificate(tampered)
+                assert got.lines() == parent_verify(tampered).lines(), name
+                seen[name, got.ok] += 1
+        # rotated and reversed rows are the same cycles; every other
+        # mutant fails, the figure eights on the hamiltonian line alone
+        assert {name for name, ok in seen if ok} == {"unchanged", "rotated", "reversed"}
+        assert ("figure eight", False) in seen
+
+    def test_figure_eight_fails_only_the_hamiltonian_line(self):
+        cert = _walecki_cert(5)
+        cert.cycles = _figure_eight(cert.cycles)
+        failed = [n for n, p in marks(verify_certificate(cert)) if not p]
+        assert failed == ["hamiltonian"]
+
+
+# entries a row must not hold: a bool, a float, None, a string, a list
+NOT_INTS = st.one_of(
+    st.booleans(), st.floats(allow_nan=True), st.none(), st.text(max_size=2),
+    st.lists(st.integers(0, 8), max_size=2),
+)
+
+
+@st.composite
+def malformed_certificates(draw):
+    """A Walecki certificate, n = 1..4, with its rows broken one way."""
+    n = draw(st.integers(1, 4))
+    order = 2 * n + 1
+    rows = [list(r) for r in _walecki_on(n, identity(order))]
+    i = draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, order - 1))
+    how = draw(st.sampled_from([
+        "short", "long", "entry", "vertex", "repeat", "tuple", "few", "many",
+    ]))
+    if how == "short":
+        del rows[i][draw(st.integers(0, order - 1)):]
+    elif how == "long":
+        rows[i] += draw(st.lists(st.integers(-2, order + 2), min_size=1, max_size=3))
+    elif how == "entry":
+        rows[i][k] = draw(NOT_INTS)
+    elif how == "vertex":
+        rows[i][k] = draw(st.one_of(st.integers(max_value=-1),
+                                    st.integers(min_value=order)))
+    elif how == "repeat":
+        rows[i][k] = rows[i][draw(st.integers(0, order - 1))]
+    elif how == "tuple":
+        rows[i] = tuple(rows[i])
+    elif how == "few":
+        del rows[draw(st.integers(0, n - 1)):]
+    else:
+        rows += draw(st.lists(st.just(rows[0]), min_size=1, max_size=2))
+    cert = RainbowCertificate(n, 0, [(0, 1)], {0: 0, 1: 1}, [0], rows)
+    return how, cert
+
+
+class TestVerifyNeverRaises:
+    @given(malformed_certificates())
+    @settings(max_examples=400, deadline=None)
+    def test_malformed_rows_fail_a_check(self, drawn):
+        # the docstring's promise: bad rows fail shape, partition or
+        # hamiltonian, and nothing raises
+        how, cert = drawn
+        rep = verify_certificate(cert)
+        failed = [name for name, passed, _ in rep.checks if not passed]
+        if how in ("short", "long", "entry", "tuple", "few", "many"):
+            assert failed == ["shape"], (how, rep.lines())
+        elif how == "vertex":
+            assert failed == ["partition"], (how, rep.lines())
+        elif cert.cycles != _walecki_on(cert.n, identity(2 * cert.n + 1)):
+            assert failed and failed[0] in ("partition", "hamiltonian"), rep.lines()
+
+    @pytest.mark.parametrize("n", [0, -1, "3", None, 2.0])
+    def test_a_bad_n_fails_the_shape(self, n):
+        cert = RainbowCertificate(n, 0, [], {}, [], [[0, 1, 2]])
+        assert marks(verify_certificate(cert)) == [("shape", False)]
+
+
+class TestRows:
+    @pytest.mark.parametrize("order", range(3, 12))
+    def test_canonical_row_of_every_turn(self, order):
+        rng = random.Random(f"canonical:{order}")
+        row = [0, *rng.sample(range(1, order), order - 1)]
+        row = canonical_row(row)
+        assert row[0] == 0 and row[1] < row[-1]
+        for k in range(order):
+            turned = row[k:] + row[:k]
+            assert canonical_row(turned) == row
+            assert canonical_row(turned[::-1]) == row
+
+    def test_slot_row_is_bounded(self):
+        # slots that do not come back to 0: a lasso 0-1-2-3-1, and slots
+        # pointing past themselves
+        assert slot_row([1, 0, 1, 2], [-1, 2, 3, 1]) is None
+        assert slot_row([1, 2, 1], [2, 2, 1]) is None
+        assert slot_row([1, 0, 1], [2, 2, 0]) == [0, 1, 2]

@@ -26,7 +26,6 @@ from rainbow_hcd.graph_core import (
     analyze_linear_forest,
     complete_edges,
     edge,
-    relabel_decomposition,
     walecki,
 )
 from rainbow_hcd.hilton import (
@@ -39,6 +38,7 @@ from rainbow_hcd.hilton import (
     truncate_to_order,
 )
 from rainbow_hcd.solver import solve
+from test_graph_core import hcd, relabel_decomposition
 
 scan = ForestSplit.scan
 
@@ -69,19 +69,50 @@ def free_classes(ends, m):
     return free
 
 
+def split_of(dec, ends, room=0):
+    """The split of dec's classes with the states ends: each class's
+    count, and its neighbour slots filled edge by edge, sized 2n + 1 as
+    the scan sizes them, or order + room if that is more."""
+    size = max(dec.order + room, 2 * len(dec.classes) + 1)
+    first, second = [], []
+    for cls in dec.classes:
+        a, b = [-1] * size, [-1] * size
+        for u, v in cls:
+            for x, y in ((u, v), (v, u)):
+                (a if a[x] < 0 else b)[x] = y
+        first.append(a)
+        second.append(b)
+    return ForestSplit(dec.order, list(map(len, dec.classes)), first, second,
+                       ends, free_classes(ends, dec.order))
+
+
+def classes_of(split):
+    """The edge sets of a split's classes, read off their slots."""
+    return [
+        {(u, v) for u in range(split.order) for v in (a[u], b[u]) if v > u}
+        for a, b in zip(split.first, split.second)
+    ]
+
+
+def dec_of(split):
+    """The classes of a split, read off their slots, as a Decomposition."""
+    return Decomposition(split.order, classes_of(split))
+
+
 def unproved(dec):
-    """The states and masks ForestSplit.scan builds, for classes that
-    need not partition K_order and so would fail its proof."""
-    ends = [path_ends(c, dec.order) for c in dec.classes]
-    return ForestSplit(dec, ends, free_classes(ends, dec.order))
+    """The split ForestSplit.scan builds, for classes that need not
+    partition K_order and so would fail its proof, its slots with room
+    for a round's two new vertices even where the classes are too few
+    for their order."""
+    return split_of(dec, [path_ends(c, dec.order) for c in dec.classes], 2)
 
 
 def view_scan(dec, where="in the scan"):
     """ForestSplit.scan as a composition of the reference pieces: the
     partition proof, one analyze_linear_forest view per class turned into
-    its state, a refusal naming the class and where, then the masks read
-    off the states.  The scan must give equal states and masks, and the
-    same errors."""
+    its state, a refusal naming the class and where, then the slots and
+    the masks.  The scan must give equal states, slots, counts and masks,
+    and the same errors."""
     dec.check_partition()
     ends = []
     for i, cls in enumerate(dec.classes):
@@ -89,7 +120,7 @@ def view_scan(dec, where="in the scan"):
             ends.append(path_ends(cls, dec.order))
         except NotLinearForest as exc:
             raise NotLinearForest(f"class {i} {where}: {exc}") from exc
-    return ForestSplit(dec, ends, free_classes(ends, dec.order))
+    return split_of(dec, ends)
 
 
 def scans_checked(monkeypatch):
@@ -109,9 +140,12 @@ def scans_checked(monkeypatch):
 
 
 def held_state(split):
-    """What a split holds, comparable by ==: per class its partner map and
-    isolated set, and the masks."""
-    return [(e.partner, e.isolated) for e in split.ends], split.free
+    """What a split holds, comparable by ==: per class its partner map,
+    isolated set, count and the edges its slots hold, the slot lists'
+    lengths, and the masks."""
+    return ([(e.partner, e.isolated) for e in split.ends], split.count,
+            classes_of(split), [len(a) for a in split.first + split.second],
+            split.order, split.free)
 
 
 def k4_paths():
@@ -166,15 +200,15 @@ def recursive_max_flow(fl, s, t):
 def flow_feasible(split, n):
     """Reference: whether the lower-bounded flow of one vertex step, built
     on _Dinic from the same gates(), is feasible."""
-    dec, ends = split.dec, split.ends
-    m = dec.order
+    ends = split.ends
+    m = split.order
     target = 2 * (m + 1) - 2 * n - 1
     fl = _Dinic()
     src, snk = fl.add_node(), fl.add_node()
     vnode = [fl.add_node() for _ in range(m)]
-    for cls, e in zip(dec.classes, ends):
+    for k, e in zip(split.count, ends):
         cnode = fl.add_node()
-        fl.add_bounded_arc(src, cnode, max(0, target - len(cls)), 2)
+        fl.add_bounded_arc(src, cnode, max(0, target - k), 2)
         for gate_ends in e.gates():
             gate = fl.add_node()
             fl.add_arc(cnode, gate, 1)
@@ -227,7 +261,7 @@ class TestExtend:
         for m in range(1, 2 * n + 1):
             cut = truncate_to_order(walecki(n), m)
             kept = [set(c) for c in cut.classes]
-            out = extend_to_hcd(scan(cut), n)
+            out = hcd(extend_to_hcd(scan(cut), n))
             out.check_hcd()
             assert out.order == 2 * n + 1
             assert all(old <= new for old, new in zip(kept, out.classes))
@@ -240,24 +274,24 @@ class TestExtend:
             cert = solve(h, seed=rng.randrange(1000))
             n = cert.n
             for _ in range(5):
-                cut = truncate_to_order(cert.decomposition, rng.randint(1, 2 * n))
+                cut = truncate_to_order(hcd(cert.cycles), rng.randint(1, 2 * n))
                 rng.shuffle(cut.classes)
                 kept = [set(c) for c in cut.classes]
-                out = extend_to_hcd(scan(cut), n)
+                out = hcd(extend_to_hcd(scan(cut), n))
                 out.check_hcd()
                 assert all(old <= new for old, new in zip(kept, out.classes))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_from_nothing(self, n):
         dec = Decomposition(1, [set() for _ in range(n)])
-        out = extend_to_hcd(scan(dec), n)
+        out = hcd(extend_to_hcd(scan(dec), n))
         out.check_hcd()
 
     def test_preserves_kept_edges(self):
         base = walecki(3)
         cut = truncate_to_order(base, 5)
         kept = [set(c) for c in cut.classes]
-        out = extend_to_hcd(scan(cut), 3)
+        out = hcd(extend_to_hcd(scan(cut), 3))
         out.check_hcd()
         for old, new in zip(kept, out.classes):
             assert old <= new
@@ -265,7 +299,7 @@ class TestExtend:
     def test_spanning_path_entry_case(self):
         # order exactly 2n: only the closing vertex is missing
         cut = truncate_to_order(walecki(3), 6)
-        out = extend_to_hcd(scan(cut), 3)
+        out = hcd(extend_to_hcd(scan(cut), 3))
         out.check_hcd()
 
     def test_rejects_wrong_class_count(self):
@@ -360,7 +394,7 @@ class TestWholeDomain:
     def test_relabelled_shuffled_truncations(self):
         for cut, n in relabelled_truncations():
             kept = [set(c) for c in cut.classes]
-            out = extend_to_hcd(scan(cut), n)
+            out = hcd(extend_to_hcd(scan(cut), n))
             out.check_hcd()
             assert all(old <= new for old, new in zip(kept, out.classes))
 
@@ -369,7 +403,7 @@ class TestWholeDomain:
         for dec, n in greedy_splits():
             at_floor += dec.order == n + 1
             kept = [set(c) for c in dec.classes]
-            out = extend_to_hcd(scan(dec), n)
+            out = hcd(extend_to_hcd(scan(dec), n))
             out.check_hcd()
             assert all(old <= new for old, new in zip(kept, out.classes))
         assert at_floor >= 10, at_floor
@@ -451,9 +485,11 @@ class TestSteps:
     def test_single_step_counts(self):
         cut = truncate_to_order(walecki(3), 4)
         sizes = [len(c) for c in cut.classes]
-        single_vertex_step(scan(cut), 3)
-        assert cut.order == 5
-        grown = [len(c) - s for c, s in zip(cut.classes, sizes)]
+        split = scan(cut)
+        single_vertex_step(split, 3)
+        assert split.order == 5
+        grown = [len(c) - s for c, s in zip(classes_of(split), sizes)]
+        assert grown == [k - s for k, s in zip(split.count, sizes)]
         assert sum(grown) == 4
         assert all(0 <= g <= 2 for g in grown)
 
@@ -475,8 +511,8 @@ class TestSteps:
 
         def drift(split, owners, bridge, stage):
             real(split, owners, bridge, stage)
-            if split.dec.order == 4:
-                split.dec.classes[1].discard(min(split.dec.classes[1]))
+            if split.order == 4:
+                split.count[1] -= 1
 
         def no_close(*args):
             raise AssertionError("close_final_vertex called")
@@ -491,14 +527,14 @@ class TestSteps:
     def test_close_rejects_repeated_closing_ends(self):
         # both states name the ends 0 and 3, so vertex 4 meets 0 and 3
         # twice and 1 and 2 never; the close trusts the states, and the
-        # proof of the result names the edge that lies in two classes
+        # walk of class 1's slots, 3 now between 0 and 1, finds no cycle
         split = scan(k4_paths())
         split.ends[1] = scan(k4_paths()).ends[0]
-        close_final_vertex(split, 2)
         with pytest.raises(
-            InvariantViolation, match=r"edge \([03], 4\) appears in two classes"
+            InvariantViolation,
+            match="class 1 does not close into one Hamiltonian cycle",
         ):
-            split.dec.check_hcd()
+            close_final_vertex(split, 2)
 
     def test_step_rejects_large_order(self):
         with pytest.raises(PreconditionViolation):
@@ -507,29 +543,27 @@ class TestSteps:
     def test_deterministic(self):
         a = extend_to_hcd(scan(truncate_to_order(walecki(4), 5)), 4)
         b = extend_to_hcd(scan(truncate_to_order(walecki(4), 5)), 4)
-        assert a.classes == b.classes
-        a.check_hcd()
+        assert a == b
+        hcd(a).check_hcd()
 
     def test_insertion_order_does_not_matter(self):
         # the same states, their partner dicts and isolated sets filled in
         # the opposite order, give the same classes at every step
         n = 8
         a = scan(truncate_to_order(walecki(n), 6))
-        b = scan(a.dec.copy())
+        b = scan(truncate_to_order(walecki(n), 6))
         for e in b.ends:
             e.partner = dict(reversed(e.partner.items()))
             e.isolated = set(sorted(e.isolated, reverse=True))
         assert any(list(x.partner) != list(y.partner)
                    for x, y in zip(a.ends, b.ends))
-        while a.dec.order < 2 * n:
+        while a.order < 2 * n:
             single_vertex_step(a, n)
             single_vertex_step(b, n)
-            assert a.dec.classes == b.dec.classes
-        close_final_vertex(a, n)
-        close_final_vertex(b, n)
-        a, b = a.dec, b.dec
-        assert a.classes == b.classes
-        a.check_hcd()
+            assert classes_of(a) == classes_of(b)
+        a = close_final_vertex(a, n)
+        assert a == close_final_vertex(b, n)
+        hcd(a).check_hcd()
 
 
 class TestExactness:
@@ -541,7 +575,8 @@ class TestExactness:
     ):
         if cold:
             monkeypatch.setattr(
-                hilton, "_warm_start", lambda need, free, partner, *_: [-1] * len(free)
+                hilton, "_warm_start",
+                lambda need, free, partner, *_: ([-1] * len(free), [0] * len(need)),
             )
         rng = random.Random("hilton-step")
         outcomes = Counter()
@@ -562,9 +597,11 @@ class TestExactness:
             # every old vertex gave its one edge to a class that took at
             # most 2, met its floor and stayed a linear forest
             target = 2 * (m + 1) - 2 * n - 1
-            grown = [c - old for c, old in zip(dec.classes, before)]
+            after = classes_of(split)
+            assert split.count == list(map(len, after))
+            grown = [c - old for c, old in zip(after, before)]
             assert sorted(v for g in grown for v, _ in g) == list(range(m))
-            for cls, g, e in zip(dec.classes, grown, ends):
+            for cls, g, e in zip(after, grown, ends):
                 assert len(g) <= 2 and len(cls) >= target
                 assert e.gates() == view_gates(cls, m + 1)
         # both ways to fail are reached: a vertex no class can take, and a
@@ -595,8 +632,9 @@ class TestExactness:
              "fill-swaps-path-end", "fill-opens-class-at-floor"],
     )
     def test_search_moves(self, monkeypatch, forests, need, start, want):
+        load = [start.count(i) for i in range(len(need))]
         monkeypatch.setattr(
-            hilton, "_warm_start", lambda need, free, partner, *_: list(start)
+            hilton, "_warm_start", lambda need, free, partner, *_: (list(start), load)
         )
         ends = [path_ends(f, 3) for f in forests]
         assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want
@@ -610,9 +648,10 @@ class TestFeasibleStart:
         starts = []
 
         def kept(*args):
-            start = real(*args)
+            start, load = real(*args)
+            assert load == [start.count(i) for i in range(len(load))]
             starts.append((start, list(start)))
-            return start
+            return start, load
 
         monkeypatch.setattr(hilton, "_warm_start", kept)
         rng = random.Random("feasible-start")
@@ -709,10 +748,11 @@ class TestWarmStart:
                 for v in range(m)
             ]
             want = list_warm_start(need, lists, partner, units, cap, sweeps)
-            got = hilton._warm_start(
+            got, load = hilton._warm_start(
                 need, free_classes(ends, m), partner, units, cap
             )
             assert got == want, (need, cap, lists)
+            assert load == [got.count(i) for i in range(n)]
             outcomes["placed all" if min(want) >= 0 else "left some"] += 1
         # starts that place every unit and starts that leave some to the
         # search are both compared
@@ -736,13 +776,13 @@ class TestInvariants:
         # for none.  lay_edges refuses the shape before it lays anything,
         # and leaves the split as it was
         monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
-        cut = truncate_to_order(walecki(3), order)
-        before = [set(c) for c in cut.classes]
+        split = scan(truncate_to_order(walecki(3), order))
+        before = held_state(split)
         with pytest.raises(
             InvariantViolation, match=re.escape(f"vertex step at order {order}: {reason}")
         ):
-            single_vertex_step(scan(cut), 3)
-        assert cut.order == order and cut.classes == before
+            single_vertex_step(split, 3)
+        assert held_state(split) == before
 
     def test_class_below_its_floor_after_the_step_raises(self, monkeypatch):
         # at order 3 (n=3) class 2 needs one edge; an assignment that gives
@@ -826,7 +866,7 @@ class TestInvariants:
             match="class 0 has 2 edges, floor 3 at the completion entry",
         ):
             extend_to_hcd(split, 3)
-        assert split.dec.order == 5
+        assert split.order == 5
 
 
 class TestPathEnds:
@@ -855,10 +895,9 @@ class TestPathEnds:
 
         def checked(split, n):
             real(split, n)
-            dec = split.dec
-            steps.append(dec.order)
-            for cls, e in zip(dec.classes, split.ends):
-                assert e.gates() == view_gates(cls, dec.order)
+            steps.append(split.order)
+            for cls, e in zip(classes_of(split), split.ends):
+                assert e.gates() == view_gates(cls, split.order)
 
         monkeypatch.setattr(hilton, "single_vertex_step", checked)
         for m in range(1, 2 * n + 1):
@@ -930,7 +969,8 @@ class TestLayEdgesRefusals:
         )):
             hilton.lay_edges(split, owners, bridge, "attach round")
         # refused before anything is laid
-        assert split.dec.order == 4 and split.dec.classes == [set(), set()]
+        assert split.order == 4 and classes_of(split) == [set(), set()]
+        assert split.count == [0, 0]
         assert all(4 not in e.isolated for e in split.ends)
 
 
@@ -975,7 +1015,7 @@ class TestFreeLists:
 
         def checked(split, n):
             real(split, n)
-            order = split.dec.order
+            order = split.order
             assert split.free == rebuilt_free(split.ends, order), (n, order)
             steps.append(order)
 

@@ -213,7 +213,7 @@ class TestRelabelHosts:
         moved = relabel_hosts(cert, perm)
         assert verify_certificate(moved).ok
         back = relabel_hosts(moved, {v: k for k, v in perm.items()})
-        assert back.decomposition.classes == cert.decomposition.classes
+        assert back.cycles == cert.cycles
         assert back.label_map == cert.label_map
 
     @pytest.mark.parametrize(
@@ -235,7 +235,7 @@ class TestRelabelHosts:
 
 
 # sha256 of the certificate text, and of its format-1 rendering,
-# which pins the decomposition itself; a change that moves any of
+# which pins the cycles themselves; a change that moves any of
 # these bytes updates the digest and says why in CHANGES.md
 PINNED = [
     (disjoint_union(cycle_graph(3), k2s(9)), 0,
@@ -387,9 +387,9 @@ class TestHubLinearForest:
         # host i, and a pipeline whose layout already puts vertex i on
         # host i (C3 first, then the single edges) has nothing to move
         def no_relabel(*args):
-            raise AssertionError("relabel_decomposition called")
+            raise AssertionError("relabel_rows called")
 
-        monkeypatch.setattr(solver, "relabel_decomposition", no_relabel)
+        monkeypatch.setattr(solver, "relabel_rows", no_relabel)
         cert = solve(h, seed=0)
         assert cert.trace[0] == f"route: {tag}"
         assert verify_certificate(cert).ok
