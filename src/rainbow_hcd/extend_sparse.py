@@ -13,7 +13,7 @@ A class takes a new edge only at a free slot: a path end offers one, an
 isolated vertex two.  A gate of a class is one of its paths, given by its
 two ends, or one of its isolated vertices.  Each round picks two slots at
 every old vertex by one flow with lower bounds, which hilton._assign
-searches on the class states, the same search as a Hilton vertex step:
+searches on the path ends and slots, the same search as a Hilton vertex step:
 
     source -> class i        at least the gain floor need_i, at most 4
                              (at most 2 for cstar)
@@ -46,28 +46,28 @@ ends at one new vertex, and a class joins m to m+1 at most once, so every
 class stays a linear forest; the lower bounds keep the floors.
 
 The rounds grow the hilton.ForestSplit they are given: per class its
-edge count, neighbour slots and a hilton.PathEnds state holding its path
-ends, and per old vertex the mask of its free classes, those in which it
-is a path end or isolated, bit i for class i.  The split comes proved,
-by the scan of the embed stage's exit or of the caller; each round reads
-its gates and slots from the states and the masks, and hilton.lay_edges
-lays its edges into all of them, as in a Hilton vertex step, so nothing
-is rebuilt between rounds.  _witness_ok checks only the witness's gain
-floors before it is applied.  The round hands lay_edges the witness as
-one owner list per new vertex, owner[0::2] for m and owner[1::2] for
-m + 1, with cstar as the bridge class.  lay_edges checks its shape, that
-every old vertex gives each new vertex one edge, which keeps a partition
-of K_m one of K_{m+2}, and lays each edge through PathEnds.add_edge, the
-one copy of the join rule: a third edge at a vertex or a closed cycle is
-an InvariantViolation there.
-hilton.check_stage checks the floors, and in one pass the state counts
-and the free-class masks, after each round; verify_certificate proves
-the result.
+edge count, neighbour slots, path ends and isolated count, and per old
+vertex the mask of its free classes, those in which it is a path end or
+isolated, bit i for class i.  The split comes proved, by the scan of the
+embed stage's exit or of the caller; each round reads its gates from the
+path ends and the slots, and hilton.lay_edges lays its edges into all of
+them, as in a Hilton vertex step, so nothing is rebuilt between rounds.
+_witness_ok checks only the witness's gain floors before it is applied.
+The round hands lay_edges the witness as one owner list per new vertex,
+owner[0::2] for m and owner[1::2] for m + 1, with cstar as the bridge
+class.  lay_edges checks its shape, that every old vertex gives each new
+vertex one edge, which keeps a partition of K_m one of K_{m+2}, and lays
+each edge, the bridge too, through its one join: a third edge at a
+vertex or a closed cycle is an InvariantViolation there.
+hilton.check_stage checks the floors, and in one pass the edge counts
+and the free-class masks against the path ends and isolated counts,
+after each round; verify_certificate proves the result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, lt
 
 # the colourings and analyze_linear_forest are not called here, but
 # perfbench/tracer.py looks them up at these names
@@ -78,28 +78,27 @@ from .coloring import (  # noqa: F401
 )
 from .errors import InvariantViolation, PreconditionViolation
 from .graph_core import analyze_linear_forest  # noqa: F401
-from .hilton import ForestSplit, PathEnds, _assign, check_stage, lay_edges, size_floor
+from .hilton import ForestSplit, _assign, check_stage, lay_edges, size_floor
 
 
 def capacity_graph(split: ForestSplit) -> None:
     """Check the round's free slots: a path end offers its class one, an
     isolated vertex two.  Every old vertex must offer k = 2n - m + 1
-    slots, one per set bit of its free-class mask and one more per state
-    that holds it isolated.  That class i offers 2(m - |Q_i|) is
-    hilton.check_stage's count tie, which the stage entry or the previous
-    round has just checked on the same states.  No multigraph of the
-    slots is built; the name stays from when one was, since one call per
-    round is how perfbench counts rounds."""
+    slots, one per set bit of its free-class mask and one more per class
+    in which its first slot is empty, which makes it isolated.  That
+    class i offers 2(m - |Q_i|) is hilton.check_stage's count tie, which
+    the stage entry or the previous round has just checked on the same
+    split.  No multigraph of the slots is built; the name stays from when
+    one was, since one call per round is how perfbench counts rounds."""
     free = split.free
     m = split.order
     k = 2 * len(split.count) - m + 1
     if len(free) != m:
         raise InvariantViolation(f"{len(free)} free-class masks at order {m}")
-    slots = list(map(int.bit_count, free))
-    for state in split.ends:
-        for v in state.isolated:
-            slots[v] += 1
-    for u, count in enumerate(slots):
+    zero = [0] * m
+    # per vertex, the classes in which its first slot is empty
+    isolated = map(sum, zip(*[map(lt, first, zero) for first in split.first]))
+    for u, count in enumerate(map(add, map(int.bit_count, free), isolated)):
         if count != k:
             raise InvariantViolation(
                 f"vertex {u} offers {count} slots, wanted {k}"
@@ -118,7 +117,7 @@ def extend_with_k2s(
     linear forests partitioning K_r (the split's scan), classes 0..t-1
     meeting the floor 2r - 2n - 1 and the rest 2r - 2n.  Class i is taken
     to carry edge i of H for i < t, and class t + s receives the bridge
-    of round s.  A split whose states drifted from its classes raises
+    of round s.  A split whose path ends drifted from its classes raises
     InvariantViolation.
     """
     if trace is None:
@@ -161,8 +160,8 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
         for i, k in enumerate(split.count)
     ]
     cap = [2 if i == cstar else 4 for i in range(n)]
-    owner = _assign(m, [max(0, f) for f in floors], split.ends, split.free, 2, cap)
-    owner = _split_slots(m, n, split.ends, owner)
+    owner = _assign(split, [max(0, f) for f in floors], 2, cap)
+    owner = _split_slots(m, n, split.partner, owner)
     if not _witness_ok(owner, floors):
         raise InvariantViolation(
             f"witness rejected at step s={s}, order {m}, n={n}, t={t}"
@@ -171,12 +170,12 @@ def _stage_witness(split: ForestSplit, t: int, n: int, s: int) -> list[int]:
 
 
 def _split_slots(
-    m: int, n: int, ends: list[PathEnds], owner: list[int]
+    m: int, n: int, partner: list[dict[int, int]], owner: list[int]
 ) -> list[int]:
     """Order the two classes of each old vertex v in owner, as
     hilton._assign returns it, so that owner[2v] goes to m and
-    owner[2v + 1] to m + 1; a new list, ends[i] holding the path ends of
-    class i.
+    owner[2v + 1] to m + 1; a new list, partner[i] pairing the path ends
+    of class i.
 
     The graph has a node per class and one per doubled gate, a gate that
     took two slots, numbered by (class, low end) after the classes; each
@@ -217,9 +216,9 @@ def _split_slots(
         if a > b:
             a, b = b, a
             out[2 * v], out[2 * v + 1] = a, b
-        p = ends[a].partner.get(v, v)
+        p = partner[a].get(v, v)
         keys.append(a * m + (p if p < v else v))
-        p = ends[b].partner.get(v, v)
+        p = partner[b].get(v, v)
         keys.append(b * m + (p if p < v else v))
     # a gate takes at most two slots, so a doubled key sorts next to itself
     ranked = sorted(keys)

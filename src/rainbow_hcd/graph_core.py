@@ -19,6 +19,7 @@ builds is completed from the vertices it places by complete_perm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add, itemgetter
 from typing import Collection, Iterable
 
@@ -441,7 +442,9 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
     do the rows meet _prove_rows.  Its partition error fails the
     partition check and ends the report, a vertex out of range among
     them; a row that is no permutation of 0..2n fails the hamiltonian
-    check."""
+    check.  The embedding check fails unless h_edges is a list of pairs
+    of integers and label_map a dict from integers to integers, and the
+    rainbow check unless the assignment is a list of integers."""
     rep = VerificationReport()
     n, rows = cert.n, cert.cycles
     fault = _shape_fault(n, rows)
@@ -458,34 +461,42 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
     ham = f"bad classes {bad}" if bad else "all classes are Hamiltonian cycles"
     rep.add("hamiltonian", not bad, ham)
 
-    hvs = edge_vertices(cert.h_edges)
-    emb_ok = True
-    detail = f"{len(hvs)} vertices embedded"
-    if sorted(cert.label_map) != hvs:
-        emb_ok, detail = False, "label map keys differ from input vertices"
-    elif len(set(cert.label_map.values())) != len(cert.label_map):
-        emb_ok, detail = False, "label map is not injective"
-    elif any(not 0 <= w < order for w in cert.label_map.values()):
-        emb_ok, detail = False, "label map leaves the host vertex range"
-    elif any(u == v for u, v in cert.h_edges):
-        emb_ok, detail = False, "input graph has a loop"
-    elif len(set(edge(u, v) for u, v in cert.h_edges)) != len(cert.h_edges):
-        emb_ok, detail = False, "input graph repeats an edge"
-    rep.add("embedding", emb_ok, detail)
-    if not emb_ok:
+    # the embedding and the rainbow checks take exact ints only, as the
+    # shape check does for the rows
+    h, labels, assignment = cert.h_edges, cert.label_map, cert.assignment
+    pairs = (type(h) is list and set(map(type, h)) <= {tuple, list}
+             and set(map(len, h)) <= {2} and _all_ints(*h))
+    hvs = edge_vertices(h) if pairs else []
+    fault = ""
+    if not pairs:
+        fault = "input graph is no list of integer pairs"
+    elif type(labels) is not dict or not _all_ints(labels, labels.values()):
+        fault = "label map is no map of integers to integers"
+    elif sorted(labels) != hvs:
+        fault = "label map keys differ from input vertices"
+    elif len(set(labels.values())) != len(labels):
+        fault = "label map is not injective"
+    elif any(not 0 <= w < order for w in labels.values()):
+        fault = "label map leaves the host vertex range"
+    elif any(u == v for u, v in h):
+        fault = "input graph has a loop"
+    elif len(set(edge(u, v) for u, v in h)) != len(h):
+        fault = "input graph repeats an edge"
+    rep.add("embedding", not fault, fault or f"{len(hvs)} vertices embedded")
+    if fault:
         return rep
 
-    rb_ok = True
-    detail = f"{len(cert.h_edges)} edges in {len(cert.h_edges)} distinct classes"
-    if len(cert.assignment) != len(cert.h_edges):
-        rb_ok, detail = False, "assignment length differs from edge count"
-    elif len(set(cert.assignment)) != len(cert.assignment):
-        rb_ok, detail = False, "two edges share a class"
-    elif any(not 0 <= c < n for c in cert.assignment):
-        rb_ok, detail = False, "class index out of range"
+    if type(assignment) is not list or not _all_ints(assignment):
+        fault = "assignment is no list of integers"
+    elif len(assignment) != len(h):
+        fault = "assignment length differs from edge count"
+    elif len(set(assignment)) != len(assignment):
+        fault = "two edges share a class"
+    elif any(not 0 <= c < n for c in assignment):
+        fault = "class index out of range"
     else:
-        for (u, v), c in zip(cert.h_edges, cert.assignment):
-            a, b = cert.label_map[u], cert.label_map[v]
+        for (u, v), c in zip(h, assignment):
+            a, b = labels[u], labels[v]
             row = rows[c]
             if c in bad:
                 held = edge(a, b) in cycle_edges(row)
@@ -493,10 +504,16 @@ def verify_certificate(cert: RainbowCertificate) -> VerificationReport:
                 k = row.index(a)
                 held = b == row[k - 1] or b == row[k + 1 - order]
             if not held:
-                rb_ok, detail = False, f"edge {(u, v)} not in class {c}"
+                fault = f"edge {(u, v)} not in class {c}"
                 break
-    rep.add("rainbow", rb_ok, detail)
+    detail = f"{len(h)} edges in {len(h)} distinct classes"
+    rep.add("rainbow", not fault, fault or detail)
     return rep
+
+
+def _all_ints(*groups) -> bool:
+    """Whether every item of the groups is exactly an int: a bool is none."""
+    return set(map(type, chain(*groups))) <= {int}
 
 
 def _shape_fault(n, rows) -> str:

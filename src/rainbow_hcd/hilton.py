@@ -16,35 +16,38 @@ and the last vertex closes each of them into a cycle.
 
 The pipeline carries one ForestSplit from the embed exit to the close.
 It keeps no edge set: per class an edge count, two neighbour-slot lists
-sized 2n + 1 (first[v] and second[v], -1 where empty) and a PathEnds
-state holding its path ends, and per vertex one int holding its free
-classes, those in which it is a path end or isolated, as bit i for
-class i.  ForestSplit.scan builds it from a bare Decomposition and is
-the one proof of the split: check_partition proves that the classes
-partition K_m, and then one pass over each class, which fills its slots
-and walks each path once from its lower end off them, shows it is a
-linear forest and gives its state and its bits of the masks.  From there
-the split grows in place.  lay_edges takes a step's or a round's edges
-as one owner list per new vertex, the class each old vertex gives its
-edge to, plus a round's bridge class, and first checks that every old
-vertex gives each new vertex exactly one edge: that keeps a partition of
-K_m one of the grown clique, so no step or round re-proves it.  It lays
-the edges into the slots, the counts, the states and the masks together,
-each through add_edge, the one copy of the join rule, whose returned far
-end tells whether the old vertex was a path end, and so fills its second
-slot and loses the class, or was isolated and fills its first; a new
-vertex's mask is read off the states once its edges are laid.
+sized 2n + 1 (first[v] and second[v], -1 where empty), a dict pairing
+each path end with the other end of its path, and its number of
+isolated vertices, and per vertex one int holding its free classes,
+those in which it is a path end or isolated, as bit i for class i.  The
+slots say the rest: a vertex is isolated in a class when its first slot
+is empty, and free in it when its second is.  ForestSplit.scan builds
+the split from a bare Decomposition and is the one proof of it:
+check_partition proves that the classes partition K_m, and then one
+pass over each class, which fills its slots and walks each path once
+from its lower end off them, shows it is a linear forest and gives its
+path ends, its isolated count and its bits of the masks.  From there the
+split grows in place.  lay_edges takes a step's or a round's edges as
+one owner list per new vertex, the class each old vertex gives its edge
+to, plus a round's bridge class, and first checks that every old vertex
+gives each new vertex exactly one edge: that keeps a partition of K_m
+one of the grown clique, so no step or round re-proves it.  It lays
+every edge, the bridge too, through one join, which fills a slot at each
+end, pairs the far ends of the two paths, and updates the isolated
+count, the edge count and the masks together: a vertex leaves the
+isolated count when its first slot fills and loses the class from its
+mask when its second does, a new vertex entering with its mask full.
 check_stage runs where a stage takes the split on and after each round
-and step: it checks the class count and the floors, and in one pass over
-the states ties each class's count to the count its state implies and
-the masks' total bit count to the states.  close_final_vertex fills the
-last vertex's slots and walks each class's slots into its row, the
+and step: it checks the class count and the floors, and in one pass
+ties each class's count to the count its path ends and isolated count
+imply and the masks' total bit count to them.  close_final_vertex fills
+the last vertex's slots and walks each class's slots into its row, the
 cycle order a certificate carries.  The choice at each vertex is a flow
 with lower bounds, source -> class -> gate -> vertex -> sink, where a
 gate is a path's pair of ends or an isolated vertex.  _assign takes a
 greedy start when it already meets every bound, as most vertex steps'
 starts do, and otherwise searches the flow by augmenting paths on the
-states and the free-class masks, without building a network; each
+path ends and the free-class masks, without building a network; each
 attach round of extend_sparse picks its slots with the same search.
 _Dinic, a general max-flow with lower bounds, has no caller here: the
 tests check both uses of _assign on it.
@@ -53,7 +56,7 @@ tests check both uses of _assign on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import ge, lt, sub
 
 from .errors import (
@@ -183,70 +186,26 @@ class _Dinic:
                     u = s
 
 
-class PathEnds:
-    """A linear forest kept by its path ends, grown one edge at a time.
-
-    partner maps each path endpoint to the other end of its path; isolated
-    holds the degree-zero vertices.  Interior vertices appear in neither.
-    A new vertex enters isolated, as lay_edges adds it to every class.
-    """
-
-    def __init__(self, partner: dict[int, int], isolated: set[int]) -> None:
-        self.partner = partner
-        self.isolated = isolated
-
-    def gates(self) -> list[tuple[int, ...]]:
-        """Where the forest may take a new edge: each path as its (low,
-        high) ends, ascending, then each isolated vertex, ascending, in the
-        order LinearForestView lists them."""
-        ends = sorted((a, b) for a, b in self.partner.items() if a < b)
-        return ends + [(v,) for v in sorted(self.isolated)]
-
-    def add_edge(self, u: int, v: int) -> int:
-        """Join u and v, or raise NotLinearForest if that would give a
-        vertex a third edge or close a path into a cycle.  Returns the far
-        end of the path u ended before the join, u itself if u was
-        isolated."""
-        partner, isolated = self.partner, self.isolated
-        # a and b: the far ends of the paths through u and v, an isolated
-        # vertex being its own
-        a = u if u in isolated else partner.get(u)
-        if a is None:
-            raise NotLinearForest(f"vertex {u} has no free end for {edge(u, v)}")
-        b = v if v in isolated else partner.get(v)
-        if b is None:
-            raise NotLinearForest(f"vertex {v} has no free end for {edge(u, v)}")
-        if a == v:
-            raise NotLinearForest(f"edge {edge(u, v)} closes a cycle")
-        if a == u:
-            isolated.remove(u)
-        else:
-            del partner[u]
-        if b == v:
-            isolated.remove(v)
-        else:
-            del partner[v]
-        partner[a] = b
-        partner[b] = a
-        return a
-
-
 @dataclass
 class ForestSplit:
     """A split of K_order into linear forests as the stages carry it, with
     no edge set: class i holds count[i] edges, the neighbours of vertex v
     in first[i][v] and second[i][v] (-1 where empty, both lists sized
-    2n + 1 for the n classes), and its path ends in ends[i]; free[v] is
-    the mask of the classes in which vertex v is a path end or isolated.
-    scan builds one; lay_edges grows it in place, check_stage ties the
-    counts, the states and the masks together, and close_final_vertex
-    walks the slots into rows."""
+    2n + 1 for the n classes), partner[i] maps each of its path ends to
+    the other end of its path, and isolated[i] is its number of isolated
+    vertices; free[v] is the mask of the classes in which vertex v is a
+    path end or isolated.  The slots say which is which: v is isolated in
+    class i when first[i][v] < 0, a path end when only second[i][v] < 0,
+    and interior otherwise.  scan builds one; lay_edges grows it in place,
+    check_stage ties the counts, the path ends and the masks together, and
+    close_final_vertex walks the slots into rows."""
 
     order: int
     count: list[int]
     first: list[list[int]]
     second: list[list[int]]
-    ends: list[PathEnds]
+    partner: list[dict[int, int]]
+    isolated: list[int]
     free: list[int]
 
     @classmethod
@@ -254,23 +213,34 @@ class ForestSplit:
         """The split of dec, proved: its classes must partition K_order
         (InvariantViolation) and each must be a linear forest
         (NotLinearForest, naming the class and where), which one slot pass
-        over each class shows and turns into its slots, state and mask
-        bits."""
+        over each class shows and turns into its slots, path ends,
+        isolated count and mask bits."""
         dec.check_partition()
         order = dec.order
         size = max(order, 2 * len(dec.classes) + 1)
-        split = cls(order, list(map(len, dec.classes)), [], [], [], [0] * order)
+        split = cls(order, list(map(len, dec.classes)), [], [], [], [], [0] * order)
         for i, edges in enumerate(dec.classes):
             first = [-1] * size
             second = [-1] * size
             try:
-                state = _forest_state(edges, order, first, second, split.free, 1 << i)
+                partner, isolated = _forest_state(
+                    edges, order, first, second, split.free, 1 << i
+                )
             except NotLinearForest as exc:
                 raise NotLinearForest(f"class {i} {where}: {exc}") from exc
             split.first.append(first)
             split.second.append(second)
-            split.ends.append(state)
+            split.partner.append(partner)
+            split.isolated.append(isolated)
         return split
+
+    def gates(self, i: int) -> list[tuple[int, ...]]:
+        """Where class i may take a new edge: each path as its (low, high)
+        ends, ascending, then each isolated vertex, those whose first slot
+        is empty, ascending, in the order LinearForestView lists them."""
+        ends = sorted((a, b) for a, b in self.partner[i].items() if a < b)
+        lone = compress(range(self.order), map(lt, self.first[i], repeat(0)))
+        return ends + [(v,) for v in lone]
 
 
 def _forest_state(
@@ -280,16 +250,18 @@ def _forest_state(
     second: list[int],
     free: list[int],
     bit: int,
-) -> PathEnds:
-    """The state of one class of a partition of K_order, each edge (u, v)
-    with 0 <= u < v < order, or NotLinearForest; the edges fill the empty
-    neighbour slots first and second, and bit is set in free[v] for each
-    path end and isolated vertex v.  A third edge at a vertex refuses the
-    class.  A vertex with its second slot empty is isolated or a path end,
-    and each path is walked once, from its lower end, to find its other:
-    from cur it steps to first[cur] + second[cur] - prev, the slot that
-    does not lead back, which past an end, its second slot empty, is -1.
-    The walks cover every edge unless an edge lies on a cycle."""
+) -> tuple[dict[int, int], int]:
+    """The path ends of one class of a partition of K_order, each edge
+    (u, v) with 0 <= u < v < order, as a dict from each end to the other,
+    and its number of isolated vertices, or NotLinearForest; the edges
+    fill the empty neighbour slots first and second, and bit is set in
+    free[v] for each path end and isolated vertex v.  A third edge at a
+    vertex refuses the class.  A vertex with its second slot empty is
+    isolated or a path end, and each path is walked once, from its lower
+    end, to find its other: from cur it steps to first[cur] + second[cur]
+    - prev, the slot that does not lead back, which past an end, its
+    second slot empty, is -1.  The walks cover every edge unless an edge
+    lies on a cycle."""
     for e in edges:
         u, v = e
         if first[u] < 0:
@@ -305,7 +277,7 @@ def _forest_state(
         else:
             raise NotLinearForest(f"degree above two at edge {e}")
     partner: dict[int, int] = {}
-    isolated: set[int] = set()
+    isolated = 0
     walked = 0
     for x in range(order):
         if second[x] >= 0:
@@ -313,7 +285,7 @@ def _forest_state(
         free[x] |= bit
         cur = first[x]
         if cur < 0:
-            isolated.add(x)
+            isolated += 1
         elif x not in partner:  # else x is the far end of a walked path
             prev = x
             while cur >= 0:
@@ -330,7 +302,7 @@ def _forest_state(
                 prev, cur = cur, first[cur] + second[cur] - prev
             if cur == x:
                 raise NotLinearForest(f"a cycle runs through edge {edge(x, first[x])}")
-    return PathEnds(partner, isolated)
+    return partner, isolated
 
 
 def size_floor(m: int, n: int, holds_edge: bool) -> int:
@@ -345,7 +317,7 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
     its size floor at order m + 1, may touch a path only at one of its
     endpoints, and may touch each isolated vertex once.  _assign finds
     such an assignment whenever one exists, and raises InternalInfeasible
-    otherwise; one always exists for in-contract states.  lay_edges grows
+    otherwise; one always exists for in-contract splits.  lay_edges grows
     the split, and check_stage checks it after the step.
 
     Each class must meet its floor at order m, as the check_stage that
@@ -358,7 +330,7 @@ def single_vertex_step(split: ForestSplit, n: int) -> None:
         raise PreconditionViolation(f"cannot grow order {m} toward 2n+1, n={n}")
     target = size_floor(m + 1, n, True)
     need = [target - k if k < target else 0 for k in split.count]
-    lay_edges(split, [_assign(m, need, split.ends, split.free)], None, "vertex step")
+    lay_edges(split, [_assign(split, need)], None, "vertex step")
     check_stage(split, n, n, f"at vertex {m}")
 
 
@@ -366,27 +338,28 @@ def lay_edges(
     split: ForestSplit, owners: list[list[int]], bridge: int | None, stage: str
 ) -> None:
     """Append one new vertex per owner list to the split, and lay its
-    edges into the slots, counts and states of the classes and the
-    free-class masks, in place: old vertex v gives new vertex m + k the
-    edge of class owners[k][v], and with two new vertices class bridge
-    takes the edge between them.
+    edges into the slots, path ends, isolated counts and edge counts of
+    the classes and the free-class masks, in place: old vertex v gives
+    new vertex m + k the edge of class owners[k][v], and with two new
+    vertices class bridge takes the edge between them.
 
     Before anything is laid, every owner list must name a class of the
     split for each of the m old vertices, and a bridge must come exactly
     when two vertices do: then the new edges are those of the grown
     clique that K_m lacks, each once, and a split that partitions K_m
-    partitions the grown clique.  A path end that takes an edge of class
-    i fills its second slot and loses bit i, an isolated vertex that
-    takes one fills its first and keeps it, a new vertex fills its slots
-    in the order its edges come, and its mask is read off the states once
-    its edges are laid: the classes in which it is still isolated or is a
-    path end.  A wrong shape, or an edge its state's add_edge refuses, is
-    the caller's fault: InvariantViolation, naming stage (and the class
-    and the edge)."""
-    ends, free, count = split.ends, split.free, split.count
-    first, second = split.first, split.second
+    partitions the grown clique.  A new vertex enters every class
+    isolated, its mask full.  Every edge, the bridge too, is laid by one
+    join: an end whose first slot is empty was isolated, fills it and
+    leaves the isolated count; one whose first slot is filled was a path
+    end, fills its second, leaves the path ends and loses the class from
+    its mask; the far ends of the two paths become partners.  An end
+    with both slots filled, or an edge joining the two ends of one path,
+    is the caller's fault: InvariantViolation, naming stage, the class
+    and the edge."""
+    partner, isolated, count = split.partner, split.isolated, split.count
+    first, second, free = split.first, split.second, split.free
     m = split.order
-    n = len(ends)
+    n = len(count)
     for w, owner in enumerate(owners, m):
         if len(owner) != m or min(owner) < 0 or max(owner) >= n:
             valid = sum(0 <= i < n for i in owner)
@@ -399,59 +372,53 @@ def lay_edges(
             f"{stage} at order {m}: {len(owners)} new vertices with bridge "
             f"class {bridge}, wanted one without or two with a class 0..{n - 1}"
         )
-    grown = range(m, m + len(owners))
-    for w in grown:
-        for state in ends:
-            state.isolated.add(w)
-    try:
-        for w, owner in zip(grown, owners):
-            for u, i in enumerate(owner):
-                # add_edge returns u unless u was a path end, interior now
-                if ends[i].add_edge(u, w) == u:
-                    first[i][u] = w
-                else:
-                    free[u] &= ~(1 << i)
-                    second[i][u] = w
-                slots = first[i]
-                if slots[w] < 0:
-                    slots[w] = u
-                else:
-                    second[i][w] = u
-                count[i] += 1
-        if bridge is not None:
-            i, u, w = bridge, m, m + 1
-            ends[i].add_edge(u, w)
-            for x, y in ((u, w), (w, u)):
-                (first[i] if first[i][x] < 0 else second[i])[x] = y
-            count[i] += 1
-    except NotLinearForest as exc:
-        raise InvariantViolation(
-            f"{stage} at order {m}: class {i} cannot take {edge(u, w)}: {exc}"
-        ) from exc
-    for w in grown:
-        free.append(sum(
-            1 << i for i, state in enumerate(ends)
-            if w in state.isolated or w in state.partner
-        ))
-    split.order = grown.stop
+    grown = len(owners)
+    free += [(1 << n) - 1] * grown
+    isolated[:] = [k + grown for k in isolated]
+    edges = [zip(range(m), repeat(w), owner) for w, owner in enumerate(owners, m)]
+    if bridge is not None:
+        edges.append([(m, m + 1, bridge)])
+    for u, v, i in chain.from_iterable(edges):
+        f, s, p = first[i], second[i], partner[i]
+        if s[u] >= 0 or s[v] >= 0 or p.get(u) == v:
+            e = edge(u, v)
+            why = (f"edge {e} closes a cycle" if p.get(u) == v else
+                   f"vertex {u if s[u] >= 0 else v} has no free end for {e}")
+            raise InvariantViolation(
+                f"{stage} at order {m}: class {i} cannot take {e}: {why}"
+            )
+        a, b = p.pop(u, u), p.pop(v, v)
+        p[a], p[b] = b, a
+        if f[u] < 0:
+            f[u] = v
+            isolated[i] -= 1
+        else:
+            s[u] = v
+            free[u] &= ~(1 << i)
+        if f[v] < 0:
+            f[v] = u
+            isolated[i] -= 1
+        else:
+            s[v] = u
+            free[v] &= ~(1 << i)
+        count[i] += 1
+    split.order = m + grown
 
 
 def _assign(
-    m: int,
+    split: ForestSplit,
     need: list[int],
-    ends: list[PathEnds],
-    free: list[int],
     units: int = 1,
     cap: list[int] | None = None,
 ) -> list[int]:
-    """The class each old vertex 0..m-1 gives each of its units (new
-    edges) to, in one flat list: vertex v's units sit at v * units on.
-    Class i takes need[i] to cap[i] units (2 by default) at its gates
-    ends[i].gates(): one at a path end, up to units at an isolated vertex,
+    """The class each old vertex 0..m-1 of split gives each of its units
+    (new edges) to, in one flat list: vertex v's units sit at v * units
+    on.  Class i takes need[i] to cap[i] units (2 by default) at its gates
+    split.gates(i): one at a path end, up to units at an isolated vertex,
     and two at one gate at most, only if it has a doubler, which is when
-    cap[i] > 2.  free[v] is the mask of the classes in which v lies in a
-    gate, bit i for class i.  Raises InternalInfeasible when there is no
-    such choice.  A Hilton step gives 1 unit a vertex to classes of cap 2;
+    cap[i] > 2.  split.free[v] is the mask of the classes in which v lies
+    in a gate, bit i for class i.  Raises InternalInfeasible when there is
+    no such choice.  A Hilton step gives 1 unit a vertex to classes of cap 2;
     an attach round gives 2, to classes of cap 4, each with a doubler, and
     to its bridge class cstar, of cap 2, without one.
 
@@ -487,11 +454,11 @@ def _assign(
     ends at the same vertex, by the same path, having opened fewer
     classes, and it still reaches every vertex before it fails.
     """
+    m, free, partner = split.order, split.free, split.partner
     n = len(need)
     cap = cap or [2] * n
     doubler = [c > 2 for c in cap]
-    partner = [e.partner for e in ends]
-    gates: dict[int, list[tuple[int, ...]]] = {}  # class -> its gates()
+    gates: dict[int, list[tuple[int, ...]]] = {}  # class -> its gates
     # the search that last opened each class, and that last searched its
     # doubler, numbered from 1: no buffer per search
     opened = [0] * n
@@ -618,7 +585,7 @@ def _assign(
             if top:
                 dopened[i] = search
             if i not in gates:
-                gates[i] = ends[i].gates()
+                gates[i] = split.gates(i)
             # the gates holding a unit hide their vertices while the empty
             # gates are offered, which spares a test per gate
             hidden = []
@@ -774,8 +741,8 @@ def close_final_vertex(split: ForestSplit, n: int) -> list[list[int]]:
     of 0's two neighbours (graph_core.slot_row), the order a certificate
     carries.
 
-    Each class must hold one path by its state (a single path gate).  The
-    states must be tied to their classes, 2n - 1 edges each, by the
+    Each class must be one path: two path ends, no isolated vertex.  The
+    path ends must be tied to their classes, 2n - 1 edges each, by the
     check_stage that last ran on the split: the last vertex step's, or at
     order 2n the completion entry's.  The classes must partition K_2n, as
     the scan proved and every step since kept.  Then each vertex has
@@ -788,11 +755,10 @@ def close_final_vertex(split: ForestSplit, n: int) -> list[list[int]]:
     m = split.order
     if m != 2 * n:
         raise PreconditionViolation(f"closing needs order 2n, got {m}")
-    for i, state in enumerate(split.ends):
-        gates = state.gates()
-        if len(gates) != 1 or len(gates[0]) != 2:
+    for i, ends in enumerate(split.partner):
+        if len(ends) != 2 or split.isolated[i]:
             raise InternalInfeasible(f"class {i} is not a spanning path")
-        a, b = gates[0]
+        a, b = ends
         first, second = split.first[i], split.second[i]
         first[m], second[m] = a, b
         second[a] = second[b] = m
@@ -822,31 +788,30 @@ def check_stage(
     The n classes must meet their size floors, 0..held-1 holding their
     edge of H, by their edge counts.  The split was proved by its scan and
     grown since by rounds and steps that keep the partition and lay each
-    edge through add_edge, so one pass over the states ties it together:
-    there must be one state per class, every class's count must be exactly
-    order - paths - isolated, the count its state implies, and the
-    free-class masks must hold as many set bits in all as the states have
-    path ends and isolated vertices.  A class that moved apart from its
-    state breaks the tie.  A wrong class count or a class below its floor
-    raises error, the rest InvariantViolation."""
-    ends, sizes = split.ends, split.count
+    edge through lay_edges's join, so one pass over the path ends and
+    isolated counts ties it together: there must be one of each per class,
+    every class's count must be exactly order - paths - isolated, the
+    count they imply, and the free-class masks must hold as many set bits
+    in all as there are path ends and isolated vertices.  A class that
+    moved apart from its path ends breaks the tie.  A wrong class count or
+    a class below its floor raises error, the rest InvariantViolation."""
+    partner, isolated, sizes = split.partner, split.isolated, split.count
     if len(sizes) != n:
         raise error(f"expected {n} classes {where}, got {len(sizes)}")
-    if len(ends) != n:
-        raise InvariantViolation(f"{len(ends)} path-end states for {n} classes")
+    if len(partner) != n or len(isolated) != n:
+        raise InvariantViolation(
+            f"{len(partner)} path-end maps and {len(isolated)} isolated counts "
+            f"for {n} classes"
+        )
     order = split.order
-    implied = []
-    free_total = 0
-    for s in ends:
-        ends_count, isolated = len(s.partner), len(s.isolated)
-        implied.append(order - ends_count // 2 - isolated)
-        free_total += ends_count + isolated
+    implied = [order - len(p) // 2 - k for p, k in zip(partner, isolated)]
     if sizes != implied:
         i = next(i for i, k in enumerate(sizes) if k != implied[i])
         raise InvariantViolation(
             f"class {i} drifted from its path ends {where}: {sizes[i]} edges, "
             f"its ends imply {implied[i]}"
         )
+    free_total = sum(map(len, partner)) + sum(isolated)
     listed = sum(map(int.bit_count, split.free))
     if listed != free_total:
         raise InvariantViolation(

@@ -40,7 +40,6 @@ from rainbow_hcd.graph_core import (
 )
 from rainbow_hcd.hilton import (
     ForestSplit,
-    PathEnds,
     _Dinic,
     check_stage,
     extend_to_hcd,
@@ -48,7 +47,7 @@ from rainbow_hcd.hilton import (
 )
 from rainbow_hcd.solver import solve
 from test_graph_core import hcd
-from test_hilton import classes_of, dec_of, free_classes
+from test_hilton import classes_of, dec_of, free_classes, try_join
 
 scan = ForestSplit.scan
 
@@ -64,31 +63,53 @@ def dense_split(h_edges, n, seed=0):
     return embed_dense(h_edges, n, lambda e: solve(e, seed))
 
 
+def all_gates(split):
+    """The gates of every class of a split."""
+    return [split.gates(i) for i in range(len(split.count))]
+
+
 def scan_gates(dec):
     """The gates of every class, from a full scan."""
-    return [state.gates() for state in scan(dec).ends]
+    return all_gates(scan(dec))
 
 
-def gate_states(gates):
-    """The state of each class from gates[i], a path as its two ends or an
-    isolated vertex alone; every other vertex lies inside a path."""
-    return [
-        PathEnds(
-            {v: w for g in gs if len(g) == 2 for v, w in (g, g[::-1])},
-            {g[0] for g in gs if len(g) == 1},
-        )
-        for gs in gates
-    ]
+def gate_split(m, gates):
+    """A split of order m whose class i has the gates gates[i], a path as
+    its two ends or an isolated vertex alone, with room for a round's two
+    new vertices; every other vertex lies inside a path.  The slots say
+    only that: an isolated vertex has none filled, a path end its first,
+    which holds the other end, and an inner vertex both, which hold 0.
+    The edge counts are 0."""
+    n = len(gates)
+    size = max(m + 2, 2 * n + 1)
+    split = ForestSplit(m, [0] * n, [], [], [], [], [])
+    for gs in gates:
+        first = [0] * m + [-1] * (size - m)
+        second = first[:]
+        partner = {}
+        for g in gs:
+            a, b = g[0], g[-1]
+            second[a] = second[b] = -1
+            if a == b:
+                first[a] = -1
+            else:
+                first[a], first[b] = b, a
+                partner[a], partner[b] = b, a
+        split.first.append(first)
+        split.second.append(second)
+        split.partner.append(partner)
+        split.isolated.append(sum(len(g) == 1 for g in gs))
+    split.free = free_classes(split)
+    return split
 
 
 def round_owner(m, gates, floors, cstar):
-    """hilton._assign as an attach round calls it, on hand-made gates: each
-    class's state and every vertex's free-class mask are built from gates[i]
-    (gate_states).  Class i takes floors[i] to 4 slots, cstar at most 2,
+    """hilton._assign as an attach round calls it, on hand-made gates: the
+    split and every vertex's free-class mask are built from gates[i]
+    (gate_split).  Class i takes floors[i] to 4 slots, cstar at most 2,
     and every class but cstar, the classes of cap 4, may double one gate."""
-    ends = gate_states(gates)
     cap = [2 if i == cstar else 4 for i in range(len(gates))]
-    return hilton._assign(m, floors, ends, free_classes(ends, m), 2, cap)
+    return hilton._assign(gate_split(m, gates), floors, 2, cap)
 
 
 def pairs(owner):
@@ -193,8 +214,8 @@ class TestCapacityGraph:
     def test_slot_counts(self):
         split = scan(k5_forests())
         # class i offers 2 * (order - size) slots in total
-        for k, e in zip(split.count, split.ends):
-            assert len(e.partner) + 2 * len(e.isolated) == 2 * (split.order - k)
+        for k, p, iso in zip(split.count, split.partner, split.isolated):
+            assert len(p) + 2 * iso == 2 * (split.order - k)
         capacity_graph(split)
         # a class that lost an edge its state still holds is caught by the
         # count tie every round's stage check runs on the same states
@@ -209,7 +230,7 @@ class TestCapacityGraph:
         free = split.free
         m, n = split.order, len(split.count)
         assert all(
-            free[u].bit_count() + sum(u in e.isolated for e in split.ends)
+            free[u].bit_count() + sum(first[u] < 0 for first in split.first)
             == 2 * n - m + 1
             for u in range(m)
         )
@@ -318,14 +339,14 @@ class TestGrowth:
         assert out.classes == c4_split().classes
 
 
-def reference_split(m, n, ends, owner):
+def reference_split(m, n, partner, owner):
     """extend_sparse._split_slots as first written, on (class, low end)
     gate tuples, a Counter of them, a dict of node numbers and (edge, far
     node, flip) triples: the reference that the flat-list split must match
     list for list."""
     pairs = [sorted(owner[2 * v:2 * v + 2]) for v in range(m)]
     gates = [
-        [(i, min(v, ends[i].partner.get(v, v))) for i in pair]
+        [(i, min(v, partner[i].get(v, v))) for i in pair]
         for v, pair in enumerate(pairs)
     ]
     load = Counter(g for pair in gates for g in pair)
@@ -368,9 +389,9 @@ def check_splits(monkeypatch):
     orders = []
     real = extend_sparse._split_slots
 
-    def spy(m, n, ends, owner):
-        out = real(m, n, ends, owner)
-        assert out == reference_split(m, n, ends, owner), (m, owner)
+    def spy(m, n, partner, owner):
+        out = real(m, n, partner, owner)
+        assert out == reference_split(m, n, partner, owner), (m, owner)
         orders.append(m)
         return out
 
@@ -555,7 +576,7 @@ class TestWitness:
         assert (classes_of(split), split.count, split.free) == before
 
     # the witness check reads only the gain floors; a split that breaks a
-    # class is refused where lay_edges lays it, by the states' add_edge,
+    # class is refused where lay_edges lays it, by its join,
     # as the solve's own fault
     @pytest.mark.parametrize(
         "owner, cstar",
@@ -615,8 +636,8 @@ class TestWitness:
             "euler-split", 400
         ):
             n = len(gates)
-            ends = gate_states(gates)
-            out = _split_slots(m, n, ends, owner)
+            split = gate_split(m, gates)
+            out = _split_slots(m, n, split.partner, owner)
             # each vertex keeps its pair: one slot to m, the other to m + 1
             at = pairs(out)
             assert at == pairs(owner)
@@ -633,13 +654,8 @@ class TestWitness:
                         assert (out[2 * a] == i) != (out[2 * b] == i)
                         doubled["path"] += 1
             assert _witness_ok(out, floors)
-            # laid through the states, every class stays a linear forest;
-            # lay_edges reads the states and the masks, and fills slots
-            # that start empty
-            size = max(m + 2, 2 * n + 1)
-            attach(ForestSplit(m, [0] * n, [[-1] * size for _ in range(n)],
-                               [[-1] * size for _ in range(n)], ends,
-                               free_classes(ends, m)), out, cstar)
+            # laid by the join, every class stays a linear forest
+            attach(split, out, cstar)
         # rounds with a path that takes both ends, and an isolated vertex
         # that takes two slots
         assert min(doubled.values()) >= 20 and len(doubled) == 2, doubled
@@ -647,9 +663,9 @@ class TestWitness:
     def test_split_matches_the_reference_split(self, monkeypatch):
         # on random rounds, then on every round of the carried graphs
         for m, gates, _, _, owner in self.feasible_rounds("differential", 400):
-            ends = gate_states(gates)
-            assert _split_slots(m, len(gates), ends, owner) == reference_split(
-                m, len(gates), ends, owner
+            partner = gate_split(m, gates).partner
+            assert _split_slots(m, len(gates), partner, owner) == reference_split(
+                m, len(gates), partner, owner
             ), owner
         orders = check_splits(monkeypatch)
         graphs = carried_graphs()
@@ -673,13 +689,13 @@ class TestWitness:
         outcomes = Counter()
         for m, gates, _, _, owner in self.feasible_rounds("differential", 400):
             n = len(gates)
-            ends = gate_states(gates)
+            partner = gate_split(m, gates).partner
             # one edge per slot, class by class, and the two edges of a
             # doubled gate mated
             chosen = BipartiteMultigraph(n, m)
             at = {}  # gate, by class and low end -> its edges
             for i, v in sorted((i, u // 2) for u, i in enumerate(owner)):
-                gate = (i, min(v, ends[i].partner.get(v, v)))
+                gate = (i, min(v, partner[i].get(v, v)))
                 at.setdefault(gate, []).append(chosen.add_edge(i, v))
             mate = {}
             for fs in at.values():
@@ -695,7 +711,7 @@ class TestWitness:
                 for f in side:
                     i, v = chosen.edges[f]
                     old[2 * v + new_vertex] = i
-            assert _split_slots(m, n, ends, owner) == old, owner
+            assert _split_slots(m, n, partner, owner) == old, owner
             outcomes["euler"] += 1
         assert outcomes["euler"] >= 300 and outcomes["start kept"] >= 5, outcomes
 
@@ -822,11 +838,11 @@ from rainbow_hcd.hilton import ForestSplit
 
 real = extend_sparse._split_slots
 
-def split(m, n, ends, owner):
-    owner = real(m, n, ends, owner)
+def split(m, n, partner, owner):
+    owner = real(m, n, partner, owner)
     i, pair = next(
         (i, (v, p)) for v in range(m) for i in owner[2 * v:2 * v + 2]
-        for p in [ends[i].partner.get(v)]
+        for p in [partner[i].get(v)]
         if p is not None and i in owner[2 * p:2 * p + 2]
     )
     for v in pair:
@@ -857,7 +873,7 @@ class TestCarriedState:
 
         def spy(split, n, held, where, *args):
             real(split, n, held, where, *args)
-            assert [e.gates() for e in split.ends] == scan_gates(dec_of(split)), where
+            assert all_gates(split) == scan_gates(dec_of(split)), where
             rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
@@ -874,7 +890,7 @@ class TestCarriedState:
 
         def spy(split, n, held, where, *args):
             real(split, n, held, where, *args)
-            assert split.free == free_classes(split.ends, split.order), where
+            assert split.free == free_classes(split), where
             rounds.append(where)
 
         monkeypatch.setattr(extend_sparse, "check_stage", spy)
@@ -925,8 +941,9 @@ def move_edge(split, src, dst):
     split.count[dst] += 1
 
 
-def state_snapshot(ends):
-    return [(dict(e.partner), set(e.isolated)) for e in ends]
+def state_snapshot(split):
+    """Each class's path ends, as a dict, and its isolated count."""
+    return [(dict(p), k) for p, k in zip(split.partner, split.isolated)]
 
 
 class TestStageBoundary:
@@ -939,7 +956,7 @@ class TestStageBoundary:
 
     def test_embed_returns_the_states_of_its_split(self):
         split = self.embedded()
-        assert [e.gates() for e in split.ends] == scan_gates(dec_of(split))
+        assert all_gates(split) == scan_gates(dec_of(split))
         assert split.free == scan(dec_of(split)).free
 
     def test_given_states_no_stage_scans(self, monkeypatch):
@@ -973,7 +990,7 @@ class TestStageBoundary:
         b = extend_with_k2s(scan(dec_of(split)), t=5, n=8)
         a = extend_with_k2s(split, t=5, n=8)
         assert classes_of(a) == classes_of(b) and a.count == b.count
-        assert state_snapshot(a.ends) == state_snapshot(b.ends)
+        assert state_snapshot(a) == state_snapshot(b)
         assert a.free == b.free
         assert extend_to_hcd(a, 8) == extend_to_hcd(b, 8)
 
@@ -983,15 +1000,17 @@ class TestStageBoundary:
         split = self.embedded()
         if not carried:
             split = scan(dec_of(split))
-        held = split.count, split.first, split.second, split.ends, split.free
+        held = (split.count, split.first, split.second, split.partner,
+                split.isolated, split.free)
         order = split.order
         out = extend_with_k2s(split, t=5, n=8)
         assert out is split
         assert all(a is b for a, b in zip(
-            (out.count, out.first, out.second, out.ends, out.free), held))
+            (out.count, out.first, out.second, out.partner, out.isolated,
+             out.free), held))
         assert split.order == order + 6
         fresh = scan(dec_of(split))
-        assert state_snapshot(split.ends) == state_snapshot(fresh.ends)
+        assert state_snapshot(split) == state_snapshot(fresh)
         assert (split.count, split.free) == (fresh.count, fresh.free)
 
     def test_drift_is_caught_at_the_attach_entry(self):
@@ -1009,8 +1028,10 @@ class TestStageBoundary:
 
     def test_state_count_is_checked(self):
         split = self.embedded()
-        split.ends.pop()
-        with pytest.raises(InvariantViolation, match="states for 8 classes"):
+        split.partner.pop()
+        with pytest.raises(InvariantViolation, match=(
+            "7 path-end maps and 8 isolated counts for 8 classes"
+        )):
             extend_with_k2s(split, t=5, n=8)
 
 
@@ -1058,18 +1079,16 @@ def greedy_entry_split(rng, r, n):
     """A split of K_r into n linear forests, or None: the edges in a random
     order, each to the smallest class, ties in a random order, that it
     keeps a linear forest."""
-    states = [PathEnds({}, set(range(r))) for _ in range(n)]
+    degrees = [[0] * r for _ in range(n)]
+    partners = [{} for _ in range(n)]
     classes = [set() for _ in range(n)]
     edges = complete_edges(r)
     rng.shuffle(edges)
     for u, v in edges:
         for i in sorted(rng.sample(range(n), n), key=lambda i: len(classes[i])):
-            try:
-                states[i].add_edge(u, v)
-            except NotLinearForest:
-                continue
-            classes[i].add((u, v))
-            break
+            if try_join(degrees[i], partners[i], u, v):
+                classes[i].add((u, v))
+                break
         else:
             return None
     return Decomposition(r, classes)

@@ -917,6 +917,40 @@ def malformed_certificates(draw):
     return how, cert
 
 
+@st.composite
+def malformed_instances(draw):
+    """A solved certificate of P4, K_{1,3} or C3 + K2 whose h_edges,
+    label_map or assignment is broken one way, and the check that must
+    fail: "embedding" for the first two, "rainbow" for the assignment."""
+    h = draw(st.sampled_from([
+        path_graph(3), star_graph(3), disjoint_union(cycle_graph(3), path_graph(1)),
+    ]))
+    cert = solve(h, 0)
+    field = draw(st.sampled_from(["h_edges", "label_map", "assignment"]))
+    how = draw(st.sampled_from(["entry", "container"]))
+    if how == "container":
+        value = getattr(cert, field)
+        setattr(cert, field, draw(st.sampled_from([
+            None, tuple(value), str(value), {0: 1} if field != "label_map" else [0],
+        ])))
+    elif field == "h_edges":
+        k = draw(st.integers(0, len(h) - 1))
+        u, v = cert.h_edges[k]
+        cert.h_edges[k] = draw(st.sampled_from([
+            (u, v, v), (u,), (str(u), str(v)), (float(u), v), (u, True), None, u,
+        ]))
+    elif field == "label_map":
+        key = draw(st.sampled_from(sorted(cert.label_map)))
+        if draw(st.booleans()):
+            cert.label_map[key] = draw(NOT_INTS)
+        else:
+            # keys that equal no int, so none overwrites a label
+            cert.label_map[draw(st.sampled_from([None, "x", "0", 0.5, (0,)]))] = 0
+    else:
+        cert.assignment[draw(st.integers(0, len(h) - 1))] = draw(NOT_INTS)
+    return ("rainbow" if field == "assignment" else "embedding"), cert
+
+
 class TestVerifyNeverRaises:
     @given(malformed_certificates())
     @settings(max_examples=400, deadline=None)
@@ -937,6 +971,39 @@ class TestVerifyNeverRaises:
     def test_a_bad_n_fails_the_shape(self, n):
         cert = RainbowCertificate(n, 0, [], {}, [], [[0, 1, 2]])
         assert marks(verify_certificate(cert)) == [("shape", False)]
+
+    @given(malformed_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_instance_fails_a_check(self, drawn):
+        # a certificate whose rows are sound but whose h_edges, label_map
+        # or assignment is no plain list or map of ints: the embedding or
+        # the rainbow check fails, and nothing raises
+        field, cert = drawn
+        rep = verify_certificate(cert)
+        failed = [name for name, passed, _ in rep.checks if not passed]
+        assert failed == [field], (field, rep.lines())
+
+    @pytest.mark.parametrize("field, value", [
+        ("assignment", [False, 1, 2]), ("assignment", [0.0, 1, 2]),
+        ("assignment", ["0", 1, 2]), ("label_map", 0.0),
+        ("label_map", "0"), ("h_edges", (0, 1, 2)), ("h_edges", ("a", "b")),
+    ], ids=["assignment-bool", "assignment-float", "assignment-str",
+            "label-float", "label-str", "edge-of-three", "edge-of-str"])
+    def test_entries_that_are_no_int_fail(self, field, value):
+        # each of these raised or passed before the checks took exact ints
+        # only: a bool or a float among the assignment, a label value that
+        # is a float or a string, an edge of three ends or of strings
+        cert = solve(path_graph(3), 0)
+        assert verify_certificate(cert).ok
+        if field == "assignment":
+            cert.assignment = value
+        elif field == "label_map":
+            cert.label_map[next(iter(cert.label_map))] = value
+        else:
+            cert.h_edges[0] = value
+        rep = verify_certificate(cert)
+        check = "rainbow" if field == "assignment" else "embedding"
+        assert [name for name, passed, _ in rep.checks if not passed] == [check]
 
 
 class TestRows:

@@ -5,7 +5,7 @@ from operator import lt
 
 import pytest
 
-from rainbow_hcd import hilton
+from rainbow_hcd import embed_dense, extend_sparse, hilton
 from rainbow_hcd.cli import main
 from rainbow_hcd.errors import (
     InternalInfeasible,
@@ -30,7 +30,6 @@ from rainbow_hcd.graph_core import (
 )
 from rainbow_hcd.hilton import (
     ForestSplit,
-    PathEnds,
     _Dinic,
     close_final_vertex,
     extend_to_hcd,
@@ -43,36 +42,46 @@ from test_graph_core import hcd, relabel_decomposition
 scan = ForestSplit.scan
 
 
-def path_ends(cls, order):
-    """The state of the linear forest cls on 0..order-1, read off its
-    analyze_linear_forest view: each path's two ends partnered, and the
-    isolated vertices."""
+def view_state(cls, order):
+    """The path ends and isolated vertices of the linear forest cls on
+    0..order-1, read off its analyze_linear_forest view: each path's two
+    ends partnered, and the isolated vertices ascending."""
     view = analyze_linear_forest(cls, range(order))
     partner = {}
     for p in view.paths:
         partner[p[0]] = p[-1]
         partner[p[-1]] = p[0]
-    return PathEnds(partner, set(view.isolated))
+    return partner, view.isolated
 
 
-def free_classes(ends, m):
+def masks_of(states, m):
     """For each vertex 0..m-1, the mask of the classes in which it is a
-    path end or isolated, bit i for class i, read off the states: the
-    reference for the masks that ForestSplit.scan builds."""
+    path end or isolated, bit i for class i, from each class's path ends
+    and isolated vertices: the reference for the masks that
+    ForestSplit.scan builds."""
     free = [0] * m
-    for i, e in enumerate(ends):
-        bit = 1 << i
-        for v in e.partner:
-            free[v] |= bit
-        for v in e.isolated:
-            free[v] |= bit
+    for i, (partner, isolated) in enumerate(states):
+        for v in [*partner, *isolated]:
+            free[v] |= 1 << i
     return free
 
 
-def split_of(dec, ends, room=0):
-    """The split of dec's classes with the states ends: each class's
-    count, and its neighbour slots filled edge by edge, sized 2n + 1 as
-    the scan sizes them, or order + room if that is more."""
+def free_classes(split):
+    """The masks of masks_of, read off a split's path ends and the
+    vertices whose first slot is empty."""
+    order = split.order
+    return masks_of(
+        [(p, [v for v in range(order) if first[v] < 0])
+         for p, first in zip(split.partner, split.first)],
+        order,
+    )
+
+
+def split_of(dec, states, room=0):
+    """The split of dec's classes with the path ends and isolated vertices
+    states: each class's count, and its neighbour slots filled edge by
+    edge, sized 2n + 1 as the scan sizes them, or order + room if that is
+    more."""
     size = max(dec.order + room, 2 * len(dec.classes) + 1)
     first, second = [], []
     for cls in dec.classes:
@@ -83,7 +92,21 @@ def split_of(dec, ends, room=0):
         first.append(a)
         second.append(b)
     return ForestSplit(dec.order, list(map(len, dec.classes)), first, second,
-                       ends, free_classes(ends, dec.order))
+                       [p for p, _ in states], [len(iso) for _, iso in states],
+                       masks_of(states, dec.order))
+
+
+def try_join(degree, partner, u, v):
+    """Join u and v in a linear forest kept as its degrees and its path
+    ends' partners, unless that gives a vertex a third edge or closes a
+    cycle; whether it joined."""
+    if degree[u] == 2 or degree[v] == 2 or partner.get(u) == v:
+        return False
+    a, b = partner.pop(u, u), partner.pop(v, v)
+    partner[a], partner[b] = b, a
+    degree[u] += 1
+    degree[v] += 1
+    return True
 
 
 def classes_of(split):
@@ -104,23 +127,23 @@ def unproved(dec):
     partition K_order and so would fail its proof, its slots with room
     for a round's two new vertices even where the classes are too few
     for their order."""
-    return split_of(dec, [path_ends(c, dec.order) for c in dec.classes], 2)
+    return split_of(dec, [view_state(c, dec.order) for c in dec.classes], 2)
 
 
 def view_scan(dec, where="in the scan"):
     """ForestSplit.scan as a composition of the reference pieces: the
     partition proof, one analyze_linear_forest view per class turned into
-    its state, a refusal naming the class and where, then the slots and
-    the masks.  The scan must give equal states, slots, counts and masks,
-    and the same errors."""
+    path ends and isolated vertices, a refusal naming the class and where,
+    then the slots and the masks.  The scan must give equal path ends,
+    isolated counts, slots, counts and masks, and the same errors."""
     dec.check_partition()
-    ends = []
+    states = []
     for i, cls in enumerate(dec.classes):
         try:
-            ends.append(path_ends(cls, dec.order))
+            states.append(view_state(cls, dec.order))
         except NotLinearForest as exc:
             raise NotLinearForest(f"class {i} {where}: {exc}") from exc
-    return split_of(dec, ends)
+    return split_of(dec, states)
 
 
 def scans_checked(monkeypatch):
@@ -141,9 +164,9 @@ def scans_checked(monkeypatch):
 
 def held_state(split):
     """What a split holds, comparable by ==: per class its partner map,
-    isolated set, count and the edges its slots hold, the slot lists'
+    isolated count, count and the edges its slots hold, the slot lists'
     lengths, and the masks."""
-    return ([(e.partner, e.isolated) for e in split.ends], split.count,
+    return (split.partner, split.isolated, split.count,
             classes_of(split), [len(a) for a in split.first + split.second],
             split.order, split.free)
 
@@ -200,16 +223,15 @@ def recursive_max_flow(fl, s, t):
 def flow_feasible(split, n):
     """Reference: whether the lower-bounded flow of one vertex step, built
     on _Dinic from the same gates(), is feasible."""
-    ends = split.ends
     m = split.order
     target = 2 * (m + 1) - 2 * n - 1
     fl = _Dinic()
     src, snk = fl.add_node(), fl.add_node()
     vnode = [fl.add_node() for _ in range(m)]
-    for k, e in zip(split.count, ends):
+    for i, k in enumerate(split.count):
         cnode = fl.add_node()
         fl.add_bounded_arc(src, cnode, max(0, target - k), 2)
-        for gate_ends in e.gates():
+        for gate_ends in split.gates(i):
             gate = fl.add_node()
             fl.add_arc(cnode, gate, 1)
             for v in gate_ends:
@@ -341,18 +363,16 @@ def greedy_forest_split(rng, m, n):
     """A split of K_m into n linear forests, or None: the edges in a random
     order, each to the first class, in a random order, that it keeps a
     linear forest."""
-    states = [PathEnds({}, set(range(m))) for _ in range(n)]
+    degrees = [[0] * m for _ in range(n)]
+    partners = [{} for _ in range(n)]
     classes = [set() for _ in range(n)]
     edges = complete_edges(m)
     rng.shuffle(edges)
     for u, v in edges:
         for i in rng.sample(range(n), n):
-            try:
-                states[i].add_edge(u, v)
-            except NotLinearForest:
-                continue
-            classes[i].add((u, v))
-            break
+            if try_join(degrees[i], partners[i], u, v):
+                classes[i].add((u, v))
+                break
         else:
             return None
     return Decomposition(m, classes)
@@ -525,11 +545,12 @@ class TestSteps:
             extend_to_hcd(scan(truncate_to_order(walecki(2), 3)), 2)
 
     def test_close_rejects_repeated_closing_ends(self):
-        # both states name the ends 0 and 3, so vertex 4 meets 0 and 3
-        # twice and 1 and 2 never; the close trusts the states, and the
-        # walk of class 1's slots, 3 now between 0 and 1, finds no cycle
+        # both classes name the path ends 0 and 3, so vertex 4 meets 0 and
+        # 3 twice and 1 and 2 never; the close trusts the path ends, and
+        # the walk of class 1's slots, 3 now between 0 and 1, finds no
+        # cycle
         split = scan(k4_paths())
-        split.ends[1] = scan(k4_paths()).ends[0]
+        split.partner[1] = scan(k4_paths()).partner[0]
         with pytest.raises(
             InvariantViolation,
             match="class 1 does not close into one Hamiltonian cycle",
@@ -547,16 +568,13 @@ class TestSteps:
         hcd(a).check_hcd()
 
     def test_insertion_order_does_not_matter(self):
-        # the same states, their partner dicts and isolated sets filled in
-        # the opposite order, give the same classes at every step
+        # the same splits, their partner dicts filled in the opposite
+        # order, give the same classes at every step
         n = 8
         a = scan(truncate_to_order(walecki(n), 6))
         b = scan(truncate_to_order(walecki(n), 6))
-        for e in b.ends:
-            e.partner = dict(reversed(e.partner.items()))
-            e.isolated = set(sorted(e.isolated, reverse=True))
-        assert any(list(x.partner) != list(y.partner)
-                   for x, y in zip(a.ends, b.ends))
+        b.partner[:] = [dict(reversed(p.items())) for p in b.partner]
+        assert any(list(x) != list(y) for x, y in zip(a.partner, b.partner))
         while a.order < 2 * n:
             single_vertex_step(a, n)
             single_vertex_step(b, n)
@@ -583,7 +601,6 @@ class TestExactness:
         for _ in range(600):
             dec, n = random_step_state(rng)
             split = unproved(dec)
-            ends = split.ends
             feasible = flow_feasible(split, n)
             m = dec.order
             before = [set(c) for c in dec.classes]
@@ -601,9 +618,9 @@ class TestExactness:
             assert split.count == list(map(len, after))
             grown = [c - old for c, old in zip(after, before)]
             assert sorted(v for g in grown for v, _ in g) == list(range(m))
-            for cls, g, e in zip(after, grown, ends):
+            for i, (cls, g) in enumerate(zip(after, grown)):
                 assert len(g) <= 2 and len(cls) >= target
-                assert e.gates() == view_gates(cls, m + 1)
+                assert split.gates(i) == view_gates(cls, m + 1)
         # both ways to fail are reached: a vertex no class can take, and a
         # class that cannot reach its floor
         assert min(outcomes.values()) >= 5 and len(outcomes) == 3, outcomes
@@ -636,8 +653,8 @@ class TestExactness:
         monkeypatch.setattr(
             hilton, "_warm_start", lambda need, free, partner, *_: (list(start), load)
         )
-        ends = [path_ends(f, 3) for f in forests]
-        assert hilton._assign(3, need, ends, free_classes(ends, 3)) == want
+        split = unproved(Decomposition(3, [set(f) for f in forests]))
+        assert hilton._assign(split, need) == want
 
 
 class TestFeasibleStart:
@@ -663,7 +680,7 @@ class TestFeasibleStart:
             target = 2 * (m + 1) - 2 * n - 1
             need = [max(0, target - len(c)) for c in dec.classes]
             try:
-                owner = hilton._assign(m, need, split.ends, split.free)
+                owner = hilton._assign(split, need)
             except InternalInfeasible:
                 continue
             start, before = starts.pop()
@@ -732,24 +749,23 @@ class TestWarmStart:
         sweeps = Counter()
         for _ in range(1000):
             m, n = rng.randint(1, 12), rng.randint(1, 8)
-            ends = [
-                path_ends(random_forest(rng, m, rng.randint(0, m - 1)), m)
+            states = [
+                view_state(random_forest(rng, m, rng.randint(0, m - 1)), m)
                 for _ in range(n)
             ]
-            partner = [e.partner for e in ends]
+            partner = [p for p, _ in states]
             cstar = rng.randrange(n) if units == 2 else -1
             cap = [2 if units == 1 or i == cstar else 4 for i in range(n)]
             need = [rng.randint(0, c) for c in cap]
             if rng.random() < 0.2:
                 need = [0] * n
             lists = [
-                [i for i, e in enumerate(ends)
-                 if v in e.partner or v in e.isolated]
+                [i for i, (p, iso) in enumerate(states) if v in p or v in iso]
                 for v in range(m)
             ]
             want = list_warm_start(need, lists, partner, units, cap, sweeps)
             got, load = hilton._warm_start(
-                need, free_classes(ends, m), partner, units, cap
+                need, masks_of(states, m), partner, units, cap
             )
             assert got == want, (need, cap, lists)
             assert load == [got.count(i) for i in range(n)]
@@ -775,7 +791,7 @@ class TestInvariants:
         # the 3 edges the schedule asks for, at order 2 the schedule asks
         # for none.  lay_edges refuses the shape before it lays anything,
         # and leaves the split as it was
-        monkeypatch.setattr(hilton, "_assign", lambda m, need, ends, free: [-1] * m)
+        monkeypatch.setattr(hilton, "_assign", lambda split, need: [-1] * split.order)
         split = scan(truncate_to_order(walecki(3), order))
         before = held_state(split)
         with pytest.raises(
@@ -790,7 +806,7 @@ class TestInvariants:
         real = hilton._assign
         monkeypatch.setattr(
             hilton, "_assign",
-            lambda m, need, ends, free: real(m, [0] * 3, ends, free, 1, [2, 2, 0]),
+            lambda split, need: real(split, [0] * 3, 1, [2, 2, 0]),
         )
         cut = truncate_to_order(walecki(3), 3)
         with pytest.raises(
@@ -835,11 +851,12 @@ class TestInvariants:
         real = hilton._assign
         handed = []
 
-        def interior(m, need, ends, free):
-            owner = real(m, need, ends, free)
+        def interior(split, need):
+            owner = real(split, need)
+            m = split.order
             for v in range(m):
-                for i, e in enumerate(ends):
-                    if v not in e.partner and v not in e.isolated:
+                for i, second in enumerate(split.second):
+                    if second[v] >= 0:
                         owner[v] = i
                         handed.append((m, v, i))
                         return owner
@@ -870,23 +887,49 @@ class TestInvariants:
 
 
 class TestPathEnds:
+    # the join of lay_edges, the one place an edge enters a class, on
+    # hand-made classes: its refusals and each kind of join
+
+    def laid(self, classes, order, owners, bridge=None, stage="attach round"):
+        split = unproved(Decomposition(order, [set(c) for c in classes]))
+        hilton.lay_edges(split, owners, bridge, stage)
+        return split
+
     def test_third_edge_rejected(self):
-        ends = path_ends([(0, 1), (1, 2)], 4)
-        with pytest.raises(NotLinearForest):
-            ends.add_edge(1, 3)
+        # 1 is interior on the path 0-1-2: it has no free end
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "vertex step at order 3: class 0 cannot take (1, 3): "
+            "vertex 1 has no free end for (1, 3)"
+        )):
+            self.laid([{(0, 1), (1, 2)}, set()], 3, [[1, 0, 1]], stage="vertex step")
 
     def test_cycle_rejected(self):
-        ends = path_ends([(0, 1), (1, 2)], 4)
-        with pytest.raises(NotLinearForest):
-            ends.add_edge(2, 0)
+        # 3 joins the path 0-1-2 at its end 0, which leaves 2 and 3 the
+        # ends of one path
+        with pytest.raises(InvariantViolation, match=re.escape(
+            "vertex step at order 3: class 0 cannot take (2, 3): "
+            "edge (2, 3) closes a cycle"
+        )):
+            self.laid([{(0, 1), (1, 2)}, set()], 3, [[0, 1, 0]], stage="vertex step")
 
     def test_joins_paths(self):
-        ends = path_ends([(0, 3), (1, 4)], 6)
-        ends.add_edge(3, 4)
-        ends.isolated.add(6)  # a new vertex joins isolated
-        ends.add_edge(5, 6)
-        assert ends.gates() == [(0, 1), (5, 6), (2,)]
-        assert ends.gates() == view_gates({(0, 3), (1, 4), (3, 4), (5, 6)}, 7)
+        # class 0 holds the paths 0-3 and 1-4 and the isolated 2 and 5;
+        # new vertices 6 and 7 enter every class isolated.  In class 0, 3
+        # joins the isolated 6 (an end and an isolated vertex), 4 the end
+        # 6 (two ends), and 2 the isolated 7 (two isolated vertices); in
+        # class 2 the bridge joins the ends 6 and 7 of 1-6 and 0-7, and
+        # class 5 takes nothing
+        split = self.laid(
+            [{(0, 3), (1, 4)}] + [set()] * 5, 6,
+            [[1, 2, 3, 0, 0, 4], [2, 3, 0, 4, 1, 1]], bridge=2,
+        )
+        assert split.gates(0) == [(0, 1), (2, 7), (5,)]
+        assert split.gates(2) == [(0, 1), (2,), (3,), (4,), (5,)]
+        assert split.gates(5) == [(v,) for v in range(8)]
+        assert split.isolated == [1, 3, 4, 4, 4, 8]
+        assert split.free[6] == 0b111010 and split.free[7] == 0b111001
+        # the path ends, isolated counts and masks a fresh view gives
+        assert held_state(split) == held_state(unproved(dec_of(split)))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_states_track_views(self, n, monkeypatch):
@@ -896,8 +939,8 @@ class TestPathEnds:
         def checked(split, n):
             real(split, n)
             steps.append(split.order)
-            for cls, e in zip(classes_of(split), split.ends):
-                assert e.gates() == view_gates(cls, split.order)
+            for i, cls in enumerate(classes_of(split)):
+                assert split.gates(i) == view_gates(cls, split.order)
 
         monkeypatch.setattr(hilton, "single_vertex_step", checked)
         for m in range(1, 2 * n + 1):
@@ -970,16 +1013,16 @@ class TestLayEdgesRefusals:
             hilton.lay_edges(split, owners, bridge, "attach round")
         # refused before anything is laid
         assert split.order == 4 and classes_of(split) == [set(), set()]
-        assert split.count == [0, 0]
-        assert all(4 not in e.isolated for e in split.ends)
+        assert split.count == [0, 0] and split.isolated == [4, 4]
+        assert len(split.free) == 4
 
 
-def rebuilt_free(ends, order):
+def rebuilt_free(split):
     """The free-class mask of every vertex, bit i for class i, read off
-    the states' gates."""
-    free = [0] * order
-    for i, e in enumerate(ends):
-        for gate in e.gates():
+    the split's gates."""
+    free = [0] * split.order
+    for i in range(len(split.count)):
+        for gate in split.gates(i):
             for v in gate:
                 free[v] |= 1 << i
     return free
@@ -1016,7 +1059,7 @@ class TestFreeLists:
         def checked(split, n):
             real(split, n)
             order = split.order
-            assert split.free == rebuilt_free(split.ends, order), (n, order)
+            assert split.free == rebuilt_free(split), (n, order)
             steps.append(order)
 
         monkeypatch.setattr(hilton, "single_vertex_step", checked)
@@ -1064,6 +1107,72 @@ class TestFreeLists:
                 print(exc)
         """)
         assert "free-class masks" in lines[0]
+
+
+def slot_states(split, i):
+    """What the slots of class i say about it: its isolated vertices, those
+    with no filled slot, and its path ends, those with exactly one."""
+    first, second = split.first[i], split.second[i]
+    isolated = {v for v in range(split.order) if first[v] < 0}
+    ends = {v for v in range(split.order) if first[v] >= 0 > second[v]}
+    return isolated, ends
+
+
+def sweep_graphs():
+    """The graphs of the slot sweep: dense K_{1,n} and C_n, sparse
+    C3 + (n-3)K2 and C_{n/2} + (n/2)K2, three P3-heavy graphs K_{1,3} +
+    kP3 (+ K2), whose dense parts take the recursive embed, and 20
+    random graphs, n edges on 1.4n labels."""
+    graphs = [star_graph(16), cycle_graph(16), star_graph(9), cycle_graph(11)]
+    graphs += [disjoint_union(cycle_graph(3), *[path_graph(1)] * 9),
+               disjoint_union(cycle_graph(6), *[path_graph(1)] * 6)]
+    for n in (12, 15, 20):
+        parts = [star_graph(3), *[path_graph(2)] * ((n - 3) // 2)]
+        graphs.append(disjoint_union(*parts, *[path_graph(1)] * (n % 2 == 0)))
+    rng = random.Random("slot-sweep")
+    for _ in range(20):
+        n = rng.randint(6, 24)
+        labels = int(1.4 * n)
+        drawn = set()
+        while len(drawn) < n:
+            u, v = rng.sample(range(labels), 2)
+            drawn.add(edge(u, v))
+        graphs.append(sorted(drawn))
+    return graphs
+
+
+class TestSlotsSayTheState:
+    # the neighbour slots alone say which vertices of a class are isolated
+    # (first slot empty), which are path ends (one slot filled) and in
+    # which classes a vertex is free (second slot empty); at every stage
+    # check of a sweep, the carried path ends, isolated counts and masks
+    # say the same
+    def test_slots_match_the_carried_state(self, monkeypatch):
+        real = hilton.check_stage
+        checked = Counter()
+
+        def spy(split, n, held, where, *args):
+            real(split, n, held, where, *args)
+            order = split.order
+            for i in range(n):
+                isolated, ends = slot_states(split, i)
+                assert set(split.partner[i]) == ends, (i, where)
+                assert split.isolated[i] == len(isolated), (i, where)
+                free = [v for v in range(order) if split.free[v] >> i & 1]
+                assert free == sorted(isolated | ends), (i, where)
+            checked[" ".join(w for w in where.split() if not w.isdigit())] += 1
+
+        for module in (hilton, extend_sparse, embed_dense):
+            monkeypatch.setattr(module, "check_stage", spy)
+        routes = Counter(solve(h, seed=0).trace[0] for h in sweep_graphs())
+        # the embed exit, the attach entry and rounds, the completion entry
+        # and every vertex step are all checked
+        assert set(checked) == {
+            "at the embed exit", "at the attach entry", "after step",
+            "at the completion entry", "at vertex",
+        }, checked
+        assert sum(checked.values()) == 543, checked
+        assert routes == {"route: pipeline": 29}, routes
 
 
 class TestFlow:
